@@ -19,6 +19,7 @@ known discrepancies.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,10 +173,15 @@ def aw_norm(p, n):
     return num / den
 
 
+@lru_cache(maxsize=8)
 def _theta_rule(nnodes):
-    """Gauss-Legendre nodes/weights mapped to theta in (0, pi)."""
+    """Gauss-Legendre nodes/weights mapped to theta in (0, pi); memoized,
+    so both arrays are shared and read-only."""
     t, w = np.polynomial.legendre.leggauss(nnodes)
-    return 0.5 * math.pi * (t + 1.0), 0.5 * math.pi * w
+    thetas, wts = 0.5 * math.pi * (t + 1.0), 0.5 * math.pi * w
+    thetas.setflags(write=False)
+    wts.setflags(write=False)
+    return thetas, wts
 
 
 def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e-7):

@@ -22,6 +22,7 @@ discrepancies rather than errors.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,9 +112,14 @@ def radial_of(fam):
     raise ValueError(f"unknown family tag {fam.tag!r}")
 
 
+@lru_cache(maxsize=radial.TABLE_CACHE_SIZE)
 def construct(fam, m, n):
     """Coefficient table of f_{m,n}: z1^(m-n) phi_n(z1 z2; m-n) for m >= n,
-    with the roles of z1 and z2 swapped when m < n."""
+    with the roles of z1 and z2 swapped when m < n.
+
+    Tables are memoized on (fam, m, n) and the returned BivariatePoly is
+    shared between callers: treat it as immutable (every BivariatePoly
+    operation returns a new table)."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     if m < n:

@@ -54,8 +54,9 @@ class BivariatePoly:
         if not isinstance(other, BivariatePoly):
             other = BivariatePoly.const(other)
         out = dict(self.terms)
+        get = out.get
         for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+            out[k] = get(k, 0) + v
         return BivariatePoly(out)
 
     __radd__ = __add__
@@ -66,7 +67,11 @@ class BivariatePoly:
     def __sub__(self, other):
         if not isinstance(other, BivariatePoly):
             other = BivariatePoly.const(other)
-        return self + (-other)
+        out = dict(self.terms)
+        get = out.get
+        for k, v in other.terms.items():
+            out[k] = get(k, 0) - v
+        return BivariatePoly(out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -75,10 +80,12 @@ class BivariatePoly:
         if not isinstance(other, BivariatePoly):
             return BivariatePoly({k: v * other for k, v in self.terms.items()})
         out = {}
+        get = out.get
+        other_items = other.terms.items()
         for (j1, k1), v1 in self.terms.items():
-            for (j2, k2), v2 in other.terms.items():
+            for (j2, k2), v2 in other_items:
                 key = (j1 + j2, k1 + k2)
-                out[key] = out.get(key, 0) + v1 * v2
+                out[key] = get(key, 0) + v1 * v2
         return BivariatePoly(out)
 
     def __rmul__(self, other):
@@ -102,7 +109,7 @@ class BivariatePoly:
     def max_abs_coeff(self):
         if not self.terms:
             return 0.0
-        return max(abs(v) for v in self.terms.values())
+        return max(map(abs, self.terms.values()))
 
     def evaluate(self, z1, z2):
         """Evaluate at a point; terms are accumulated in sorted key order so

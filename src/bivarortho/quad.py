@@ -8,14 +8,13 @@ bivariate families, and zero-circle monotonicity checks.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from . import radial
-from .polycore import Tolerance
 from .qcalc import qpochhammer
 
 
@@ -222,10 +221,9 @@ class GramResult:
     max_diag_relerr: float
     passed: bool
     notes: str = ""
-    radii: list = field(default_factory=list)
 
 
-def gram(fam, degree_cap, tol=None, offdiag_tol=1e-9, diag_rel_tol=1e-8):
+def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     """Assemble the Gram matrix of a bivariate family up to a degree cap and
     compare with the closed-form diagonal.
 
@@ -236,9 +234,7 @@ def gram(fam, degree_cap, tol=None, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     from . import bivariate  # deferred to avoid import cycle
 
     rad = bivariate.radial_of(fam)
-    norm_const = math.pi if fam.tag == "Z" else 1.0
-    if fam.tag == "H":
-        norm_const = math.pi
+    norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
     indices = [(m, n) for m in range(degree_cap + 1) for n in range(degree_cap + 1)]
     tables = {idx: bivariate.construct(fam, *idx) for idx in indices}
     npts = 2 * degree_cap + 2
@@ -308,10 +304,11 @@ def bisection_zeros(fam, n, alpha, tol=1e-13):
 def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
     """Radii of the zero circles of f_{m,n} across a range of m.
 
-    Returns (monotone, radii_table) where radii are sqrt of the radial
-    zeros at alpha = m - n; monotone is True iff every radius strictly
-    increases with m.  Optionally cross-checks the eigensolver zeros
-    against bisection refinement.
+    Returns (monotone, radii_table, max_dev): radii_table lists (m, radii)
+    with the radii the square roots of the radial zeros at alpha = m - n;
+    monotone is True iff every radius strictly increases with m; max_dev is
+    the largest distance between the eigensolver zeros and their bisection
+    refinement (0.0 when check_bisection is False).
     """
     radii_table = []
     max_dev = 0.0

@@ -26,11 +26,17 @@ symmetrized Jacobi matrix.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .qcalc import pochhammer, qpochhammer
+
+# Entries kept by the table caches (radial_coeffs here, bivariate.construct);
+# enough for one family's whole m, n <= 15 working set, including the
+# raised and lowered neighbour tables the identity catalog reaches for.
+TABLE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,7 @@ def little_q_jacobi(beta, gamma, q):
     return RadialFamily("qjacobi", beta=beta, gamma=gamma, q=q)
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def radial_coeffs(fam, n, alpha, dtype=float):
     """Exact coefficients c_j(n, alpha), j = 0..n, of x^(n-j) in phi_n.
 
@@ -73,6 +80,10 @@ def radial_coeffs(fam, n, alpha, dtype=float):
     from finite q-Pochhammer products.  ``dtype`` selects the working
     scalar type (np.longdouble extends precision for ill-conditioned
     quadrature paths).
+
+    Tables are memoized on (fam, n, alpha, dtype) and shared between
+    callers, so the returned array is read-only; copy it before changing
+    it.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -137,6 +148,7 @@ def radial_coeffs(fam, n, alpha, dtype=float):
             )
     else:
         raise ValueError(f"unknown radial family kind {fam.kind!r}")
+    c.setflags(write=False)
     return c
 
 

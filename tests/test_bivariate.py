@@ -68,6 +68,42 @@ class TestConstruct:
             bv.radial_of(bv.FamilyId("XX"))
 
 
+def _uncached_table(fam, m, n):
+    """f_{m,n} rebuilt from an uncached radial table, as construct defines it."""
+    if m < n:
+        return _uncached_table(fam, n, m).swap_vars()
+    coeffs = radial.radial_coeffs.__wrapped__(bv.radial_of(fam), n, m - n)
+    scale = (-1.0) ** n * math.factorial(n) if fam.tag == "H" else 1.0
+    return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
+    def test_cached_table_equals_uncached(self, fam):
+        for m in range(6):
+            for n in range(6):
+                assert bv.construct(fam, m, n) == _uncached_table(fam, m, n)
+
+    def test_repeated_construct_shares_the_table(self):
+        assert bv.construct(bv.M(0.5, 0.7), 4, 2) is bv.construct(bv.M(0.5, 0.7), 4, 2)
+
+    @pytest.mark.parametrize("fam", [bv.M(0.5, 0.7), bv.MQ(0.5, 0.7, 0.3)], ids=["M", "MQ"])
+    def test_sweep_identical_warm_and_cold(self, fam):
+        def verdicts():
+            return [
+                (r.identity, r.m, r.n, r.residual, r.scale, r.passed, r.printed_residual)
+                for r in bv.sweep(fam, None, 4)
+            ]
+
+        bv.sweep(fam, None, 4)
+        warm = verdicts()
+        radial.radial_coeffs.cache_clear()
+        bv.construct.cache_clear()
+        cold = verdicts()
+        assert warm == cold
+        assert any(r[-1] is not None for r in cold)
+
+
 class TestIdentityCatalog:
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_sweep_derived_all_pass(self, fam):

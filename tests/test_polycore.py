@@ -15,6 +15,8 @@ from bivarortho.polycore import (
 coeffs = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
 polys = st.dictionaries(keys, coeffs, max_size=8).map(BivariatePoly)
+# small exact real and complex values, so sums and differences cancel exactly
+exact_coeffs = st.sampled_from([1.0, -1.0, 2.5, -2.5, 0.5j, -0.5j, 1.0 + 1.0j])
 
 
 class TestConstruction:
@@ -60,6 +62,23 @@ class TestArithmetic:
         direct = (p * q).evaluate(z1, z2)
         split = p.evaluate(z1, z2) * q.evaluate(z1, z2)
         assert_allclose(direct, split, rtol=1e-8, atol=1e-8)
+
+    @given(
+        st.dictionaries(keys, exact_coeffs, max_size=8),
+        st.dictionaries(keys, exact_coeffs, max_size=8),
+        st.sampled_from([0.0, 2.0, -1.5, 0.5 - 1.0j]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_subtraction_is_adding_the_negation(self, a, b, c):
+        p, q = BivariatePoly(a), BivariatePoly(b)
+        assert (p - q).terms == (p + (-q)).terms
+        assert (p - c).terms == (p + (-c)).terms
+
+    def test_subtraction_prunes_and_keeps_complex(self):
+        p = BivariatePoly({(0, 0): 1.0 + 2.0j, (1, 0): 3.0})
+        q = BivariatePoly({(0, 0): 1.0 + 2.0j, (0, 1): 1.0j})
+        assert (p - q).terms == {(1, 0): 3.0, (0, 1): -1.0j}
+        assert (p - (1.0 + 2.0j)).terms == {(1, 0): 3.0}
 
     def test_scalar_ops(self):
         p = BivariatePoly({(1, 1): 2.0})

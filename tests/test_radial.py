@@ -95,6 +95,23 @@ ALL_FAMILIES = [
 FAM_IDS = ["laguerre", "jacobi", "qlaguerre", "wall", "qjacobi"]
 
 
+class TestTableCache:
+    def test_returned_table_is_read_only(self):
+        c = radial.radial_coeffs(radial.laguerre(0.5), 3, 1)
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert radial.radial_coeffs(radial.laguerre(0.5), 3, 1) is c
+
+    def test_dtypes_never_share_an_entry(self):
+        fam = radial.little_q_jacobi(0.5, 0.7, 0.3)
+        radial.radial_coeffs.cache_clear()
+        c = radial.radial_coeffs(fam, 6, 1)
+        ld = radial.radial_coeffs(fam, 6, 1, np.longdouble)
+        assert c.dtype == np.float64
+        assert ld.dtype == np.longdouble
+        assert radial.radial_coeffs(fam, 6, 1, dtype=np.longdouble).dtype == np.longdouble
+
+
 class TestNorms:
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     @pytest.mark.parametrize("alpha", [0, 2])
