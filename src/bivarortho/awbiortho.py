@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qcalc import qpochhammer
-from .quad import GramResult
+from .quad import summarize
 
 
 @dataclass(frozen=True)
@@ -144,19 +144,12 @@ def _weight_numerator(x, q):
     return h_prod(x, 1.0, q) * h_prod(x, rq, q) * h_prod(x, -1.0, q) * h_prod(x, -rq, q)
 
 
-def aw_weight(p, x):
-    """Full Askey-Wilson weight w(x; a, b, c, d | q), with the
-    1/sqrt(1-x^2) factor; requires |x| < 1 strictly."""
-    if abs(x) >= 1.0:
-        raise ValueError("weight needs |x| < 1")
-    denom = (
-        h_prod(x, p.a, p.q)
-        * h_prod(x, p.b, p.q)
-        * h_prod(x, p.c, p.q)
-        * h_prod(x, p.d, p.q)
-        * math.sqrt(1.0 - x * x)
+def _theta_weight(p, x):
+    """Askey-Wilson weight w(x; a, b, c, d | q) times sin(theta), i.e.
+    with its 1/sqrt(1-x^2) factor removed analytically."""
+    return _weight_numerator(x, p.q) / (
+        h_prod(x, p.a, p.q) * h_prod(x, p.b, p.q) * h_prod(x, p.c, p.q) * h_prod(x, p.d, p.q)
     )
-    return _weight_numerator(x, p.q) / denom
 
 
 def aw_norm(p, n):
@@ -189,19 +182,7 @@ def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e
     integrated in theta so sin(theta) cancels the endpoint singularity."""
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
-    # w(x) sin(theta) with the 1/sqrt(1-x^2) removed analytically
-    wvals = np.array(
-        [
-            _weight_numerator(x, p.q)
-            / (
-                h_prod(x, p.a, p.q)
-                * h_prod(x, p.b, p.q)
-                * h_prod(x, p.c, p.q)
-                * h_prod(x, p.d, p.q)
-            )
-            for x in xs
-        ]
-    )
+    wvals = np.array([_theta_weight(p, x) for x in xs])
     vals = np.array(
         [
             [aw_prefactor(p, n) * aw_eval(p, n, x) for x in xs]
@@ -213,17 +194,8 @@ def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e
         for n in range(degree_cap + 1):
             entries[(m, n)] = float(np.sum(wts * wvals * vals[m] * vals[n]))
     diag_ref = {m: aw_norm(p, m) for m in range(degree_cap + 1)}
-    max_off = 0.0
-    max_rel = 0.0
-    for (m, n), val in entries.items():
-        if m == n:
-            max_rel = max(max_rel, abs(val - diag_ref[m]) / abs(diag_ref[m]))
-        else:
-            scale = math.sqrt(abs(entries[(m, m)] * entries[(n, n)]))
-            max_off = max(max_off, abs(val) / scale)
-    passed = max_off < offdiag_tol and max_rel < diag_rel_tol
     indices = list(range(degree_cap + 1))
-    return GramResult(indices, entries, diag_ref, max_off, max_rel, passed)
+    return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol)
 
 
 def _x_params(tp, mode, k):
@@ -330,18 +302,7 @@ def tensor_biortho_check(
     if mode in ("uv", "self"):
         base_x = base_x / np.array([h_prod(x, p1.c, q) for x in xs])
 
-    wy = np.array(
-        [
-            _weight_numerator(x, p2.q)
-            / (
-                h_prod(x, p2.a, p2.q)
-                * h_prod(x, p2.b, p2.q)
-                * h_prod(x, p2.c, p2.q)
-                * h_prod(x, p2.d, p2.q)
-            )
-            for x in xs
-        ]
-    )
+    wy = np.array([_theta_weight(p2, x) for x in xs])
     yvals = np.array(
         [
             [aw_prefactor(p2, k) * aw_eval(p2, k, x) for x in xs]
@@ -394,15 +355,4 @@ def tensor_biortho_check(
             val = x_int * y_int[(k, n)]
             entries[((j, k), (m, n))] = float(np.real(val))
     diag_ref = {idx: tensor_diag_ref(tp, mode, *idx) for idx in indices}
-    max_off = 0.0
-    max_rel = 0.0
-    for (idx1, idx2), val in entries.items():
-        if idx1 == idx2:
-            max_rel = max(max_rel, abs(val - diag_ref[idx1]) / abs(diag_ref[idx1]))
-        else:
-            scale = math.sqrt(
-                abs(entries[(idx1, idx1)] * entries[(idx2, idx2)])
-            )
-            max_off = max(max_off, abs(val) / scale)
-    passed = max_off < offdiag_tol and max_rel < diag_rel_tol
-    return GramResult(indices, entries, diag_ref, max_off, max_rel, passed, notes=mode)
+    return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol, notes=mode)

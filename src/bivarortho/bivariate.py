@@ -130,11 +130,6 @@ def construct(fam, m, n):
     return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
-def symmetry_conjugate(fam, m, n):
-    """Table of f_{n,m} with variable roles swapped; equals f_{m,n}."""
-    return construct(fam, n, m).swap_vars()
-
-
 # ---------------------------------------------------------------------------
 # identity catalog
 # ---------------------------------------------------------------------------

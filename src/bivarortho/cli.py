@@ -247,9 +247,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--tol-abs", type=float, default=1e-10)
-    common.add_argument("--tol-rel", type=float, default=1e-9)
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
@@ -279,6 +276,8 @@ def build_parser():
     add_family(p)
     p.add_argument("--ids", default="all", help="comma list or 'all'")
     p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--tol-abs", type=float, default=1e-10)
+    p.add_argument("--tol-rel", type=float, default=1e-9)
     p.add_argument(
         "--printed-form",
         action="store_true",
@@ -303,6 +302,8 @@ def build_parser():
     )
     p.add_argument("--npoints", type=int, default=10)
     p.add_argument("--nterms", type=int, default=30)
+    p.add_argument("--tol-abs", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_genfun)
     return parser
 

@@ -171,10 +171,6 @@ class BivariatePoly:
             out[nk] = out.get(nk, 0) + v * (1.0 - q ** e) / (1.0 - q)
         return BivariatePoly(out)
 
-    def diff_qinv_partial(self, var, q):
-        """Backward q-derivative D_{q^{-1}} f(z) = (f(z) - f(z/q)) / ((1-1/q) z)."""
-        return self.diff_qpartial(var, 1.0 / q)
-
     def diff_qtheta(self, var, q):
         """q-Euler operator theta_q f(z) = (f(z) - f(qz)) / (1-q); each term
         z^e is multiplied by the q-number [e]_q = (1-q^e)/(1-q)."""

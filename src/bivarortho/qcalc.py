@@ -79,13 +79,6 @@ def qnumber(alpha, q):
     return (1.0 - q ** alpha) / (1.0 - q)
 
 
-def qbinomial(n, k, q):
-    """Gaussian binomial coefficient [n choose k]_q."""
-    if k < 0 or k > n:
-        return 0.0
-    return qpochhammer(q, q, n) / (qpochhammer(q, q, k) * qpochhammer(q, q, n - k))
-
-
 def hyper_terminating(num, den, x):
     """Terminating generalized hypergeometric sum.
 

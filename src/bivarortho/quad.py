@@ -1,12 +1,13 @@
 """Quadrature and summation engines.
 
 Gauss rules for the continuous radial measures (Golub–Welsch on the
-symmetrized Jacobi matrix), exact angular integration over the circle,
-q-lattice sums with certified tail bounds, Gram-matrix assembly for the
-bivariate families, and zero-circle monotonicity checks.
+symmetrized Jacobi matrix), q-lattice sums with certified tail bounds,
+block-diagonal Gram assembly for the bivariate families (one radial Gram
+per circle-harmonic index, shared by the continuous and q families), the
+Gram summary shared with the Askey–Wilson checks, and zero-circle
+monotonicity checks.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
-
-    def integrate_poly(self, power_coeffs):
-        """Integrate a polynomial given by ascending power coefficients."""
-        vals = np.polynomial.polynomial.polyval(self.nodes, power_coeffs)
-        return float(np.dot(self.weights, vals))
 
 
 def golub_welsch(fam, alpha, npts):
@@ -52,23 +48,6 @@ def golub_welsch(fam, alpha, npts):
     return QuadratureRule(nodes, weights, 2 * npts - 1)
 
 
-def angular_integral(j, k):
-    """Exact circle average of e^{i(j-k)theta} against dtheta/(2 pi)."""
-    return 1.0 if j == k else 0.0
-
-
-def angular_integral_trapezoid(j, k, nnodes=None):
-    """Sampled cross-check of angular_integral: uniform trapezoid rule on
-    the circle, exact for trigonometric degree < nnodes."""
-    if nnodes is None:
-        nnodes = 2 * (abs(j) + abs(k)) + 1
-    total = 0.0 + 0.0j
-    for s in range(nnodes):
-        theta = 2.0 * math.pi * s / nnodes
-        total += cmath.exp(1j * (j - k) * theta)
-    return total / nnodes
-
-
 def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
     """Sum integrand(x) against the discrete q-lattice measure of a q
     radial family with exponent x^alpha absorbed into the weight.
@@ -78,7 +57,9 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
     times the accumulated value.  The bilateral lattice (qlaguerre) runs
     over x = c q^k, k in Z; the k -> -infinity direction decays through the
     (-x; q)_infinity denominator and is cut by the same relative criterion,
-    with a divergence error if terms fail to shrink.
+    with a divergence error if terms fail to shrink.  An array-valued
+    integrand is summed entrywise and every stop test reads its largest
+    entry.
     """
     q = dtype(fam.q)
     a = alpha + fam.beta
@@ -104,7 +85,9 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
             # the weight decays at least geometrically with ratio q^{a+1}
             # and the integrand is bounded on (0, 1], so the dropped tail is
             # below |term| * tail_factor once past the first node
-            if k > 0 and abs(term) * tail_factor <= tail_tol * max(abs(total), 1e-300):
+            if k > 0 and np.max(np.abs(term)) * tail_factor <= tail_tol * max(
+                np.max(np.abs(total)), 1e-300
+            ):
                 return total
         raise RuntimeError("unilateral lattice sum did not converge")
     if fam.kind == "qlaguerre":
@@ -120,7 +103,9 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
             # advance: (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
             denom = denom / (1.0 + x)
             x = x * q
-            if k > 5 and abs(term) / (1.0 - q ** (a + 1)) <= tail_tol * max(abs(total), 1e-300):
+            if k > 5 and np.max(np.abs(term)) / (1.0 - q ** (a + 1)) <= tail_tol * max(
+                np.max(np.abs(total)), 1e-300
+            ):
                 break
         else:
             raise RuntimeError("bilateral lattice sum (upward) did not converge")
@@ -136,73 +121,46 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
             w = x ** (a + 1) / denom
             term = w * integrand(x)
             total += term
-            if abs(term) <= tail_tol * max(abs(total), 1e-300) and k > 2:
+            size = np.max(np.abs(term))
+            if size <= tail_tol * max(np.max(np.abs(total)), 1e-300) and k > 2:
                 return total
-            if abs(term) >= prev:
+            if size >= prev:
                 bad += 1
                 if bad > 50:
                     raise RuntimeError("bilateral lattice sum diverges downward")
             else:
                 bad = 0
-            prev = abs(term)
+            prev = size
         raise RuntimeError("bilateral lattice sum (downward) did not converge")
     raise ValueError(f"not a q-lattice family: {fam.kind!r}")
 
 
-def radial_integral(fam, alpha, power_coeffs, npts=None, tail_tol=1e-16):
-    """Integrate an ascending-power polynomial against x^alpha dnu, by Gauss
-    rule (continuous families) or lattice sum (q families)."""
-    power_coeffs = np.asarray(power_coeffs, dtype=float)
+def radial_gram(fam, alpha, nmax, scale=None):
+    """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu.
+
+    Row k of V is the exact table ``radial_coeffs(fam, k, alpha)``, times
+    ``scale[k]`` when given, evaluated at the nodes of
+    golub_welsch(fam, alpha, nmax + 1), which is exact to degree 2 nmax + 1,
+    or at the points of one q_lattice_sum.  The q blocks are summed in
+    longdouble because the alternating q tables grow like negative
+    q-powers and lose ~9 digits to cancellation in float64 at small q.
+    """
+    dtype = np.longdouble if fam.is_q() else float
+    coeffs = np.zeros((nmax + 1, nmax + 1), dtype=dtype)
+    for k in range(nmax + 1):
+        coeffs[k, nmax - k:] = radial.radial_coeffs(fam, k, alpha, dtype=dtype)
+    if scale is not None:
+        coeffs *= np.asarray(scale, dtype=dtype)[:, None]
+    powers = np.arange(nmax, -1, -1)
     if fam.is_q():
         def integrand(x):
-            return np.polynomial.polynomial.polyval(x, power_coeffs)
+            v = coeffs @ x ** powers
+            return np.outer(v, v)
 
-        return q_lattice_sum(fam, alpha, integrand, tail_tol=tail_tol)
-    if npts is None:
-        npts = len(power_coeffs) // 2 + 1
-    rule = golub_welsch(fam, alpha, npts)
-    return rule.integrate_poly(power_coeffs)
-
-
-def _angular_reduce(poly):
-    """Reduce a table on the circle z1 = r e^{i theta}, z2 = r e^{-i theta}:
-    average over theta keeps only balanced terms (j == k), returning the
-    ascending coefficients of the induced polynomial in x = r^2."""
-    deg = 0
-    for (j, k) in poly.terms:
-        if j == k:
-            deg = max(deg, j)
-    out = np.zeros(deg + 1)
-    for (j, k), v in poly.terms.items():
-        if j == k:
-            out[j] += v
-    return out
-
-
-def _q_gram_entry(rad, idx1, idx2, tail_tol=1e-19):
-    """Inner product of two q-family members in extended precision.
-
-    The angular average kills every pair with m - n != s - t; for the
-    surviving pairs the reduced radial polynomial is assembled directly
-    from longdouble coefficient tables and summed over the lattice in
-    longdouble, because the alternating table coefficients grow like
-    negative q-powers and make the float64 sum lose ~9 digits at small q.
-    """
-    (m, n), (s, t) = idx1, idx2
-    if m - n != s - t:
-        return 0.0
-    ld = np.longdouble
-    c1 = radial.radial_coeffs(rad, min(m, n), abs(m - n), dtype=ld)
-    c2 = radial.radial_coeffs(rad, min(s, t), abs(s - t), dtype=ld)
-    reduced = np.zeros(m + t + 1, dtype=ld)
-    for j in range(len(c1)):
-        for i in range(len(c2)):
-            reduced[m - j + t - i] += c1[j] * c2[i]
-
-    def integrand(x):
-        return np.polynomial.polynomial.polyval(x, reduced)
-
-    return float(q_lattice_sum(rad, 0.0, integrand, tail_tol=tail_tol, dtype=ld))
+        return q_lattice_sum(fam, alpha, integrand, tail_tol=1e-19, dtype=dtype).astype(float)
+    rule = golub_welsch(fam, alpha, nmax + 1)
+    vals = coeffs @ rule.nodes[None, :] ** powers[:, None]
+    return (vals * rule.weights) @ vals.T
 
 
 @dataclass
@@ -223,52 +181,60 @@ class GramResult:
     notes: str = ""
 
 
-def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
-    """Assemble the Gram matrix of a bivariate family up to a degree cap and
-    compare with the closed-form diagonal.
-
-    The 2D integral is reduced exactly over the angle, leaving a radial
-    polynomial integral done by Gauss rule or lattice sum.  The matrix is
-    filled symmetrically from the upper triangle.
-    """
-    from . import bivariate  # deferred to avoid import cycle
-
-    rad = bivariate.radial_of(fam)
-    norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
-    indices = [(m, n) for m in range(degree_cap + 1) for n in range(degree_cap + 1)]
-    tables = {idx: bivariate.construct(fam, *idx) for idx in indices}
-    npts = 2 * degree_cap + 2
-    rule = None if rad.is_q() else golub_welsch(rad, 0.0, npts)
-    entries = {}
-    for i, idx1 in enumerate(indices):
-        for idx2 in indices[i:]:
-            if rule is None:
-                val = norm_const * _q_gram_entry(rad, idx1, idx2)
-            else:
-                prod = tables[idx1] * tables[idx2].swap_vars()
-                coeffs = _angular_reduce(prod)
-                if not coeffs.any():
-                    val = 0.0
-                else:
-                    val = norm_const * rule.integrate_poly(coeffs)
-            entries[(idx1, idx2)] = val
-            entries[(idx2, idx1)] = val
-    diag_ref = {}
-    for (m, n) in indices:
-        zref = radial.zeta(rad, min(m, n), abs(m - n))
-        if fam.tag == "H":
-            zref = zref * math.factorial(min(m, n)) ** 2
-        diag_ref[(m, n)] = norm_const * zref
+def summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol, notes=""):
+    """GramResult with the largest normalized off-diagonal |G_ij| /
+    sqrt|G_ii G_jj| and the largest relative diagonal error against
+    ``diag_ref``; passed when both are under their tolerances."""
     max_off = 0.0
     max_rel = 0.0
     for (idx1, idx2), val in entries.items():
         if idx1 == idx2:
             max_rel = max(max_rel, abs(val - diag_ref[idx1]) / abs(diag_ref[idx1]))
         else:
-            scale = math.sqrt(entries[(idx1, idx1)] * entries[(idx2, idx2)])
+            scale = math.sqrt(abs(entries[(idx1, idx1)] * entries[(idx2, idx2)]))
             max_off = max(max_off, abs(val) / scale)
     passed = max_off < offdiag_tol and max_rel < diag_rel_tol
-    return GramResult(indices, entries, diag_ref, max_off, max_rel, passed)
+    return GramResult(indices, entries, diag_ref, max_off, max_rel, passed, notes)
+
+
+def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
+    """Assemble the Gram matrix of a bivariate family up to a degree cap and
+    compare with the closed-form diagonal.
+
+    The circle average pairs f_{m,n} only with members of the same
+    harmonic index m - n, so the matrix is block diagonal: the block of
+    index a = |m - n| is the radial Gram of phi_0..phi_{cap-a}(x; a)
+    against x^a dnu, and every entry across blocks is an exact zero.
+    """
+    from . import bivariate  # deferred to avoid import cycle
+
+    rad = bivariate.radial_of(fam)
+    norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
+    indices = [(m, n) for m in range(degree_cap + 1) for n in range(degree_cap + 1)]
+    blocks = []
+    for a in range(degree_cap + 1):
+        nmax = degree_cap - a
+        scale = None
+        if fam.tag == "H":  # H rescales phi_k by (-1)^k k!
+            scale = [(-1.0) ** k * math.factorial(k) for k in range(nmax + 1)]
+        blocks.append(norm_const * radial_gram(rad, a, nmax, scale))
+    entries = {}
+    for idx1 in indices:
+        m, n = idx1
+        for idx2 in indices:
+            s, t = idx2
+            if m - n == s - t:
+                val = float(blocks[abs(m - n)][min(m, n), min(s, t)])
+            else:
+                val = 0.0
+            entries[(idx1, idx2)] = val
+    diag_ref = {}
+    for (m, n) in indices:
+        zref = radial.zeta(rad, min(m, n), abs(m - n))
+        if fam.tag == "H":
+            zref = zref * math.factorial(min(m, n)) ** 2
+        diag_ref[(m, n)] = norm_const * zref
+    return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol)
 
 
 def bisection_zeros(fam, n, alpha, tol=1e-13):

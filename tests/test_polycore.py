@@ -153,9 +153,13 @@ class TestDerivatives:
         assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-8)
 
     def test_qinv_partial_uses_inverse_base(self):
-        q = 0.5
+        # the backward q-derivative (f(z) - f(z/q)) / ((1 - 1/q) z) is the
+        # forward one at base 1/q
+        q, z1, z2 = 0.5, 0.7, -0.4
         p = BivariatePoly({(2, 0): 1.0, (1, 1): -3.0})
-        assert p.diff_qinv_partial(1, q) == p.diff_qpartial(1, 1.0 / q)
+        lhs = p.diff_qpartial(1, 1.0 / q).evaluate(z1, z2)
+        rhs = (p.evaluate(z1, z2) - p.evaluate(z1 / q, z2)) / ((1.0 - 1.0 / q) * z1)
+        assert_allclose(lhs, rhs, rtol=1e-13)
 
     @given(polys, st.floats(0.2, 0.9))
     @settings(max_examples=40, deadline=None)

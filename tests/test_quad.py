@@ -14,20 +14,16 @@ class TestGolubWelsch:
         # moments of x^alpha e^-x dx are Gamma(alpha + k + 1)
         rule = quad.golub_welsch(radial.laguerre(0.5), 1.0, 6)
         for k in range(rule.exactness + 1):
-            mono = np.zeros(k + 1)
-            mono[k] = 1.0
-            assert_allclose(rule.integrate_poly(mono), math.gamma(2.5 + k), rtol=1e-11)
+            assert_allclose(rule.weights @ rule.nodes**k, math.gamma(2.5 + k), rtol=1e-11)
 
     def test_jacobi_moments(self):
         # moments of x^(alpha+gamma) (1-x)^beta dx on (0,1) are Beta integrals
         b, g, alpha = 0.7, 0.4, 1.0
         rule = quad.golub_welsch(radial.shifted_jacobi(b, g), alpha, 5)
         for k in range(rule.exactness + 1):
-            mono = np.zeros(k + 1)
-            mono[k] = 1.0
             a_exp = alpha + g + k
             ref = math.gamma(a_exp + 1) * math.gamma(b + 1) / math.gamma(a_exp + b + 2)
-            assert_allclose(rule.integrate_poly(mono), ref, rtol=1e-11)
+            assert_allclose(rule.weights @ rule.nodes**k, ref, rtol=1e-11)
 
     def test_weights_positive_nodes_sorted(self):
         rule = quad.golub_welsch(radial.laguerre(0.0), 0.0, 8)
@@ -42,18 +38,6 @@ class TestGolubWelsch:
     def test_rejects_empty_rule(self):
         with pytest.raises(ValueError):
             quad.golub_welsch(radial.laguerre(0.0), 0.0, 0)
-
-
-class TestAngular:
-    def test_exact_selection(self):
-        assert quad.angular_integral(3, 3) == 1.0
-        assert quad.angular_integral(3, 1) == 0.0
-
-    @pytest.mark.parametrize("j,k", [(0, 0), (2, 2), (3, 1), (5, 0)])
-    def test_trapezoid_crosscheck(self, j, k):
-        val = quad.angular_integral_trapezoid(j, k)
-        assert_allclose(val.real, quad.angular_integral(j, k), atol=1e-13)
-        assert abs(val.imag) < 1e-13
 
 
 class TestQLatticeSum:
@@ -96,6 +80,12 @@ class TestQLatticeSum:
     def test_rejects_continuous_family(self):
         with pytest.raises(ValueError):
             quad.q_lattice_sum(radial.laguerre(0.0), 0.0, lambda x: 1.0)
+
+    def test_array_integrand_sums_entrywise(self):
+        fam = radial.wall(0.5, 0.5)
+        vec = quad.q_lattice_sum(fam, 1.0, lambda x: np.array([1.0, x, x * x]))
+        for k, val in enumerate(vec):
+            assert_allclose(val, quad.q_lattice_sum(fam, 1.0, lambda x: x**k), rtol=1e-14)
 
     def test_longdouble_path(self):
         fam = radial.wall(0.5, 0.3)
@@ -143,10 +133,72 @@ class TestGram:
         assert res.indices == [(0, 0)]
         assert_allclose(res.entries[((0, 0), (0, 0))], math.pi, rtol=1e-12)
 
-    def test_q_entries_vanish_off_the_matched_line(self):
-        # angular selection: entries with m - n != s - t are exact zeros
-        val = quad._q_gram_entry(radial.wall(0.5, 0.5), (2, 0), (1, 0))
-        assert val == 0.0
+    @pytest.mark.parametrize("fam", [bivariate.M(0.5, 2.0), bivariate.WALL(0.5, 0.5)],
+                             ids=["M", "WALL"])
+    def test_entries_vanish_across_harmonic_blocks(self, fam):
+        # the circle average pairs only members of one harmonic index m - n
+        res = quad.gram(fam, 3)
+        for ((m, n), (s, t)), val in res.entries.items():
+            if m - n != s - t:
+                assert val == 0.0
+        assert res.entries[((2, 0), (3, 1))] != 0.0
+
+    def test_wall_at_beta_zero(self):
+        # phi_1(x; 0) vanishes exactly at the lattice point x = q; a stop
+        # test on a single entry would cut that lattice sum after 2 points
+        res = quad.gram(bivariate.WALL(0.0, 0.5), 4)
+        assert res.passed, (res.max_offdiag, res.max_diag_relerr)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [bivariate.WALL(1.813518, 0.311057), bivariate.MQ(1.8, 0.5, 0.3)],
+        ids=["WALL", "MQ"],
+    )
+    def test_q_families_at_large_beta_small_q(self, fam):
+        res = quad.gram(fam, 4, diag_rel_tol=1e-7)
+        assert res.passed, (res.max_offdiag, res.max_diag_relerr)
+
+    @pytest.mark.parametrize(
+        "fam,cap",
+        [
+            (bivariate.Z(0.5), 15),
+            (bivariate.H(), 15),
+            (bivariate.M(0.5, 0.5), 10),
+            (bivariate.WALL(0.5, 0.5), 6),
+            (bivariate.MQ(0.5, 0.5, 0.5), 6),
+        ],
+        ids=["Z", "H", "M", "WALL", "MQ"],
+    )
+    def test_certified_degree_caps(self, fam, cap):
+        res = quad.gram(fam, cap, offdiag_tol=1e-9, diag_rel_tol=1e-8)
+        assert res.passed, (res.max_offdiag, res.max_diag_relerr)
+
+    def test_diagonal_never_negative(self):
+        # each diagonal is a positively weighted sum of squares, so the
+        # off-diagonal normalization cannot take the root of a negative
+        res = quad.gram(bivariate.WALL(0.5, 0.3), 12)
+        assert all(res.entries[(i, i)] >= 0.0 for i in res.indices)
+
+
+class TestRadialGram:
+    def test_scale_multiplies_rows_and_columns(self):
+        fam = radial.laguerre(0.0)
+        scale = [1.0, -2.0, 3.0]
+        plain = quad.radial_gram(fam, 1, 2)
+        scaled = quad.radial_gram(fam, 1, 2, scale)
+        assert_allclose(scaled, np.outer(scale, scale) * plain, rtol=1e-13, atol=1e-13)
+
+
+class TestSummarize:
+    def test_reports_worst_entries(self):
+        indices = [0, 1]
+        entries = {(0, 0): 2.0, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 8.0}
+        res = quad.summarize(indices, entries, {0: 2.0, 1: 10.0}, 1e-9, 0.5, notes="x")
+        assert res.max_offdiag == pytest.approx(0.1 / 4.0)
+        assert res.max_diag_relerr == pytest.approx(0.2)
+        assert not res.passed
+        assert res.notes == "x"
+        assert quad.summarize(indices, entries, {0: 2.0, 1: 8.0}, 0.1, 1e-9).passed
 
 
 class TestZeros:
