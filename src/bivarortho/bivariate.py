@@ -220,10 +220,13 @@ def _gen_uv(fam, m, n):
 def _gen_diag(fam, m, n):
     _require(m >= n)
     rad = radial_of(fam)
-    rc = radial.recurrence_coeffs(rad, n, m - n)
+    a = m - n
+    A, B = radial.recurrence(rad, a, n + 1)
     x = BivariatePoly.monomial(1, 1)
-    lhs = (x - rc.c) * construct(fam, m, n)
-    rhs = rc.a * construct(fam, m + 1, n + 1) + rc.b * _zero_if_negative(fam, m - 1, n - 1)
+    lhs = (x - float(A[n])) * construct(fam, m, n)
+    lower = float(B[n]) * _c0(rad, n, a) / _c0(rad, n - 1, a) if n else 0.0
+    rhs = (_c0(rad, n, a) / _c0(rad, n + 1, a) * construct(fam, m + 1, n + 1)
+           + lower * _zero_if_negative(fam, m - 1, n - 1))
     return [("derived", lhs, rhs)]
 
 

@@ -3,7 +3,7 @@ sweeps, zero-circle tables, and generating-function checks with
 machine-readable CSV/JSON output.
 
 Exit codes: 0 = all checks pass (known discrepancies excluded),
-1 = check failure, 2 = usage or parameter error.
+1 = check failure or numerical breakdown, 2 = usage or parameter error.
 """
 
 import argparse
@@ -40,6 +40,16 @@ def _fmt(value):
 
 def _family(args):
     tag = args.family.upper()
+    # the radial measures exist only for these ranges; reject the rest
+    # before any work starts
+    if tag in ("Z", "M", "ZQ", "WALL", "MQ") and not args.beta > -1:
+        raise ValueError(f"family {tag} needs --beta > -1, got {args.beta}")
+    if tag in ("M", "MQ") and not args.gamma > -1:
+        raise ValueError(f"family {tag} needs --gamma > -1, got {args.gamma}")
+    if tag in ("ZQ", "WALL", "MQ") and not 0 < args.q < 1:
+        raise ValueError(f"family {tag} needs 0 < --q < 1, got {args.q}")
+    if tag == "ZQ" and not args.c > 0:
+        raise ValueError(f"family ZQ needs --c > 0, got {args.c}")
     if tag == "Z":
         return bivariate.Z(args.beta)
     if tag == "H":
@@ -316,6 +326,9 @@ def main(argv=None):
     except (ValueError, bivariate.IdentityRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

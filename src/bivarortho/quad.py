@@ -1,11 +1,12 @@
 """Quadrature and summation engines.
 
 Gauss rules for the continuous radial measures (Golub–Welsch on the
-symmetrized Jacobi matrix), q-lattice sums with certified tail bounds,
-block-diagonal Gram assembly for the bivariate families (one radial Gram
-per circle-harmonic index, shared by the continuous and q families), the
-Gram summary shared with the Askey–Wilson checks, and zero-circle
-monotonicity checks.
+symmetrized Jacobi matrix of the closed-form recurrence), longdouble
+q-lattice sums with certified tail bounds, block-diagonal Gram assembly for
+the bivariate families (one radial Gram per circle-harmonic index, its rows
+evaluated by the recurrence at the nodes or lattice points, shared by the
+continuous and q families), the Gram summary shared with the Askey–Wilson
+checks, and zero-circle monotonicity checks.
 """
 
 import math
@@ -48,20 +49,24 @@ def golub_welsch(fam, alpha, npts):
     return QuadratureRule(nodes, weights, 2 * npts - 1)
 
 
-def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
+# relative stop target of q_lattice_sum, just under the longdouble epsilon
+LATTICE_TAIL_TOL = 1e-19
+
+
+def q_lattice_sum(fam, alpha, integrand):
     """Sum integrand(x) against the discrete q-lattice measure of a q
     radial family with exponent x^alpha absorbed into the weight.
 
-    Unilateral lattices (wall, qjacobi) run over x = q^k, k >= 0, stopping
-    once the geometric tail bound term/(1 - q^(a+1)) drops below tail_tol
-    times the accumulated value.  The bilateral lattice (qlaguerre) runs
-    over x = c q^k, k in Z; the k -> -infinity direction decays through the
-    (-x; q)_infinity denominator and is cut by the same relative criterion,
-    with a divergence error if terms fail to shrink.  An array-valued
-    integrand is summed entrywise and every stop test reads its largest
-    entry.
+    The sum runs in np.longdouble.  Unilateral lattices (wall, qjacobi) run
+    over x = q^k, k >= 0, stopping once the geometric tail bound
+    term/(1 - q^(a+1)) drops below LATTICE_TAIL_TOL times the accumulated
+    value.  The bilateral lattice (qlaguerre) runs over x = c q^k, k in Z;
+    the k -> -infinity direction decays through the (-x; q)_infinity
+    denominator and is cut by the same relative criterion, with a
+    divergence error if terms fail to shrink.  An array-valued integrand is
+    summed entrywise and every stop test reads its largest entry.
     """
-    q = dtype(fam.q)
+    q = np.longdouble(fam.q)
     a = alpha + fam.beta
     if fam.kind == "wall" or fam.kind == "qjacobi":
         if a + 1 <= 0:
@@ -69,9 +74,9 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
         tail_factor = 1.0 / (1.0 - q ** (a + 1))
         upper = qpochhammer(q, q)  # (q^{k+1}; q)_inf at k = 0... updated below
         lower = qpochhammer(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
-        total = dtype(0.0)
-        x = dtype(1.0)
-        qa = dtype(1.0)  # q^{(a+1) k}
+        total = np.longdouble(0.0)
+        x = np.longdouble(1.0)
+        qa = np.longdouble(1.0)  # q^{(a+1) k}
         for k in range(100000):
             if k > 0:
                 upper = upper / (1.0 - q ** k)
@@ -85,14 +90,14 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
             # the weight decays at least geometrically with ratio q^{a+1}
             # and the integrand is bounded on (0, 1], so the dropped tail is
             # below |term| * tail_factor once past the first node
-            if k > 0 and np.max(np.abs(term)) * tail_factor <= tail_tol * max(
+            if k > 0 and np.max(np.abs(term)) * tail_factor <= LATTICE_TAIL_TOL * max(
                 np.max(np.abs(total)), 1e-300
             ):
                 return total
         raise RuntimeError("unilateral lattice sum did not converge")
     if fam.kind == "qlaguerre":
-        c = dtype(fam.c)
-        total = dtype(0.0)
+        c = np.longdouble(fam.c)
+        total = np.longdouble(0.0)
         # upward direction k >= 0: x -> 0, mass ~ x^{a+1}
         denom = qpochhammer(-c, q)  # (-c q^k; q)_inf at k = 0
         x = c
@@ -103,7 +108,7 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
             # advance: (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
             denom = denom / (1.0 + x)
             x = x * q
-            if k > 5 and np.max(np.abs(term)) / (1.0 - q ** (a + 1)) <= tail_tol * max(
+            if k > 5 and np.max(np.abs(term)) / (1.0 - q ** (a + 1)) <= LATTICE_TAIL_TOL * max(
                 np.max(np.abs(total)), 1e-300
             ):
                 break
@@ -122,7 +127,7 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
             term = w * integrand(x)
             total += term
             size = np.max(np.abs(term))
-            if size <= tail_tol * max(np.max(np.abs(total)), 1e-300) and k > 2:
+            if size <= LATTICE_TAIL_TOL * max(np.max(np.abs(total)), 1e-300) and k > 2:
                 return total
             if size >= prev:
                 bad += 1
@@ -138,29 +143,26 @@ def q_lattice_sum(fam, alpha, integrand, tail_tol=1e-16, dtype=float):
 def radial_gram(fam, alpha, nmax, scale=None):
     """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu.
 
-    Row k of V is the exact table ``radial_coeffs(fam, k, alpha)``, times
-    ``scale[k]`` when given, evaluated at the nodes of
-    golub_welsch(fam, alpha, nmax + 1), which is exact to degree 2 nmax + 1,
-    or at the points of one q_lattice_sum.  The q blocks are summed in
-    longdouble because the alternating q tables grow like negative
-    q-powers and lose ~9 digits to cancellation in float64 at small q.
+    Row k of V is c_0(k, alpha) p_k(x), times ``scale[k]`` when given: the
+    leading table coefficient times the monic recurrence
+    (radial.recurrence, radial.monic_values), evaluated in np.longdouble at
+    the nodes of golub_welsch(fam, alpha, nmax + 1), which is exact to
+    degree 2 nmax + 1, or at the points of one q_lattice_sum.
     """
-    dtype = np.longdouble if fam.is_q() else float
-    coeffs = np.zeros((nmax + 1, nmax + 1), dtype=dtype)
-    for k in range(nmax + 1):
-        coeffs[k, nmax - k:] = radial.radial_coeffs(fam, k, alpha, dtype=dtype)
+    lead = np.array([radial.radial_coeffs(fam, k, alpha)[0] for k in range(nmax + 1)],
+                    dtype=np.longdouble)
     if scale is not None:
-        coeffs *= np.asarray(scale, dtype=dtype)[:, None]
-    powers = np.arange(nmax, -1, -1)
+        lead *= scale
+    A, B = radial.recurrence(fam, alpha, nmax + 1)
     if fam.is_q():
         def integrand(x):
-            v = coeffs @ x ** powers
+            v = lead * radial.monic_values(A, B, x)
             return np.outer(v, v)
 
-        return q_lattice_sum(fam, alpha, integrand, tail_tol=1e-19, dtype=dtype).astype(float)
+        return q_lattice_sum(fam, alpha, integrand).astype(float)
     rule = golub_welsch(fam, alpha, nmax + 1)
-    vals = coeffs @ rule.nodes[None, :] ** powers[:, None]
-    return (vals * rule.weights) @ vals.T
+    vals = lead[:, None] * radial.monic_values(A, B, rule.nodes)
+    return ((vals * rule.weights) @ vals.T).astype(float)
 
 
 @dataclass
@@ -190,7 +192,7 @@ def summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol, notes=""):
     for (idx1, idx2), val in entries.items():
         if idx1 == idx2:
             max_rel = max(max_rel, abs(val - diag_ref[idx1]) / abs(diag_ref[idx1]))
-        else:
+        elif val != 0.0:  # an exact zero cannot raise the maximum
             scale = math.sqrt(abs(entries[(idx1, idx1)] * entries[(idx2, idx2)]))
             max_off = max(max_off, abs(val) / scale)
     passed = max_off < offdiag_tol and max_rel < diag_rel_tol

@@ -18,10 +18,11 @@ q_laguerre(beta, q, c)        phi_n = L_n^(alpha+beta)(x; q), bilateral lattice 
 wall(beta, q)                 phi_n = p_n(x; q^(alpha+beta) | q), lattice q^k
 little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 
-Besides coefficient tables the module provides three-term recurrence
-coefficients (closed formulas cross-checked against exact expansion
-matching), the alpha-raising connection machinery, norms, and zeros via the
-symmetrized Jacobi matrix.
+Besides coefficient tables the module provides the closed-form monic
+three-term recurrence of each family (the route for numerics at nodes and
+lattice points; the tables serve the exact identity algebra), the
+alpha-raising connection machinery, norms, and zeros via the symmetrized
+Jacobi matrix.
 """
 
 import math
@@ -72,22 +73,19 @@ def little_q_jacobi(beta, gamma, q):
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def radial_coeffs(fam, n, alpha, dtype=float):
+def radial_coeffs(fam, n, alpha):
     """Exact coefficients c_j(n, alpha), j = 0..n, of x^(n-j) in phi_n.
 
     Classical families are built by term ratios from c_0 so the Pochhammer
     cancellations happen symbolically; q-families are evaluated directly
-    from finite q-Pochhammer products.  ``dtype`` selects the working
-    scalar type (np.longdouble extends precision for ill-conditioned
-    quadrature paths).
+    from finite q-Pochhammer products.
 
-    Tables are memoized on (fam, n, alpha, dtype) and shared between
-    callers, so the returned array is read-only; copy it before changing
-    it.
+    Tables are memoized on (fam, n, alpha) and shared between callers, so
+    the returned array is read-only; copy it before changing it.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    c = np.zeros(n + 1, dtype=dtype)
+    c = np.zeros(n + 1)
     if fam.kind == "laguerre":
         a = alpha + fam.beta
         c[0] = (-1.0) ** n / math.factorial(n)
@@ -100,7 +98,7 @@ def radial_coeffs(fam, n, alpha, dtype=float):
         for j in range(n):
             c[j + 1] = c[j] * (-(n - j) * (g + n - j) / ((j + 1.0) * (t + 2 * n - j)))
     elif fam.kind == "qlaguerre":
-        q = dtype(fam.q)
+        q = fam.q
         a = alpha + fam.beta
         qa = qpochhammer(q ** (a + 1), q, n)
         for j in range(n + 1):
@@ -115,7 +113,7 @@ def radial_coeffs(fam, n, alpha, dtype=float):
                 )
             )
     elif fam.kind == "wall":
-        q = dtype(fam.q)
+        q = fam.q
         a = alpha + fam.beta
         qn = qpochhammer(q, q, n)
         for j in range(n + 1):
@@ -130,7 +128,7 @@ def radial_coeffs(fam, n, alpha, dtype=float):
                 )
             )
     elif fam.kind == "qjacobi":
-        q = dtype(fam.q)
+        q = fam.q
         a = alpha + fam.beta
         g = fam.gamma
         qn = qpochhammer(q, q, n)
@@ -171,10 +169,12 @@ def zeta(fam, n, alpha):
     if fam.kind == "jacobi":
         g = alpha + fam.gamma
         t = alpha + fam.beta + fam.gamma
+        # Gamma(t + 1) (t + 1) = Gamma(t + 2) at n = 0 also covers t = -1
+        scale = math.gamma(t + n + 1) * (t + 2 * n + 1) if n else math.gamma(t + 2)
         return (
             math.gamma(g + n + 1)
             * math.gamma(fam.beta + n + 1)
-            / (math.factorial(n) * math.gamma(t + n + 1) * (t + 2 * n + 1))
+            / (math.factorial(n) * scale)
         )
     if fam.kind == "qlaguerre":
         q, c = fam.q, fam.c
@@ -204,16 +204,18 @@ def zeta(fam, n, alpha):
         q = fam.q
         a = alpha + fam.beta
         g = fam.gamma
+        # (q^(s+n); q)_inf / (1 - q^(s+2n)) with s = a + g + 1, cancelled so
+        # that s = 0 (a removable 0/0 at n = 0) needs no special case
         return (
             qpochhammer(q, q)
-            * qpochhammer(q ** (a + g + n + 1), q)
+            * qpochhammer(q ** (a + g + n + 1), q, n)
+            * qpochhammer(q ** (a + g + 2 * n + 2), q)
             * qpochhammer(q, q, n)
             * q ** (n * (a + 1))
             / (
                 qpochhammer(q ** (a + 1), q)
                 * qpochhammer(q ** (g + n + 1), q)
                 * qpochhammer(q ** (a + 1), q, n)
-                * (1.0 - q ** (a + g + 2 * n + 1))
             )
         )
     raise ValueError(f"unknown radial family kind {fam.kind!r}")
@@ -223,72 +225,6 @@ def measure_mass(fam, alpha):
     """Total mass of x^alpha dnu; phi_0 is the constant c_0(0, alpha)."""
     c00 = radial_coeffs(fam, 0, alpha)[0]
     return zeta(fam, 0, alpha) / c00 ** 2
-
-
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Three-term recurrence x phi_n = a_n phi_{n+1} + c_n phi_n + b_n phi_{n-1}.
-
-    ``a``, ``b``, ``c`` come from exact expansion matching; the ``formula_*``
-    fields hold the closed-form candidates and ``formula_mismatch`` the
-    largest absolute disagreement between the two routes.  ``fit_residual``
-    is the leftover after subtracting the matched combination (should be at
-    rounding level).
-    """
-
-    a: float
-    b: float
-    c: float
-    formula_a: float
-    formula_b: float
-    formula_c: float
-    formula_mismatch: float
-    fit_residual: float
-
-
-def recurrence_coeffs(fam, n, alpha):
-    """Recurrence coefficients at fixed alpha, by expansion matching with the
-    closed formulas evaluated alongside for cross-validation."""
-
-    def c0(k):
-        return radial_coeffs(fam, k, alpha)[0]
-
-    def cj(k, j):
-        if j > k:
-            return 0.0
-        return radial_coeffs(fam, k, alpha)[j]
-
-    # closed-form candidates
-    fa = c0(n) / c0(n + 1)
-    fc = cj(n, 1) / c0(n) - cj(n + 1, 1) / c0(n + 1) if n >= 1 else -cj(1, 1) / c0(1)
-    if n >= 1:
-        fb = (c0(n) * cj(n, 2) - cj(n, 1) ** 2) / (c0(n - 1) * c0(n)) - (
-            c0(n) * cj(n + 1, 2) - cj(n, 1) * cj(n + 1, 1)
-        ) / (c0(n - 1) * c0(n + 1))
-    else:
-        fb = 0.0
-
-    # exact expansion matching: peel leading coefficients of x*phi_n
-    pn = radial_power_coeffs(fam, n, alpha)
-    rest = np.zeros(n + 2)
-    rest[1:] = pn  # x * phi_n
-    pnp1 = radial_power_coeffs(fam, n + 1, alpha)
-    a = rest[n + 1] / pnp1[n + 1]
-    rest = rest - a * pnp1
-    c = rest[n] / pn[n]
-    rest[: n + 1] -= c * pn
-    if n >= 1:
-        pnm1 = radial_power_coeffs(fam, n - 1, alpha)
-        b = rest[n - 1] / pnm1[n - 1]
-        rest[:n] -= b * pnm1
-    else:
-        b = 0.0
-    scale = max(np.max(np.abs(pn)), np.max(np.abs(pnp1)), 1.0)
-    fit_residual = float(np.max(np.abs(rest))) / scale
-    mismatch = max(abs(a - fa), abs(b - fb), abs(c - fc)) / max(
-        abs(a), abs(b), abs(c), 1.0
-    )
-    return RecurrenceCoeffs(a, b, c, fa, fb, fc, mismatch, fit_residual)
 
 
 def shift_a(fam, n, alpha):
@@ -340,21 +276,77 @@ def zeta_ratio_product(fam, n, alpha):
     return prod
 
 
+def recurrence(fam, alpha, npts):
+    """Monic three-term recurrence x p_n = p_{n+1} + A_n p_n + B_n p_{n-1},
+    n = 0..npts-1, of p_n = phi_n(x; alpha) / c_0(n, alpha).
+
+    Closed forms from Koekoek, Lesky and Swarttouw (2010): Laguerre 9.12,
+    Jacobi 9.8 (mapped by x = (1 - y) / 2), little q-Jacobi 14.12 (with
+    a = q^(alpha+beta), b = q^gamma), little q-Laguerre 14.20 (b = 0) and
+    q-Laguerre 14.21.  Returns (A, B) in np.longdouble with B_0 = 0; the
+    removable 0/0 of the Jacobi forms at n = 0, 1 (alpha+beta+gamma = 0,
+    -1) and of the little q-Jacobi forms at n = 0 (ab = 1 or abq = 1) are
+    set from their cancelled limits.
+    """
+    n = np.arange(npts, dtype=np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fam.kind == "laguerre":
+            a = alpha + fam.beta
+            A = 2 * n + a + 1
+            B = n * (n + a)
+        elif fam.kind == "jacobi":
+            g = alpha + fam.gamma
+            b = fam.beta
+            t = g + b
+            s = 2 * n + t
+            A = (1 - (b - g) * t / (s * (s + 2))) / 2
+            B = n * (n + g) * (n + b) * (n + t) / (s * s * (s + 1) * (s - 1))
+            A[0] = (1 - (b - g) / (t + 2)) / 2
+            B[1:2] = (1 + g) * (1 + b) / ((t + 2) ** 2 * (t + 3))
+        elif fam.is_q():
+            q = np.longdouble(fam.q)
+            qn = q ** n
+            a = q ** np.longdouble(alpha + fam.beta)
+            if fam.kind == "qlaguerre":
+                A = ((1 - q * qn) + q * (1 - a * qn)) / (a * q * qn * qn)
+                B = q * (1 - qn) * (1 - a * qn) / (a * a * qn ** 4)
+            else:
+                b = q ** np.longdouble(fam.gamma) if fam.kind == "qjacobi" else 0
+                ab = a * b
+                up = (qn * (1 - a * q * qn) * (1 - ab * q * qn)
+                      / ((1 - ab * q * qn * qn) * (1 - ab * q * q * qn * qn)))
+                down = (a * qn * (1 - qn) * (1 - b * qn)
+                        / ((1 - ab * qn * qn) * (1 - ab * q * qn * qn)))
+                up[0] = (1 - a * q) / (1 - ab * q * q)
+                down[0] = 0
+                A = up + down
+                B = np.concatenate(([0], up[:-1] * down[1:]))
+        else:
+            raise ValueError(f"unknown radial family kind {fam.kind!r}")
+    B[0] = 0
+    return A, B
+
+
+def monic_values(A, B, x):
+    """Rows p_0(x)..p_{len(A)-1}(x) of the monic recurrence (A, B) at the
+    points x, in np.longdouble."""
+    x = np.asarray(x, dtype=np.longdouble)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    rows = []
+    for k in range(len(A)):
+        rows.append(cur)
+        prev, cur = cur, (x - A[k]) * cur - B[k] * prev
+    return np.array(rows)
+
+
 def jacobi_matrix(fam, alpha, npts):
     """Diagonal and off-diagonal of the symmetric (monic-normalized) Jacobi
     matrix of order npts for the measure x^alpha dnu."""
-    diag = np.zeros(npts)
-    off = np.zeros(max(npts - 1, 0))
-    kappa = [radial_coeffs(fam, k, alpha)[0] for k in range(npts + 1)]
-    for k in range(npts):
-        rc = recurrence_coeffs(fam, k, alpha)
-        diag[k] = rc.c
-        if k >= 1:
-            sq = rc.b * kappa[k - 1] / kappa[k]
-            if sq <= 0:
-                raise ValueError("nonpositive recurrence product; measure not positive")
-            off[k - 1] = math.sqrt(sq)
-    return diag, off
+    A, B = recurrence(fam, alpha, npts)
+    if np.any(B[1:] <= 0):
+        raise ValueError("nonpositive recurrence product; measure not positive")
+    return A.astype(float), np.sqrt(B[1:]).astype(float)
 
 
 def radial_zeros(fam, n, alpha):

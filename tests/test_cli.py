@@ -84,11 +84,64 @@ class TestGram:
         # a Gram that misses its tolerance is a failed check, not a usage error
         code, out, err = run(
             ["gram", "--family", "WALL", "--beta", "0.5", "--q", "0.5",
-             "--degree-cap", "8", "--format", "json"],
+             "--degree-cap", "10", "--format", "json"],
             capsys,
         )
         assert code == 1, err
         assert json.loads(out)["summary"]["passed"] is False
+
+    def test_numerical_breakdown_exit_1(self, capsys):
+        # the infinite q-products of the norms cannot converge this close
+        # to q = 1: one diagnostic line and exit 1, not a traceback
+        code, out, err = run(
+            ["gram", "--family", "WALL", "--q", "0.99999", "--degree-cap", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: numerical breakdown:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--family", "Z", "--beta", "-1.5"],
+            ["--family", "M", "--beta", "-1"],
+            ["--family", "M", "--gamma", "-1.2"],
+            ["--family", "MQ", "--gamma", "-1"],
+            ["--family", "WALL", "--beta", "-2"],
+            ["--family", "ZQ", "--beta", "-1"],
+            ["--family", "ZQ", "--q", "1.0"],
+            ["--family", "WALL", "--q", "0"],
+            ["--family", "MQ", "--q", "nan"],
+            ["--family", "ZQ", "--c", "0"],
+            ["--family", "ZQ", "--c", "-2"],
+        ],
+        ids=["Z-beta", "M-beta", "M-gamma", "MQ-gamma", "WALL-beta", "ZQ-beta",
+             "ZQ-q", "WALL-q", "MQ-q-nan", "ZQ-c0", "ZQ-c-neg"],
+    )
+    def test_bad_family_parameters_exit_2(self, flags, capsys, monkeypatch):
+        # rejected at the boundary, before any table or rule is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.quad, "gram", no_work)
+        monkeypatch.setattr(cli.bivariate, "construct", no_work)
+        for command in (["gram"], ["eval", "--m", "1", "--n", "0"]):
+            code, out, err = run(command + flags, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: family")
+
+    def test_parameter_edges_accepted(self, capsys):
+        # H has no parameters, so its --beta is ignored; beta + gamma = -1
+        # puts a removable 0/0 into the closed-form norms at alpha = 0
+        for flags in (["--family", "H", "--beta", "-3"],
+                      ["--family", "M", "--beta", "-0.5", "--gamma", "-0.5"],
+                      ["--family", "MQ", "--beta", "-0.5", "--gamma", "-0.5",
+                       "--q", "0.5"]):
+            code, _, err = run(["gram", "--degree-cap", "2"] + flags, capsys)
+            assert code == 0, err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "gram.csv"

@@ -87,14 +87,6 @@ class TestQLatticeSum:
         for k, val in enumerate(vec):
             assert_allclose(val, quad.q_lattice_sum(fam, 1.0, lambda x: x**k), rtol=1e-14)
 
-    def test_longdouble_path(self):
-        fam = radial.wall(0.5, 0.3)
-        v64 = quad.q_lattice_sum(fam, 0.0, lambda x: x ** 3)
-        v80 = quad.q_lattice_sum(
-            fam, 0.0, lambda x: x ** 3, tail_tol=1e-19, dtype=np.longdouble
-        )
-        assert_allclose(float(v80), v64, rtol=1e-12)
-
 
 class TestGram:
     def test_plane_family_diagonal(self):
@@ -163,11 +155,12 @@ class TestGram:
         [
             (bivariate.Z(0.5), 15),
             (bivariate.H(), 15),
-            (bivariate.M(0.5, 0.5), 10),
-            (bivariate.WALL(0.5, 0.5), 6),
-            (bivariate.MQ(0.5, 0.5, 0.5), 6),
+            (bivariate.M(0.5, 0.5), 15),
+            (bivariate.ZQ(0.5, 0.5), 15),
+            (bivariate.WALL(0.5, 0.5), 8),
+            (bivariate.MQ(0.5, 0.5, 0.5), 8),
         ],
-        ids=["Z", "H", "M", "WALL", "MQ"],
+        ids=["Z", "H", "M", "ZQ", "WALL", "MQ"],
     )
     def test_certified_degree_caps(self, fam, cap):
         res = quad.gram(fam, cap, offdiag_tol=1e-9, diag_rel_tol=1e-8)
@@ -189,6 +182,48 @@ class TestRadialGram:
         assert_allclose(scaled, np.outer(scale, scale) * plain, rtol=1e-13, atol=1e-13)
 
 
+def _table_block(fam, alpha, nmax):
+    """Radial Gram block from the exact power-basis tables evaluated in
+    np.longdouble at the same Gauss nodes or lattice points."""
+    coeffs = np.zeros((nmax + 1, nmax + 1), dtype=np.longdouble)
+    for k in range(nmax + 1):
+        coeffs[k, nmax - k:] = radial.radial_coeffs(fam, k, alpha)
+    powers = np.arange(nmax, -1, -1)
+    if fam.is_q():
+        def integrand(x):
+            v = coeffs @ x**powers
+            return np.outer(v, v)
+
+        return quad.q_lattice_sum(fam, alpha, integrand).astype(float)
+    rule = quad.golub_welsch(fam, alpha, nmax + 1)
+    vals = coeffs @ rule.nodes.astype(np.longdouble)[None, :] ** powers[:, None]
+    return ((vals * rule.weights) @ vals.T).astype(float)
+
+
+class TestRadialGramAgainstTables:
+    @pytest.mark.parametrize(
+        "fam,cap",
+        [
+            (bivariate.Z(0.5), 8),
+            (bivariate.M(0.5, 0.5), 8),
+            (bivariate.ZQ(0.5, 0.5), 8),
+            (bivariate.WALL(0.5, 0.5), 4),
+            (bivariate.MQ(0.5, 0.5, 0.5), 4),
+        ],
+        ids=["Z", "M", "ZQ", "WALL", "MQ"],
+    )
+    def test_recurrence_blocks_match_power_basis(self, fam, cap):
+        # the recurrence route and the exact tables give the same Gram; the
+        # alternating q tables lose digits to cancellation in the power
+        # basis beyond cap 4 (3e-11 at cap 6), so WALL and MQ stop there
+        rad = bivariate.radial_of(fam)
+        for alpha in range(cap + 1):
+            block = quad.radial_gram(rad, alpha, cap - alpha)
+            ref = _table_block(rad, alpha, cap - alpha)
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+            assert np.max(np.abs(block - ref) / scale) < 1e-12, alpha
+
+
 class TestSummarize:
     def test_reports_worst_entries(self):
         indices = [0, 1]
@@ -199,6 +234,37 @@ class TestSummarize:
         assert not res.passed
         assert res.notes == "x"
         assert quad.summarize(indices, entries, {0: 2.0, 1: 8.0}, 0.1, 1e-9).passed
+
+    def test_matches_all_pairs_loop(self):
+        # exact-zero off-diagonals are skipped; the maxima must equal a
+        # loop over every pair, zeros included
+        def all_pairs(indices, entries, diag_ref):
+            max_off = max_rel = 0.0
+            for i in indices:
+                max_rel = max(max_rel, abs(entries[(i, i)] - diag_ref[i]) / abs(diag_ref[i]))
+                for j in indices:
+                    if i != j:
+                        scale = math.sqrt(abs(entries[(i, i)] * entries[(j, j)]))
+                        max_off = max(max_off, abs(entries[(i, j)]) / scale)
+            return max_off, max_rel
+
+        rng = np.random.default_rng(3)
+        indices = list(range(6))
+        entries = {}
+        for i in indices:
+            for j in indices:
+                if i == j:
+                    entries[(i, j)] = rng.uniform(1.0, 5.0)
+                else:
+                    entries[(i, j)] = 0.0 if (i + j) % 3 else rng.normal(scale=1e-3)
+        diag_ref = {i: entries[(i, i)] * (1 + rng.normal(scale=1e-6)) for i in indices}
+        res = quad.summarize(indices, entries, diag_ref, 1e-9, 1e-8)
+        assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(indices, entries, diag_ref)
+        assert res.max_offdiag > 0.0
+        res = quad.gram(bivariate.M(0.5, 0.5), 4)
+        assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(
+            res.indices, res.entries, res.diag_ref
+        )
 
 
 class TestZeros:

@@ -1,6 +1,6 @@
 """Tests for the radial polynomial families: coefficient tables against
-scipy oracles, norms against direct quadrature/lattice summation, shift and
-recurrence machinery, and zeros."""
+scipy oracles, norms against direct quadrature/lattice summation, shift
+machinery, the closed-form recurrences against the tables, and zeros."""
 
 import math
 
@@ -62,26 +62,21 @@ class TestQTableStructure:
         ids=["qlaguerre", "wall", "qjacobi"],
     )
     def test_three_term_recurrence_from_tables(self, fam):
-        # x phi_n = a phi_{n+1} + c phi_n + b phi_{n-1} with the matched
-        # coefficients reproduces the shifted table exactly
+        # x phi_n = a phi_{n+1} + c phi_n + b phi_{n-1} with the closed-form
+        # coefficients (a, c, b) = (c_0(n)/c_0(n+1), A_n, B_n c_0(n)/c_0(n-1))
+        # reproduces the shifted table exactly
+        A, B = radial.recurrence(fam, 1, 6)
+        c0 = [radial.radial_coeffs(fam, k, 1)[0] for k in range(6)]
         for n in range(1, 5):
-            rc = radial.recurrence_coeffs(fam, n, 1)
-            assert rc.fit_residual < 1e-11
             pn = radial.radial_power_coeffs(fam, n, 1)
             x_pn = np.concatenate(([0.0], pn))
-            rebuilt = rc.a * radial.radial_power_coeffs(fam, n + 1, 1).copy()
-            rebuilt[: n + 1] += rc.c * pn
-            rebuilt[:n] += rc.b * radial.radial_power_coeffs(fam, n - 1, 1)
+            rebuilt = c0[n] / c0[n + 1] * radial.radial_power_coeffs(fam, n + 1, 1)
+            rebuilt[: n + 1] += float(A[n]) * pn
+            rebuilt[:n] += (
+                float(B[n]) * c0[n] / c0[n - 1] * radial.radial_power_coeffs(fam, n - 1, 1)
+            )
             scale = np.max(np.abs(x_pn))
             assert np.max(np.abs(x_pn - rebuilt)) < 1e-10 * scale
-
-    def test_longdouble_dtype_respected(self):
-        fam = radial.wall(0.5, 0.3)
-        c = radial.radial_coeffs(fam, 5, 2, dtype=np.longdouble)
-        assert c.dtype == np.longdouble
-        assert_allclose(
-            c.astype(float), radial.radial_coeffs(fam, 5, 2), rtol=1e-13
-        )
 
 
 ALL_FAMILIES = [
@@ -93,6 +88,18 @@ ALL_FAMILIES = [
 ]
 FAM_IDS = ["laguerre", "jacobi", "qlaguerre", "wall", "qjacobi"]
 
+# parameters where the closed forms (recurrence and norm) meet a removable
+# 0/0 at alpha = 0: alpha+beta+gamma = -1 and 0 for shifted Jacobi, abq = 1
+# and ab = 1 for little q-Jacobi (a = q^(alpha+beta), b = q^gamma); q = 1/4
+# makes the powers q^(+-1/2) exact, so the zeros are exact in floating point
+REMOVABLE_CASES = [
+    radial.shifted_jacobi(-0.5, -0.5),
+    radial.shifted_jacobi(0.5, -0.5),
+    radial.little_q_jacobi(-0.5, -0.5, 0.25),
+    radial.little_q_jacobi(-0.5, 0.5, 0.25),
+]
+REMOVABLE_IDS = ["jacobi-t-1", "jacobi-t0", "qjacobi-abq1", "qjacobi-ab1"]
+
 
 class TestTableCache:
     def test_returned_table_is_read_only(self):
@@ -101,18 +108,11 @@ class TestTableCache:
             c[0] = 1.0
         assert radial.radial_coeffs(radial.laguerre(0.5), 3, 1) is c
 
-    def test_dtypes_never_share_an_entry(self):
-        fam = radial.little_q_jacobi(0.5, 0.7, 0.3)
-        radial.radial_coeffs.cache_clear()
-        c = radial.radial_coeffs(fam, 6, 1)
-        ld = radial.radial_coeffs(fam, 6, 1, np.longdouble)
-        assert c.dtype == np.float64
-        assert ld.dtype == np.longdouble
-        assert radial.radial_coeffs(fam, 6, 1, dtype=np.longdouble).dtype == np.longdouble
-
 
 class TestNorms:
-    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
+    @pytest.mark.parametrize(
+        "fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS
+    )
     @pytest.mark.parametrize("alpha", [0, 2])
     def test_zeta_matches_direct_integration(self, fam, alpha):
         # integrate phi_n^2 x^alpha dnu independently of the closed form
@@ -180,14 +180,61 @@ class TestShiftMachinery:
         assert radial.shift_b(radial.laguerre(0.5), 0, 1) == 0.0
 
 
+def _peel(fam, n, alpha):
+    """Reference (A_n, B_n) by exact expansion matching: peel the leading
+    coefficients of x phi_n against phi_{n+1}, phi_n, phi_{n-1}."""
+    pn = radial.radial_power_coeffs(fam, n, alpha)
+    rest = np.concatenate(([0.0], pn))
+    up = radial.radial_power_coeffs(fam, n + 1, alpha)
+    rest = rest - rest[n + 1] / up[n + 1] * up
+    diag = rest[n] / pn[n]
+    rest[: n + 1] -= diag * pn
+    if n == 0:
+        return diag, 0.0
+    down = radial.radial_power_coeffs(fam, n - 1, alpha)
+    return diag, rest[n - 1] / pn[n]
+
+
 class TestRecurrenceFormulas:
-    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
+    @pytest.mark.parametrize(
+        "fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS
+    )
     @pytest.mark.parametrize("alpha", [0, 2])
     def test_closed_forms_match_expansion_matching(self, fam, alpha):
-        for n in range(5):
-            rc = radial.recurrence_coeffs(fam, n, alpha)
-            assert rc.formula_mismatch < 1e-10
-            assert rc.fit_residual < 1e-11
+        # x phi_n = (c_0(n)/c_0(n+1)) phi_{n+1} + A_n phi_n
+        #           + B_n (c_0(n)/c_0(n-1)) phi_{n-1} on the exact tables
+        nmax = 5
+        A, B = radial.recurrence(fam, alpha, nmax + 1)
+        assert A.dtype == B.dtype == np.longdouble
+        assert np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and B[0] == 0
+        c0 = [radial.radial_coeffs(fam, k, alpha)[0] for k in range(nmax + 2)]
+        for n in range(nmax + 1):
+            x_pn = np.concatenate(([0.0], radial.radial_power_coeffs(fam, n, alpha)))
+            rebuilt = c0[n] / c0[n + 1] * radial.radial_power_coeffs(fam, n + 1, alpha)
+            rebuilt[: n + 1] += float(A[n]) * radial.radial_power_coeffs(fam, n, alpha)
+            if n > 0:
+                rebuilt[:n] += (
+                    float(B[n]) * c0[n] / c0[n - 1]
+                    * radial.radial_power_coeffs(fam, n - 1, alpha)
+                )
+            assert np.max(np.abs(x_pn - rebuilt)) < 1e-10 * np.max(np.abs(x_pn))
+            ref_a, ref_b = _peel(fam, n, alpha)
+            assert_allclose([float(A[n]), float(B[n])], [ref_a, ref_b], rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
+    def test_monic_values_match_tables(self, fam):
+        A, B = radial.recurrence(fam, 1, 6)
+        x = np.array([0.05, 0.3, 0.71])
+        vals = radial.monic_values(A, B, x)
+        assert vals.shape == (6, 3) and vals.dtype == np.longdouble
+        for k in range(6):
+            ref = radial.radial_eval(fam, k, 1, x) / radial.radial_coeffs(fam, k, 1)[0]
+            assert_allclose(vals[k].astype(float), ref, rtol=1e-9, atol=1e-12)
+
+    def test_jacobi_matrix_rejects_nonpositive_measure(self):
+        # alpha + beta = -1.5 has no positive Laguerre measure: B_1 = 1 + a < 0
+        with pytest.raises(ValueError):
+            radial.jacobi_matrix(radial.laguerre(-1.5), 0, 3)
 
 
 class TestZeros:
