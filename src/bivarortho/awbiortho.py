@@ -4,7 +4,11 @@ verification of the coupled tensor biorthogonality systems.
 The polynomials are terminating 4phi3 sums evaluated at x = cos(theta);
 all integrals are done in theta over (0, pi) with Gauss-Legendre nodes so
 the 1/sqrt(1-x^2) endpoint singularity cancels analytically against the
-Jacobian sin(theta).
+Jacobian sin(theta).  Node values are arrays over that theta rule: h_prod
+forms one (K x nodes) product of the real factors 1 - 2 a q^k x + a^2 q^(2k)
+with the K of qcalc's certified tail rule, aw_eval forms its 4phi3 term
+ratios once over the nodes, and each Gram, 1D or tensor, is one weighted
+matrix product (L * w) @ R.T of node-value rows.
 
 Three tensor pairings are verified: the u/v and p/q systems (k-coupled
 parameter shifts c1 q^(alpha k + beta), d1 q^(gamma k + delta) on the
@@ -16,20 +20,20 @@ duplicated factor in the self-paired norm) and are exposed separately as
 known discrepancies.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .qcalc import qpochhammer
+from .qcalc import qpochhammer, qproduct_terms
 from .quad import summarize
 
 
 @dataclass(frozen=True)
 class AWParams:
-    """Askey-Wilson parameter block; all of a, b, c, d in (-1, 1)."""
+    """Askey-Wilson parameter block; all of a, b, c, d in (-1, 1) and q in
+    (0, 1), checked on construction."""
 
     a: float
     b: float
@@ -38,8 +42,9 @@ class AWParams:
     q: float
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("a", "b", "c", "d"):
-            if abs(getattr(self, name)) >= 1.0:
+            if not abs(getattr(self, name)) < 1.0:
                 raise ValueError(f"parameter {name} must satisfy |{name}| < 1")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
@@ -63,8 +68,9 @@ class TensorParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0 or self.delta < 0:
-            raise ValueError("coupling exponents must be nonnegative")
+        for name in ("alpha", "beta", "gamma", "delta"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"coupling exponent {name} must be nonnegative")
 
     def shifted_c1(self, k):
         v = self.block1.c * self.block1.q ** (self.alpha * k + self.beta)
@@ -79,39 +85,47 @@ class TensorParams:
         return v
 
 
-def aw_eval(p, n, x, reverse=False):
-    """Askey-Wilson polynomial p_n(x; a, b, c, d | q) as the terminating
-    4phi3 sum with argument q.
+def _check_nodes(x):
+    """x as a float array of at least one dimension, checked to lie in [-1, 1]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(xs) > 1.0):
+        raise ValueError("argument must lie in [-1, 1]")
+    return xs
 
-    ``reverse=True`` accumulates the terms from k = n downward; forward
-    and backward summation agreeing is a cheap consistency check on the
-    term recursion.
+
+def _pair_factors(xs, aq):
+    """(1 - aq e^(i theta)) (1 - aq e^(-i theta)) = 1 - 2 aq x + aq^2 as a
+    (len(aq), len(xs)) array, written (1 - |aq|)^2 + 2 |aq| (1 - sgn(aq) x):
+    both terms are nonnegative, so no factor loses accuracy to cancellation
+    near x = +-1, and at aq = +-1 the factor is 2 (1 -+ x) to the ulp."""
+    aq = aq[:, None]
+    s = np.abs(aq)
+    return (1.0 - s) ** 2 + 2.0 * s * (1.0 - np.sign(aq) * xs)
+
+
+def aw_eval(p, n, x):
+    """Askey-Wilson polynomial p_n(x; a, b, c, d | q) as the terminating
+    4phi3 sum with argument q, at a scalar x or an array of x in [-1, 1].
+
+    The pair (a e^(i theta); q)_k (a e^(-i theta); q)_k enters each term
+    ratio as the real factor 1 - 2 a q^k x + a^2 q^(2k), so the ratios of
+    all n terms are formed once over the array and accumulated forward by
+    a cumulative product.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if abs(x) > 1.0:
-        raise ValueError("argument must lie in [-1, 1]")
+    xs = _check_nodes(x)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    eit = cmath.exp(1j * math.acos(x))
-    terms = [1.0 + 0.0j]
-    for k in range(n):
-        ratio = (
-            (1.0 - q ** (k - n))
-            * (1.0 - a * b * c * d * q ** (n - 1 + k))
-            * (1.0 - a * eit * q ** k)
-            * (1.0 - a * eit.conjugate() * q ** k)
-            * q
-            / (
-                (1.0 - a * b * q ** k)
-                * (1.0 - a * c * q ** k)
-                * (1.0 - a * d * q ** k)
-                * (1.0 - q ** (k + 1))
-            )
-        )
-        terms.append(terms[-1] * ratio)
-    if reverse:
-        terms.reverse()
-    return float(sum(terms).real)
+    qk = q ** np.arange(n, dtype=float)
+    coef = (
+        (1.0 - q ** (np.arange(n) - n))
+        * (1.0 - a * b * c * d * q ** (n - 1) * qk)
+        * q
+        / ((1.0 - a * b * qk) * (1.0 - a * c * qk) * (1.0 - a * d * qk) * (1.0 - q * qk))
+    )
+    ratios = coef[:, None] * _pair_factors(xs, a * qk)
+    vals = 1.0 + np.cumprod(ratios, axis=0).sum(axis=0)
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def aw_prefactor(p, n):
@@ -131,11 +145,21 @@ def aw_prefactor(p, n):
 
 
 def h_prod(x, a, q):
-    """h(x, a) = (a e^(i theta); q)_inf (a e^(-i theta); q)_inf, x = cos theta."""
-    if abs(x) > 1.0:
-        raise ValueError("argument must lie in [-1, 1]")
-    eit = cmath.exp(1j * math.acos(x))
-    return (qpochhammer(a * eit, q) * qpochhammer(a * eit.conjugate(), q)).real
+    """h(x, a) = (a e^(i theta); q)_inf (a e^(-i theta); q)_inf, x = cos theta,
+    as the real product over k < K of 1 - 2 a q^k x + a^2 q^(2k), with the
+    K of qpochhammer's certified tail rule (the same at every node since
+    |a e^(i theta)| = |a|).  A scalar x gives a float, an array an array."""
+    xs = _check_nodes(x)
+    aq = a * q ** np.arange(qproduct_terms(a, q), dtype=float)
+    vals = np.prod(_pair_factors(xs, aq), axis=0)
+    return float(vals[0]) if np.ndim(x) == 0 else vals
+
+
+def _half_h(a, eits, q):
+    """(a e^(i theta); q)_inf at each of the unit-circle points ``eits``,
+    truncated at the same K as h_prod."""
+    aq = a * q ** np.arange(qproduct_terms(a, q), dtype=float)
+    return np.prod(1.0 - aq[:, None] * eits, axis=0)
 
 
 def _weight_numerator(x, q):
@@ -177,24 +201,22 @@ def _theta_rule(nnodes):
     return thetas, wts
 
 
+def _node_rows(p, degree_cap, xs):
+    """Normalized polynomial values: row n is aw_prefactor(p, n) p_n(xs)."""
+    return np.array([aw_prefactor(p, n) * aw_eval(p, n, xs) for n in range(degree_cap + 1)])
+
+
 def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e-7):
     """Gram matrix of p_0..p_degree_cap against the Askey-Wilson weight,
-    integrated in theta so sin(theta) cancels the endpoint singularity."""
+    integrated in theta so sin(theta) cancels the endpoint singularity:
+    one weighted product (V * w) @ V.T of the node-value rows V."""
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
-    wvals = np.array([_theta_weight(p, x) for x in xs])
-    vals = np.array(
-        [
-            [aw_prefactor(p, n) * aw_eval(p, n, x) for x in xs]
-            for n in range(degree_cap + 1)
-        ]
-    )
-    entries = {}
-    for m in range(degree_cap + 1):
-        for n in range(degree_cap + 1):
-            entries[(m, n)] = float(np.sum(wts * wvals * vals[m] * vals[n]))
-    diag_ref = {m: aw_norm(p, m) for m in range(degree_cap + 1)}
+    vals = _node_rows(p, degree_cap, xs)
+    gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
     indices = list(range(degree_cap + 1))
+    entries = {(m, n): float(gram[m, n]) for m in indices for n in indices}
+    diag_ref = {m: aw_norm(p, m) for m in indices}
     return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol)
 
 
@@ -283,76 +305,51 @@ def tensor_biortho_check(
     - ``self``: like uv but dividing by the two half h-factors
       (d1-shift at k times e^(i theta); q)_inf and its n-conjugate.
 
+    Both integrals are weighted matrix products over the theta rule: the
+    x-block is (L * w) @ R.T with one row of node values per index (j, k),
+    each row divided by that member's h- or half h-factor, and entry
+    ((j, k), (m, n)) is its real product with y-entry (k, n).
+
     Diagonals are compared with the product-of-1D-norms oracle
     (tensor_diag_ref); the published u/v and self closed forms are
     available via tensor_diag_printed as known discrepancies.
     """
+    if mode not in ("uv", "pq", "self"):
+        raise ValueError(f"unknown tensor mode {mode!r}")
     p1, p2 = tp.block1, tp.block2
     q = p1.q
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
-    eits = np.exp(1j * thetas)
+    cap = index_cap + 1
 
-    base_x = np.array(
-        [
-            _weight_numerator(x, q) / (h_prod(x, p1.a, q) * h_prod(x, p1.b, q))
-            for x in xs
-        ]
-    )
-    if mode in ("uv", "self"):
-        base_x = base_x / np.array([h_prod(x, p1.c, q) for x in xs])
+    yvals = _node_rows(p2, index_cap, xs)
+    y_int = (yvals * (wts * _theta_weight(p2, xs))) @ yvals.T
 
-    wy = np.array([_theta_weight(p2, x) for x in xs])
-    yvals = np.array(
-        [
-            [aw_prefactor(p2, k) * aw_eval(p2, k, x) for x in xs]
-            for k in range(index_cap + 1)
-        ]
-    )
-    y_int = {
-        (k, n): float(np.sum(wts * wy * yvals[k] * yvals[n]))
-        for k in range(index_cap + 1)
-        for n in range(index_cap + 1)
-    }
+    wx = wts * _weight_numerator(xs, q) / (h_prod(xs, p1.a, q) * h_prod(xs, p1.b, q))
+    if mode != "pq":
+        wx = wx / h_prod(xs, p1.c, q)
 
-    xvals = {}  # (j, k) -> values of the degree-j polynomial at shift k
-    for k in range(index_cap + 1):
-        pk = _x_params(tp, mode, k)
-        for j in range(index_cap + 1):
-            xvals[(j, k)] = aw_prefactor(pk, j) * np.array(
-                [aw_eval(pk, j, x) for x in xs]
-            )
-
-    half_h = {}
+    # rows ordered like ``indices``: row j * cap + k is the degree-j
+    # polynomial at coupling index k
+    indices = [(j, k) for j in range(cap) for k in range(cap)]
+    ks = np.array([k for (_, k) in indices])
+    xvals = np.array([_node_rows(_x_params(tp, mode, k), index_cap, xs) for k in range(cap)])
+    left = xvals.transpose(1, 0, 2).reshape(cap * cap, -1)
+    right = left
     if mode == "self":
-        for k in range(index_cap + 1):
-            d1s = tp.shifted_d1(k)
-            half_h[k] = np.array([qpochhammer(d1s * e, q) for e in eits])
-    hc = {}
-    hd = {}
-    for k in range(index_cap + 1):
+        eits = np.exp(1j * thetas)
+        half_h = np.array([_half_h(tp.shifted_d1(k), eits, q) for k in range(cap)])
+        left = left / half_h[ks]
+        right = right / np.conj(half_h[ks])
+    else:
+        right = right / np.array([h_prod(xs, tp.shifted_d1(k), q) for k in range(cap)])[ks]
         if mode == "pq":
-            c1s = tp.shifted_c1(k)
-            hc[k] = np.array([h_prod(x, c1s, q) for x in xs])
-        if mode in ("uv", "pq"):
-            d1s = tp.shifted_d1(k)
-            hd[k] = np.array([h_prod(x, d1s, q) for x in xs])
-
-    indices = [
-        (j, k) for j in range(index_cap + 1) for k in range(index_cap + 1)
-    ]
-    entries = {}
-    for (j, k) in indices:
-        for (m, n) in indices:
-            integ = base_x * xvals[(j, k)] * xvals[(m, n)]
-            if mode == "uv":
-                integ = integ / hd[n]
-            elif mode == "pq":
-                integ = integ / (hc[k] * hd[n])
-            else:
-                integ = integ / (half_h[k] * np.conj(half_h[n]))
-            x_int = np.sum(wts * integ)
-            val = x_int * y_int[(k, n)]
-            entries[((j, k), (m, n))] = float(np.real(val))
+            left = left / np.array([h_prod(xs, tp.shifted_c1(k), q) for k in range(cap)])[ks]
+    vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
+    entries = {
+        (idx1, idx2): float(vals[r1, r2])
+        for r1, idx1 in enumerate(indices)
+        for r2, idx2 in enumerate(indices)
+    }
     diag_ref = {idx: tensor_diag_ref(tp, mode, *idx) for idx in indices}
     return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol, notes=mode)

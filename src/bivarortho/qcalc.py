@@ -3,7 +3,8 @@
 
 All routines are plain scalar helpers used by the radial and bivariate
 construction code.  Infinite q-products are truncated with a certified
-geometric tail bound.
+geometric tail bound; qproduct_terms gives the number of factors it keeps,
+which the array products of the Askey-Wilson module share.
 """
 
 import math
@@ -61,17 +62,38 @@ def qpochhammer(a, q, n=None):
             out = out * (1.0 - aq)
             aq = aq * q
         return out
-    if abs(q) >= 1:
-        raise ValueError("infinite q-product needs |q| < 1")
     out = 1.0
     aq = a
-    tail_factor = 1.0 / (1.0 - abs(q))
-    for _ in range(_MAX_QPRODUCT_TERMS):
-        if abs(aq) * tail_factor < TRUNCATION_EPS:
-            return out
+    for _ in range(qproduct_terms(a, q)):
         out = out * (1.0 - aq)
         aq = aq * q
-    raise RuntimeError("infinite q-product did not converge")
+    return out
+
+
+def qproduct_terms(a, q):
+    """Number K of factors kept by the truncated infinite product
+    (a; q)_inf: the smallest K with |a| |q|^K / (1 - |q|) < TRUNCATION_EPS.
+
+    It depends on a only through |a|, so one K serves a whole array of
+    arguments a e^(i theta) on a circle.
+    """
+    r = abs(q)
+    if r >= 1:
+        raise ValueError("infinite q-product needs |q| < 1")
+    size = abs(a) / (1.0 - r)
+    if size < TRUNCATION_EPS:
+        return 0
+    if r == 0.0:
+        return 1
+    k = max(math.ceil(math.log(TRUNCATION_EPS / size) / math.log(r)), 1)
+    if k > _MAX_QPRODUCT_TERMS:
+        raise RuntimeError("infinite q-product did not converge")
+    # settle the rounding of the logarithms at the boundary
+    while size * r ** k >= TRUNCATION_EPS:
+        k += 1
+    while size * r ** (k - 1) < TRUNCATION_EPS:
+        k -= 1
+    return k
 
 
 def qnumber(alpha, q):

@@ -63,7 +63,8 @@ def q_lattice_sum(fam, alpha, integrand):
     value.  The bilateral lattice (qlaguerre) runs over x = c q^k, k in Z;
     the k -> -infinity direction decays through the (-x; q)_infinity
     denominator and is cut by the same relative criterion, with a
-    divergence error if terms fail to shrink.  An array-valued integrand is
+    divergence error if terms fail to shrink.  A NaN or infinite term
+    raises at once, naming its lattice index.  An array-valued integrand is
     summed entrywise and every stop test reads its largest entry.
     """
     q = np.longdouble(fam.q)
@@ -87,10 +88,15 @@ def q_lattice_sum(fam, alpha, integrand):
             w = qa * upper / lower
             term = w * integrand(x)
             total += term
+            size = np.max(np.abs(term))
+            if not size < math.inf:
+                raise RuntimeError(
+                    f"unilateral lattice sum: non-finite term at lattice index {k}"
+                )
             # the weight decays at least geometrically with ratio q^{a+1}
             # and the integrand is bounded on (0, 1], so the dropped tail is
             # below |term| * tail_factor once past the first node
-            if k > 0 and np.max(np.abs(term)) * tail_factor <= LATTICE_TAIL_TOL * max(
+            if k > 0 and size * tail_factor <= LATTICE_TAIL_TOL * max(
                 np.max(np.abs(total)), 1e-300
             ):
                 return total
@@ -105,10 +111,15 @@ def q_lattice_sum(fam, alpha, integrand):
             w = x ** (a + 1) / denom
             term = w * integrand(x)
             total += term
+            size = np.max(np.abs(term))
+            if not size < math.inf:
+                raise RuntimeError(
+                    f"bilateral lattice sum: non-finite term at lattice index {k}"
+                )
             # advance: (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
             denom = denom / (1.0 + x)
             x = x * q
-            if k > 5 and np.max(np.abs(term)) / (1.0 - q ** (a + 1)) <= LATTICE_TAIL_TOL * max(
+            if k > 5 and size / (1.0 - q ** (a + 1)) <= LATTICE_TAIL_TOL * max(
                 np.max(np.abs(total)), 1e-300
             ):
                 break
@@ -127,6 +138,10 @@ def q_lattice_sum(fam, alpha, integrand):
             term = w * integrand(x)
             total += term
             size = np.max(np.abs(term))
+            if not size < math.inf:
+                raise RuntimeError(
+                    f"bilateral lattice sum: non-finite term at lattice index {-k - 1}"
+                )
             if size <= LATTICE_TAIL_TOL * max(np.max(np.abs(total)), 1e-300) and k > 2:
                 return total
             if size >= prev:

@@ -156,11 +156,6 @@ def radial_power_coeffs(fam, n, alpha):
     return c[::-1].copy()
 
 
-def radial_eval(fam, n, alpha, x):
-    p = radial_power_coeffs(fam, n, alpha)
-    return np.polynomial.polynomial.polyval(x, p)
-
-
 def zeta(fam, n, alpha):
     """Squared norm of phi_n with respect to x^alpha dnu."""
     if fam.kind == "laguerre":
@@ -241,39 +236,6 @@ def shift_b(fam, n, alpha):
     cn_a1 = radial_coeffs(fam, n, alpha + 1)
     c0nm1_a1 = radial_coeffs(fam, n - 1, alpha + 1)[0]
     return (cn_a1[0] * cn_a[1] - cn_a[0] * cn_a1[1]) / (c0nm1_a1 * cn_a1[0])
-
-
-def shift_lambdas(fam, n, alpha):
-    """Connection coefficients lambda_j with
-    phi_n(x; alpha+1) = sum_j lambda_j(n, alpha) phi_j(x; alpha)."""
-    lam = np.zeros(n + 1)
-    lam[n] = 1.0 / shift_a(fam, n, alpha)
-    for j in range(n - 1, -1, -1):
-        prod = 1.0
-        for k in range(n - j):
-            prod *= shift_b(fam, n - k, alpha) / shift_a(fam, n - k, alpha)
-        lam[j] = (-1.0) ** (n - j) * prod / shift_a(fam, j, alpha)
-    return lam
-
-
-def zeta_ratio_product(fam, n, alpha):
-    """Telescoped norm ratio zeta_n(alpha) / zeta_0(alpha + n) built from the
-    alpha-raising coefficients; cross-checks the closed norm formulas.
-
-    Each step uses zeta_k(alpha) = b_k(alpha) a_{k-1}(alpha)
-    [c_0(k, alpha) / c_0(k-1, alpha)] zeta_{k-1}(alpha + 1), which follows
-    from pairing the raising relation against x phi_{k-1} and expanding the
-    connection coefficient lambda_{k-1} = 1 / a_{k-1}.
-    """
-    prod = 1.0
-    for j in range(n):
-        prod *= (
-            shift_b(fam, n - j, alpha + j)
-            * shift_a(fam, n - j - 1, alpha + j)
-            * radial_coeffs(fam, n - j, alpha + j)[0]
-            / radial_coeffs(fam, n - j - 1, alpha + j)[0]
-        )
-    return prod
 
 
 def recurrence(fam, alpha, npts):

@@ -14,12 +14,34 @@ P = aw.AWParams(0.2, -0.3, 0.1, 0.4, 0.5)
 P2 = aw.AWParams(0.3, -0.2, 0.15, 0.25, 0.5)
 
 
+def gauss_theta_nodes(n=256):
+    """cos(theta) at the Gauss-Legendre theta-nodes the Gram checks use."""
+    t, _ = np.polynomial.legendre.leggauss(n)
+    return np.cos(0.5 * math.pi * (t + 1.0))
+
+
+def mp_unit_point(mp, x):
+    """e^(i theta) with theta = acos(x), x taken exactly."""
+    return mp.exp(1j * mp.acos(mp.mpf(x)))
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             aw.AWParams(1.2, 0.0, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             aw.AWParams(0.2, 0.0, 0.0, 0.0, 1.5)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d", "q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            P.with_params(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta"])
+    def test_non_finite_coupling_rejected(self, field):
+        with pytest.raises(ValueError):
+            aw.TensorParams(P, P2, **{field: math.nan})
 
     def test_with_params(self):
         assert P.with_params(d=0.1).d == 0.1
@@ -55,12 +77,43 @@ class TestEvaluation:
             ref = (1.0 + term).real
             assert_allclose(aw.aw_eval(P, 1, x), ref, rtol=1e-13)
 
-    @pytest.mark.parametrize("n", range(6))
-    def test_forward_backward_summation(self, n):
-        for x in (-0.9, 0.2, 0.75):
-            fwd = aw.aw_eval(P, n, x)
-            bwd = aw.aw_eval(P, n, x, reverse=True)
-            assert_allclose(fwd, bwd, rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_mpmath_oracle(self, n):
+        # the terminating 4phi3 summed in mpmath at 30 digits from mpmath's
+        # q-Pochhammer symbols; mpmath.qhyper itself cannot be used, since
+        # it sums until a term is small and the terms past k = n are zero
+        mp = pytest.importorskip("mpmath")
+        xs = np.concatenate(([-1.0], np.linspace(-0.95, 0.95, 9), [1.0]))
+        for p in (P, P2):
+            ref, size = [], []
+            with mp.workdps(30):
+                a, b, c, d, q = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d, p.q))
+                for x in xs:
+                    e = mp_unit_point(mp, x)
+                    num = (q ** -n, a * b * c * d * q ** (n - 1), a * e, a / e)
+                    den = (a * b, a * c, a * d, q)
+                    terms = [
+                        mp.re(
+                            mp.fprod(mp.qp(u, q, k) for u in num)
+                            / mp.fprod(mp.qp(u, q, k) for u in den)
+                            * q ** k
+                        )
+                        for k in range(n + 1)
+                    ]
+                    ref.append(float(mp.fsum(terms)))
+                    size.append(float(mp.fsum(abs(t) for t in terms)))
+            # relative to sum_k |term_k|: at n = 6 the terms of P cancel to
+            # 1e-9 of their size, and no double-precision sum does better
+            err = np.abs(aw.aw_eval(p, n, xs) - ref) / np.array(size)
+            assert np.max(err) < 1e-12, p
+
+    def test_scalar_call_matches_array_call(self):
+        xs = np.array([-1.0, -0.4, 0.3, 0.95])
+        for n in range(5):
+            vals = aw.aw_eval(P, n, xs)
+            for x, v in zip(xs, vals):
+                s = aw.aw_eval(P, n, x)
+                assert type(s) is float and s == v
 
     def test_polynomial_in_x(self):
         # degree-n values interpolate to a degree-n polynomial in x
@@ -103,6 +156,35 @@ class TestWeight:
     def test_endpoint_rejected(self):
         with pytest.raises(ValueError):
             aw.h_prod(1.5, 0.2, 0.5)
+        with pytest.raises(ValueError):
+            aw.h_prod(np.array([0.3, -1.5]), 0.2, 0.5)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_h_product_matches_mpmath(self, q):
+        # h(x, a) = |(a e^(i theta); q)_inf|^2 for real a, at every node
+        mp = pytest.importorskip("mpmath")
+        xs = gauss_theta_nodes()
+        rq = math.sqrt(q)
+        for a in (1.0, -1.0, rq, -rq, 0.2, -0.3, 0.95):
+            with mp.workdps(20):
+                ref = [float(abs(mp.qp(a * mp_unit_point(mp, x), q)) ** 2) for x in xs]
+            assert_allclose(aw.h_prod(xs, a, q), ref, rtol=1e-13, err_msg=f"a={a}")
+
+    @pytest.mark.parametrize("a,q", [(0.4, 0.5), (-0.3, 0.7), (0.95, 0.3)])
+    def test_half_h_matches_mpmath(self, a, q):
+        mp = pytest.importorskip("mpmath")
+        xs = gauss_theta_nodes()
+        eits = np.exp(1j * np.arccos(xs))
+        with mp.workdps(20):
+            ref = [complex(mp.qp(a * mp_unit_point(mp, x), q)) for x in xs]
+        assert_allclose(aw._half_h(a, eits, q), ref, rtol=1e-13)
+
+    def test_h_scalar_call_matches_array_call(self):
+        xs = np.array([-1.0, -0.4, 0.3, 1.0])
+        vals = aw.h_prod(xs, 0.6, 0.5)
+        for x, v in zip(xs, vals):
+            s = aw.h_prod(x, 0.6, 0.5)
+            assert type(s) is float and s == v
 
 
 class TestGram1D:
@@ -131,6 +213,43 @@ class TestTensorSystems:
         res = aw.tensor_biortho_check(tp, 1, mode=mode)
         assert res.passed, (mode, res.max_offdiag, res.max_diag_relerr)
         assert res.notes == mode
+
+    @pytest.mark.parametrize("mode", ["uv", "pq", "self"])
+    def test_matches_per_pair_loop(self, mode):
+        # every entry of the weighted matrix products against one sum per
+        # pair of index tuples over the same node values
+        tp = aw.TensorParams(P, P2)
+        cap, q = 2, P.q
+        res = aw.tensor_biortho_check(tp, cap, mode=mode)
+        thetas, wts = aw._theta_rule(256)
+        xs, eits = np.cos(thetas), np.exp(1j * thetas)
+
+        def rows(p, k):
+            return aw.aw_prefactor(p, k) * aw.aw_eval(p, k, xs)
+
+        wx = aw._weight_numerator(xs, q) / (aw.h_prod(xs, P.a, q) * aw.h_prod(xs, P.b, q))
+        if mode != "pq":
+            wx = wx / aw.h_prod(xs, P.c, q)
+        wy = aw._theta_weight(P2, xs)
+        for (j, k) in res.indices:
+            left = rows(aw._x_params(tp, mode, k), j)
+            if mode == "pq":
+                left = left / aw.h_prod(xs, tp.shifted_c1(k), q)
+            elif mode == "self":
+                left = left / aw._half_h(tp.shifted_d1(k), eits, q)
+            for (m, n) in res.indices:
+                right = rows(aw._x_params(tp, mode, n), m)
+                if mode == "self":
+                    right = right / np.conj(aw._half_h(tp.shifted_d1(n), eits, q))
+                else:
+                    right = right / aw.h_prod(xs, tp.shifted_d1(n), q)
+                x_int = np.sum(wts * wx * left * right)
+                y_int = np.sum(wts * wy * rows(P2, k) * rows(P2, n))
+                got = res.entries[((j, k), (m, n))]
+                scale = math.sqrt(
+                    abs(res.entries[((j, k), (j, k))] * res.entries[((m, n), (m, n))])
+                )
+                assert abs(got - (x_int * y_int).real) <= 1e-12 * scale
 
     def test_diagonal_is_product_of_1d_norms(self):
         tp = aw.TensorParams(P, P2)

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bivarortho.qcalc import (
+    TRUNCATION_EPS,
     falling,
     hyper_terminating,
     pochhammer,
     qhyper_terminating,
     qnumber,
     qpochhammer,
+    qproduct_terms,
 )
 
 
@@ -104,6 +106,27 @@ class TestQPochhammer:
     def test_negative_order_raises(self):
         with pytest.raises(ValueError):
             qpochhammer(0.5, 0.5, -2)
+
+
+class TestQProductTerms:
+    @pytest.mark.parametrize("q", [-0.6, 0.0, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("a", [0.0, 1e-18, 1e-9, 0.2, -0.95, 1.0, 0.3 + 0.4j])
+    def test_smallest_certified_count(self, a, q):
+        # K is the first index at which the tail bound |a| |q|^K / (1 - |q|)
+        # falls under the truncation target
+        k = qproduct_terms(a, q)
+        bound = abs(a) / (1.0 - abs(q))
+        assert bound * abs(q) ** k < TRUNCATION_EPS
+        assert k == 0 or bound * abs(q) ** (k - 1) >= TRUNCATION_EPS
+
+    def test_counts_the_factors_of_the_infinite_product(self):
+        q, a = 0.5, 0.7
+        k = qproduct_terms(a, q)
+        assert qpochhammer(a, q) == qpochhammer(a, q, k)
+
+    def test_needs_q_inside_disc(self):
+        with pytest.raises(ValueError):
+            qproduct_terms(0.5, -1.0)
 
 
 class TestQNumber:

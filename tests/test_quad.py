@@ -81,6 +81,28 @@ class TestQLatticeSum:
         with pytest.raises(ValueError):
             quad.q_lattice_sum(radial.laguerre(0.0), 0.0, lambda x: 1.0)
 
+    @pytest.mark.parametrize(
+        "fam",
+        [radial.wall(0.5, 0.5), radial.little_q_jacobi(0.5, 0.7, 0.5), radial.q_laguerre(0.5, 0.5)],
+        ids=["wall", "qjacobi", "qlaguerre"],
+    )
+    def test_non_finite_term_raises_at_once(self, fam):
+        calls = []
+
+        def integrand(x):
+            calls.append(x)
+            return np.array([1.0, math.nan])
+
+        with pytest.raises(RuntimeError, match="non-finite term at lattice index 0"):
+            quad.q_lattice_sum(fam, 1.0, integrand)
+        assert len(calls) <= 2
+
+    def test_non_finite_term_raises_on_downward_branch(self):
+        # the bilateral lattice reaches x > c only on its downward branch
+        fam = radial.q_laguerre(0.5, 0.5, c=1.0)
+        with pytest.raises(RuntimeError, match="non-finite term at lattice index -1"):
+            quad.q_lattice_sum(fam, 1.0, lambda x: math.inf if x > 1.0 else 1.0)
+
     def test_array_integrand_sums_entrywise(self):
         fam = radial.wall(0.5, 0.5)
         vec = quad.q_lattice_sum(fam, 1.0, lambda x: np.array([1.0, x, x * x]))

@@ -15,6 +15,45 @@ XS = np.array([0.05, 0.3, 0.71, 1.4, 2.9])
 XS01 = np.array([0.04, 0.22, 0.5, 0.77, 0.96])
 
 
+def table_values(fam, n, alpha, x):
+    """phi_n(x; alpha) from the exact coefficient table."""
+    return np.polynomial.polynomial.polyval(x, radial.radial_power_coeffs(fam, n, alpha))
+
+
+def shift_lambdas(fam, n, alpha):
+    """Connection coefficients lambda_j with
+    phi_n(x; alpha+1) = sum_j lambda_j(n, alpha) phi_j(x; alpha), from the
+    alpha-raising coefficients a_k, b_k."""
+    lam = np.zeros(n + 1)
+    lam[n] = 1.0 / radial.shift_a(fam, n, alpha)
+    for j in range(n - 1, -1, -1):
+        prod = 1.0
+        for k in range(n - j):
+            prod *= radial.shift_b(fam, n - k, alpha) / radial.shift_a(fam, n - k, alpha)
+        lam[j] = (-1.0) ** (n - j) * prod / radial.shift_a(fam, j, alpha)
+    return lam
+
+
+def zeta_ratio_product(fam, n, alpha):
+    """Telescoped norm ratio zeta_n(alpha) / zeta_0(alpha + n): each step is
+    zeta_k(alpha) = b_k(alpha) a_{k-1}(alpha) [c_0(k, alpha) / c_0(k-1, alpha)]
+    zeta_{k-1}(alpha + 1), from pairing the raising relation against
+    x phi_{k-1} with the connection coefficient lambda_{k-1} = 1 / a_{k-1}."""
+
+    def lead(k, al):
+        return radial.radial_power_coeffs(fam, k, al)[-1]
+
+    prod = 1.0
+    for j in range(n):
+        prod *= (
+            radial.shift_b(fam, n - j, alpha + j)
+            * radial.shift_a(fam, n - j - 1, alpha + j)
+            * lead(n - j, alpha + j)
+            / lead(n - j - 1, alpha + j)
+        )
+    return prod
+
+
 class TestClassicalTables:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("n", range(6))
@@ -22,7 +61,7 @@ class TestClassicalTables:
     def test_laguerre_matches_scipy(self, beta, n, alpha):
         fam = radial.laguerre(beta)
         ref = eval_genlaguerre(n, alpha + beta, XS)
-        assert_allclose(radial.radial_eval(fam, n, alpha, XS), ref, rtol=1e-11)
+        assert_allclose(table_values(fam, n, alpha, XS), ref, rtol=1e-11)
 
     @pytest.mark.parametrize("beta,gamma", [(0.0, 0.0), (0.5, 2.0), (2.0, -0.5)])
     @pytest.mark.parametrize("n", range(6))
@@ -31,7 +70,7 @@ class TestClassicalTables:
         # the family is P_n^(alpha+gamma, beta) evaluated at 1 - 2x
         fam = radial.shifted_jacobi(beta, gamma)
         ref = eval_jacobi(n, alpha + gamma, beta, 1.0 - 2.0 * XS01)
-        assert_allclose(radial.radial_eval(fam, n, alpha, XS01), ref, rtol=1e-10)
+        assert_allclose(table_values(fam, n, alpha, XS01), ref, rtol=1e-10)
 
     def test_power_coeffs_are_reversed_table(self):
         fam = radial.laguerre(0.5)
@@ -145,7 +184,7 @@ class TestNorms:
     def test_zeta_ratio_telescoping(self, fam):
         # the alpha-raising ladder telescopes the norm down to degree zero
         for n in range(1, 5):
-            prod = radial.zeta_ratio_product(fam, n, 1)
+            prod = zeta_ratio_product(fam, n, 1)
             ref = radial.zeta(fam, n, 1) / radial.zeta(fam, 0, 1 + n)
             assert_allclose(prod, ref, rtol=1e-11)
 
@@ -169,7 +208,7 @@ class TestShiftMachinery:
     def test_shift_connection_expansion(self, fam):
         # phi_n(.; alpha+1) = sum_j lambda_j phi_j(.; alpha)
         alpha, n = 1, 4
-        lam = radial.shift_lambdas(fam, n, alpha)
+        lam = shift_lambdas(fam, n, alpha)
         rebuilt = np.zeros(n + 1)
         for j in range(n + 1):
             rebuilt[: j + 1] += lam[j] * radial.radial_power_coeffs(fam, j, alpha)
@@ -228,7 +267,7 @@ class TestRecurrenceFormulas:
         vals = radial.monic_values(A, B, x)
         assert vals.shape == (6, 3) and vals.dtype == np.longdouble
         for k in range(6):
-            ref = radial.radial_eval(fam, k, 1, x) / radial.radial_coeffs(fam, k, 1)[0]
+            ref = table_values(fam, k, 1, x) / radial.radial_coeffs(fam, k, 1)[0]
             assert_allclose(vals[k].astype(float), ref, rtol=1e-9, atol=1e-12)
 
     def test_jacobi_matrix_rejects_nonpositive_measure(self):
