@@ -130,6 +130,29 @@ def construct(fam, m, n):
     return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
+def harmonic_scale(fam, nmax):
+    """Factors of the radial rows phi_0..phi_nmax of a family: H rescales
+    phi_k by (-1)^k k!; None for the others."""
+    if fam.tag != "H":
+        return None
+    return [(-1.0) ** k * math.factorial(k) for k in range(nmax + 1)]
+
+
+def values(fam, m, n, z1, z2):
+    """f_{m,n}(z1, z2) at points (scalars or arrays of one shape) from the
+    radial recurrence: z1^(m-n) phi_n(z1 z2; m-n) for m >= n and
+    z2^(n-m) phi_m(z1 z2; n-m) otherwise, formed in np.longdouble.  The
+    value of construct(fam, m, n), without the cancellation of summing the
+    power basis."""
+    if m < 0 or n < 0:
+        raise ValueError("indices must be nonnegative")
+    z1 = np.asarray(z1, dtype=np.longdouble)
+    z2 = np.asarray(z2, dtype=np.longdouble)
+    a, k = abs(m - n), min(m, n)
+    rows = radial.phi_rows(radial_of(fam), a, k, harmonic_scale(fam, k))(z1 * z2)
+    return ((z1 if m >= n else z2) ** a * rows[k]).astype(float)
+
+
 # ---------------------------------------------------------------------------
 # identity catalog
 # ---------------------------------------------------------------------------
@@ -1132,73 +1155,59 @@ def connection_Z(m, n, beta, gamma):
     return coeffs, res, scale
 
 
-def connection_Z_to_H(m, n, beta):
-    """Residual of (-1)^n n! Z^(beta)_{m,n} =
-    sum_j C(n,j) (beta)_j (-1)^j H_{m-j,n-j}."""
-    if m < n:
-        raise ValueError("connection stated for m >= n")
-    rhs = BivariatePoly.zero()
-    for j in range(n + 1):
-        rhs = rhs + (
-            math.comb(n, j) * pochhammer(beta, j) * (-1.0) ** j
-        ) * construct(H(), m - j, n - j)
-    lhs = (-1.0) ** n * math.factorial(n) * construct(Z(beta), m, n)
-    return identity_residual(lhs, rhs)
-
-
-def connection_H_to_Z(m, n, beta):
-    """Residual of H_{m,n} =
-    (-1)^n n! sum_j (-beta)_j / j! Z^(beta)_{m-j,n-j}."""
-    if m < n:
-        raise ValueError("connection stated for m >= n")
-    rhs = BivariatePoly.zero()
-    for j in range(n + 1):
-        rhs = rhs + (
-            (-1.0) ** n * math.factorial(n) * pochhammer(-beta, j) / math.factorial(j)
-        ) * construct(Z(beta), m - j, n - j)
-    return identity_residual(construct(H(), m, n), rhs)
+GENFUNS = ("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE")
 
 
 def genfun_check(fam, which, u, v, z1, z2, N=30):
     """Residual of a truncated double generating-function sum against its
-    closed form, plus the magnitude of the last included shell as a tail
-    estimate.  Returns (residual, tail_estimate)."""
-    if abs(u * v) >= 1.0:
+    closed form, plus the magnitude of the last included shell (the single
+    term of f_{N,N}) as a tail estimate.  Returns (residual, tail_estimate).
+
+    u, v, z1, z2 may be scalars or arrays of one shape; the results have
+    that shape.  The sum runs one harmonic index a at a time: with
+    s_a = sum_{k <= N-a} (uv)^k phi_k(z1 z2; a) from radial.phi_rows, the
+    members f_{a+k,k} = z1^a phi_k add (u z1)^a s_a (divided by a! for the
+    EXP forms), and for M_DOUBLE the members f_{k,a+k} = z2^a phi_k add
+    (v z2)^a s_a for a >= 1.  The series is summed in the same order for
+    any shape of the points.
+    """
+    if which not in GENFUNS:
+        raise ValueError(f"unknown generating function {which!r}")
+    if N < 0:
+        raise ValueError("need N >= 0 terms")
+    u, v, z1, z2 = (np.asarray(t, dtype=float) for t in (u, v, z1, z2))
+    uv = u * v
+    if np.any(np.abs(uv) >= 1.0):
         raise ValueError("need |uv| < 1")
-    shells = {}
-
-    def add(m, n, weight):
-        val = weight * construct(fam, m, n).evaluate(z1, z2)
-        shells.setdefault(m + n, 0.0)
-        shells[m + n] += val
-
+    rad = radial_of(fam)
+    x = z1.astype(np.longdouble) * z2
+    uv_pow = uv ** np.arange(N + 1).reshape((-1,) + (1,) * uv.ndim)
+    total = np.zeros(x.shape, dtype=np.longdouble)
+    for a in range(N + 1):
+        rows = radial.phi_rows(rad, a, N - a, harmonic_scale(fam, N - a))(x)
+        terms = uv_pow[: N - a + 1] * rows
+        if a == 0:
+            tail = np.abs(terms[-1]).astype(float)
+        # a running sum adds in k order for any shape of the points
+        s_a = np.cumsum(terms, axis=0)[-1]
+        weight = (u * z1) ** a
+        if which in ("Z_EXP", "M_EXP"):
+            weight = weight / math.factorial(a)
+        if which == "M_DOUBLE" and a > 0:
+            weight = weight + (v * z2) ** a
+        total += weight * s_a
     if which in ("Z_EXP", "Z_PLAIN"):
         b = fam.beta
-        for m in range(N + 1):
-            for n in range(m + 1):
-                w = u ** m * v ** n
-                if which == "Z_EXP":
-                    w /= math.factorial(m - n)
-                add(m, n, w)
-        uv = u * v
         if which == "Z_EXP":
             closed = (1.0 - uv) ** (-b - 1.0) * np.exp((u * z1 - z1 * z2 * uv) / (1.0 - uv))
         else:
             closed = np.exp(-z1 * z2 * uv / (1.0 - uv)) / (
                 (1.0 - uv) ** b * (1.0 - z1 * u - uv)
             )
-    elif which in ("M_EXP", "M_PLAIN", "M_DOUBLE"):
+    else:
         b, g = fam.beta, fam.gamma
-        for m in range(N + 1):
-            rng = range(N + 1) if which == "M_DOUBLE" else range(m + 1)
-            for n in rng:
-                w = u ** m * v ** n
-                if which == "M_EXP":
-                    w /= math.factorial(m - n)
-                add(m, n, w)
-        uv = u * v
         rho = np.sqrt(1.0 - 2.0 * uv * (1.0 - 2.0 * z1 * z2) + uv ** 2)
-        if abs(1.0 - uv + rho) < 1e-8:
+        if np.any(np.abs(1.0 - uv + rho) < 1e-8):
             raise ValueError("degenerate generating-function point")
         pref = 2.0 ** (b + g) * (1.0 + uv + rho) ** (-b)
         if which == "M_DOUBLE":
@@ -1225,17 +1234,10 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
                 * (1.0 - uv + rho) ** (1.0 - g)
                 / (rho * (1.0 - uv - 2.0 * u * z1 + rho))
             )
-    else:
-        raise ValueError(f"unknown generating function {which!r}")
-    total = sum(shells.values())
-    tail = abs(shells.get(max(shells), 0.0))
-    return abs(total - closed), tail
-
-
-def _radial_value(beta, k, alpha, x):
-    """phi_k(x; alpha) for the Laguerre radial factor of Z(beta)."""
-    p = radial.radial_power_coeffs(radial.laguerre(beta), k, alpha)
-    return float(np.polynomial.polynomial.polyval(x, p))
+    residual = np.abs(total - closed).astype(float)
+    if residual.ndim == 0:
+        return float(residual), float(tail)
+    return residual, tail
 
 
 def convolution_Z_check(m, n, beta, gamma, pts, printed=False):
@@ -1251,39 +1253,41 @@ def convolution_Z_check(m, n, beta, gamma, pts, printed=False):
     variant is evaluated instead: both sides taken at the literal point
     (z1+z3, z2+z4) with no factorial, which only agrees on the surface
     z1 z4 + z2 z3 = 0 (the radial arguments fail to add elsewhere) and
-    is reported as a known discrepancy.
+    is reported as a known discrepancy.  Both forms take their values from
+    the radial rows, over all points at once.
     """
     if m < n:
         raise ValueError("stated for m >= n")
-    worst = 0.0
-    for (z1, z2, z3, z4) in pts:
-        if printed:
-            lhs = construct(Z(beta + gamma + 1.0), m, n).evaluate(z1 + z3, z2 + z4)
-        else:
-            x, y = z1 * z2, z3 * z4
-            lhs = (
-                (z1 + z3) ** (m - n)
-                * _radial_value(beta + gamma + 1.0, n, m - n, x + y)
-                / math.factorial(m - n)
-            )
+    z1, z2, z3, z4 = np.asarray(pts, dtype=float).reshape(-1, 4).T
+    if printed:
+        lhs = values(Z(beta + gamma + 1.0), m, n, z1 + z3, z2 + z4)
         rhs = 0.0
         for j in range(m + 1):
             for k in range(min(j, n) + 1):
                 if m - n - j + k < 0:
                     continue
-                if printed:
-                    left = construct(Z(beta), j, k).evaluate(z1, z2)
-                    right = construct(Z(gamma), m - j, n - k).evaluate(z3, z4)
-                else:
-                    left = z1 ** (j - k) * _radial_value(beta, k, j - k, x)
-                    right = z3 ** (m - n - j + k) * _radial_value(
-                        gamma, n - k, m - n - j + k, y
-                    )
-                rhs += left * right / (
-                    math.factorial(j - k) * math.factorial(m - n - j + k)
+                rhs = rhs + (
+                    values(Z(beta), j, k, z1, z2)
+                    * values(Z(gamma), m - j, n - k, z3, z4)
+                    / (math.factorial(j - k) * math.factorial(m - n - j + k))
                 )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    else:
+        # the pair (j, k) of the double sum is the harmonic index a = j - k
+        # on the left and d - a on the right, radial degrees k and n - k
+        x, y = z1 * z2, z3 * z4
+        d = m - n
+        lhs = (
+            (z1 + z3) ** d
+            * radial.phi_rows(radial.laguerre(beta + gamma + 1.0), d, n)(x + y)[n]
+            / math.factorial(d)
+        )
+        rhs = 0.0
+        for a in range(d + 1):
+            left = radial.phi_rows(radial.laguerre(beta), a, n)(x)
+            right = radial.phi_rows(radial.laguerre(gamma), d - a, n)(y)
+            rhs = rhs + (z1 ** a * z3 ** (d - a) * (left * right[::-1]).sum(axis=0)
+                         / (math.factorial(a) * math.factorial(d - a)))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def pde_series_solution(beta, n, boundary_j0=None, boundary_0k=None, cutoff=40):
@@ -1390,35 +1394,6 @@ def pde_interior_residual(beta, n, f):
         else:
             boundary = max(boundary, abs(v))
     return interior, boundary
-
-
-def commutator_check(beta, rng, trials=5, degree=6):
-    """Max coefficient residual of [A, B] = -A on random polynomials, where
-    A = z1 d1 d2 + (beta - z1 z2) d2 (the cleared eigenvalue operator) and
-    B = delta_{z1} - delta_{z2}."""
-
-    def opA(f):
-        return (
-            BivariatePoly.monomial(1, 0) * f.diff_partial(1).diff_partial(2)
-            + (beta - BivariatePoly.monomial(1, 1)) * f.diff_partial(2)
-        )
-
-    def opB(f):
-        return f.diff_theta(1) - f.diff_theta(2)
-
-    worst = 0.0
-    for _ in range(trials):
-        f = BivariatePoly(
-            {
-                (j, k): rng.uniform(-1.0, 1.0)
-                for j in range(degree + 1)
-                for k in range(degree + 1)
-            }
-        )
-        lhs = opA(opB(f)) - opB(opA(f))
-        res, _ = identity_residual(lhs, -opA(f))
-        worst = max(worst, res)
-    return worst
 
 
 def q_degeneration_residuals(beta, m, n, qs=(0.9, 0.99, 0.999)):

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -96,12 +97,13 @@ def cmd_eval(args):
     fam = _family(args)
     if len(args.z1) != len(args.z2):
         raise ValueError("need matching counts of --z1 and --z2")
-    table = bivariate.construct(fam, args.m, args.n)
+    vals = bivariate.values(fam, args.m, args.n, args.z1, args.z2)
     rows = [
-        {"z1": z1, "z2": z2, "value": float(table.evaluate(z1, z2))}
-        for z1, z2 in zip(args.z1, args.z2)
+        {"z1": z1, "z2": z2, "value": float(val)}
+        for z1, z2, val in zip(args.z1, args.z2, vals)
     ]
     if args.coeffs:
+        table = bivariate.construct(fam, args.m, args.n)
         for (j, k) in sorted(table.terms):
             rows.append({"z1": f"coeff[{j},{k}]", "z2": "", "value": table.terms[(j, k)]})
     _emit(args, "eval", rows, {"family": fam.tag, "m": args.m, "n": args.n})
@@ -218,25 +220,27 @@ def cmd_zeros(args):
 def cmd_genfun(args):
     fam = _family(args)
     rng = np.random.default_rng(args.seed)
-    rows = []
-    worst = 0.0
-    for _ in range(args.npoints):
-        u, v = rng.uniform(-0.15, 0.15, 2)
-        z1, z2 = rng.uniform(-1.0, 1.0, 2)
-        residual, tail = bivariate.genfun_check(
-            fam, args.which, u, v, z1, z2, N=args.nterms
-        )
-        worst = max(worst, residual)
-        rows.append(
-            {
-                "u": float(u),
-                "v": float(v),
-                "z1": float(z1),
-                "z2": float(z2),
-                "residual": residual,
-                "tail": tail,
-            }
-        )
+    draws = [
+        (*rng.uniform(-0.15, 0.15, 2), *rng.uniform(-1.0, 1.0, 2))
+        for _ in range(args.npoints)
+    ]
+    u, v, z1, z2 = np.array(draws, dtype=float).reshape(-1, 4).T
+    residual, tail = bivariate.genfun_check(
+        fam, args.which, u, v, z1, z2, N=args.nterms
+    )
+    rows = [
+        {
+            "u": float(u[i]),
+            "v": float(v[i]),
+            "z1": float(z1[i]),
+            "z2": float(z2[i]),
+            "residual": float(residual[i]),
+            "tail": float(tail[i]),
+        }
+        for i in range(args.npoints)
+    ]
+    # a NaN residual propagates and fails the check
+    worst = float(np.max(residual, initial=0.0))
     passed = worst <= args.tol_abs
     summary = {
         "family": fam.tag,
@@ -248,8 +252,22 @@ def cmd_genfun(args):
     return 0 if passed else 1
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose option values may be negative numbers in
+    exponent notation: argparse's own negative-number test knows no
+    exponent, so it reads ``--z2 -9e-05`` as two options.  No option of
+    this CLI looks like a number, so every such token is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bivarortho",
         description="Construct, evaluate and verify bivariate orthogonal "
         "polynomial families.",
@@ -305,11 +323,7 @@ def build_parser():
 
     p = sub.add_parser("genfun", parents=[common], help="generating-function residuals")
     add_family(p)
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE"),
-    )
+    p.add_argument("--which", required=True, choices=bivariate.GENFUNS)
     p.add_argument("--npoints", type=int, default=10)
     p.add_argument("--nterms", type=int, default=30)
     p.add_argument("--tol-abs", type=float, default=1e-10)

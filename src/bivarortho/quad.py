@@ -158,25 +158,20 @@ def q_lattice_sum(fam, alpha, integrand):
 def radial_gram(fam, alpha, nmax, scale=None):
     """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu.
 
-    Row k of V is c_0(k, alpha) p_k(x), times ``scale[k]`` when given: the
-    leading table coefficient times the monic recurrence
-    (radial.recurrence, radial.monic_values), evaluated in np.longdouble at
-    the nodes of golub_welsch(fam, alpha, nmax + 1), which is exact to
-    degree 2 nmax + 1, or at the points of one q_lattice_sum.
+    The rows of V come from radial.phi_rows (times ``scale[k]`` when
+    given), evaluated in np.longdouble at the nodes of golub_welsch(fam,
+    alpha, nmax + 1), which is exact to degree 2 nmax + 1, or at the points
+    of one q_lattice_sum.
     """
-    lead = np.array([radial.radial_coeffs(fam, k, alpha)[0] for k in range(nmax + 1)],
-                    dtype=np.longdouble)
-    if scale is not None:
-        lead *= scale
-    A, B = radial.recurrence(fam, alpha, nmax + 1)
+    rows = radial.phi_rows(fam, alpha, nmax, scale)
     if fam.is_q():
         def integrand(x):
-            v = lead * radial.monic_values(A, B, x)
+            v = rows(x)
             return np.outer(v, v)
 
         return q_lattice_sum(fam, alpha, integrand).astype(float)
     rule = golub_welsch(fam, alpha, nmax + 1)
-    vals = lead[:, None] * radial.monic_values(A, B, rule.nodes)
+    vals = rows(rule.nodes)
     return ((vals * rule.weights) @ vals.T).astype(float)
 
 
@@ -231,9 +226,7 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     blocks = []
     for a in range(degree_cap + 1):
         nmax = degree_cap - a
-        scale = None
-        if fam.tag == "H":  # H rescales phi_k by (-1)^k k!
-            scale = [(-1.0) ** k * math.factorial(k) for k in range(nmax + 1)]
+        scale = bivariate.harmonic_scale(fam, nmax)
         blocks.append(norm_const * radial_gram(rad, a, nmax, scale))
     entries = {}
     for idx1 in indices:
@@ -255,15 +248,16 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
 
 
 def bisection_zeros(fam, n, alpha, tol=1e-13):
-    """Refine the zeros of phi_n by bracketed root finding on sign changes,
-    independent of the eigensolver route."""
+    """Refine the zeros of phi_n by bracketed root finding on sign changes
+    of its recurrence value (radial.phi_rows), independent of the
+    eigensolver route."""
     if n == 0:
         return np.array([])
     approx = radial.radial_zeros(fam, n, alpha)
-    p = radial.radial_power_coeffs(fam, n, alpha)
+    rows = radial.phi_rows(fam, alpha, n)
 
     def f(x):
-        return np.polynomial.polynomial.polyval(x, p)
+        return float(rows(x)[n])
 
     lo_edge = approx[0] - max(1.0, approx[0])
     hi_edge = approx[-1] + max(1.0, approx[-1])

@@ -19,10 +19,10 @@ wall(beta, q)                 phi_n = p_n(x; q^(alpha+beta) | q), lattice q^k
 little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 
 Besides coefficient tables the module provides the closed-form monic
-three-term recurrence of each family (the route for numerics at nodes and
-lattice points; the tables serve the exact identity algebra), the
-alpha-raising connection machinery, norms, and zeros via the symmetrized
-Jacobi matrix.
+three-term recurrence of each family (phi_rows, the route for numerics at
+nodes, lattice points and sample points; the tables serve the exact
+identity algebra), the alpha-raising connection machinery, norms, and
+zeros via the symmetrized Jacobi matrix.
 """
 
 import math
@@ -70,6 +70,31 @@ def wall(beta, q):
 
 def little_q_jacobi(beta, gamma, q):
     return RadialFamily("qjacobi", beta=beta, gamma=gamma, q=q)
+
+
+def leading_coeff(fam, n, alpha):
+    """c_0(n, alpha), the coefficient of x^n in phi_n(x; alpha), without
+    building the table: the j = 0 term of radial_coeffs in the same
+    floating-point operations, so it equals radial_coeffs(fam, n,
+    alpha)[0] bit for bit."""
+    if fam.kind == "laguerre":
+        return (-1.0) ** n / math.factorial(n)
+    if fam.kind == "jacobi":
+        t = alpha + fam.beta + fam.gamma
+        return (-1.0) ** n * pochhammer(t + n + 1, n) / math.factorial(n)
+    # the q forms keep the table's uncancelled factors, so they round alike
+    q = fam.q
+    a = alpha + fam.beta
+    qn = qpochhammer(q, q, n)
+    qa = qpochhammer(q ** (a + 1), q, n)
+    if fam.kind == "qlaguerre":
+        return qa * q ** ((a + n) * n) * (-1.0) ** n / (qn * qa)
+    if fam.kind == "wall":
+        return qn * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa)
+    if fam.kind == "qjacobi":
+        return (qn * qpochhammer(q ** (a + fam.gamma + n + 1), q, n)
+                * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa))
+    raise ValueError(f"unknown radial family kind {fam.kind!r}")
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -148,12 +173,6 @@ def radial_coeffs(fam, n, alpha):
         raise ValueError(f"unknown radial family kind {fam.kind!r}")
     c.setflags(write=False)
     return c
-
-
-def radial_power_coeffs(fam, n, alpha):
-    """Coefficients in ascending power order: p[k] multiplies x^k."""
-    c = radial_coeffs(fam, n, alpha)
-    return c[::-1].copy()
 
 
 def zeta(fam, n, alpha):
@@ -293,13 +312,38 @@ def monic_values(A, B, x):
     """Rows p_0(x)..p_{len(A)-1}(x) of the monic recurrence (A, B) at the
     points x, in np.longdouble."""
     x = np.asarray(x, dtype=np.longdouble)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    rows = []
-    for k in range(len(A)):
-        rows.append(cur)
+    rows = np.ones((len(A),) + x.shape, dtype=np.longdouble)
+    # [()] turns a 0-d point into a numpy scalar, whose arithmetic is
+    # several times cheaper than a 0-d array's; arrays pass unchanged
+    x = x[()]
+    prev, cur = 0, 1
+    for k in range(len(A) - 1):
         prev, cur = cur, (x - A[k]) * cur - B[k] * prev
-    return np.array(rows)
+        rows[k + 1] = cur
+    return rows
+
+
+def phi_rows(fam, alpha, nmax, scale=None):
+    """Evaluator of the rows phi_0..phi_nmax(x; alpha), times ``scale[k]``
+    when given.
+
+    Returns rows(x) = c_0(k, alpha) scale[k] p_k(x), k = 0..nmax, with p_k
+    from the monic recurrence, in np.longdouble and of shape
+    (nmax + 1,) + shape(x).  The leading coefficients and the recurrence
+    are formed once, so a lattice sum can call rows point by point.  This
+    is the one route to values at points; the tables serve the algebra.
+    """
+    lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],
+                    dtype=np.longdouble)
+    if scale is not None:
+        lead *= scale
+    A, B = recurrence(fam, alpha, nmax + 1)
+
+    def rows(x):
+        x = np.asarray(x)
+        return lead.reshape((-1,) + (1,) * x.ndim) * monic_values(A, B, x)
+
+    return rows
 
 
 def jacobi_matrix(fam, alpha, npts):

@@ -3,6 +3,7 @@ connections, generating functions, the series solver, and the q -> 1 limit."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from bivarortho import bivariate as bv
 from bivarortho import radial
 from bivarortho.polycore import BivariatePoly, Tolerance, identity_residual
+from bivarortho.qcalc import pochhammer
 
 FAMILIES = [
     bv.Z(0.5),
@@ -53,7 +55,7 @@ class TestConstruct:
         rad = bv.radial_of(fam)
         for (z1, z2) in ((0.4, 0.9), (-0.3, 0.5)):
             phi = np.polynomial.polynomial.polyval(
-                z1 * z2, radial.radial_power_coeffs(rad, n, m - n)
+                z1 * z2, radial.radial_coeffs(rad, n, m - n)[::-1]
             )
             ref = z1 ** (m - n) * phi
             assert_allclose(bv.construct(fam, m, n).evaluate(z1, z2), ref, rtol=1e-12)
@@ -166,6 +168,58 @@ class TestOperationalRepresentation:
                 assert res <= 1e-12 * max(scale, 1.0)
 
 
+def connection_Z_to_H(m, n, beta):
+    """Residual of (-1)^n n! Z^(beta)_{m,n} =
+    sum_j C(n,j) (beta)_j (-1)^j H_{m-j,n-j}."""
+    rhs = BivariatePoly.zero()
+    for j in range(n + 1):
+        rhs = rhs + (
+            math.comb(n, j) * pochhammer(beta, j) * (-1.0) ** j
+        ) * bv.construct(bv.H(), m - j, n - j)
+    lhs = (-1.0) ** n * math.factorial(n) * bv.construct(bv.Z(beta), m, n)
+    return identity_residual(lhs, rhs)
+
+
+def connection_H_to_Z(m, n, beta):
+    """Residual of H_{m,n} =
+    (-1)^n n! sum_j (-beta)_j / j! Z^(beta)_{m-j,n-j}."""
+    rhs = BivariatePoly.zero()
+    for j in range(n + 1):
+        rhs = rhs + (
+            (-1.0) ** n * math.factorial(n) * pochhammer(-beta, j) / math.factorial(j)
+        ) * bv.construct(bv.Z(beta), m - j, n - j)
+    return identity_residual(bv.construct(bv.H(), m, n), rhs)
+
+
+def commutator_check(beta, rng, trials=5, degree=6):
+    """Max coefficient residual of [A, B] = -A on random polynomials, where
+    A = z1 d1 d2 + (beta - z1 z2) d2 (the cleared eigenvalue operator) and
+    B = delta_{z1} - delta_{z2}."""
+
+    def opA(f):
+        return (
+            BivariatePoly.monomial(1, 0) * f.diff_partial(1).diff_partial(2)
+            + (beta - BivariatePoly.monomial(1, 1)) * f.diff_partial(2)
+        )
+
+    def opB(f):
+        return f.diff_theta(1) - f.diff_theta(2)
+
+    worst = 0.0
+    for _ in range(trials):
+        f = BivariatePoly(
+            {
+                (j, k): rng.uniform(-1.0, 1.0)
+                for j in range(degree + 1)
+                for k in range(degree + 1)
+            }
+        )
+        lhs = opA(opB(f)) - opB(opA(f))
+        res, _ = identity_residual(lhs, -opA(f))
+        worst = max(worst, res)
+    return worst
+
+
 class TestConnections:
     @pytest.mark.parametrize("beta,gamma", [(1.0, 0.0), (0.5, 2.0), (2.0, -0.5)])
     def test_parameter_connection(self, beta, gamma):
@@ -184,14 +238,74 @@ class TestConnections:
     def test_rescaled_family_connections(self):
         for m in range(5):
             for n in range(m + 1):
-                res, scale = bv.connection_Z_to_H(m, n, 0.7)
+                res, scale = connection_Z_to_H(m, n, 0.7)
                 assert res <= 1e-11 * max(scale, 1.0)
-                res, scale = bv.connection_H_to_Z(m, n, 0.7)
+                res, scale = connection_H_to_Z(m, n, 0.7)
                 assert res <= 1e-11 * max(scale, 1.0)
 
     def test_wedge_restriction(self):
         with pytest.raises(ValueError):
             bv.connection_Z(1, 2, 0.5, 0.0)
+
+
+def mp_value(fam, m, n, z1, z2):
+    """f_{m,n}(z1, z2) of Z, H or M at 30 digits from mpmath's Laguerre and
+    Jacobi polynomials: z^a L_k^(a+beta)(x), (-1)^k k! z^a L_k^(a)(x) and
+    z^a P_k^(a+gamma, beta)(1 - 2x), with x = z1 z2, a = |m - n|,
+    k = min(m, n) and z = z1 for m >= n, z2 otherwise."""
+    with mpmath.workdps(30):
+        z1, z2 = mpmath.mpf(z1), mpmath.mpf(z2)
+        a, k = abs(m - n), min(m, n)
+        x = z1 * z2
+        if fam.tag == "Z":
+            radial_value = mpmath.laguerre(k, a + fam.beta, x)
+        elif fam.tag == "H":
+            radial_value = (-1) ** k * mpmath.factorial(k) * mpmath.laguerre(k, a, x)
+        else:
+            radial_value = mpmath.jacobi(k, a + fam.gamma, fam.beta, 1 - 2 * x)
+        return float((z1 if m >= n else z2) ** a * radial_value)
+
+
+class TestValues:
+    """bivariate.values: f_{m,n} at points from the radial recurrence."""
+
+    DEGREES = (0, 1, 5, 12, 24, 30)
+
+    @pytest.mark.parametrize("fam", [bv.Z(0.5), bv.H(), bv.M(0.5, 0.7)], ids=["Z", "H", "M"])
+    def test_matches_mpmath(self, fam):
+        z1, z2 = np.random.default_rng(17).uniform(-1.0, 1.0, (2, 4))
+        for m in self.DEGREES:
+            for n in self.DEGREES:
+                vals = bv.values(fam, m, n, z1, z2)
+                for val, p1, p2 in zip(vals, z1, z2):
+                    ref = mp_value(fam, m, n, p1, p2)
+                    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), (m, n, val, ref)
+
+    @pytest.mark.parametrize(
+        "fam", [bv.ZQ(0.5, 0.5, 1.5), bv.WALL(0.5, 0.3), bv.MQ(0.5, 0.7, 0.6)],
+        ids=["ZQ", "WALL", "MQ"],
+    )
+    def test_q_families_match_tables(self, fam):
+        # judged against the size of the power-basis sum the table adds up
+        z1, z2 = np.random.default_rng(19).uniform(-1.0, 1.0, (2, 4))
+        for m in range(7):
+            for n in range(7):
+                table = bv.construct(fam, m, n)
+                vals = bv.values(fam, m, n, z1, z2)
+                for val, p1, p2 in zip(vals, z1, z2):
+                    size = sum(abs(c * p1 ** j * p2 ** k) for (j, k), c in table.terms.items())
+                    assert abs(val - table.evaluate(p1, p2)) <= 1e-12 * size, (m, n)
+
+    def test_scalar_point_and_shape(self):
+        fam = bv.M(0.5, 0.7)
+        z1, z2 = np.random.default_rng(23).uniform(-1.0, 1.0, (2, 2, 3))
+        vals = bv.values(fam, 7, 4, z1, z2)
+        assert vals.shape == (2, 3) and vals.dtype == float
+        assert bv.values(fam, 7, 4, z1[1, 2], z2[1, 2]) == vals[1, 2]
+
+    def test_negative_index_raises(self):
+        with pytest.raises(ValueError):
+            bv.values(bv.Z(0.5), -1, 2, 0.1, 0.2)
 
 
 class TestGeneratingFunctions:
@@ -213,6 +327,32 @@ class TestGeneratingFunctions:
             res, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
             assert res < 1e-9
             assert tail < 1e-9
+
+    @pytest.mark.parametrize(
+        "fam,which",
+        [
+            (bv.Z(0.5), "Z_EXP"),
+            (bv.Z(0.5), "Z_PLAIN"),
+            (bv.H(), "Z_EXP"),
+            (bv.M(0.5, 0.7), "M_EXP"),
+            (bv.M(0.5, 0.7), "M_PLAIN"),
+            (bv.M(0.5, 0.7), "M_DOUBLE"),
+        ],
+    )
+    def test_array_call_equals_scalar_calls(self, fam, which):
+        rng = np.random.default_rng(13)
+        u, v = rng.uniform(-0.15, 0.15, (2, 2, 3))
+        z1, z2 = rng.uniform(-1.0, 1.0, (2, 2, 3))
+        res, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
+        assert res.shape == tail.shape == (2, 3)
+        # the series is summed in the same order for every shape; numpy's
+        # vectorized exp and power may round the closed form differently
+        # in the last bit
+        for i in np.ndindex(2, 3):
+            r, t = bv.genfun_check(fam, which, u[i], v[i], z1[i], z2[i], N=30)
+            assert type(r) is float and type(t) is float
+            assert t == tail[i]
+            assert abs(r - res[i]) <= 1e-15, (r, res[i])
 
     def test_rejects_divergent_point(self):
         with pytest.raises(ValueError):
@@ -310,7 +450,7 @@ class TestSeriesSolver:
 class TestOperatorAlgebra:
     def test_commutator_relation(self):
         rng = np.random.default_rng(11)
-        assert bv.commutator_check(0.7, rng) < 1e-10
+        assert commutator_check(0.7, rng) < 1e-10
 
 
 class TestQDegeneration:

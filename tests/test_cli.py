@@ -2,12 +2,13 @@
 determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from bivarortho import cli
+from bivarortho import bivariate, cli
 
 
 def run(argv, capsys):
@@ -44,6 +45,44 @@ class TestEval:
         rows = list(csv.DictReader(io.StringIO(out)))
         table = {r["z1"]: float(r["value"]) for r in rows if r["z1"].startswith("coeff")}
         assert table == {"coeff[0,0]": 1.0, "coeff[1,1]": -1.0}
+
+    def test_values_from_the_recurrence(self, capsys):
+        z1, z2 = [0.4, -0.9, 0.75], [0.9, 0.3, -0.6]
+        argv = ["eval", "--family", "M", "--beta", "0.5", "--gamma", "0.5",
+                "--m", "24", "--n", "24", "--format", "json"]
+        for a, b in zip(z1, z2):
+            argv += ["--z1", repr(a), "--z2", repr(b)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        got = [float(r["value"]) for r in json.loads(out)["rows"]]
+        assert got == list(bivariate.values(bivariate.M(0.5, 0.5), 24, 24, z1, z2))
+
+    # digests of the --coeffs rows (m, n) in COEFF_DEGREES, recorded before
+    # eval took its values from the recurrence; the dump stays on the tables
+    COEFF_DEGREES = ((0, 0), (5, 3), (3, 5), (9, 9), (12, 4))
+    COEFF_DIGESTS = {
+        "Z": (["--beta", "0.5"], "691e89412d1c1f9a"),
+        "H": ([], "fba879642d2fd617"),
+        "M": (["--beta", "0.5", "--gamma", "0.7"], "293550ee56d5cabf"),
+        "ZQ": (["--beta", "0.5", "--q", "0.5", "--c", "1.5"], "5abd9ce149763e95"),
+        "WALL": (["--beta", "0.5", "--q", "0.3"], "c5a8f7c226561d8c"),
+        "MQ": (["--beta", "0.5", "--gamma", "0.7", "--q", "0.6"], "f3b628a9052c77de"),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(COEFF_DIGESTS))
+    def test_coefficient_rows_unchanged(self, tag, capsys):
+        flags, digest = self.COEFF_DIGESTS[tag]
+        text = ""
+        for m, n in self.COEFF_DEGREES:
+            code, out, _ = run(
+                ["eval", "--family", tag, *flags, "--m", str(m), "--n", str(n),
+                 "--z1", "0.3", "--z2", "0.4", "--coeffs"],
+                capsys,
+            )
+            assert code == 0
+            text += "".join(line for line in out.splitlines(keepends=True) if "coeff[" in line)
+        assert text.count("\n") == 24
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_mismatched_points_exit_2(self, capsys):
         code, _, err = run(
@@ -242,6 +281,22 @@ class TestGenfun:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        [
+            (["eval", "--family", "M", "--m", "4", "--n", "0", "--z1", "0.5",
+              "--z2", "-9e-05"], "z2", [-9e-05]),
+            (["eval", "--family", "Z", "--beta", "-5e-01", "--m", "2", "--n", "1",
+              "--z1", "-2.5E+00", "--z2", "0.3"], "beta", -0.5),
+            (["gram", "--family", "Z", "--beta", "-.25", "--degree-cap", "1"], "beta", -0.25),
+        ],
+        ids=["z2-exponent", "beta-exponent", "beta-leading-dot"],
+    )
+    def test_negative_values_in_exponent_notation(self, argv, dest, value, capsys):
+        assert getattr(cli.build_parser().parse_args(argv), dest) == value
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gram", "--family", "Z", "--no-such-flag"])

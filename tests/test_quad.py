@@ -1,5 +1,6 @@
 """Tests for quadrature rules, lattice sums, Gram assembly and zero tables."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -195,6 +196,46 @@ class TestGram:
         assert all(res.entries[(i, i)] >= 0.0 for i in res.indices)
 
 
+# The Gram grids and cap ladders of the gram_frontier benchmark workload,
+# and digests of their results recorded before the row evaluation moved
+# into radial.phi_rows; the rows must stay bit-identical.
+GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
+LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
+                   bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
+                   bivariate.MQ(0.5, 0.5, 0.5))
+GRAM_GROUPS = {
+    "grids": [(bivariate.Z(b), 4, 1e-9, 1e-8) for b in (0.0, 0.5, 2.0)]
+    + [(bivariate.M(b, g), 4, 1e-9, 1e-8) for b, g in ((0.0, 0.0), (0.5, 2.0), (2.0, 0.5))]
+    + [(fam, 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)
+       for fam in (bivariate.ZQ(0.5, q), bivariate.WALL(0.5, q), bivariate.MQ(0.5, 0.5, q))],
+    **{fam.tag: [(fam, cap, 1e-9, 1e-8) for cap in GRAM_LADDER] for fam in LADDER_FAMILIES},
+}
+GRAM_DIGESTS = {
+    "grids": "9f90caea1ae9f638",
+    "Z": "c62c2324e05114d6",
+    "H": "c40522a627bdf8b9",
+    "M": "3ef5f462a4dcbb07",
+    "ZQ": "08b29940c8af0423",
+    "WALL": "723921f5134279c4",
+    "MQ": "8c603bea7c9b5276",
+}
+
+
+class TestGramPinned:
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63,
+        reason="digests recorded with x87 80-bit extended np.longdouble",
+    )
+    @pytest.mark.parametrize("group", sorted(GRAM_DIGESTS))
+    def test_results_bit_identical(self, group):
+        h = hashlib.sha256()
+        for fam, cap, off_tol, diag_tol in GRAM_GROUPS[group]:
+            res = quad.gram(fam, cap, offdiag_tol=off_tol, diag_rel_tol=diag_tol)
+            h.update(repr((sorted(res.entries.items()), sorted(res.diag_ref.items()),
+                           res.max_offdiag, res.max_diag_relerr, res.passed)).encode())
+        assert h.hexdigest()[:16] == GRAM_DIGESTS[group]
+
+
 class TestRadialGram:
     def test_scale_multiplies_rows_and_columns(self):
         fam = radial.laguerre(0.0)
@@ -296,6 +337,16 @@ class TestZeros:
                 z = radial.radial_zeros(fam, n, 1)
                 ref = quad.bisection_zeros(fam, n, 1)
                 assert_allclose(z, ref, atol=1e-9)
+
+    def test_bisection_matches_eigensolver_at_high_degree(self):
+        # the power-basis table cancels here (deviations 4e-7 for Laguerre
+        # at n = 20 and 3e-2 for Jacobi at n = 26); the recurrence does not
+        for fam in (radial.laguerre(0.5), radial.shifted_jacobi(0.5, 0.5)):
+            for n in (20, 26):
+                for alpha in (0, 2):
+                    z = radial.radial_zeros(fam, n, alpha)
+                    ref = quad.bisection_zeros(fam, n, alpha)
+                    assert_allclose(z, ref, rtol=1e-12, atol=1e-12)
 
     def test_monotone_radii(self):
         mono, table, dev = quad.zero_circle_monotonicity(

@@ -15,9 +15,14 @@ XS = np.array([0.05, 0.3, 0.71, 1.4, 2.9])
 XS01 = np.array([0.04, 0.22, 0.5, 0.77, 0.96])
 
 
+def power_coeffs(fam, n, alpha):
+    """Table coefficients in ascending power order: p[k] multiplies x^k."""
+    return radial.radial_coeffs(fam, n, alpha)[::-1].copy()
+
+
 def table_values(fam, n, alpha, x):
     """phi_n(x; alpha) from the exact coefficient table."""
-    return np.polynomial.polynomial.polyval(x, radial.radial_power_coeffs(fam, n, alpha))
+    return np.polynomial.polynomial.polyval(x, power_coeffs(fam, n, alpha))
 
 
 def shift_lambdas(fam, n, alpha):
@@ -41,7 +46,7 @@ def zeta_ratio_product(fam, n, alpha):
     x phi_{k-1} with the connection coefficient lambda_{k-1} = 1 / a_{k-1}."""
 
     def lead(k, al):
-        return radial.radial_power_coeffs(fam, k, al)[-1]
+        return power_coeffs(fam, k, al)[-1]
 
     prod = 1.0
     for j in range(n):
@@ -75,7 +80,7 @@ class TestClassicalTables:
     def test_power_coeffs_are_reversed_table(self):
         fam = radial.laguerre(0.5)
         c = radial.radial_coeffs(fam, 4, 1)
-        p = radial.radial_power_coeffs(fam, 4, 1)
+        p = power_coeffs(fam, 4, 1)
         assert_allclose(p, c[::-1])
 
     def test_negative_degree_raises(self):
@@ -107,12 +112,12 @@ class TestQTableStructure:
         A, B = radial.recurrence(fam, 1, 6)
         c0 = [radial.radial_coeffs(fam, k, 1)[0] for k in range(6)]
         for n in range(1, 5):
-            pn = radial.radial_power_coeffs(fam, n, 1)
+            pn = power_coeffs(fam, n, 1)
             x_pn = np.concatenate(([0.0], pn))
-            rebuilt = c0[n] / c0[n + 1] * radial.radial_power_coeffs(fam, n + 1, 1)
+            rebuilt = c0[n] / c0[n + 1] * power_coeffs(fam, n + 1, 1)
             rebuilt[: n + 1] += float(A[n]) * pn
             rebuilt[:n] += (
-                float(B[n]) * c0[n] / c0[n - 1] * radial.radial_power_coeffs(fam, n - 1, 1)
+                float(B[n]) * c0[n] / c0[n - 1] * power_coeffs(fam, n - 1, 1)
             )
             scale = np.max(np.abs(x_pn))
             assert np.max(np.abs(x_pn - rebuilt)) < 1e-10 * scale
@@ -197,10 +202,10 @@ class TestShiftMachinery:
         for n in range(1, 5):
             a = radial.shift_a(fam, n, alpha)
             b = radial.shift_b(fam, n, alpha)
-            lhs = radial.radial_power_coeffs(fam, n, alpha) - a * radial.radial_power_coeffs(
+            lhs = power_coeffs(fam, n, alpha) - a * power_coeffs(
                 fam, n, alpha + 1
             )
-            rhs = np.pad(radial.radial_power_coeffs(fam, n - 1, alpha + 1), (0, 1))
+            rhs = np.pad(power_coeffs(fam, n - 1, alpha + 1), (0, 1))
             scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs)) + 1.0
             assert np.max(np.abs(lhs - b * rhs)) < 1e-11 * scale
 
@@ -211,8 +216,8 @@ class TestShiftMachinery:
         lam = shift_lambdas(fam, n, alpha)
         rebuilt = np.zeros(n + 1)
         for j in range(n + 1):
-            rebuilt[: j + 1] += lam[j] * radial.radial_power_coeffs(fam, j, alpha)
-        target = radial.radial_power_coeffs(fam, n, alpha + 1)
+            rebuilt[: j + 1] += lam[j] * power_coeffs(fam, j, alpha)
+        target = power_coeffs(fam, n, alpha + 1)
         assert_allclose(rebuilt, target, rtol=1e-9, atol=1e-11)
 
     def test_shift_b_vanishes_at_zero(self):
@@ -222,15 +227,15 @@ class TestShiftMachinery:
 def _peel(fam, n, alpha):
     """Reference (A_n, B_n) by exact expansion matching: peel the leading
     coefficients of x phi_n against phi_{n+1}, phi_n, phi_{n-1}."""
-    pn = radial.radial_power_coeffs(fam, n, alpha)
+    pn = power_coeffs(fam, n, alpha)
     rest = np.concatenate(([0.0], pn))
-    up = radial.radial_power_coeffs(fam, n + 1, alpha)
+    up = power_coeffs(fam, n + 1, alpha)
     rest = rest - rest[n + 1] / up[n + 1] * up
     diag = rest[n] / pn[n]
     rest[: n + 1] -= diag * pn
     if n == 0:
         return diag, 0.0
-    down = radial.radial_power_coeffs(fam, n - 1, alpha)
+    down = power_coeffs(fam, n - 1, alpha)
     return diag, rest[n - 1] / pn[n]
 
 
@@ -248,13 +253,13 @@ class TestRecurrenceFormulas:
         assert np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and B[0] == 0
         c0 = [radial.radial_coeffs(fam, k, alpha)[0] for k in range(nmax + 2)]
         for n in range(nmax + 1):
-            x_pn = np.concatenate(([0.0], radial.radial_power_coeffs(fam, n, alpha)))
-            rebuilt = c0[n] / c0[n + 1] * radial.radial_power_coeffs(fam, n + 1, alpha)
-            rebuilt[: n + 1] += float(A[n]) * radial.radial_power_coeffs(fam, n, alpha)
+            x_pn = np.concatenate(([0.0], power_coeffs(fam, n, alpha)))
+            rebuilt = c0[n] / c0[n + 1] * power_coeffs(fam, n + 1, alpha)
+            rebuilt[: n + 1] += float(A[n]) * power_coeffs(fam, n, alpha)
             if n > 0:
                 rebuilt[:n] += (
                     float(B[n]) * c0[n] / c0[n - 1]
-                    * radial.radial_power_coeffs(fam, n - 1, alpha)
+                    * power_coeffs(fam, n - 1, alpha)
                 )
             assert np.max(np.abs(x_pn - rebuilt)) < 1e-10 * np.max(np.abs(x_pn))
             ref_a, ref_b = _peel(fam, n, alpha)
@@ -269,6 +274,25 @@ class TestRecurrenceFormulas:
         for k in range(6):
             ref = table_values(fam, k, 1, x) / radial.radial_coeffs(fam, k, 1)[0]
             assert_allclose(vals[k].astype(float), ref, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
+    def test_phi_rows_match_tables(self, fam):
+        scale = [1.0, -2.0, 6.0, -24.0, 120.0, -720.0]
+        rows = radial.phi_rows(fam, 1, 5, scale)
+        x = np.array([[0.05, 0.3], [0.71, 0.9]])
+        vals = rows(x)
+        assert vals.shape == (6, 2, 2) and vals.dtype == np.longdouble
+        for k in range(6):
+            ref = scale[k] * table_values(fam, k, 1, x)
+            assert_allclose(vals[k].astype(float), ref, rtol=1e-9, atol=1e-12)
+            # a scalar point gives the same numbers as the array
+            assert rows(x[1, 0])[k] == vals[k, 1, 0]
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS)
+    def test_leading_coeff_is_the_table_head(self, fam):
+        for alpha in (0, 1, 2.5, 7):
+            for n in range(31):
+                assert radial.leading_coeff(fam, n, alpha) == radial.radial_coeffs(fam, n, alpha)[0]
 
     def test_jacobi_matrix_rejects_nonpositive_measure(self):
         # alpha + beta = -1.5 has no positive Laguerre measure: B_1 = 1 + a < 0
