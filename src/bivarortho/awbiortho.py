@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .qcalc import qpochhammer, qproduct_terms
 from .quad import summarize
@@ -193,8 +194,10 @@ def aw_norm(p, n):
 @lru_cache(maxsize=8)
 def _theta_rule(nnodes):
     """Gauss-Legendre nodes/weights mapped to theta in (0, pi); memoized,
-    so both arrays are shared and read-only."""
-    t, w = np.polynomial.legendre.leggauss(nnodes)
+    so both arrays are shared and read-only.  scipy's roots_legendre finds
+    the nodes by Newton steps from asymptotic guesses, with no dense
+    eigenproblem, so its cost does not depend on the BLAS thread count."""
+    t, w = roots_legendre(nnodes)
     thetas, wts = 0.5 * math.pi * (t + 1.0), 0.5 * math.pi * w
     thetas.setflags(write=False)
     wts.setflags(write=False)
@@ -215,9 +218,8 @@ def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e
     vals = _node_rows(p, degree_cap, xs)
     gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
     indices = list(range(degree_cap + 1))
-    entries = {(m, n): float(gram[m, n]) for m in indices for n in indices}
-    diag_ref = {m: aw_norm(p, m) for m in indices}
-    return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol)
+    ref = np.array([aw_norm(p, m) for m in indices])
+    return summarize([(indices, gram, ref)], offdiag_tol, diag_rel_tol)
 
 
 def _x_params(tp, mode, k):
@@ -346,10 +348,5 @@ def tensor_biortho_check(
         if mode == "pq":
             left = left / np.array([h_prod(xs, tp.shifted_c1(k), q) for k in range(cap)])[ks]
     vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
-    entries = {
-        (idx1, idx2): float(vals[r1, r2])
-        for r1, idx1 in enumerate(indices)
-        for r2, idx2 in enumerate(indices)
-    }
-    diag_ref = {idx: tensor_diag_ref(tp, mode, *idx) for idx in indices}
-    return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol, notes=mode)
+    ref = np.array([tensor_diag_ref(tp, mode, *idx) for idx in indices])
+    return summarize([(indices, vals, ref)], offdiag_tol, diag_rel_tol, notes=mode)

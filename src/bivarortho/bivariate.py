@@ -1160,8 +1160,8 @@ GENFUNS = ("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE")
 
 def genfun_check(fam, which, u, v, z1, z2, N=30):
     """Residual of a truncated double generating-function sum against its
-    closed form, plus the magnitude of the last included shell (the single
-    term of f_{N,N}) as a tail estimate.  Returns (residual, tail_estimate).
+    closed form, plus the largest term of the first omitted shell as a tail
+    estimate.  Returns (residual, tail_estimate).
 
     u, v, z1, z2 may be scalars or arrays of one shape; the results have
     that shape.  The sum runs one harmonic index a at a time: with
@@ -1169,7 +1169,9 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     members f_{a+k,k} = z1^a phi_k add (u z1)^a s_a (divided by a! for the
     EXP forms), and for M_DOUBLE the members f_{k,a+k} = z2^a phi_k add
     (v z2)^a s_a for a >= 1.  The series is summed in the same order for
-    any shape of the points.
+    any shape of the points.  The tail estimate is the largest |term| with
+    a + k = N + 1 under the same weights, each of M_DOUBLE's two members
+    counted as its own term.
     """
     if which not in GENFUNS:
         raise ValueError(f"unknown generating function {which!r}")
@@ -1181,21 +1183,28 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
         raise ValueError("need |uv| < 1")
     rad = radial_of(fam)
     x = z1.astype(np.longdouble) * z2
-    uv_pow = uv ** np.arange(N + 1).reshape((-1,) + (1,) * uv.ndim)
+    uv_pow = uv ** np.arange(N + 2).reshape((-1,) + (1,) * uv.ndim)
     total = np.zeros(x.shape, dtype=np.longdouble)
-    for a in range(N + 1):
-        rows = radial.phi_rows(rad, a, N - a, harmonic_scale(fam, N - a))(x)
-        terms = uv_pow[: N - a + 1] * rows
-        if a == 0:
-            tail = np.abs(terms[-1]).astype(float)
-        # a running sum adds in k order for any shape of the points
-        s_a = np.cumsum(terms, axis=0)[-1]
+    tail = np.zeros(x.shape)
+    for a in range(N + 2):
+        # rows up to k = N + 1 - a: the last one lies in the omitted shell
+        rows = radial.phi_rows(rad, a, N + 1 - a, harmonic_scale(fam, N + 1 - a))(x)
+        terms = uv_pow[: N + 2 - a] * rows
         weight = (u * z1) ** a
+        # the tail's weights are powers in longdouble, whose scalar and
+        # array loops round alike, so the estimate does not depend on shape
+        size = np.abs(u * z1).astype(np.longdouble) ** a
         if which in ("Z_EXP", "M_EXP"):
             weight = weight / math.factorial(a)
+            size = size / math.factorial(a)
         if which == "M_DOUBLE" and a > 0:
+            size = np.maximum(size, np.abs(v * z2).astype(np.longdouble) ** a)
             weight = weight + (v * z2) ** a
-        total += weight * s_a
+        tail = np.maximum(tail, (size * np.abs(terms[-1])).astype(float))
+        if a <= N:
+            # a running sum adds in k order for any shape of the points
+            s_a = np.cumsum(terms[:-1], axis=0)[-1]
+            total += weight * s_a
     if which in ("Z_EXP", "Z_PLAIN"):
         b = fam.beta
         if which == "Z_EXP":

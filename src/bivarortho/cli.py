@@ -119,7 +119,7 @@ def cmd_gram(args):
         diag_rel_tol=args.tol_diag,
     )
     rows = []
-    for (idx1, idx2), val in sorted(result.entries.items()):
+    for (idx1, idx2), val in result.entries.items():
         row = {
             "m": idx1[0],
             "n": idx1[1],

@@ -1,5 +1,4 @@
-"""Pochhammer symbols, q-Pochhammer symbols, q-numbers and terminating
-(basic) hypergeometric sums.
+"""Pochhammer symbols, q-Pochhammer symbols and q-numbers.
 
 All routines are plain scalar helpers used by the radial and bivariate
 construction code.  Infinite q-products are truncated with a certified
@@ -99,73 +98,3 @@ def qproduct_terms(a, q):
 def qnumber(alpha, q):
     """q-number [alpha]_q = (1 - q^alpha) / (1 - q)."""
     return (1.0 - q ** alpha) / (1.0 - q)
-
-
-def hyper_terminating(num, den, x):
-    """Terminating generalized hypergeometric sum.
-
-    Computes sum_k prod_j (num_j)_k / (prod_j (den_j)_k * k!) * x^k, where at
-    least one numerator parameter must be a nonpositive integer so the series
-    terminates.  Built by forward term ratios, so the terminating zero is hit
-    exactly.
-    """
-    nmax = None
-    for a in num:
-        if a <= 0 and abs(a - round(a)) < 1e-12:
-            cand = int(-round(a))
-            nmax = cand if nmax is None else min(nmax, cand)
-    if nmax is None:
-        raise ValueError("no nonpositive-integer numerator parameter; series does not terminate")
-    total = 1.0
-    term = 1.0
-    for k in range(nmax):
-        ratio = x / (k + 1.0)
-        for a in num:
-            ratio *= a + k
-        for b in den:
-            ratio /= b + k
-        term *= ratio
-        total += term
-    return total
-
-
-def qhyper_terminating(num, den, q, z):
-    """Terminating basic hypergeometric sum r+1_phi_r.
-
-    Computes sum_k prod_j (num_j; q)_k / ((q; q)_k prod_j (den_j; q)_k) z^k
-    where some numerator parameter equals q^{-N} for a nonnegative integer N
-    (the terminating parameter must be supplied exactly as q**(-N)).  The
-    number of numerator parameters must exceed the denominator count by one,
-    so no extra (-1)^k q^(k choose 2) factor appears.
-
-    ``nterms`` is inferred from the terminating parameter.  Complex
-    parameters are supported.
-    """
-    if len(num) != len(den) + 1:
-        raise ValueError("expected r+1 numerator and r denominator parameters")
-    nmax = None
-    for a in num:
-        if isinstance(a, complex):
-            continue
-        if a <= 1.0:
-            continue
-        # a == q^{-N} for integer N?
-        est = math.log(a) / math.log(1.0 / q)
-        if abs(est - round(est)) < 1e-9:
-            cand = int(round(est))
-            nmax = cand if nmax is None else min(nmax, cand)
-    if nmax is None:
-        raise ValueError("no q^{-N} numerator parameter; series does not terminate")
-    total = 1.0
-    term = 1.0
-    qk = 1.0
-    for k in range(nmax):
-        ratio = z / (1.0 - q * qk)
-        for a in num:
-            ratio *= 1.0 - a * qk
-        for b in den:
-            ratio /= 1.0 - b * qk
-        term = term * ratio
-        qk *= q
-        total = total + term
-    return total

@@ -10,7 +10,9 @@ checks, and zero-circle monotonicity checks.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -175,38 +177,94 @@ def radial_gram(fam, alpha, nmax, scale=None):
     return ((vals * rule.weights) @ vals.T).astype(float)
 
 
-@dataclass
-class GramResult:
-    """Gram matrix of a bivariate family over its planar measure.
+class GramEntries(Mapping):
+    """Read-only {(idx1, idx2): value} view of a block-diagonal Gram.
 
-    ``entries`` maps ((m,n),(s,t)) index pairs to inner products;
-    ``diag_ref`` holds the closed-form diagonal values.  ``max_offdiag`` is
-    normalized by the geometric mean of the adjacent diagonals.
+    A pair inside one block reads that block's matrix; a pair across blocks
+    is an exact 0.0; a key off the index set raises KeyError.  Keys iterate
+    over every pair of ``indices`` in order, row index first.
+    """
+
+    def __init__(self, indices, blocks):
+        self._indices = indices
+        self._blocks = blocks
+        self._where = {
+            idx: (b, p) for b, (idxs, _, _) in enumerate(blocks) for p, idx in enumerate(idxs)
+        }
+
+    def __getitem__(self, key):
+        try:
+            idx1, idx2 = key
+            b1, p1 = self._where[idx1]
+            b2, p2 = self._where[idx2]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if b1 != b2:
+            return 0.0
+        return float(self._blocks[b1][1][p1, p2])
+
+    def __iter__(self):
+        return ((idx1, idx2) for idx1 in self._indices for idx2 in self._indices)
+
+    def __len__(self):
+        return len(self._indices) ** 2
+
+
+@dataclass(eq=False)
+class GramResult:
+    """Gram matrix of a bivariate family over its planar measure, kept as
+    the diagonal blocks it was computed from.
+
+    Each block is a triple (indices, G, ref): the block's index list, its
+    matrix and its closed-form diagonal vector.  ``indices`` lists every
+    block index in sorted order; ``entries`` is a read-only mapping view of
+    all index pairs (GramEntries) and ``diag_ref`` maps each index to its
+    closed-form diagonal value.  ``max_offdiag`` is normalized by the
+    geometric mean of the adjacent diagonals.
     """
 
     indices: list
-    entries: dict
+    blocks: list
     diag_ref: dict
     max_offdiag: float
     max_diag_relerr: float
     passed: bool
     notes: str = ""
 
+    @cached_property
+    def entries(self):
+        return GramEntries(self.indices, self.blocks)
 
-def summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol, notes=""):
-    """GramResult with the largest normalized off-diagonal |G_ij| /
-    sqrt|G_ii G_jj| and the largest relative diagonal error against
-    ``diag_ref``; passed when both are under their tolerances."""
-    max_off = 0.0
-    max_rel = 0.0
-    for (idx1, idx2), val in entries.items():
-        if idx1 == idx2:
-            max_rel = max(max_rel, abs(val - diag_ref[idx1]) / abs(diag_ref[idx1]))
-        elif val != 0.0:  # an exact zero cannot raise the maximum
-            scale = math.sqrt(abs(entries[(idx1, idx1)] * entries[(idx2, idx2)]))
-            max_off = max(max_off, abs(val) / scale)
+
+def summarize(blocks, offdiag_tol, diag_rel_tol, notes=""):
+    """GramResult of the blocks (indices, G, ref) with the largest
+    normalized off-diagonal |G_ij| / sqrt|G_ii G_jj| and the largest
+    relative diagonal error |G_ii - ref_i| / |ref_i|; passed when both are
+    under their tolerances.
+
+    Entries across blocks are exact zeros and cannot raise the maximum;
+    nor can an exact zero inside a block.  A NaN anywhere propagates to its
+    maximum and fails the Gram; a nonzero off-diagonal over a zero diagonal
+    reads inf.
+    """
+    diag_ref = dict(sorted(
+        (idx, float(r)) for idxs, _, ref in blocks for idx, r in zip(idxs, ref)
+    ))
+    indices = list(diag_ref)
+    offs, rels = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _, g, ref in blocks:
+            d = np.diagonal(g)
+            rels.append(np.max(np.abs(d - ref) / np.abs(ref)))
+            ratio = np.abs(g) / np.sqrt(np.abs(np.multiply.outer(d, d)))
+            ratio[g == 0.0] = 0.0
+            np.fill_diagonal(ratio, 0.0)
+            offs.append(np.max(ratio))
+    # np.max, unlike the builtin max, propagates a NaN
+    max_off = float(np.max(offs, initial=0.0))
+    max_rel = float(np.max(rels, initial=0.0))
     passed = max_off < offdiag_tol and max_rel < diag_rel_tol
-    return GramResult(indices, entries, diag_ref, max_off, max_rel, passed, notes)
+    return GramResult(indices, blocks, diag_ref, max_off, max_rel, passed, notes)
 
 
 def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
@@ -214,37 +272,28 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     compare with the closed-form diagonal.
 
     The circle average pairs f_{m,n} only with members of the same
-    harmonic index m - n, so the matrix is block diagonal: the block of
-    index a = |m - n| is the radial Gram of phi_0..phi_{cap-a}(x; a)
-    against x^a dnu, and every entry across blocks is an exact zero.
+    harmonic index m - n, so the matrix is block diagonal: the blocks of
+    index a and -a, members f_{a+k,k} and f_{k,a+k} for k <= cap - |a|,
+    share the radial Gram of phi_0..phi_{cap-|a|}(x; |a|) against
+    x^|a| dnu, and every entry across blocks is an exact zero.
     """
     from . import bivariate  # deferred to avoid import cycle
 
     rad = bivariate.radial_of(fam)
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
-    indices = [(m, n) for m in range(degree_cap + 1) for n in range(degree_cap + 1)]
     blocks = []
     for a in range(degree_cap + 1):
         nmax = degree_cap - a
         scale = bivariate.harmonic_scale(fam, nmax)
-        blocks.append(norm_const * radial_gram(rad, a, nmax, scale))
-    entries = {}
-    for idx1 in indices:
-        m, n = idx1
-        for idx2 in indices:
-            s, t = idx2
-            if m - n == s - t:
-                val = float(blocks[abs(m - n)][min(m, n), min(s, t)])
-            else:
-                val = 0.0
-            entries[(idx1, idx2)] = val
-    diag_ref = {}
-    for (m, n) in indices:
-        zref = radial.zeta(rad, min(m, n), abs(m - n))
+        g = norm_const * radial_gram(rad, a, nmax, scale)
+        zref = [radial.zeta(rad, k, a) for k in range(nmax + 1)]
         if fam.tag == "H":
-            zref = zref * math.factorial(min(m, n)) ** 2
-        diag_ref[(m, n)] = norm_const * zref
-    return summarize(indices, entries, diag_ref, offdiag_tol, diag_rel_tol)
+            zref = [z * math.factorial(k) ** 2 for k, z in enumerate(zref)]
+        ref = np.array([norm_const * z for z in zref])
+        blocks.append(([(a + k, k) for k in range(nmax + 1)], g, ref))
+        if a > 0:
+            blocks.append(([(k, a + k) for k in range(nmax + 1)], g, ref))
+    return summarize(blocks, offdiag_tol, diag_rel_tol)
 
 
 def bisection_zeros(fam, n, alpha, tol=1e-13):

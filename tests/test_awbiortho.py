@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import roots_legendre
 
 from bivarortho import awbiortho as aw
 
@@ -185,6 +186,24 @@ class TestWeight:
         for x, v in zip(xs, vals):
             s = aw.h_prod(x, 0.6, 0.5)
             assert type(s) is float and s == v
+
+
+class TestThetaRule:
+    def test_legendre_rule_bounds(self):
+        # the theta rule maps scipy's roots_legendre; against numpy's
+        # eigensolver leggauss its nodes agree to one ulp at 1 and its
+        # weights to 1.7e-14 (1.61e-14 measured), and it integrates the even
+        # moments t^k, k <= 64, to 2.6e-12 relative (1.3e-12 measured)
+        t, w = roots_legendre(256)
+        thetas, wts = aw._theta_rule(256)
+        assert np.array_equal(thetas, 0.5 * math.pi * (t + 1.0))
+        assert np.array_equal(wts, 0.5 * math.pi * w)
+        ref_t, ref_w = np.polynomial.legendre.leggauss(256)
+        assert np.max(np.abs(t - ref_t)) <= np.finfo(float).eps
+        assert np.max(np.abs(w - ref_w)) <= 1.7e-14
+        for k in range(0, 65, 2):
+            exact = 2.0 / (k + 1)
+            assert abs(w @ t**k - exact) <= 2.6e-12 * exact, k
 
 
 class TestGram1D:

@@ -354,6 +354,28 @@ class TestGeneratingFunctions:
             assert t == tail[i]
             assert abs(r - res[i]) <= 1e-15, (r, res[i])
 
+    @pytest.mark.parametrize("N", [5, 8])
+    def test_tail_is_the_first_omitted_shell(self, N):
+        # at the criterion-5 points the tail estimate, the largest term with
+        # max(m, n) = N + 1, is at least a tenth of all that the truncation
+        # drops, S_{N+20} - S_N, summed here term by term from values
+        rng = np.random.default_rng(0)
+        draws = [(*rng.uniform(-0.15, 0.15, 2), *rng.uniform(-1.0, 1.0, 2)) for _ in range(10)]
+        u, v, z1, z2 = np.array(draws).T
+        for fam, which in ((bv.Z(0.5), "Z_EXP"), (bv.M(0.5, 0.5), "M_PLAIN"),
+                           (bv.M(0.5, 0.5), "M_DOUBLE")):
+            _, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=N)
+            dropped = np.zeros(len(u), dtype=np.longdouble)
+            for m in range(N + 21):
+                for n in range(N + 21):
+                    if max(m, n) <= N or (m < n and which != "M_DOUBLE"):
+                        continue
+                    term = u**m * v**n * bv.values(fam, m, n, z1, z2)
+                    if which == "Z_EXP":
+                        term = term / math.factorial(m - n)
+                    dropped += term
+            assert np.all(tail >= 0.1 * np.abs(dropped)), (which, tail, dropped)
+
     def test_rejects_divergent_point(self):
         with pytest.raises(ValueError):
             bv.genfun_check(bv.Z(0.0), "Z_EXP", 2.0, 1.0, 0.0, 0.0)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from bivarortho import bivariate, cli
@@ -181,6 +182,55 @@ class TestGram:
                        "--q", "0.5"]):
             code, _, err = run(["gram", "--degree-cap", "2"] + flags, capsys)
             assert code == 0, err
+
+    # digests of the gram rows and summary, CSV then JSON at caps 3 and 4,
+    # recorded while gram still assembled a dict of every index pair
+    GRAM_DIGESTS = {
+        "Z": (["--family", "Z", "--beta", "0.5"], "a007f88ac2175f76"),
+        "H": (["--family", "H"], "8832f7bf85478ed4"),
+        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "0d62eb966f699d28"),
+        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "990a26038e6e41a7"),
+        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "be2671174f0d7b9d"),
+        "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
+               "b4f69de176e70007"),
+    }
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63,
+        reason="digests recorded with x87 80-bit extended np.longdouble",
+    )
+    @pytest.mark.parametrize("tag", sorted(GRAM_DIGESTS))
+    def test_rows_unchanged(self, tag, capsys):
+        flags, digest = self.GRAM_DIGESTS[tag]
+        h = hashlib.sha256()
+        for cap in ("3", "4"):
+            for fmt in ("csv", "json"):
+                code, out, _ = run(["gram", "--degree-cap", cap, "--format", fmt] + flags, capsys)
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "block,field,value",
+        [
+            ([[1.0, np.nan], [np.nan, 1.0]], "max_offdiag", "nan"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "max_diag_relerr", "nan"),
+            ([[0.0, 1e-3], [1e-3, 1.0]], "max_offdiag", "inf"),
+        ],
+        ids=["nan-offdiag", "nan-diag", "zero-scale"],
+    )
+    def test_broken_block_fails_exit_1(self, block, field, value, capsys, monkeypatch):
+        # a NaN or a zero diagonal in a radial block is a failed Gram
+        def radial_gram(fam, alpha, nmax, scale=None):
+            return np.array(block)[: nmax + 1, : nmax + 1]
+
+        monkeypatch.setattr(cli.quad, "radial_gram", radial_gram)
+        code, out, err = run(["gram", "--family", "Z", "--degree-cap", "1",
+                              "--format", "json"], capsys)
+        assert code == 1, err
+        summary = json.loads(out)["summary"]
+        assert summary["passed"] is False
+        assert summary[field] == value
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "gram.csv"

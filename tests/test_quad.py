@@ -289,14 +289,14 @@ class TestRadialGramAgainstTables:
 
 class TestSummarize:
     def test_reports_worst_entries(self):
-        indices = [0, 1]
-        entries = {(0, 0): 2.0, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 8.0}
-        res = quad.summarize(indices, entries, {0: 2.0, 1: 10.0}, 1e-9, 0.5, notes="x")
+        blocks = [([0, 1], np.array([[2.0, 0.1], [0.1, 8.0]]), np.array([2.0, 10.0]))]
+        res = quad.summarize(blocks, 1e-9, 0.5, notes="x")
         assert res.max_offdiag == pytest.approx(0.1 / 4.0)
         assert res.max_diag_relerr == pytest.approx(0.2)
         assert not res.passed
         assert res.notes == "x"
-        assert quad.summarize(indices, entries, {0: 2.0, 1: 8.0}, 0.1, 1e-9).passed
+        blocks = [([0, 1], blocks[0][1], np.array([2.0, 8.0]))]
+        assert quad.summarize(blocks, 0.1, 1e-9).passed
 
     def test_matches_all_pairs_loop(self):
         # exact-zero off-diagonals are skipped; the maxima must equal a
@@ -321,13 +321,107 @@ class TestSummarize:
                 else:
                     entries[(i, j)] = 0.0 if (i + j) % 3 else rng.normal(scale=1e-3)
         diag_ref = {i: entries[(i, i)] * (1 + rng.normal(scale=1e-6)) for i in indices}
-        res = quad.summarize(indices, entries, diag_ref, 1e-9, 1e-8)
+        g = np.array([[entries[(i, j)] for j in indices] for i in indices])
+        ref = np.array([diag_ref[i] for i in indices])
+        res = quad.summarize([(indices, g, ref)], 1e-9, 1e-8)
         assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(indices, entries, diag_ref)
         assert res.max_offdiag > 0.0
         res = quad.gram(bivariate.M(0.5, 0.5), 4)
         assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(
             res.indices, res.entries, res.diag_ref
         )
+
+    @pytest.mark.parametrize(
+        "g",
+        [[[1.0, math.nan], [math.nan, 1.0]], [[1.0, math.nan], [0.0, 1.0]]],
+        ids=["symmetric", "one-sided"],
+    )
+    def test_nan_offdiagonal_fails(self, g):
+        res = quad.summarize([([0, 1], np.array(g), np.ones(2))], 1e-9, 1e-8)
+        assert math.isnan(res.max_offdiag)
+        assert res.max_diag_relerr == 0.0
+        assert not res.passed
+
+    def test_nan_diagonal_fails(self):
+        g = np.array([[math.nan, 0.0], [0.0, 1.0]])
+        res = quad.summarize([([0, 1], g, np.ones(2))], 1e-9, 1e-8)
+        assert math.isnan(res.max_diag_relerr)
+        assert not res.passed
+
+    def test_nan_in_a_later_block_fails(self):
+        blocks = [([0], np.array([[1.0]]), np.ones(1)),
+                  ([1, 2], np.array([[1.0, math.nan], [math.nan, 1.0]]), np.ones(2)),
+                  ([3], np.array([[1.0]]), np.ones(1))]
+        res = quad.summarize(blocks, 1e-9, 1e-8)
+        assert math.isnan(res.max_offdiag)
+        assert not res.passed
+
+    def test_zero_diagonal_under_nonzero_offdiagonal_fails(self):
+        g = np.array([[0.0, 1e-3], [1e-3, 1.0]])
+        res = quad.summarize([([0, 1], g, np.ones(2))], 1e-9, 2.0)
+        assert res.max_offdiag == math.inf
+        assert not res.passed
+
+    def test_exact_zeros_never_count(self):
+        # an exact zero over a zero diagonal is no 0/0: it cannot raise the
+        # maximum, inside a block or across blocks
+        blocks = [([0, 1], np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([1e-300, 1.0])),
+                  ([2], np.array([[1.0]]), np.ones(1))]
+        res = quad.summarize(blocks, 1e-9, 2.0)
+        assert res.max_offdiag == 0.0
+        assert res.passed
+        assert res.entries[(0, 2)] == 0.0
+
+
+def _old_entries(fam, cap):
+    """The (cap+1)^4 entry dict as gram assembled it before block results:
+    one float per index pair, the radial block value within a harmonic
+    index and 0.0 across."""
+    rad = bivariate.radial_of(fam)
+    norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
+    blocks = [norm_const * quad.radial_gram(rad, a, cap - a, bivariate.harmonic_scale(fam, cap - a))
+              for a in range(cap + 1)]
+    indices = [(m, n) for m in range(cap + 1) for n in range(cap + 1)]
+    entries = {}
+    for (m, n) in indices:
+        for (s, t) in indices:
+            val = float(blocks[abs(m - n)][min(m, n), min(s, t)]) if m - n == s - t else 0.0
+            entries[((m, n), (s, t))] = val
+    return indices, entries
+
+
+class TestEntriesView:
+    @pytest.mark.parametrize("fam", LADDER_FAMILIES, ids=[f.tag for f in LADDER_FAMILIES])
+    @pytest.mark.parametrize("cap", [0, 1, 4])
+    def test_equals_the_old_entry_dict(self, fam, cap):
+        indices, old = _old_entries(fam, cap)
+        res = quad.gram(fam, cap)
+        assert res.indices == indices
+        assert len(res.entries) == len(old) == (cap + 1) ** 4
+        assert list(res.entries.items()) == list(old.items())
+        assert all(type(v) is float for v in res.entries.values())
+        assert res.entries == old
+        assert list(res.diag_ref) == indices
+        foreign = [((0, 0), (cap + 1, 0)), ((cap + 1, cap + 1), (0, 0)), (0, 0),
+                   ((0, 0),), ((0, 0), (0, 0), (0, 0)), "ab"]
+        for key in foreign:
+            with pytest.raises(KeyError):
+                res.entries[key]
+            assert key not in res.entries
+        assert ((0, 0), (0, 0)) in res.entries
+
+    def test_read_only(self):
+        res = quad.gram(bivariate.Z(0.5), 1)
+        with pytest.raises(TypeError):
+            res.entries[((0, 0), (0, 0))] = 1.0
+
+    def test_blocks_one_per_harmonic_index(self):
+        res = quad.gram(bivariate.M(0.5, 0.5), 3)
+        assert sorted(idxs[0][0] - idxs[0][1] for idxs, _, _ in res.blocks) == list(range(-3, 4))
+        for idxs, g, ref in res.blocks:
+            assert g.shape == (len(idxs), len(idxs)) == (len(ref), len(ref))
+            assert len({m - n for m, n in idxs}) == 1
+            assert [res.diag_ref[i] for i in idxs] == list(ref)
 
 
 class TestZeros:
