@@ -1,14 +1,17 @@
 """Askey-Wilson polynomials, weights, closed-form norms, and numerical
 verification of the coupled tensor biorthogonality systems.
 
-The polynomials are terminating 4phi3 sums evaluated at x = cos(theta);
-all integrals are done in theta over (0, pi) with Gauss-Legendre nodes so
-the 1/sqrt(1-x^2) endpoint singularity cancels analytically against the
-Jacobian sin(theta).  Node values are arrays over that theta rule: h_prod
-forms one (K x nodes) product of the real factors 1 - 2 a q^k x + a^2 q^(2k)
-with the K of qcalc's certified tail rule, aw_eval forms its 4phi3 term
-ratios once over the nodes, and each Gram, 1D or tensor, is one weighted
-matrix product (L * w) @ R.T of node-value rows.
+Values at points come from the closed-form monic three-term recurrence of
+Koekoek, Lesky and Swarttouw (2010) 14.1.5, evaluated by
+radial.monic_values like every other numeric row of the package; the
+terminating 4phi3 serves only as the test oracle.  All integrals are done
+in theta over (0, pi) with Gauss-Legendre nodes so the 1/sqrt(1-x^2)
+endpoint singularity cancels analytically against the Jacobian
+sin(theta).  Node values are arrays over that theta rule: h_prod forms one
+(K x nodes) product of the real factors 1 - 2 a q^k x + a^2 q^(2k) with the
+K of qcalc's certified tail rule, _node_rows forms all recurrence rows at
+once, and each Gram, 1D or tensor, is one weighted matrix product
+(L * w) @ R.T of node-value rows.
 
 Three tensor pairings are verified: the u/v and p/q systems (k-coupled
 parameter shifts c1 q^(alpha k + beta), d1 q^(gamma k + delta) on the
@@ -27,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
+from . import radial
 from .qcalc import qpochhammer, qproduct_terms
 from .quad import summarize
 
@@ -106,26 +110,13 @@ def _pair_factors(xs, aq):
 
 def aw_eval(p, n, x):
     """Askey-Wilson polynomial p_n(x; a, b, c, d | q) as the terminating
-    4phi3 sum with argument q, at a scalar x or an array of x in [-1, 1].
-
-    The pair (a e^(i theta); q)_k (a e^(-i theta); q)_k enters each term
-    ratio as the real factor 1 - 2 a q^k x + a^2 q^(2k), so the ratios of
-    all n terms are formed once over the array and accumulated forward by
-    a cumulative product.
-    """
+    4phi3 value, at a scalar x or an array of x in [-1, 1]: row n of
+    _node_rows divided by aw_prefactor(p, n).  At a = 0 the 4phi3 of degree
+    n >= 1 is identically 0 and the division is undefined, so it raises
+    ValueError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    xs = _check_nodes(x)
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    qk = q ** np.arange(n, dtype=float)
-    coef = (
-        (1.0 - q ** (np.arange(n) - n))
-        * (1.0 - a * b * c * d * q ** (n - 1) * qk)
-        * q
-        / ((1.0 - a * b * qk) * (1.0 - a * c * qk) * (1.0 - a * d * qk) * (1.0 - q * qk))
-    )
-    ratios = coef[:, None] * _pair_factors(xs, a * qk)
-    vals = 1.0 + np.cumprod(ratios, axis=0).sum(axis=0)
+    vals = _node_rows(p, n, _check_nodes(x))[n] / aw_prefactor(p, n)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -204,15 +195,47 @@ def _theta_rule(nnodes):
     return thetas, wts
 
 
+def _recurrence(p, npts):
+    """Monic recurrence x r_n = r_{n+1} + A_n r_n + B_n r_{n-1}, n < npts,
+    of r_n = p_n / (2^n (abcd q^(n-1); q)_n), in np.longdouble.  From the
+    4phi3 recurrence of Koekoek, Lesky and Swarttouw (2010) 14.1.5 with
+    coefficients up_n, down_n: A_n = (a + 1/a - up_n - down_n) / 2 and
+    B_n = up_{n-1} down_n / 4.  At n = 0 the factor 1 - abcd/q of up_0
+    cancels and down_0 = 0, so abcd = q or q^2 needs no special case."""
+    if p.a == 0.0 and npts > 1:
+        raise ValueError("Askey-Wilson rows of degree >= 1 need a != 0")
+    a, b, c, d, q = (np.longdouble(v) for v in (p.a, p.b, p.c, p.d, p.q))
+    qn = q ** np.arange(npts, dtype=np.longdouble)
+    qm, abcd = qn / q, a * b * c * d
+    s = abcd * qn * qm  # abcd q^(2n-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = ((1 - a * b * qn) * (1 - a * c * qn) * (1 - a * d * qn) * (1 - abcd * qm)
+              / (a * (1 - s) * (1 - s * q)))
+        down = (a * (1 - qn) * (1 - b * c * qm) * (1 - b * d * qm) * (1 - c * d * qm)
+                / ((1 - s / q) * (1 - s)))
+        up[0] = (1 - a * b) * (1 - a * c) * (1 - a * d) / (a * (1 - abcd))
+        down[0] = 0
+        A = (a + 1 / a - up - down) / 2
+    return A, np.concatenate(([0], up[:-1] * down[1:])) / 4
+
+
 def _node_rows(p, degree_cap, xs):
-    """Normalized polynomial values: row n is aw_prefactor(p, n) p_n(xs)."""
-    return np.array([aw_prefactor(p, n) * aw_eval(p, n, xs) for n in range(degree_cap + 1)])
+    """Rows p_0(xs)..p_degree_cap(xs) of the symmetric polynomials
+    p_n = aw_prefactor(p, n) 4phi3, which the closed-form norms refer to:
+    the recurrence rows times their leading coefficients
+    2^n (abcd q^(n-1); q)_n."""
+    A, B = _recurrence(p, degree_cap + 1)
+    abcd = p.a * p.b * p.c * p.d
+    lead = [2.0 ** n * qpochhammer(abcd * p.q ** (n - 1), p.q, n) for n in range(degree_cap + 1)]
+    return (np.array(lead)[:, None] * radial.monic_values(A, B, xs)).astype(float)
 
 
 def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e-7):
     """Gram matrix of p_0..p_degree_cap against the Askey-Wilson weight,
     integrated in theta so sin(theta) cancels the endpoint singularity:
     one weighted product (V * w) @ V.T of the node-value rows V."""
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
     vals = _node_rows(p, degree_cap, xs)
@@ -248,39 +271,25 @@ def tensor_diag_printed(tp, mode, j, k):
     with the derived product oracle and are reported as known
     discrepancies.
     """
-    p1, p2, q = tp.block1, tp.block2, tp.block1.q
-    y_norm = aw_norm(p2, k)  # carries one factor 2 pi of the printed 4 pi^2
-    a1, b1, c1 = p1.a, p1.b, p1.c
+    p1, q = tp.block1, tp.block1.q
     if mode == "pq":
         return tensor_diag_ref(tp, mode, j, k)
-    if mode == "uv":
-        d1s = tp.shifted_d1(k)
-        abcd = a1 * b1 * c1 * d1s
-        num = qpochhammer(abcd * q ** (2 * j), q) * qpochhammer(
-            abcd * q ** (j - 1), q, j
-        )
-        den = qpochhammer(q ** (j + 1), q) * qpochhammer(a1 * b1 * q ** j, q)
-        den *= qpochhammer(a1 * c1 * q ** (j + k), q)  # stray +k as printed
-        den *= qpochhammer(a1 * d1s * q ** j, q)
-        den *= qpochhammer(b1 * c1 * q ** (j + k), q)  # stray +k as printed
-        den *= qpochhammer(b1 * d1s * q ** j, q)
-        den *= qpochhammer(c1 * d1s * q ** j, q)
-        return 2.0 * math.pi * num / den * y_norm
-    if mode == "self":
-        d1s = tp.shifted_d1(k)
-        abcd = a1 * b1 * c1 * d1s
-        num = qpochhammer(abcd * q ** (2 * j), q) * qpochhammer(
-            abcd * q ** (j - 1), q, j
-        )
-        den = qpochhammer(q ** (j + 1), q) * qpochhammer(a1 * b1 * q ** j, q)
-        den *= qpochhammer(a1 * c1 * q ** j, q)
-        # duplicated b1 c1 factor as printed (the second should not appear)
-        den *= qpochhammer(b1 * c1 * q ** j, q) ** 2
-        den *= qpochhammer(a1 * d1s * q ** j, q)
-        den *= qpochhammer(b1 * d1s * q ** j, q)
-        den *= qpochhammer(c1 * d1s * q ** j, q)
-        return 2.0 * math.pi * num / den * y_norm
-    raise ValueError(f"unknown tensor mode {mode!r}")
+    if mode not in ("uv", "self"):
+        raise ValueError(f"unknown tensor mode {mode!r}")
+    a1, b1, c1, d1s = p1.a, p1.b, p1.c, tp.shifted_d1(k)
+    abcd = a1 * b1 * c1 * d1s
+    num = qpochhammer(abcd * q ** (2 * j), q) * qpochhammer(abcd * q ** (j - 1), q, j)
+    # u/v: a stray +k in the a1 c1 and b1 c1 factors as printed; self: the
+    # b1 c1 factor duplicated as printed (the second should not appear)
+    kc, bc_power = (k, 1) if mode == "uv" else (0, 2)
+    den = qpochhammer(q ** (j + 1), q) * qpochhammer(a1 * b1 * q ** j, q)
+    den *= qpochhammer(a1 * c1 * q ** (j + kc), q)
+    den *= qpochhammer(a1 * d1s * q ** j, q)
+    den *= qpochhammer(b1 * c1 * q ** (j + kc), q) ** bc_power
+    den *= qpochhammer(b1 * d1s * q ** j, q)
+    den *= qpochhammer(c1 * d1s * q ** j, q)
+    # aw_norm of the second block carries one factor 2 pi of the printed 4 pi^2
+    return 2.0 * math.pi * num / den * aw_norm(tp.block2, k)
 
 
 def tensor_biortho_check(
@@ -318,6 +327,8 @@ def tensor_biortho_check(
     """
     if mode not in ("uv", "pq", "self"):
         raise ValueError(f"unknown tensor mode {mode!r}")
+    if index_cap < 0:
+        raise ValueError(f"index_cap must be nonnegative, got {index_cap}")
     p1, p2 = tp.block1, tp.block2
     q = p1.q
     thetas, wts = _theta_rule(theta_nodes)

@@ -599,20 +599,6 @@ def _zq_qde1(fam, m, n):
     return [("derived", lhs, rhs)]
 
 
-def _three_point_z1(fam, m, n, a, b_, c):
-    """Residual table of the radial three-point equation transferred to the
-    z1 direction: a(x) f(q^2 z1) + q^nu b(x) f(q z1) + q^(2 nu) c(x) f with
-    nu = m - n, forced by f = z1^nu phi(z1 z2)."""
-    q = fam.q
-    nu = m - n
-    f = construct(fam, m, n)
-    return (
-        a * f.dilate(1, q * q)
-        + q ** nu * b_ * f.dilate(1, q)
-        + q ** (2 * nu) * c * f
-    )
-
-
 def _zq_qde2(fam, m, n):
     _require(m >= n)
     b, q = fam.beta, fam.q
@@ -1100,9 +1086,16 @@ def check_identity(fam, name, m, n, tol=None):
 
 def sweep(fam, names=None, max_mn=6, tol=None):
     """Run identities over all index pairs m, n <= max_mn; out-of-range
-    pairs are skipped.  Returns the list of reports."""
-    if names is None:
-        names = identity_ids_for(fam)
+    pairs are skipped, but a name that is not an identity of the family
+    raises IdentityRangeError before any work starts.  Returns the list of
+    reports."""
+    available = identity_ids_for(fam)
+    names = available if names is None else names
+    foreign = [name for name in names if name not in available]
+    if foreign:
+        raise IdentityRangeError(f"unknown identity ids for family {fam.tag}: {', '.join(foreign)}")
+    if max_mn < 0:
+        raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
     reports = []
     for name in names:
         for m in range(max_mn + 1):
@@ -1161,7 +1154,8 @@ GENFUNS = ("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE")
 def genfun_check(fam, which, u, v, z1, z2, N=30):
     """Residual of a truncated double generating-function sum against its
     closed form, plus the largest term of the first omitted shell as a tail
-    estimate.  Returns (residual, tail_estimate).
+    estimate.  Returns (residual, tail_estimate).  The form's prefix, Z_ or
+    M_, must be the family's tag; another family raises ValueError.
 
     u, v, z1, z2 may be scalars or arrays of one shape; the results have
     that shape.  The sum runs one harmonic index a at a time: with
@@ -1173,8 +1167,8 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     a + k = N + 1 under the same weights, each of M_DOUBLE's two members
     counted as its own term.
     """
-    if which not in GENFUNS:
-        raise ValueError(f"unknown generating function {which!r}")
+    if which not in GENFUNS or which.split("_")[0] != fam.tag:
+        raise ValueError(f"no generating function {which!r} for family {fam.tag}")
     if N < 0:
         raise ValueError("need N >= 0 terms")
     u, v, z1, z2 = (np.asarray(t, dtype=float) for t in (u, v, z1, z2))
@@ -1188,7 +1182,7 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     tail = np.zeros(x.shape)
     for a in range(N + 2):
         # rows up to k = N + 1 - a: the last one lies in the omitted shell
-        rows = radial.phi_rows(rad, a, N + 1 - a, harmonic_scale(fam, N + 1 - a))(x)
+        rows = radial.phi_rows(rad, a, N + 1 - a)(x)
         terms = uv_pow[: N + 2 - a] * rows
         weight = (u * z1) ** a
         # the tail's weights are powers in longdouble, whose scalar and
@@ -1369,13 +1363,9 @@ def pde_closed_form(beta, n, p=None, r=None):
 
 def pde_operator_residual(beta, n, f):
     """Coefficient residual of the cleared eigenvalue equation
-    z1 d1 d2 f + (beta - z1 z2) d2 f + n z1 f = 0."""
-    lhs = (
-        BivariatePoly.monomial(1, 0) * f.diff_partial(1).diff_partial(2)
-        + (beta - BivariatePoly.monomial(1, 1)) * f.diff_partial(2)
-        + n * BivariatePoly.monomial(1, 0) * f
-    )
-    return lhs.max_abs_coeff()
+    z1 d1 d2 f + (beta - z1 z2) d2 f + n z1 f = 0: the larger of the two
+    parts pde_interior_residual reports."""
+    return max(pde_interior_residual(beta, n, f))
 
 
 def pde_interior_residual(beta, n, f):

@@ -279,6 +279,8 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     """
     from . import bivariate  # deferred to avoid import cycle
 
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     rad = bivariate.radial_of(fam)
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
     blocks = []
@@ -287,8 +289,8 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
         scale = bivariate.harmonic_scale(fam, nmax)
         g = norm_const * radial_gram(rad, a, nmax, scale)
         zref = [radial.zeta(rad, k, a) for k in range(nmax + 1)]
-        if fam.tag == "H":
-            zref = [z * math.factorial(k) ** 2 for k, z in enumerate(zref)]
+        if scale is not None:
+            zref = [z * s ** 2 for z, s in zip(zref, scale)]
         ref = np.array([norm_const * z for z in zref])
         blocks.append(([(a + k, k) for k in range(nmax + 1)], g, ref))
         if a > 0:
@@ -336,6 +338,8 @@ def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
     the largest distance between the eigensolver zeros and their bisection
     refinement (0.0 when check_bisection is False).
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     radii_table = []
     max_dev = 0.0
     for m in m_range:

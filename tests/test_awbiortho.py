@@ -108,6 +108,42 @@ class TestEvaluation:
             err = np.abs(aw.aw_eval(p, n, xs) - ref) / np.array(size)
             assert np.max(err) < 1e-12, p
 
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_matches_mpmath_oracle_high_degree(self, n):
+        # past degree 6 the 4phi3 terms cancel beyond double precision, so
+        # the oracle sums them at 60 digits and the values are judged
+        # relative to themselves (6.5e-16 measured), not to sum_k |term_k|
+        mp = pytest.importorskip("mpmath")
+        xs = np.concatenate(([-1.0], np.linspace(-0.95, 0.95, 9), [1.0]))
+        for p in (P, P2, P.with_params(a=0.02)):
+            ref = []
+            with mp.workdps(60):
+                a, b, c, d, q = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d, p.q))
+                for x in xs:
+                    e = mp_unit_point(mp, x)
+                    num = (q ** -n, a * b * c * d * q ** (n - 1), a * e, a / e)
+                    den = (a * b, a * c, a * d, q)
+                    ref.append(float(mp.re(mp.fsum(
+                        mp.fprod(mp.qp(u, q, k) for u in num)
+                        / mp.fprod(mp.qp(u, q, k) for u in den)
+                        * q ** k
+                        for k in range(n + 1)
+                    ))))
+            ref = np.array(ref)
+            err = np.abs(aw.aw_eval(p, n, xs) - ref) / np.abs(ref)
+            assert np.max(err) < 1e-12, p
+
+    def test_a_zero_raises(self):
+        # at a = 0 the 4phi3 of degree n >= 1 vanishes identically, so the
+        # value cannot come from the symmetric row divided by aw_prefactor
+        p = P.with_params(a=0.0)
+        assert aw.aw_eval(p, 0, 0.3) == 1.0
+        for n in (1, 4):
+            with pytest.raises(ValueError):
+                aw.aw_eval(p, n, 0.3)
+        with pytest.raises(ValueError):
+            aw.aw_gram_1d(p, 2)
+
     def test_scalar_call_matches_array_call(self):
         xs = np.array([-1.0, -0.4, 0.3, 0.95])
         for n in range(5):
@@ -218,6 +254,22 @@ class TestGram1D:
         res = aw.aw_gram_1d(P, 0)
         assert_allclose(res.entries[(0, 0)], aw.aw_norm(P, 0), rtol=1e-12)
 
+    @pytest.mark.parametrize("cap", [7, 8, 10, 12])
+    @pytest.mark.parametrize("a", [0.2, 0.02])
+    def test_recurrence_rows_certify_high_caps(self, a, cap):
+        # the 4phi3 rows read max_offdiag 2.9e-5 at cap 7 for a = 0.2 and
+        # 4e-2 at cap 6 for a = 0.02; the recurrence rows read about 8e-15
+        res = aw.aw_gram_1d(P.with_params(a=a), cap)
+        assert res.passed
+        assert res.max_offdiag < 1e-12
+        assert res.max_diag_relerr < 1e-12
+
+    def test_abcd_equal_to_q(self):
+        # abcd = q makes the uncancelled n = 0 recurrence coefficient 0/0
+        p = aw.AWParams(0.5, 0.5, 0.5, 0.8, 0.1)
+        assert p.a * p.b * p.c * p.d == p.q
+        assert aw.aw_gram_1d(p, 4).passed
+
     def test_convergence_in_node_count(self):
         coarse = aw.aw_gram_1d(P, 2, theta_nodes=64)
         fine = aw.aw_gram_1d(P, 2, theta_nodes=256)
@@ -308,6 +360,14 @@ class TestTensorSystems:
         )
         assert dev_uv > 1e-3
         assert dev_self > 1e-3
+
+    def test_negative_caps_raise(self):
+        tp = aw.TensorParams(P, P2)
+        with pytest.raises(ValueError, match="degree_cap must be nonnegative"):
+            aw.aw_gram_1d(P, -1)
+        for mode in ("uv", "pq", "self"):
+            with pytest.raises(ValueError, match="index_cap must be nonnegative"):
+                aw.tensor_biortho_check(tp, -1, mode=mode)
 
     def test_unknown_mode_raises(self):
         tp = aw.TensorParams(P, P2)

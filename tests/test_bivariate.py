@@ -151,6 +151,10 @@ class TestIdentityCatalog:
             (m, n) for m in range(4) for n in range(4) if m > n
         }
 
+    def test_sweep_rejects_identity_of_another_family(self):
+        with pytest.raises(bv.IdentityRangeError, match="family Z: ZQ_RR1"):
+            bv.sweep(bv.Z(0.5), ["Z_RR1", "ZQ_RR1"], 3)
+
     def test_tolerance_is_respected(self):
         # an absurdly tight gate flips verdicts without raising
         tol = Tolerance(abs_tol=0.0, rel_tol=1e-300)
@@ -333,7 +337,7 @@ class TestGeneratingFunctions:
         [
             (bv.Z(0.5), "Z_EXP"),
             (bv.Z(0.5), "Z_PLAIN"),
-            (bv.H(), "Z_EXP"),
+            (bv.Z(0.0), "Z_PLAIN"),
             (bv.M(0.5, 0.7), "M_EXP"),
             (bv.M(0.5, 0.7), "M_PLAIN"),
             (bv.M(0.5, 0.7), "M_DOUBLE"),
@@ -383,6 +387,17 @@ class TestGeneratingFunctions:
     def test_unknown_label_raises(self):
         with pytest.raises(ValueError):
             bv.genfun_check(bv.Z(0.0), "NOPE", 0.1, 0.1, 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "fam,which",
+        [(bv.M(0.5, 0.7), "Z_EXP"), (bv.Z(0.5), "M_PLAIN"), (bv.H(), "Z_EXP"),
+         (bv.WALL(0.5, 0.5), "Z_PLAIN")],
+        ids=["M-Z_EXP", "Z-M_PLAIN", "H-Z_EXP", "WALL-Z_PLAIN"],
+    )
+    def test_form_of_another_family_raises(self, fam, which):
+        # the closed form of one family says nothing about another's sum
+        with pytest.raises(ValueError, match=f"'{which}' for family {fam.tag}"):
+            bv.genfun_check(fam, which, 0.1, 0.1, 0.5, 0.5)
 
 
 class TestConvolution:

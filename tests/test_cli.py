@@ -276,6 +276,14 @@ class TestCheck:
         assert code == 2
         assert "unknown identity" in err
 
+    def test_identity_of_another_family_exit_2(self, capsys):
+        code, out, err = run(
+            ["check", "--family", "Z", "--ids", "ZQ_RR1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "family Z: ZQ_RR1" in err
+
     def test_empty_selection_exit_0(self, capsys):
         code, out, _ = run(
             ["check", "--family", "Z", "--ids", ",", "--format", "json"], capsys
@@ -323,11 +331,37 @@ class TestGenfun:
         _, out2, _ = run(args, capsys)
         assert out1 == out2
 
+    def test_form_of_another_family_exit_2(self, capsys):
+        code, out, err = run(
+            ["genfun", "--family", "M", "--which", "Z_EXP"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "'Z_EXP' for family M" in err
+
     def test_seed_changes_points(self, capsys):
         base = ["genfun", "--family", "Z", "--beta", "0", "--which", "Z_EXP"]
         _, out1, _ = run(base + ["--seed", "1"], capsys)
         _, out2, _ = run(base + ["--seed", "2"], capsys)
         assert out1 != out2
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["gram", "--family", "Z", "--degree-cap", "-1"], "degree_cap"),
+        (["check", "--family", "Z", "--max-degree", "-1"], "max_mn"),
+        (["genfun", "--family", "Z", "--which", "Z_EXP", "--npoints", "-1"], "--npoints"),
+        (["zeros", "--family", "Z", "--n", "-1", "--m-min", "0", "--m-max", "2"], "n"),
+    ],
+    ids=["gram-degree-cap", "check-max-degree", "genfun-npoints", "zeros-n"],
+)
+def test_negative_cap_or_count_exit_2(argv, name, capsys):
+    # an empty range of degrees or points would pass vacuously
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be nonnegative, got -1" in err
 
 
 class TestParser:

@@ -143,6 +143,11 @@ class TestGram:
             res = quad.gram(fam, 2, offdiag_tol=1e-9, diag_rel_tol=1e-7)
             assert res.passed, (fam.tag, res.max_offdiag, res.max_diag_relerr)
 
+    def test_negative_cap_raises(self):
+        # an empty Gram would pass vacuously
+        with pytest.raises(ValueError, match="degree_cap must be nonnegative"):
+            quad.gram(bivariate.Z(0.0), -1)
+
     def test_cap_zero(self):
         res = quad.gram(bivariate.Z(0.0), 0)
         assert res.indices == [(0, 0)]
