@@ -124,9 +124,9 @@ def construct(fam, m, n):
         raise ValueError("indices must be nonnegative")
     if m < n:
         return construct(fam, n, m).swap_vars()
-    rad = radial_of(fam)
-    coeffs = radial.radial_coeffs(rad, n, m - n)
-    scale = (-1.0) ** n * math.factorial(n) if fam.tag == "H" else 1.0
+    coeffs = radial.radial_coeffs(radial_of(fam), n, m - n)
+    factors = harmonic_scale(fam, n)
+    scale = 1.0 if factors is None else factors[n]
     return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
@@ -209,23 +209,6 @@ def _gen_3trr(fam, m, n):
     B = -A * _cj(rad, n + 1, n + 1, a) / _cj(rad, n, n, a)
     lhs = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
     rhs = A * construct(fam, m + 1, n + 1) + B * construct(fam, m, n)
-    return [("derived", lhs, rhs)]
-
-
-def _gen_rec2(fam, m, n):
-    _require(m >= n)
-    rad = radial_of(fam)
-    a = m - n
-    v = _c0(rad, n, a) / _c0(rad, n, a + 1)
-    lhs = BivariatePoly.monomial(1, 0) * construct(fam, m, n) - v * construct(fam, m + 1, n)
-    if n == 0:
-        rhs = BivariatePoly.zero()
-    else:
-        u = (
-            _c0(rad, n, a + 1) * _cj(rad, n, 1, a)
-            - _c0(rad, n, a) * _cj(rad, n, 1, a + 1)
-        ) / (_c0(rad, n - 1, a + 1) * _c0(rad, n, a + 1))
-        rhs = u * construct(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
@@ -984,7 +967,7 @@ _QTAGS = ("ZQ", "WALL", "MQ")
 
 IDENTITIES = {
     "GEN_3TRR": (_NOT_H, _gen_3trr),
-    "GEN_REC2": (_NOT_H, _gen_rec2),
+    "GEN_REC2": (_NOT_H, _gen_uv),  # one relation: its tables equal GEN_UV's
     "GEN_UV": (_NOT_H, _gen_uv),
     "GEN_DIAG": (_NOT_H, _gen_diag),
     "GEN_EIGEN": (_ALL, _gen_eigen),

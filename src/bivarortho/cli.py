@@ -39,31 +39,36 @@ def _fmt(value):
     return value
 
 
+# each family's constructor and the parameters it reads, in argument order
+_FAMILIES = {
+    "Z": (bivariate.Z, ("beta",)),
+    "H": (bivariate.H, ()),
+    "M": (bivariate.M, ("beta", "gamma")),
+    "ZQ": (bivariate.ZQ, ("beta", "q", "c")),
+    "WALL": (bivariate.WALL, ("beta", "q")),
+    "MQ": (bivariate.MQ, ("beta", "gamma", "q")),
+}
+# the radial measures exist only for these ranges; the rest are rejected
+# before any work starts
+_RANGES = {
+    "beta": (lambda v: v > -1, "--beta > -1"),
+    "gamma": (lambda v: v > -1, "--gamma > -1"),
+    "q": (lambda v: 0 < v < 1, "0 < --q < 1"),
+    "c": (lambda v: v > 0, "--c > 0"),
+}
+
+
 def _family(args):
     tag = args.family.upper()
-    # the radial measures exist only for these ranges; reject the rest
-    # before any work starts
-    if tag in ("Z", "M", "ZQ", "WALL", "MQ") and not args.beta > -1:
-        raise ValueError(f"family {tag} needs --beta > -1, got {args.beta}")
-    if tag in ("M", "MQ") and not args.gamma > -1:
-        raise ValueError(f"family {tag} needs --gamma > -1, got {args.gamma}")
-    if tag in ("ZQ", "WALL", "MQ") and not 0 < args.q < 1:
-        raise ValueError(f"family {tag} needs 0 < --q < 1, got {args.q}")
-    if tag == "ZQ" and not args.c > 0:
-        raise ValueError(f"family ZQ needs --c > 0, got {args.c}")
-    if tag == "Z":
-        return bivariate.Z(args.beta)
-    if tag == "H":
-        return bivariate.H()
-    if tag == "M":
-        return bivariate.M(args.beta, args.gamma)
-    if tag == "ZQ":
-        return bivariate.ZQ(args.beta, args.q, args.c)
-    if tag == "WALL":
-        return bivariate.WALL(args.beta, args.q)
-    if tag == "MQ":
-        return bivariate.MQ(args.beta, args.gamma, args.q)
-    raise ValueError(f"unknown family {args.family!r}")
+    if tag not in _FAMILIES:
+        raise ValueError(f"unknown family {args.family!r}")
+    make, names = _FAMILIES[tag]
+    params = [getattr(args, name) for name in names]
+    for name, value in zip(names, params):
+        valid, need = _RANGES[name]
+        if not valid(value):
+            raise ValueError(f"family {tag} needs {need}, got {value}")
+    return make(*params)
 
 
 def _emit(args, command, rows, summary):

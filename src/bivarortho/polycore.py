@@ -91,21 +91,6 @@ class BivariatePoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(j + k for (j, k) in self.terms)
-
-    def degree(self, var):
-        """Degree in z1 (var=1) or z2 (var=2); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        i = 0 if var == 1 else 1
-        return max(key[i] for key in self.terms)
-
     def max_abs_coeff(self):
         if not self.terms:
             return 0.0
@@ -130,16 +115,6 @@ class BivariatePoly:
             {key: v * factor ** key[i] for key, v in self.terms.items()}
         )
 
-    def shift_exponent(self, dj, dk):
-        """Multiply by z1^dj z2^dk; negative shifts must divide exactly."""
-        out = {}
-        for (j, k), v in self.terms.items():
-            jj, kk = j + dj, k + dk
-            if jj < 0 or kk < 0:
-                raise ValueError("exponent shift produced a negative power")
-            out[(jj, kk)] = v
-        return BivariatePoly(out)
-
     # --- derivative / difference operators -----------------------------
 
     def diff_partial(self, var):
@@ -158,18 +133,6 @@ class BivariatePoly:
         """Euler operator z_var d/dz_var; multiplies each term by its exponent."""
         i = 0 if var == 1 else 1
         return BivariatePoly({key: key[i] * v for key, v in self.terms.items()})
-
-    def diff_qpartial(self, var, q):
-        """Forward q-derivative D_q f(z) = (f(z) - f(qz)) / ((1-q) z)."""
-        i = 0 if var == 1 else 1
-        out = {}
-        for key, v in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            nk = (key[0] - 1, key[1]) if var == 1 else (key[0], key[1] - 1)
-            out[nk] = out.get(nk, 0) + v * (1.0 - q ** e) / (1.0 - q)
-        return BivariatePoly(out)
 
     def diff_qtheta(self, var, q):
         """q-Euler operator theta_q f(z) = (f(z) - f(qz)) / (1-q); each term

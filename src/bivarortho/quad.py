@@ -2,11 +2,13 @@
 
 Gauss rules for the continuous radial measures (Golub–Welsch on the
 symmetrized Jacobi matrix of the closed-form recurrence), longdouble
-q-lattice sums with certified tail bounds, block-diagonal Gram assembly for
-the bivariate families (one radial Gram per circle-harmonic index, its rows
-evaluated by the recurrence at the nodes or lattice points, shared by the
-continuous and q families), the Gram summary shared with the Askey–Wilson
-checks, and zero-circle monotonicity checks.
+q-lattice sums with certified tail bounds (each lattice direction an array
+of points and closed-form weights, scanned in chunks under one stop rule),
+block-diagonal Gram assembly for the bivariate families (one radial Gram
+per circle-harmonic index, its rows evaluated by the recurrence over the
+array of nodes or of lattice points, shared by the continuous and q
+families), the Gram summary shared with the Askey–Wilson checks, and
+zero-circle monotonicity checks.
 """
 
 import math
@@ -53,108 +55,122 @@ def golub_welsch(fam, alpha, npts):
 
 # relative stop target of q_lattice_sum, just under the longdouble epsilon
 LATTICE_TAIL_TOL = 1e-19
+# points of a lattice direction in its first integrand call; each further
+# call takes twice as many as the last, at most LATTICE_MAX_CHUNK, which
+# bounds the memory of a chunk of Gram integrands (4 MB at cap 15)
+LATTICE_CHUNK = 64
+LATTICE_MAX_CHUNK = 1024
+LATTICE_MAX_POINTS = 100000
+
+
+def _accumulate(op, first, steps):
+    """first, first op steps[0], (first op steps[0]) op steps[1], ... in
+    np.longdouble: the running products and quotients of a lattice walk."""
+    return op.accumulate(np.concatenate(([first], steps)).astype(np.longdouble))
+
+
+def _lattice_directions(fam, a):
+    """The directions of the q-lattice of x^alpha dnu, a = alpha + beta, as
+    tuples (points_weights, tail factor, first stop index, lattice index
+    of point k).  points_weights(n) gives the first n points and their
+    weights (Koekoek-Lesky-Swarttouw 2010 14.12, 14.20, 14.21), each from
+    the running product of its per-step factors."""
+    q = np.longdouble(fam.q)
+    if fam.kind == "wall" or fam.kind == "qjacobi":
+        if a + 1 <= 0:
+            raise ValueError("unilateral lattice needs alpha + 1 > 0")
+        lower0 = qpochhammer(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
+
+        def unilateral(n):
+            # x = q^k, weight q^{(a+1)k} (q^{k+1}; q)_inf / (q^{gamma+k+1}; q)_inf
+            k = np.arange(1, n)
+            x = _accumulate(np.multiply, 1.0, np.full(n - 1, q))
+            qa = _accumulate(np.multiply, 1.0, np.full(n - 1, q ** (a + 1)))
+            upper = _accumulate(np.divide, qpochhammer(q, q), 1.0 - q ** k)
+            lower = 1.0
+            if fam.kind == "qjacobi":
+                lower = _accumulate(np.divide, lower0, 1.0 - q ** (fam.gamma + k))
+            return x, qa * upper / lower
+
+        # the weight decays at least geometrically with ratio q^{a+1} and
+        # the integrand is bounded on (0, 1], so the dropped tail is below
+        # |term| / (1 - q^{a+1})
+        return [(unilateral, 1.0 / (1.0 - q ** (a + 1)), 1, lambda k: k)]
+    if fam.kind == "qlaguerre":
+        c = np.longdouble(fam.c)
+        denom0 = qpochhammer(-c, q)  # (-c; q)_inf
+
+        def upward(n):
+            # x = c q^k -> 0, mass ~ x^{a+1}:
+            # (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
+            x = _accumulate(np.multiply, c, np.full(n - 1, q))
+            denom = _accumulate(np.divide, denom0, 1.0 + x[:-1])
+            return x, np.power(x, a + 1) / denom
+
+        def downward(n):
+            # x = c q^{-k-1} -> infinity, where the (-x; q)_inf growth wins:
+            # (-c q^{-k-1}; q)_inf = (1 + c q^{-k-1}) (-c q^{-k}; q)_inf
+            x = _accumulate(np.divide, c, np.full(n, q))[1:]
+            denom = _accumulate(np.multiply, denom0, 1.0 + x)[1:]
+            return x, np.power(x, a + 1) / denom
+
+        return [(upward, 1.0 / (1.0 - q ** (a + 1)), 6, lambda k: k),
+                (downward, 1.0, 3, lambda k: -k - 1)]
+    raise ValueError(f"not a q-lattice family: {fam.kind!r}")
 
 
 def q_lattice_sum(fam, alpha, integrand):
     """Sum integrand(x) against the discrete q-lattice measure of a q
     radial family with exponent x^alpha absorbed into the weight.
 
-    The sum runs in np.longdouble.  Unilateral lattices (wall, qjacobi) run
-    over x = q^k, k >= 0, stopping once the geometric tail bound
-    term/(1 - q^(a+1)) drops below LATTICE_TAIL_TOL times the accumulated
-    value.  The bilateral lattice (qlaguerre) runs over x = c q^k, k in Z;
-    the k -> -infinity direction decays through the (-x; q)_infinity
-    denominator and is cut by the same relative criterion, with a
-    divergence error if terms fail to shrink.  A NaN or infinite term
-    raises at once, naming its lattice index.  An array-valued integrand is
-    summed entrywise and every stop test reads its largest entry.
+    The integrand is called with a 1-D np.longdouble array of lattice
+    points and returns an array whose leading axis runs over them, or a
+    value that broadcasts against them (a constant); the sum is taken
+    entrywise, in np.longdouble.  Unilateral lattices (wall, qjacobi) run
+    over x = q^k, k >= 0; the bilateral lattice (qlaguerre) runs over
+    x = c q^k, first k >= 0 and then k <= -1, where the (-x; q)_infinity
+    denominator decays faster than any polynomial grows.  Every direction
+    stops at its first point k >= k0 whose largest |term| times the
+    direction's tail factor is at most LATTICE_TAIL_TOL times the largest
+    |entry| of the sum so far; a NaN or infinite term at or before that
+    point raises, naming its lattice index.  Each direction takes its
+    points in chunks: LATTICE_CHUNK in the first integrand call, twice as
+    many in each further call up to LATTICE_MAX_CHUNK, and at most
+    LATTICE_MAX_POINTS in all.
     """
-    q = np.longdouble(fam.q)
-    a = alpha + fam.beta
-    if fam.kind == "wall" or fam.kind == "qjacobi":
-        if a + 1 <= 0:
-            raise ValueError("unilateral lattice needs alpha + 1 > 0")
-        tail_factor = 1.0 / (1.0 - q ** (a + 1))
-        upper = qpochhammer(q, q)  # (q^{k+1}; q)_inf at k = 0... updated below
-        lower = qpochhammer(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
-        total = np.longdouble(0.0)
-        x = np.longdouble(1.0)
-        qa = np.longdouble(1.0)  # q^{(a+1) k}
-        for k in range(100000):
-            if k > 0:
-                upper = upper / (1.0 - q ** k)
-                if fam.kind == "qjacobi":
-                    lower = lower / (1.0 - q ** (fam.gamma + k))
-                x *= q
-                qa *= q ** (a + 1)
-            w = qa * upper / lower
-            term = w * integrand(x)
-            total += term
-            size = np.max(np.abs(term))
-            if not size < math.inf:
-                raise RuntimeError(
-                    f"unilateral lattice sum: non-finite term at lattice index {k}"
-                )
-            # the weight decays at least geometrically with ratio q^{a+1}
-            # and the integrand is bounded on (0, 1], so the dropped tail is
-            # below |term| * tail_factor once past the first node
-            if k > 0 and size * tail_factor <= LATTICE_TAIL_TOL * max(
-                np.max(np.abs(total)), 1e-300
-            ):
-                return total
-        raise RuntimeError("unilateral lattice sum did not converge")
-    if fam.kind == "qlaguerre":
-        c = np.longdouble(fam.c)
-        total = np.longdouble(0.0)
-        # upward direction k >= 0: x -> 0, mass ~ x^{a+1}
-        denom = qpochhammer(-c, q)  # (-c q^k; q)_inf at k = 0
-        x = c
-        for k in range(100000):
-            w = x ** (a + 1) / denom
-            term = w * integrand(x)
-            total += term
-            size = np.max(np.abs(term))
-            if not size < math.inf:
-                raise RuntimeError(
-                    f"bilateral lattice sum: non-finite term at lattice index {k}"
-                )
-            # advance: (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
-            denom = denom / (1.0 + x)
-            x = x * q
-            if k > 5 and size / (1.0 - q ** (a + 1)) <= LATTICE_TAIL_TOL * max(
-                np.max(np.abs(total)), 1e-300
-            ):
-                break
-        else:
-            raise RuntimeError("bilateral lattice sum (upward) did not converge")
-        # downward direction k <= -1: x -> infinity, (-x; q)_inf growth wins
-        denom = qpochhammer(-c, q)
-        x = c
-        prev = math.inf
-        bad = 0
-        for k in range(100000):
-            # step from q^{-k} to q^{-k-1}: (-c q^{-k-1}; q)_inf = (1 + c q^{-k-1}) (-c q^{-k}; q)_inf
-            x = x / q
-            denom = denom * (1.0 + x)
-            w = x ** (a + 1) / denom
-            term = w * integrand(x)
-            total += term
-            size = np.max(np.abs(term))
-            if not size < math.inf:
-                raise RuntimeError(
-                    f"bilateral lattice sum: non-finite term at lattice index {-k - 1}"
-                )
-            if size <= LATTICE_TAIL_TOL * max(np.max(np.abs(total)), 1e-300) and k > 2:
-                return total
-            if size >= prev:
-                bad += 1
-                if bad > 50:
-                    raise RuntimeError("bilateral lattice sum diverges downward")
-            else:
-                bad = 0
-            prev = size
-        raise RuntimeError("bilateral lattice sum (downward) did not converge")
-    raise ValueError(f"not a q-lattice family: {fam.kind!r}")
+    total = np.longdouble(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points_weights, tail, k0, index in _lattice_directions(fam, alpha + fam.beta):
+            x = w = ()
+            start, chunk = 0, LATTICE_CHUNK
+            while True:
+                n = min(start + chunk, LATTICE_MAX_POINTS)
+                if n > len(x):
+                    # rebuilding at least twice as many keeps the cost linear
+                    x, w = points_weights(min(max(n, 2 * len(x)), LATTICE_MAX_POINTS))
+                f = np.asarray(integrand(x[start:n]))
+                terms = w[start:n].reshape((-1,) + (1,) * (f.ndim - 1)) * f
+                size = np.abs(terms).reshape(len(terms), -1).max(axis=1)
+                terms[0] += total
+                totals = np.cumsum(terms, axis=0)
+                reach = np.abs(totals).reshape(len(totals), -1).max(axis=1)
+                k = np.arange(start, n)
+                stop = (k >= k0) & (size * tail <= LATTICE_TAIL_TOL * np.maximum(reach, 1e-300))
+                bad = ~(size < np.inf)
+                hits = np.flatnonzero(stop | bad)
+                if hits.size:
+                    i = hits[0]
+                    if bad[i]:
+                        raise RuntimeError(
+                            f"q-lattice sum: non-finite term at lattice index {index(k[i])}"
+                        )
+                    total = totals[i]
+                    break
+                total = totals[-1]
+                if n == LATTICE_MAX_POINTS:
+                    raise RuntimeError(f"q-lattice sum did not converge in {n} points")
+                start, chunk = n, min(2 * chunk, LATTICE_MAX_CHUNK)
+    return total
 
 
 def radial_gram(fam, alpha, nmax, scale=None):
@@ -163,13 +179,13 @@ def radial_gram(fam, alpha, nmax, scale=None):
     The rows of V come from radial.phi_rows (times ``scale[k]`` when
     given), evaluated in np.longdouble at the nodes of golub_welsch(fam,
     alpha, nmax + 1), which is exact to degree 2 nmax + 1, or at the points
-    of one q_lattice_sum.
+    of one q_lattice_sum, one chunk of points per evaluation.
     """
     rows = radial.phi_rows(fam, alpha, nmax, scale)
     if fam.is_q():
         def integrand(x):
-            v = rows(x)
-            return np.outer(v, v)
+            v = rows(x).T
+            return v[:, :, None] * v[:, None, :]
 
         return q_lattice_sum(fam, alpha, integrand).astype(float)
     rule = golub_welsch(fam, alpha, nmax + 1)
@@ -340,6 +356,8 @@ def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if not m_range:
+        raise ValueError("zero-circle check needs a nonempty range of m")
     radii_table = []
     max_dev = 0.0
     for m in m_range:

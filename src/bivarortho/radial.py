@@ -330,7 +330,7 @@ def phi_rows(fam, alpha, nmax, scale=None):
     Returns rows(x) = c_0(k, alpha) scale[k] p_k(x), k = 0..nmax, with p_k
     from the monic recurrence, in np.longdouble and of shape
     (nmax + 1,) + shape(x).  The leading coefficients and the recurrence
-    are formed once, so a lattice sum can call rows point by point.  This
+    are formed once, so a lattice sum can call rows chunk by chunk.  This
     is the one route to values at points; the tables serve the algebra.
     """
     lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],

@@ -313,6 +313,16 @@ class TestZeros:
         )
         assert code == 2
 
+    def test_empty_m_range_exit_2(self, capsys):
+        # no m in range would report a vacuous monotone=True
+        code, out, err = run(
+            ["zeros", "--family", "Z", "--n", "2", "--m-min", "3", "--m-max", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "nonempty range of m" in err
+
 
 class TestGenfun:
     def test_pass(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bivarortho import bivariate, quad, radial
+from bivarortho.qcalc import qpochhammer
 
 
 class TestGolubWelsch:
@@ -65,8 +66,6 @@ class TestQLatticeSum:
             return x ** 2 - 0.5 * x
 
         ref = 0.0
-        from bivarortho.qcalc import qpochhammer
-
         for k in range(200):
             x = q ** k
             w = q ** ((a + 1) * k) * qpochhammer(q ** (k + 1), q)
@@ -92,23 +91,204 @@ class TestQLatticeSum:
 
         def integrand(x):
             calls.append(x)
-            return np.array([1.0, math.nan])
+            return np.stack([np.ones_like(x), np.full_like(x, math.nan)], axis=-1)
 
         with pytest.raises(RuntimeError, match="non-finite term at lattice index 0"):
             quad.q_lattice_sum(fam, 1.0, integrand)
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     def test_non_finite_term_raises_on_downward_branch(self):
         # the bilateral lattice reaches x > c only on its downward branch
         fam = radial.q_laguerre(0.5, 0.5, c=1.0)
         with pytest.raises(RuntimeError, match="non-finite term at lattice index -1"):
-            quad.q_lattice_sum(fam, 1.0, lambda x: math.inf if x > 1.0 else 1.0)
+            quad.q_lattice_sum(fam, 1.0, lambda x: np.where(x > 1.0, math.inf, 1.0))
+
+    def test_stops_at_the_point_cap(self):
+        # weight ~ q^{0.01 k} at q = 0.99: not below the tail bound in
+        # 100000 points, taken in chunks of at most LATTICE_MAX_CHUNK
+        calls = []
+
+        def integrand(x):
+            calls.append(len(x))
+            return 1.0
+
+        with pytest.raises(RuntimeError, match="did not converge"):
+            quad.q_lattice_sum(radial.wall(-0.99, 0.99), 0.0, integrand)
+        assert sum(calls) == quad.LATTICE_MAX_POINTS
+        assert calls[0] == quad.LATTICE_CHUNK
+        assert max(calls) == quad.LATTICE_MAX_CHUNK
 
     def test_array_integrand_sums_entrywise(self):
         fam = radial.wall(0.5, 0.5)
-        vec = quad.q_lattice_sum(fam, 1.0, lambda x: np.array([1.0, x, x * x]))
+        vec = quad.q_lattice_sum(fam, 1.0, lambda x: np.stack([np.ones_like(x), x, x * x], axis=-1))
         for k, val in enumerate(vec):
             assert_allclose(val, quad.q_lattice_sum(fam, 1.0, lambda x: x**k), rtol=1e-14)
+
+
+def _scalar_lattice_sum(fam, alpha, integrand):
+    """The point-by-point lattice sum that q_lattice_sum replaced, kept as
+    its oracle: one hand-written loop per lattice direction, the integrand
+    called with one point at a time."""
+    q = np.longdouble(fam.q)
+    a = alpha + fam.beta
+    if fam.kind == "wall" or fam.kind == "qjacobi":
+        if a + 1 <= 0:
+            raise ValueError("unilateral lattice needs alpha + 1 > 0")
+        tail_factor = 1.0 / (1.0 - q ** (a + 1))
+        upper = qpochhammer(q, q)  # (q^{k+1}; q)_inf at k = 0... updated below
+        lower = qpochhammer(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
+        total = np.longdouble(0.0)
+        x = np.longdouble(1.0)
+        qa = np.longdouble(1.0)  # q^{(a+1) k}
+        for k in range(100000):
+            if k > 0:
+                upper = upper / (1.0 - q ** k)
+                if fam.kind == "qjacobi":
+                    lower = lower / (1.0 - q ** (fam.gamma + k))
+                x *= q
+                qa *= q ** (a + 1)
+            w = qa * upper / lower
+            term = w * integrand(x)
+            total += term
+            size = np.max(np.abs(term))
+            if not size < math.inf:
+                raise RuntimeError(
+                    f"unilateral lattice sum: non-finite term at lattice index {k}"
+                )
+            # the weight decays at least geometrically with ratio q^{a+1}
+            # and the integrand is bounded on (0, 1], so the dropped tail is
+            # below |term| * tail_factor once past the first node
+            if k > 0 and size * tail_factor <= quad.LATTICE_TAIL_TOL * max(
+                np.max(np.abs(total)), 1e-300
+            ):
+                return total
+        raise RuntimeError("unilateral lattice sum did not converge")
+    if fam.kind == "qlaguerre":
+        c = np.longdouble(fam.c)
+        total = np.longdouble(0.0)
+        # upward direction k >= 0: x -> 0, mass ~ x^{a+1}
+        denom = qpochhammer(-c, q)  # (-c q^k; q)_inf at k = 0
+        x = c
+        for k in range(100000):
+            w = x ** (a + 1) / denom
+            term = w * integrand(x)
+            total += term
+            size = np.max(np.abs(term))
+            if not size < math.inf:
+                raise RuntimeError(
+                    f"bilateral lattice sum: non-finite term at lattice index {k}"
+                )
+            # advance: (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
+            denom = denom / (1.0 + x)
+            x = x * q
+            if k > 5 and size / (1.0 - q ** (a + 1)) <= quad.LATTICE_TAIL_TOL * max(
+                np.max(np.abs(total)), 1e-300
+            ):
+                break
+        else:
+            raise RuntimeError("bilateral lattice sum (upward) did not converge")
+        # downward direction k <= -1: x -> infinity, (-x; q)_inf growth wins
+        denom = qpochhammer(-c, q)
+        x = c
+        prev = math.inf
+        bad = 0
+        for k in range(100000):
+            # step from q^{-k} to q^{-k-1}: (-c q^{-k-1}; q)_inf = (1 + c q^{-k-1}) (-c q^{-k}; q)_inf
+            x = x / q
+            denom = denom * (1.0 + x)
+            w = x ** (a + 1) / denom
+            term = w * integrand(x)
+            total += term
+            size = np.max(np.abs(term))
+            if not size < math.inf:
+                raise RuntimeError(
+                    f"bilateral lattice sum: non-finite term at lattice index {-k - 1}"
+                )
+            if size <= quad.LATTICE_TAIL_TOL * max(np.max(np.abs(total)), 1e-300) and k > 2:
+                return total
+            if size >= prev:
+                bad += 1
+                if bad > 50:
+                    raise RuntimeError("bilateral lattice sum diverges downward")
+            else:
+                bad = 0
+            prev = size
+        raise RuntimeError("bilateral lattice sum (downward) did not converge")
+    raise ValueError(f"not a q-lattice family: {fam.kind!r}")
+
+
+
+# the q-family blocks whose sums must match the scalar loop bit for bit
+ORACLE_FAMILIES = {
+    **{f"{tag}-q{q}": fam
+       for q in (0.3, 0.5, 0.8)
+       for tag, fam in (("ZQ", bivariate.ZQ(0.5, q)), ("WALL", bivariate.WALL(0.5, q)),
+                        ("MQ", bivariate.MQ(0.5, 0.5, q)))},
+    "ZQ-c2": bivariate.ZQ(0.5, 0.5, 2.0),
+    "WALL-beta0": bivariate.WALL(0.0, 0.5),
+    "WALL-large-beta": bivariate.WALL(1.81, 0.31),
+    "MQ-large-beta": bivariate.MQ(1.8, 0.5, 0.3),
+}
+
+
+class TestLatticeSumAgainstScalarLoop:
+    @pytest.mark.parametrize("fam", list(ORACLE_FAMILIES.values()), ids=list(ORACLE_FAMILIES))
+    def test_gram_blocks_bit_identical(self, fam):
+        # every radial block of the Grams at caps 2..15
+        rad = bivariate.radial_of(fam)
+        for cap in range(2, 16):
+            for alpha in range(cap + 1):
+                rows = radial.phi_rows(rad, alpha, cap - alpha)
+
+                def outer(x):
+                    v = rows(x).T
+                    return v[:, :, None] * v[:, None, :]
+
+                ref = _scalar_lattice_sum(rad, alpha, lambda x: np.outer(rows(x), rows(x)))
+                assert ref.dtype == np.longdouble
+                assert np.array_equal(quad.q_lattice_sum(rad, alpha, outer), ref), (cap, alpha)
+                assert np.array_equal(quad.radial_gram(rad, alpha, cap - alpha),
+                                      ref.astype(float)), (cap, alpha)
+
+    @pytest.mark.parametrize(
+        "fam", [radial.wall(0.5, 0.99), radial.q_laguerre(0.5, 0.99)], ids=["wall", "qlaguerre"]
+    )
+    def test_many_chunks_bit_identical(self, fam):
+        # q = 0.99 needs thousands of points: chunks past LATTICE_MAX_CHUNK
+        rows = radial.phi_rows(fam, 1, 3)
+        calls = []
+
+        def outer(x):
+            calls.append(len(x))
+            v = rows(x).T
+            return v[:, :, None] * v[:, None, :]
+
+        ref = _scalar_lattice_sum(fam, 1, lambda x: np.outer(rows(x), rows(x)))
+        assert np.array_equal(quad.q_lattice_sum(fam, 1, outer), ref)
+        assert max(calls) == quad.LATTICE_MAX_CHUNK
+
+    @pytest.mark.parametrize(
+        "fam,directions",
+        [(bivariate.ZQ(0.5, 0.5), 2), (bivariate.WALL(0.5, 0.5), 1),
+         (bivariate.MQ(0.5, 0.5, 0.5), 1)],
+        ids=["ZQ", "WALL", "MQ"],
+    )
+    def test_integrand_called_per_chunk(self, fam, directions, monkeypatch):
+        # a cap-8 block at q = 0.5 needs 44 points per direction (up to 74
+        # for ZQ's two), all inside the first chunk or the doubled one
+        calls = []
+        lattice_sum = quad.q_lattice_sum
+
+        def counting(fam, alpha, integrand):
+            def counted(x):
+                calls.append(len(x))
+                return integrand(x)
+
+            return lattice_sum(fam, alpha, counted)
+
+        monkeypatch.setattr(quad, "q_lattice_sum", counting)
+        quad.radial_gram(bivariate.radial_of(fam), 0, 8)
+        assert 1 <= len(calls) <= 2 * directions
 
 
 class TestGram:
@@ -257,14 +437,18 @@ def _table_block(fam, alpha, nmax):
     for k in range(nmax + 1):
         coeffs[k, nmax - k:] = radial.radial_coeffs(fam, k, alpha)
     powers = np.arange(nmax, -1, -1)
+
+    def values(x):
+        return coeffs @ x[None, :] ** powers[:, None]
+
     if fam.is_q():
         def integrand(x):
-            v = coeffs @ x**powers
-            return np.outer(v, v)
+            v = values(x).T
+            return v[:, :, None] * v[:, None, :]
 
         return quad.q_lattice_sum(fam, alpha, integrand).astype(float)
     rule = quad.golub_welsch(fam, alpha, nmax + 1)
-    vals = coeffs @ rule.nodes.astype(np.longdouble)[None, :] ** powers[:, None]
+    vals = values(rule.nodes.astype(np.longdouble))
     return ((vals * rule.weights) @ vals.T).astype(float)
 
 
@@ -456,6 +640,10 @@ class TestZeros:
         assert [m for m, _ in table] == [2, 3, 4, 5]
         for _, radii in table:
             assert np.all(np.diff(radii) > 0) or radii.size == 1
+
+    def test_rejects_empty_m_range(self):
+        with pytest.raises(ValueError, match="nonempty range of m"):
+            quad.zero_circle_monotonicity(radial.laguerre(0.0), 2, range(3, 2))
 
     def test_rejects_indices_outside_wedge(self):
         with pytest.raises(ValueError):
