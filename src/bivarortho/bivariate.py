@@ -1056,7 +1056,7 @@ def check_identity(fam, name, m, n, tol=None):
         if label == "printed":
             printed_res, printed_passed = float(res), bool(tol.passes(res, scale))
         else:
-            if res > worst_res:
+            if res > worst_res or res != res:  # a NaN residual is the worst
                 worst_res, worst_scale = res, scale
             passed = bool(passed and tol.passes(res, scale))
     known = name in KNOWN_DISCREPANCIES and printed_passed is False

@@ -8,6 +8,7 @@ Exit codes: 0 = all checks pass (known discrepancies excluded),
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -266,7 +267,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves no state
+    in it (argparse copies the ``append`` defaults before appending)."""
     parser = _Parser(
         prog="bivarortho",
         description="Construct, evaluate and verify bivariate orthogonal "
@@ -333,8 +337,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, bivariate.IdentityRangeError) as exc:

@@ -7,7 +7,14 @@ exactly on the coefficient table; evaluation happens only at the point where
 a numeric answer is requested.
 """
 
+import math
 from dataclasses import dataclass
+
+
+def _top_abs(terms):
+    """Largest |coefficient| of a table (0.0 when empty) by the builtin max,
+    which keeps a NaN only when it comes first."""
+    return max(map(abs, terms.values())) if terms else 0.0
 
 
 def _clean(terms):
@@ -92,9 +99,20 @@ class BivariatePoly:
         return self.__mul__(other)
 
     def max_abs_coeff(self):
-        if not self.terms:
-            return 0.0
-        return max(map(abs, self.terms.values()))
+        """Largest |coefficient|, or NaN when the coefficients sum to NaN (a
+        NaN coefficient, or infinities of both signs).
+
+        The builtin max keeps a NaN only when it comes first; a sum always
+        carries it.  Float coefficients (numpy float64 included) take one
+        math.fsum; any other type (int, complex), and the infinities or
+        overflow that fsum refuses, take the builtin sum.
+        """
+        values = self.terms.values()
+        try:
+            total = math.fsum(values)
+        except (TypeError, ValueError, OverflowError):
+            total = sum(values)
+        return _top_abs(self.terms) if total == total else math.nan
 
     def evaluate(self, z1, z2):
         """Evaluate at a point; terms are accumulated in sorted key order so
@@ -144,7 +162,8 @@ class BivariatePoly:
 
 
 def residual(p, r):
-    """Maximum absolute coefficient difference between two tables."""
+    """Maximum absolute coefficient difference between two tables; NaN when
+    either table holds a NaN."""
     diff = p - r
     return diff.max_abs_coeff()
 
@@ -162,7 +181,10 @@ class Tolerance:
 
 
 def identity_residual(lhs, rhs):
-    """Residual and scale (max |coeff| over both sides) for lhs == rhs."""
+    """Residual and scale (max |coeff| over both sides) for lhs == rhs; the
+    residual is NaN, and fails every Tolerance, when either side holds a
+    NaN.  The scale skips the NaN test: a NaN on either side reaches the
+    difference that the residual measures."""
     res = residual(lhs, rhs)
-    scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff())
+    scale = max(_top_abs(lhs.terms), _top_abs(rhs.terms))
     return res, scale

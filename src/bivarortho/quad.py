@@ -8,7 +8,8 @@ block-diagonal Gram assembly for the bivariate families (one radial Gram
 per circle-harmonic index, its rows evaluated by the recurrence over the
 array of nodes or of lattice points, shared by the continuous and q
 families), the Gram summary shared with the Askey–Wilson checks, and
-zero-circle monotonicity checks.
+zero-circle monotonicity checks, whose zeros are refined by Brent's
+bracketed root finder on the recurrence values.
 """
 
 import math
@@ -18,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import radial
 from .qcalc import qpochhammer
@@ -61,6 +61,11 @@ LATTICE_TAIL_TOL = 1e-19
 LATTICE_CHUNK = 64
 LATTICE_MAX_CHUNK = 1024
 LATTICE_MAX_POINTS = 100000
+# floor of the running sum in the stop test, at the working precision
+_LONGDOUBLE_TINY = np.finfo(np.longdouble).tiny
+# relative bracket tolerance and step limit of _brent, as in scipy's brentq
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 
 def _accumulate(op, first, steps):
@@ -154,8 +159,9 @@ def q_lattice_sum(fam, alpha, integrand):
                 terms[0] += total
                 totals = np.cumsum(terms, axis=0)
                 reach = np.abs(totals).reshape(len(totals), -1).max(axis=1)
+                reach = np.maximum(reach, _LONGDOUBLE_TINY)
                 k = np.arange(start, n)
-                stop = (k >= k0) & (size * tail <= LATTICE_TAIL_TOL * np.maximum(reach, 1e-300))
+                stop = (k >= k0) & (size * tail <= LATTICE_TAIL_TOL * reach)
                 bad = ~(size < np.inf)
                 hits = np.flatnonzero(stop | bad)
                 if hits.size:
@@ -314,10 +320,74 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     return summarize(blocks, offdiag_tol, diag_rel_tol)
 
 
+def _same_sign(fa, fb):
+    """True when fa and fb are both positive or both negative; a sign test,
+    because their product can underflow."""
+    return (fa > 0 and fb > 0) or (fa < 0 and fb < 0)
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol):
+    """Root of f in the bracket [xpre, xcur], given fpre = f(xpre) and
+    fcur = f(xcur) of opposite signs (bisection_zeros checks them with
+    _same_sign), by Brent's method (Brent 1973, Algorithms for Minimization
+    without Derivatives, ch. 4).
+
+    Step for step the C routine behind scipy.optimize.brentq: inverse
+    quadratic or secant steps while they shrink fast enough, bisection
+    otherwise, until half the bracket is below (xtol + _BRENT_RTOL |x|) / 2.
+    Raises RuntimeError on a NaN value or after _BRENT_MAXITER steps.
+    """
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise RuntimeError("Brent's method: NaN value at a bracket end")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise RuntimeError(f"Brent's method: NaN value at x = {xcur!r}")
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
+
+
 def bisection_zeros(fam, n, alpha, tol=1e-13):
-    """Refine the zeros of phi_n by bracketed root finding on sign changes
-    of its recurrence value (radial.phi_rows), independent of the
-    eigensolver route."""
+    """Refine the zeros of phi_n by Brent's bracketed root finding on sign
+    changes of its recurrence value (radial.phi_rows), independent of the
+    eigensolver route.
+
+    Each zero is bracketed by the midpoints between the eigensolver zeros
+    or, failing that, by the eigensolver value +- 1e-6 relative; a zero
+    that neither brackets reads NaN.
+    """
     if n == 0:
         return np.array([])
     approx = radial.radial_zeros(fam, n, alpha)
@@ -333,15 +403,15 @@ def bisection_zeros(fam, n, alpha, tol=1e-13):
     for i in range(n):
         a, b = cuts[i], cuts[i + 1]
         fa, fb = f(a), f(b)
-        if fa * fb > 0:
-            # widen toward the approximate root until a sign change appears
+        if _same_sign(fa, fb):
+            # narrow to the approximate root until a sign change appears
             a = approx[i] - 1e-6 * max(1.0, abs(approx[i]))
             b = approx[i] + 1e-6 * max(1.0, abs(approx[i]))
             fa, fb = f(a), f(b)
-            if fa * fb > 0:
-                roots.append(approx[i])
+            if _same_sign(fa, fb):
+                roots.append(math.nan)
                 continue
-        roots.append(brentq(f, a, b, xtol=tol))
+        roots.append(_brent(f, a, b, fa, fb, tol))
     return np.array(roots)
 
 
@@ -352,7 +422,8 @@ def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
     with the radii the square roots of the radial zeros at alpha = m - n;
     monotone is True iff every radius strictly increases with m; max_dev is
     the largest distance between the eigensolver zeros and their bisection
-    refinement (0.0 when check_bisection is False).
+    refinement, inf when a zero could not be bracketed (0.0 when
+    check_bisection is False).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -366,7 +437,10 @@ def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
         zeros = radial.radial_zeros(rad, n, m - n)
         if check_bisection:
             ref = bisection_zeros(rad, n, m - n)
-            max_dev = max(max_dev, float(np.max(np.abs(zeros - ref))) if n else 0.0)
+            # an unbracketed zero (NaN) deviates without bound; np.max,
+            # unlike the builtin max, propagates any other NaN
+            dev = np.where(np.isnan(ref), np.inf, np.abs(zeros - ref))
+            max_dev = float(np.max(dev, initial=max_dev))
         radii_table.append((m, np.sqrt(zeros)))
     monotone = True
     for i in range(1, len(radii_table)):

@@ -155,6 +155,19 @@ class TestIdentityCatalog:
         with pytest.raises(bv.IdentityRangeError, match="family Z: ZQ_RR1"):
             bv.sweep(bv.Z(0.5), ["Z_RR1", "ZQ_RR1"], 3)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-second"])
+    def test_nan_residual_is_reported(self, first, monkeypatch):
+        # a NaN residual is the worst one, whichever variant carries it
+        good = BivariatePoly({(0, 0): 1.0})
+        bad = BivariatePoly({(0, 0): 1.0, (1, 0): math.nan})
+        variants = [("derived", good, good), ("derived", bad, good)]
+        if first:
+            variants.reverse()
+        monkeypatch.setitem(bv.IDENTITIES, "Z_ODE", (("Z",), lambda fam, m, n: variants))
+        rep = bv.check_identity(bv.Z(0.5), "Z_ODE", 1, 1)
+        assert math.isnan(rep.residual)
+        assert rep.passed is False
+
     def test_tolerance_is_respected(self):
         # an absurdly tight gate flips verdicts without raising
         tol = Tolerance(abs_tol=0.0, rel_tol=1e-300)

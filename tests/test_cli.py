@@ -305,6 +305,25 @@ class TestZeros:
         radii = [float(r["radius_1"]) for r in payload["rows"]]
         assert radii == sorted(radii)
 
+    # sha256 prefixes of the csv then json output, recorded with the
+    # scipy.optimize.brentq refinement that the Brent port replaced
+    ZEROS_DIGESTS = {
+        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.5", "--n", "3",
+               "--m-min", "3", "--m-max", "30"], "c66897a3178d19e3"),
+        "Z": (["--family", "Z", "--beta", "1.5", "--n", "7",
+               "--m-min", "7", "--m-max", "30"], "70d649b7317d0fc4"),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(ZEROS_DIGESTS))
+    def test_rows_unchanged(self, tag, capsys):
+        flags, digest = self.ZEROS_DIGESTS[tag]
+        h = hashlib.sha256()
+        for fmt in ("csv", "json"):
+            code, out, _ = run(["zeros", "--format", fmt] + flags, capsys)
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest()[:16] == digest
+
     def test_q_family_rejected(self, capsys):
         code, _, err = run(
             ["zeros", "--family", "WALL", "--n", "1", "--m-min", "1",
@@ -390,6 +409,31 @@ class TestParser:
         assert getattr(cli.build_parser().parse_args(argv), dest) == value
         code, _, err = run(argv, capsys)
         assert code == 0, err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_keep_no_points(self, capsys):
+        # the parser is shared, but each call sees only its own --z1/--z2
+        base = ["eval", "--family", "Z", "--m", "2", "--n", "1", "--format", "json"]
+        for points in (["0.25", "0.5"], ["0.75"]):
+            argv = base + [flag for z in points for flag in ("--z1", z, "--z2", z)]
+            code, out, err = run(argv, capsys)
+            assert code == 0, err
+            rows = json.loads(out)["rows"]
+            assert [float(r["z1"]) for r in rows] == [float(z) for z in points]
+        code, out, _ = run(base, capsys)
+        assert code == 0
+        assert json.loads(out)["rows"] == []
+
+    def test_call_after_a_usage_error_works(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--family", "Z", "--m", "2", "--z1", "0.5"])
+        assert exc.value.code == 2
+        code, out, err = run(["eval", "--family", "Z", "--m", "2", "--n", "1",
+                              "--z1", "0.25", "--z2", "0.5", "--format", "json"], capsys)
+        assert code == 0, err
+        assert [r["z1"] for r in json.loads(out)["rows"]] == ["0.25"]
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

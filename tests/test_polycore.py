@@ -1,5 +1,7 @@
 """Tests for the sparse bivariate coefficient tables and their operators."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
@@ -223,6 +225,32 @@ class TestResidualsAndTolerance:
         res, scale = identity_residual(p, r)
         assert_allclose(res, 5.0)
         assert_allclose(scale, 5.0)
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_coefficient_propagates(self, where):
+        # the builtin max keeps a NaN only when it comes first
+        vals = [1e-12, 2e-12, 3e-12]
+        vals[where] = math.nan
+        p = BivariatePoly({(k, 0): v for k, v in enumerate(vals)})
+        assert math.isnan(p.max_abs_coeff())
+        res, _ = identity_residual(p, BivariatePoly.zero())
+        assert math.isnan(res)
+        assert math.isnan(residual(BivariatePoly.zero(), p))
+        assert not Tolerance().passes(res, 1.0)
+
+    def test_nan_after_a_passing_coefficient_fails_the_gate(self):
+        p = BivariatePoly({(0, 0): 1e-12, (1, 0): math.nan})
+        res, scale = identity_residual(p, BivariatePoly.zero())
+        assert math.isnan(res)
+        assert not Tolerance().passes(res, scale)
+
+    def test_complex_nan_propagates(self):
+        p = BivariatePoly({(0, 0): 0.5j, (1, 0): complex(math.nan, 0.0)})
+        assert math.isnan(p.max_abs_coeff())
+
+    def test_infinite_coefficient_reads_inf(self):
+        p = BivariatePoly({(0, 0): 1.0, (1, 0): -math.inf})
+        assert p.max_abs_coeff() == math.inf
 
     def test_tolerance_gates(self):
         tol = Tolerance(abs_tol=1e-10, rel_tol=1e-9)

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +120,21 @@ class TestQLatticeSum:
         assert sum(calls) == quad.LATTICE_MAX_POINTS
         assert calls[0] == quad.LATTICE_CHUNK
         assert max(calls) == quad.LATTICE_MAX_CHUNK
+
+    def test_stop_floor_at_working_precision(self):
+        # a mass far below the float64 range is still summed to relative
+        # accuracy: the stop test floors the running sum at the longdouble
+        # tiny, not at a float64 bound
+        fam = radial.wall(0.5, 0.5)
+        tiny = np.longdouble("1e-400")
+        total = quad.q_lattice_sum(fam, 1.0, lambda x: np.full_like(x, tiny))
+        assert_allclose(float(total / tiny), radial.measure_mass(fam, 1.0), rtol=1e-12)
+
+    def test_slow_decay_under_float64_range_does_not_stop_early(self):
+        # every weight is below 1e-300; the 64th alone is 9.9e-611, so a
+        # sum stopped at its second point (7.4e-710) is wrong by far
+        with pytest.raises(RuntimeError, match="did not converge in 100000 points"):
+            quad.q_lattice_sum(radial.wall(-0.99, 0.999), 0.0, lambda x: 1.0)
 
     def test_array_integrand_sums_entrywise(self):
         fam = radial.wall(0.5, 0.5)
@@ -613,7 +631,86 @@ class TestEntriesView:
             assert [res.diag_ref[i] for i in idxs] == list(ref)
 
 
+# the brackets of bisection_zeros: midpoints between the eigensolver zeros
+BRENT_FAMILIES = [radial.laguerre(b) for b in (0.5, -0.5, 3.1)] + [
+    radial.shifted_jacobi(0.5, 0.5),
+    radial.shifted_jacobi(2.0, -0.5),
+]
+
+
+class TestBrent:
+    def test_no_scipy_optimize_in_the_import_graph(self):
+        code = (
+            "import sys\n"
+            "import bivarortho.cli, bivarortho.quad, bivarortho.bivariate, bivarortho.awbiortho\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        root = os.path.dirname(os.path.dirname(quad.__file__))
+        env = dict(os.environ, PYTHONPATH=root)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_bit_identical_to_scipy_brentq(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        count = 0
+        for fam in BRENT_FAMILIES:
+            for n in range(1, 30):
+                for alpha in (0, 1, 2, 5):
+                    approx = radial.radial_zeros(fam, n, alpha)
+                    rows = radial.phi_rows(fam, alpha, n)
+
+                    def f(x):
+                        return float(rows(x)[n])
+
+                    cuts = ([approx[0] - max(1.0, approx[0])]
+                            + [(approx[i] + approx[i + 1]) / 2.0 for i in range(n - 1)]
+                            + [approx[-1] + max(1.0, approx[-1])])
+                    for a, b in zip(cuts, cuts[1:]):
+                        fa, fb = f(a), f(b)
+                        if fa * fb > 0:
+                            continue
+                        root = quad._brent(f, a, b, fa, fb, 1e-13)
+                        assert root.hex() == brentq(f, a, b, xtol=1e-13).hex()
+                        count += 1
+        assert count == 8700
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (-1.0, 1.0), (0.5, 1.0)])
+    def test_endpoint_exactly_zero(self, a, b):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+
+        def f(x):
+            return x - 1.0
+
+        root = quad._brent(f, a, b, f(a), f(b), 1e-13)
+        assert root == 1.0
+        assert root == brentq(f, a, b, xtol=1e-13)
+
+    def test_nan_value_raises_runtime_error(self):
+        with pytest.raises(RuntimeError, match="NaN"):
+            quad._brent(lambda x: math.nan, -1.0, 1.0, -1.0, 1.0, 1e-13)
+
+    def test_no_convergence_raises_runtime_error(self, monkeypatch):
+        def f(x):
+            return -1.0 if x < 0.0 else 1.0
+
+        monkeypatch.setattr(quad, "_BRENT_MAXITER", 3)
+        with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+            quad._brent(f, -1.0, 1.0, -1.0, 1.0, 1e-13)
+
+
 class TestZeros:
+    def test_unbracketed_zero_is_an_infinite_deviation(self, monkeypatch):
+        # eigensolver zeros off by +50: two of the three cannot be
+        # bracketed and must not certify themselves
+        fam = radial.laguerre(0.5)
+        true = radial.radial_zeros(fam, 3, 1)
+        monkeypatch.setattr(radial, "radial_zeros", lambda *args: true + 50.0)
+        ref = quad.bisection_zeros(fam, 3, 1)
+        assert np.isnan(ref).sum() == 2
+        _, _, dev = quad.zero_circle_monotonicity(fam, 3, range(4, 5))
+        assert dev == math.inf
+
     def test_bisection_matches_eigensolver(self):
         for fam in (radial.laguerre(0.5), radial.shifted_jacobi(0.5, 0.5)):
             for n in (1, 3):
