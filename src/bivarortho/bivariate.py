@@ -124,7 +124,7 @@ def construct(fam, m, n):
         raise ValueError("indices must be nonnegative")
     if m < n:
         return construct(fam, n, m).swap_vars()
-    coeffs = radial.radial_coeffs(radial_of(fam), n, m - n)
+    coeffs = radial.radial_coeffs(radial_of(fam), n, m - n).tolist()
     factors = harmonic_scale(fam, n)
     scale = 1.0 if factors is None else factors[n]
     return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
@@ -178,13 +178,13 @@ class IdentityReport:
 
 
 def _c0(rad, k, alpha):
-    return radial.radial_coeffs(rad, k, alpha)[0]
+    return float(radial.radial_coeffs(rad, k, alpha)[0])
 
 
 def _cj(rad, k, j, alpha):
     if j > k:
         return 0.0
-    return radial.radial_coeffs(rad, k, alpha)[j]
+    return float(radial.radial_coeffs(rad, k, alpha)[j])
 
 
 def _zero_if_negative(fam, m, n):
@@ -1119,16 +1119,14 @@ def connection_Z(m, n, beta, gamma):
     and the coefficient-table residual of the reconstruction."""
     if m < n:
         raise ValueError("connection stated for m >= n")
-    coeffs = np.array(
-        [pochhammer(beta - gamma, j) / math.factorial(j) for j in range(n + 1)]
-    )
+    coeffs = [pochhammer(beta - gamma, j) / math.factorial(j) for j in range(n + 1)]
     rhs = BivariatePoly.zero()
     for j in range(n + 1):
         if m - j < 0 or n - j < 0:
             break
         rhs = rhs + coeffs[j] * construct(Z(gamma), m - j, n - j)
     res, scale = identity_residual(construct(Z(beta), m, n), rhs)
-    return coeffs, res, scale
+    return np.array(coeffs), res, scale
 
 
 GENFUNS = ("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE")
@@ -1319,7 +1317,7 @@ def pde_closed_form(beta, n, p=None, r=None):
     z2^r hypergeometric branch."""
     if p is not None:
         rad = radial.laguerre(0.0)
-        coeffs = radial.radial_coeffs(rad, n, beta + p)
+        coeffs = radial.radial_coeffs(rad, n, beta + p).tolist()
         scale = math.factorial(n) / pochhammer(beta + p + 1, n)
         return BivariatePoly(
             {(p + n - j, n - j): scale * coeffs[j] for j in range(n + 1)}

@@ -21,6 +21,13 @@ from .polycore import Tolerance
 
 _FMT = "{:.17g}"  # 17 significant digits for byte-stable reproducibility
 
+# `zeros` fails when an eigensolver zero is off its bisection refinement by
+# more than this, relative to the largest zero of the range; the worst seen
+# over Laguerre beta in {-0.5, 0, 0.5, 1.5, 3.1} and Jacobi (beta, gamma) in
+# {-0.5, 0.5, 2}^2, n <= 15, m <= n + 30 is 2.6e-14.  An unbracketed zero
+# deviates without bound and always fails.
+ZERO_DEV_REL_TOL = 1e-9
+
 
 def _clean(value):
     """Normalize numpy scalars to plain Python types for serialization."""
@@ -206,14 +213,19 @@ def cmd_zeros(args):
             row[f"radius_{i + 1}"] = float(r)
         row["monotone"] = monotone
         rows.append(row)
+    largest = max((float(r[-1]) ** 2 for _, r in radii_table if len(r)), default=0.0)
+    # written so that a NaN or infinite deviation fails
+    bisection_passed = max_dev <= ZERO_DEV_REL_TOL * largest
     summary = {
         "family": fam.tag,
         "n": args.n,
         "monotone": monotone,
         "max_bisection_dev": max_dev,
+        "bisection_rel_tol": ZERO_DEV_REL_TOL,
+        "bisection_passed": bisection_passed,
     }
     _emit(args, "zeros", rows, summary)
-    return 0 if monotone else 1
+    return 0 if monotone and bisection_passed else 1
 
 
 def cmd_genfun(args):

@@ -2,9 +2,19 @@
 operators acting on them.
 
 A polynomial in the variables (z1, z2) is stored as a dict mapping exponent
-pairs (j, k) to numeric coefficients (float or complex).  All operators act
-exactly on the coefficient table; evaluation happens only at the point where
-a numeric answer is requested.
+pairs (j, k) to coefficients.  The package's tables hold Python floats: the
+table sources (``bivariate.construct`` and the scalars of the identity
+catalog) convert numpy scalars where they are made, so the operators run on
+the interpreter's float paths; complex coefficients work the same way.
+
+Exact zeros (and -0.0) are pruned when a table is built, by one scan for a
+zero; a NaN is kept.  A table takes ownership of the dict it is given and
+never copies it, so the dict must not be changed afterwards.  Every operator
+builds a fresh dict for its result, and no result shares a dict with an
+operand.  ``residual`` forms the difference of two tables in one dict pass
+and carries the NaN rule of the identity gates.  All operators act exactly
+on the coefficient table; evaluation happens only at the point where a
+numeric answer is requested.
 """
 
 import math
@@ -17,22 +27,24 @@ def _top_abs(terms):
     return max(map(abs, terms.values())) if terms else 0.0
 
 
-def _clean(terms):
-    return {k: v for k, v in terms.items() if v != 0}
-
-
 class BivariatePoly:
     """Sparse polynomial sum_{(j,k)} c_{j,k} z1^j z2^k.
 
     Coefficients live in a dict keyed by the exponent pair.  Exact zeros are
     pruned on construction so that equality of tables means equality of
-    polynomials.
+    polynomials.  The table takes ownership of ``terms``: it keeps the dict
+    it is given unless a zero has to be pruned, so the caller must not
+    change the dict afterwards.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = _clean(terms or {})
+        if terms is None:
+            terms = {}
+        elif 0 in terms.values():
+            terms = {k: v for k, v in terms.items() if v != 0}
+        self.terms = terms
 
     @classmethod
     def zero(cls):
@@ -86,33 +98,25 @@ class BivariatePoly:
     def __mul__(self, other):
         if not isinstance(other, BivariatePoly):
             return BivariatePoly({k: v * other for k, v in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a product by a one-term table is a shift of the exponents (the
+            # float and complex products commute bit for bit)
+            ((dj, dk), c), = b.items()
+            return BivariatePoly({(j + dj, k + dk): v * c for (j, k), v in a.items()})
         out = {}
         get = out.get
-        other_items = other.terms.items()
-        for (j1, k1), v1 in self.terms.items():
-            for (j2, k2), v2 in other_items:
+        b_items = b.items()
+        for (j1, k1), v1 in a.items():
+            for (j2, k2), v2 in b_items:
                 key = (j1 + j2, k1 + k2)
                 out[key] = get(key, 0) + v1 * v2
         return BivariatePoly(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def max_abs_coeff(self):
-        """Largest |coefficient|, or NaN when the coefficients sum to NaN (a
-        NaN coefficient, or infinities of both signs).
-
-        The builtin max keeps a NaN only when it comes first; a sum always
-        carries it.  Float coefficients (numpy float64 included) take one
-        math.fsum; any other type (int, complex), and the infinities or
-        overflow that fsum refuses, take the builtin sum.
-        """
-        values = self.terms.values()
-        try:
-            total = math.fsum(values)
-        except (TypeError, ValueError, OverflowError):
-            total = sum(values)
-        return _top_abs(self.terms) if total == total else math.nan
 
     def evaluate(self, z1, z2):
         """Evaluate at a point; terms are accumulated in sorted key order so
@@ -137,15 +141,13 @@ class BivariatePoly:
 
     def diff_partial(self, var):
         """d/dz_var."""
-        out = {}
-        for (j, k), v in self.terms.items():
-            if var == 1:
-                if j > 0:
-                    out[(j - 1, k)] = out.get((j - 1, k), 0) + j * v
-            else:
-                if k > 0:
-                    out[(j, k - 1)] = out.get((j, k - 1), 0) + k * v
-        return BivariatePoly(out)
+        if var == 1:
+            return BivariatePoly(
+                {(j - 1, k): j * v for (j, k), v in self.terms.items() if j > 0}
+            )
+        return BivariatePoly(
+            {(j, k - 1): k * v for (j, k), v in self.terms.items() if k > 0}
+        )
 
     def diff_theta(self, var):
         """Euler operator z_var d/dz_var; multiplies each term by its exponent."""
@@ -162,10 +164,25 @@ class BivariatePoly:
 
 
 def residual(p, r):
-    """Maximum absolute coefficient difference between two tables; NaN when
-    either table holds a NaN."""
-    diff = p - r
-    return diff.max_abs_coeff()
+    """Maximum absolute coefficient difference between two tables, formed
+    in one pass over a copy of p's dict; NaN when the difference sums to NaN
+    (a NaN on either side, or infinities of both signs).
+
+    The builtin max keeps a NaN only when it comes first; a sum always
+    carries it.  Float coefficients take one math.fsum; any other type
+    (int, complex), and the infinities or overflow that fsum refuses, take
+    the builtin sum.
+    """
+    diff = dict(p.terms)
+    get = diff.get
+    for k, v in r.terms.items():
+        diff[k] = get(k, 0) - v
+    values = diff.values()
+    try:
+        total = math.fsum(values)
+    except (TypeError, ValueError, OverflowError):
+        total = sum(values)
+    return _top_abs(diff) if total == total else math.nan
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,7 @@ def measure_mass(fam, alpha):
 def shift_a(fam, n, alpha):
     """Coefficient a_n(alpha) in phi_n(x; alpha) - a_n phi_n(x; alpha+1)
     = b_n phi_{n-1}(x; alpha+1)."""
-    return radial_coeffs(fam, n, alpha)[0] / radial_coeffs(fam, n, alpha + 1)[0]
+    return float(radial_coeffs(fam, n, alpha)[0] / radial_coeffs(fam, n, alpha + 1)[0])
 
 
 def shift_b(fam, n, alpha):
@@ -254,7 +254,7 @@ def shift_b(fam, n, alpha):
     cn_a = radial_coeffs(fam, n, alpha)
     cn_a1 = radial_coeffs(fam, n, alpha + 1)
     c0nm1_a1 = radial_coeffs(fam, n - 1, alpha + 1)[0]
-    return (cn_a1[0] * cn_a[1] - cn_a[0] * cn_a1[1]) / (c0nm1_a1 * cn_a1[0])
+    return float((cn_a1[0] * cn_a[1] - cn_a[0] * cn_a1[1]) / (c0nm1_a1 * cn_a1[0]))
 
 
 def recurrence(fam, alpha, npts):

@@ -1,6 +1,7 @@
 """Tests for the bivariate families: construction, the identity catalog,
 connections, generating functions, the series solver, and the q -> 1 limit."""
 
+import hashlib
 import math
 
 import mpmath
@@ -107,6 +108,99 @@ class TestTableCache:
         cold = verdicts()
         assert warm == cold
         assert any(r[-1] is not None for r in cold)
+
+    def test_shared_table_unchanged_by_a_sweep(self):
+        # the operators never write into an operand's dict, so a cached
+        # table reads the same after every identity has used it
+        for fam in FAMILIES:
+            bv.sweep(fam, None, 6)
+            for m in range(9):
+                for n in range(9):
+                    assert bv.construct(fam, m, n) == _uncached_table(fam, m, n), (fam, m, n)
+
+
+def _catalog_tables(fam, max_mn):
+    """Both sides of every variant of every catalog identity of a family at
+    m, n <= max_mn."""
+    for name in bv.identity_ids_for(fam):
+        _, builder = bv.IDENTITIES[name]
+        for m in range(max_mn + 1):
+            for n in range(max_mn + 1):
+                try:
+                    variants = builder(fam, m, n)
+                except bv.IdentityRangeError:
+                    continue
+                for _, lhs, rhs in variants:
+                    yield name, m, n, lhs
+                    yield name, m, n, rhs
+
+
+class TestCoefficientType:
+    """Table coefficients are Python floats, so the algebra runs on the
+    interpreter's float paths rather than numpy's scalar ones."""
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
+    def test_construct_coefficients_are_floats(self, fam):
+        for m in range(9):
+            for n in range(9):
+                kinds = {type(v) for v in bv.construct(fam, m, n).terms.values()}
+                assert kinds == {float}, (m, n, kinds)
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
+    def test_identity_sides_hold_floats(self, fam):
+        count = 0
+        for name, m, n, table in _catalog_tables(fam, 6):
+            count += len(table.terms)
+            kinds = {type(v) for v in table.terms.values()}
+            assert kinds <= {float}, (name, m, n, kinds)
+        assert count > 0
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
+    def test_radial_scalars_are_floats(self, fam):
+        # a numpy scalar times a table would take numpy's object-array path
+        rad = bv.radial_of(fam)
+        for n in range(5):
+            for alpha in range(3):
+                scalars = (bv._c0(rad, n, alpha), bv._cj(rad, n, n, alpha),
+                           radial.shift_a(rad, n, alpha), radial.shift_b(rad, n, alpha))
+                assert {type(v) for v in scalars} == {float}, (n, alpha)
+
+
+def criterion3_families():
+    params = (-0.5, 0.0, 0.7, 2.0)
+    qs = (0.3, 0.5, 0.8)
+    fams = [bv.Z(b) for b in params] + [bv.H()]
+    fams += [bv.M(b, g) for b in params for g in params]
+    fams += [bv.ZQ(b, q) for b in params for q in qs]
+    fams += [bv.WALL(b, q) for b in params for q in qs]
+    fams += [bv.MQ(b, g, q) for b in params for g in params for q in qs]
+    return fams
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+class TestIdentityReportsPinned:
+    # sha256 prefix over every IdentityReport of the criterion-3 grid,
+    # recorded with the numpy-scalar tables that the Python-float tables,
+    # the shifted monomial products and the one-pass residual replaced
+    DIGEST = "aa5fa75a05e3df4e"
+
+    def test_reports_bit_identical(self):
+        tol = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
+        h = hashlib.sha256()
+        count = 0
+        for fam in criterion3_families():
+            for rep in bv.sweep(fam, None, 6, tol=tol):
+                count += 1
+                h.update(repr((
+                    rep.identity, repr(fam), rep.m, rep.n, _hex(rep.residual),
+                    _hex(rep.scale), rep.passed, _hex(rep.printed_residual),
+                    rep.printed_passed,
+                )).encode())
+        assert count == 41545
+        assert h.hexdigest()[:16] == self.DIGEST
 
 
 class TestIdentityCatalog:

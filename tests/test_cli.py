@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from bivarortho import bivariate, cli
+from bivarortho import bivariate, cli, quad, radial
 
 
 def run(argv, capsys):
@@ -314,6 +314,20 @@ class TestZeros:
                "--m-min", "7", "--m-max", "30"], "70d649b7317d0fc4"),
     }
 
+    @staticmethod
+    def _without_gate(fmt, out):
+        """The output less the bisection gate's two summary fields, which
+        came after the digests were recorded; both are checked here."""
+        if fmt == "csv":
+            lines = out.splitlines(keepends=True)
+            assert "# bisection_passed=True\n" in lines
+            assert f"# bisection_rel_tol={cli._FMT.format(cli.ZERO_DEV_REL_TOL)}\n" in lines
+            return "".join(line for line in lines if not line.startswith("# bisection_"))
+        payload = json.loads(out)
+        assert payload["summary"].pop("bisection_passed") is True
+        assert float(payload["summary"].pop("bisection_rel_tol")) == cli.ZERO_DEV_REL_TOL
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("tag", sorted(ZEROS_DIGESTS))
     def test_rows_unchanged(self, tag, capsys):
         flags, digest = self.ZEROS_DIGESTS[tag]
@@ -321,8 +335,44 @@ class TestZeros:
         for fmt in ("csv", "json"):
             code, out, _ = run(["zeros", "--format", fmt] + flags, capsys)
             assert code == 0
-            h.update(out.encode())
+            h.update(self._without_gate(fmt, out).encode())
         assert h.hexdigest()[:16] == digest
+
+    def test_bisection_deviation_fails(self, capsys, monkeypatch):
+        # eigensolver zeros moved by +50 cannot be bracketed by the
+        # bisection: the deviation reads inf and the command exits 1 even
+        # though the moved radii are still monotone
+        true_zeros = radial.radial_zeros
+        monkeypatch.setattr(radial, "radial_zeros", lambda *a: true_zeros(*a) + 50.0)
+        code, out, _ = run(
+            ["zeros", "--family", "Z", "--beta", "0.5", "--n", "3",
+             "--m-min", "4", "--m-max", "6", "--format", "json"],
+            capsys,
+        )
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["monotone"] is True
+        assert summary["bisection_passed"] is False
+        assert float(summary["max_bisection_dev"]) == np.inf
+
+    def test_bisection_gate_is_relative_to_the_largest_zero(self, capsys, monkeypatch):
+        # a deviation just inside the tolerance of the largest zero passes,
+        # one just outside fails
+        base = quad.zero_circle_monotonicity
+
+        def with_dev(dev_rel):
+            def patched(rad, n, m_range):
+                monotone, table, _ = base(rad, n, m_range)
+                largest = max(float(r[-1]) ** 2 for _, r in table)
+                return monotone, table, dev_rel * largest
+            return patched
+
+        argv = ["zeros", "--family", "M", "--beta", "0.5", "--gamma", "0.5", "--n", "2",
+                "--m-min", "2", "--m-max", "5"]
+        monkeypatch.setattr(quad, "zero_circle_monotonicity", with_dev(0.5 * cli.ZERO_DEV_REL_TOL))
+        assert run(argv, capsys)[0] == 0
+        monkeypatch.setattr(quad, "zero_circle_monotonicity", with_dev(2.0 * cli.ZERO_DEV_REL_TOL))
+        assert run(argv, capsys)[0] == 1
 
     def test_q_family_rejected(self, capsys):
         code, _, err = run(

@@ -17,6 +17,7 @@ from bivarortho.polycore import (
 coeffs = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
 polys = st.dictionaries(keys, coeffs, max_size=8).map(BivariatePoly)
+complex_coeffs = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
 # small exact real and complex values, so sums and differences cancel exactly
 exact_coeffs = st.sampled_from([1.0, -1.0, 2.5, -2.5, 0.5j, -0.5j, 1.0 + 1.0j])
 
@@ -53,6 +54,22 @@ def shift_exponent(p, dj, dk):
     return BivariatePoly(out)
 
 
+def max_abs_coeff(p):
+    """Largest |coefficient| of one table; NaN when its coefficients sum to
+    NaN (the residual's NaN rule, applied to p - 0)."""
+    return residual(p, BivariatePoly.zero())
+
+
+def reference_product(p, q):
+    """Table product by accumulating every pair of terms in p-major order."""
+    out = {}
+    for (j1, k1), v1 in p.terms.items():
+        for (j2, k2), v2 in q.terms.items():
+            key = (j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return BivariatePoly(out)
+
+
 def diff_qpartial(p, var, q):
     """Forward q-derivative D_q f(z) = (f(z) - f(qz)) / ((1-q) z)."""
     i = 0 if var == 1 else 1
@@ -70,6 +87,19 @@ class TestConstruction:
     def test_zero_pruning(self):
         p = BivariatePoly({(1, 2): 0.0, (0, 0): 3.0})
         assert p.terms == {(0, 0): 3.0}
+
+    def test_zero_pruning_keeps_nan_and_prunes_negative_zero(self):
+        p = BivariatePoly({(0, 0): -0.0, (1, 0): math.nan, (0, 1): 0j})
+        assert list(p.terms) == [(1, 0)]
+        assert math.isnan(p.terms[(1, 0)])
+
+    def test_table_takes_ownership_of_its_dict(self):
+        # without a zero to prune the dict is kept, not copied
+        terms = {(1, 0): 2.0, (0, 0): -1.0}
+        assert BivariatePoly(terms).terms is terms
+        with_zero = {(1, 0): 2.0, (0, 0): 0.0}
+        p = BivariatePoly(with_zero)
+        assert p.terms is not with_zero and p.terms == {(1, 0): 2.0}
 
     def test_zero_const_monomial(self):
         assert is_zero(BivariatePoly.zero())
@@ -100,7 +130,7 @@ class TestArithmetic:
         lhs = p * (q + r)
         rhs = p * q + p * r
         assert residual(lhs, rhs) <= 1e-9 * max(
-            1.0, p.max_abs_coeff() * (q.max_abs_coeff() + r.max_abs_coeff())
+            1.0, max_abs_coeff(p) * (max_abs_coeff(q) + max_abs_coeff(r))
         )
 
     @given(polys, polys, st.floats(-2, 2), st.floats(-2, 2))
@@ -132,6 +162,59 @@ class TestArithmetic:
         assert (3.0 * p).terms == {(1, 1): 6.0}
         assert is_zero(p - p)
         assert (1.0 - p).terms == {(0, 0): 1.0, (1, 1): -2.0}
+
+
+class TestMonomialProducts:
+    @given(st.dictionaries(keys, st.one_of(coeffs, complex_coeffs), max_size=8),
+           keys, st.one_of(coeffs, complex_coeffs))
+    @settings(max_examples=100, deadline=None)
+    def test_shift_matches_accumulated_product(self, terms, key, c):
+        # the same keys in the same order and equal values, on either side;
+        # float values bit for bit (the accumulated product adds each term
+        # to an int 0, which can flip the sign of a complex zero part)
+        p, mono = BivariatePoly(terms), BivariatePoly({key: c})
+        for lhs, rhs in ((p, mono), (mono, p)):
+            got = list((lhs * rhs).terms.items())
+            want = list(reference_product(lhs, rhs).terms.items())
+            assert got == want
+            assert [v.hex() for _, v in got if isinstance(v, float)] == [
+                v.hex() for _, v in want if isinstance(v, float)
+            ]
+
+    def test_shift_keeps_nan_and_prunes_underflow(self):
+        p = BivariatePoly({(0, 0): math.nan, (1, 0): 1e-200})
+        prod = p * BivariatePoly.monomial(1, 2, 1e-200)
+        assert list(prod.terms) == [(1, 2)]
+        assert math.isnan(prod.terms[(1, 2)])
+
+
+def _operator_results(p, q):
+    mono = BivariatePoly.monomial(1, 2, -1.5)
+    return [
+        p + q, q + p, p - q, -p, 2.0 + p, p - 2.0, 2.0 - p,
+        p * 3.0, 3.0 * p, p * q, p * mono, mono * p,
+        p.swap_vars(), p.dilate(1, 0.5), p.dilate(2, 2.0),
+        p.diff_partial(1), p.diff_partial(2), p.diff_theta(1), p.diff_theta(2),
+        p.diff_qtheta(1, 0.5), p.diff_qtheta(2, 0.5),
+    ]
+
+
+class TestOwnership:
+    @given(polys, polys)
+    @settings(max_examples=40, deadline=None)
+    def test_results_share_no_dict_with_operands(self, p, q):
+        before = (dict(p.terms), dict(q.terms))
+        operands = {id(p.terms), id(q.terms)}
+        results = _operator_results(p, q)
+        assert not operands & {id(r.terms) for r in results}
+        assert len({id(r.terms) for r in results}) == len(results)
+        # and no operator changed an operand
+        assert (p.terms, q.terms) == before
+
+    def test_results_of_a_one_term_table_share_no_dict(self):
+        p = BivariatePoly.monomial(2, 1, 3.0)
+        for r in _operator_results(p, p):
+            assert r.terms is not p.terms
 
 
 class TestStructuralOps:
@@ -170,7 +253,7 @@ class TestDerivatives:
     def test_product_rule(self, p, q):
         lhs = (p * q).diff_partial(1)
         rhs = p.diff_partial(1) * q + p * q.diff_partial(1)
-        scale = max(1.0, p.max_abs_coeff() * q.max_abs_coeff())
+        scale = max(1.0, max_abs_coeff(p) * max_abs_coeff(q))
         assert residual(lhs, rhs) <= 1e-9 * 20.0 * scale
 
     @given(polys)
@@ -188,7 +271,7 @@ class TestDerivatives:
             mono = BivariatePoly.monomial(1, 0) if var == 1 else BivariatePoly.monomial(0, 1)
             lhs = p.diff_qtheta(var, q)
             rhs = mono * diff_qpartial(p, var, q)
-            assert residual(lhs, rhs) <= 1e-10 * max(1.0, p.max_abs_coeff())
+            assert residual(lhs, rhs) <= 1e-10 * max(1.0, max_abs_coeff(p))
 
     @given(polys, st.floats(0.2, 0.9))
     @settings(max_examples=40, deadline=None)
@@ -215,7 +298,7 @@ class TestDerivatives:
         qq = 0.999999
         lhs = diff_qpartial(p, 2, qq)
         rhs = p.diff_partial(2)
-        assert residual(lhs, rhs) <= 1e-4 * max(1.0, p.max_abs_coeff())
+        assert residual(lhs, rhs) <= 1e-4 * max(1.0, max_abs_coeff(p))
 
 
 class TestResidualsAndTolerance:
@@ -232,7 +315,7 @@ class TestResidualsAndTolerance:
         vals = [1e-12, 2e-12, 3e-12]
         vals[where] = math.nan
         p = BivariatePoly({(k, 0): v for k, v in enumerate(vals)})
-        assert math.isnan(p.max_abs_coeff())
+        assert math.isnan(max_abs_coeff(p))
         res, _ = identity_residual(p, BivariatePoly.zero())
         assert math.isnan(res)
         assert math.isnan(residual(BivariatePoly.zero(), p))
@@ -246,11 +329,48 @@ class TestResidualsAndTolerance:
 
     def test_complex_nan_propagates(self):
         p = BivariatePoly({(0, 0): 0.5j, (1, 0): complex(math.nan, 0.0)})
-        assert math.isnan(p.max_abs_coeff())
+        assert math.isnan(max_abs_coeff(p))
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_nan_on_either_side_gives_nan_residual(self, side):
+        clean = BivariatePoly({(0, 0): 1.0, (1, 0): 2.0})
+        dirty = BivariatePoly({(0, 0): 1.0, (2, 0): math.nan})
+        lhs, rhs = (dirty, clean) if side == "lhs" else (clean, dirty)
+        res, _ = identity_residual(lhs, rhs)
+        assert math.isnan(res)
+
+    @pytest.mark.parametrize(
+        "lhs,rhs",
+        [
+            ({(0, 0): math.inf, (1, 0): -math.inf}, {}),
+            ({(0, 0): math.inf}, {(1, 0): math.inf}),
+            ({(0, 0): math.inf}, {(0, 0): math.inf}),
+        ],
+        ids=["both-signs-in-lhs", "one-each-side", "inf-minus-inf"],
+    )
+    def test_infinities_of_both_signs_give_nan_residual(self, lhs, rhs):
+        res, _ = identity_residual(BivariatePoly(lhs), BivariatePoly(rhs))
+        assert math.isnan(res)
+        assert not Tolerance().passes(res, 1.0)
+
+    def test_residual_builds_no_table(self, monkeypatch):
+        p = BivariatePoly({(0, 0): 1.0, (1, 0): 2.0})
+        r = BivariatePoly({(0, 0): 1.5})
+        built = []
+        init = BivariatePoly.__init__
+
+        def counting_init(poly, terms=None):
+            built.append(terms)
+            init(poly, terms)
+
+        monkeypatch.setattr(BivariatePoly, "__init__", counting_init)
+        assert residual(p, r) == 2.0
+        assert identity_residual(p, r) == (2.0, 2.0)
+        assert built == []
 
     def test_infinite_coefficient_reads_inf(self):
         p = BivariatePoly({(0, 0): 1.0, (1, 0): -math.inf})
-        assert p.max_abs_coeff() == math.inf
+        assert max_abs_coeff(p) == math.inf
 
     def test_tolerance_gates(self):
         tol = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
