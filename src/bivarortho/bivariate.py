@@ -223,11 +223,26 @@ def _gen_uv(fam, m, n):
     return [("derived", lhs, rhs)]
 
 
+# degrees per step of growth of the recurrence tables _gen_diag reads
+_RECURRENCE_STEP = 16
+
+
+@lru_cache(maxsize=radial.TABLE_CACHE_SIZE)
+def _recurrence_table(rad, alpha, npts):
+    """Read-only radial.recurrence(rad, alpha, npts), shared by every
+    GEN_DIAG check of that radial family and alpha; its entries do not
+    depend on npts, so a longer table reads the same numbers."""
+    A, B = radial.recurrence(rad, alpha, npts)
+    A.setflags(write=False)
+    B.setflags(write=False)
+    return A, B
+
+
 def _gen_diag(fam, m, n):
     _require(m >= n)
     rad = radial_of(fam)
     a = m - n
-    A, B = radial.recurrence(rad, a, n + 1)
+    A, B = _recurrence_table(rad, a, _RECURRENCE_STEP * (n // _RECURRENCE_STEP + 1))
     x = BivariatePoly.monomial(1, 1)
     lhs = (x - float(A[n])) * construct(fam, m, n)
     lower = float(B[n]) * _c0(rad, n, a) / _c0(rad, n - 1, a) if n else 0.0

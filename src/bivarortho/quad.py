@@ -5,17 +5,19 @@ symmetrized Jacobi matrix of the closed-form recurrence), longdouble
 q-lattice sums with certified tail bounds (each lattice direction an array
 of points and closed-form weights, scanned in chunks under one stop rule),
 block-diagonal Gram assembly for the bivariate families (one radial Gram
-per circle-harmonic index, its rows evaluated by the recurrence over the
-array of nodes or of lattice points, shared by the continuous and q
-families), the Gram summary shared with the Askey–Wilson checks, and
-zero-circle monotonicity checks, whose zeros are refined by Brent's
-bracketed root finder on the recurrence values.
+per circle-harmonic index; its rows evaluated by the recurrence over the
+array of Gauss nodes or q-Laguerre lattice points, and for wall and little
+q-Jacobi by the terminating Newton form at the points q^k, summed divided
+by the square roots of the block's norms and scaled back), the Gram
+summary shared with the Askey–Wilson checks, and zero-circle monotonicity
+checks, whose zeros are refined by Brent's bracketed root finder on the
+recurrence values.
 """
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -74,6 +76,13 @@ def _accumulate(op, first, steps):
     return op.accumulate(np.concatenate(([first], steps)).astype(np.longdouble))
 
 
+@lru_cache(maxsize=64)
+def _lattice_head(a, q):
+    """(a; q)_inf, a factor of the first weight of a lattice direction; it
+    depends on the family only, so every block of a Gram shares it."""
+    return qpochhammer(a, q)
+
+
 def _lattice_directions(fam, a):
     """The directions of the q-lattice of x^alpha dnu, a = alpha + beta, as
     tuples (points_weights, tail factor, first stop index, lattice index
@@ -84,14 +93,14 @@ def _lattice_directions(fam, a):
     if fam.kind == "wall" or fam.kind == "qjacobi":
         if a + 1 <= 0:
             raise ValueError("unilateral lattice needs alpha + 1 > 0")
-        lower0 = qpochhammer(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
+        lower0 = _lattice_head(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
 
         def unilateral(n):
             # x = q^k, weight q^{(a+1)k} (q^{k+1}; q)_inf / (q^{gamma+k+1}; q)_inf
             k = np.arange(1, n)
-            x = _accumulate(np.multiply, 1.0, np.full(n - 1, q))
+            x = radial.lattice_points(q, n)
             qa = _accumulate(np.multiply, 1.0, np.full(n - 1, q ** (a + 1)))
-            upper = _accumulate(np.divide, qpochhammer(q, q), 1.0 - q ** k)
+            upper = _accumulate(np.divide, _lattice_head(q, q), 1.0 - q ** k)
             lower = 1.0
             if fam.kind == "qjacobi":
                 lower = _accumulate(np.divide, lower0, 1.0 - q ** (fam.gamma + k))
@@ -103,7 +112,7 @@ def _lattice_directions(fam, a):
         return [(unilateral, 1.0 / (1.0 - q ** (a + 1)), 1, lambda k: k)]
     if fam.kind == "qlaguerre":
         c = np.longdouble(fam.c)
-        denom0 = qpochhammer(-c, q)  # (-c; q)_inf
+        denom0 = _lattice_head(-c, q)  # (-c; q)_inf
 
         def upward(n):
             # x = c q^k -> 0, mass ~ x^{a+1}:
@@ -179,21 +188,36 @@ def q_lattice_sum(fam, alpha, integrand):
     return total
 
 
-def radial_gram(fam, alpha, nmax, scale=None):
+def radial_gram(fam, alpha, nmax, scale=None, norms=None):
     """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu.
 
-    The rows of V come from radial.phi_rows (times ``scale[k]`` when
-    given), evaluated in np.longdouble at the nodes of golub_welsch(fam,
-    alpha, nmax + 1), which is exact to degree 2 nmax + 1, or at the points
-    of one q_lattice_sum, one chunk of points per evaluation.
+    The rows of V (times ``scale[k]`` when given) are evaluated in
+    np.longdouble at the nodes of golub_welsch(fam, alpha, nmax + 1), which
+    is exact to degree 2 nmax + 1, or at the points of one q_lattice_sum,
+    one chunk of points per evaluation.  They come from radial.phi_rows,
+    except for wall and qjacobi: there radial.lattice_rows gives them,
+    divided by the square roots of ``norms`` (radial.norms when not given)
+    while summed, and the summed block is scaled back.  In that orthonormal
+    scale every diagonal entry is near 1, so the lattice stop rule, relative
+    to the largest entry, holds for the smallest norm of the block too.
     """
-    rows = radial.phi_rows(fam, alpha, nmax, scale)
+    root = None
+    if fam.kind in ("wall", "qjacobi"):
+        norms = radial.norms(fam, alpha, nmax) if norms is None else norms
+        root = np.sqrt(np.asarray(norms, dtype=np.longdouble))
+        factors = (1 if scale is None else np.asarray(scale)) / root
+        rows = radial.lattice_rows(fam, alpha, nmax, factors)
+    else:
+        rows = radial.phi_rows(fam, alpha, nmax, scale)
     if fam.is_q():
         def integrand(x):
             v = rows(x).T
             return v[:, :, None] * v[:, None, :]
 
-        return q_lattice_sum(fam, alpha, integrand).astype(float)
+        total = q_lattice_sum(fam, alpha, integrand)
+        if root is not None:
+            total = root[:, None] * total * root
+        return total.astype(float)
     rule = golub_welsch(fam, alpha, nmax + 1)
     vals = rows(rule.nodes)
     return ((vals * rule.weights) @ vals.T).astype(float)
@@ -309,8 +333,8 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     for a in range(degree_cap + 1):
         nmax = degree_cap - a
         scale = bivariate.harmonic_scale(fam, nmax)
-        g = norm_const * radial_gram(rad, a, nmax, scale)
-        zref = [radial.zeta(rad, k, a) for k in range(nmax + 1)]
+        zref = radial.norms(rad, a, nmax)
+        g = norm_const * radial_gram(rad, a, nmax, scale, zref)
         if scale is not None:
             zref = [z * s ** 2 for z, s in zip(zref, scale)]
         ref = np.array([norm_const * z for z in zref])

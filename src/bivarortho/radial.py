@@ -20,9 +20,12 @@ little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 
 Besides coefficient tables the module provides the closed-form monic
 three-term recurrence of each family (phi_rows, the route for numerics at
-nodes, lattice points and sample points; the tables serve the exact
-identity algebra), the alpha-raising connection machinery, norms, and
-zeros via the symmetrized Jacobi matrix.
+nodes, sample points and the bilateral q-Laguerre lattice; the tables serve
+the exact identity algebra), the wall and little q-Jacobi rows at their
+lattice points q^k in the terminating Newton form of their 2phi1
+(lattice_rows, on the nodes of lattice_points), the norms (zeta, and
+norms for a whole Gram block), the alpha-raising connection machinery,
+and zeros via the symmetrized Jacobi matrix.
 """
 
 import math
@@ -32,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .qcalc import pochhammer, qpochhammer
+from .qcalc import pochhammer, qpochhammer, qproduct_terms
 
 # Entries kept by the table caches (radial_coeffs here, bivariate.construct);
 # enough for one family's whole m, n <= 15 working set, including the
@@ -205,34 +208,53 @@ def zeta(fam, n, alpha):
             )
         )
         return head * qpochhammer(q ** (a + 1), q, n) / (qpochhammer(q, q, n) * q ** n)
-    if fam.kind == "wall":
-        q = fam.q
-        a = alpha + fam.beta
-        return (
-            qpochhammer(q, q)
-            * q ** ((a + 1) * n)
-            * qpochhammer(q, q, n)
-            / (qpochhammer(q ** (a + 1), q) * qpochhammer(q ** (a + 1), q, n))
-        )
-    if fam.kind == "qjacobi":
-        q = fam.q
-        a = alpha + fam.beta
-        g = fam.gamma
-        # (q^(s+n); q)_inf / (1 - q^(s+2n)) with s = a + g + 1, cancelled so
-        # that s = 0 (a removable 0/0 at n = 0) needs no special case
-        return (
-            qpochhammer(q, q)
-            * qpochhammer(q ** (a + g + n + 1), q, n)
-            * qpochhammer(q ** (a + g + 2 * n + 2), q)
-            * qpochhammer(q, q, n)
-            * q ** (n * (a + 1))
-            / (
-                qpochhammer(q ** (a + 1), q)
-                * qpochhammer(q ** (g + n + 1), q)
-                * qpochhammer(q ** (a + 1), q, n)
-            )
-        )
+    if fam.kind in ("wall", "qjacobi"):
+        return float(norms(fam, alpha, n)[n])
     raise ValueError(f"unknown radial family kind {fam.kind!r}")
+
+
+def norms(fam, alpha, nmax):
+    """zeta(fam, n, alpha) for n = 0..nmax, formed once for a Gram block.
+
+    For wall and qjacobi (a = alpha + beta, g = gamma, s = a + g + 1)
+
+        zeta_n = R q^((a+1) n) (q; q)_n / (q^(a+1); q)_n
+                 [qjacobi: * (q^(g+1); q)_n (q^(s+n); q)_n / (q^(s+1); q)_2n],
+
+    where R = (q; q)_inf / (q^(a+1); q)_inf [qjacobi: * (q^(s+1); q)_inf /
+    (q^(g+1); q)_inf] is one product of factor ratios near 1, kept to the
+    largest of qproduct_terms over its arguments.  Its factors, unlike the
+    separate infinite products, do not underflow as q -> 1.  For qjacobi
+    (q^(s+n); q)_n / (q^(s+1); q)_2n is 1 at n = 0 and 1 / ((q^(s+1); q)_(n-1)
+    (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  They
+    are formed in np.longdouble and rounded once to float.  The other
+    families list their scalar closed forms.
+    """
+    if fam.kind not in ("wall", "qjacobi"):
+        return [zeta(fam, n, alpha) for n in range(nmax + 1)]
+    q = np.longdouble(fam.q)
+    qa = q ** (alpha + fam.beta)  # q^a
+    up, down = [q], [qa * q]
+    if fam.kind == "qjacobi":
+        qg = q ** fam.gamma
+        qs = qa * qg * q
+        up.append(qs * q)
+        down.append(qg * q)
+    # qproduct_terms grows with its argument: the largest one sets the count
+    k = qproduct_terms(max(up + down), q)
+    pw = lattice_points(q, max(k, 2 * nmax + 1))  # pw[i] = q^i
+    ratio = np.ones(k, np.longdouble)
+    for u, d in zip(up, down):
+        ratio *= (1.0 - u * pw[:k]) / (1.0 - d * pw[:k])
+    qn = pw[1:nmax + 1]
+    steps = qa * q * (1.0 - qn) / (1.0 - qa * qn)
+    if fam.kind == "qjacobi":
+        steps *= 1.0 - qg * qn
+    out = np.prod(ratio) * np.cumprod(np.concatenate(([np.longdouble(1.0)], steps)))
+    if fam.kind == "qjacobi":
+        head = np.cumprod(np.concatenate(([np.longdouble(1.0)], 1.0 - qs * qn[:-1])))
+        out[1:] /= head * (1.0 - qs * pw[2:2 * nmax + 1:2])
+    return out.astype(float)
 
 
 def measure_mass(fam, alpha):
@@ -342,6 +364,69 @@ def phi_rows(fam, alpha, nmax, scale=None):
     def rows(x):
         x = np.asarray(x)
         return lead.reshape((-1,) + (1,) * x.ndim) * monic_values(A, B, x)
+
+    return rows
+
+
+def lattice_points(q, n):
+    """The first n points q^0, q^1, ... of the unilateral q-lattice in
+    np.longdouble, each the running product of the last and q, so that a
+    point and the equal Newton node of lattice_rows are one number."""
+    steps = np.full(max(n - 1, 0), q, dtype=np.longdouble)
+    return np.multiply.accumulate(np.concatenate(([np.longdouble(1.0)], steps)))[:n]
+
+
+def lattice_rows(fam, alpha, nmax, scale=None):
+    """Evaluator of the rows phi_0..phi_nmax(x; alpha) of wall or qjacobi at
+    points x of lattice_points, times ``scale[k]`` when given.
+
+    With a = q^(alpha+beta) and b = q^gamma (b = 0 for wall), the 2phi1 of
+    Koekoek-Lesky-Swarttouw 2010 (14.12.1) in terminating Newton form on
+    the nodes q^i of lattice_points:
+
+        phi_n(x) = P_n sum_{j<=n} T_{n,j} prod_{i<j} (x - q^i),
+        T_{n,j} = prod_{i<j} (1 - q^(i-n)) (1 - ab q^(n+1+i))
+                  / ((1 - b q^(i+1)) (1 - q^(i+1))) (-q^(-i) / a),
+        P_n = (bq; q)_n / (aq; q)_n (-1)^n q^(n(n-1)/2) (aq)^n.
+
+    At x = q^k the node q^k is x itself, so every term past j = min(n, k)
+    is an exact zero.  For q up to 0.8 the rest cancel mildly, where the
+    three-term recurrence at the same points loses up to 70 digits; their
+    cancellation grows as q -> 1, where the recurrence does better (WALL
+    cap 3 at q = 0.999 reads max_offdiag 1.3e-9 from these rows).  Returns rows(x)
+    in np.longdouble of shape (nmax + 1,) + shape(x); the coefficients
+    P_n T_{n,j} are formed once, as one cumprod over j.
+    """
+    q = np.longdouble(fam.q)
+    a = q ** np.longdouble(alpha + fam.beta)
+    # one table of powers, pw[nmax + k] = q^k, so that q^(i-n) at i = n is
+    # q ** 0, an exact 1, and T_{n,j} is an exact zero for j > n; powers
+    # taken whole, not as running products, keep 1 - q^k accurate near q = 1
+    pw = q ** np.arange(-nmax, 2 * nmax + 1)
+    up = pw[nmax + 1:2 * nmax + 1]  # q^(i+1), i < nmax
+    n = np.arange(nmax + 1)[:, None]
+    i = np.arange(nmax)
+    ratio = (1 - pw[nmax + i - n]) * (pw[nmax:0:-1] / (-a * (1 - up)))
+    steps = -a * up / (1 - a * up)
+    if fam.kind == "qjacobi":
+        b = q ** np.longdouble(fam.gamma)
+        ratio *= (1 - a * b * pw[nmax + 1 + n + i]) / (1 - b * up)
+        steps *= 1 - b * up
+    coef = np.ones((nmax + 1, nmax + 1), np.longdouble)
+    np.cumprod(ratio, axis=1, out=coef[:, 1:])
+    lead = np.ones(nmax + 1, np.longdouble)
+    np.cumprod(steps, out=lead[1:])
+    if scale is not None:
+        lead *= scale
+    coef *= lead[:, None]
+    nodes = lattice_points(q, nmax)[:, None]
+
+    def rows(x):
+        x = np.asarray(x, dtype=np.longdouble)
+        newton = np.ones((nmax + 1, x.size), np.longdouble)
+        np.cumprod(x.reshape(1, -1) - nodes, axis=0, out=newton[1:])
+        # np.dot, unlike matmul, has a fast loop for np.longdouble
+        return np.dot(coef, newton).reshape((nmax + 1,) + x.shape)
 
     return rows
 

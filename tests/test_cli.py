@@ -121,14 +121,29 @@ class TestGram:
         assert code == 1
 
     def test_numerical_failure_exit_1(self, capsys):
-        # a Gram that misses its tolerance is a failed check, not a usage error
+        # a Gram that misses its tolerance is a failed check, not a usage
+        # error; Z at cap 25 reads max_offdiag 1.1e-3
         code, out, err = run(
-            ["gram", "--family", "WALL", "--beta", "0.5", "--q", "0.5",
-             "--degree-cap", "10", "--format", "json"],
+            ["gram", "--family", "Z", "--beta", "0.5", "--degree-cap", "25",
+             "--format", "json"],
             capsys,
         )
         assert code == 1, err
         assert json.loads(out)["summary"]["passed"] is False
+
+    def test_q_near_one_prints_a_summary(self, capsys):
+        # the norms are one product of ratios, so q = 0.999 no longer
+        # divides an underflowed (q; q)_inf by another: a summary, with the
+        # exit code of its verdict
+        code, out, err = run(
+            ["gram", "--family", "WALL", "--q", "0.999", "--degree-cap", "3",
+             "--format", "json"],
+            capsys,
+        )
+        assert err == ""
+        summary = json.loads(out)["summary"]
+        assert code == (0 if summary["passed"] else 1)
+        assert float(summary["max_offdiag"]) < 1e-6
 
     def test_numerical_breakdown_exit_1(self, capsys):
         # the infinite q-products of the norms cannot converge this close
@@ -184,15 +199,16 @@ class TestGram:
             assert code == 0, err
 
     # digests of the gram rows and summary, CSV then JSON at caps 3 and 4,
-    # recorded while gram still assembled a dict of every index pair
+    # recorded while gram still assembled a dict of every index pair; WALL
+    # and MQ re-recorded when their rows moved to radial.lattice_rows
     GRAM_DIGESTS = {
         "Z": (["--family", "Z", "--beta", "0.5"], "a007f88ac2175f76"),
         "H": (["--family", "H"], "8832f7bf85478ed4"),
         "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "0d62eb966f699d28"),
         "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "990a26038e6e41a7"),
-        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "be2671174f0d7b9d"),
+        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "49c5df36dfc3a8bc"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
-               "b4f69de176e70007"),
+               "cc11bed6fdfd35a0"),
     }
 
     @pytest.mark.skipif(
@@ -221,7 +237,7 @@ class TestGram:
     )
     def test_broken_block_fails_exit_1(self, block, field, value, capsys, monkeypatch):
         # a NaN or a zero diagonal in a radial block is a failed Gram
-        def radial_gram(fam, alpha, nmax, scale=None):
+        def radial_gram(fam, alpha, nmax, scale=None, norms=None):
             return np.array(block)[: nmax + 1, : nmax + 1]
 
         monkeypatch.setattr(cli.quad, "radial_gram", radial_gram)

@@ -249,6 +249,15 @@ ORACLE_FAMILIES = {
 }
 
 
+def _summed_rows(rad, alpha, nmax):
+    """The rows radial_gram sums over the lattice of a q family, and the
+    factors it scales the summed block back by (None for phi_rows)."""
+    if rad.kind in ("wall", "qjacobi"):
+        root = np.sqrt(np.asarray(radial.norms(rad, alpha, nmax), dtype=np.longdouble))
+        return radial.lattice_rows(rad, alpha, nmax, 1 / root), root
+    return radial.phi_rows(rad, alpha, nmax), None
+
+
 class TestLatticeSumAgainstScalarLoop:
     @pytest.mark.parametrize("fam", list(ORACLE_FAMILIES.values()), ids=list(ORACLE_FAMILIES))
     def test_gram_blocks_bit_identical(self, fam):
@@ -256,7 +265,7 @@ class TestLatticeSumAgainstScalarLoop:
         rad = bivariate.radial_of(fam)
         for cap in range(2, 16):
             for alpha in range(cap + 1):
-                rows = radial.phi_rows(rad, alpha, cap - alpha)
+                rows, root = _summed_rows(rad, alpha, cap - alpha)
 
                 def outer(x):
                     v = rows(x).T
@@ -265,6 +274,8 @@ class TestLatticeSumAgainstScalarLoop:
                 ref = _scalar_lattice_sum(rad, alpha, lambda x: np.outer(rows(x), rows(x)))
                 assert ref.dtype == np.longdouble
                 assert np.array_equal(quad.q_lattice_sum(rad, alpha, outer), ref), (cap, alpha)
+                if root is not None:
+                    ref = root[:, None] * ref * root
                 assert np.array_equal(quad.radial_gram(rad, alpha, cap - alpha),
                                       ref.astype(float)), (cap, alpha)
 
@@ -383,14 +394,27 @@ class TestGram:
             (bivariate.H(), 15),
             (bivariate.M(0.5, 0.5), 15),
             (bivariate.ZQ(0.5, 0.5), 15),
-            (bivariate.WALL(0.5, 0.5), 8),
-            (bivariate.MQ(0.5, 0.5, 0.5), 8),
+            (bivariate.WALL(0.5, 0.5), 15),
+            (bivariate.MQ(0.5, 0.5, 0.5), 15),
         ],
         ids=["Z", "H", "M", "ZQ", "WALL", "MQ"],
     )
     def test_certified_degree_caps(self, fam, cap):
         res = quad.gram(fam, cap, offdiag_tol=1e-9, diag_rel_tol=1e-8)
         assert res.passed, (res.max_offdiag, res.max_diag_relerr)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [bivariate.WALL(1.813518, 0.311057), bivariate.MQ(1.8, 0.5, 0.3),
+         bivariate.MQ(-0.5, -0.5, 0.5), bivariate.WALL(2.0, 0.8)],
+        ids=["WALL-large-beta", "MQ-large-beta", "MQ-negative", "WALL-q0.8"],
+    )
+    def test_lattice_families_certify_cap_20(self, fam):
+        # the rows from radial.lattice_rows, summed in orthonormal scale,
+        # read max_offdiag <= 7.3e-17 and diag relerr <= 1.5e-14 here
+        res = quad.gram(fam, 20, offdiag_tol=1e-9, diag_rel_tol=1e-8)
+        assert res.passed, (res.max_offdiag, res.max_diag_relerr)
+        assert res.max_offdiag < 1e-15 and res.max_diag_relerr < 1e-13
 
     def test_diagonal_never_negative(self):
         # each diagonal is a positively weighted sum of squares, so the
@@ -400,8 +424,12 @@ class TestGram:
 
 
 # The Gram grids and cap ladders of the gram_frontier benchmark workload,
-# and digests of their results recorded before the row evaluation moved
-# into radial.phi_rows; the rows must stay bit-identical.
+# and digests of their results.  The Z, H, M and ZQ digests, and the grid
+# digest of Z, M and ZQ, pin those families bit for bit as their recurrence
+# rows give them.  The WALL and MQ digests pin the rows of
+# radial.lattice_rows summed in orthonormal scale; tests/test_radial.py
+# TestLatticeRows and TestLatticeNorms and the certified caps of TestGram
+# are their oracles.
 GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
 LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
                    bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
@@ -409,18 +437,20 @@ LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
 GRAM_GROUPS = {
     "grids": [(bivariate.Z(b), 4, 1e-9, 1e-8) for b in (0.0, 0.5, 2.0)]
     + [(bivariate.M(b, g), 4, 1e-9, 1e-8) for b, g in ((0.0, 0.0), (0.5, 2.0), (2.0, 0.5))]
-    + [(fam, 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)
-       for fam in (bivariate.ZQ(0.5, q), bivariate.WALL(0.5, q), bivariate.MQ(0.5, 0.5, q))],
+    + [(bivariate.ZQ(0.5, q), 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)],
+    "grids-WALL-MQ": [(fam, 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)
+                      for fam in (bivariate.WALL(0.5, q), bivariate.MQ(0.5, 0.5, q))],
     **{fam.tag: [(fam, cap, 1e-9, 1e-8) for cap in GRAM_LADDER] for fam in LADDER_FAMILIES},
 }
 GRAM_DIGESTS = {
-    "grids": "9f90caea1ae9f638",
+    "grids": "1f1b3945400760a2",
+    "grids-WALL-MQ": "9073153e4c43af53",
     "Z": "c62c2324e05114d6",
     "H": "c40522a627bdf8b9",
     "M": "3ef5f462a4dcbb07",
     "ZQ": "08b29940c8af0423",
-    "WALL": "723921f5134279c4",
-    "MQ": "8c603bea7c9b5276",
+    "WALL": "050c35697422d195",
+    "MQ": "12cdfd69395e4fbd",
 }
 
 
@@ -483,7 +513,8 @@ class TestRadialGramAgainstTables:
         ids=["Z", "M", "ZQ", "WALL", "MQ"],
     )
     def test_recurrence_blocks_match_power_basis(self, fam, cap):
-        # the recurrence route and the exact tables give the same Gram; the
+        # the rows of radial_gram (the recurrence, or for WALL and MQ the
+        # lattice Newton form) and the exact tables give the same Gram; the
         # alternating q tables lose digits to cancellation in the power
         # basis beyond cap 4 (3e-11 at cap 6), so WALL and MQ stop there
         rad = bivariate.radial_of(fam)

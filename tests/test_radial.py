@@ -194,6 +194,127 @@ class TestNorms:
             assert_allclose(prod, ref, rtol=1e-11)
 
 
+# the lattice families of the Gram certification, their removable cases
+# and the hard configurations of the cap tests
+LATTICE_FAMILIES = [
+    radial.wall(0.5, 0.3),
+    radial.wall(0.5, 0.8),
+    radial.wall(1.813518, 0.311057),
+    radial.wall(2.0, 0.8),
+    radial.little_q_jacobi(0.5, 0.5, 0.3),
+    radial.little_q_jacobi(1.8, 0.5, 0.3),
+    radial.little_q_jacobi(-0.5, -0.5, 0.5),
+    radial.little_q_jacobi(-0.5, -0.5, 0.25),
+    radial.little_q_jacobi(-0.5, 0.5, 0.25),
+]
+LATTICE_IDS = ["wall-q0.3", "wall-q0.8", "wall-large-beta", "wall-beta2-q0.8", "qjacobi-q0.3",
+               "qjacobi-large-beta", "qjacobi-negative", "qjacobi-abq1", "qjacobi-ab1"]
+
+
+def _mp_params(mp, fam, alpha):
+    # the exponent alpha + beta as the library forms it, in double
+    q = mp.mpf(fam.q)
+    a = q ** mp.mpf(alpha + fam.beta)
+    b = q ** mp.mpf(fam.gamma) if fam.kind == "qjacobi" else mp.mpf(0)
+    return q, a, b
+
+
+class TestLatticeRows:
+    @pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=LATTICE_IDS)
+    def test_matches_mpmath_oracle(self, fam):
+        # the 2phi1 of KLS 2010 (14.12.1), p_n(q^k) = sum_j (q^-n; q)_j
+        # (abq^(n+1); q)_j / ((aq; q)_j (q; q)_j) q^((k+1) j), summed at
+        # 250 digits: its terms cancel by up to 70 digits at k = 0, and at
+        # 60 digits the n = 10, k = 0, q = 0.3 value comes out with the
+        # wrong sign
+        mp = pytest.importorskip("mpmath")
+        nmax, kmax = 12, 40
+        x = radial.lattice_points(np.longdouble(fam.q), kmax + 1)
+        for alpha in (0, 2):
+            vals = radial.lattice_rows(fam, alpha, nmax)(x).astype(float)
+            with mp.workdps(250):
+                q, a, b = _mp_params(mp, fam, alpha)
+                for n in range(nmax + 1):
+                    ref = []
+                    for k in range(kmax + 1):
+                        term, total = mp.mpf(1), mp.mpf(0)
+                        for j in range(n + 1):
+                            total += term
+                            term *= ((1 - q ** (j - n)) * (1 - a * b * q ** (n + 1 + j))
+                                     / ((1 - a * q ** (j + 1)) * (1 - q ** (j + 1))) * q ** (k + 1))
+                        ref.append(float(total))
+                    ref = np.array(ref)
+                    err = np.max(np.abs(vals[n] - ref)) / np.max(np.abs(ref))
+                    assert err < 1e-15, (alpha, n, err)
+
+    def test_recurrence_loses_the_rows(self):
+        # phi_10(1; 0) of WALL(0.5; 0.3) is 5.45e-32 (the oracle above); the
+        # three-term recurrence at the same point gives -7260
+        fam = radial.wall(0.5, 0.3)
+        one = np.longdouble(1.0)
+        assert_allclose(float(radial.lattice_rows(fam, 0, 10)(one)[10]), 5.45023212040486e-32,
+                        rtol=1e-14)
+        assert abs(radial.phi_rows(fam, 0, 10)(one)[10]) > 1.0
+
+    @pytest.mark.parametrize("fam", LATTICE_FAMILIES[:5:4], ids=LATTICE_IDS[:5:4])
+    def test_same_polynomials_as_the_tables(self, fam):
+        # off the lattice too, the Newton form is phi_n with its c_0; the
+        # power basis cancels there, so the error is taken against the row
+        x = np.array([0.05, 0.3, 0.71])
+        scale = [1.0, -2.0, 6.0, -24.0, 120.0, -720.0]
+        vals = radial.lattice_rows(fam, 1, 5, scale)(x)
+        assert vals.shape == (6, 3) and vals.dtype == np.longdouble
+        for k in range(6):
+            ref = scale[k] * table_values(fam, k, 1, x)
+            assert np.max(np.abs(vals[k].astype(float) - ref)) < 1e-12 * np.max(np.abs(ref)), k
+
+    def test_scalar_point_matches_array(self):
+        fam = radial.little_q_jacobi(0.5, 0.7, 0.4)
+        x = radial.lattice_points(np.longdouble(0.4), 9)
+        rows = radial.lattice_rows(fam, 2, 6)
+        vals = rows(x)
+        for k in range(9):
+            assert np.array_equal(rows(x[k]), vals[:, k])
+
+    def test_lattice_points_are_running_products(self):
+        q = np.longdouble(0.3)
+        x = radial.lattice_points(q, 20)
+        assert x[0] == 1 and all(x[k] == x[k - 1] * q for k in range(1, 20))
+        assert radial.lattice_points(q, 0).size == 0
+
+
+class TestLatticeNorms:
+    @pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=LATTICE_IDS)
+    def test_match_50_digit_products(self, fam):
+        mp = pytest.importorskip("mpmath")
+        qp = mp.qp
+        for alpha in (0, 3):
+            z = radial.norms(fam, alpha, 15)
+            assert z.dtype == float and z.shape == (16,)
+            with mp.workdps(50):
+                q, _, _ = _mp_params(mp, fam, alpha)
+                e = mp.mpf(alpha + fam.beta)
+                g = mp.mpf(fam.gamma)
+                for n in range(16):
+                    ref = (qp(q, q) * q ** ((e + 1) * n) * qp(q, q, n)
+                           / (qp(q ** (e + 1), q) * qp(q ** (e + 1), q, n)))
+                    if fam.kind == "qjacobi":
+                        ref *= (qp(q ** (e + g + n + 1), q, n) * qp(q ** (e + g + 2 * n + 2), q)
+                                / qp(q ** (g + n + 1), q))
+                    assert abs(z[n] - ref) < 1e-15 * ref, (alpha, n)
+                    assert radial.zeta(fam, n, alpha) == z[n]
+
+    @pytest.mark.parametrize(
+        "fam", [radial.wall(0.5, 0.999), radial.little_q_jacobi(0.5, 0.5, 0.999)],
+        ids=["wall", "qjacobi"],
+    )
+    def test_near_q_one(self, fam):
+        # (q; q)_inf is 1e-714 at q = 0.999, below the float range; the
+        # product of ratios is not, and zeta_0 is the lattice mass
+        mass = quad.q_lattice_sum(fam, 1, lambda x: 1.0)
+        assert_allclose(radial.norms(fam, 1, 3)[0], float(mass), rtol=1e-10)
+
+
 class TestShiftMachinery:
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_alpha_raising_relation(self, fam):
