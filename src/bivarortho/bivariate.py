@@ -95,21 +95,24 @@ def MQ(beta, gamma, q):
     return FamilyId("MQ", beta=beta, gamma=gamma, q=q)
 
 
+# each family tag's radial constructor and the FamilyId parameters it
+# reads, in argument order
+FAMILIES = {
+    "Z": (radial.laguerre, ("beta",)),
+    "H": (lambda: radial.laguerre(0.0), ()),
+    "M": (radial.shifted_jacobi, ("beta", "gamma")),
+    "ZQ": (radial.q_laguerre, ("beta", "q", "c")),
+    "WALL": (radial.wall, ("beta", "q")),
+    "MQ": (radial.little_q_jacobi, ("beta", "gamma", "q")),
+}
+
+
 def radial_of(fam):
     """Radial family underlying a bivariate family."""
-    if fam.tag == "Z":
-        return radial.laguerre(fam.beta)
-    if fam.tag == "H":
-        return radial.laguerre(0.0)
-    if fam.tag == "M":
-        return radial.shifted_jacobi(fam.beta, fam.gamma)
-    if fam.tag == "ZQ":
-        return radial.q_laguerre(fam.beta, fam.q, fam.c)
-    if fam.tag == "WALL":
-        return radial.wall(fam.beta, fam.q)
-    if fam.tag == "MQ":
-        return radial.little_q_jacobi(fam.beta, fam.gamma, fam.q)
-    raise ValueError(f"unknown family tag {fam.tag!r}")
+    if fam.tag not in FAMILIES:
+        raise ValueError(f"unknown family tag {fam.tag!r}")
+    make, names = FAMILIES[fam.tag]
+    return make(*(getattr(fam, name) for name in names))
 
 
 @lru_cache(maxsize=radial.TABLE_CACHE_SIZE)

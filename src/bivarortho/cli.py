@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 
@@ -47,36 +48,26 @@ def _fmt(value):
     return value
 
 
-# each family's constructor and the parameters it reads, in argument order
-_FAMILIES = {
-    "Z": (bivariate.Z, ("beta",)),
-    "H": (bivariate.H, ()),
-    "M": (bivariate.M, ("beta", "gamma")),
-    "ZQ": (bivariate.ZQ, ("beta", "q", "c")),
-    "WALL": (bivariate.WALL, ("beta", "q")),
-    "MQ": (bivariate.MQ, ("beta", "gamma", "q")),
-}
-# the radial measures exist only for these ranges; the rest are rejected
-# before any work starts
+# the radial measures exist only for these ranges; the rest, infinities and
+# NaNs included, are rejected before any work starts
 _RANGES = {
-    "beta": (lambda v: v > -1, "--beta > -1"),
-    "gamma": (lambda v: v > -1, "--gamma > -1"),
+    "beta": (lambda v: -1 < v < math.inf, "finite --beta > -1"),
+    "gamma": (lambda v: -1 < v < math.inf, "finite --gamma > -1"),
     "q": (lambda v: 0 < v < 1, "0 < --q < 1"),
-    "c": (lambda v: v > 0, "--c > 0"),
+    "c": (lambda v: 0 < v < math.inf, "finite --c > 0"),
 }
 
 
 def _family(args):
     tag = args.family.upper()
-    if tag not in _FAMILIES:
+    if tag not in bivariate.FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
-    make, names = _FAMILIES[tag]
-    params = [getattr(args, name) for name in names]
-    for name, value in zip(names, params):
+    params = {name: getattr(args, name) for name in bivariate.FAMILIES[tag][1]}
+    for name, value in params.items():
         valid, need = _RANGES[name]
         if not valid(value):
             raise ValueError(f"family {tag} needs {need}, got {value}")
-    return make(*params)
+    return bivariate.FamilyId(tag, **params)
 
 
 def _emit(args, command, rows, summary):
@@ -108,6 +99,10 @@ def _emit(args, command, rows, summary):
 
 def cmd_eval(args):
     fam = _family(args)
+    for name, points in (("--z1", args.z1), ("--z2", args.z2)):
+        for value in points:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} needs finite values, got {value}")
     if len(args.z1) != len(args.z2):
         raise ValueError("need matching counts of --z1 and --z2")
     vals = bivariate.values(fam, args.m, args.n, args.z1, args.z2)
@@ -131,17 +126,25 @@ def cmd_gram(args):
         offdiag_tol=args.tol_offdiag,
         diag_rel_tol=args.tol_diag,
     )
-    rows = []
-    for (idx1, idx2), val in result.entries.items():
-        row = {
+    # pairs across blocks are exact zeros by construction and are left out;
+    # the rest keep the order of result.entries, row index first
+    pairs = sorted(
+        (idx1, idx2, g[p1, p2])
+        for idxs, g, _ in result.blocks
+        for p1, idx1 in enumerate(idxs)
+        for p2, idx2 in enumerate(idxs)
+    )
+    rows = [
+        {
             "m": idx1[0],
             "n": idx1[1],
             "s": idx2[0],
             "t": idx2[1],
-            "value": val,
+            "value": float(val),
+            "diag_ref": result.diag_ref[idx1] if idx1 == idx2 else "",
         }
-        row["diag_ref"] = result.diag_ref[idx1] if idx1 == idx2 else ""
-        rows.append(row)
+        for idx1, idx2, val in pairs
+    ]
     summary = {
         "family": fam.tag,
         "max_offdiag": result.max_offdiag,

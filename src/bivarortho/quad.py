@@ -65,8 +65,10 @@ LATTICE_MAX_CHUNK = 1024
 LATTICE_MAX_POINTS = 100000
 # floor of the running sum in the stop test, at the working precision
 _LONGDOUBLE_TINY = np.finfo(np.longdouble).tiny
-# relative bracket tolerance and step limit of _brent, as in scipy's brentq
+# relative bracket tolerance and step limit of _brent, as in scipy's brentq,
+# and the absolute bracket tolerance bisection_zeros gives it
 _BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_XTOL = 1e-13
 _BRENT_MAXITER = 100
 
 
@@ -403,10 +405,10 @@ def _brent(f, xpre, xcur, fpre, fcur, xtol):
     raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
-def bisection_zeros(fam, n, alpha, tol=1e-13):
+def bisection_zeros(fam, n, alpha):
     """Refine the zeros of phi_n by Brent's bracketed root finding on sign
-    changes of its recurrence value (radial.phi_rows), independent of the
-    eigensolver route.
+    changes of its recurrence value (radial.phi_rows), to the absolute
+    bracket tolerance _BRENT_XTOL, independent of the eigensolver route.
 
     Each zero is bracketed by the midpoints between the eigensolver zeros
     or, failing that, by the eigensolver value +- 1e-6 relative; a zero
@@ -435,19 +437,18 @@ def bisection_zeros(fam, n, alpha, tol=1e-13):
             if _same_sign(fa, fb):
                 roots.append(math.nan)
                 continue
-        roots.append(_brent(f, a, b, fa, fb, tol))
+        roots.append(_brent(f, a, b, fa, fb, _BRENT_XTOL))
     return np.array(roots)
 
 
-def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
+def zero_circle_monotonicity(rad, n, m_range):
     """Radii of the zero circles of f_{m,n} across a range of m.
 
     Returns (monotone, radii_table, max_dev): radii_table lists (m, radii)
     with the radii the square roots of the radial zeros at alpha = m - n;
     monotone is True iff every radius strictly increases with m; max_dev is
     the largest distance between the eigensolver zeros and their bisection
-    refinement, inf when a zero could not be bracketed (0.0 when
-    check_bisection is False).
+    refinement (bisection_zeros), inf when a zero could not be bracketed.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -459,12 +460,11 @@ def zero_circle_monotonicity(rad, n, m_range, check_bisection=True):
         if m < n:
             raise ValueError("zero-circle check needs m >= n")
         zeros = radial.radial_zeros(rad, n, m - n)
-        if check_bisection:
-            ref = bisection_zeros(rad, n, m - n)
-            # an unbracketed zero (NaN) deviates without bound; np.max,
-            # unlike the builtin max, propagates any other NaN
-            dev = np.where(np.isnan(ref), np.inf, np.abs(zeros - ref))
-            max_dev = float(np.max(dev, initial=max_dev))
+        ref = bisection_zeros(rad, n, m - n)
+        # an unbracketed zero (NaN) deviates without bound; np.max, unlike
+        # the builtin max, propagates any other NaN
+        dev = np.where(np.isnan(ref), np.inf, np.abs(zeros - ref))
+        max_dev = float(np.max(dev, initial=max_dev))
         radii_table.append((m, np.sqrt(zeros)))
     monotone = True
     for i in range(1, len(radii_table)):

@@ -18,14 +18,16 @@ q_laguerre(beta, q, c)        phi_n = L_n^(alpha+beta)(x; q), bilateral lattice 
 wall(beta, q)                 phi_n = p_n(x; q^(alpha+beta) | q), lattice q^k
 little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 
-Besides coefficient tables the module provides the closed-form monic
-three-term recurrence of each family (phi_rows, the route for numerics at
-nodes, sample points and the bilateral q-Laguerre lattice; the tables serve
-the exact identity algebra), the wall and little q-Jacobi rows at their
-lattice points q^k in the terminating Newton form of their 2phi1
-(lattice_rows, on the nodes of lattice_points), the norms (zeta, and
-norms for a whole Gram block), the alpha-raising connection machinery,
-and zeros via the symmetrized Jacobi matrix.
+The three q families share one coefficient term formula, evaluated from
+q-Pochhammer prefix products formed once per table.  Besides coefficient
+tables the module provides the closed-form monic three-term recurrence of
+each family (phi_rows, the route for numerics at nodes, sample points and
+the bilateral q-Laguerre lattice; the tables serve the exact identity
+algebra), the wall and little q-Jacobi rows at their lattice points q^k in
+the terminating Newton form of their 2phi1 (lattice_rows, on the nodes of
+lattice_points), the norms (norms, the one home of every family's closed
+form, for a whole Gram block; zeta reads one entry), the alpha-raising
+connection machinery, and zeros via the symmetrized Jacobi matrix.
 """
 
 import math
@@ -35,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .qcalc import pochhammer, qpochhammer, qproduct_terms
+from .qcalc import pochhammer, qpochhammer, qpochhammer_prefix, qproduct_terms
 
 # Entries kept by the table caches (radial_coeffs here, bivariate.construct);
 # enough for one family's whole m, n <= 15 working set, including the
@@ -75,6 +77,42 @@ def little_q_jacobi(beta, gamma, q):
     return RadialFamily("qjacobi", beta=beta, gamma=gamma, q=q)
 
 
+def _q_terms(fam, n, alpha, count):
+    """The first ``count`` coefficients c_j of a q-family table, all from the
+    one term formula (a = alpha + beta)
+
+        c_j = H (T; q)_(n-j) q^P(j) (-1)^(n-j)
+              / ((q; q)_j (q; q)_(n-j) (q^(a+1); q)_(n-j)),
+
+    with q-laguerre: H = (q^(a+1); q)_n, T = 0, P(j) = (a+n-j)(n-j);
+    wall: H = (q; q)_n, T = 0, P(j) = j(j-1)/2 - n(n-1)/2; and qjacobi as
+    wall with T = q^(a+gamma+n+1).  The factors come from one prefix list
+    per q-Pochhammer base, so a table costs O(n)."""
+    q = fam.q
+    a = alpha + fam.beta
+    qq = qpochhammer_prefix(q, q, n)
+    qa = qpochhammer_prefix(q ** (a + 1), q, n)
+    if fam.kind == "qlaguerre":
+        head, top = qa[n], 0.0
+
+        def power(j):
+            return (a + n - j) * (n - j)
+    elif fam.kind == "wall" or fam.kind == "qjacobi":
+        head = qq[n]
+        top = q ** (a + fam.gamma + n + 1) if fam.kind == "qjacobi" else 0.0
+
+        def power(j):
+            return j * (j - 1) / 2.0 - n * (n - 1) / 2.0
+    else:
+        raise ValueError(f"unknown radial family kind {fam.kind!r}")
+    tt = qpochhammer_prefix(top, q, n)
+    return [
+        head * tt[n - j] * q ** power(j) * (-1.0) ** (n - j)
+        / (qq[j] * qq[n - j] * qa[n - j])
+        for j in range(count)
+    ]
+
+
 def leading_coeff(fam, n, alpha):
     """c_0(n, alpha), the coefficient of x^n in phi_n(x; alpha), without
     building the table: the j = 0 term of radial_coeffs in the same
@@ -85,19 +123,7 @@ def leading_coeff(fam, n, alpha):
     if fam.kind == "jacobi":
         t = alpha + fam.beta + fam.gamma
         return (-1.0) ** n * pochhammer(t + n + 1, n) / math.factorial(n)
-    # the q forms keep the table's uncancelled factors, so they round alike
-    q = fam.q
-    a = alpha + fam.beta
-    qn = qpochhammer(q, q, n)
-    qa = qpochhammer(q ** (a + 1), q, n)
-    if fam.kind == "qlaguerre":
-        return qa * q ** ((a + n) * n) * (-1.0) ** n / (qn * qa)
-    if fam.kind == "wall":
-        return qn * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa)
-    if fam.kind == "qjacobi":
-        return (qn * qpochhammer(q ** (a + fam.gamma + n + 1), q, n)
-                * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa))
-    raise ValueError(f"unknown radial family kind {fam.kind!r}")
+    return _q_terms(fam, n, alpha, 1)[0]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -105,8 +131,9 @@ def radial_coeffs(fam, n, alpha):
     """Exact coefficients c_j(n, alpha), j = 0..n, of x^(n-j) in phi_n.
 
     Classical families are built by term ratios from c_0 so the Pochhammer
-    cancellations happen symbolically; q-families are evaluated directly
-    from finite q-Pochhammer products.
+    cancellations happen symbolically; the q-families share one term
+    formula (_q_terms), evaluated directly from q-Pochhammer prefix
+    products formed once per table.
 
     Tables are memoized on (fam, n, alpha) and shared between callers, so
     the returned array is read-only; copy it before changing it.
@@ -125,96 +152,27 @@ def radial_coeffs(fam, n, alpha):
         c[0] = (-1.0) ** n * pochhammer(t + n + 1, n) / math.factorial(n)
         for j in range(n):
             c[j + 1] = c[j] * (-(n - j) * (g + n - j) / ((j + 1.0) * (t + 2 * n - j)))
-    elif fam.kind == "qlaguerre":
-        q = fam.q
-        a = alpha + fam.beta
-        qa = qpochhammer(q ** (a + 1), q, n)
-        for j in range(n + 1):
-            c[j] = (
-                qa
-                * q ** ((a + n - j) * (n - j))
-                * (-1.0) ** (n - j)
-                / (
-                    qpochhammer(q, q, j)
-                    * qpochhammer(q, q, n - j)
-                    * qpochhammer(q ** (a + 1), q, n - j)
-                )
-            )
-    elif fam.kind == "wall":
-        q = fam.q
-        a = alpha + fam.beta
-        qn = qpochhammer(q, q, n)
-        for j in range(n + 1):
-            c[j] = (
-                qn
-                * q ** ((j - n) * (n + j - 1) / 2.0)
-                * (-1.0) ** (n - j)
-                / (
-                    qpochhammer(q, q, j)
-                    * qpochhammer(q, q, n - j)
-                    * qpochhammer(q ** (a + 1), q, n - j)
-                )
-            )
-    elif fam.kind == "qjacobi":
-        q = fam.q
-        a = alpha + fam.beta
-        g = fam.gamma
-        qn = qpochhammer(q, q, n)
-        for j in range(n + 1):
-            c[j] = (
-                qn
-                * qpochhammer(q ** (a + g + n + 1), q, n - j)
-                * q ** (j * (j - 1) / 2.0 - n * (n - 1) / 2.0)
-                * (-1.0) ** (n - j)
-                / (
-                    qpochhammer(q, q, j)
-                    * qpochhammer(q, q, n - j)
-                    * qpochhammer(q ** (a + 1), q, n - j)
-                )
-            )
     else:
-        raise ValueError(f"unknown radial family kind {fam.kind!r}")
+        c[:] = _q_terms(fam, n, alpha, n + 1)
     c.setflags(write=False)
     return c
 
 
 def zeta(fam, n, alpha):
-    """Squared norm of phi_n with respect to x^alpha dnu."""
-    if fam.kind == "laguerre":
-        a = alpha + fam.beta
-        return math.gamma(a + n + 1) / math.factorial(n)
-    if fam.kind == "jacobi":
-        g = alpha + fam.gamma
-        t = alpha + fam.beta + fam.gamma
-        # Gamma(t + 1) (t + 1) = Gamma(t + 2) at n = 0 also covers t = -1
-        scale = math.gamma(t + n + 1) * (t + 2 * n + 1) if n else math.gamma(t + 2)
-        return (
-            math.gamma(g + n + 1)
-            * math.gamma(fam.beta + n + 1)
-            / (math.factorial(n) * scale)
-        )
-    if fam.kind == "qlaguerre":
-        q, c = fam.q, fam.c
-        a = alpha + fam.beta
-        head = (
-            qpochhammer(q, q)
-            * qpochhammer(-c * q ** (a + 1), q)
-            * qpochhammer(-(q ** (-a)) / c, q)
-            * c ** (a + 1)
-            / (
-                qpochhammer(q ** (a + 1), q)
-                * qpochhammer(-c, q)
-                * qpochhammer(-q / c, q)
-            )
-        )
-        return head * qpochhammer(q ** (a + 1), q, n) / (qpochhammer(q, q, n) * q ** n)
-    if fam.kind in ("wall", "qjacobi"):
-        return float(norms(fam, alpha, n)[n])
-    raise ValueError(f"unknown radial family kind {fam.kind!r}")
+    """Squared norm of phi_n with respect to x^alpha dnu: entry n of norms."""
+    return float(norms(fam, alpha, n)[n])
 
 
 def norms(fam, alpha, nmax):
-    """zeta(fam, n, alpha) for n = 0..nmax, formed once for a Gram block.
+    """The squared norms zeta_0..zeta_nmax of phi_n with respect to
+    x^alpha dnu, as a float array: the one home of every family's closed
+    form, formed once for a Gram block.
+
+    laguerre: Gamma(a + n + 1) / n! with a = alpha + beta.  jacobi:
+    Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1) (t + 2n + 1))
+    with g = alpha + gamma, t = g + beta, written Gamma(t + 2) at n = 0 so
+    that t = -1 needs no 0/0.  qlaguerre: R (q^(a+1); q)_n / ((q; q)_n q^n),
+    with R the ratio of six infinite products formed once per block.
 
     For wall and qjacobi (a = alpha + beta, g = gamma, s = a + g + 1)
 
@@ -227,13 +185,33 @@ def norms(fam, alpha, nmax):
     separate infinite products, do not underflow as q -> 1.  For qjacobi
     (q^(s+n); q)_n / (q^(s+1); q)_2n is 1 at n = 0 and 1 / ((q^(s+1); q)_(n-1)
     (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  They
-    are formed in np.longdouble and rounded once to float.  The other
-    families list their scalar closed forms.
+    are formed in np.longdouble and rounded once to float.
     """
-    if fam.kind not in ("wall", "qjacobi"):
-        return [zeta(fam, n, alpha) for n in range(nmax + 1)]
+    a = alpha + fam.beta
+    if fam.kind == "laguerre":
+        return np.array([math.gamma(a + n + 1) / math.factorial(n) for n in range(nmax + 1)])
+    if fam.kind == "jacobi":
+        g = alpha + fam.gamma
+        t = alpha + fam.beta + fam.gamma
+
+        def jacobi_norm(n):
+            # Gamma(t + 1) (t + 1) = Gamma(t + 2) at n = 0 also covers t = -1
+            scale = math.gamma(t + n + 1) * (t + 2 * n + 1) if n else math.gamma(t + 2)
+            return math.gamma(g + n + 1) * math.gamma(fam.beta + n + 1) / (math.factorial(n) * scale)
+
+        return np.array([jacobi_norm(n) for n in range(nmax + 1)])
+    if fam.kind == "qlaguerre":
+        q, c = fam.q, fam.c
+        head = (qpochhammer(q, q) * qpochhammer(-c * q ** (a + 1), q)
+                * qpochhammer(-(q ** (-a)) / c, q) * c ** (a + 1)
+                / (qpochhammer(q ** (a + 1), q) * qpochhammer(-c, q) * qpochhammer(-q / c, q)))
+        qq = qpochhammer_prefix(q, q, nmax)
+        qa = qpochhammer_prefix(q ** (a + 1), q, nmax)
+        return np.array([head * qa[n] / (qq[n] * q ** n) for n in range(nmax + 1)])
+    if fam.kind != "wall" and fam.kind != "qjacobi":
+        raise ValueError(f"unknown radial family kind {fam.kind!r}")
     q = np.longdouble(fam.q)
-    qa = q ** (alpha + fam.beta)  # q^a
+    qa = q ** a  # q^a
     up, down = [q], [qa * q]
     if fam.kind == "qjacobi":
         qg = q ** fam.gamma

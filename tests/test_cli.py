@@ -188,6 +188,40 @@ class TestGram:
             assert out == ""
             assert err.startswith("error: family")
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["eval", "--family", "M", "--beta", "inf", "--m", "1", "--n", "0",
+              "--z1", "0.3", "--z2", "0.4"], "--beta"),
+            (["eval", "--family", "Z", "--m", "1", "--n", "0", "--z1", "nan", "--z2", "0.4"],
+             "--z1"),
+            (["eval", "--family", "Z", "--m", "1", "--n", "0", "--z1", "0.3", "--z2=-inf"],
+             "--z2"),
+            (["check", "--family", "Z", "--beta", "inf"], "--beta"),
+            (["genfun", "--family", "Z", "--which", "Z_EXP", "--beta", "inf"], "--beta"),
+            (["gram", "--family", "Z", "--beta", "inf"], "--beta"),
+            (["gram", "--family", "ZQ", "--c", "inf"], "--c"),
+            (["gram", "--family", "MQ", "--gamma", "inf"], "--gamma"),
+        ],
+        ids=["eval-beta", "eval-z1-nan", "eval-z2-neg-inf", "check-beta", "genfun-beta",
+             "gram-Z-beta", "gram-ZQ-c", "gram-MQ-gamma"],
+    )
+    def test_non_finite_values_exit_2(self, argv, option, capsys, monkeypatch):
+        # an infinity or NaN is a usage error naming its option, found
+        # before any table, rule or point value is computed
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((cli.quad, "gram"), (cli.bivariate, "construct"),
+                             (cli.bivariate, "values"), (cli.bivariate, "sweep"),
+                             (cli.bivariate, "genfun_check")):
+            monkeypatch.setattr(module, name, no_work)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and option in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_parameter_edges_accepted(self, capsys):
         # H has no parameters, so its --beta is ignored; beta + gamma = -1
         # puts a removable 0/0 into the closed-form norms at alpha = 0
@@ -199,16 +233,18 @@ class TestGram:
             assert code == 0, err
 
     # digests of the gram rows and summary, CSV then JSON at caps 3 and 4,
-    # recorded while gram still assembled a dict of every index pair; WALL
-    # and MQ re-recorded when their rows moved to radial.lattice_rows
+    # recorded when gram stopped writing the cross-block zeros; before that,
+    # the same rows with those zeros in place read Z a007f88ac2175f76,
+    # H 8832f7bf85478ed4, M 0d62eb966f699d28, ZQ 990a26038e6e41a7,
+    # WALL 49c5df36dfc3a8bc and MQ cc11bed6fdfd35a0
     GRAM_DIGESTS = {
-        "Z": (["--family", "Z", "--beta", "0.5"], "a007f88ac2175f76"),
-        "H": (["--family", "H"], "8832f7bf85478ed4"),
-        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "0d62eb966f699d28"),
-        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "990a26038e6e41a7"),
-        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "49c5df36dfc3a8bc"),
+        "Z": (["--family", "Z", "--beta", "0.5"], "d606fe6f6e109b85"),
+        "H": (["--family", "H"], "f7885ac0c4b809fd"),
+        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "74bb14fc4a835b42"),
+        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "f9b339a5f6d49437"),
+        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "4b44b9a6bee82908"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
-               "cc11bed6fdfd35a0"),
+               "cbd1e3af07adc693"),
     }
 
     @pytest.mark.skipif(
@@ -225,6 +261,26 @@ class TestGram:
                 assert code == 0
                 h.update(out.encode())
         assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("tag", sorted(GRAM_DIGESTS))
+    def test_rows_are_the_same_block_pairs_of_every_pair(self, tag, capsys):
+        # the rows once written for every index pair, in the order of
+        # result.entries, less the pairs across blocks (exact zeros)
+        flags, _ = self.GRAM_DIGESTS[tag]
+        fam = cli._family(cli.build_parser().parse_args(["gram"] + flags))
+        result = quad.gram(fam, 4)
+        block = {idx: b for b, (idxs, _, _) in enumerate(result.blocks) for idx in idxs}
+        every = []
+        for (idx1, idx2), val in result.entries.items():
+            row = {"m": idx1[0], "n": idx1[1], "s": idx2[0], "t": idx2[1], "value": val}
+            row["diag_ref"] = result.diag_ref[idx1] if idx1 == idx2 else ""
+            every.append((block[idx1] == block[idx2], row))
+        across = [row["value"] for same, row in every if not same]
+        assert across and all(v == 0.0 for v in across)
+        want = [{k: cli._fmt(v) for k, v in row.items()} for same, row in every if same]
+        code, out, _ = run(["gram", "--degree-cap", "4", "--format", "json"] + flags, capsys)
+        assert code == 0
+        assert json.loads(out)["rows"] == want
 
     @pytest.mark.parametrize(
         "block,field,value",

@@ -3,6 +3,7 @@ scipy oracles, norms against direct quadrature/lattice summation, shift
 machinery, the closed-form recurrences against the tables, and zeros."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, eval_jacobi
 
 from bivarortho import quad, radial
+from bivarortho.qcalc import qpochhammer
 
 XS = np.array([0.05, 0.3, 0.71, 1.4, 2.9])
 XS01 = np.array([0.04, 0.22, 0.5, 0.77, 0.96])
@@ -93,6 +95,10 @@ class TestClassicalTables:
             radial.radial_coeffs(bad, 2, 0)
         with pytest.raises(ValueError):
             radial.zeta(bad, 2, 0)
+        with pytest.raises(ValueError):
+            radial.norms(bad, 0, 2)
+        with pytest.raises(ValueError):
+            radial.leading_coeff(bad, 2, 0)
 
 
 class TestQTableStructure:
@@ -457,3 +463,118 @@ class TestZeros:
 
     def test_degree_zero(self):
         assert radial.radial_zeros(radial.laguerre(0.0), 0, 0).size == 0
+
+
+# The q branches of radial_coeffs, the q forms of leading_coeff and the
+# per-degree zeta as they stood before the three q families shared one term
+# formula from prefix products and norms became the only home of the norms;
+# the library must reproduce them bit for bit.  The q-Pochhammer values are
+# memoized here only to keep the grid fast: qcalc.qpochhammer is
+# deterministic, so the memo changes no number.
+_ref_qpoch = lru_cache(maxsize=None)(qpochhammer)
+
+
+def _ref_radial_coeffs(fam, n, alpha):
+    q = fam.q
+    a = alpha + fam.beta
+    c = np.zeros(n + 1)
+    if fam.kind == "qlaguerre":
+        qa = _ref_qpoch(q ** (a + 1), q, n)
+        for j in range(n + 1):
+            c[j] = (qa * q ** ((a + n - j) * (n - j)) * (-1.0) ** (n - j)
+                    / (_ref_qpoch(q, q, j) * _ref_qpoch(q, q, n - j)
+                       * _ref_qpoch(q ** (a + 1), q, n - j)))
+    elif fam.kind == "wall":
+        qn = _ref_qpoch(q, q, n)
+        for j in range(n + 1):
+            c[j] = (qn * q ** ((j - n) * (n + j - 1) / 2.0) * (-1.0) ** (n - j)
+                    / (_ref_qpoch(q, q, j) * _ref_qpoch(q, q, n - j)
+                       * _ref_qpoch(q ** (a + 1), q, n - j)))
+    else:
+        g = fam.gamma
+        qn = _ref_qpoch(q, q, n)
+        for j in range(n + 1):
+            c[j] = (qn * _ref_qpoch(q ** (a + g + n + 1), q, n - j)
+                    * q ** (j * (j - 1) / 2.0 - n * (n - 1) / 2.0) * (-1.0) ** (n - j)
+                    / (_ref_qpoch(q, q, j) * _ref_qpoch(q, q, n - j)
+                       * _ref_qpoch(q ** (a + 1), q, n - j)))
+    return c
+
+
+def _ref_leading_coeff(fam, n, alpha):
+    q = fam.q
+    a = alpha + fam.beta
+    qn = _ref_qpoch(q, q, n)
+    qa = _ref_qpoch(q ** (a + 1), q, n)
+    if fam.kind == "qlaguerre":
+        return qa * q ** ((a + n) * n) * (-1.0) ** n / (qn * qa)
+    if fam.kind == "wall":
+        return qn * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa)
+    return (qn * _ref_qpoch(q ** (a + fam.gamma + n + 1), q, n)
+            * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa))
+
+
+def _ref_zeta(fam, n, alpha):
+    a = alpha + fam.beta
+    if fam.kind == "laguerre":
+        return math.gamma(a + n + 1) / math.factorial(n)
+    if fam.kind == "jacobi":
+        g = alpha + fam.gamma
+        t = alpha + fam.beta + fam.gamma
+        scale = math.gamma(t + n + 1) * (t + 2 * n + 1) if n else math.gamma(t + 2)
+        return math.gamma(g + n + 1) * math.gamma(fam.beta + n + 1) / (math.factorial(n) * scale)
+    q, c = fam.q, fam.c
+    head = (_ref_qpoch(q, q) * _ref_qpoch(-c * q ** (a + 1), q)
+            * _ref_qpoch(-(q ** (-a)) / c, q) * c ** (a + 1)
+            / (_ref_qpoch(q ** (a + 1), q) * _ref_qpoch(-c, q) * _ref_qpoch(-q / c, q)))
+    return head * _ref_qpoch(q ** (a + 1), q, n) / (_ref_qpoch(q, q, n) * q ** n)
+
+
+ORACLE_QS = (0.1, 0.3, 0.5, 0.8, 0.9, 0.999)
+ORACLE_BETAS = (-0.5, 0.0, 0.5, 1.813518, 2.0)
+ORACLE_GAMMAS = (-0.5, 0.0, 0.5, 2.0)
+ORACLE_CS = (1.0, 2.5)
+ORACLE_ALPHAS = range(16)
+
+
+def _oracle_q_families(q):
+    return ([radial.q_laguerre(b, q, c) for b in ORACLE_BETAS for c in ORACLE_CS]
+            + [radial.wall(b, q) for b in ORACLE_BETAS]
+            + [radial.little_q_jacobi(b, g, q) for b in ORACLE_BETAS for g in ORACLE_GAMMAS])
+
+
+class TestClosedFormsAgainstTheSeparateForms:
+    @pytest.mark.parametrize("q", ORACLE_QS)
+    def test_q_tables_and_leading_coeffs(self, q):
+        # the memoized radial_coeffs is bypassed, so the grid leaves its
+        # cache as it found it
+        build = radial.radial_coeffs.__wrapped__
+        for fam in _oracle_q_families(q):
+            for alpha in ORACLE_ALPHAS:
+                for n in range(26):
+                    table = build(fam, n, alpha)
+                    assert np.array_equal(table, _ref_radial_coeffs(fam, n, alpha)), (fam, n, alpha)
+                    assert radial.leading_coeff(fam, n, alpha) == _ref_leading_coeff(fam, n, alpha)
+
+    @pytest.mark.parametrize(
+        "families",
+        [[radial.laguerre(b) for b in ORACLE_BETAS],
+         [radial.shifted_jacobi(b, g) for b in ORACLE_BETAS for g in ORACLE_GAMMAS],
+         # q-Laguerre's infinite products leave the float range at q = 0.999,
+         # where both forms read NaN at a cost of 20 ms each: one family there
+         [radial.q_laguerre(b, q, c)
+          for q in ORACLE_QS[:-1] for b in ORACLE_BETAS for c in ORACLE_CS]
+         + [radial.q_laguerre(0.5, 0.999, 2.5)]],
+        ids=["laguerre", "jacobi", "qlaguerre"],
+    )
+    def test_norms_and_zeta(self, families):
+        for fam in families:
+            for alpha in ORACLE_ALPHAS:
+                ref = np.array([_ref_zeta(fam, n, alpha) for n in range(31)])
+                z = radial.norms(fam, alpha, 30)
+                assert z.dtype == float and np.array_equal(z, ref, equal_nan=True), (fam, alpha)
+                zetas = [radial.zeta(fam, n, alpha) for n in (0, 1, 7, 30)]
+                assert np.array_equal(zetas, ref[[0, 1, 7, 30]], equal_nan=True)
+                c00 = radial.radial_coeffs(fam, 0, alpha)[0]
+                mass = radial.measure_mass(fam, alpha)
+                assert np.array_equal(mass, ref[0] / c00 ** 2, equal_nan=True)
