@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import radial
 from .qcalc import qpochhammer, qproduct_terms
@@ -182,14 +181,55 @@ def aw_norm(p, n):
     return num / den
 
 
+# Newton sweeps of _theta_rule: a sweep with every step at most
+# _NEWTON_STEP_TOL marks the nodes converged, and one more sweep gives the
+# derivatives of the weights at them
+_NEWTON_STEP_TOL = 1e-14
+_NEWTON_MAX_SWEEPS = 10
+
+
 @lru_cache(maxsize=8)
 def _theta_rule(nnodes):
     """Gauss-Legendre nodes/weights mapped to theta in (0, pi); memoized,
-    so both arrays are shared and read-only.  scipy's roots_legendre finds
-    the nodes by Newton steps from asymptotic guesses, with no dense
-    eigenproblem, so its cost does not depend on the BLAS thread count."""
-    t, w = roots_legendre(nnodes)
-    thetas, wts = 0.5 * math.pi * (t + 1.0), 0.5 * math.pi * w
+    so both arrays are shared and read-only.
+
+    The nodes t in [0, 1) start from Tricomi's asymptotic guesses
+    cos(pi (k - 1/4) / (n + 1/2)) (1 - (n - 1) / (8 n^3)) and take Newton
+    sweeps on the Legendre recurrence in float64, all nodes of the half at
+    once; the other half is their mirror image.  The weights are
+    2 / ((1 - t^2) P_n'(t)^2), with P_n' from the last sweep, one past
+    convergence.  This is the route of scipy's roots_legendre, with no
+    dense eigenproblem.
+    """
+    n = nnodes
+    k = np.arange(1, (n + 1) // 2 + 1)
+    t = np.cos(math.pi * (k - 0.25) / (n + 0.5)) * (1.0 - (n - 1) / (8.0 * n ** 3))
+    # P_{j+1} = a_j t P_j + b_j P_{j-1}
+    steps = [((2 * j + 1) / (j + 1), -j / (j + 1)) for j in range(1, n)]
+    prev, cur, tmp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    converged = False
+    for _ in range(_NEWTON_MAX_SWEEPS):
+        prev.fill(1.0)
+        cur[:] = t
+        for a, b in steps:
+            # in place: a sweep costs about its count of numpy calls
+            prev *= b
+            np.multiply(t, cur, out=tmp)
+            tmp *= a
+            prev += tmp
+            prev, cur = cur, prev
+        deriv = n * (t * cur - prev) / (t * t - 1.0)
+        step = cur / deriv
+        t = t - step
+        if converged:
+            break
+        converged = np.max(np.abs(step)) <= _NEWTON_STEP_TOL
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes did not converge in {_NEWTON_MAX_SWEEPS} sweeps")
+    w = 2.0 / ((1.0 - t * t) * deriv * deriv)
+    half = n // 2
+    thetas = 0.5 * math.pi * (np.concatenate((-t[:half], t[::-1])) + 1.0)
+    wts = 0.5 * math.pi * np.concatenate((w[:half], w[::-1]))
     thetas.setflags(write=False)
     wts.setflags(write=False)
     return thetas, wts

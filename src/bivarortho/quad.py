@@ -1,12 +1,14 @@
 """Quadrature and summation engines.
 
-Gauss rules for the continuous radial measures (Golub–Welsch on the
-symmetrized Jacobi matrix of the closed-form recurrence), longdouble
+Gauss rules for the continuous radial measures (nodes the eigenvalues of
+the Jacobi matrix of the closed-form recurrence, weights the Christoffel
+numbers from the np.longdouble monic rows at them), longdouble
 q-lattice sums with certified tail bounds (each lattice direction an array
 of points and closed-form weights, scanned in chunks under one stop rule),
 block-diagonal Gram assembly for the bivariate families (one radial Gram
-per circle-harmonic index; its rows evaluated by the recurrence over the
-array of Gauss nodes or q-Laguerre lattice points, and for wall and little
+per circle-harmonic index; its rows the monic rows of the Gauss rule times
+their leading coefficients, or evaluated by the recurrence over the array
+of q-Laguerre lattice points, and for wall and little
 q-Jacobi by the terminating Newton form at the points q^k, summed divided
 by the square roots of the block's norms and scaled back), the Gram
 summary shared with the Askey–Wilson checks, and zero-circle monotonicity
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import radial
 from .qcalc import qpochhammer
@@ -28,31 +29,40 @@ from .qcalc import qpochhammer
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule: nodes, positive weights, and the highest polynomial
-    degree integrated exactly."""
+    """Gauss rule: nodes, positive weights, the highest polynomial degree
+    integrated exactly, and the monic rows p_0..p_{npts-1} at the nodes in
+    np.longdouble, which the weights are formed from."""
 
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
+    monic: np.ndarray
 
 
 def golub_welsch(fam, alpha, npts):
-    """Gauss rule for the measure x^alpha dnu of a continuous radial family.
+    """Gauss rule for the measure x^alpha dnu of a continuous radial family,
+    from one closed-form recurrence (A, B) of order npts.
 
-    Nodes are the eigenvalues of the symmetrized Jacobi matrix; weights are
-    the total measure mass times the squared first components of the
-    eigenvectors.  Exact for polynomials of degree <= 2*npts - 1.
+    Nodes are the eigenvalues of its Jacobi matrix (numpy.linalg.eigvalsh,
+    the route of radial.radial_zeros).  Weights are the Christoffel numbers
+    w_i = 1 / sum_{k<npts} p_k(x_i)^2 / h_k, with h_k = mass B_1 ... B_k the
+    squared norms of the monic p_k, summed from the np.longdouble monic rows
+    at the nodes (Golub and Welsch 1969; Gautschi 2004, Orthogonal
+    Polynomials: Computation and Approximation, 3.1.1).  Unlike the squared
+    first components of the eigenvectors, they keep their relative accuracy
+    at the tiny weights of the largest nodes.  Exact for polynomials of
+    degree <= 2*npts - 1.
     """
     if npts < 1:
         raise ValueError("need at least one quadrature point")
     if fam.is_q():
         raise ValueError("q-lattice measures are summed, not quadratured")
-    diag, off = radial.jacobi_matrix(fam, alpha, npts)
-    vals, vecs = eigh_tridiagonal(diag, off)
-    order = np.argsort(vals)
-    nodes = vals[order]
-    weights = radial.measure_mass(fam, alpha) * vecs[0, order] ** 2
-    return QuadratureRule(nodes, weights, 2 * npts - 1)
+    A, B = radial.recurrence(fam, alpha, npts)
+    nodes = np.linalg.eigvalsh(radial.jacobi_matrix(A, B))
+    monic = radial.monic_values(A, B, nodes)
+    B[0] = radial.measure_mass(fam, alpha)  # so that cumprod(B) is h
+    weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
+    return QuadratureRule(nodes, weights, 2 * npts - 1, monic)
 
 
 # relative stop target of q_lattice_sum, just under the longdouble epsilon
@@ -193,16 +203,23 @@ def q_lattice_sum(fam, alpha, integrand):
 def radial_gram(fam, alpha, nmax, scale=None, norms=None):
     """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu.
 
-    The rows of V (times ``scale[k]`` when given) are evaluated in
-    np.longdouble at the nodes of golub_welsch(fam, alpha, nmax + 1), which
-    is exact to degree 2 nmax + 1, or at the points of one q_lattice_sum,
-    one chunk of points per evaluation.  They come from radial.phi_rows,
+    For the continuous families the rows of V (times ``scale[k]`` when
+    given) are the monic rows of golub_welsch(fam, alpha, nmax + 1), which
+    is exact to degree 2 nmax + 1, times their leading coefficients: one
+    recurrence gives the nodes, the weights and the block.  For the q
+    families they are evaluated in np.longdouble at the points of one
+    q_lattice_sum, one chunk of points per evaluation, by radial.phi_rows,
     except for wall and qjacobi: there radial.lattice_rows gives them,
     divided by the square roots of ``norms`` (radial.norms when not given)
     while summed, and the summed block is scaled back.  In that orthonormal
     scale every diagonal entry is near 1, so the lattice stop rule, relative
     to the largest entry, holds for the smallest norm of the block too.
     """
+    if not fam.is_q():
+        rule = golub_welsch(fam, alpha, nmax + 1)
+        vals = radial.leading_coeffs(fam, alpha, nmax, scale)[:, None] * rule.monic
+        # np.dot, unlike matmul, has a fast loop for np.longdouble
+        return np.dot(vals * rule.weights, vals.T).astype(float)
     root = None
     if fam.kind in ("wall", "qjacobi"):
         norms = radial.norms(fam, alpha, nmax) if norms is None else norms
@@ -211,18 +228,15 @@ def radial_gram(fam, alpha, nmax, scale=None, norms=None):
         rows = radial.lattice_rows(fam, alpha, nmax, factors)
     else:
         rows = radial.phi_rows(fam, alpha, nmax, scale)
-    if fam.is_q():
-        def integrand(x):
-            v = rows(x).T
-            return v[:, :, None] * v[:, None, :]
 
-        total = q_lattice_sum(fam, alpha, integrand)
-        if root is not None:
-            total = root[:, None] * total * root
-        return total.astype(float)
-    rule = golub_welsch(fam, alpha, nmax + 1)
-    vals = rows(rule.nodes)
-    return ((vals * rule.weights) @ vals.T).astype(float)
+    def integrand(x):
+        v = rows(x).T
+        return v[:, :, None] * v[:, None, :]
+
+    total = q_lattice_sum(fam, alpha, integrand)
+    if root is not None:
+        total = root[:, None] * total * root
+    return total.astype(float)
 
 
 class GramEntries(Mapping):

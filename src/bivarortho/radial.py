@@ -27,7 +27,8 @@ algebra), the wall and little q-Jacobi rows at their lattice points q^k in
 the terminating Newton form of their 2phi1 (lattice_rows, on the nodes of
 lattice_points), the norms (norms, the one home of every family's closed
 form, for a whole Gram block; zeta reads one entry), the alpha-raising
-connection machinery, and zeros via the symmetrized Jacobi matrix.
+connection machinery, and zeros as the eigenvalues of the symmetric Jacobi
+matrix (numpy.linalg.eigvalsh), the path of the Gauss nodes too.
 """
 
 import math
@@ -35,9 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .qcalc import pochhammer, qpochhammer, qpochhammer_prefix, qproduct_terms
+from .qcalc import pochhammer, qpochhammer_prefix, qproduct_terms
 
 # Entries kept by the table caches (radial_coeffs here, bivariate.construct);
 # enough for one family's whole m, n <= 15 working set, including the
@@ -171,18 +171,21 @@ def norms(fam, alpha, nmax):
     laguerre: Gamma(a + n + 1) / n! with a = alpha + beta.  jacobi:
     Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1) (t + 2n + 1))
     with g = alpha + gamma, t = g + beta, written Gamma(t + 2) at n = 0 so
-    that t = -1 needs no 0/0.  qlaguerre: R (q^(a+1); q)_n / ((q; q)_n q^n),
-    with R the ratio of six infinite products formed once per block.
+    that t = -1 needs no 0/0.
 
-    For wall and qjacobi (a = alpha + beta, g = gamma, s = a + g + 1)
+    For the q families (a = alpha + beta, g = gamma, s = a + g + 1)
 
-        zeta_n = R q^((a+1) n) (q; q)_n / (q^(a+1); q)_n
+        qlaguerre: zeta_n = R (q^(a+1); q)_n / ((q; q)_n q^n),
+        wall, qjacobi: zeta_n = R q^((a+1) n) (q; q)_n / (q^(a+1); q)_n
                  [qjacobi: * (q^(g+1); q)_n (q^(s+n); q)_n / (q^(s+1); q)_2n],
 
-    where R = (q; q)_inf / (q^(a+1); q)_inf [qjacobi: * (q^(s+1); q)_inf /
-    (q^(g+1); q)_inf] is one product of factor ratios near 1, kept to the
-    largest of qproduct_terms over its arguments.  Its factors, unlike the
-    separate infinite products, do not underflow as q -> 1.  For qjacobi
+    where R = (q; q)_inf / (q^(a+1); q)_inf times, for qlaguerre,
+    c^(a+1) (-c q^(a+1); q)_inf (-q^(-a) / c; q)_inf / ((-c; q)_inf
+    (-q / c; q)_inf) and, for qjacobi, (q^(s+1); q)_inf / (q^(g+1); q)_inf.
+    It is one product of factor ratios near 1, kept to the largest of
+    qproduct_terms over the absolute values of its arguments.  Its
+    factors, unlike the separate infinite products, neither underflow nor
+    overflow as q -> 1 ((q; q)_inf is 1e-714 at q = 0.999).  For qjacobi
     (q^(s+n); q)_n / (q^(s+1); q)_2n is 1 at n = 0 and 1 / ((q^(s+1); q)_(n-1)
     (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  They
     are formed in np.longdouble and rounded once to float.
@@ -200,35 +203,36 @@ def norms(fam, alpha, nmax):
             return math.gamma(g + n + 1) * math.gamma(fam.beta + n + 1) / (math.factorial(n) * scale)
 
         return np.array([jacobi_norm(n) for n in range(nmax + 1)])
-    if fam.kind == "qlaguerre":
-        q, c = fam.q, fam.c
-        head = (qpochhammer(q, q) * qpochhammer(-c * q ** (a + 1), q)
-                * qpochhammer(-(q ** (-a)) / c, q) * c ** (a + 1)
-                / (qpochhammer(q ** (a + 1), q) * qpochhammer(-c, q) * qpochhammer(-q / c, q)))
-        qq = qpochhammer_prefix(q, q, nmax)
-        qa = qpochhammer_prefix(q ** (a + 1), q, nmax)
-        return np.array([head * qa[n] / (qq[n] * q ** n) for n in range(nmax + 1)])
-    if fam.kind != "wall" and fam.kind != "qjacobi":
+    if not fam.is_q():
         raise ValueError(f"unknown radial family kind {fam.kind!r}")
     q = np.longdouble(fam.q)
     qa = q ** a  # q^a
     up, down = [q], [qa * q]
-    if fam.kind == "qjacobi":
+    if fam.kind == "qlaguerre":
+        c = np.longdouble(fam.c)
+        up += [-c * qa * q, -1.0 / (qa * c)]
+        down += [-c, -q / c]
+    elif fam.kind == "qjacobi":
         qg = q ** fam.gamma
         qs = qa * qg * q
         up.append(qs * q)
         down.append(qg * q)
-    # qproduct_terms grows with its argument: the largest one sets the count
-    k = qproduct_terms(max(up + down), q)
+    # qproduct_terms grows with |argument|: the largest one sets the count
+    k = qproduct_terms(max(abs(v) for v in up + down), q)
     pw = lattice_points(q, max(k, 2 * nmax + 1))  # pw[i] = q^i
     ratio = np.ones(k, np.longdouble)
     for u, d in zip(up, down):
         ratio *= (1.0 - u * pw[:k]) / (1.0 - d * pw[:k])
+    R = np.prod(ratio)
     qn = pw[1:nmax + 1]
-    steps = qa * q * (1.0 - qn) / (1.0 - qa * qn)
+    if fam.kind == "qlaguerre":
+        R *= c ** (a + 1)
+        steps = (1.0 - qa * qn) / ((1.0 - qn) * q)
+    else:
+        steps = qa * q * (1.0 - qn) / (1.0 - qa * qn)
     if fam.kind == "qjacobi":
         steps *= 1.0 - qg * qn
-    out = np.prod(ratio) * np.cumprod(np.concatenate(([np.longdouble(1.0)], steps)))
+    out = R * np.cumprod(np.concatenate(([np.longdouble(1.0)], steps)))
     if fam.kind == "qjacobi":
         head = np.cumprod(np.concatenate(([np.longdouble(1.0)], 1.0 - qs * qn[:-1])))
         out[1:] /= head * (1.0 - qs * pw[2:2 * nmax + 1:2])
@@ -323,6 +327,16 @@ def monic_values(A, B, x):
     return rows
 
 
+def leading_coeffs(fam, alpha, nmax, scale=None):
+    """c_0(k, alpha), times ``scale[k]`` when given, k = 0..nmax, in
+    np.longdouble: the factors that turn monic rows p_k into phi_k."""
+    lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],
+                    dtype=np.longdouble)
+    if scale is not None:
+        lead *= scale
+    return lead
+
+
 def phi_rows(fam, alpha, nmax, scale=None):
     """Evaluator of the rows phi_0..phi_nmax(x; alpha), times ``scale[k]``
     when given.
@@ -333,10 +347,7 @@ def phi_rows(fam, alpha, nmax, scale=None):
     are formed once, so a lattice sum can call rows chunk by chunk.  This
     is the one route to values at points; the tables serve the algebra.
     """
-    lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],
-                    dtype=np.longdouble)
-    if scale is not None:
-        lead *= scale
+    lead = leading_coeffs(fam, alpha, nmax, scale)
     A, B = recurrence(fam, alpha, nmax + 1)
 
     def rows(x):
@@ -409,19 +420,25 @@ def lattice_rows(fam, alpha, nmax, scale=None):
     return rows
 
 
-def jacobi_matrix(fam, alpha, npts):
-    """Diagonal and off-diagonal of the symmetric (monic-normalized) Jacobi
-    matrix of order npts for the measure x^alpha dnu."""
-    A, B = recurrence(fam, alpha, npts)
+def jacobi_matrix(A, B):
+    """The symmetric Jacobi matrix of order len(A) of the monic recurrence
+    (A, B) as a dense float array: diagonal A_k, subdiagonal sqrt(B_k),
+    k >= 1, and a zero upper triangle, which numpy.linalg.eigvalsh does not
+    read.  Raises ValueError when some B_k, k >= 1, is not positive: the
+    measure is then not positive."""
     if np.any(B[1:] <= 0):
         raise ValueError("nonpositive recurrence product; measure not positive")
-    return A.astype(float), np.sqrt(B[1:]).astype(float)
+    n = len(A)
+    J = np.zeros((n, n))
+    J.flat[::n + 1] = A
+    J.flat[n::n + 1] = np.sqrt(B[1:])
+    return J
 
 
 def radial_zeros(fam, n, alpha):
-    """Zeros of phi_n(x; alpha) as eigenvalues of the Jacobi matrix."""
+    """Zeros of phi_n(x; alpha), ascending: the eigenvalues of its Jacobi
+    matrix of order n by numpy.linalg.eigvalsh, the route of the Gauss
+    nodes of quad.golub_welsch too."""
     if n == 0:
         return np.array([])
-    diag, off = jacobi_matrix(fam, alpha, n)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-    return np.sort(vals)
+    return np.linalg.eigvalsh(jacobi_matrix(*recurrence(fam, alpha, n)))

@@ -5,6 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,14 +126,39 @@ class TestGram:
 
     def test_numerical_failure_exit_1(self, capsys):
         # a Gram that misses its tolerance is a failed check, not a usage
-        # error; Z at cap 25 reads max_offdiag 1.1e-3
+        # error; WALL at q = 0.999 and cap 6 reads max_offdiag 0.19, from
+        # the Newton-form lattice rows near q = 1
         code, out, err = run(
-            ["gram", "--family", "Z", "--beta", "0.5", "--degree-cap", "25",
+            ["gram", "--family", "WALL", "--q", "0.999", "--degree-cap", "6",
              "--format", "json"],
             capsys,
         )
         assert code == 1, err
         assert json.loads(out)["summary"]["passed"] is False
+
+    def test_gauss_family_certifies_cap_25(self, capsys):
+        # the old input of test_numerical_failure_exit_1: the eigenvector
+        # weights read max_offdiag 1.1e-3 here, the Christoffel weights 7.8e-15
+        code, out, err = run(
+            ["gram", "--family", "Z", "--beta", "0.5", "--degree-cap", "25",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0, err
+        assert float(json.loads(out)["summary"]["max_offdiag"]) < 1e-12
+
+    def test_q_laguerre_near_q_one_is_finite(self, capsys):
+        # the q-Laguerre norms are one product of factor ratios; as separate
+        # infinite products they left the float range and read NaN here
+        code, out, err = run(
+            ["gram", "--family", "ZQ", "--q", "0.999", "--degree-cap", "2",
+             "--format", "json"],
+            capsys,
+        )
+        summary = json.loads(out)["summary"]
+        assert code == 0, err
+        assert all(math.isfinite(float(summary[k])) for k in ("max_offdiag", "max_diag_relerr"))
+        assert float(summary["max_diag_relerr"]) < 1e-12
 
     def test_q_near_one_prints_a_summary(self, capsys):
         # the norms are one product of ratios, so q = 0.999 no longer
@@ -236,12 +265,18 @@ class TestGram:
     # recorded when gram stopped writing the cross-block zeros; before that,
     # the same rows with those zeros in place read Z a007f88ac2175f76,
     # H 8832f7bf85478ed4, M 0d62eb966f699d28, ZQ 990a26038e6e41a7,
-    # WALL 49c5df36dfc3a8bc and MQ cc11bed6fdfd35a0
+    # WALL 49c5df36dfc3a8bc and MQ cc11bed6fdfd35a0.  Z, H and M were
+    # re-recorded for the Christoffel weights of quad.golub_welsch (before:
+    # Z d606fe6f6e109b85, H f7885ac0c4b809fd, M 74bb14fc4a835b42) and ZQ for
+    # the one-product q-Laguerre norms (before: f9b339a5f6d49437); the rows
+    # are the library's blocks (test_rows_are_the_same_block_pairs_of_every_pair),
+    # whose oracles are tests/test_quad.py TestGolubWelsch.test_matches_40_digit_rule
+    # and tests/test_radial.py TestQLaguerreNorms
     GRAM_DIGESTS = {
-        "Z": (["--family", "Z", "--beta", "0.5"], "d606fe6f6e109b85"),
-        "H": (["--family", "H"], "f7885ac0c4b809fd"),
-        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "74bb14fc4a835b42"),
-        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "f9b339a5f6d49437"),
+        "Z": (["--family", "Z", "--beta", "0.5"], "246292fb8bd09f2a"),
+        "H": (["--family", "H"], "2f344a8bec15b35c"),
+        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "933d76eff5d23cec"),
+        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "2f34b1e35cbd2fba"),
         "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "4b44b9a6bee82908"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
                "cbd1e3af07adc693"),
@@ -594,3 +629,25 @@ class TestParser:
             cli.main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestRuntimeDependencies:
+    def test_no_scipy_module_loaded(self):
+        # the library's runtime is numpy alone: importing the CLI and the
+        # Askey-Wilson module, and running a Gauss Gram, a zero table and a
+        # theta-rule Gram, loads no scipy module
+        code = (
+            "import sys\n"
+            "import bivarortho.cli, bivarortho.awbiortho as aw\n"
+            "assert bivarortho.cli.main(['gram', '--family', 'Z', '--degree-cap', '4']) == 0\n"
+            "assert bivarortho.cli.main(['zeros', '--family', 'Z', '--n', '3',\n"
+            "                            '--m-min', '3', '--m-max', '6']) == 0\n"
+            "assert aw.aw_gram_1d(aw.AWParams(0.2, -0.3, 0.1, 0.4, 0.5), 3).passed\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')),\n"
+            "      file=sys.stderr)\n"
+        )
+        root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=root)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stderr.strip() == "[]"

@@ -321,6 +321,52 @@ class TestLatticeNorms:
         assert_allclose(radial.norms(fam, 1, 3)[0], float(mass), rtol=1e-10)
 
 
+def _mp_theta(mp, q, x):
+    """sum over all integers k of (-1)^k q^(k(k-1)/2) x^k, which Jacobi's
+    triple product equals (x; q)_inf (q/x; q)_inf (q; q)_inf; its terms
+    fall as q^(k^2/2), so the sum is short even at q = 0.999."""
+    total = mp.mpf(0)
+    for k0, step in ((0, 1), (-1, -1)):
+        k = k0
+        while True:
+            term = (-1) ** k * q ** (k * (k - 1) / 2) * x ** k
+            total += term
+            if abs(k) > 2 and abs(term) < mp.eps * abs(total):
+                break
+            k += step
+    return total
+
+
+class TestQLaguerreNorms:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.999])
+    def test_match_50_digit_oracle(self, q):
+        # zeta_n = R (q^(e+1); q)_n / ((q; q)_n q^n), e = alpha + beta, with
+        # R = c^(e+1) (q; q)_inf / (q^(e+1); q)_inf * (-c q^(e+1); q)_inf
+        # (-q^-e / c; q)_inf / ((-c; q)_inf (-q / c; q)_inf).  Each pair of the
+        # last four is a theta sum over (q; q)_inf (_mp_theta), and at integer
+        # e the first ratio is (q; q)_e: mpmath's infinite products take
+        # seconds at q = 0.999, where the separate float products read NaN
+        mp = pytest.importorskip("mpmath")
+        betas = (-0.5, 0.5, 2.0) if q < 0.999 else (0.0, 2.0)
+        for beta in betas:
+            for c in (1.0, 2.5):
+                fam = radial.q_laguerre(beta, q, c)
+                for alpha in (0, 3, 15):
+                    z = radial.norms(fam, alpha, 30)
+                    with mp.workdps(50):
+                        Q, C, e = mp.mpf(q), mp.mpf(c), mp.mpf(alpha + beta)
+                        if q < 0.999:
+                            ratio = mp.qp(Q, Q) / mp.qp(Q ** (e + 1), Q)
+                        else:
+                            ratio = mp.qp(Q, Q, int(e))
+                        R = (ratio * C ** (e + 1) * _mp_theta(mp, Q, -C * Q ** (e + 1))
+                             / _mp_theta(mp, Q, -C))
+                        for n in range(31):
+                            ref = R * mp.qp(Q ** (e + 1), Q, n) / (mp.qp(Q, Q, n) * Q ** n)
+                            # 3.4e-16 measured
+                            assert abs(z[n] - ref) < 1e-15 * ref, (beta, c, alpha, n)
+
+
 class TestShiftMachinery:
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_alpha_raising_relation(self, fam):
@@ -423,8 +469,20 @@ class TestRecurrenceFormulas:
 
     def test_jacobi_matrix_rejects_nonpositive_measure(self):
         # alpha + beta = -1.5 has no positive Laguerre measure: B_1 = 1 + a < 0
-        with pytest.raises(ValueError):
-            radial.jacobi_matrix(radial.laguerre(-1.5), 0, 3)
+        fam = radial.laguerre(-1.5)
+        with pytest.raises(ValueError, match="nonpositive recurrence product"):
+            radial.jacobi_matrix(*radial.recurrence(fam, 0, 3))
+        with pytest.raises(ValueError, match="nonpositive recurrence product"):
+            radial.radial_zeros(fam, 3, 0)
+        with pytest.raises(ValueError, match="nonpositive recurrence product"):
+            quad.golub_welsch(fam, 0, 3)
+
+    def test_jacobi_matrix_is_the_lower_triangle(self):
+        A, B = radial.recurrence(radial.laguerre(0.5), 1, 5)
+        J = radial.jacobi_matrix(A, B)
+        assert J.dtype == float and np.array_equal(np.triu(J, 1), np.zeros((5, 5)))
+        assert np.array_equal(np.diagonal(J), A.astype(float))
+        assert np.array_equal(np.diagonal(J, -1), np.sqrt(B[1:]).astype(float))
 
 
 class TestZeros:
@@ -560,8 +618,8 @@ class TestClosedFormsAgainstTheSeparateForms:
         "families",
         [[radial.laguerre(b) for b in ORACLE_BETAS],
          [radial.shifted_jacobi(b, g) for b in ORACLE_BETAS for g in ORACLE_GAMMAS],
-         # q-Laguerre's infinite products leave the float range at q = 0.999,
-         # where both forms read NaN at a cost of 20 ms each: one family there
+         # the separate infinite products leave the float range at q = 0.999,
+         # where they read NaN at a cost of 20 ms each: one family there
          [radial.q_laguerre(b, q, c)
           for q in ORACLE_QS[:-1] for b in ORACLE_BETAS for c in ORACLE_CS]
          + [radial.q_laguerre(0.5, 0.999, 2.5)]],
@@ -572,7 +630,17 @@ class TestClosedFormsAgainstTheSeparateForms:
             for alpha in ORACLE_ALPHAS:
                 ref = np.array([_ref_zeta(fam, n, alpha) for n in range(31)])
                 z = radial.norms(fam, alpha, 30)
-                assert z.dtype == float and np.array_equal(z, ref, equal_nan=True), (fam, alpha)
+                assert z.dtype == float
+                if fam.kind == "qlaguerre":
+                    # q-Laguerre's norms are one product of factor ratios,
+                    # not the separate products: TestQLaguerreNorms is their
+                    # 50-digit oracle, and the separate form, where finite,
+                    # agrees to 1.2e-14 (measured)
+                    assert np.all(np.isfinite(z)), (fam, alpha)
+                    if fam.q < 0.999:
+                        assert_allclose(z, ref, rtol=2e-14, atol=0, err_msg=str((fam, alpha)))
+                    ref = z
+                assert np.array_equal(z, ref, equal_nan=True), (fam, alpha)
                 zetas = [radial.zeta(fam, n, alpha) for n in (0, 1, 7, 30)]
                 assert np.array_equal(zetas, ref[[0, 1, 7, 30]], equal_nan=True)
                 c00 = radial.radial_coeffs(fam, 0, alpha)[0]
