@@ -4,16 +4,17 @@ Gauss rules for the continuous radial measures (nodes the eigenvalues of
 the Jacobi matrix of the closed-form recurrence, weights the Christoffel
 numbers from the np.longdouble monic rows at them), longdouble
 q-lattice sums with certified tail bounds (each lattice direction an array
-of points and closed-form weights, scanned in chunks under one stop rule),
+of points and closed-form weights, walked in chunks under one stop rule),
 block-diagonal Gram assembly for the bivariate families (one radial Gram
-per circle-harmonic index; its rows the monic rows of the Gauss rule times
-their leading coefficients, or evaluated by the recurrence over the array
-of q-Laguerre lattice points, and for wall and little
-q-Jacobi by the terminating Newton form at the points q^k, summed divided
-by the square roots of the block's norms and scaled back), the Gram
-summary shared with the Askey–Wilson checks, and zero-circle monotonicity
-checks, whose zeros are refined by Brent's bracketed root finder on the
-recurrence values.
+per circle-harmonic index, V W V^T as one np.dot of the rows V at a rule's
+points: the Gauss nodes, with the monic rows of the rule times their
+leading coefficients, or the lattice points the walk keeps, its stop rule
+read on the diagonal terms, with the rows evaluated by the recurrence on
+the q-Laguerre lattice and for wall and little q-Jacobi by the terminating
+Newton form at the points q^k, divided by the square roots of the block's
+norms and the block scaled back), the Gram summary shared with the
+Askey–Wilson checks, and zero-circle monotonicity checks, whose zeros are
+refined by Brent's bracketed root finder on the recurrence values.
 """
 
 import math
@@ -69,12 +70,15 @@ def golub_welsch(fam, alpha, npts):
 LATTICE_TAIL_TOL = 1e-19
 # points of a lattice direction in its first integrand call; each further
 # call takes twice as many as the last, at most LATTICE_MAX_CHUNK, which
-# bounds the memory of a chunk of Gram integrands (4 MB at cap 15)
+# bounds the memory of one call (for a cap-15 Gram block, 16 longdouble
+# rows: 256 kB)
 LATTICE_CHUNK = 64
 LATTICE_MAX_CHUNK = 1024
 LATTICE_MAX_POINTS = 100000
 # floor of the running sum in the stop test, at the working precision
 _LONGDOUBLE_TINY = np.finfo(np.longdouble).tiny
+# smallest normal float: a diagonal product under it has lost digits
+_FLOAT_TINY = np.finfo(float).tiny
 # relative bracket tolerance and step limit of _brent, as in scipy's brentq,
 # and the absolute bracket tolerance bisection_zeros gives it
 _BRENT_RTOL = 4 * np.finfo(float).eps
@@ -145,6 +149,57 @@ def _lattice_directions(fam, a):
     raise ValueError(f"not a q-lattice family: {fam.kind!r}")
 
 
+def _lattice_walk(fam, alpha, integrand, summand):
+    """Walk the directions of the q-lattice of x^alpha dnu in chunks under
+    the stop rule of q_lattice_sum, which is stated there.
+
+    integrand(x) is called once per chunk of points; summand(f) of its
+    value f is weighted by the points and summed, and the stop rule reads
+    those terms and their running sum.  Returns (total, kept): the sum, and
+    per chunk in lattice order the triple (x, w, f) of the points and
+    weights up to the direction's stop point and f as the integrand gave it
+    (the first len(x) entries of its leading axis belong to them).
+    """
+    total = np.longdouble(0.0)
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points_weights, tail, k0, index in _lattice_directions(fam, alpha + fam.beta):
+            x = w = ()
+            start, chunk = 0, LATTICE_CHUNK
+            while True:
+                n = min(start + chunk, LATTICE_MAX_POINTS)
+                if n > len(x):
+                    # rebuilding at least twice as many keeps the cost linear
+                    x, w = points_weights(min(max(n, 2 * len(x)), LATTICE_MAX_POINTS))
+                f = np.asarray(integrand(x[start:n]))
+                s = summand(f)
+                terms = w[start:n].reshape((-1,) + (1,) * (s.ndim - 1)) * s
+                size = np.abs(terms).reshape(len(terms), -1).max(axis=1)
+                terms[0] += total
+                totals = np.cumsum(terms, axis=0)
+                reach = np.abs(totals).reshape(len(totals), -1).max(axis=1)
+                reach = np.maximum(reach, _LONGDOUBLE_TINY)
+                k = np.arange(start, n)
+                stop = (k >= k0) & (size * tail <= LATTICE_TAIL_TOL * reach)
+                bad = ~(size < np.inf)
+                hits = np.flatnonzero(stop | bad)
+                if hits.size:
+                    i = hits[0]
+                    if bad[i]:
+                        raise RuntimeError(
+                            f"q-lattice sum: non-finite term at lattice index {index(k[i])}"
+                        )
+                    total = totals[i]
+                    kept.append((x[start:start + i + 1], w[start:start + i + 1], f))
+                    break
+                total = totals[-1]
+                kept.append((x[start:n], w[start:n], f))
+                if n == LATTICE_MAX_POINTS:
+                    raise RuntimeError(f"q-lattice sum did not converge in {n} points")
+                start, chunk = n, min(2 * chunk, LATTICE_MAX_CHUNK)
+    return total, kept
+
+
 def q_lattice_sum(fam, alpha, integrand):
     """Sum integrand(x) against the discrete q-lattice measure of a q
     radial family with exponent x^alpha absorbed into the weight.
@@ -164,79 +219,51 @@ def q_lattice_sum(fam, alpha, integrand):
     many in each further call up to LATTICE_MAX_CHUNK, and at most
     LATTICE_MAX_POINTS in all.
     """
-    total = np.longdouble(0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for points_weights, tail, k0, index in _lattice_directions(fam, alpha + fam.beta):
-            x = w = ()
-            start, chunk = 0, LATTICE_CHUNK
-            while True:
-                n = min(start + chunk, LATTICE_MAX_POINTS)
-                if n > len(x):
-                    # rebuilding at least twice as many keeps the cost linear
-                    x, w = points_weights(min(max(n, 2 * len(x)), LATTICE_MAX_POINTS))
-                f = np.asarray(integrand(x[start:n]))
-                terms = w[start:n].reshape((-1,) + (1,) * (f.ndim - 1)) * f
-                size = np.abs(terms).reshape(len(terms), -1).max(axis=1)
-                terms[0] += total
-                totals = np.cumsum(terms, axis=0)
-                reach = np.abs(totals).reshape(len(totals), -1).max(axis=1)
-                reach = np.maximum(reach, _LONGDOUBLE_TINY)
-                k = np.arange(start, n)
-                stop = (k >= k0) & (size * tail <= LATTICE_TAIL_TOL * reach)
-                bad = ~(size < np.inf)
-                hits = np.flatnonzero(stop | bad)
-                if hits.size:
-                    i = hits[0]
-                    if bad[i]:
-                        raise RuntimeError(
-                            f"q-lattice sum: non-finite term at lattice index {index(k[i])}"
-                        )
-                    total = totals[i]
-                    break
-                total = totals[-1]
-                if n == LATTICE_MAX_POINTS:
-                    raise RuntimeError(f"q-lattice sum did not converge in {n} points")
-                start, chunk = n, min(2 * chunk, LATTICE_MAX_CHUNK)
-    return total
+    return _lattice_walk(fam, alpha, integrand, lambda f: f)[0]
 
 
 def radial_gram(fam, alpha, nmax, scale=None, norms=None):
-    """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu.
+    """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu,
+    one np.dot of the rows V at a rule's points, times its weights W, with
+    V^T.
 
     For the continuous families the rows of V (times ``scale[k]`` when
     given) are the monic rows of golub_welsch(fam, alpha, nmax + 1), which
     is exact to degree 2 nmax + 1, times their leading coefficients: one
     recurrence gives the nodes, the weights and the block.  For the q
-    families they are evaluated in np.longdouble at the points of one
-    q_lattice_sum, one chunk of points per evaluation, by radial.phi_rows,
-    except for wall and qjacobi: there radial.lattice_rows gives them,
-    divided by the square roots of ``norms`` (radial.norms when not given)
-    while summed, and the summed block is scaled back.  In that orthonormal
-    scale every diagonal entry is near 1, so the lattice stop rule, relative
-    to the largest entry, holds for the smallest norm of the block too.
+    families the points and weights are those the lattice walk of
+    q_lattice_sum keeps, and the rows are evaluated in np.longdouble one
+    chunk of points at a time, by radial.phi_rows, except for wall and
+    qjacobi: there radial.lattice_rows gives them, divided by the square
+    roots of ``norms`` (radial.norms when not given), and the block is
+    scaled back.  The walk stops on the diagonal terms w v_k^2: every
+    partial sum of a positively weighted Gram is positive semidefinite, so
+    its largest entry is on the diagonal, and the largest |term| of a point
+    is w max_k v_k^2.  In the orthonormal scale every diagonal entry is near
+    1, so the stop rule, relative to the largest entry, holds for the
+    smallest norm of the block too.
     """
+    root = None
     if not fam.is_q():
         rule = golub_welsch(fam, alpha, nmax + 1)
         vals = radial.leading_coeffs(fam, alpha, nmax, scale)[:, None] * rule.monic
-        # np.dot, unlike matmul, has a fast loop for np.longdouble
-        return np.dot(vals * rule.weights, vals.T).astype(float)
-    root = None
-    if fam.kind in ("wall", "qjacobi"):
-        norms = radial.norms(fam, alpha, nmax) if norms is None else norms
-        root = np.sqrt(np.asarray(norms, dtype=np.longdouble))
-        factors = (1 if scale is None else np.asarray(scale)) / root
-        rows = radial.lattice_rows(fam, alpha, nmax, factors)
+        weights = rule.weights
     else:
-        rows = radial.phi_rows(fam, alpha, nmax, scale)
-
-    def integrand(x):
-        v = rows(x).T
-        return v[:, :, None] * v[:, None, :]
-
-    total = q_lattice_sum(fam, alpha, integrand)
+        if fam.kind in ("wall", "qjacobi"):
+            norms = radial.norms(fam, alpha, nmax) if norms is None else norms
+            root = np.sqrt(np.asarray(norms, dtype=np.longdouble))
+            factors = (1 if scale is None else np.asarray(scale)) / root
+            rows = radial.lattice_rows(fam, alpha, nmax, factors)
+        else:
+            rows = radial.phi_rows(fam, alpha, nmax, scale)
+        _, kept = _lattice_walk(fam, alpha, lambda x: rows(x).T, np.square)
+        vals = np.concatenate([f[:len(x)] for x, _, f in kept]).T
+        weights = np.concatenate([w for _, w, _ in kept])
+    # np.dot, unlike matmul, has a fast loop for np.longdouble
+    block = np.dot(vals * weights, vals.T)
     if root is not None:
-        total = root[:, None] * total * root
-    return total.astype(float)
+        block = root[:, None] * block * root
+    return block.astype(float)
 
 
 class GramEntries(Mapping):
@@ -307,18 +334,27 @@ def summarize(blocks, offdiag_tol, diag_rel_tol, notes=""):
     Entries across blocks are exact zeros and cannot raise the maximum;
     nor can an exact zero inside a block.  A NaN anywhere propagates to its
     maximum and fails the Gram; a nonzero off-diagonal over a zero diagonal
-    reads inf.
+    reads inf.  A product G_ii G_jj outside the normal float range, which
+    would read an overflowed pair as 0 or an underflowed one as inf, is
+    taken as sqrt|G_ii| sqrt|G_jj| instead.
     """
     diag_ref = dict(sorted(
         (idx, float(r)) for idxs, _, ref in blocks for idx, r in zip(idxs, ref)
     ))
     indices = list(diag_ref)
     offs, rels = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _, g, ref in blocks:
             d = np.diagonal(g)
             rels.append(np.max(np.abs(d - ref) / np.abs(ref)))
-            ratio = np.abs(g) / np.sqrt(np.abs(np.multiply.outer(d, d)))
+            prod = np.abs(np.multiply.outer(d, d))
+            scale = np.sqrt(prod)
+            # the pair mask only for a block with a product out of range
+            if not (prod.min() >= _FLOAT_TINY and prod.max() < np.inf):
+                out = ~((prod >= _FLOAT_TINY) & (prod < np.inf))
+                root = np.sqrt(np.abs(d))
+                scale[out] = np.multiply.outer(root, root)[out]
+            ratio = np.abs(g) / scale
             ratio[g == 0.0] = 0.0
             np.fill_diagonal(ratio, 0.0)
             offs.append(np.max(ratio))

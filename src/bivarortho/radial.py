@@ -329,7 +329,18 @@ def monic_values(A, B, x):
 
 def leading_coeffs(fam, alpha, nmax, scale=None):
     """c_0(k, alpha), times ``scale[k]`` when given, k = 0..nmax, in
-    np.longdouble: the factors that turn monic rows p_k into phi_k."""
+    np.longdouble: the factors that turn monic rows p_k into phi_k.
+
+    For q-Laguerre they come from the closed form
+    c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k, a = alpha + beta, in np.longdouble
+    arithmetic: the float leading_coeff leaves the normal range once
+    q^((a+k)k) does (ZQ at q = 0.3 from k = 25 at a = 0)."""
+    if fam.kind == "qlaguerre":
+        q = np.longdouble(fam.q)
+        k = np.arange(nmax + 1, dtype=np.longdouble)
+        qq = np.cumprod(np.concatenate(([np.longdouble(1.0)], 1.0 - q ** k[1:])))
+        lead = (-1.0) ** k * q ** ((alpha + fam.beta + k) * k) / qq
+        return lead if scale is None else lead * scale
     lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],
                     dtype=np.longdouble)
     if scale is not None:

@@ -160,6 +160,20 @@ class TestGram:
         assert all(math.isfinite(float(summary[k])) for k in ("max_offdiag", "max_diag_relerr"))
         assert float(summary["max_diag_relerr"]) < 1e-12
 
+    def test_q_laguerre_at_small_q_certifies_cap_30(self, capsys):
+        # the float leading coefficients underflowed here from cap 25
+        # (diag relerr 1.0); the diagonal products overflow the float range
+        code, out, err = run(
+            ["gram", "--family", "ZQ", "--beta", "0", "--q", "0.3", "--degree-cap", "30",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0, err
+        assert err == ""
+        summary = json.loads(out)["summary"]
+        assert float(summary["max_offdiag"]) < 1e-12
+        assert float(summary["max_diag_relerr"]) < 1e-12
+
     def test_q_near_one_prints_a_summary(self, capsys):
         # the norms are one product of ratios, so q = 0.999 no longer
         # divides an underflowed (q; q)_inf by another: a summary, with the
@@ -271,15 +285,19 @@ class TestGram:
     # the one-product q-Laguerre norms (before: f9b339a5f6d49437); the rows
     # are the library's blocks (test_rows_are_the_same_block_pairs_of_every_pair),
     # whose oracles are tests/test_quad.py TestGolubWelsch.test_matches_40_digit_rule
-    # and tests/test_radial.py TestQLaguerreNorms
+    # and tests/test_radial.py TestQLaguerreNorms.  ZQ, WALL and MQ were
+    # re-recorded when the q blocks became one np.dot over the kept lattice
+    # points and the q-Laguerre leading coefficients np.longdouble (before:
+    # ZQ 2f34b1e35cbd2fba, WALL 4b44b9a6bee82908, MQ cbd1e3af07adc693),
+    # whose oracle is tests/test_quad.py TestLatticeSumAgainstScalarLoop
     GRAM_DIGESTS = {
         "Z": (["--family", "Z", "--beta", "0.5"], "246292fb8bd09f2a"),
         "H": (["--family", "H"], "2f344a8bec15b35c"),
         "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "933d76eff5d23cec"),
-        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "2f34b1e35cbd2fba"),
-        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "4b44b9a6bee82908"),
+        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "e2293c2c77902efe"),
+        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "15517e26b8cffcc0"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
-               "cbd1e3af07adc693"),
+               "783ddc69730451ce"),
     }
 
     @pytest.mark.skipif(

@@ -315,9 +315,22 @@ def _summed_rows(rad, alpha, nmax):
 
 class TestLatticeSumAgainstScalarLoop:
     @pytest.mark.parametrize("fam", list(ORACLE_FAMILIES.values()), ids=list(ORACLE_FAMILIES))
-    def test_gram_blocks_bit_identical(self, fam):
-        # every radial block of the Grams at caps 2..15
+    def test_gram_blocks_bit_identical(self, fam, monkeypatch):
+        # every radial block of the Grams at caps 2..15: q_lattice_sum of
+        # the outer product equals the scalar loop bit for bit; the walk of
+        # radial_gram, stopped on the diagonal, keeps exactly the points the
+        # scalar loop visits and sums the same diagonal bit for bit; its
+        # block, one np.dot over those points, is within 2.2e-16 of the
+        # loop relative to the diagonal
         rad = bivariate.radial_of(fam)
+        walks = []
+        walk = quad._lattice_walk
+
+        def spy(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(quad, "_lattice_walk", spy)
         for cap in range(2, 16):
             for alpha in range(cap + 1):
                 rows, root = _summed_rows(rad, alpha, cap - alpha)
@@ -326,13 +339,25 @@ class TestLatticeSumAgainstScalarLoop:
                     v = rows(x).T
                     return v[:, :, None] * v[:, None, :]
 
-                ref = _scalar_lattice_sum(rad, alpha, lambda x: np.outer(rows(x), rows(x)))
+                visited = []
+
+                def scalar_outer(x):
+                    visited.append(x)
+                    return np.outer(rows(x), rows(x))
+
+                ref = _scalar_lattice_sum(rad, alpha, scalar_outer)
                 assert ref.dtype == np.longdouble
                 assert np.array_equal(quad.q_lattice_sum(rad, alpha, outer), ref), (cap, alpha)
+                block = quad.radial_gram(rad, alpha, cap - alpha)
+                diagonal, kept = walks[-1]
+                points = np.concatenate([x for x, _, _ in kept])
+                assert np.array_equal(points, np.array(visited)), (cap, alpha)
+                assert np.array_equal(diagonal, np.diagonal(ref)), (cap, alpha)
                 if root is not None:
                     ref = root[:, None] * ref * root
-                assert np.array_equal(quad.radial_gram(rad, alpha, cap - alpha),
-                                      ref.astype(float)), (cap, alpha)
+                d = np.abs(np.diagonal(ref))
+                bound = 2.2e-16 * np.sqrt(np.multiply.outer(d, d))
+                assert np.all(np.abs(block - ref) <= bound), (cap, alpha)
 
     @pytest.mark.parametrize(
         "fam", [radial.wall(0.5, 0.99), radial.q_laguerre(0.5, 0.99)], ids=["wall", "qlaguerre"]
@@ -361,16 +386,21 @@ class TestLatticeSumAgainstScalarLoop:
         # a cap-8 block at q = 0.5 needs 44 points per direction (up to 74
         # for ZQ's two), all inside the first chunk or the doubled one
         calls = []
-        lattice_sum = quad.q_lattice_sum
 
-        def counting(fam, alpha, integrand):
-            def counted(x):
-                calls.append(len(x))
-                return integrand(x)
+        def counting(make_rows):
+            def make(*args):
+                rows = make_rows(*args)
 
-            return lattice_sum(fam, alpha, counted)
+                def counted(x):
+                    calls.append(len(x))
+                    return rows(x)
 
-        monkeypatch.setattr(quad, "q_lattice_sum", counting)
+                return counted
+
+            return make
+
+        for name in ("phi_rows", "lattice_rows"):
+            monkeypatch.setattr(radial, name, counting(getattr(radial, name)))
         quad.radial_gram(bivariate.radial_of(fam), 0, 8)
         assert 1 <= len(calls) <= 2 * directions
 
@@ -457,10 +487,19 @@ class TestGram:
         # eigenvector weights failed Z and H from cap 25
         + [(fam, cap) for fam in (bivariate.Z(0.5), bivariate.H(), bivariate.Z(3.0),
                                   bivariate.M(0.5, 0.5))
-           for cap in (20, 25, 30, 40)],
+           for cap in (20, 25, 30, 40)]
+        # the q-Laguerre leading coefficients in np.longdouble: in float they
+        # underflowed at q = 0.3 and cap 25 (diag relerr 1.0); these read
+        # max_offdiag <= 8.4e-16 and diag relerr <= 5.8e-14 (measured), with
+        # diagonals up to 8e242, whose products leave the float range
+        + [(fam, cap) for fam in (bivariate.ZQ(0.0, 0.3), bivariate.ZQ(0.5, 0.3),
+                                  bivariate.ZQ(0.7, 0.3, 2.0))
+           for cap in (25, 30)],
         ids=["Z", "H", "M", "ZQ", "WALL", "MQ"]
-        + [f"{tag}-{cap}" for tag in ("Z", "H", "Z3", "M") for cap in (20, 25, 30, 40)],
+        + [f"{tag}-{cap}" for tag in ("Z", "H", "Z3", "M") for cap in (20, 25, 30, 40)]
+        + [f"{tag}-{cap}" for tag in ("ZQ0-q0.3", "ZQ-q0.3", "ZQ-c2-q0.3") for cap in (25, 30)],
     )
+    @pytest.mark.filterwarnings("error")
     def test_certified_degree_caps(self, fam, cap):
         res = quad.gram(fam, cap, offdiag_tol=1e-9, diag_rel_tol=1e-8)
         assert res.passed, (res.max_offdiag, res.max_diag_relerr)
@@ -489,36 +528,44 @@ class TestGram:
 
 # The Gram grids and cap ladders of the gram_frontier benchmark workload,
 # and digests of their results.  The Z, H and M digests, and the grid
-# digest of Z, M and ZQ, pin those families bit for bit as their recurrence
+# digest of Z and M, pin those families bit for bit as their recurrence
 # rows at the nodes and Christoffel weights of golub_welsch give them;
 # TestGolubWelsch.test_matches_40_digit_rule and the certified caps of
-# TestGram are their oracles.  The ZQ digest pins the recurrence rows on the
-# q-Laguerre lattice against the one-product norms, whose oracle is
-# tests/test_radial.py TestQLaguerreNorms.  The WALL and MQ digests pin the
-# rows of radial.lattice_rows summed in orthonormal scale; tests/test_radial.py
-# TestLatticeRows and TestLatticeNorms and the certified caps of TestGram
-# are their oracles.
+# TestGram are their oracles.  The q-family blocks are one np.dot over the
+# points the lattice walk keeps, whose oracle is
+# TestLatticeSumAgainstScalarLoop.test_gram_blocks_bit_identical.  The ZQ
+# digests pin the recurrence rows on the q-Laguerre lattice, with the
+# np.longdouble leading coefficients, against the one-product norms, whose
+# oracle is tests/test_radial.py TestQLaguerreNorms.  The WALL and MQ
+# digests pin the rows of radial.lattice_rows summed in orthonormal scale;
+# tests/test_radial.py TestLatticeRows and TestLatticeNorms and the
+# certified caps of TestGram are their oracles.  Before the q blocks were
+# one np.dot (the outer products summed point by point), ZQ read
+# 68a22e2d93a667f4, WALL 050c35697422d195, MQ 12cdfd69395e4fbd and
+# grids-WALL-MQ 9073153e4c43af53, and the grid digest held ZQ too
+# (c381c7f8f9ed2947); the Z and M grids alone read 557ad928ddeb6530 then.
 GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
 LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
                    bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
                    bivariate.MQ(0.5, 0.5, 0.5))
 GRAM_GROUPS = {
     "grids": [(bivariate.Z(b), 4, 1e-9, 1e-8) for b in (0.0, 0.5, 2.0)]
-    + [(bivariate.M(b, g), 4, 1e-9, 1e-8) for b, g in ((0.0, 0.0), (0.5, 2.0), (2.0, 0.5))]
-    + [(bivariate.ZQ(0.5, q), 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)],
+    + [(bivariate.M(b, g), 4, 1e-9, 1e-8) for b, g in ((0.0, 0.0), (0.5, 2.0), (2.0, 0.5))],
+    "grids-ZQ": [(bivariate.ZQ(0.5, q), 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)],
     "grids-WALL-MQ": [(fam, 4, 1e-9, 1e-7) for q in (0.3, 0.5, 0.8)
                       for fam in (bivariate.WALL(0.5, q), bivariate.MQ(0.5, 0.5, q))],
     **{fam.tag: [(fam, cap, 1e-9, 1e-8) for cap in GRAM_LADDER] for fam in LADDER_FAMILIES},
 }
 GRAM_DIGESTS = {
-    "grids": "c381c7f8f9ed2947",
-    "grids-WALL-MQ": "9073153e4c43af53",
+    "grids": "557ad928ddeb6530",
+    "grids-ZQ": "2fe45496d9ae8957",
+    "grids-WALL-MQ": "650453198a4562f8",
     "Z": "c91ed1ce8e1bb088",
     "H": "549bda9b5b356049",
     "M": "eb827d853d45b9f2",
-    "ZQ": "68a22e2d93a667f4",
-    "WALL": "050c35697422d195",
-    "MQ": "12cdfd69395e4fbd",
+    "ZQ": "74210797b3fa0db8",
+    "WALL": "5369749b2e5fd01d",
+    "MQ": "9ba9db3ba3a75ceb",
 }
 
 
@@ -667,6 +714,20 @@ class TestSummarize:
         res = quad.summarize([([0, 1], g, np.ones(2))], 1e-9, 2.0)
         assert res.max_offdiag == math.inf
         assert not res.passed
+
+    def test_overflowing_diagonal_product(self):
+        # 1e200 * 1e200 overflows: the pair must read 0.5, not 0
+        g = np.array([[1e200, 0.5e200], [0.5e200, 1e200]])
+        res = quad.summarize([([0, 1], g, np.diagonal(g).copy())], 1e-9, 1e-8)
+        assert res.max_offdiag == 0.5
+        assert not res.passed
+
+    def test_underflowing_diagonal_product(self):
+        # 1e-200 * 1e-200 underflows to 0: the pair must read 1e-20, not inf
+        g = np.array([[1e-200, 1e-220], [1e-220, 1e-200]])
+        res = quad.summarize([([0, 1], g, np.diagonal(g).copy())], 1e-9, 1e-8)
+        assert res.max_offdiag == pytest.approx(1e-20, rel=1e-15)
+        assert res.passed
 
     def test_exact_zeros_never_count(self):
         # an exact zero over a zero diagonal is no 0/0: it cannot raise the
