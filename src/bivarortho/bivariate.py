@@ -107,8 +107,10 @@ FAMILIES = {
 }
 
 
+@lru_cache(maxsize=None)
 def radial_of(fam):
-    """Radial family underlying a bivariate family."""
+    """Radial family underlying a bivariate family, memoized (FamilyId and
+    the radial families are frozen, and few)."""
     if fam.tag not in FAMILIES:
         raise ValueError(f"unknown family tag {fam.tag!r}")
     make, names = FAMILIES[fam.tag]
@@ -196,16 +198,10 @@ def _zero_if_negative(fam, m, n):
     return construct(fam, m, n)
 
 
-def _require(cond):
-    if not cond:
-        raise IdentityRangeError("index outside identity range")
-
-
 # --- generic construction identities ---------------------------------------
 
 
 def _gen_3trr(fam, m, n):
-    _require(m >= n)
     rad = radial_of(fam)
     a = m - n
     A = _c0(rad, n, a + 1) / _c0(rad, n + 1, a)
@@ -216,7 +212,6 @@ def _gen_3trr(fam, m, n):
 
 
 def _gen_uv(fam, m, n):
-    _require(m >= n)
     rad = radial_of(fam)
     a = m - n
     v = radial.shift_a(rad, n, a)
@@ -242,7 +237,6 @@ def _recurrence_table(rad, alpha, npts):
 
 
 def _gen_diag(fam, m, n):
-    _require(m >= n)
     rad = radial_of(fam)
     a = m - n
     A, B = _recurrence_table(rad, a, _RECURRENCE_STEP * (n // _RECURRENCE_STEP + 1))
@@ -273,13 +267,10 @@ def _raise_param(fam, m, n):
     """Parameter-raising: z1 times the raised-parameter table equals the
     index-raised table.  Z/ZQ/WALL raise beta; M raises gamma; MQ raises
     beta."""
-    _require(m >= n)
-    if fam.tag in ("Z", "ZQ", "WALL", "MQ"):
-        raised = fam.with_params(beta=fam.beta + 1)
-    elif fam.tag == "M":
+    if fam.tag == "M":
         raised = fam.with_params(gamma=fam.gamma + 1)
     else:
-        raise IdentityRangeError("no parameter-raising relation for this family")
+        raised = fam.with_params(beta=fam.beta + 1)
     lhs = BivariatePoly.monomial(1, 0) * construct(raised, m, n)
     rhs = construct(fam, m + 1, n)
     return [("derived", lhs, rhs)]
@@ -289,14 +280,12 @@ def _raise_param(fam, m, n):
 
 
 def _z_rr1(fam, m, n):
-    _require(m >= n)
     lhs = BivariatePoly.monomial(1, 0) * construct(fam, m, n)
     rhs = construct(fam, m + 1, n) - _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
 def _z_rr2(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     lhs = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
     rhs = -(n + 1.0) * construct(fam, m + 1, n + 1) + (b + m + 1.0) * construct(fam, m, n)
@@ -304,7 +293,6 @@ def _z_rr2(fam, m, n):
 
 
 def _z_diag(fam, m, n):
-    _require(m >= n >= 1)
     b = fam.beta
     lhs = (b + m + n + 1.0 - BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
     rhs = (n + 1.0) * construct(fam, m + 1, n + 1) + (m + b) * construct(fam, m - 1, n - 1)
@@ -312,7 +300,6 @@ def _z_diag(fam, m, n):
 
 
 def _z_ladder1(fam, m, n):
-    _require(m >= n)
     f = construct(fam, m, n)
     lhs = f.diff_theta(2)
     rhs = -BivariatePoly.monomial(0, 1) * _zero_if_negative(fam, m, n - 1)
@@ -320,7 +307,6 @@ def _z_ladder1(fam, m, n):
 
 
 def _z_ladder2(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = f.diff_theta(2)
@@ -329,7 +315,6 @@ def _z_ladder2(fam, m, n):
 
 
 def _z_ladder3(fam, m, n):
-    _require(m >= n)
     f = construct(fam, m, n)
     lhs = f.diff_theta(1)
     rhs = (m - n) * f - BivariatePoly.monomial(0, 1) * _zero_if_negative(fam, m, n - 1)
@@ -337,7 +322,6 @@ def _z_ladder3(fam, m, n):
 
 
 def _z_ladder4(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = f.diff_theta(1)
@@ -346,7 +330,6 @@ def _z_ladder4(fam, m, n):
 
 
 def _z_ladder6(fam, m, n):
-    _require(m >= n >= 1)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = n * f.diff_theta(1) - m * f.diff_theta(2)
@@ -355,7 +338,6 @@ def _z_ladder6(fam, m, n):
 
 
 def _z_diff_down(fam, m, n):
-    _require(m >= n)
     f = construct(fam, m, n)
     lhs = f.diff_partial(2) - BivariatePoly.monomial(1, 0) * f
     rhs = -construct(fam, m + 1, n)
@@ -363,8 +345,6 @@ def _z_diff_down(fam, m, n):
 
 
 def _z_shift_up(fam, m, n):
-    # raises n by one, so it holds strictly inside the m >= n wedge only
-    _require(m > n)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = f.diff_theta(1) + (b - BivariatePoly.monomial(1, 1)) * f
@@ -373,7 +353,6 @@ def _z_shift_up(fam, m, n):
 
 
 def _z_delta_w2(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = f.diff_theta(2) + (b - BivariatePoly.monomial(1, 1)) * f
@@ -382,7 +361,6 @@ def _z_delta_w2(fam, m, n):
 
 
 def _z_delta_w1(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = f.diff_theta(1) + (b - BivariatePoly.monomial(1, 1)) * f
@@ -391,7 +369,6 @@ def _z_delta_w1(fam, m, n):
 
 
 def _z_pde(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     f = construct(fam, m, n)
     z1 = BivariatePoly.monomial(1, 0)
@@ -404,7 +381,6 @@ def _z_pde(fam, m, n):
 
 
 def _z_ode(fam, m, n):
-    _require(m >= n)
     b = fam.beta
     f = construct(fam, m, n)
     lhs = (
@@ -416,7 +392,6 @@ def _z_ode(fam, m, n):
 
 
 def _z_oprep(fam, m, n):
-    _require(m >= n)
     lhs = construct(fam, m, n)
     rhs = operational_Z(m, n, fam.beta)
     return [("derived", lhs, rhs)]
@@ -426,7 +401,6 @@ def _z_oprep(fam, m, n):
 
 
 def _m_rr1(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     lhs = (b + g + m + n + 2.0) * BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
     rhs = (g + m + 1.0) * construct(fam, m, n) - (n + 1.0) * construct(fam, m + 1, n + 1)
@@ -434,7 +408,6 @@ def _m_rr1(fam, m, n):
 
 
 def _m_rr2(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     lhs = (b + g + m + n + 1.0) * BivariatePoly.monomial(1, 0) * construct(fam, m, n)
     rhs = (b + g + m + 1.0) * construct(fam, m + 1, n) - (b + n) * _zero_if_negative(
@@ -444,7 +417,6 @@ def _m_rr2(fam, m, n):
 
 
 def _m_rr3(fam, m, n):
-    _require(m >= n >= 1)
     b, g = fam.beta, fam.gamma
     s = b + g + m + n
     an = (n + 1.0) * (b + g + m + 1.0) / ((s + 1.0) * (s + 2.0))
@@ -456,7 +428,6 @@ def _m_rr3(fam, m, n):
 
 
 def _m_pde1(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -470,7 +441,6 @@ def _m_pde1(fam, m, n):
 
 
 def _m_pde1b(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -483,7 +453,6 @@ def _m_pde1b(fam, m, n):
 
 
 def _m_pde2(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -510,7 +479,6 @@ def _m_pde2(fam, m, n):
 
 
 def _m_ladder1(fam, m, n):
-    _require(m >= n >= 1)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     raised = fam.with_params(beta=b + 1)
@@ -521,7 +489,6 @@ def _m_ladder1(fam, m, n):
 
 
 def _m_ladder2(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     raised = fam.with_params(beta=b + 1)
@@ -532,7 +499,6 @@ def _m_ladder2(fam, m, n):
 
 
 def _m_ladder3(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     raised = fam.with_params(beta=b + 1)
@@ -543,7 +509,6 @@ def _m_ladder3(fam, m, n):
 
 
 def _m_ladder4(fam, m, n):
-    _require(m >= n)
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
     raised = fam.with_params(beta=b + 1)
@@ -556,7 +521,6 @@ def _m_ladder4(fam, m, n):
 
 
 def _zq_rr1(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     lhs = q ** (m + 1 + b) * BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
     rhs = -(1.0 - q ** (n + 1)) * construct(fam, m + 1, n + 1) + (
@@ -566,7 +530,6 @@ def _zq_rr1(fam, m, n):
 
 
 def _zq_rr2(fam, m, n):
-    _require(m >= n >= 1)
     q = fam.q
     z1 = BivariatePoly.monomial(1, 0)
     rhs = construct(fam, m + 1, n) - construct(fam, m, n - 1)
@@ -576,7 +539,6 @@ def _zq_rr2(fam, m, n):
 
 
 def _zq_diag(fam, m, n):
-    _require(m >= n >= 1)
     b, q = fam.beta, fam.q
     coeff = 1.0 + q * (1.0 - q ** n - q ** (m + b))
     lhs = (coeff - q ** (b + m + n + 1) * BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
@@ -587,7 +549,6 @@ def _zq_diag(fam, m, n):
 
 
 def _zq_qde1(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -601,7 +562,6 @@ def _zq_qde1(fam, m, n):
 
 
 def _zq_qde2(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -627,7 +587,6 @@ def _zq_qde2(fam, m, n):
 
 
 def _zq_lad19(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     down = _zero_if_negative(fam, m, n - 1).dilate(1, q)
@@ -637,7 +596,6 @@ def _zq_lad19(fam, m, n):
 
 
 def _zq_lad20(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     down = _zero_if_negative(fam, m, n - 1).dilate(1, q)
@@ -647,7 +605,6 @@ def _zq_lad20(fam, m, n):
 
 
 def _zq_lad22(fam, m, n):
-    _require(m >= n)
     f = construct(fam, m, n)
     q = fam.q
     lhs = f - (1.0 + BivariatePoly.monomial(1, 1)) * f.dilate(2, q)
@@ -656,7 +613,6 @@ def _zq_lad22(fam, m, n):
 
 
 def _zq_lad23(fam, m, n):
-    _require(m > n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = f - q ** b * (1.0 + BivariatePoly.monomial(1, 1)) * f.dilate(1, q)
@@ -665,7 +621,6 @@ def _zq_lad23(fam, m, n):
 
 
 def _zq_lad24(fam, m, n):
-    _require(m > n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = f - q ** (b + m - n) * (1.0 + BivariatePoly.monomial(1, 1)) * f.dilate(2, q)
@@ -677,7 +632,6 @@ def _zq_lad24(fam, m, n):
 
 
 def _wall_rr1(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     lhs = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
     rhs = (
@@ -689,7 +643,6 @@ def _wall_rr1(fam, m, n):
 
 
 def _wall_rr2(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     lhs = (1.0 - q ** (m - n + b + 1)) * BivariatePoly.monomial(1, 0) * construct(fam, m, n)
     rhs = (1.0 - q ** (m + b + 1)) * construct(fam, m + 1, n) - q ** (m - n + b + 1) * (
@@ -699,7 +652,6 @@ def _wall_rr2(fam, m, n):
 
 
 def _wall_diag(fam, m, n):
-    _require(m >= n >= 1)
     b, q = fam.beta, fam.q
     coeff = q ** n + q ** (m + b) * (1.0 - q ** n - q ** (n + 1))
     lhs = (coeff - BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
@@ -710,7 +662,6 @@ def _wall_diag(fam, m, n):
 
 
 def _wall_qde1(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -724,7 +675,6 @@ def _wall_qde1(fam, m, n):
 
 
 def _wall_qde2(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -747,7 +697,6 @@ def _wall_qde2(fam, m, n):
 
 
 def _wall_lad1(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = (1.0 - q ** (b + m - n + 1)) * (f - q ** (n - m) * f.dilate(1, q))
@@ -758,7 +707,6 @@ def _wall_lad1(fam, m, n):
 
 
 def _wall_lad2(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = (1.0 - q ** (b + m - n + 1)) * (f - f.dilate(2, q))
@@ -769,7 +717,6 @@ def _wall_lad2(fam, m, n):
 
 
 def _wall_lad20(fam, m, n):
-    _require(m > n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = q ** b * f - (1.0 - BivariatePoly.monomial(1, 1)) * f.dilate(1, 1.0 / q)
@@ -783,7 +730,6 @@ def _wall_lad20(fam, m, n):
 
 
 def _wall_lad21(fam, m, n):
-    _require(m > n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = q ** b * f - q ** (n - m) * (1.0 - BivariatePoly.monomial(1, 1)) * f.dilate(
@@ -799,7 +745,6 @@ def _wall_lad21(fam, m, n):
 
 
 def _wall_lad22(fam, m, n):
-    _require(m >= n)
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = (1.0 - q ** (b + m - n + 1)) * (
@@ -821,7 +766,6 @@ def _wall_lad22(fam, m, n):
 
 
 def _mq_rr1(fam, m, n):
-    _require(m >= n)
     b, g, q = fam.beta, fam.gamma, fam.q
     lhs = (1.0 - q ** (b + g + m + n + 2)) * BivariatePoly.monomial(0, 1) * construct(
         fam, m + 1, n
@@ -835,7 +779,6 @@ def _mq_rr1(fam, m, n):
 
 
 def _mq_rr2(fam, m, n):
-    _require(m >= n)
     b, g, q = fam.beta, fam.gamma, fam.q
     den = (1.0 - q ** (b + m - n + 1)) * (1.0 - q ** (b + g + m + n + 1))
     lhs = den * BivariatePoly.monomial(1, 0) * construct(fam, m, n)
@@ -860,7 +803,6 @@ def _mq_three_point(fam, m, n):
 
 
 def _mq_qde1(fam, m, n):
-    _require(m >= n)
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -888,7 +830,6 @@ def _mq_qde1(fam, m, n):
 
 
 def _mq_qde2(fam, m, n):
-    _require(m >= n)
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     x = BivariatePoly.monomial(1, 1)
@@ -922,7 +863,6 @@ def _mq_qde2(fam, m, n):
 
 
 def _mq_ladder1(fam, m, n):
-    _require(m >= n >= 1)
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     raised = fam.with_params(gamma=g + 1)
@@ -947,7 +887,6 @@ def _mq_ladder1(fam, m, n):
 
 
 def _mq_ladder2(fam, m, n):
-    _require(m >= n + 1)
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     lowered = fam.with_params(gamma=g - 1)
@@ -960,7 +899,6 @@ def _mq_ladder2(fam, m, n):
 
 
 def _mq_ladder3(fam, m, n):
-    _require(m >= n + 1)
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     lowered = fam.with_params(gamma=g - 1)
@@ -983,90 +921,91 @@ _ALL = ("Z", "H", "M", "ZQ", "WALL", "MQ")
 _NOT_H = ("Z", "M", "ZQ", "WALL", "MQ")
 _QTAGS = ("ZQ", "WALL", "MQ")
 
+# index domains (min_gap, min_n): the pairs with m - n >= min_gap and
+# n >= min_n; None states an identity at every pair
+_WEDGE = (0, 0)  # m >= n
+_INSIDE = (1, 0)  # m > n: the identity raises n, so it holds strictly inside the wedge
+_LOWER = (0, 1)  # m >= n >= 1: the identity lowers n
+
+# name: (family tags, builder, index domain)
 IDENTITIES = {
-    "GEN_3TRR": (_NOT_H, _gen_3trr),
-    "GEN_REC2": (_NOT_H, _gen_uv),  # one relation: its tables equal GEN_UV's
-    "GEN_UV": (_NOT_H, _gen_uv),
-    "GEN_DIAG": (_NOT_H, _gen_diag),
-    "GEN_EIGEN": (_ALL, _gen_eigen),
-    "GEN_EIGEN_Q": (_QTAGS, _gen_eigen_q),
-    "RAISE": (_NOT_H, _raise_param),
-    "Z_RR1": (("Z",), _z_rr1),
-    "Z_RR2": (("Z",), _z_rr2),
-    "Z_DIAG": (("Z",), _z_diag),
-    "Z_LADDER1": (("Z",), _z_ladder1),
-    "Z_LADDER2": (("Z",), _z_ladder2),
-    "Z_LADDER3": (("Z",), _z_ladder3),
-    "Z_LADDER4": (("Z",), _z_ladder4),
-    "Z_LADDER5": (("Z",), _gen_eigen),
-    "Z_LADDER6": (("Z",), _z_ladder6),
-    "Z_DIFF_DOWN": (("Z",), _z_diff_down),
-    "Z_SHIFT_UP": (("Z",), _z_shift_up),
-    "Z_DELTA_W1": (("Z",), _z_delta_w1),
-    "Z_DELTA_W2": (("Z",), _z_delta_w2),
-    "Z_PDE": (("Z",), _z_pde),
-    "Z_ODE": (("Z",), _z_ode),
-    "Z_OPREP": (("Z",), _z_oprep),
-    "M_RR1": (("M",), _m_rr1),
-    "M_RR2": (("M",), _m_rr2),
-    "M_RR3": (("M",), _m_rr3),
-    "M_PDE1": (("M",), _m_pde1),
-    "M_PDE1B": (("M",), _m_pde1b),
-    "M_PDE2": (("M",), _m_pde2),
-    "M_LADDER1": (("M",), _m_ladder1),
-    "M_LADDER2": (("M",), _m_ladder2),
-    "M_LADDER3": (("M",), _m_ladder3),
-    "M_LADDER4": (("M",), _m_ladder4),
-    "ZQ_RR1": (("ZQ",), _zq_rr1),
-    "ZQ_RR2": (("ZQ",), _zq_rr2),
-    "ZQ_DIAG": (("ZQ",), _zq_diag),
-    "ZQ_QDE1": (("ZQ",), _zq_qde1),
-    "ZQ_QDE2": (("ZQ",), _zq_qde2),
-    "ZQ_LADDER19": (("ZQ",), _zq_lad19),
-    "ZQ_LADDER20": (("ZQ",), _zq_lad20),
-    "ZQ_LADDER22": (("ZQ",), _zq_lad22),
-    "ZQ_LADDER23": (("ZQ",), _zq_lad23),
-    "ZQ_LADDER24": (("ZQ",), _zq_lad24),
-    "WALL_RR1": (("WALL",), _wall_rr1),
-    "WALL_RR2": (("WALL",), _wall_rr2),
-    "WALL_DIAG": (("WALL",), _wall_diag),
-    "WALL_QDE1": (("WALL",), _wall_qde1),
-    "WALL_QDE2": (("WALL",), _wall_qde2),
-    "WALL_LADDER1": (("WALL",), _wall_lad1),
-    "WALL_LADDER2": (("WALL",), _wall_lad2),
-    "WALL_LADDER20": (("WALL",), _wall_lad20),
-    "WALL_LADDER21": (("WALL",), _wall_lad21),
-    "WALL_LADDER22": (("WALL",), _wall_lad22),
-    "MQ_RR1": (("MQ",), _mq_rr1),
-    "MQ_RR2": (("MQ",), _mq_rr2),
-    "MQ_QDE1": (("MQ",), _mq_qde1),
-    "MQ_QDE2": (("MQ",), _mq_qde2),
-    "MQ_LADDER1": (("MQ",), _mq_ladder1),
-    "MQ_LADDER2": (("MQ",), _mq_ladder2),
-    "MQ_LADDER3": (("MQ",), _mq_ladder3),
+    "GEN_3TRR": (_NOT_H, _gen_3trr, _WEDGE),
+    # one relation under two names: sweep checks _gen_uv once per pair and
+    # reports it under both (as Z_LADDER5 and GEN_EIGEN share _gen_eigen)
+    "GEN_REC2": (_NOT_H, _gen_uv, _WEDGE),
+    "GEN_UV": (_NOT_H, _gen_uv, _WEDGE),
+    "GEN_DIAG": (_NOT_H, _gen_diag, _WEDGE),
+    "GEN_EIGEN": (_ALL, _gen_eigen, None),
+    "GEN_EIGEN_Q": (_QTAGS, _gen_eigen_q, None),
+    "RAISE": (_NOT_H, _raise_param, _WEDGE),
+    "Z_RR1": (("Z",), _z_rr1, _WEDGE),
+    "Z_RR2": (("Z",), _z_rr2, _WEDGE),
+    "Z_DIAG": (("Z",), _z_diag, _LOWER),
+    "Z_LADDER1": (("Z",), _z_ladder1, _WEDGE),
+    "Z_LADDER2": (("Z",), _z_ladder2, _WEDGE),
+    "Z_LADDER3": (("Z",), _z_ladder3, _WEDGE),
+    "Z_LADDER4": (("Z",), _z_ladder4, _WEDGE),
+    "Z_LADDER5": (("Z",), _gen_eigen, None),
+    "Z_LADDER6": (("Z",), _z_ladder6, _LOWER),
+    "Z_DIFF_DOWN": (("Z",), _z_diff_down, _WEDGE),
+    "Z_SHIFT_UP": (("Z",), _z_shift_up, _INSIDE),
+    "Z_DELTA_W1": (("Z",), _z_delta_w1, _WEDGE),
+    "Z_DELTA_W2": (("Z",), _z_delta_w2, _WEDGE),
+    "Z_PDE": (("Z",), _z_pde, _WEDGE),
+    "Z_ODE": (("Z",), _z_ode, _WEDGE),
+    "Z_OPREP": (("Z",), _z_oprep, _WEDGE),
+    "M_RR1": (("M",), _m_rr1, _WEDGE),
+    "M_RR2": (("M",), _m_rr2, _WEDGE),
+    "M_RR3": (("M",), _m_rr3, _LOWER),
+    "M_PDE1": (("M",), _m_pde1, _WEDGE),
+    "M_PDE1B": (("M",), _m_pde1b, _WEDGE),
+    "M_PDE2": (("M",), _m_pde2, _WEDGE),
+    "M_LADDER1": (("M",), _m_ladder1, _LOWER),
+    "M_LADDER2": (("M",), _m_ladder2, _WEDGE),
+    "M_LADDER3": (("M",), _m_ladder3, _WEDGE),
+    "M_LADDER4": (("M",), _m_ladder4, _WEDGE),
+    "ZQ_RR1": (("ZQ",), _zq_rr1, _WEDGE),
+    "ZQ_RR2": (("ZQ",), _zq_rr2, _LOWER),
+    "ZQ_DIAG": (("ZQ",), _zq_diag, _LOWER),
+    "ZQ_QDE1": (("ZQ",), _zq_qde1, _WEDGE),
+    "ZQ_QDE2": (("ZQ",), _zq_qde2, _WEDGE),
+    "ZQ_LADDER19": (("ZQ",), _zq_lad19, _WEDGE),
+    "ZQ_LADDER20": (("ZQ",), _zq_lad20, _WEDGE),
+    "ZQ_LADDER22": (("ZQ",), _zq_lad22, _WEDGE),
+    "ZQ_LADDER23": (("ZQ",), _zq_lad23, _INSIDE),
+    "ZQ_LADDER24": (("ZQ",), _zq_lad24, _INSIDE),
+    "WALL_RR1": (("WALL",), _wall_rr1, _WEDGE),
+    "WALL_RR2": (("WALL",), _wall_rr2, _WEDGE),
+    "WALL_DIAG": (("WALL",), _wall_diag, _LOWER),
+    "WALL_QDE1": (("WALL",), _wall_qde1, _WEDGE),
+    "WALL_QDE2": (("WALL",), _wall_qde2, _WEDGE),
+    "WALL_LADDER1": (("WALL",), _wall_lad1, _WEDGE),
+    "WALL_LADDER2": (("WALL",), _wall_lad2, _WEDGE),
+    "WALL_LADDER20": (("WALL",), _wall_lad20, _INSIDE),
+    "WALL_LADDER21": (("WALL",), _wall_lad21, _INSIDE),
+    "WALL_LADDER22": (("WALL",), _wall_lad22, _WEDGE),
+    "MQ_RR1": (("MQ",), _mq_rr1, _WEDGE),
+    "MQ_RR2": (("MQ",), _mq_rr2, _WEDGE),
+    "MQ_QDE1": (("MQ",), _mq_qde1, _WEDGE),
+    "MQ_QDE2": (("MQ",), _mq_qde2, _WEDGE),
+    "MQ_LADDER1": (("MQ",), _mq_ladder1, _LOWER),
+    "MQ_LADDER2": (("MQ",), _mq_ladder2, _INSIDE),
+    "MQ_LADDER3": (("MQ",), _mq_ladder3, _INSIDE),
 }
 
 
 def identity_ids_for(fam):
     """Identity names applicable to a family, in registry order."""
-    return [name for name, (tags, _) in IDENTITIES.items() if fam.tag in tags]
+    return [name for name, (tags, _, _) in IDENTITIES.items() if fam.tag in tags]
 
 
-def check_identity(fam, name, m, n, tol=None):
-    """Check one catalog identity at one index pair.
+def _in_domain(domain, m, n):
+    return domain is None or (m - n >= domain[0] and n >= domain[1])
 
-    The verdict is computed on the derived variant(s); a printed variant, if
-    present, contributes a separately reported residual, and its failure is
-    flagged as a known discrepancy rather than an error.
-    """
-    if tol is None:
-        tol = Tolerance()
-    if name not in IDENTITIES:
-        raise KeyError(f"unknown identity {name!r}")
-    tags, builder = IDENTITIES[name]
-    if fam.tag not in tags:
-        raise IdentityRangeError(f"{name} does not apply to family {fam.tag}")
-    variants = builder(fam, m, n)
+
+def _verdict(variants, tol):
+    """(residual, scale, passed, printed_residual, printed_passed) of one
+    identity's variants, as check_identity reports them."""
     worst_res, worst_scale, passed = 0.0, 0.0, True
     printed_res = printed_passed = None
     for label, lhs, rhs in variants:
@@ -1077,19 +1016,47 @@ def check_identity(fam, name, m, n, tol=None):
             if res > worst_res or res != res:  # a NaN residual is the worst
                 worst_res, worst_scale = res, scale
             passed = bool(passed and tol.passes(res, scale))
-    known = name in KNOWN_DISCREPANCIES and printed_passed is False
-    note = KNOWN_DISCREPANCIES.get(name, "") if known else ""
-    return IdentityReport(
-        name, fam.tag, m, n, worst_res, worst_scale, passed,
-        printed_res, printed_passed, known, note,
-    )
+    return worst_res, worst_scale, passed, printed_res, printed_passed
+
+
+def _report(name, fam, m, n, verdict):
+    """IdentityReport of a verdict under an identity's name: a failing
+    printed variant of a KNOWN_DISCREPANCIES name is flagged, with its note."""
+    known = name in KNOWN_DISCREPANCIES and verdict[4] is False
+    note = KNOWN_DISCREPANCIES[name] if known else ""
+    return IdentityReport(name, fam.tag, m, n, *verdict, known, note)
+
+
+def check_identity(fam, name, m, n, tol=None):
+    """Check one catalog identity at one index pair.
+
+    The verdict is computed on the derived variant(s); a printed variant, if
+    present, contributes a separately reported residual, and its failure is
+    flagged as a known discrepancy rather than an error.  An unknown name
+    raises KeyError; a family the identity does not apply to, or a pair
+    outside its index domain, raises IdentityRangeError before any table is
+    built.
+    """
+    if tol is None:
+        tol = Tolerance()
+    if name not in IDENTITIES:
+        raise KeyError(f"unknown identity {name!r}")
+    tags, builder, domain = IDENTITIES[name]
+    if fam.tag not in tags:
+        raise IdentityRangeError(f"{name} does not apply to family {fam.tag}")
+    if not _in_domain(domain, m, n):
+        raise IdentityRangeError("index outside identity range")
+    return _report(name, fam, m, n, _verdict(builder(fam, m, n), tol))
 
 
 def sweep(fam, names=None, max_mn=6, tol=None):
-    """Run identities over all index pairs m, n <= max_mn; out-of-range
-    pairs are skipped, but a name that is not an identity of the family
-    raises IdentityRangeError before any work starts.  Returns the list of
-    reports."""
+    """Run identities over the index pairs m, n <= max_mn of their domains;
+    a name that is not an identity of the family raises IdentityRangeError
+    before any work starts.  Returns the reports, in name, m, n order, each
+    equal to check_identity's; names that share a builder share its one
+    check per pair."""
+    if tol is None:
+        tol = Tolerance()
     available = identity_ids_for(fam)
     names = available if names is None else names
     foreign = [name for name in names if name not in available]
@@ -1097,14 +1064,18 @@ def sweep(fam, names=None, max_mn=6, tol=None):
         raise IdentityRangeError(f"unknown identity ids for family {fam.tag}: {', '.join(foreign)}")
     if max_mn < 0:
         raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
+    pairs = [(m, n) for m in range(max_mn + 1) for n in range(max_mn + 1)]
+    verdicts = {}
     reports = []
     for name in names:
-        for m in range(max_mn + 1):
-            for n in range(max_mn + 1):
-                try:
-                    reports.append(check_identity(fam, name, m, n, tol))
-                except IdentityRangeError:
-                    continue
+        _, builder, domain = IDENTITIES[name]
+        for m, n in pairs:
+            if not _in_domain(domain, m, n):
+                continue
+            key = (builder, m, n)
+            if key not in verdicts:
+                verdicts[key] = _verdict(builder(fam, m, n), tol)
+            reports.append(_report(name, fam, m, n, verdicts[key]))
     return reports
 
 

@@ -11,20 +11,16 @@ Exact zeros (and -0.0) are pruned when a table is built, by one scan for a
 zero; a NaN is kept.  A table takes ownership of the dict it is given and
 never copies it, so the dict must not be changed afterwards.  Every operator
 builds a fresh dict for its result, and no result shares a dict with an
-operand.  ``residual`` forms the difference of two tables in one dict pass
-and carries the NaN rule of the identity gates.  All operators act exactly
-on the coefficient table; evaluation happens only at the point where a
-numeric answer is requested.
+operand.  A scalar operand of ``+`` or ``-`` makes no constant table: it
+acts on the (0, 0) entry of the result's dict, bit for bit as the table
+``const(s)`` would.  ``residual`` forms the difference of two tables in one
+dict pass and carries the NaN rule of the identity gates.  All operators
+act exactly on the coefficient table; evaluation happens only at the point
+where a numeric answer is requested.
 """
 
 import math
 from dataclasses import dataclass
-
-
-def _top_abs(terms):
-    """Largest |coefficient| of a table (0.0 when empty) by the builtin max,
-    which keeps a NaN only when it comes first."""
-    return max(map(abs, terms.values())) if terms else 0.0
 
 
 class BivariatePoly:
@@ -69,13 +65,17 @@ class BivariatePoly:
     def __eq__(self, other):
         return isinstance(other, BivariatePoly) and self.terms == other.terms
 
+    # a scalar operand s acts on key (0, 0) as the table const(s) would:
+    # a zero s (which const prunes) adds nothing, any other s takes the
+    # same float operation there
     def __add__(self, other):
-        if not isinstance(other, BivariatePoly):
-            other = BivariatePoly.const(other)
         out = dict(self.terms)
         get = out.get
-        for k, v in other.terms.items():
-            out[k] = get(k, 0) + v
+        if isinstance(other, BivariatePoly):
+            for k, v in other.terms.items():
+                out[k] = get(k, 0) + v
+        elif other != 0:
+            out[(0, 0)] = get((0, 0), 0) + other
         return BivariatePoly(out)
 
     __radd__ = __add__
@@ -84,16 +84,20 @@ class BivariatePoly:
         return BivariatePoly({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, BivariatePoly):
-            other = BivariatePoly.const(other)
         out = dict(self.terms)
         get = out.get
-        for k, v in other.terms.items():
-            out[k] = get(k, 0) - v
+        if isinstance(other, BivariatePoly):
+            for k, v in other.terms.items():
+                out[k] = get(k, 0) - v
+        elif other != 0:
+            out[(0, 0)] = get((0, 0), 0) - other
         return BivariatePoly(out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        out = {k: -v for k, v in self.terms.items()}
+        if other != 0:
+            out[(0, 0)] = out.get((0, 0), 0) + other
+        return BivariatePoly(out)
 
     def __mul__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -115,8 +119,7 @@ class BivariatePoly:
                 out[key] = get(key, 0) + v1 * v2
         return BivariatePoly(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def evaluate(self, z1, z2):
         """Evaluate at a point; terms are accumulated in sorted key order so
@@ -182,7 +185,7 @@ def residual(p, r):
         total = math.fsum(values)
     except (TypeError, ValueError, OverflowError):
         total = sum(values)
-    return _top_abs(diff) if total == total else math.nan
+    return max(map(abs, values), default=0.0) if total == total else math.nan
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,9 @@ def identity_residual(lhs, rhs):
     """Residual and scale (max |coeff| over both sides) for lhs == rhs; the
     residual is NaN, and fails every Tolerance, when either side holds a
     NaN.  The scale skips the NaN test: a NaN on either side reaches the
-    difference that the residual measures."""
-    res = residual(lhs, rhs)
-    scale = max(_top_abs(lhs.terms), _top_abs(rhs.terms))
-    return res, scale
+    difference that the residual measures.  Each side's largest |coeff| is
+    taken by the builtin max (0.0 for an empty side), which keeps a NaN
+    only when it comes first."""
+    scale = max(max(map(abs, lhs.terms.values()), default=0.0),
+                max(map(abs, rhs.terms.values()), default=0.0))
+    return residual(lhs, rhs), scale

@@ -344,13 +344,18 @@ def summarize(blocks, offdiag_tol, diag_rel_tol, notes=""):
     indices = list(diag_ref)
     offs, rels = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # one range test for the whole Gram: rounding is monotone, so when
+        # the extreme |G_ii| square into the range every product does
+        size = np.abs(np.concatenate([np.empty(0)] + [np.diagonal(g) for _, g, _ in blocks]))
+        lo, hi = np.min(size, initial=np.inf), np.max(size, initial=0.0)
+        in_range = lo * lo >= _FLOAT_TINY and hi * hi < np.inf
         for _, g, ref in blocks:
             d = np.diagonal(g)
             rels.append(np.max(np.abs(d - ref) / np.abs(ref)))
             prod = np.abs(np.multiply.outer(d, d))
             scale = np.sqrt(prod)
             # the pair mask only for a block with a product out of range
-            if not (prod.min() >= _FLOAT_TINY and prod.max() < np.inf):
+            if not (in_range or prod.min() >= _FLOAT_TINY and prod.max() < np.inf):
                 out = ~((prod >= _FLOAT_TINY) & (prod < np.inf))
                 root = np.sqrt(np.abs(d))
                 scale[out] = np.multiply.outer(root, root)[out]

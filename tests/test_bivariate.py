@@ -1,6 +1,7 @@
 """Tests for the bivariate families: construction, the identity catalog,
 connections, generating functions, the series solver, and the q -> 1 limit."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -121,16 +122,14 @@ class TestTableCache:
 
 def _catalog_tables(fam, max_mn):
     """Both sides of every variant of every catalog identity of a family at
-    m, n <= max_mn."""
+    the pairs m, n <= max_mn of its declared index domain."""
     for name in bv.identity_ids_for(fam):
-        _, builder = bv.IDENTITIES[name]
+        _, builder, domain = bv.IDENTITIES[name]
         for m in range(max_mn + 1):
             for n in range(max_mn + 1):
-                try:
-                    variants = builder(fam, m, n)
-                except bv.IdentityRangeError:
+                if not bv._in_domain(domain, m, n):
                     continue
-                for _, lhs, rhs in variants:
+                for _, lhs, rhs in builder(fam, m, n):
                     yield name, m, n, lhs
                     yield name, m, n, rhs
 
@@ -203,6 +202,12 @@ class TestIdentityReportsPinned:
         assert h.hexdigest()[:16] == self.DIGEST
 
 
+def _report_fields(rep):
+    """Every field of a report, floats as their hex strings."""
+    return tuple(float(v).hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(rep))
+
+
 class TestIdentityCatalog:
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_sweep_derived_all_pass(self, fam):
@@ -257,10 +262,63 @@ class TestIdentityCatalog:
         variants = [("derived", good, good), ("derived", bad, good)]
         if first:
             variants.reverse()
-        monkeypatch.setitem(bv.IDENTITIES, "Z_ODE", (("Z",), lambda fam, m, n: variants))
+        monkeypatch.setitem(bv.IDENTITIES, "Z_ODE", (("Z",), lambda fam, m, n: variants, None))
         rep = bv.check_identity(bv.Z(0.5), "Z_ODE", 1, 1)
         assert math.isnan(rep.residual)
         assert rep.passed is False
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
+    def test_sweep_equals_check_identity(self, fam):
+        # one check per builder and pair (GEN_REC2 and GEN_UV, Z_LADDER5 and
+        # GEN_EIGEN) reads as the per-name checks, field for field
+        expected = [
+            _report_fields(bv.check_identity(fam, name, m, n))
+            for name in bv.identity_ids_for(fam)
+            for m in range(7)
+            for n in range(7)
+            if bv._in_domain(bv.IDENTITIES[name][2], m, n)
+        ]
+        assert [_report_fields(r) for r in bv.sweep(fam, None, 6)] == expected
+
+    def test_shared_builder_checked_once_per_pair(self, monkeypatch):
+        calls = []
+
+        def counted(fam, m, n):
+            calls.append((m, n))
+            return bv._gen_uv(fam, m, n)
+
+        for name in ("GEN_REC2", "GEN_UV"):
+            tags, _, domain = bv.IDENTITIES[name]
+            monkeypatch.setitem(bv.IDENTITIES, name, (tags, counted, domain))
+        reports = bv.sweep(bv.Z(0.5), ["GEN_REC2", "GEN_UV"], 4)
+        wedge = [(m, n) for m in range(5) for n in range(5) if m >= n]
+        assert calls == wedge
+        assert [(r.identity, r.m, r.n) for r in reports] == (
+            [("GEN_REC2",) + p for p in wedge] + [("GEN_UV",) + p for p in wedge])
+
+    @pytest.mark.parametrize("name", list(bv.IDENTITIES))
+    def test_range_is_checked_before_any_table(self, name, monkeypatch):
+        tags, _, domain = bv.IDENTITIES[name]
+        fam = bv.FamilyId(tags[0], beta=0.5, gamma=0.7)
+
+        def no_tables(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(bv, "construct", no_tables)
+        if domain is None:
+            outside, inside = [], [(0, 0), (0, 3), (3, 0)]
+        else:
+            gap, low = domain
+            # one step across each edge of the domain, and its corners
+            outside = [(low + gap - 1, low), (low + gap + 1, low + 2),
+                       (low + gap - 1, low - 1), (gap + low, low - 1)]
+            inside = [(low + gap, low), (low + gap + 2, low + 2)]
+        for m, n in outside:
+            with pytest.raises(bv.IdentityRangeError, match="index outside identity range"):
+                bv.check_identity(fam, name, m, n)
+        for m, n in inside:
+            with pytest.raises(AssertionError, match="table built"):
+                bv.check_identity(fam, name, m, n)
 
     def test_tolerance_is_respected(self):
         # an absurdly tight gate flips verdicts without raising

@@ -164,6 +164,79 @@ class TestArithmetic:
         assert (1.0 - p).terms == {(0, 0): 1.0, (1, 1): -2.0}
 
 
+def _bits(p):
+    """Keys, in dict order, with each coefficient's type and exact bits."""
+    def bits(v):
+        if isinstance(v, complex):
+            return v.real.hex(), v.imag.hex()
+        return v.hex() if isinstance(v, float) else repr(v)
+    return [(k, type(v).__name__, bits(v)) for k, v in p.terms.items()]
+
+
+SCALAR_TABLES = {
+    "with-const": {(1, 0): 1.0, (0, 0): 2.5, (0, 2): -0.75},
+    "no-const": {(1, 1): 2.0, (2, 0): -3.0},
+    "complex": {(0, 0): 1.0 + 2.0j, (0, 1): 0.5j},
+    "nan-const": {(0, 0): math.nan, (1, 0): 1.0},
+    # adding a zero here would turn -0.0 parts into 0.0: a zero scalar adds nothing
+    "signed-zero-parts": {(0, 0): complex(-0.0, 1.0), (1, 0): 2.0},
+    "empty": {},
+}
+SCALARS = [2.5, -2.5, 0.0, -0.0, 1e-300, math.nan, -math.inf, 1.0 + 2.0j, -0.5j, 0j, 3, 0, -2]
+
+
+class TestScalarOperands:
+    """A scalar operand acts on key (0, 0) bit for bit as the table
+    const(s) did: p + s and s + p as p + const(s), p - s as p - const(s),
+    and s - p as (-p) + const(s)."""
+
+    @pytest.mark.parametrize("s", SCALARS, ids=repr)
+    @pytest.mark.parametrize("name", list(SCALAR_TABLES))
+    def test_matches_the_constant_table(self, name, s):
+        p = BivariatePoly(dict(SCALAR_TABLES[name]))
+        c = BivariatePoly.const(s)
+        assert _bits(p + s) == _bits(p + c)
+        assert _bits(s + p) == _bits(p + c)
+        assert _bits(p - s) == _bits(p - c)
+        assert _bits(s - p) == _bits((-p) + c)
+
+    def test_cancelled_constant_is_pruned(self):
+        p = BivariatePoly({(0, 0): 2.5, (1, 0): 1.0})
+        assert list((p - 2.5).terms) == [(1, 0)]
+        assert list((p + -2.5).terms) == [(1, 0)]
+        assert list((-2.5 + p).terms) == [(1, 0)]
+        assert list((2.5 - p).terms) == [(1, 0)]
+        assert (2.5 - p).terms[(1, 0)] == -1.0
+
+    @pytest.mark.parametrize("s", [0.0, -0.0, 0, 0j])
+    def test_zero_scalar_adds_no_term(self, s):
+        p = BivariatePoly({(1, 1): 2.0})
+        for out in (p + s, s + p, p - s):
+            assert _bits(out) == _bits(p)
+        assert _bits(s - p) == _bits(-p)
+
+    def test_one_table_per_operation(self, monkeypatch):
+        p = BivariatePoly({(0, 0): 1.0, (1, 0): 2.0})
+        built = []
+        init = BivariatePoly.__init__
+
+        def counting_init(poly, terms=None):
+            built.append(terms)
+            init(poly, terms)
+
+        monkeypatch.setattr(BivariatePoly, "__init__", counting_init)
+        for op in (lambda: p + 1.5, lambda: 1.5 + p, lambda: p - 1.5, lambda: 1.5 - p,
+                   lambda: 1.5 * p, lambda: p * 1.5):
+            built.clear()
+            op()
+            assert len(built) == 1
+
+    def test_right_product_is_the_product(self):
+        p = BivariatePoly({(0, 0): 1.0 + 1.0j, (2, 1): -3.0})
+        assert _bits(0.3 * p) == _bits(p * 0.3)
+        assert BivariatePoly.__rmul__ is BivariatePoly.__mul__
+
+
 class TestMonomialProducts:
     @given(st.dictionaries(keys, st.one_of(coeffs, complex_coeffs), max_size=8),
            keys, st.one_of(coeffs, complex_coeffs))
@@ -367,6 +440,28 @@ class TestResidualsAndTolerance:
         assert residual(p, r) == 2.0
         assert identity_residual(p, r) == (2.0, 2.0)
         assert built == []
+
+    @pytest.mark.parametrize(
+        "lhs,rhs",
+        [
+            ({(0, 0): math.nan, (1, 0): 5.0}, {(0, 0): 7.0}),
+            ({(0, 0): 1.0, (1, 0): math.nan, (2, 0): 5.0}, {(0, 0): 3.0}),
+            ({(0, 0): 1.0}, {(0, 0): math.nan, (1, 0): 9.0}),
+            ({}, {(0, 0): math.nan, (1, 0): 9.0}),
+            ({(0, 0): math.nan}, {}),
+            ({}, {}),
+            ({(0, 0): -4.0, (1, 0): 3.0 + 4.0j}, {(2, 2): -math.inf}),
+        ],
+    )
+    def test_scale_is_the_larger_side_maximum(self, lhs, rhs):
+        # each side's builtin max keeps a NaN only when it comes first, and
+        # the larger of the two keeps lhs's NaN but not rhs's
+        def top_abs(terms):
+            return max(map(abs, terms.values())) if terms else 0.0
+
+        _, scale = identity_residual(BivariatePoly(lhs), BivariatePoly(rhs))
+        ref = max(top_abs(lhs), top_abs(rhs))
+        assert float(scale).hex() == float(ref).hex()
 
     def test_infinite_coefficient_reads_inf(self):
         p = BivariatePoly({(0, 0): 1.0, (1, 0): -math.inf})

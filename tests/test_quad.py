@@ -729,6 +729,19 @@ class TestSummarize:
         assert res.max_offdiag == pytest.approx(1e-20, rel=1e-15)
         assert res.passed
 
+    def test_blocks_read_as_alone_when_the_gram_spans_the_range(self):
+        # the extreme diagonals of different blocks square out of range, so
+        # the Gram-wide range test fails and each block is tested on its own
+        blocks = [([0, 1], np.array([[1e-170, 3e-173], [3e-173, 1e-170]]), np.full(2, 1e-170)),
+                  ([2, 3], np.array([[1e170, 2e168], [2e168, 1e170]]), np.full(2, 1e170)),
+                  ([4, 5], np.array([[1e200, 5e199], [5e199, 1e200]]), np.full(2, 1e200))]
+        alone = [quad.summarize([b], 1e-9, 1e-8).max_offdiag for b in blocks]
+        assert alone == [pytest.approx(3e-3, rel=1e-15), pytest.approx(2e-2, rel=1e-15), 0.5]
+        for k in (2, 3):
+            assert quad.summarize(blocks[:k], 1e-9, 1e-8).max_offdiag == max(alone[:k])
+        res = quad.summarize([], 1e-9, 1e-8)
+        assert (res.indices, res.max_offdiag, res.passed) == ([], 0.0, True)
+
     def test_exact_zeros_never_count(self):
         # an exact zero over a zero diagonal is no 0/0: it cannot raise the
         # maximum, inside a block or across blocks
