@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import radial
-from .polycore import BivariatePoly, Tolerance, identity_residual
+from .polycore import BivariatePoly, Tolerance, identity_residual, pack
 from .qcalc import pochhammer, falling, qnumber
 
 # identities whose printed variant is expected to fail (suspected typos);
@@ -57,13 +57,26 @@ KNOWN_DISCREPANCIES = {
 
 @dataclass(frozen=True)
 class FamilyId:
-    """Bivariate family selector; unused parameters are ignored."""
+    """Bivariate family selector; unused parameters are ignored.
+
+    The hash is taken once, when the id is made, and kept outside the
+    fields.  A str hash differs between processes, so an unpickled or
+    copied id is made again through the constructor (``__reduce__``)."""
 
     tag: str
     beta: float = 0.0
     gamma: float = 0.0
     q: float = 0.5
     c: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.tag, self.beta, self.gamma, self.q, self.c)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.tag, self.beta, self.gamma, self.q, self.c)
 
     def with_params(self, **kw):
         d = dict(tag=self.tag, beta=self.beta, gamma=self.gamma, q=self.q, c=self.c)
@@ -132,7 +145,7 @@ def construct(fam, m, n):
     coeffs = radial.radial_coeffs(radial_of(fam), n, m - n).tolist()
     factors = harmonic_scale(fam, n)
     scale = 1.0 if factors is None else factors[n]
-    return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
+    return BivariatePoly({pack(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
 def harmonic_scale(fam, nmax):
@@ -163,11 +176,19 @@ def values(fam, m, n, z1, z2):
 # ---------------------------------------------------------------------------
 
 
+# shared one-term tables (tables are immutable): z1, z2, x = z1 z2, 1 and 0
+_Z1 = BivariatePoly.monomial(1, 0)
+_Z2 = BivariatePoly.monomial(0, 1)
+_X = BivariatePoly.monomial(1, 1)
+_ONE = BivariatePoly.const(1.0)
+_ZERO = BivariatePoly.zero()
+
+
 class IdentityRangeError(ValueError):
     """Index outside an identity's stated range (not a check failure)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityReport:
     identity: str
     family: str
@@ -194,7 +215,7 @@ def _cj(rad, k, j, alpha):
 
 def _zero_if_negative(fam, m, n):
     if m < 0 or n < 0:
-        return BivariatePoly.zero()
+        return _ZERO
     return construct(fam, m, n)
 
 
@@ -206,7 +227,7 @@ def _gen_3trr(fam, m, n):
     a = m - n
     A = _c0(rad, n, a + 1) / _c0(rad, n + 1, a)
     B = -A * _cj(rad, n + 1, n + 1, a) / _cj(rad, n, n, a)
-    lhs = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = _Z2 * construct(fam, m + 1, n)
     rhs = A * construct(fam, m + 1, n + 1) + B * construct(fam, m, n)
     return [("derived", lhs, rhs)]
 
@@ -216,7 +237,7 @@ def _gen_uv(fam, m, n):
     a = m - n
     v = radial.shift_a(rad, n, a)
     u = radial.shift_b(rad, n, a)
-    lhs = BivariatePoly.monomial(1, 0) * construct(fam, m, n) - v * construct(fam, m + 1, n)
+    lhs = _Z1 * construct(fam, m, n) - v * construct(fam, m + 1, n)
     rhs = u * _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
@@ -240,8 +261,7 @@ def _gen_diag(fam, m, n):
     rad = radial_of(fam)
     a = m - n
     A, B = _recurrence_table(rad, a, _RECURRENCE_STEP * (n // _RECURRENCE_STEP + 1))
-    x = BivariatePoly.monomial(1, 1)
-    lhs = (x - float(A[n])) * construct(fam, m, n)
+    lhs = (_X - float(A[n])) * construct(fam, m, n)
     lower = float(B[n]) * _c0(rad, n, a) / _c0(rad, n - 1, a) if n else 0.0
     rhs = (_c0(rad, n, a) / _c0(rad, n + 1, a) * construct(fam, m + 1, n + 1)
            + lower * _zero_if_negative(fam, m - 1, n - 1))
@@ -271,7 +291,7 @@ def _raise_param(fam, m, n):
         raised = fam.with_params(gamma=fam.gamma + 1)
     else:
         raised = fam.with_params(beta=fam.beta + 1)
-    lhs = BivariatePoly.monomial(1, 0) * construct(raised, m, n)
+    lhs = _Z1 * construct(raised, m, n)
     rhs = construct(fam, m + 1, n)
     return [("derived", lhs, rhs)]
 
@@ -280,21 +300,21 @@ def _raise_param(fam, m, n):
 
 
 def _z_rr1(fam, m, n):
-    lhs = BivariatePoly.monomial(1, 0) * construct(fam, m, n)
+    lhs = _Z1 * construct(fam, m, n)
     rhs = construct(fam, m + 1, n) - _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
 def _z_rr2(fam, m, n):
     b = fam.beta
-    lhs = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = _Z2 * construct(fam, m + 1, n)
     rhs = -(n + 1.0) * construct(fam, m + 1, n + 1) + (b + m + 1.0) * construct(fam, m, n)
     return [("derived", lhs, rhs)]
 
 
 def _z_diag(fam, m, n):
     b = fam.beta
-    lhs = (b + m + n + 1.0 - BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
+    lhs = (b + m + n + 1.0 - _X) * construct(fam, m, n)
     rhs = (n + 1.0) * construct(fam, m + 1, n + 1) + (m + b) * construct(fam, m - 1, n - 1)
     return [("derived", lhs, rhs)]
 
@@ -302,7 +322,7 @@ def _z_diag(fam, m, n):
 def _z_ladder1(fam, m, n):
     f = construct(fam, m, n)
     lhs = f.diff_theta(2)
-    rhs = -BivariatePoly.monomial(0, 1) * _zero_if_negative(fam, m, n - 1)
+    rhs = -_Z2 * _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
@@ -317,7 +337,7 @@ def _z_ladder2(fam, m, n):
 def _z_ladder3(fam, m, n):
     f = construct(fam, m, n)
     lhs = f.diff_theta(1)
-    rhs = (m - n) * f - BivariatePoly.monomial(0, 1) * _zero_if_negative(fam, m, n - 1)
+    rhs = (m - n) * f - _Z2 * _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
@@ -339,7 +359,7 @@ def _z_ladder6(fam, m, n):
 
 def _z_diff_down(fam, m, n):
     f = construct(fam, m, n)
-    lhs = f.diff_partial(2) - BivariatePoly.monomial(1, 0) * f
+    lhs = f.diff_partial(2) - _Z1 * f
     rhs = -construct(fam, m + 1, n)
     return [("derived", lhs, rhs)]
 
@@ -347,48 +367,47 @@ def _z_diff_down(fam, m, n):
 def _z_shift_up(fam, m, n):
     b = fam.beta
     f = construct(fam, m, n)
-    lhs = f.diff_theta(1) + (b - BivariatePoly.monomial(1, 1)) * f
-    rhs = (n + 1.0) * BivariatePoly.monomial(1, 0) * construct(fam, m, n + 1)
+    lhs = f.diff_theta(1) + (b - _X) * f
+    rhs = (n + 1.0) * _Z1 * construct(fam, m, n + 1)
     return [("derived", lhs, rhs)]
 
 
 def _z_delta_w2(fam, m, n):
     b = fam.beta
     f = construct(fam, m, n)
-    lhs = f.diff_theta(2) + (b - BivariatePoly.monomial(1, 1)) * f
-    rhs = b * f - BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = f.diff_theta(2) + (b - _X) * f
+    rhs = b * f - _Z2 * construct(fam, m + 1, n)
     return [("derived", lhs, rhs)]
 
 
 def _z_delta_w1(fam, m, n):
     b = fam.beta
     f = construct(fam, m, n)
-    lhs = f.diff_theta(1) + (b - BivariatePoly.monomial(1, 1)) * f
-    rhs = (b + m - n) * f - BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = f.diff_theta(1) + (b - _X) * f
+    rhs = (b + m - n) * f - _Z2 * construct(fam, m + 1, n)
     return [("derived", lhs, rhs)]
 
 
 def _z_pde(fam, m, n):
     b = fam.beta
     f = construct(fam, m, n)
-    z1 = BivariatePoly.monomial(1, 0)
     lhs = (
-        z1 * f.diff_partial(1).diff_partial(2)
-        + (b - BivariatePoly.monomial(1, 1)) * f.diff_partial(2)
-        + n * z1 * f
+        _Z1 * f.diff_partial(1).diff_partial(2)
+        + (b - _X) * f.diff_partial(2)
+        + n * _Z1 * f
     )
-    return [("derived", lhs, BivariatePoly.zero())]
+    return [("derived", lhs, _ZERO)]
 
 
 def _z_ode(fam, m, n):
     b = fam.beta
     f = construct(fam, m, n)
     lhs = (
-        BivariatePoly.monomial(0, 1) * f.diff_partial(2).diff_partial(2)
-        + (1.0 + b + m - n - BivariatePoly.monomial(1, 1)) * f.diff_partial(2)
-        + n * BivariatePoly.monomial(1, 0) * f
+        _Z2 * f.diff_partial(2).diff_partial(2)
+        + (1.0 + b + m - n - _X) * f.diff_partial(2)
+        + n * _Z1 * f
     )
-    return [("derived", lhs, BivariatePoly.zero())]
+    return [("derived", lhs, _ZERO)]
 
 
 def _z_oprep(fam, m, n):
@@ -402,14 +421,14 @@ def _z_oprep(fam, m, n):
 
 def _m_rr1(fam, m, n):
     b, g = fam.beta, fam.gamma
-    lhs = (b + g + m + n + 2.0) * BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = (b + g + m + n + 2.0) * _Z2 * construct(fam, m + 1, n)
     rhs = (g + m + 1.0) * construct(fam, m, n) - (n + 1.0) * construct(fam, m + 1, n + 1)
     return [("derived", lhs, rhs)]
 
 
 def _m_rr2(fam, m, n):
     b, g = fam.beta, fam.gamma
-    lhs = (b + g + m + n + 1.0) * BivariatePoly.monomial(1, 0) * construct(fam, m, n)
+    lhs = (b + g + m + n + 1.0) * _Z1 * construct(fam, m, n)
     rhs = (b + g + m + 1.0) * construct(fam, m + 1, n) - (b + n) * _zero_if_negative(
         fam, m, n - 1
     )
@@ -422,7 +441,7 @@ def _m_rr3(fam, m, n):
     an = (n + 1.0) * (b + g + m + 1.0) / ((s + 1.0) * (s + 2.0))
     bn = (g + m) * (b + n) / (s * (s + 1.0))
     cn = (n + 1.0) * (g + m + 1.0) / (s + 2.0) - n * (g + m) / s
-    lhs = (cn - BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
+    lhs = (cn - _X) * construct(fam, m, n)
     rhs = an * construct(fam, m + 1, n + 1) + bn * construct(fam, m - 1, n - 1)
     return [("derived", lhs, rhs)]
 
@@ -430,51 +449,48 @@ def _m_rr3(fam, m, n):
 def _m_pde1(fam, m, n):
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     d2 = f.diff_theta(2)
     lhs = (
-        (1.0 - x) * d2.diff_theta(2)
-        + (float(m - n + g) - (b + g + m - n + 1.0) * x) * d2
-        + n * (b + g + m + 1.0) * x * f
+        (1.0 - _X) * d2.diff_theta(2)
+        + (float(m - n + g) - (b + g + m - n + 1.0) * _X) * d2
+        + n * (b + g + m + 1.0) * _X * f
     )
-    return [("derived", lhs, BivariatePoly.zero())]
+    return [("derived", lhs, _ZERO)]
 
 
 def _m_pde1b(fam, m, n):
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     lhs = (
-        (1.0 - x) * BivariatePoly.monomial(0, 1) * f.diff_partial(2).diff_partial(2)
-        + (1.0 + m - n + g - (2.0 + g + b + m - n) * x) * f.diff_partial(2)
-        + n * (m + b + g + 1.0) * BivariatePoly.monomial(1, 0) * f
+        (1.0 - _X) * _Z2 * f.diff_partial(2).diff_partial(2)
+        + (1.0 + m - n + g - (2.0 + g + b + m - n) * _X) * f.diff_partial(2)
+        + n * (m + b + g + 1.0) * _Z1 * f
     )
-    return [("derived", lhs, BivariatePoly.zero())]
+    return [("derived", lhs, _ZERO)]
 
 
 def _m_pde2(fam, m, n):
     b, g = fam.beta, fam.gamma
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     nu = float(m - n)
     # 1D data A = 1-x, B = nu+g - x(nu+b+g+1), C = x n (nu+b+g+n+1);
     # z1 substitution sends the Euler operator to delta_{z1} - nu
-    A = 1.0 - x
-    B = (nu + g) - (nu + b + g + 1.0) * x
-    C = n * (nu + b + g + n + 1.0) * x
+    A = 1.0 - _X
+    B = (nu + g) - (nu + b + g + 1.0) * _X
+    C = n * (nu + b + g + n + 1.0) * _X
     d1 = f.diff_theta(1)
     derived = A * d1.diff_theta(1) + (B - 2.0 * nu * A) * d1 + (
         nu * nu * A - nu * B + C
     ) * f
     # best-effort literal reading of the printed (garbled) display
     printed = (
-        (1.0 - x) * BivariatePoly.monomial(1, 0) * f.diff_partial(1).diff_partial(1)
-        + (1.0 - m + n + g - (2.0 + g + b - m + n) * x) * f.diff_partial(1)
-        + m * (n + b + g + 1.0) * BivariatePoly.monomial(0, 1) * f
+        (1.0 - _X) * _Z1 * f.diff_partial(1).diff_partial(1)
+        + (1.0 - m + n + g - (2.0 + g + b - m + n) * _X) * f.diff_partial(1)
+        + m * (n + b + g + 1.0) * _Z2 * f
     )
     return [
-        ("derived", derived, BivariatePoly.zero()),
-        ("printed", printed, BivariatePoly.zero()),
+        ("derived", derived, _ZERO),
+        ("printed", printed, _ZERO),
     ]
 
 
@@ -522,7 +538,7 @@ def _m_ladder4(fam, m, n):
 
 def _zq_rr1(fam, m, n):
     b, q = fam.beta, fam.q
-    lhs = q ** (m + 1 + b) * BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = q ** (m + 1 + b) * _Z2 * construct(fam, m + 1, n)
     rhs = -(1.0 - q ** (n + 1)) * construct(fam, m + 1, n + 1) + (
         1.0 - q ** (m + b + 1)
     ) * construct(fam, m, n)
@@ -531,17 +547,16 @@ def _zq_rr1(fam, m, n):
 
 def _zq_rr2(fam, m, n):
     q = fam.q
-    z1 = BivariatePoly.monomial(1, 0)
     rhs = construct(fam, m + 1, n) - construct(fam, m, n - 1)
-    derived_lhs = q ** n * z1 * construct(fam, m, n)
-    printed_lhs = q ** n * z1 * construct(fam, m, n + 1)
+    derived_lhs = q ** n * _Z1 * construct(fam, m, n)
+    printed_lhs = q ** n * _Z1 * construct(fam, m, n + 1)
     return [("derived", derived_lhs, rhs), ("printed", printed_lhs, rhs)]
 
 
 def _zq_diag(fam, m, n):
     b, q = fam.beta, fam.q
     coeff = 1.0 + q * (1.0 - q ** n - q ** (m + b))
-    lhs = (coeff - q ** (b + m + n + 1) * BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
+    lhs = (coeff - q ** (b + m + n + 1) * _X) * construct(fam, m, n)
     rhs = (1.0 - q ** (1 + n)) * construct(fam, m + 1, n + 1) + q * (
         1.0 - q ** (b + m)
     ) * construct(fam, m - 1, n - 1)
@@ -551,35 +566,32 @@ def _zq_diag(fam, m, n):
 def _zq_qde1(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     t2 = f.diff_qtheta(2, q)
     lhs = (
-        (1.0 - q) ** 2 * (1.0 + q * x) * t2.diff_qtheta(2, q)
-        + (1.0 - q) * (q ** (n - m - b) - 1.0 - (2.0 - q ** n) * q * x) * t2
+        (1.0 - q) ** 2 * (1.0 + q * _X) * t2.diff_qtheta(2, q)
+        + (1.0 - q) * (q ** (n - m - b) - 1.0 - (2.0 - q ** n) * q * _X) * t2
     )
-    rhs = -q * (1.0 - q ** n) * x * f
+    rhs = -q * (1.0 - q ** n) * _X * f
     return [("derived", lhs, rhs)]
 
 
 def _zq_qde2(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     al = b + m - n
-    one = BivariatePoly.const(1.0)
     nu = m - n
-    derived_lhs = (one + q * x) * f.dilate(1, q * q) - q ** nu * (
-        (1.0 + q ** (-al)) * one + q ** (n + 1) * x
+    derived_lhs = (_ONE + q * _X) * f.dilate(1, q * q) - q ** nu * (
+        (1.0 + q ** (-al)) * _ONE + q ** (n + 1) * _X
     ) * f.dilate(1, q)
     derived_rhs = -(q ** (2 * nu)) * q ** (-al) * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
-        (1.0 - q) ** 2 * (1.0 + q * x) * t1.diff_qtheta(1, q)
+        (1.0 - q) ** 2 * (1.0 + q * _X) * t1.diff_qtheta(1, q)
         - (1.0 - q)
-        * (1.0 - q ** (b + m - n) + (2.0 - q ** (b + m + 1)) * q * x)
+        * (1.0 - q ** (b + m - n) + (2.0 - q ** (b + m + 1)) * q * _X)
         * t1
     )
-    printed_rhs = -q * (1.0 - q ** (b + m)) * x * f
+    printed_rhs = -q * (1.0 - q ** (b + m)) * _X * f
     return [
         ("derived", derived_lhs, derived_rhs),
         ("printed", printed_lhs, printed_rhs),
@@ -591,7 +603,7 @@ def _zq_lad19(fam, m, n):
     f = construct(fam, m, n)
     down = _zero_if_negative(fam, m, n - 1).dilate(1, q)
     lhs = q ** (m - n) * f - f.dilate(1, q)
-    rhs = -(q ** (b + m - n)) * BivariatePoly.monomial(0, 1) * down
+    rhs = -(q ** (b + m - n)) * _Z2 * down
     return [("derived", lhs, rhs)]
 
 
@@ -600,31 +612,31 @@ def _zq_lad20(fam, m, n):
     f = construct(fam, m, n)
     down = _zero_if_negative(fam, m, n - 1).dilate(1, q)
     lhs = f - f.dilate(2, q)
-    rhs = -(q ** b) * BivariatePoly.monomial(0, 1) * down
+    rhs = -(q ** b) * _Z2 * down
     return [("derived", lhs, rhs)]
 
 
 def _zq_lad22(fam, m, n):
     f = construct(fam, m, n)
     q = fam.q
-    lhs = f - (1.0 + BivariatePoly.monomial(1, 1)) * f.dilate(2, q)
-    rhs = -BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = f - (1.0 + _X) * f.dilate(2, q)
+    rhs = -_Z2 * construct(fam, m + 1, n)
     return [("derived", lhs, rhs)]
 
 
 def _zq_lad23(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    lhs = f - q ** b * (1.0 + BivariatePoly.monomial(1, 1)) * f.dilate(1, q)
-    rhs = (1.0 - q ** (n + 1)) * BivariatePoly.monomial(1, 0) * construct(fam, m, n + 1)
+    lhs = f - q ** b * (1.0 + _X) * f.dilate(1, q)
+    rhs = (1.0 - q ** (n + 1)) * _Z1 * construct(fam, m, n + 1)
     return [("derived", lhs, rhs)]
 
 
 def _zq_lad24(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    lhs = f - q ** (b + m - n) * (1.0 + BivariatePoly.monomial(1, 1)) * f.dilate(2, q)
-    rhs = (1.0 - q ** (n + 1)) * BivariatePoly.monomial(1, 0) * construct(fam, m, n + 1)
+    lhs = f - q ** (b + m - n) * (1.0 + _X) * f.dilate(2, q)
+    rhs = (1.0 - q ** (n + 1)) * _Z1 * construct(fam, m, n + 1)
     return [("derived", lhs, rhs)]
 
 
@@ -633,7 +645,7 @@ def _zq_lad24(fam, m, n):
 
 def _wall_rr1(fam, m, n):
     b, q = fam.beta, fam.q
-    lhs = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    lhs = _Z2 * construct(fam, m + 1, n)
     rhs = (
         q ** n
         * (1.0 - q ** (m - n + b + 1))
@@ -644,7 +656,7 @@ def _wall_rr1(fam, m, n):
 
 def _wall_rr2(fam, m, n):
     b, q = fam.beta, fam.q
-    lhs = (1.0 - q ** (m - n + b + 1)) * BivariatePoly.monomial(1, 0) * construct(fam, m, n)
+    lhs = (1.0 - q ** (m - n + b + 1)) * _Z1 * construct(fam, m, n)
     rhs = (1.0 - q ** (m + b + 1)) * construct(fam, m + 1, n) - q ** (m - n + b + 1) * (
         1.0 - q ** n
     ) * _zero_if_negative(fam, m, n - 1)
@@ -654,7 +666,7 @@ def _wall_rr2(fam, m, n):
 def _wall_diag(fam, m, n):
     b, q = fam.beta, fam.q
     coeff = q ** n + q ** (m + b) * (1.0 - q ** n - q ** (n + 1))
-    lhs = (coeff - BivariatePoly.monomial(1, 1)) * construct(fam, m, n)
+    lhs = (coeff - _X) * construct(fam, m, n)
     rhs = q ** n * (1.0 - q ** (m + b + 1)) * construct(fam, m + 1, n + 1) + q ** (
         m + b
     ) * (1.0 - q ** n) * construct(fam, m - 1, n - 1)
@@ -664,32 +676,29 @@ def _wall_diag(fam, m, n):
 def _wall_qde1(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     t2 = f.diff_qtheta(2, q)
     lhs = (
         (1.0 - q) ** 2 * q ** (b + m - 1) * t2.diff_qtheta(2, q)
-        + (1.0 - q) * (q ** (n - 1) - q ** (b + m - 1) - x) * t2
+        + (1.0 - q) * (q ** (n - 1) - q ** (b + m - 1) - _X) * t2
     )
-    rhs = -(1.0 - q ** n) * x * f
+    rhs = -(1.0 - q ** n) * _X * f
     return [("derived", lhs, rhs)]
 
 
 def _wall_qde2(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
-    one = BivariatePoly.const(1.0)
     nu = m - n
     derived_lhs = q ** (b + m - 1) * f.dilate(1, q * q) - q ** nu * (
-        (q ** (n - 1) + q ** (b + m - 1)) * one - x
+        (q ** (n - 1) + q ** (b + m - 1)) * _ONE - _X
     ) * f.dilate(1, q)
-    derived_rhs = -(q ** (2 * nu)) * q ** (n - 1) * (one - q * x) * f
+    derived_rhs = -(q ** (2 * nu)) * q ** (n - 1) * (_ONE - q * _X) * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
         (1.0 - q) ** 2 * q ** n * t1.diff_qtheta(1, q)
-        - (1.0 - q) * (q ** n - q ** (b + m) + q * x) * t1
+        - (1.0 - q) * (q ** n - q ** (b + m) + q * _X) * t1
     )
-    printed_rhs = -q * (1.0 - q ** (b + m)) * x * f
+    printed_rhs = -q * (1.0 - q ** (b + m)) * _X * f
     return [
         ("derived", derived_lhs, derived_rhs),
         ("printed", printed_lhs, printed_rhs),
@@ -700,9 +709,7 @@ def _wall_lad1(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = (1.0 - q ** (b + m - n + 1)) * (f - q ** (n - m) * f.dilate(1, q))
-    rhs = -(q ** (1 - n)) * (1.0 - q ** n) * BivariatePoly.monomial(0, 1) * _zero_if_negative(
-        fam, m, n - 1
-    )
+    rhs = -(q ** (1 - n)) * (1.0 - q ** n) * _Z2 * _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
@@ -710,20 +717,18 @@ def _wall_lad2(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = (1.0 - q ** (b + m - n + 1)) * (f - f.dilate(2, q))
-    rhs = -(q ** (1 - n)) * (1.0 - q ** n) * BivariatePoly.monomial(0, 1) * _zero_if_negative(
-        fam, m, n - 1
-    )
+    rhs = -(q ** (1 - n)) * (1.0 - q ** n) * _Z2 * _zero_if_negative(fam, m, n - 1)
     return [("derived", lhs, rhs)]
 
 
 def _wall_lad20(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    lhs = q ** b * f - (1.0 - BivariatePoly.monomial(1, 1)) * f.dilate(1, 1.0 / q)
+    lhs = q ** b * f - (1.0 - _X) * f.dilate(1, 1.0 / q)
     rhs = (
         -(1.0 - q ** (b + m - n))
         * q ** (n - m)
-        * BivariatePoly.monomial(1, 0)
+        * _Z1
         * construct(fam, m, n + 1)
     )
     return [("derived", lhs, rhs)]
@@ -732,13 +737,11 @@ def _wall_lad20(fam, m, n):
 def _wall_lad21(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
-    lhs = q ** b * f - q ** (n - m) * (1.0 - BivariatePoly.monomial(1, 1)) * f.dilate(
-        2, 1.0 / q
-    )
+    lhs = q ** b * f - q ** (n - m) * (1.0 - _X) * f.dilate(2, 1.0 / q)
     rhs = (
         -(q ** (n - m))
         * (1.0 - q ** (b + m - n))
-        * BivariatePoly.monomial(1, 0)
+        * _Z1
         * construct(fam, m, n + 1)
     )
     return [("derived", lhs, rhs)]
@@ -748,9 +751,9 @@ def _wall_lad22(fam, m, n):
     b, q = fam.beta, fam.q
     f = construct(fam, m, n)
     lhs = (1.0 - q ** (b + m - n + 1)) * (
-        q ** b * f - (1.0 - BivariatePoly.monomial(1, 1)) * f.dilate(2, 1.0 / q)
+        q ** b * f - (1.0 - _X) * f.dilate(2, 1.0 / q)
     )
-    z2up = BivariatePoly.monomial(0, 1) * construct(fam, m + 1, n)
+    z2up = _Z2 * construct(fam, m + 1, n)
     derived = (
         -(1.0 - q ** b) * (1.0 - q ** (b + m - n + 1)) * f
         + q ** (-n) * (1.0 - q ** (b + m + 1)) * z2up
@@ -767,9 +770,7 @@ def _wall_lad22(fam, m, n):
 
 def _mq_rr1(fam, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    lhs = (1.0 - q ** (b + g + m + n + 2)) * BivariatePoly.monomial(0, 1) * construct(
-        fam, m + 1, n
-    )
+    lhs = (1.0 - q ** (b + g + m + n + 2)) * _Z2 * construct(fam, m + 1, n)
     rhs = (
         q ** n
         * (1.0 - q ** (b + m - n + 1))
@@ -781,7 +782,7 @@ def _mq_rr1(fam, m, n):
 def _mq_rr2(fam, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
     den = (1.0 - q ** (b + m - n + 1)) * (1.0 - q ** (b + g + m + n + 1))
-    lhs = den * BivariatePoly.monomial(1, 0) * construct(fam, m, n)
+    lhs = den * _Z1 * construct(fam, m, n)
     up = (1.0 - q ** (b + m + 1)) * (1.0 - q ** (b + g + m + 1)) * construct(fam, m + 1, n)
     down = q ** (m - n + b + 1) * (1.0 - q ** n) * (
         1.0 - q ** (g + n)
@@ -794,34 +795,31 @@ def _mq_three_point(fam, m, n):
     alpha = beta + m - n, as polynomials in x = z1 z2."""
     b, g, q = fam.beta, fam.gamma, fam.q
     al = b + m - n
-    x = BivariatePoly.monomial(1, 1)
-    one = BivariatePoly.const(1.0)
-    a = q ** al * (one - q ** (g + 2) * x)
-    bb = -((1.0 + q ** al) * one - (q ** (1 - n) + q ** (n + al + g + 2)) * x)
-    c = one - q * x
+    a = q ** al * (_ONE - q ** (g + 2) * _X)
+    bb = -((1.0 + q ** al) * _ONE - (q ** (1 - n) + q ** (n + al + g + 2)) * _X)
+    c = _ONE - q * _X
     return a, bb, c
 
 
 def _mq_qde1(fam, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     a, bb, c = _mq_three_point(fam, m, n)
     derived_lhs = a * f.dilate(2, q * q) + bb * f.dilate(2, q)
     derived_rhs = -c * f
     t2 = f.diff_qtheta(2, q)
     printed_lhs = (
-        (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * x) * t2.diff_qtheta(2, q)
+        (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * _X) * t2.diff_qtheta(2, q)
         + (1.0 - q)
         * (
             q ** (n - m - b)
             - 1.0
-            - (q ** (1 - m - b) + q ** (g + 2) * (2.0 - q ** n)) * x
+            - (q ** (1 - m - b) + q ** (g + 2) * (2.0 - q ** n)) * _X
         )
         * t2
     )
     printed_rhs = (
-        1.0 + (q ** (n + 1 - m - b) - q ** (1 - m - b) - q ** (g + n + 2)) * x
+        1.0 + (q ** (n + 1 - m - b) - q ** (1 - m - b) - q ** (g + n + 2)) * _X
     ) * f
     return [
         ("derived", derived_lhs, derived_rhs),
@@ -832,17 +830,16 @@ def _mq_qde1(fam, m, n):
 def _mq_qde2(fam, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
-    x = BivariatePoly.monomial(1, 1)
     a, bb, c = _mq_three_point(fam, m, n)
     nu = m - n
     derived_lhs = a * f.dilate(1, q * q) + q ** nu * bb * f.dilate(1, q)
     derived_rhs = -(q ** (2 * nu)) * c * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
-        (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * x) * t1.diff_qtheta(1, q)
+        (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * _X) * t1.diff_qtheta(1, q)
         + (1.0 - q)
         * (
-            (2.0 * q ** (g + 2) - q ** (1 - n) - q ** (m + b + g + 2)) * x
+            (2.0 * q ** (g + 2) - q ** (1 - n) - q ** (m + b + g + 2)) * _X
             + (q ** (m - n + b) - 1.0)
         )
         * t1
@@ -853,8 +850,8 @@ def _mq_qde2(fam, m, n):
             - q ** (1 + m - n + b)
             + q ** (g + 2) * (q ** (m + b) + q ** (2 * (m - n + b)) - 1.0)
         )
-        * x
-        - q ** (2 * (m - n + b)) * BivariatePoly.const(1.0)
+        * _X
+        - q ** (2 * (m - n + b)) * _ONE
     ) * f
     return [
         ("derived", derived_lhs, derived_rhs),
@@ -867,13 +864,12 @@ def _mq_ladder1(fam, m, n):
     f = construct(fam, m, n)
     raised = fam.with_params(gamma=g + 1)
     lhs = f - f.dilate(2, q)
-    z2 = BivariatePoly.monomial(0, 1)
     derived = (
         -(q ** (1 - n))
         * (1.0 - q ** n)
         * (1.0 - q ** (b + g + m + 1))
         / (1.0 - q ** (b + m - n + 1))
-    ) * z2 * construct(raised, m, n - 1)
+    ) * _Z2 * construct(raised, m, n - 1)
     out = [("derived", lhs, derived)]
     if abs(1.0 - q ** (m - n + b)) > 1e-12:  # printed denominator can vanish
         printed = (
@@ -881,7 +877,7 @@ def _mq_ladder1(fam, m, n):
             * (1.0 - q ** n)
             * (1.0 - q ** (m + b + g - 1))
             / (1.0 - q ** (m - n + b))
-        ) * z2 * construct(raised, m, n - 1)
+        ) * _Z2 * construct(raised, m, n - 1)
         out.append(("printed", lhs, printed))
     return out
 
@@ -890,9 +886,8 @@ def _mq_ladder2(fam, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     lowered = fam.with_params(gamma=g - 1)
-    x = BivariatePoly.monomial(1, 1)
-    lhs = q ** b * (1.0 - q ** g * x) * f - (1.0 - x) * f.dilate(1, 1.0 / q)
-    z1low = BivariatePoly.monomial(1, 0) * construct(lowered, m, n + 1)
+    lhs = q ** b * (1.0 - q ** g * _X) * f - (1.0 - _X) * f.dilate(1, 1.0 / q)
+    z1low = _Z1 * construct(lowered, m, n + 1)
     derived = -(1.0 - q ** (m - n + b)) * q ** (n - m) * z1low
     printed = -(1.0 - q ** (m - n + b)) * q ** (n - m - 1) * z1low
     return [("derived", lhs, derived), ("printed", lhs, printed)]
@@ -902,14 +897,13 @@ def _mq_ladder3(fam, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
     f = construct(fam, m, n)
     lowered = fam.with_params(gamma=g - 1)
-    x = BivariatePoly.monomial(1, 1)
-    lhs = q ** b * (1.0 - q ** g * x) * f - q ** (n - m) * (1.0 - x) * f.dilate(
+    lhs = q ** b * (1.0 - q ** g * _X) * f - q ** (n - m) * (1.0 - _X) * f.dilate(
         2, 1.0 / q
     )
     rhs = (
         -(q ** (n - m))
         * (1.0 - q ** (m - n + b))
-        * BivariatePoly.monomial(1, 0)
+        * _Z1
         * construct(lowered, m, n + 1)
     )
     return [("derived", lhs, rhs)]
@@ -1065,17 +1059,19 @@ def sweep(fam, names=None, max_mn=6, tol=None):
     if max_mn < 0:
         raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
     pairs = [(m, n) for m in range(max_mn + 1) for n in range(max_mn + 1)]
-    verdicts = {}
+    domain_pairs = {}  # index domain -> its pairs
+    verdicts = {}  # builder -> {pair: verdict}
     reports = []
     for name in names:
         _, builder, domain = IDENTITIES[name]
-        for m, n in pairs:
-            if not _in_domain(domain, m, n):
-                continue
-            key = (builder, m, n)
-            if key not in verdicts:
-                verdicts[key] = _verdict(builder(fam, m, n), tol)
-            reports.append(_report(name, fam, m, n, verdicts[key]))
+        if domain not in domain_pairs:
+            domain_pairs[domain] = [(m, n) for m, n in pairs if _in_domain(domain, m, n)]
+        done = verdicts.setdefault(builder, {})
+        for pair in domain_pairs[domain]:
+            verdict = done.get(pair)
+            if verdict is None:
+                verdict = done[pair] = _verdict(builder(fam, *pair), tol)
+            reports.append(_report(name, fam, *pair, verdict))
     return reports
 
 
@@ -1098,7 +1094,7 @@ def operational_Z(m, n, beta):
             * falling(beta + m, i)
             * falling(n, i)
         )
-        terms[(m - i, n - i)] = coeff
+        terms[pack(m - i, n - i)] = coeff
     return BivariatePoly(terms)
 
 
@@ -1109,7 +1105,7 @@ def connection_Z(m, n, beta, gamma):
     if m < n:
         raise ValueError("connection stated for m >= n")
     coeffs = [pochhammer(beta - gamma, j) / math.factorial(j) for j in range(n + 1)]
-    rhs = BivariatePoly.zero()
+    rhs = _ZERO
     for j in range(n + 1):
         if m - j < 0 or n - j < 0:
             break
@@ -1297,7 +1293,7 @@ def pde_series_solution(beta, n, boundary_j0=None, boundary_0k=None, cutoff=40):
         for key, val in new.items():
             a[key] = a.get(key, 0.0) + val
         frontier = new
-    return BivariatePoly(a)
+    return BivariatePoly({pack(j, k): v for (j, k), v in a.items()})
 
 
 def pde_closed_form(beta, n, p=None, r=None):
@@ -1309,14 +1305,14 @@ def pde_closed_form(beta, n, p=None, r=None):
         coeffs = radial.radial_coeffs(rad, n, beta + p).tolist()
         scale = math.factorial(n) / pochhammer(beta + p + 1, n)
         return BivariatePoly(
-            {(p + n - j, n - j): scale * coeffs[j] for j in range(n + 1)}
+            {pack(p + n - j, n - j): scale * coeffs[j] for j in range(n + 1)}
         )
     if r is not None:
         terms = {}
         term = 1.0
         i = 0
         while True:
-            terms[(i, r + i)] = term
+            terms[pack(i, r + i)] = term
             nxt = (
                 term
                 * (r - n + i)
@@ -1351,13 +1347,13 @@ def pde_interior_residual(beta, n, f):
     folding it into a single max.  Returns (interior, boundary).
     """
     lhs = (
-        BivariatePoly.monomial(1, 0) * f.diff_partial(1).diff_partial(2)
-        + (beta - BivariatePoly.monomial(1, 1)) * f.diff_partial(2)
-        + n * BivariatePoly.monomial(1, 0) * f
+        _Z1 * f.diff_partial(1).diff_partial(2)
+        + (beta - _X) * f.diff_partial(2)
+        + n * _Z1 * f
     )
     interior = 0.0
     boundary = 0.0
-    for (j, k), v in lhs.terms.items():
+    for (j, _), v in lhs.pairs().items():
         if j >= 1:
             interior = max(interior, abs(v))
         else:
@@ -1383,7 +1379,7 @@ def q_degeneration_residuals(beta, m, n, qs=(0.9, 0.99, 0.999)):
         # becomes z2 Z_{m+1,n} = -(n+1) Z_{m+1,n+1} + (beta+m+1) Z_{m,n}
         s_up = construct(fam, m + 1, n).dilate(2, 1.0 - q)
         s_upup = construct(fam, m + 1, n + 1).dilate(2, 1.0 - q)
-        lhs = BivariatePoly.monomial(0, 1) * s_up
+        lhs = _Z2 * s_up
         rhs = -(n + 1.0) * s_upup + (beta + m + 1.0) * scaled
         res_i, scale_i = identity_residual(lhs, rhs)
         out.append((q, res_t / max(scale_t, 1.0), res_i / max(scale_i, 1.0)))

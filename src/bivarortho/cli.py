@@ -112,8 +112,8 @@ def cmd_eval(args):
     ]
     if args.coeffs:
         table = bivariate.construct(fam, args.m, args.n)
-        for (j, k) in sorted(table.terms):
-            rows.append({"z1": f"coeff[{j},{k}]", "z2": "", "value": table.terms[(j, k)]})
+        for (j, k), value in sorted(table.pairs().items()):
+            rows.append({"z1": f"coeff[{j},{k}]", "z2": "", "value": value})
     _emit(args, "eval", rows, {"family": fam.tag, "m": args.m, "n": args.n})
     return 0
 

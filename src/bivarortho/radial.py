@@ -47,11 +47,24 @@ TABLE_CACHE_SIZE = 1024
 
 @dataclass(frozen=True)
 class RadialFamily:
+    """Radial family selector.  Hashed once, when it is made; unpickling and
+    copying make it again through the constructor (``__reduce__``), since a
+    str hash differs between processes."""
+
     kind: str
     beta: float = 0.0
     gamma: float = 0.0
     q: float = 0.5
     c: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.beta, self.gamma, self.q, self.c)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.beta, self.gamma, self.q, self.c)
 
     def is_q(self):
         return self.kind in ("qlaguerre", "wall", "qjacobi")

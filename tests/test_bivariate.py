@@ -1,9 +1,15 @@
 """Tests for the bivariate families: construction, the identity catalog,
 connections, generating functions, the series solver, and the q -> 1 limit."""
 
+import ast
+import copy
 import dataclasses
 import hashlib
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -12,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from bivarortho import bivariate as bv
 from bivarortho import radial
-from bivarortho.polycore import BivariatePoly, Tolerance, identity_residual
+from bivarortho.polycore import BivariatePoly, Tolerance, identity_residual, pack
 from bivarortho.qcalc import pochhammer
 
 FAMILIES = [
@@ -30,13 +36,13 @@ class TestConstruct:
     def test_frozen_small_tables(self):
         # degree (1,1) member at beta = 0 is 1 - z1 z2
         f = bv.construct(bv.Z(0.0), 1, 1)
-        assert f.terms == {(0, 0): 1.0, (1, 1): -1.0}
+        assert f.pairs() == {(0, 0): 1.0, (1, 1): -1.0}
         # the rescaled family flips the sign and clears the 1/n!
         h = bv.construct(bv.H(), 1, 1)
-        assert h.terms == {(0, 0): -1.0, (1, 1): 1.0}
+        assert h.pairs() == {(0, 0): -1.0, (1, 1): 1.0}
         # pure circle harmonic at n = 0
         f = bv.construct(bv.Z(0.7), 3, 0)
-        assert f.terms == {(3, 0): 1.0}
+        assert f.pairs() == {(3, 0): 1.0}
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_index_symmetry(self, fam):
@@ -46,10 +52,10 @@ class TestConstruct:
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_degrees_and_sparsity(self, fam):
-        f = bv.construct(fam, 4, 2)
-        assert max(j for j, _ in f.terms) == 4 and max(k for _, k in f.terms) == 2
+        f = bv.construct(fam, 4, 2).pairs()
+        assert max(j for j, _ in f) == 4 and max(k for _, k in f) == 2
         # terms live on the diagonal ray (4-j, 2-j)
-        assert set(f.terms) <= {(4, 2), (3, 1), (2, 0)}
+        assert set(f) <= {(4, 2), (3, 1), (2, 0)}
 
     def test_radial_factorization(self):
         # f_{m,n}(z1, z2) = z1^(m-n) phi_n(z1 z2) at sample points
@@ -75,13 +81,72 @@ class TestConstruct:
             bv.radial_of(bv.FamilyId("XX"))
 
 
+# (equal ids made two ways, a different id)
+ID_CASES = [
+    (bv.Z(0.5), bv.FamilyId("Z", beta=0.5), bv.Z(0.25)),
+    (bv.Z(0.0), bv.Z(-0.0), bv.Z(1e-300)),
+    (bv.M(0.5, 0.7).with_params(gamma=1), bv.M(0.5, 1.0), bv.M(0.5, 0.7)),
+    (bv.MQ(0.5, 0.7, 0.3).with_params(), bv.MQ(0.5, 0.7, 0.3), bv.MQ(0.5, 0.7, 0.5)),
+    (radial.laguerre(0.0), radial.laguerre(-0.0), radial.laguerre(0.5)),
+    (radial.wall(0.5, 0.3), radial.RadialFamily("wall", beta=0.5, q=0.3), radial.wall(0.5, 0.4)),
+]
+
+
+class TestFamilyIds:
+    """FamilyId and RadialFamily keep their hash from construction: equal
+    ids hash equal, and repr, equality, pickling and copying read as they
+    did for the plain frozen dataclasses."""
+
+    @pytest.mark.parametrize("a,b,other", ID_CASES)
+    def test_equal_ids_hash_equal(self, a, b, other):
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+        assert hash(a) == hash(dataclasses.astuple(a))
+
+    def test_repr_and_fields_unchanged(self):
+        assert repr(bv.M(0.5, 0.7)) == "FamilyId(tag='M', beta=0.5, gamma=0.7, q=0.5, c=1.0)"
+        assert repr(radial.wall(0.5, 0.3)) == (
+            "RadialFamily(kind='wall', beta=0.5, gamma=0.0, q=0.3, c=1.0)")
+        for cls in (bv.FamilyId, radial.RadialFamily):
+            assert [f.name for f in dataclasses.fields(cls)][1:] == ["beta", "gamma", "q", "c"]
+
+    @pytest.mark.parametrize("fam", [bv.M(0.5, 0.7), radial.wall(0.5, 0.3)], ids=["M", "wall"])
+    def test_copies_are_equal_and_hash_equal(self, fam):
+        for twin in (copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam)),
+                     dataclasses.replace(fam)):
+            assert twin == fam and hash(twin) == hash(fam) and repr(twin) == repr(fam)
+
+    def test_id_pickled_under_another_hash_seed_hits_the_cache(self):
+        # a str hash differs between processes; an id unpickled here must
+        # hash as one made here, or construct's cache would miss
+        fam = bv.M(0.5, 0.7)
+        script = ("import pickle, sys; from bivarortho import bivariate as bv; "
+                  "sys.stdout.write(repr((hash('M'), pickle.dumps(bv.M(0.5, 0.7)).hex())))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bv.__file__)))
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            their_hash, data = ast.literal_eval(out)
+            if their_hash != hash("M"):
+                break
+        assert their_hash != hash("M")
+        table = bv.construct(fam, 3, 2)
+        before = bv.construct.cache_info()
+        loaded = pickle.loads(bytes.fromhex(data))
+        assert loaded == fam and hash(loaded) == hash(fam)
+        assert bv.construct(loaded, 3, 2) is table
+        after = bv.construct.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def _uncached_table(fam, m, n):
     """f_{m,n} rebuilt from an uncached radial table, as construct defines it."""
     if m < n:
         return _uncached_table(fam, n, m).swap_vars()
     coeffs = radial.radial_coeffs.__wrapped__(bv.radial_of(fam), n, m - n)
     scale = (-1.0) ** n * math.factorial(n) if fam.tag == "H" else 1.0
-    return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
+    return BivariatePoly({pack(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
 class TestTableCache:
@@ -180,26 +245,45 @@ def _hex(x):
     return None if x is None else float(x).hex()
 
 
+def deep_grid_families():
+    """The nine families of the benchmark's deep identity probes."""
+    fams = [bv.Z(0.7), bv.H(), bv.M(0.7, 0.7)]
+    for q in (0.3, 0.5):
+        fams += [bv.ZQ(0.7, q), bv.WALL(0.7, q), bv.MQ(0.7, 0.7, q)]
+    return fams
+
+
+def _sweep_digest(fams, max_mn):
+    """Report count and sha256 prefix over every IdentityReport of the
+    families' sweeps to max_mn, floats as their hex strings."""
+    tol = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
+    h = hashlib.sha256()
+    count = 0
+    for fam in fams:
+        for rep in bv.sweep(fam, None, max_mn, tol=tol):
+            count += 1
+            h.update(repr((
+                rep.identity, repr(fam), rep.m, rep.n, _hex(rep.residual),
+                _hex(rep.scale), rep.passed, _hex(rep.printed_residual),
+                rep.printed_passed,
+            )).encode())
+    return count, h.hexdigest()[:16]
+
+
 class TestIdentityReportsPinned:
     # sha256 prefix over every IdentityReport of the criterion-3 grid,
     # recorded with the numpy-scalar tables that the Python-float tables,
     # the shifted monomial products and the one-pass residual replaced
     DIGEST = "aa5fa75a05e3df4e"
+    # the same over the deep grid (m, n <= 14), recorded with the
+    # tuple-keyed tables that the packed keys replaced
+    DEEP_DIGEST = "bd805caeb9b715fb"
 
     def test_reports_bit_identical(self):
-        tol = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
-        h = hashlib.sha256()
-        count = 0
-        for fam in criterion3_families():
-            for rep in bv.sweep(fam, None, 6, tol=tol):
-                count += 1
-                h.update(repr((
-                    rep.identity, repr(fam), rep.m, rep.n, _hex(rep.residual),
-                    _hex(rep.scale), rep.passed, _hex(rep.printed_residual),
-                    rep.printed_passed,
-                )).encode())
-        assert count == 41545
-        assert h.hexdigest()[:16] == self.DIGEST
+        assert _sweep_digest(criterion3_families(), 6) == (41545, self.DIGEST)
+
+    def test_deep_grid_reports_bit_identical(self):
+        assert _sweep_digest(deep_grid_families(), 14) == (17505, self.DEEP_DIGEST)
 
 
 def _report_fields(rep):
@@ -257,8 +341,8 @@ class TestIdentityCatalog:
     @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-second"])
     def test_nan_residual_is_reported(self, first, monkeypatch):
         # a NaN residual is the worst one, whichever variant carries it
-        good = BivariatePoly({(0, 0): 1.0})
-        bad = BivariatePoly({(0, 0): 1.0, (1, 0): math.nan})
+        good = BivariatePoly({pack(0, 0): 1.0})
+        bad = BivariatePoly({pack(0, 0): 1.0, pack(1, 0): math.nan})
         variants = [("derived", good, good), ("derived", bad, good)]
         if first:
             variants.reverse()
@@ -378,7 +462,7 @@ def commutator_check(beta, rng, trials=5, degree=6):
     for _ in range(trials):
         f = BivariatePoly(
             {
-                (j, k): rng.uniform(-1.0, 1.0)
+                pack(j, k): rng.uniform(-1.0, 1.0)
                 for j in range(degree + 1)
                 for k in range(degree + 1)
             }
@@ -462,7 +546,7 @@ class TestValues:
                 table = bv.construct(fam, m, n)
                 vals = bv.values(fam, m, n, z1, z2)
                 for val, p1, p2 in zip(vals, z1, z2):
-                    size = sum(abs(c * p1 ** j * p2 ** k) for (j, k), c in table.terms.items())
+                    size = sum(abs(c * p1 ** j * p2 ** k) for (j, k), c in table.pairs().items())
                     assert abs(val - table.evaluate(p1, p2)) <= 1e-12 * size, (m, n)
 
     def test_scalar_point_and_shape(self):
