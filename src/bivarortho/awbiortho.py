@@ -7,11 +7,20 @@ radial.monic_values like every other numeric row of the package; the
 terminating 4phi3 serves only as the test oracle.  All integrals are done
 in theta over (0, pi) with Gauss-Legendre nodes so the 1/sqrt(1-x^2)
 endpoint singularity cancels analytically against the Jacobian
-sin(theta).  Node values are arrays over that theta rule: h_prod forms one
-(K x nodes) product of the real factors 1 - 2 a q^k x + a^2 q^(2k) with the
-K of qcalc's certified tail rule, _node_rows forms all recurrence rows at
-once, and each Gram, 1D or tensor, is one weighted matrix product
-(L * w) @ R.T of node-value rows.
+sin(theta).  The node count is sized to the integrand by
+_theta_node_count: a term from the Bernstein ellipse through the nearest
+pole of a denominator h-factor, raised by the poles beside it, one for the
+q of the weight numerator and one for the degree cap.  The constants were
+fitted to the counts a Gram needs to agree with a 1024- to 6144-node rule
+to its rounding floor, over |a| in [0.05, 0.999], q in [0.1, 0.99], caps 1
+to 40 and one to four coincident poles.  Node values are arrays over that
+theta rule: h_prod forms the product of the real factors
+1 - 2 a q^k x + a^2 q^(2k) with the K of qcalc's certified tail rule, the
+weight numerator is the one product |(e^(2 i theta); q)_inf|^2,
+_node_rows forms all recurrence rows at once, and each Gram, 1D or
+tensor, is one weighted matrix product (L * w) @ R.T of node-value rows,
+compared with the closed-form norms of all its degrees from one array
+pass (_norms).
 
 Three tensor pairings are verified: the u/v and p/q systems (k-coupled
 parameter shifts c1 q^(alpha k + beta), d1 q^(gamma k + delta) on the
@@ -97,12 +106,30 @@ def _check_nodes(x):
     return xs
 
 
+# entries of one array step of a q-product: its factors are taken this many
+# entries at a time, which bounds the memory when q is near 1 and the
+# product runs to thousands of factors
+_QPRODUCT_CHUNK = 1 << 16
+
+
+def _node_product(factors, count, nnodes):
+    """Product over k < count of the factor rows ``factors(k)``, each a
+    (len(k), nnodes) array for a float column k of indices, in order and
+    _QPRODUCT_CHUNK entries at a time."""
+    step = max(1, _QPRODUCT_CHUNK // nnodes)
+    out = np.ones(nnodes)
+    for lo in range(0, count, step):
+        k = np.arange(lo, min(lo + step, count), dtype=float)
+        out = out * np.prod(factors(k[:, None]), axis=0)
+    return out
+
+
 def _pair_factors(xs, aq):
-    """(1 - aq e^(i theta)) (1 - aq e^(-i theta)) = 1 - 2 aq x + aq^2 as a
-    (len(aq), len(xs)) array, written (1 - |aq|)^2 + 2 |aq| (1 - sgn(aq) x):
-    both terms are nonnegative, so no factor loses accuracy to cancellation
-    near x = +-1, and at aq = +-1 the factor is 2 (1 -+ x) to the ulp."""
-    aq = aq[:, None]
+    """(1 - aq e^(i theta)) (1 - aq e^(-i theta)) = 1 - 2 aq x + aq^2 for a
+    column aq, as a (len(aq), len(xs)) array, written
+    (1 - |aq|)^2 + 2 |aq| (1 - sgn(aq) x): both terms are nonnegative, so no
+    factor loses accuracy to cancellation near x = +-1, and at aq = +-1 the
+    factor is 2 (1 -+ x) to the ulp."""
     s = np.abs(aq)
     return (1.0 - s) ** 2 + 2.0 * s * (1.0 - np.sign(aq) * xs)
 
@@ -141,22 +168,28 @@ def h_prod(x, a, q):
     K of qpochhammer's certified tail rule (the same at every node since
     |a e^(i theta)| = |a|).  A scalar x gives a float, an array an array."""
     xs = _check_nodes(x)
-    aq = a * q ** np.arange(qproduct_terms(a, q), dtype=float)
-    vals = np.prod(_pair_factors(xs, aq), axis=0)
+    vals = _node_product(lambda k: _pair_factors(xs, a * q ** k), qproduct_terms(a, q), xs.size)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def _half_h(a, eits, q):
     """(a e^(i theta); q)_inf at each of the unit-circle points ``eits``,
     truncated at the same K as h_prod."""
-    aq = a * q ** np.arange(qproduct_terms(a, q), dtype=float)
-    return np.prod(1.0 - aq[:, None] * eits, axis=0)
+    return _node_product(lambda k: 1.0 - a * q ** k * eits, qproduct_terms(a, q), eits.size)
 
 
-def _weight_numerator(x, q):
-    """Shared numerator h(x,1) h(x,sqrt(q)) h(x,-1) h(x,-sqrt(q))."""
-    rq = math.sqrt(q)
-    return h_prod(x, 1.0, q) * h_prod(x, rq, q) * h_prod(x, -1.0, q) * h_prod(x, -rq, q)
+def _weight_numerator(xs, q):
+    """Shared numerator h(x,1) h(x,-1) h(x,sqrt(q)) h(x,-sqrt(q)) at the
+    nodes ``xs``.  Since (a;q)(-a;q)(a sqrt(q);q)(-a sqrt(q);q) = (a^2;q), it
+    is |(e^(2 i theta); q)_inf|^2 (Koekoek, Lesky and Swarttouw 2010,
+    14.1.2), formed as one product over k < qproduct_terms(1, q) of
+    |1 - q^k e^(2 i theta)|^2 = (1 - q^k)^2 + 4 q^k (1 - x)(1 + x): both
+    terms are nonnegative, so nothing cancels near theta = 0 or pi, and
+    1 - q^k = -expm1(k ln q) keeps its ulp as q^k nears 1."""
+    sin2 = (1.0 - xs) * (1.0 + xs)
+    lnq = math.log(q)
+    return _node_product(lambda k: np.expm1(k * lnq) ** 2 + (4.0 * q ** k) * sin2,
+                         qproduct_terms(1.0, q), xs.size)
 
 
 def _theta_weight(p, x):
@@ -170,14 +203,71 @@ def _theta_weight(p, x):
 def aw_norm(p, n):
     """Closed-form squared norm of p_n against the weight:
     2 pi (abcd q^(2n); q)_inf (abcd q^(n-1); q)_n over the product of
-    (q^(n+1); q)_inf and the six pair products at q^n."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    (q^(n+1); q)_inf and the six pair products at q^n.  The scalar of
+    _norms, which the Grams read for all their degrees at once."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return float(_norms(p.a, p.b, p.c, p.d, p.q, np.array([n]))[0])
+
+
+def _qpochhammer(starts, q, n=None):
+    """(s; q)_n for every entry s of the array ``starts`` and the matching
+    entry of the integer array ``n``, or (s; q)_inf when ``n`` is None,
+    truncated at the K of qproduct_terms for the largest |s|.  Each entry is
+    its scalar qpochhammer bit for bit: the powers s q^k are one running
+    product (cumprod), the factors multiply in order, a factor past an
+    entry's own length is exactly 1.0, and so is every factor past its own
+    K, since |s q^k| < 1e-17 rounds 1 - s q^k to 1."""
+    if n is None:
+        count = qproduct_terms(np.max(np.abs(starts), initial=0.0), q)
+    else:
+        count = int(np.max(n, initial=0))
+    step = max(1, _QPRODUCT_CHUNK // max(starts.size, 1))
+    out, aq = np.ones_like(starts), starts
+    for lo in range(0, count, step):
+        m = min(step, count - lo)
+        rows = np.empty((m + 1,) + starts.shape)
+        rows[0] = aq
+        rows[1:] = q
+        rows = np.cumprod(rows, axis=0)
+        aq = rows[m]
+        factors = 1.0 - rows[:m]
+        if n is not None:
+            k = np.arange(lo, lo + m).reshape((m,) + (1,) * starts.ndim)
+            factors = np.where(k < n, factors, 1.0)
+        out = np.prod(np.concatenate((out[None], factors)), axis=0)
+    return out
+
+
+def _q_tails(q, n):
+    """(q^(n+1); q)_inf for every entry of the integer array ``n``: the
+    suffix products of one cumprod over the factors 1 - q^j, j = 1..J, each
+    taken as -expm1(j ln q), which keeps its ulp where q^j is near 1 (a
+    running power q^j would lose about j ulps there as q -> 1).
+    J = max(n) + qproduct_terms(q, q) + 1, and from j = qproduct_terms(q, q)
+    + 1 on every factor is exactly 1.0, so an entry does not depend on the
+    other entries of ``n``."""
+    top = int(n.max(initial=0)) + qproduct_terms(q, q) + 1
+    factors = -np.expm1(np.arange(top, 0, -1) * math.log(q))  # j = top..1
+    return np.cumprod(factors)[::-1][n]
+
+
+def _norms(a, b, c, d, q, n):
+    """aw_norm of every degree in the integer array ``n``, the parameters
+    a..d floats or arrays broadcast against it: (q^(n+1); q)_inf from
+    _q_tails, the other seven infinite q-products in one _qpochhammer pass
+    over their stacked starting values, and (abcd q^(n-1); q)_n in
+    another."""
+    n = np.asarray(n)
+    # q^m for m = -1..2 max(n) + 1 as Python powers, the same at every size
+    qpow = np.array([q ** m for m in range(-1, 2 * int(n.max(initial=0)) + 2)])
+    qn = qpow[n + 1]
     abcd = a * b * c * d
-    num = 2.0 * math.pi * qpochhammer(abcd * q ** (2 * n), q)
-    num *= qpochhammer(abcd * q ** (n - 1), q, n)
-    den = qpochhammer(q ** (n + 1), q)
-    for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
-        den *= qpochhammer(pair * q ** n, q)
+    starts = np.stack((abcd * qpow[2 * n + 1],
+                       a * b * qn, a * c * qn, a * d * qn, b * c * qn, b * d * qn, c * d * qn))
+    inf = _qpochhammer(starts, q)
+    num = 2.0 * math.pi * inf[0] * _qpochhammer(abcd * qpow[n], q, n)
+    den = _q_tails(q, n) * inf[1] * inf[2] * inf[3] * inf[4] * inf[5] * inf[6]
     return num / den
 
 
@@ -235,6 +325,55 @@ def _theta_rule(nnodes):
     return thetas, wts
 
 
+# Node count of the sized theta rule: _THETA_BASE + _THETA_PER_DEGREE * cap
+# + max(pole term, _THETA_Q / sqrt(ln(1/q))), the pole term
+# _THETA_POLE (1 + _THETA_ORDER (order - 1)) / ln(rho); rounded up the
+# ladder of _theta_ladder and clamped at _MAX_THETA_NODES
+_THETA_BASE = 8
+_THETA_PER_DEGREE = 2.0
+_THETA_POLE = 16.0
+_THETA_ORDER = 0.15
+_THETA_Q = 18.0
+_MAX_THETA_NODES = 2048
+
+
+def _theta_ladder(n):
+    """n rounded up to a multiple of 8, and from 64 on to an eighth of its
+    octave, so that the memoized rules are few and shared."""
+    step = 1 << max((math.ceil(n) - 1).bit_length() - 4, 3)
+    return step * math.ceil(n / step)
+
+
+def _theta_node_count(denominators, q, cap):
+    """Gauss-Legendre node count that resolves a theta integrand with one
+    h-factor in its denominator for each parameter of ``denominators``, the
+    weight numerator of q and polynomial rows up to degree cap.
+
+    h(x, a) vanishes at theta = +-i ln(1/|a|) for a > 0 and at
+    pi +- i ln(1/|a|) for a < 0, next to an endpoint: in t = 2 theta / pi - 1
+    the nearest pole of a side sits at t0 = -+1 + 2 i ln(1/|a|) / pi, whose
+    Bernstein ellipse E_rho bounds the convergence of the rule to
+    rho^(-2n).  Poles of the same side nearly as close act as one pole of
+    higher order, which needs more nodes: each counts ln(1/|a_0|) / ln(1/|a|)
+    towards the order.  The numerator |(e^(2 i theta); q)_inf|^2 is entire,
+    but a theta function whose bandwidth grows like 1 / sqrt(ln(1/q)); the
+    product of two rows of degree cap is a trigonometric polynomial of
+    degree 2 cap.
+    """
+    n_pole = 0.0
+    for side in (1.0, -1.0):
+        dists = sorted(-math.log(abs(a)) for a in denominators if side * a > 0.0)
+        if dists:
+            order = sum(dists[0] / dist for dist in dists)
+            eta = 2.0 * dists[0] / math.pi
+            # E_rho through t0: semi-axis sum (|t0 + 1| + |t0 - 1|) / 2 = cosh(ln rho)
+            ln_rho = math.acosh(0.5 * (eta + math.hypot(2.0, eta)))
+            n_pole = max(n_pole, _THETA_POLE * (1.0 + _THETA_ORDER * (order - 1.0)) / ln_rho)
+    n_q = _THETA_Q / math.sqrt(-math.log(q))
+    n = _THETA_BASE + _THETA_PER_DEGREE * cap + max(n_pole, n_q)
+    return min(_theta_ladder(n), _MAX_THETA_NODES)
+
+
 def _recurrence(p, npts):
     """Monic recurrence x r_n = r_{n+1} + A_n r_n + B_n r_{n-1}, n < npts,
     of r_n = p_n / (2^n (abcd q^(n-1); q)_n), in np.longdouble.  From the
@@ -270,19 +409,24 @@ def _node_rows(p, degree_cap, xs):
     return (np.array(lead)[:, None] * radial.monic_values(A, B, xs)).astype(float)
 
 
-def aw_gram_1d(p, degree_cap, theta_nodes=256, diag_rel_tol=1e-6, offdiag_tol=1e-7):
+def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1e-7):
     """Gram matrix of p_0..p_degree_cap against the Askey-Wilson weight,
     integrated in theta so sin(theta) cancels the endpoint singularity:
-    one weighted product (V * w) @ V.T of the node-value rows V."""
+    one weighted product (V * w) @ V.T of the node-value rows V.  The theta
+    rule has ``theta_nodes`` nodes, by default the _theta_node_count of
+    a, b, c, d, q and the cap; the result states the count."""
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
+    if theta_nodes is None:
+        theta_nodes = _theta_node_count((p.a, p.b, p.c, p.d), p.q, degree_cap)
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
     vals = _node_rows(p, degree_cap, xs)
     gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
-    indices = list(range(degree_cap + 1))
-    ref = np.array([aw_norm(p, m) for m in indices])
-    return summarize([(indices, gram, ref)], offdiag_tol, diag_rel_tol)
+    degrees = np.arange(degree_cap + 1)
+    ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees)
+    return summarize([(degrees.tolist(), gram, ref)], offdiag_tol, diag_rel_tol,
+                     theta_nodes=theta_nodes)
 
 
 def _x_params(tp, mode, k):
@@ -336,7 +480,7 @@ def tensor_biortho_check(
     tp,
     index_cap,
     mode="self",
-    theta_nodes=256,
+    theta_nodes=None,
     diag_rel_tol=1e-5,
     offdiag_tol=1e-6,
 ):
@@ -361,6 +505,11 @@ def tensor_biortho_check(
     each row divided by that member's h- or half h-factor, and entry
     ((j, k), (m, n)) is its real product with y-entry (k, n).
 
+    Both share one theta rule of ``theta_nodes`` nodes, by default the
+    larger _theta_node_count of the two integrands (the x-entries' h-factors
+    in the denominator with q of block 1, block 2's with its own q) at the
+    index cap; the result states the count.
+
     Diagonals are compared with the product-of-1D-norms oracle
     (tensor_diag_ref); the published u/v and self closed forms are
     available via tensor_diag_printed as known discrepancies.
@@ -371,9 +520,18 @@ def tensor_biortho_check(
         raise ValueError(f"index_cap must be nonnegative, got {index_cap}")
     p1, p2 = tp.block1, tp.block2
     q = p1.q
+    cap = index_cap + 1
+    d1s = [tp.shifted_d1(k) for k in range(cap)]
+    c1s = [tp.shifted_c1(k) for k in range(cap)] if mode == "pq" else [p1.c]
+    if theta_nodes is None:
+        # the denominator h-factors of an x-entry: a1, b1, c1 (in pq the
+        # shifted c1 of the left member) and the shifted d1 of the right
+        # one, each shift at its largest modulus; of a y-entry: block 2
+        x_dens = (p1.a, p1.b, max(c1s, key=abs), max(d1s, key=abs))
+        theta_nodes = max(_theta_node_count(x_dens, q, index_cap),
+                          _theta_node_count((p2.a, p2.b, p2.c, p2.d), p2.q, index_cap))
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
-    cap = index_cap + 1
 
     yvals = _node_rows(p2, index_cap, xs)
     y_int = (yvals * (wts * _theta_weight(p2, xs))) @ yvals.T
@@ -385,19 +543,24 @@ def tensor_biortho_check(
     # rows ordered like ``indices``: row j * cap + k is the degree-j
     # polynomial at coupling index k
     indices = [(j, k) for j in range(cap) for k in range(cap)]
-    ks = np.array([k for (_, k) in indices])
+    js, ks = np.divmod(np.arange(cap * cap), cap)
     xvals = np.array([_node_rows(_x_params(tp, mode, k), index_cap, xs) for k in range(cap)])
     left = xvals.transpose(1, 0, 2).reshape(cap * cap, -1)
     right = left
     if mode == "self":
         eits = np.exp(1j * thetas)
-        half_h = np.array([_half_h(tp.shifted_d1(k), eits, q) for k in range(cap)])
+        half_h = np.array([_half_h(d1, eits, q) for d1 in d1s])
         left = left / half_h[ks]
         right = right / np.conj(half_h[ks])
     else:
-        right = right / np.array([h_prod(xs, tp.shifted_d1(k), q) for k in range(cap)])[ks]
+        right = right / np.array([h_prod(xs, d1, q) for d1 in d1s])[ks]
         if mode == "pq":
-            left = left / np.array([h_prod(xs, tp.shifted_c1(k), q) for k in range(cap)])[ks]
+            left = left / np.array([h_prod(xs, c1, q) for c1 in c1s])[ks]
     vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
-    ref = np.array([tensor_diag_ref(tp, mode, *idx) for idx in indices])
-    return summarize([(indices, vals, ref)], offdiag_tol, diag_rel_tol, notes=mode)
+    # tensor_diag_ref of every index: the first-block norms at the shifted
+    # parameters of their k, times the second-block norm of degree k
+    c1_at = np.array(c1s)[ks] if mode == "pq" else p1.c
+    ref = (_norms(p1.a, p1.b, c1_at, np.array(d1s)[ks], q, js)
+           * _norms(p2.a, p2.b, p2.c, p2.d, p2.q, np.arange(cap))[ks])
+    return summarize([(indices, vals, ref)], offdiag_tol, diag_rel_tol, notes=mode,
+                     theta_nodes=theta_nodes)

@@ -167,7 +167,11 @@ class BivariatePoly:
 
     def __mul__(self, other):
         if not isinstance(other, BivariatePoly):
-            return _table({k: v * other for k, v in self.terms.items()})
+            if other:
+                return _table({k: v * other for k, v in self.terms.items()})
+            # a zero scalar makes zeros, dropped here as the Euler operators
+            # drop theirs; 0 * NaN and 0 * inf give a NaN, which stays
+            return _table({k: w for k, v in self.terms.items() if (w := v * other)})
         a, b = self.terms, other.terms
         if len(a) == 1:
             a, b = b, a

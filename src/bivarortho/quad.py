@@ -309,7 +309,8 @@ class GramResult:
     block index in sorted order; ``entries`` is a read-only mapping view of
     all index pairs (GramEntries) and ``diag_ref`` maps each index to its
     closed-form diagonal value.  ``max_offdiag`` is normalized by the
-    geometric mean of the adjacent diagonals.
+    geometric mean of the adjacent diagonals.  ``theta_nodes`` is the node
+    count of the theta rule of an Askey-Wilson Gram, None for any other.
     """
 
     indices: list
@@ -319,17 +320,19 @@ class GramResult:
     max_diag_relerr: float
     passed: bool
     notes: str = ""
+    theta_nodes: int = None
 
     @cached_property
     def entries(self):
         return GramEntries(self.indices, self.blocks)
 
 
-def summarize(blocks, offdiag_tol, diag_rel_tol, notes=""):
+def summarize(blocks, offdiag_tol, diag_rel_tol, notes="", theta_nodes=None):
     """GramResult of the blocks (indices, G, ref) with the largest
     normalized off-diagonal |G_ij| / sqrt|G_ii G_jj| and the largest
     relative diagonal error |G_ii - ref_i| / |ref_i|; passed when both are
-    under their tolerances.
+    under their tolerances.  ``notes`` and ``theta_nodes`` pass through to
+    the result.
 
     Entries across blocks are exact zeros and cannot raise the maximum;
     nor can an exact zero inside a block.  A NaN anywhere propagates to its
@@ -367,7 +370,7 @@ def summarize(blocks, offdiag_tol, diag_rel_tol, notes=""):
     max_off = float(np.max(offs, initial=0.0))
     max_rel = float(np.max(rels, initial=0.0))
     passed = max_off < offdiag_tol and max_rel < diag_rel_tol
-    return GramResult(indices, blocks, diag_ref, max_off, max_rel, passed, notes)
+    return GramResult(indices, blocks, diag_ref, max_off, max_rel, passed, notes, theta_nodes)
 
 
 def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):

@@ -2,6 +2,7 @@
 norms, the 1D Gram matrix, and the three tensor biorthogonality pairings."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -215,12 +216,80 @@ class TestWeight:
             ref = [complex(mp.qp(a * mp_unit_point(mp, x), q)) for x in xs]
         assert_allclose(aw._half_h(a, eits, q), ref, rtol=1e-13)
 
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.99])
+    def test_weight_numerator_is_one_product(self, q):
+        # |(e^(2 i theta); q)_inf|^2 against 20-digit mpmath (3.5e-14 at
+        # q = 0.99, measured), and against the four h-factors
+        # h(x, +-1) h(x, +-sqrt(q)) it replaces, whose own rounding reaches
+        # 7.5e-14 there
+        mp = pytest.importorskip("mpmath")
+        xs = gauss_theta_nodes(64)
+        with mp.workdps(20):
+            ref = [float(abs(mp.qp(mp_unit_point(mp, x) ** 2, q, maxterms=20000)) ** 2)
+                   for x in xs]
+        got = aw._weight_numerator(xs, q)
+        assert_allclose(got, ref, rtol=1e-13)
+        rq = math.sqrt(q)
+        four = np.prod([aw.h_prod(xs, a, q) for a in (1.0, -1.0, rq, -rq)], axis=0)
+        assert_allclose(got, four, rtol=2e-13)
+
     def test_h_scalar_call_matches_array_call(self):
         xs = np.array([-1.0, -0.4, 0.3, 1.0])
         vals = aw.h_prod(xs, 0.6, 0.5)
         for x, v in zip(xs, vals):
             s = aw.h_prod(x, 0.6, 0.5)
             assert type(s) is float and s == v
+
+
+class TestNorms:
+    @pytest.mark.parametrize("p", [P, P2, aw.AWParams(0.9, -0.7, 0.5, 0.3, 0.9)],
+                             ids=["P", "P2", "near-edge"])
+    def test_matches_mpmath_closed_form(self, p):
+        # the closed form summed by mpmath.qp at 30 digits from the exact
+        # binary parameters; the float products read 4.9e-15 (measured)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            a, b, c, d, q = (mp.mpf(v) for v in (p.a, p.b, p.c, p.d, p.q))
+            abcd = a * b * c * d
+            for n in range(9):
+                den = mp.qp(q ** (n + 1), q)
+                for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
+                    den *= mp.qp(pair * q ** n, q)
+                ref = 2 * mp.pi * mp.qp(abcd * q ** (2 * n), q) * mp.qp(abcd * q ** (n - 1), q, n) / den
+                assert abs(aw.aw_norm(p, n) / float(ref) - 1.0) <= 1e-14, n
+
+    def test_array_products_equal_the_scalar(self):
+        # _qpochhammer against qcalc's scalar loop, entry by entry, for
+        # infinite and finite orders, across the chunking step too
+        starts = np.array([[0.95, -0.5, 0.0], [0.3, 1e-18, -0.999]])
+        lengths = np.array([[0, 1, 2], [5, 0, 9]])
+        for q in (0.1, 0.5, 0.99):
+            inf = aw._qpochhammer(starts, q)
+            fin = aw._qpochhammer(starts, q, lengths)
+            for s, v, n, u in zip(starts.flat, inf.flat, lengths.flat, fin.flat):
+                assert v == aw.qpochhammer(s, q) and u == aw.qpochhammer(s, q, n)
+        wide = np.linspace(-0.9, 0.9, aw._QPRODUCT_CHUNK // 16)
+        assert aw._qpochhammer(wide, 0.99).tolist() == [aw.qpochhammer(s, 0.99) for s in wide]
+
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError):
+            aw.aw_norm(P, -1)
+
+    def test_array_norms_equal_the_scalar(self):
+        # one array pass over all degrees, and over the tensor's per-index
+        # parameters, equals aw_norm degree by degree bit for bit: the
+        # factors past an entry's own truncation are exactly 1.0
+        for p in (P, P2, aw.AWParams(0.9, -0.7, 0.5, 0.3, 0.9)):
+            norms = aw._norms(p.a, p.b, p.c, p.d, p.q, np.arange(13))
+            assert norms.tolist() == [aw.aw_norm(p, n) for n in range(13)]
+        tp = aw.TensorParams(P, P2)
+        ks = np.repeat(np.arange(4), 4)
+        js = np.tile(np.arange(4), 4)
+        d1s = np.array([tp.shifted_d1(k) for k in range(4)])
+        c1s = np.array([tp.shifted_c1(k) for k in range(4)])
+        norms = aw._norms(P.a, P.b, c1s[ks], d1s[ks], P.q, js)
+        assert norms.tolist() == [
+            aw.aw_norm(aw._x_params(tp, "pq", k), j) for j, k in zip(js, ks)]
 
 
 class TestThetaRule:
@@ -297,6 +366,82 @@ class TestGram1D:
         for key in coarse.entries:
             assert_allclose(coarse.entries[key], fine.entries[key], atol=1e-10)
 
+    # parameters near the unit circle, q near 1, high caps and the empty
+    # weight; the fixed 256-node rule read 3.3e-9 at a = 0.999 (caps 8-20)
+    # and 6e-12 at q = 0.99, cap 40
+    SIZED_RULE_CASES = {
+        "a=0.999-cap8": (P.with_params(a=0.999), 8),
+        "a=-0.999-cap8": (P.with_params(a=-0.999), 8),
+        "a=0.999-cap20": (P.with_params(a=0.999), 20),
+        "a=-0.999-cap20": (P.with_params(a=-0.999), 20),
+        "a=0.99,b=-0.99-cap20": (P.with_params(a=0.99, b=-0.99), 20),
+        "q=0.99-cap8": (P.with_params(q=0.99), 8),
+        "q=0.99-cap40": (P.with_params(q=0.99), 40),
+        "a=0.99,q=0.9-cap40": (P.with_params(a=0.99, q=0.9), 40),
+        "r=0.4,q=0.5-cap40": (P, 40),
+        "r=0.05,q=0.1-cap40": (aw.AWParams(0.05, -0.03, 0.01, 0.04, 0.1), 40),
+        "zero-q=0.5": (aw.AWParams(0.0, 0.0, 0.0, 0.0, 0.5), 0),
+        "zero-q=0.99": (aw.AWParams(0.0, 0.0, 0.0, 0.0, 0.99), 0),
+    }
+
+    @pytest.mark.parametrize("p,cap", SIZED_RULE_CASES.values(), ids=SIZED_RULE_CASES)
+    def test_sized_rule_certifies_at_rounding(self, p, cap):
+        res = aw.aw_gram_1d(p, cap)
+        assert res.theta_nodes == aw._theta_node_count((p.a, p.b, p.c, p.d), p.q, cap)
+        assert res.max_offdiag <= 1e-13 and res.max_diag_relerr <= 1e-13
+
+    def test_coincident_poles_take_more_nodes(self):
+        # four poles at one point act as one of fourth order: the node count
+        # of the nearest pole alone (192) reads 1.1e-10 here, the fixed
+        # 256-node rule 1e-12; the floor left is rounding of 1 - cos(theta)
+        p = aw.AWParams(0.99, 0.99, 0.99, 0.99, 0.5)
+        res = aw.aw_gram_1d(p, 3)
+        assert res.theta_nodes > aw._theta_node_count((0.99, 0.3, -0.2, 0.1), 0.5, 3)
+        assert res.max_offdiag <= 2e-12 and res.max_diag_relerr <= 2e-12
+
+    def test_node_count_is_monotone(self):
+        # in the modulus of one parameter and in q and the cap; and a
+        # further denominator factor never lowers the count
+        rs = [0.0, 0.01, 0.05, 0.2, 0.4, 0.7, 0.9, 0.97, 0.99, 0.995, 0.999, 0.9999, 0.99999]
+        qs = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999]
+        caps = [0, 1, 2, 3, 5, 8, 12, 20, 40, 100, 400]
+        for rest in ((), (0.3, -0.2, 0.1), (-0.99,)):
+            counts = np.array([[[aw._theta_node_count((r, *rest), q, cap) for cap in caps]
+                                for q in qs] for r in rs])
+            for axis in range(3):
+                assert np.all(np.diff(counts, axis=axis) >= 0), (rest, axis)
+            assert counts.min() >= 8 and counts.max() == aw._MAX_THETA_NODES
+        for dens in ((0.9,), (0.9, 0.5), (0.9, 0.5, 0.9), (0.9, 0.5, 0.9, -0.9)):
+            more = dens + (0.7,)
+            assert aw._theta_node_count(more, 0.5, 3) >= aw._theta_node_count(dens, 0.5, 3)
+
+    def test_benchmark_ranges_take_few_nodes(self):
+        # the seeded aw_tensor blocks: |a..d| in [0.2, 0.4] with either sign,
+        # q <= 0.7, caps <= 8
+        worst = max(
+            aw._theta_node_count(tuple(s * m for s, m in zip(signs, mags)), q, cap)
+            for mags in itertools.product((0.2, 0.3, 0.4), repeat=4)
+            for signs in itertools.product((1.0, -1.0), repeat=4)
+            for q in (0.3, 0.7) for cap in (2, 3, 8))
+        assert worst <= 56
+
+    def test_result_states_its_node_count(self):
+        from bivarortho import bivariate, quad
+
+        assert aw.aw_gram_1d(P, 3).theta_nodes == aw._theta_node_count(
+            (P.a, P.b, P.c, P.d), P.q, 3)
+        assert aw.aw_gram_1d(P, 3, theta_nodes=64).theta_nodes == 64
+        tp = aw.TensorParams(P, P2)
+        # the x-integrand's count: a1, b1, c1 and d1 at k = 0 (the largest
+        # shifts, alpha = 1, beta = delta = 0) exceeds block 2's
+        assert aw._theta_node_count((P.a, P.b, P.c, P.d), P.q, 2) >= aw._theta_node_count(
+            (P2.a, P2.b, P2.c, P2.d), P2.q, 2)
+        for mode in ("uv", "pq", "self"):
+            assert aw.tensor_biortho_check(tp, 2, mode=mode).theta_nodes == (
+                aw._theta_node_count((P.a, P.b, P.c, P.d), P.q, 2))
+            assert aw.tensor_biortho_check(tp, 2, mode=mode, theta_nodes=72).theta_nodes == 72
+        assert quad.gram(bivariate.Z(0.5), 2).theta_nodes is None
+
 
 class TestTensorSystems:
     @pytest.mark.parametrize("mode", ["uv", "pq", "self"])
@@ -313,7 +458,7 @@ class TestTensorSystems:
         tp = aw.TensorParams(P, P2)
         cap, q = 2, P.q
         res = aw.tensor_biortho_check(tp, cap, mode=mode)
-        thetas, wts = aw._theta_rule(256)
+        thetas, wts = aw._theta_rule(res.theta_nodes)
         xs, eits = np.cos(thetas), np.exp(1j * thetas)
 
         def rows(p, k):

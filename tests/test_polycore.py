@@ -526,7 +526,7 @@ class TestPackedKeys:
 class TestOperatorZeros:
     """The operators drop the zeros they make while they build the result
     dict, so the constructor never copies it; a NaN or infinite coefficient
-    at exponent 0 still yields a kept NaN."""
+    at exponent 0, or times a zero scalar, still yields a kept NaN."""
 
     def test_zeros_are_dropped_without_a_copy(self, monkeypatch):
         copies = []
@@ -543,6 +543,8 @@ class TestOperatorZeros:
         assert (p - 2.0).pairs() == {(1, 2): 3.0, (0, 3): 1.5}
         assert (-2.0 + p).pairs() == {(1, 2): 3.0, (0, 3): 1.5}
         assert (2.0 - p).pairs() == {(1, 2): -3.0, (0, 3): -1.5}
+        for zero in (0.0, -0.0, 0, 0j):
+            assert (zero * p).terms == {} and (p * zero).terms == {}
         assert copies == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0)],
@@ -556,6 +558,10 @@ class TestOperatorZeros:
         for out in (p.diff_theta(2), p.diff_qtheta(2, 0.5)):
             got = out.pairs()
             assert list(got) == [(0, 0), (0, 1), (1, 0)]
+            assert cmath.isnan(got[(0, 0)]) and cmath.isnan(got[(1, 0)])
+        for out in (0.0 * p, p * 0):
+            got = out.pairs()
+            assert list(got) == [(0, 0), (1, 0)]
             assert cmath.isnan(got[(0, 0)]) and cmath.isnan(got[(1, 0)])
 
 
