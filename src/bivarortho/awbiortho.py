@@ -421,12 +421,39 @@ def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1
         theta_nodes = _theta_node_count((p.a, p.b, p.c, p.d), p.q, degree_cap)
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
-    vals = _node_rows(p, degree_cap, xs)
-    gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
     degrees = np.arange(degree_cap + 1)
-    ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees)
-    return summarize([(degrees.tolist(), gram, ref)], offdiag_tol, diag_rel_tol,
-                     theta_nodes=theta_nodes)
+    # an infinite q-product out of the float range propagates to a
+    # non-finite error, which _range_note then names
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = _node_rows(p, degree_cap, xs)
+        gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
+        ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees)
+    result = summarize([(degrees.tolist(), gram, ref)], offdiag_tol, diag_rel_tol,
+                       theta_nodes=theta_nodes)
+    if not math.isfinite(result.max_diag_relerr):
+        result.notes = _range_note(p, xs, degrees)
+    return result
+
+
+def _range_note(p, xs, degrees):
+    """The infinite q-products of the Gram of p that have left the float
+    range, as a note, or "" when none has: as q -> 1 the weight numerator
+    |(e^(2 i theta); q)_inf|^2 overflows at some nodes, an h-factor of the
+    denominator can overflow or underflow, and (q^(n+1); q)_inf of the
+    norms underflows to 0 (at q = 0.999: 1e-714)."""
+    out = []
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(_weight_numerator(xs, p.q))):
+            out.append("the weight numerator |(e^(2 i theta); q)_inf|^2 overflows")
+        for name in "abcd":
+            h = h_prod(xs, getattr(p, name), p.q)
+            if not np.all((h > 0.0) & (h < np.inf)):
+                out.append(f"h(x, {name}) leaves the float range")
+        tails = _q_tails(p.q, degrees)
+    if np.any(tails == 0.0):
+        n = degrees[np.argmax(tails == 0.0)]
+        out.append(f"(q^(n+1); q)_inf of the norms underflows to 0 from degree {n}")
+    return f"at q = {p.q}: " + "; ".join(out) if out else ""
 
 
 def _x_params(tp, mode, k):

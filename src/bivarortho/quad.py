@@ -7,14 +7,17 @@ q-lattice sums with certified tail bounds (each lattice direction an array
 of points and closed-form weights, walked in chunks under one stop rule),
 block-diagonal Gram assembly for the bivariate families (one radial Gram
 per circle-harmonic index, V W V^T as one np.dot of the rows V at a rule's
-points: the Gauss nodes, with the monic rows of the rule times their
-leading coefficients, or the lattice points the walk keeps, its stop rule
-read on the diagonal terms, with the rows evaluated by the recurrence on
-the q-Laguerre lattice and for wall and little q-Jacobi by the terminating
-Newton form at the points q^k, divided by the square roots of the block's
-norms and the block scaled back), the Gram summary shared with the
-Askey–Wilson checks, and zero-circle monotonicity checks, whose zeros are
-refined by Brent's bracketed root finder on the recurrence values.
+points: the Gauss nodes of each block, with the monic rows of the rule
+times their leading coefficients, or for a q family the lattice points
+shared by every block of the Gram, walked once for all of them, each block
+keeping the points up to its own stop point, read on its own diagonal
+terms, with the rows of every block still walking evaluated together: by
+one recurrence loop on the q-Laguerre lattice, and for wall and little
+q-Jacobi by the terminating Newton form at the points q^k on one shared
+Newton basis, divided by the square roots of the block's norms and the
+block scaled back), the Gram summary shared with the Askey–Wilson checks,
+and zero-circle monotonicity checks, whose zeros are refined by Brent's
+bracketed root finder on the recurrence values.
 """
 
 import math
@@ -69,11 +72,13 @@ def golub_welsch(fam, alpha, npts):
 # relative stop target of q_lattice_sum, just under the longdouble epsilon
 LATTICE_TAIL_TOL = 1e-19
 # points of a lattice direction in its first integrand call; each further
-# call takes twice as many as the last, at most LATTICE_MAX_CHUNK, which
-# bounds the memory of one call (for a cap-15 Gram block, 16 longdouble
-# rows: 256 kB)
+# call takes twice as many as the last, at most LATTICE_MAX_CHUNK, and at
+# most LATTICE_MAX_ENTRIES rows times points, which bounds the memory of one
+# call (the rows of one cap-15 Gram block at LATTICE_MAX_CHUNK points in
+# np.longdouble: 256 kB)
 LATTICE_CHUNK = 64
 LATTICE_MAX_CHUNK = 1024
+LATTICE_MAX_ENTRIES = 16 * LATTICE_MAX_CHUNK
 LATTICE_MAX_POINTS = 100000
 # floor of the running sum in the stop test, at the working precision
 _LONGDOUBLE_TINY = np.finfo(np.longdouble).tiny
@@ -99,15 +104,18 @@ def _lattice_head(a, q):
     return qpochhammer(a, q)
 
 
-def _lattice_directions(fam, a):
-    """The directions of the q-lattice of x^alpha dnu, a = alpha + beta, as
-    tuples (points_weights, tail factor, first stop index, lattice index
-    of point k).  points_weights(n) gives the first n points and their
-    weights (Koekoek-Lesky-Swarttouw 2010 14.12, 14.20, 14.21), each from
-    the running product of its per-step factors."""
+def _lattice_directions(fam, exponents):
+    """The directions of the q-lattice of x^alpha dnu for every exponent
+    a = alpha + beta of ``exponents``, as tuples (points_weights, tail
+    factors, first stop index, lattice index of point k).  points_weights(n)
+    gives the first n points, shared by every exponent, and their weights,
+    one row per exponent (Koekoek-Lesky-Swarttouw 2010 14.12, 14.20, 14.21),
+    each from the running product of its per-step factors; the tail
+    factors hold one entry per exponent."""
     q = np.longdouble(fam.q)
+    ratio = q ** (np.asarray(exponents, dtype=float) + 1)  # q^(a+1)
     if fam.kind == "wall" or fam.kind == "qjacobi":
-        if a + 1 <= 0:
+        if any(a + 1 <= 0 for a in exponents):
             raise ValueError("unilateral lattice needs alpha + 1 > 0")
         lower0 = _lattice_head(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
 
@@ -115,7 +123,9 @@ def _lattice_directions(fam, a):
             # x = q^k, weight q^{(a+1)k} (q^{k+1}; q)_inf / (q^{gamma+k+1}; q)_inf
             k = np.arange(1, n)
             x = radial.lattice_points(q, n)
-            qa = _accumulate(np.multiply, 1.0, np.full(n - 1, q ** (a + 1)))
+            qa = np.ones((len(ratio), n), np.longdouble)
+            qa[:, 1:] = ratio[:, None]
+            np.multiply.accumulate(qa, axis=1, out=qa)
             upper = _accumulate(np.divide, _lattice_head(q, q), 1.0 - q ** k)
             lower = 1.0
             if fam.kind == "qjacobi":
@@ -125,84 +135,120 @@ def _lattice_directions(fam, a):
         # the weight decays at least geometrically with ratio q^{a+1} and
         # the integrand is bounded on (0, 1], so the dropped tail is below
         # |term| / (1 - q^{a+1})
-        return [(unilateral, 1.0 / (1.0 - q ** (a + 1)), 1, lambda k: k)]
+        return [(unilateral, 1.0 / (1.0 - ratio), 1, lambda k: k)]
     if fam.kind == "qlaguerre":
         c = np.longdouble(fam.c)
         denom0 = _lattice_head(-c, q)  # (-c; q)_inf
+
+        def weights(x, denom):
+            # x^{a+1}, one np.power per exponent: a scalar exponent takes
+            # the same route as a one-exponent walk
+            w = np.empty((len(exponents), len(x)), np.longdouble)
+            for row, a in zip(w, exponents):
+                np.power(x, a + 1, out=row)
+            return w / denom
 
         def upward(n):
             # x = c q^k -> 0, mass ~ x^{a+1}:
             # (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
             x = _accumulate(np.multiply, c, np.full(n - 1, q))
-            denom = _accumulate(np.divide, denom0, 1.0 + x[:-1])
-            return x, np.power(x, a + 1) / denom
+            return x, weights(x, _accumulate(np.divide, denom0, 1.0 + x[:-1]))
 
         def downward(n):
             # x = c q^{-k-1} -> infinity, where the (-x; q)_inf growth wins:
             # (-c q^{-k-1}; q)_inf = (1 + c q^{-k-1}) (-c q^{-k}; q)_inf
             x = _accumulate(np.divide, c, np.full(n, q))[1:]
-            denom = _accumulate(np.multiply, denom0, 1.0 + x)[1:]
-            return x, np.power(x, a + 1) / denom
+            return x, weights(x, _accumulate(np.multiply, denom0, 1.0 + x)[1:])
 
-        return [(upward, 1.0 / (1.0 - q ** (a + 1)), 6, lambda k: k),
-                (downward, 1.0, 3, lambda k: -k - 1)]
+        return [(upward, 1.0 / (1.0 - ratio), 6, lambda k: k),
+                (downward, np.ones(len(ratio)), 3, lambda k: -k - 1)]
     raise ValueError(f"not a q-lattice family: {fam.kind!r}")
 
 
-def _lattice_walk(fam, alpha, integrand, summand):
-    """Walk the directions of the q-lattice of x^alpha dnu in chunks under
-    the stop rule of q_lattice_sum, which is stated there.
+def _lattice_walk(fam, alphas, integrand, summand, widths=None):
+    """Walk the directions of the q-lattice of x^alpha dnu for every alpha
+    of ``alphas`` at once, one block per alpha: chunks of points shared by
+    the blocks, each block stopped by the stop rule of q_lattice_sum, which
+    is stated there, on its own terms.
 
-    integrand(x) is called once per chunk of points; summand(f) of its
-    value f is weighted by the points and summed, and the stop rule reads
-    those terms and their running sum.  Returns (total, kept): the sum, and
-    per chunk in lattice order the triple (x, w, f) of the points and
-    weights up to the direction's stop point and f as the integrand gave it
-    (the first len(x) entries of its leading axis belong to them).
+    integrand(x, live) is called once per chunk of points with the boolean
+    mask of the blocks still walking; it returns their values stacked
+    along the leading axis, widths[b] rows for block b (one block of any
+    width when ``widths`` is None), and one column per point, at most
+    LATTICE_MAX_ENTRIES values once the widths are known.  summand(f) of
+    the values, a new np.longdouble array, which the walk overwrites, is
+    weighted by each block's weights and summed; block b's stop rule reads
+    its own rows of those terms and of their running sums, with its own
+    tail factor, and a non-finite term of its own at or before its stop
+    point raises.  A stopped block is not evaluated again in the
+    direction.  Returns (totals, kept), per block: the sums of its rows,
+    and per chunk in lattice order the triple (x, w, f) of the points and
+    weights up to its stop point and its rows of the integrand at them.
+    The sums run along each row in lattice order, chunk after chunk, so
+    every block's sums and kept points are those of its walk alone.
     """
-    total = np.longdouble(0.0)
-    kept = []
+    count = len(alphas)
+    widths = None if widths is None else np.asarray(widths)
+    total = None  # running sums of the rows of every block
+    kept = [[] for _ in range(count)]
+    exponents = [alpha + fam.beta for alpha in alphas]
     with np.errstate(over="ignore", invalid="ignore"):
-        for points_weights, tail, k0, index in _lattice_directions(fam, alpha + fam.beta):
+        for points_weights, tails, k0, index in _lattice_directions(fam, exponents):
+            live = np.ones(count, bool)
             x = w = ()
             start, chunk = 0, LATTICE_CHUNK
             while True:
-                n = min(start + chunk, LATTICE_MAX_POINTS)
+                step = chunk
+                if widths is not None:
+                    step = min(chunk, max(1, LATTICE_MAX_ENTRIES // int(widths[live].sum())))
+                n = min(start + step, LATTICE_MAX_POINTS)
                 if n > len(x):
                     # rebuilding at least twice as many keeps the cost linear
                     x, w = points_weights(min(max(n, 2 * len(x)), LATTICE_MAX_POINTS))
-                f = np.asarray(integrand(x[start:n]))
-                s = summand(f)
-                terms = w[start:n].reshape((-1,) + (1,) * (s.ndim - 1)) * s
-                size = np.abs(terms).reshape(len(terms), -1).max(axis=1)
-                terms[0] += total
-                totals = np.cumsum(terms, axis=0)
-                reach = np.abs(totals).reshape(len(totals), -1).max(axis=1)
+                f = integrand(x[start:n], live)
+                if widths is None:
+                    widths = np.array([len(f)])
+                if total is None:
+                    total = np.zeros(widths.sum(), np.longdouble)
+                rows = widths[live]
+                first = np.cumsum(rows) - rows  # the first row of each live block
+                mine = np.repeat(live, widths)  # the rows of the live blocks
+                terms = summand(f)
+                terms *= np.repeat(w[live, start:n], rows, axis=0)
+                # the largest |term| and |sum| of each live block at each point
+                size = np.maximum.reduceat(np.abs(terms), first, axis=0)
+                terms[:, 0] += total[mine]
+                sums = np.cumsum(terms, axis=1, out=terms)
+                reach = np.maximum.reduceat(np.abs(sums), first, axis=0)
                 reach = np.maximum(reach, _LONGDOUBLE_TINY)
                 k = np.arange(start, n)
-                stop = (k >= k0) & (size * tail <= LATTICE_TAIL_TOL * reach)
+                stop = (k >= k0) & (size * tails[live, None] <= LATTICE_TAIL_TOL * reach)
                 bad = ~(size < np.inf)
-                hits = np.flatnonzero(stop | bad)
-                if hits.size:
-                    i = hits[0]
-                    if bad[i]:
-                        raise RuntimeError(
-                            f"q-lattice sum: non-finite term at lattice index {index(k[i])}"
-                        )
-                    total = totals[i]
-                    kept.append((x[start:start + i + 1], w[start:start + i + 1], f))
+                hit = stop | bad
+                ends = np.full(len(rows), n - start - 1)  # the last kept point of each
+                for j, (b, at, nrows) in enumerate(zip(np.flatnonzero(live), first, rows)):
+                    hits = np.flatnonzero(hit[j])
+                    if hits.size:
+                        ends[j] = end = hits[0]
+                        if bad[j, end]:
+                            raise RuntimeError("q-lattice sum: non-finite term at lattice "
+                                               f"index {index(start + end)}")
+                        live[b] = False
+                    kept[b].append((x[start:start + ends[j] + 1], w[b, start:start + ends[j] + 1],
+                                    f[at:at + nrows, :ends[j] + 1]))
+                total[mine] = sums[np.arange(len(sums)), np.repeat(ends, rows)]
+                if not live.any():
                     break
-                total = totals[-1]
-                kept.append((x[start:n], w[start:n], f))
                 if n == LATTICE_MAX_POINTS:
                     raise RuntimeError(f"q-lattice sum did not converge in {n} points")
                 start, chunk = n, min(2 * chunk, LATTICE_MAX_CHUNK)
-    return total, kept
+    return np.split(total, np.cumsum(widths)[:-1]), kept
 
 
 def q_lattice_sum(fam, alpha, integrand):
     """Sum integrand(x) against the discrete q-lattice measure of a q
-    radial family with exponent x^alpha absorbed into the weight.
+    radial family with exponent x^alpha absorbed into the weight: the
+    one-exponent case of the lattice walk.
 
     The integrand is called with a 1-D np.longdouble array of lattice
     points and returns an array whose leading axis runs over them, or a
@@ -216,54 +262,91 @@ def q_lattice_sum(fam, alpha, integrand):
     |entry| of the sum so far; a NaN or infinite term at or before that
     point raises, naming its lattice index.  Each direction takes its
     points in chunks: LATTICE_CHUNK in the first integrand call, twice as
-    many in each further call up to LATTICE_MAX_CHUNK, and at most
+    many in each further call up to LATTICE_MAX_CHUNK (and up to
+    LATTICE_MAX_ENTRIES entries of the integrand's value), and at most
     LATTICE_MAX_POINTS in all.
     """
-    return _lattice_walk(fam, alpha, integrand, lambda f: f)[0]
+    shape = []
+
+    def columns(x, live):
+        f = np.asarray(integrand(x))
+        f = np.broadcast_to(f, x.shape + f.shape[1:])
+        shape[:] = [f.shape[1:]]
+        return f.reshape(len(x), -1).T
+
+    totals, _ = _lattice_walk(fam, [alpha], columns, lambda f: f.astype(np.longdouble))
+    return totals[0].reshape(shape[0])[()]
+
+
+def radial_grams(fam, alphas, nmaxes, scales=None, norms=None):
+    """Gram blocks V W V^T of phi_0..phi_nmaxes[b](x; alphas[b]) against
+    x^alphas[b] dnu, one per block b: for each, one np.dot of the rows V
+    at a rule's points, times its weights W, with V^T.
+
+    For the continuous families the rows of V (times ``scales[b][k]`` when
+    given) are the monic rows of golub_welsch(fam, alpha, nmax + 1), which
+    is exact to degree 2 nmax + 1, times their leading coefficients: one
+    recurrence per block gives its nodes, weights and block, since the
+    nodes move with alpha.  For the q families every block lies on the
+    same lattice points, so one lattice walk serves them all: the rows of
+    every block still walking come from one radial.block_rows evaluation
+    per chunk of points, and each block keeps the points and weights of
+    its own stop point, the stop rule read on its own diagonal terms
+    w v_k^2.  Every partial sum of a positively weighted Gram is positive
+    semidefinite, so its largest entry is on the diagonal, and the largest
+    |term| of a point is w max_k v_k^2.  For wall and qjacobi the rows are
+    divided by the square roots of the block's ``norms[b]``
+    (radial.block_norms when not given) and the block is scaled back: in
+    the orthonormal scale every diagonal entry is near 1, so the stop rule,
+    relative to the largest entry, holds for the smallest norm of the block
+    too; a row whose norm underflowed to 0 is left at 0.  Each block
+    equals the walk of its block alone bit for bit.
+    """
+    scales = [None] * len(alphas) if scales is None else scales
+    if not fam.is_q():
+        blocks = []
+        for alpha, nmax, scale in zip(alphas, nmaxes, scales):
+            rule = golub_welsch(fam, alpha, nmax + 1)
+            vals = radial.leading_coeffs(fam, alpha, nmax, scale)[:, None] * rule.monic
+            # np.dot, unlike matmul, has a fast loop for np.longdouble
+            blocks.append(np.dot(vals * rule.weights, vals.T).astype(float))
+        return blocks
+    widths = np.asarray(nmaxes) + 1
+    factors = root = None
+    if any(scale is not None for scale in scales):
+        factors = np.concatenate([np.ones(n) if s is None else np.asarray(s)
+                                  for n, s in zip(widths, scales)])
+    if fam.kind in ("wall", "qjacobi"):
+        norms = radial.block_norms(fam, alphas, nmaxes) if norms is None else norms
+        root = np.sqrt(np.concatenate(norms).astype(np.longdouble))
+        with np.errstate(divide="ignore"):
+            factors = (1 if factors is None else factors) / root
+        # a row whose norm underflowed to 0 sums to 0, a failed diagonal
+        factors[root == 0.0] = 0.0
+        root = np.split(root, np.cumsum(widths)[:-1])
+    rows = radial.block_rows(fam, alphas, nmaxes, factors)
+    _, kept = _lattice_walk(fam, alphas, rows, np.square, widths)
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, chunks in enumerate(kept):
+            _, weights, vals = chunks[0]
+            if len(chunks) > 1:
+                weights = np.concatenate([w for _, w, _ in chunks])
+                vals = np.concatenate([f for _, _, f in chunks], axis=1)
+            block = np.dot(vals * weights, vals.T)
+            if root is not None:
+                block = root[b][:, None] * block * root[b]
+            blocks.append(block.astype(float))
+    return blocks
 
 
 def radial_gram(fam, alpha, nmax, scale=None, norms=None):
     """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu,
-    one np.dot of the rows V at a rule's points, times its weights W, with
-    V^T.
-
-    For the continuous families the rows of V (times ``scale[k]`` when
-    given) are the monic rows of golub_welsch(fam, alpha, nmax + 1), which
-    is exact to degree 2 nmax + 1, times their leading coefficients: one
-    recurrence gives the nodes, the weights and the block.  For the q
-    families the points and weights are those the lattice walk of
-    q_lattice_sum keeps, and the rows are evaluated in np.longdouble one
-    chunk of points at a time, by radial.phi_rows, except for wall and
-    qjacobi: there radial.lattice_rows gives them, divided by the square
-    roots of ``norms`` (radial.norms when not given), and the block is
-    scaled back.  The walk stops on the diagonal terms w v_k^2: every
-    partial sum of a positively weighted Gram is positive semidefinite, so
-    its largest entry is on the diagonal, and the largest |term| of a point
-    is w max_k v_k^2.  In the orthonormal scale every diagonal entry is near
-    1, so the stop rule, relative to the largest entry, holds for the
-    smallest norm of the block too.
-    """
-    root = None
-    if not fam.is_q():
-        rule = golub_welsch(fam, alpha, nmax + 1)
-        vals = radial.leading_coeffs(fam, alpha, nmax, scale)[:, None] * rule.monic
-        weights = rule.weights
-    else:
-        if fam.kind in ("wall", "qjacobi"):
-            norms = radial.norms(fam, alpha, nmax) if norms is None else norms
-            root = np.sqrt(np.asarray(norms, dtype=np.longdouble))
-            factors = (1 if scale is None else np.asarray(scale)) / root
-            rows = radial.lattice_rows(fam, alpha, nmax, factors)
-        else:
-            rows = radial.phi_rows(fam, alpha, nmax, scale)
-        _, kept = _lattice_walk(fam, alpha, lambda x: rows(x).T, np.square)
-        vals = np.concatenate([f[:len(x)] for x, _, f in kept]).T
-        weights = np.concatenate([w for _, w, _ in kept])
-    # np.dot, unlike matmul, has a fast loop for np.longdouble
-    block = np.dot(vals * weights, vals.T)
-    if root is not None:
-        block = root[:, None] * block * root
-    return block.astype(float)
+    times ``scale[k]`` in its rows and columns when given: the one-block
+    request to radial_grams, whose rules, rows and lattice walk are stated
+    there; ``norms`` are the closed-form norms a wall or qjacobi block is
+    scaled by (radial.norms when not given)."""
+    return radial_grams(fam, [alpha], [nmax], [scale], None if norms is None else [norms])[0]
 
 
 class GramEntries(Mapping):
@@ -335,24 +418,29 @@ def summarize(blocks, offdiag_tol, diag_rel_tol, notes="", theta_nodes=None):
     the result.
 
     Entries across blocks are exact zeros and cannot raise the maximum;
-    nor can an exact zero inside a block.  A NaN anywhere propagates to its
-    maximum and fails the Gram; a nonzero off-diagonal over a zero diagonal
-    reads inf.  A product G_ii G_jj outside the normal float range, which
-    would read an overflowed pair as 0 or an underflowed one as inf, is
-    taken as sqrt|G_ii| sqrt|G_jj| instead.
+    nor can an exact zero inside a block.  A block that repeats the G and
+    ref of the block before it (gram's blocks of index a and -a share
+    them) is measured once: the same values cannot change a maximum.  A
+    NaN anywhere propagates to its maximum and fails the Gram; a nonzero
+    off-diagonal over a zero diagonal reads inf.  A product G_ii G_jj
+    outside the normal float range, which would read an overflowed pair as
+    0 or an underflowed one as inf, is taken as sqrt|G_ii| sqrt|G_jj|
+    instead.
     """
     diag_ref = dict(sorted(
         (idx, float(r)) for idxs, _, ref in blocks for idx, r in zip(idxs, ref)
     ))
     indices = list(diag_ref)
+    distinct = [(g, ref) for i, (_, g, ref) in enumerate(blocks)
+                if not (i and g is blocks[i - 1][1] and ref is blocks[i - 1][2])]
     offs, rels = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # one range test for the whole Gram: rounding is monotone, so when
         # the extreme |G_ii| square into the range every product does
-        size = np.abs(np.concatenate([np.empty(0)] + [np.diagonal(g) for _, g, _ in blocks]))
+        size = np.abs(np.concatenate([np.empty(0)] + [np.diagonal(g) for g, _ in distinct]))
         lo, hi = np.min(size, initial=np.inf), np.max(size, initial=0.0)
         in_range = lo * lo >= _FLOAT_TINY and hi * hi < np.inf
-        for _, g, ref in blocks:
+        for g, ref in distinct:
             d = np.diagonal(g)
             rels.append(np.max(np.abs(d - ref) / np.abs(ref)))
             prod = np.abs(np.multiply.outer(d, d))
@@ -381,7 +469,13 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     harmonic index m - n, so the matrix is block diagonal: the blocks of
     index a and -a, members f_{a+k,k} and f_{k,a+k} for k <= cap - |a|,
     share the radial Gram of phi_0..phi_{cap-|a|}(x; |a|) against
-    x^|a| dnu, and every entry across blocks is an exact zero.
+    x^|a| dnu, and every entry across blocks is an exact zero.  One
+    radial_grams request forms every radial block: for a q family, one
+    lattice walk.  The closed-form norms of all blocks come from one
+    radial.block_norms call and serve both the diagonal reference and the
+    wall and qjacobi row scaling.  When a norm or a Gram entry has left
+    the float range, the failed result's notes name the first harmonic
+    index and degree where it did.
     """
     from . import bivariate  # deferred to avoid import cycle
 
@@ -389,19 +483,45 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     rad = bivariate.radial_of(fam)
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
+    alphas = range(degree_cap + 1)
+    nmaxes = [degree_cap - a for a in alphas]
+    scales = [bivariate.harmonic_scale(fam, nmax) for nmax in nmaxes]
+    zrefs = radial.block_norms(rad, alphas, nmaxes)
+    grams = radial_grams(rad, alphas, nmaxes, scales, zrefs)
     blocks = []
-    for a in range(degree_cap + 1):
-        nmax = degree_cap - a
-        scale = bivariate.harmonic_scale(fam, nmax)
-        zref = radial.norms(rad, a, nmax)
-        g = norm_const * radial_gram(rad, a, nmax, scale, zref)
+    for a, nmax, scale, zref, g in zip(alphas, nmaxes, scales, zrefs, grams):
+        g = norm_const * g
         if scale is not None:
             zref = [z * s ** 2 for z, s in zip(zref, scale)]
-        ref = np.array([norm_const * z for z in zref])
+        ref = norm_const * np.asarray(zref)
         blocks.append(([(a + k, k) for k in range(nmax + 1)], g, ref))
         if a > 0:
             blocks.append(([(k, a + k) for k in range(nmax + 1)], g, ref))
-    return summarize(blocks, offdiag_tol, diag_rel_tol)
+    result = summarize(blocks, offdiag_tol, diag_rel_tol)
+    # a norm or diagonal entry out of range reads a non-finite error
+    if not math.isfinite(result.max_diag_relerr):
+        result.notes = _range_note(zrefs, grams)
+    return result
+
+
+def _range_note(norms, grams):
+    """The first harmonic index and degree whose closed-form norm (inf, or
+    0 from underflow) or Gram row (an infinite entry) has left the float
+    range, as a note; "" when none has."""
+    for a, (z, g) in enumerate(zip(norms, grams)):
+        z = np.asarray(z)
+        wrong_norm = np.isinf(z) | (z == 0.0)
+        out = np.flatnonzero(wrong_norm | np.isinf(g).any(axis=1))
+        if out.size:
+            k = out[0]
+            if not wrong_norm[k]:
+                what = "a Gram entry overflows the float range"
+            elif z[k]:
+                what = "the closed-form norm overflows the float range"
+            else:
+                what = "the closed-form norm underflows to 0"
+            return f"harmonic index {a}, degree {k}: {what}"
+    return ""
 
 
 def _same_sign(fa, fb):

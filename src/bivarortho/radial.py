@@ -25,10 +25,13 @@ each family (phi_rows, the route for numerics at nodes, sample points and
 the bilateral q-Laguerre lattice; the tables serve the exact identity
 algebra), the wall and little q-Jacobi rows at their lattice points q^k in
 the terminating Newton form of their 2phi1 (lattice_rows, on the nodes of
-lattice_points), the norms (norms, the one home of every family's closed
-form, for a whole Gram block; zeta reads one entry), the alpha-raising
-connection machinery, and zeros as the eigenvalues of the symmetric Jacobi
-matrix (numpy.linalg.eigvalsh), the path of the Gauss nodes too.
+lattice_points), the rows of all blocks of a q-family Gram in one
+evaluation (block_rows), the norms (norms, the one home of every family's
+closed form, for a whole Gram block; zeta reads one entry; block_norms and
+q_norms form those of all blocks, the q families' in one array pass), the
+alpha-raising connection machinery, and zeros as the eigenvalues of the
+symmetric Jacobi matrix (numpy.linalg.eigvalsh), the path of the Gauss
+nodes too.
 """
 
 import math
@@ -201,7 +204,7 @@ def norms(fam, alpha, nmax):
     overflow as q -> 1 ((q; q)_inf is 1e-714 at q = 0.999).  For qjacobi
     (q^(s+n); q)_n / (q^(s+1); q)_2n is 1 at n = 0 and 1 / ((q^(s+1); q)_(n-1)
     (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  They
-    are formed in np.longdouble and rounded once to float.
+    are formed in np.longdouble and rounded once to float, by q_norms.
     """
     a = alpha + fam.beta
     if fam.kind == "laguerre":
@@ -218,8 +221,38 @@ def norms(fam, alpha, nmax):
         return np.array([jacobi_norm(n) for n in range(nmax + 1)])
     if not fam.is_q():
         raise ValueError(f"unknown radial family kind {fam.kind!r}")
+    return q_norms(fam, alpha, nmax)[0]
+
+
+def block_norms(fam, alphas, nmaxes):
+    """norms(fam, alphas[b], nmaxes[b]) for every block b, bit for bit:
+    for the q families the rows of one q_norms pass, per block for the
+    others."""
+    if not fam.is_q():
+        return [norms(fam, alpha, nmax) for alpha, nmax in zip(alphas, nmaxes)]
+    table = q_norms(fam, alphas, max(nmaxes))
+    return [row[:nmax + 1] for row, nmax in zip(table, nmaxes)]
+
+
+def q_norms(fam, alpha, nmax):
+    """The closed-form squared norms zeta_0..zeta_nmax of a q family at
+    every entry of ``alpha`` (a number or a 1-D array), one row per entry,
+    in one array pass: the q branch of norms, whose closed form is stated
+    there.
+
+    Each row equals norms(fam, alpha[b], n) bit for bit in its first n + 1
+    entries, for every n <= nmax: every operation is entrywise, the degree
+    steps are one running product along the row, and R keeps its own count
+    of factors, the factors past it exactly 1.0.  A norm outside the float
+    range reads inf or 0, without a warning.
+    """
+    a = np.atleast_1d(np.add(alpha, fam.beta))
     q = np.longdouble(fam.q)
     qa = q ** a  # q^a
+
+    def col(v):
+        return np.reshape(v, (-1, 1))
+
     up, down = [q], [qa * q]
     if fam.kind == "qlaguerre":
         c = np.longdouble(fam.c)
@@ -230,26 +263,34 @@ def norms(fam, alpha, nmax):
         qs = qa * qg * q
         up.append(qs * q)
         down.append(qg * q)
-    # qproduct_terms grows with |argument|: the largest one sets the count
-    k = qproduct_terms(max(abs(v) for v in up + down), q)
+    # qproduct_terms grows with |argument|: the largest one of a row sets
+    # the count of its factors
+    sizes = abs(qa * q)
+    for v in up + down[1:]:
+        sizes = np.maximum(sizes, abs(v))
+    count = np.array([qproduct_terms(size, q) for size in sizes])
+    k = int(count.max())
     pw = lattice_points(q, max(k, 2 * nmax + 1))  # pw[i] = q^i
-    ratio = np.ones(k, np.longdouble)
+    ratio = np.ones((len(a), k), np.longdouble)
     for u, d in zip(up, down):
-        ratio *= (1.0 - u * pw[:k]) / (1.0 - d * pw[:k])
-    R = np.prod(ratio)
+        ratio *= (1.0 - col(u) * pw[:k]) / (1.0 - col(d) * pw[:k])
+    ratio[np.arange(k) >= count[:, None]] = 1.0
+    R = np.prod(ratio, axis=1)
     qn = pw[1:nmax + 1]
     if fam.kind == "qlaguerre":
-        R *= c ** (a + 1)
-        steps = (1.0 - qa * qn) / ((1.0 - qn) * q)
+        R = R * c ** (a + 1)
+        steps = (1.0 - col(qa) * qn) / ((1.0 - qn) * q)
     else:
-        steps = qa * q * (1.0 - qn) / (1.0 - qa * qn)
+        steps = col(qa) * q * (1.0 - qn) / (1.0 - col(qa) * qn)
     if fam.kind == "qjacobi":
         steps *= 1.0 - qg * qn
-    out = R * np.cumprod(np.concatenate(([np.longdouble(1.0)], steps)))
+    ones = np.ones((len(a), 1), np.longdouble)
+    out = col(R) * np.cumprod(np.concatenate((ones, steps), axis=1), axis=1)
     if fam.kind == "qjacobi":
-        head = np.cumprod(np.concatenate(([np.longdouble(1.0)], 1.0 - qs * qn[:-1])))
-        out[1:] /= head * (1.0 - qs * pw[2:2 * nmax + 1:2])
-    return out.astype(float)
+        head = np.cumprod(np.concatenate((ones, 1.0 - col(qs) * qn[:-1]), axis=1), axis=1)
+        out[:, 1:] /= head * (1.0 - col(qs) * pw[2:2 * nmax + 1:2])
+    with np.errstate(over="ignore"):
+        return out.astype(float)
 
 
 def measure_mass(fam, alpha):
@@ -284,7 +325,9 @@ def recurrence(fam, alpha, npts):
     q-Laguerre 14.21.  Returns (A, B) in np.longdouble with B_0 = 0; the
     removable 0/0 of the Jacobi forms at n = 0, 1 (alpha+beta+gamma = 0,
     -1) and of the little q-Jacobi forms at n = 0 (ab = 1 or abq = 1) are
-    set from their cancelled limits.
+    set from their cancelled limits.  For the q families ``alpha`` may be a
+    1-D array; A and B then hold one row per entry, each equal to its
+    one-alpha recurrence bit for bit.
     """
     n = np.arange(npts, dtype=np.longdouble)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -304,7 +347,9 @@ def recurrence(fam, alpha, npts):
         elif fam.is_q():
             q = np.longdouble(fam.q)
             qn = q ** n
-            a = q ** np.longdouble(alpha + fam.beta)
+            # a column for an array alpha; a one-entry axis, which the
+            # products over n absorb, for a number
+            a = q ** np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[..., None]
             if fam.kind == "qlaguerre":
                 A = ((1 - q * qn) + q * (1 - a * qn)) / (a * q * qn * qn)
                 B = q * (1 - qn) * (1 - a * qn) / (a * a * qn ** 4)
@@ -315,13 +360,14 @@ def recurrence(fam, alpha, npts):
                       / ((1 - ab * q * qn * qn) * (1 - ab * q * q * qn * qn)))
                 down = (a * qn * (1 - qn) * (1 - b * qn)
                         / ((1 - ab * qn * qn) * (1 - ab * q * qn * qn)))
-                up[0] = (1 - a * q) / (1 - ab * q * q)
-                down[0] = 0
+                up[..., 0] = ((1 - a * q) / (1 - ab * q * q))[..., 0]
+                down[..., 0] = 0
                 A = up + down
-                B = np.concatenate(([0], up[:-1] * down[1:]))
+                B = np.concatenate((np.zeros_like(up[..., :1]), up[..., :-1] * down[..., 1:]),
+                                   axis=-1)
         else:
             raise ValueError(f"unknown radial family kind {fam.kind!r}")
-    B[0] = 0
+    B[..., 0] = 0
     return A, B
 
 
@@ -347,12 +393,14 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
     For q-Laguerre they come from the closed form
     c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k, a = alpha + beta, in np.longdouble
     arithmetic: the float leading_coeff leaves the normal range once
-    q^((a+k)k) does (ZQ at q = 0.3 from k = 25 at a = 0)."""
+    q^((a+k)k) does (ZQ at q = 0.3 from k = 25 at a = 0).  There ``alpha``
+    may be a 1-D array, which gives one row per entry."""
     if fam.kind == "qlaguerre":
         q = np.longdouble(fam.q)
         k = np.arange(nmax + 1, dtype=np.longdouble)
         qq = np.cumprod(np.concatenate(([np.longdouble(1.0)], 1.0 - q ** k[1:])))
-        lead = (-1.0) ** k * q ** ((alpha + fam.beta + k) * k) / qq
+        a = np.asarray(np.add(alpha, fam.beta))[..., None]
+        lead = (-1.0) ** k * q ** ((a + k) * k) / qq
         return lead if scale is None else lead * scale
     lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],
                     dtype=np.longdouble)
@@ -391,7 +439,8 @@ def lattice_points(q, n):
 
 def lattice_rows(fam, alpha, nmax, scale=None):
     """Evaluator of the rows phi_0..phi_nmax(x; alpha) of wall or qjacobi at
-    points x of lattice_points, times ``scale[k]`` when given.
+    points x of lattice_points, times ``scale[k]`` when given: the
+    one-block case of block_rows.
 
     With a = q^(alpha+beta) and b = q^gamma (b = 0 for wall), the 2phi1 of
     Koekoek-Lesky-Swarttouw 2010 (14.12.1) in terminating Newton form on
@@ -407,11 +456,25 @@ def lattice_rows(fam, alpha, nmax, scale=None):
     three-term recurrence at the same points loses up to 70 digits; their
     cancellation grows as q -> 1, where the recurrence does better (WALL
     cap 3 at q = 0.999 reads max_offdiag 1.3e-9 from these rows).  Returns rows(x)
-    in np.longdouble of shape (nmax + 1,) + shape(x); the coefficients
-    P_n T_{n,j} are formed once, as one cumprod over j.
+    in np.longdouble of shape (nmax + 1,) + shape(x).
     """
+    rows = block_rows(fam, [alpha], [nmax], None if scale is None else np.asarray(scale))
+
+    def one_block(x):
+        x = np.asarray(x, dtype=np.longdouble)
+        return rows(x.ravel()).reshape((nmax + 1,) + x.shape)
+
+    return one_block
+
+
+def _newton_coeffs(fam, alpha, nmax):
+    """T_{n,j} and P_n of lattice_rows for degrees n, j <= nmax at every
+    entry of the 1-D array ``alpha``: arrays of shape (len(alpha), nmax + 1,
+    nmax + 1) and (len(alpha), nmax + 1).  T_{n,j} is one running product
+    over i < j, and P_n one over i < n, so the entries of degrees up to m
+    are those of the same call at nmax = m."""
     q = np.longdouble(fam.q)
-    a = q ** np.longdouble(alpha + fam.beta)
+    a = q ** np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[:, None]
     # one table of powers, pw[nmax + k] = q^k, so that q^(i-n) at i = n is
     # q ** 0, an exact 1, and T_{n,j} is an exact zero for j > n; powers
     # taken whole, not as running products, keep 1 - q^k accurate near q = 1
@@ -419,27 +482,89 @@ def lattice_rows(fam, alpha, nmax, scale=None):
     up = pw[nmax + 1:2 * nmax + 1]  # q^(i+1), i < nmax
     n = np.arange(nmax + 1)[:, None]
     i = np.arange(nmax)
-    ratio = (1 - pw[nmax + i - n]) * (pw[nmax:0:-1] / (-a * (1 - up)))
+    ratio = (1 - pw[nmax + i - n]) * (pw[nmax:0:-1] / (-a * (1 - up)))[:, None]
     steps = -a * up / (1 - a * up)
     if fam.kind == "qjacobi":
         b = q ** np.longdouble(fam.gamma)
-        ratio *= (1 - a * b * pw[nmax + 1 + n + i]) / (1 - b * up)
+        ratio *= (1 - (a * b)[:, None] * pw[nmax + 1 + n + i]) / (1 - b * up)
         steps *= 1 - b * up
-    coef = np.ones((nmax + 1, nmax + 1), np.longdouble)
-    np.cumprod(ratio, axis=1, out=coef[:, 1:])
-    lead = np.ones(nmax + 1, np.longdouble)
-    np.cumprod(steps, out=lead[1:])
-    if scale is not None:
-        lead *= scale
-    coef *= lead[:, None]
-    nodes = lattice_points(q, nmax)[:, None]
+    coef = np.ones((len(a), nmax + 1, nmax + 1), np.longdouble)
+    np.cumprod(ratio, axis=2, out=coef[:, :, 1:])
+    lead = np.ones((len(a), nmax + 1), np.longdouble)
+    np.cumprod(steps, axis=1, out=lead[:, 1:])
+    return coef, lead
 
-    def rows(x):
-        x = np.asarray(x, dtype=np.longdouble)
-        newton = np.ones((nmax + 1, x.size), np.longdouble)
-        np.cumprod(x.reshape(1, -1) - nodes, axis=0, out=newton[1:])
+
+def block_rows(fam, alphas, nmaxes, factors=None):
+    """Evaluator of the rows of several blocks of a q family at once:
+    block b is phi_0..phi_nmaxes[b](x; alphas[b]), its rows times the
+    entries of ``factors`` (one per row, stacked block after block) when
+    given.
+
+    Returns rows(x, live=None): the rows of the blocks where the boolean
+    mask ``live`` is True (all blocks when None), stacked block after block,
+    at the 1-D np.longdouble points x, in np.longdouble of shape
+    (rows, len(x)).  Each row equals its one-block evaluation bit for bit.
+    For qlaguerre, the values of phi_rows: one monic recurrence loop over
+    an array of (blocks x points), each block with its own A_k and B_k, to
+    the largest degree of the live blocks, times the leading coefficients.
+    For wall and qjacobi, the Newton form of lattice_rows: one Newton basis
+    prod_{i<j} (x - q^i), j up to the largest live degree, shared by every
+    block, and one np.dot of the stacked coefficient rows with it.  A
+    block's coefficients past its own degree n are exact zeros (T_{n,j}
+    for j > n), whose products add nothing to the sums, which np.dot forms
+    in index order.  The coefficients of all blocks are formed in one array
+    pass.
+    """
+    nmaxes = np.asarray(nmaxes)
+    top = int(nmaxes.max())
+    block = np.repeat(np.arange(len(nmaxes)), nmaxes + 1)  # the block of each row
+    degree = np.arange(len(block)) - np.repeat(np.cumsum(nmaxes + 1) - nmaxes - 1, nmaxes + 1)
+
+    if fam.kind == "qlaguerre":
+        A, B = recurrence(fam, alphas, top + 1)
+        lead = leading_coeffs(fam, alphas, top)[block, degree]
+        if factors is not None:
+            lead = lead * factors
+
+        def rows(x, live=None):
+            order = np.arange(len(nmaxes)) if live is None else np.flatnonzero(live)
+            width = nmaxes[order] + 1
+            first = np.cumsum(width) - width  # the first row of each live block
+            # the live blocks by falling degree, so that those whose rows
+            # need step k of the recurrence are a prefix of them
+            rank = sorted(range(len(order)), key=lambda j: -width[j])
+            first, need = first[rank], [int(width[j]) - 1 for j in rank]
+            a, b = A[order[rank]], B[order[rank]]
+            out = np.empty((width.sum(), len(x)), np.longdouble)
+            out[first] = 1
+            # p_0 = 1 and p_-1 = 0 as arrays, which multiply like the
+            # numbers 1 and 0 of monic_values
+            prev = np.zeros((len(rank), 1), np.longdouble)
+            cur = np.ones((len(rank), 1), np.longdouble)
+            c = len(rank)
+            for k in range(need[0]):
+                while need[c - 1] <= k:
+                    c -= 1
+                prev, cur = cur[:c], (x - a[:c, k, None]) * cur[:c] - b[:c, k, None] * prev[:c]
+                out[first[:c] + k + 1] = cur
+            out *= lead[slice(None) if live is None else live[block], None]
+            return out
+
+        return rows
+    coef, lead = _newton_coeffs(fam, alphas, top)
+    lead = lead[block, degree]
+    if factors is not None:
+        lead = lead * factors
+    coef = coef[block, degree] * lead[:, None]
+    nodes = lattice_points(np.longdouble(fam.q), top)[:, None]
+
+    def rows(x, live=None):
+        sel, deg = (slice(None), top) if live is None else (live[block], int(nmaxes[live].max()))
+        newton = np.ones((deg + 1, len(x)), np.longdouble)
+        np.cumprod(x[None, :] - nodes[:deg], axis=0, out=newton[1:])
         # np.dot, unlike matmul, has a fast loop for np.longdouble
-        return np.dot(coef, newton).reshape((nmax + 1,) + x.shape)
+        return np.dot(coef[sel, :deg + 1], newton)
 
     return rows
 

@@ -399,6 +399,18 @@ class TestGram1D:
         assert res.theta_nodes > aw._theta_node_count((0.99, 0.3, -0.2, 0.1), 0.5, 3)
         assert res.max_offdiag <= 2e-12 and res.max_diag_relerr <= 2e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_q_near_one_is_a_diagnosed_failure(self):
+        # at q = 0.999 the weight numerator passes 1e308 at some nodes and
+        # (q^(n+1); q)_inf is about 1e-714: a failed Gram that names them,
+        # not a NaN with overflow and divide-by-zero warnings
+        res = aw.aw_gram_1d(aw.AWParams(0.2, -0.3, 0.1, 0.4, 0.999), 8)
+        assert not res.passed
+        assert res.notes.startswith("at q = 0.999: ")
+        assert "weight numerator |(e^(2 i theta); q)_inf|^2 overflows" in res.notes
+        assert "(q^(n+1); q)_inf of the norms underflows to 0 from degree 0" in res.notes
+        assert aw.aw_gram_1d(aw.AWParams(0.2, -0.3, 0.1, 0.4, 0.99), 8).notes == ""
+
     def test_node_count_is_monotone(self):
         # in the modulus of one parameter and in q and the cap; and a
         # further denominator factor never lowers the count

@@ -346,10 +346,10 @@ class TestGram:
     )
     def test_broken_block_fails_exit_1(self, block, field, value, capsys, monkeypatch):
         # a NaN or a zero diagonal in a radial block is a failed Gram
-        def radial_gram(fam, alpha, nmax, scale=None, norms=None):
-            return np.array(block)[: nmax + 1, : nmax + 1]
+        def radial_grams(fam, alphas, nmaxes, scales=None, norms=None):
+            return [np.array(block)[: nmax + 1, : nmax + 1] for nmax in nmaxes]
 
-        monkeypatch.setattr(cli.quad, "radial_gram", radial_gram)
+        monkeypatch.setattr(cli.quad, "radial_grams", radial_grams)
         code, out, err = run(["gram", "--family", "Z", "--degree-cap", "1",
                               "--format", "json"], capsys)
         assert code == 1, err

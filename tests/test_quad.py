@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bivarortho import bivariate, quad, radial
@@ -349,7 +350,8 @@ class TestLatticeSumAgainstScalarLoop:
                 assert ref.dtype == np.longdouble
                 assert np.array_equal(quad.q_lattice_sum(rad, alpha, outer), ref), (cap, alpha)
                 block = quad.radial_gram(rad, alpha, cap - alpha)
-                diagonal, kept = walks[-1]
+                # the one-block walk of radial_gram: its block's sums and chunks
+                diagonal, kept = (per_block[0] for per_block in walks[-1])
                 points = np.concatenate([x for x, _, _ in kept])
                 assert np.array_equal(points, np.array(visited)), (cap, alpha)
                 assert np.array_equal(diagonal, np.diagonal(ref)), (cap, alpha)
@@ -391,18 +393,141 @@ class TestLatticeSumAgainstScalarLoop:
             def make(*args):
                 rows = make_rows(*args)
 
-                def counted(x):
+                def counted(x, live):
                     calls.append(len(x))
-                    return rows(x)
+                    return rows(x, live)
 
                 return counted
 
             return make
 
-        for name in ("phi_rows", "lattice_rows"):
-            monkeypatch.setattr(radial, name, counting(getattr(radial, name)))
+        monkeypatch.setattr(radial, "block_rows", counting(radial.block_rows))
         quad.radial_gram(bivariate.radial_of(fam), 0, 8)
         assert 1 <= len(calls) <= 2 * directions
+
+
+def _block_walked_alone(rad, alpha, nmax):
+    """One Gram block by the composition the one-pass walk replaced, kept
+    as its oracle: a lattice walk of its own, with the rows of
+    radial.lattice_rows or radial.phi_rows, one np.dot over the kept
+    points, and the wall and qjacobi block scaled back.  Returns the block
+    and the walk's diagonal sums and kept chunks."""
+    rows, root = _summed_rows(rad, alpha, nmax)
+    totals, kept = quad._lattice_walk(rad, [alpha], lambda x, live: rows(x), np.square, [nmax + 1])
+    vals = np.concatenate([f for _, _, f in kept[0]], axis=1)
+    weights = np.concatenate([w for _, w, _ in kept[0]])
+    block = np.dot(vals * weights, vals.T)
+    if root is not None:
+        block = root[:, None] * block * root
+    return block.astype(float), totals[0], kept[0]
+
+
+Q_KINDS = ("qlaguerre", "wall", "qjacobi")
+
+
+class TestOnePassWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(Q_KINDS),
+        beta=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
+        gamma=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
+        q=st.floats(0.05, 0.95),
+        c=st.floats(0.3, 3.0),
+        cap=st.integers(0, 10),
+        data=st.data(),
+    )
+    def test_every_block_equals_its_walk_alone(self, kind, beta, gamma, q, c, cap, data):
+        # one walk for all blocks of a Gram, requested in any order: each
+        # block keeps the points, diagonal sums and block of its own walk,
+        # bit for bit
+        rad = radial.RadialFamily(kind, beta, gamma, q, c)
+        alphas = data.draw(st.permutations(range(cap + 1)))
+        nmaxes = [cap - a for a in alphas]
+        walks = []
+        walk = quad._lattice_walk
+
+        def spy(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quad, "_lattice_walk", spy)
+            blocks = quad.radial_grams(rad, alphas, nmaxes)
+        assert len(walks) == 1
+        totals, kept = walks[0]
+        for b, (alpha, nmax) in enumerate(zip(alphas, nmaxes)):
+            block, diagonal, alone = _block_walked_alone(rad, alpha, nmax)
+            assert np.array_equal(blocks[b], block), (alpha, nmax)
+            assert np.array_equal(totals[b], diagonal), (alpha, nmax)
+            assert np.array_equal(np.concatenate([x for x, _, _ in kept[b]]),
+                                  np.concatenate([x for x, _, _ in alone])), (alpha, nmax)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [bivariate.ZQ(0.5, 0.5), bivariate.ZQ(0.7, 0.8, 2.0), bivariate.WALL(0.5, 0.5),
+         bivariate.MQ(0.5, 0.5, 0.3)],
+        ids=["ZQ", "ZQ-c2-q0.8", "WALL", "MQ"],
+    )
+    def test_non_finite_terms_against_the_stop_point(self, fam):
+        # a NaN in a block's rows past its stop point, in a chunk the other
+        # blocks still walk, changes nothing; one at its stop point raises
+        # and names its lattice index
+        rad = bivariate.radial_of(fam)
+        cap = 6
+        alphas = list(range(cap + 1))
+        widths = np.array([cap - a + 1 for a in alphas])
+        rows = radial.block_rows(rad, alphas, widths - 1)
+        totals, kept = quad._lattice_walk(rad, alphas, rows, np.square, widths)
+        b = 3
+        points = np.concatenate([x for x, _, _ in kept[b]])
+
+        poisoned_points = []
+
+        def poisoned(where):
+            def integrand(x, live):
+                vals = rows(x, live)
+                if live[b]:
+                    first = widths[:b][live[:b]].sum()
+                    vals[first:first + widths[b], where(x)] = np.nan
+                    poisoned_points.append(np.count_nonzero(where(x)))
+                return vals
+
+            return integrand
+
+        past = poisoned(lambda x: ~np.isin(x, points))
+        totals2, kept2 = quad._lattice_walk(rad, alphas, past, np.square, widths)
+        assert sum(poisoned_points) > 0
+        for t1, t2, k1, k2 in zip(totals, totals2, kept, kept2):
+            assert np.array_equal(t1, t2)
+            assert all(np.array_equal(x1, x2) and np.array_equal(f1, f2)
+                       for (x1, _, f1), (x2, _, f2) in zip(k1, k2))
+        c = fam.c if fam.tag == "ZQ" else 1.0
+        up = points[points <= c]
+        stops = [(up[-1], len(up) - 1)]
+        if fam.tag == "ZQ":
+            down = points[points > c]
+            stops.append((down[-1], -len(down)))
+        for point, index in stops:
+            at_stop = poisoned(lambda x: x == point)
+            with pytest.raises(RuntimeError, match=f"non-finite term at lattice index {index}$"):
+                quad._lattice_walk(rad, alphas, at_stop, np.square, widths)
+
+    def test_rows_times_points_capped(self):
+        # a cap-15 Gram's 136 rows take at most LATTICE_MAX_ENTRIES entries
+        # per call, as one cap-15 block took at LATTICE_MAX_CHUNK points
+        fam = radial.wall(0.5, 0.95)
+        alphas = list(range(16))
+        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas])
+        sizes = []
+
+        def counted(x, live):
+            vals = rows(x, live)
+            sizes.append(vals.size)
+            return vals
+
+        quad._lattice_walk(fam, alphas, counted, np.square, np.array([16 - a for a in alphas]))
+        assert len(sizes) > 3
+        assert max(sizes) <= quad.LATTICE_MAX_ENTRIES
 
 
 class TestGram:
@@ -525,6 +650,36 @@ class TestGram:
         res = quad.gram(bivariate.WALL(0.5, 0.3), 12)
         assert all(res.entries[(i, i)] >= 0.0 for i in res.indices)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fam,cap,note",
+        [(bivariate.ZQ(0.0, 0.3), 34,
+          "harmonic index 34, degree 0: the closed-form norm overflows the float range"),
+         (bivariate.ZQ(0.5, 0.5), 45,
+          "harmonic index 45, degree 0: the closed-form norm overflows the float range"),
+         (bivariate.WALL(0.5, 0.3), 50,
+          "harmonic index 18, degree 32: the closed-form norm underflows to 0")],
+        ids=["ZQ0-q0.3", "ZQ-q0.5", "WALL-q0.3"],
+    )
+    def test_norm_out_of_float_range_is_a_diagnosed_failure(self, fam, cap, note):
+        # the ZQ norm at degree 0 of the top harmonic index, R of q_norms
+        # with (-q^(-a) / c; q)_inf near q^(-a^2 / 2), passes 1e308; the
+        # wall norm R q^((a+1) n) ... falls under the subnormals.  The
+        # Gram fails with the first one named, and no warning; the wall
+        # row of a zero norm sums to 0 instead of raising on 1 / 0
+        res = quad.gram(fam, cap)
+        assert not res.passed
+        assert res.notes == note
+        assert quad.gram(fam, 8).notes == ""
+
+    def test_range_note_names_an_overflowed_entry(self):
+        norms = [np.array([1.0, 2.0]), np.array([1.0, 1.0])]
+        grams = [np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]])]
+        assert quad._range_note(norms, grams) == (
+            "harmonic index 1, degree 0: a Gram entry overflows the float range")
+        grams[1][:] = np.nan
+        assert quad._range_note(norms, grams) == ""
+
 
 # The Gram grids and cap ladders of the gram_frontier benchmark workload,
 # and digests of their results.  The Z, H and M digests, and the grid
@@ -641,6 +796,28 @@ class TestRadialGramAgainstTables:
 
 
 class TestSummarize:
+    def test_repeated_block_measured_once(self):
+        # gram's blocks of index a and -a share one (G, ref) pair, one after
+        # the other; the pair is measured once, and the result is that of
+        # measuring every block
+        class Counted(np.ndarray):
+            differences = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                Counted.differences += ufunc is np.subtract
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        g = np.array([[2.0, 0.1], [0.1, 8.0]])
+        ref = np.array([2.0, 10.0]).view(Counted)
+        other = (np.array([[1.0, 1e-3], [1e-3, 3.0]]), np.array([1.0, 3.0]))
+        blocks = [([0, 1], g, ref), ([2, 3], g, ref), ([4, 5], *other), ([6, 7], g, ref)]
+        res = quad.summarize(blocks, 1e-9, 0.5)
+        assert Counted.differences == 2
+        copies = [(idxs, g.copy(), np.array(r)) for idxs, g, r in blocks]
+        full = quad.summarize(copies, 1e-9, 0.5)
+        assert (res.max_offdiag, res.max_diag_relerr, res.diag_ref) == (
+            full.max_offdiag, full.max_diag_relerr, full.diag_ref)
+
     def test_reports_worst_entries(self):
         blocks = [([0, 1], np.array([[2.0, 0.1], [0.1, 8.0]]), np.array([2.0, 10.0]))]
         res = quad.summarize(blocks, 1e-9, 0.5, notes="x")
