@@ -20,7 +20,10 @@ weight numerator is the one product |(e^(2 i theta); q)_inf|^2,
 _node_rows forms all recurrence rows at once, and each Gram, 1D or
 tensor, is one weighted matrix product (L * w) @ R.T of node-value rows,
 compared with the closed-form norms of all its degrees from one array
-pass (_norms).
+pass (_norms).  The finite products (abcd q^(n-1); q)_n of a Gram are
+formed once (_lead_products), for both its norms and the leading
+coefficients of its rows.  A product that leaves the float range as
+q -> 1 fails the Gram with notes that name it (_range_note).
 
 Three tensor pairings are verified: the u/v and p/q systems (k-coupled
 parameter shifts c1 q^(alpha k + beta), d1 q^(gamma k + delta) on the
@@ -142,7 +145,8 @@ def aw_eval(p, n, x):
     ValueError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    vals = _node_rows(p, n, _check_nodes(x))[n] / aw_prefactor(p, n)
+    products = _lead_products(p.a, p.b, p.c, p.d, p.q, np.arange(n + 1))
+    vals = _node_rows(p, _check_nodes(x), products)[n] / aw_prefactor(p, n)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -207,7 +211,9 @@ def aw_norm(p, n):
     _norms, which the Grams read for all their degrees at once."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return float(_norms(p.a, p.b, p.c, p.d, p.q, np.array([n]))[0])
+    n = np.array([n])
+    products = _lead_products(p.a, p.b, p.c, p.d, p.q, n)
+    return float(_norms(p.a, p.b, p.c, p.d, p.q, n, products)[0])
 
 
 def _qpochhammer(starts, q, n=None):
@@ -252,21 +258,33 @@ def _q_tails(q, n):
     return np.cumprod(factors)[::-1][n]
 
 
-def _norms(a, b, c, d, q, n):
+def _powers(q, top):
+    """q^m for m = -1..top - 1 as Python powers, the same at every size."""
+    return np.array([q ** m for m in range(-1, top)])
+
+
+def _lead_products(a, b, c, d, q, n):
+    """(abcd q^(n-1); q)_n for every degree in the integer array ``n``, the
+    parameters a..d floats or arrays broadcast against it, in one
+    _qpochhammer pass: the finite product of the norms (_norms) and, times
+    2^n, the leading coefficients of the rows (_node_rows), so that a Gram
+    forms it once for both."""
+    return _qpochhammer(a * b * c * d * _powers(q, int(np.max(n, initial=0)))[n], q, n)
+
+
+def _norms(a, b, c, d, q, n, products):
     """aw_norm of every degree in the integer array ``n``, the parameters
-    a..d floats or arrays broadcast against it: (q^(n+1); q)_inf from
-    _q_tails, the other seven infinite q-products in one _qpochhammer pass
-    over their stacked starting values, and (abcd q^(n-1); q)_n in
-    another."""
-    n = np.asarray(n)
-    # q^m for m = -1..2 max(n) + 1 as Python powers, the same at every size
-    qpow = np.array([q ** m for m in range(-1, 2 * int(n.max(initial=0)) + 2)])
+    a..d floats or arrays broadcast against it, given their
+    _lead_products: (q^(n+1); q)_inf from _q_tails, and the other seven
+    infinite q-products in one _qpochhammer pass over their stacked
+    starting values."""
+    qpow = _powers(q, 2 * int(n.max(initial=0)) + 2)
     qn = qpow[n + 1]
     abcd = a * b * c * d
     starts = np.stack((abcd * qpow[2 * n + 1],
                        a * b * qn, a * c * qn, a * d * qn, b * c * qn, b * d * qn, c * d * qn))
     inf = _qpochhammer(starts, q)
-    num = 2.0 * math.pi * inf[0] * _qpochhammer(abcd * qpow[n], q, n)
+    num = 2.0 * math.pi * inf[0] * products
     den = _q_tails(q, n) * inf[1] * inf[2] * inf[3] * inf[4] * inf[5] * inf[6]
     return num / den
 
@@ -398,15 +416,15 @@ def _recurrence(p, npts):
     return A, np.concatenate(([0], up[:-1] * down[1:])) / 4
 
 
-def _node_rows(p, degree_cap, xs):
-    """Rows p_0(xs)..p_degree_cap(xs) of the symmetric polynomials
-    p_n = aw_prefactor(p, n) 4phi3, which the closed-form norms refer to:
-    the recurrence rows times their leading coefficients
-    2^n (abcd q^(n-1); q)_n."""
-    A, B = _recurrence(p, degree_cap + 1)
-    abcd = p.a * p.b * p.c * p.d
-    lead = [2.0 ** n * qpochhammer(abcd * p.q ** (n - 1), p.q, n) for n in range(degree_cap + 1)]
-    return (np.array(lead)[:, None] * radial.monic_values(A, B, xs)).astype(float)
+def _node_rows(p, xs, products):
+    """Rows p_0(xs)..p_N(xs), N = len(products) - 1, of the symmetric
+    polynomials p_n = aw_prefactor(p, n) 4phi3, which the closed-form norms
+    refer to: the recurrence rows times their leading coefficients
+    2^n (abcd q^(n-1); q)_n, with ``products`` the _lead_products of p at
+    degrees 0..N."""
+    n = np.arange(len(products))
+    A, B = _recurrence(p, len(n))
+    return ((2.0 ** n * products)[:, None] * radial.monic_values(A, B, xs)).astype(float)
 
 
 def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1e-7):
@@ -425,9 +443,10 @@ def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1
     # an infinite q-product out of the float range propagates to a
     # non-finite error, which _range_note then names
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = _node_rows(p, degree_cap, xs)
+        products = _lead_products(p.a, p.b, p.c, p.d, p.q, degrees)
+        vals = _node_rows(p, xs, products)
         gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
-        ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees)
+        ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees, products)
     result = summarize([(degrees.tolist(), gram, ref)], offdiag_tol, diag_rel_tol,
                        theta_nodes=theta_nodes)
     if not math.isfinite(result.max_diag_relerr):
@@ -559,35 +578,48 @@ def tensor_biortho_check(
                           _theta_node_count((p2.a, p2.b, p2.c, p2.d), p2.q, index_cap))
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
+    # an infinite q-product out of the float range propagates to a
+    # non-finite error, which _range_note then names for each block
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y_degrees = np.arange(cap)
+        y_products = _lead_products(p2.a, p2.b, p2.c, p2.d, p2.q, y_degrees)
+        yvals = _node_rows(p2, xs, y_products)
+        y_int = (yvals * (wts * _theta_weight(p2, xs))) @ yvals.T
 
-    yvals = _node_rows(p2, index_cap, xs)
-    y_int = (yvals * (wts * _theta_weight(p2, xs))) @ yvals.T
+        wx = wts * _weight_numerator(xs, q) / (h_prod(xs, p1.a, q) * h_prod(xs, p1.b, q))
+        if mode != "pq":
+            wx = wx / h_prod(xs, p1.c, q)
 
-    wx = wts * _weight_numerator(xs, q) / (h_prod(xs, p1.a, q) * h_prod(xs, p1.b, q))
-    if mode != "pq":
-        wx = wx / h_prod(xs, p1.c, q)
-
-    # rows ordered like ``indices``: row j * cap + k is the degree-j
-    # polynomial at coupling index k
-    indices = [(j, k) for j in range(cap) for k in range(cap)]
-    js, ks = np.divmod(np.arange(cap * cap), cap)
-    xvals = np.array([_node_rows(_x_params(tp, mode, k), index_cap, xs) for k in range(cap)])
-    left = xvals.transpose(1, 0, 2).reshape(cap * cap, -1)
-    right = left
-    if mode == "self":
-        eits = np.exp(1j * thetas)
-        half_h = np.array([_half_h(d1, eits, q) for d1 in d1s])
-        left = left / half_h[ks]
-        right = right / np.conj(half_h[ks])
-    else:
-        right = right / np.array([h_prod(xs, d1, q) for d1 in d1s])[ks]
-        if mode == "pq":
-            left = left / np.array([h_prod(xs, c1, q) for c1 in c1s])[ks]
-    vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
-    # tensor_diag_ref of every index: the first-block norms at the shifted
-    # parameters of their k, times the second-block norm of degree k
-    c1_at = np.array(c1s)[ks] if mode == "pq" else p1.c
-    ref = (_norms(p1.a, p1.b, c1_at, np.array(d1s)[ks], q, js)
-           * _norms(p2.a, p2.b, p2.c, p2.d, p2.q, np.arange(cap))[ks])
-    return summarize([(indices, vals, ref)], offdiag_tol, diag_rel_tol, notes=mode,
-                     theta_nodes=theta_nodes)
+        # rows ordered like ``indices``: row j * cap + k is the degree-j
+        # polynomial at coupling index k
+        indices = [(j, k) for j in range(cap) for k in range(cap)]
+        js, ks = np.divmod(np.arange(cap * cap), cap)
+        # the first-block parameters of every index: c1 shifted by k in pq
+        c1_at = np.array(c1s)[ks] if mode == "pq" else p1.c
+        d1_at = np.array(d1s)[ks]
+        x_products = _lead_products(p1.a, p1.b, c1_at, d1_at, q, js)
+        xvals = np.array([_node_rows(_x_params(tp, mode, k), xs, x_products[k::cap])
+                          for k in range(cap)])
+        left = xvals.transpose(1, 0, 2).reshape(cap * cap, -1)
+        right = left
+        if mode == "self":
+            eits = np.exp(1j * thetas)
+            half_h = np.array([_half_h(d1, eits, q) for d1 in d1s])
+            left = left / half_h[ks]
+            right = right / np.conj(half_h[ks])
+        else:
+            right = right / np.array([h_prod(xs, d1, q) for d1 in d1s])[ks]
+            if mode == "pq":
+                left = left / np.array([h_prod(xs, c1, q) for c1 in c1s])[ks]
+        vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
+        # tensor_diag_ref of every index: the first-block norms at the
+        # shifted parameters of their k, times the second-block norm of
+        # degree k
+        ref = (_norms(p1.a, p1.b, c1_at, d1_at, q, js, x_products)
+               * _norms(p2.a, p2.b, p2.c, p2.d, p2.q, y_degrees, y_products)[ks])
+    result = summarize([(indices, vals, ref)], offdiag_tol, diag_rel_tol, notes=mode,
+                       theta_nodes=theta_nodes)
+    if not math.isfinite(result.max_diag_relerr):
+        notes = [_range_note(p, xs, np.arange(cap)) for p in (p1, p2)]
+        result.notes = "; ".join([mode] + [note for note in notes if note])
+    return result

@@ -1,23 +1,23 @@
 """Quadrature and summation engines.
 
-Gauss rules for the continuous radial measures (nodes the eigenvalues of
-the Jacobi matrix of the closed-form recurrence, weights the Christoffel
-numbers from the np.longdouble monic rows at them), longdouble
-q-lattice sums with certified tail bounds (each lattice direction an array
-of points and closed-form weights, walked in chunks under one stop rule),
-block-diagonal Gram assembly for the bivariate families (one radial Gram
-per circle-harmonic index, V W V^T as one np.dot of the rows V at a rule's
-points: the Gauss nodes of each block, with the monic rows of the rule
+Gauss rules for the continuous radial measures (golub_welsch: nodes the
+eigenvalues of the Jacobi matrix of the closed-form recurrence, weights
+the Christoffel numbers from the np.longdouble monic rows at them),
+longdouble q-lattice sums with certified tail bounds (q_lattice_sum: each
+lattice direction an array of points and closed-form weights, walked in
+chunks under one stop rule), the radial Gram blocks of a Gram in one
+request (radial_grams: V W V^T as one np.dot of the rows V at a rule's
+points, the Gauss nodes of each block, with the monic rows of the rule
 times their leading coefficients, or for a q family the lattice points
-shared by every block of the Gram, walked once for all of them, each block
-keeping the points up to its own stop point, read on its own diagonal
-terms, with the rows of every block still walking evaluated together: by
-one recurrence loop on the q-Laguerre lattice, and for wall and little
-q-Jacobi by the terminating Newton form at the points q^k on one shared
-Newton basis, divided by the square roots of the block's norms and the
-block scaled back), the Gram summary shared with the Askey–Wilson checks,
-and zero-circle monotonicity checks, whose zeros are refined by Brent's
-bracketed root finder on the recurrence values.
+shared by every block, walked once for all of them, each block keeping
+the points up to its own stop point, read on its own diagonal terms, with
+the rows of every block still walking from one radial.block_rows
+evaluation per chunk), block-diagonal Gram assembly for the bivariate
+families (gram: one radial block per circle-harmonic index, against the
+closed-form norms of one radial.norms call), the Gram summary shared
+with the Askey–Wilson checks (summarize), and zero-circle monotonicity
+checks (zero_circle_monotonicity), whose zeros are refined by Brent's
+bracketed root finder on the recurrence values (bisection_zeros).
 """
 
 import math
@@ -278,31 +278,33 @@ def q_lattice_sum(fam, alpha, integrand):
     return totals[0].reshape(shape[0])[()]
 
 
-def radial_grams(fam, alphas, nmaxes, scales=None, norms=None):
+def radial_grams(fam, alphas, nmaxes, scales, norms):
     """Gram blocks V W V^T of phi_0..phi_nmaxes[b](x; alphas[b]) against
     x^alphas[b] dnu, one per block b: for each, one np.dot of the rows V
-    at a rule's points, times its weights W, with V^T.
+    at a rule's points, times its weights W, with V^T.  ``scales[b]``
+    multiplies the rows of a continuous block unless it is None (no q
+    family has a harmonic scale, and the q branch does not read it);
+    ``norms[b]`` holds the closed-form norms of block b, which only wall
+    and qjacobi read.
 
-    For the continuous families the rows of V (times ``scales[b][k]`` when
-    given) are the monic rows of golub_welsch(fam, alpha, nmax + 1), which
-    is exact to degree 2 nmax + 1, times their leading coefficients: one
-    recurrence per block gives its nodes, weights and block, since the
-    nodes move with alpha.  For the q families every block lies on the
-    same lattice points, so one lattice walk serves them all: the rows of
-    every block still walking come from one radial.block_rows evaluation
-    per chunk of points, and each block keeps the points and weights of
-    its own stop point, the stop rule read on its own diagonal terms
-    w v_k^2.  Every partial sum of a positively weighted Gram is positive
-    semidefinite, so its largest entry is on the diagonal, and the largest
-    |term| of a point is w max_k v_k^2.  For wall and qjacobi the rows are
-    divided by the square roots of the block's ``norms[b]``
-    (radial.block_norms when not given) and the block is scaled back: in
-    the orthonormal scale every diagonal entry is near 1, so the stop rule,
+    For the continuous families the rows of V are the monic rows of
+    golub_welsch(fam, alpha, nmax + 1), which is exact to degree
+    2 nmax + 1, times their leading coefficients: one recurrence per block
+    gives its nodes, weights and block, since the nodes move with alpha.
+    For the q families every block lies on the same lattice points, so one
+    lattice walk serves them all: the rows of every block still walking
+    come from one radial.block_rows evaluation per chunk of points, and
+    each block keeps the points and weights of its own stop point, the
+    stop rule read on its own diagonal terms w v_k^2.  Every partial sum of
+    a positively weighted Gram is positive semidefinite, so its largest
+    entry is on the diagonal, and the largest |term| of a point is
+    w max_k v_k^2.  For wall and qjacobi the rows are divided by the square
+    roots of the block's norms and the block is scaled back: in the
+    orthonormal scale every diagonal entry is near 1, so the stop rule,
     relative to the largest entry, holds for the smallest norm of the block
     too; a row whose norm underflowed to 0 is left at 0.  Each block
     equals the walk of its block alone bit for bit.
     """
-    scales = [None] * len(alphas) if scales is None else scales
     if not fam.is_q():
         blocks = []
         for alpha, nmax, scale in zip(alphas, nmaxes, scales):
@@ -313,14 +315,10 @@ def radial_grams(fam, alphas, nmaxes, scales=None, norms=None):
         return blocks
     widths = np.asarray(nmaxes) + 1
     factors = root = None
-    if any(scale is not None for scale in scales):
-        factors = np.concatenate([np.ones(n) if s is None else np.asarray(s)
-                                  for n, s in zip(widths, scales)])
     if fam.kind in ("wall", "qjacobi"):
-        norms = radial.block_norms(fam, alphas, nmaxes) if norms is None else norms
         root = np.sqrt(np.concatenate(norms).astype(np.longdouble))
         with np.errstate(divide="ignore"):
-            factors = (1 if factors is None else factors) / root
+            factors = 1 / root
         # a row whose norm underflowed to 0 sums to 0, a failed diagonal
         factors[root == 0.0] = 0.0
         root = np.split(root, np.cumsum(widths)[:-1])
@@ -338,15 +336,6 @@ def radial_grams(fam, alphas, nmaxes, scales=None, norms=None):
                 block = root[b][:, None] * block * root[b]
             blocks.append(block.astype(float))
     return blocks
-
-
-def radial_gram(fam, alpha, nmax, scale=None, norms=None):
-    """Gram block V W V^T of phi_0..phi_nmax(x; alpha) against x^alpha dnu,
-    times ``scale[k]`` in its rows and columns when given: the one-block
-    request to radial_grams, whose rules, rows and lattice walk are stated
-    there; ``norms`` are the closed-form norms a wall or qjacobi block is
-    scaled by (radial.norms when not given)."""
-    return radial_grams(fam, [alpha], [nmax], [scale], None if norms is None else [norms])[0]
 
 
 class GramEntries(Mapping):
@@ -472,10 +461,10 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     x^|a| dnu, and every entry across blocks is an exact zero.  One
     radial_grams request forms every radial block: for a q family, one
     lattice walk.  The closed-form norms of all blocks come from one
-    radial.block_norms call and serve both the diagonal reference and the
-    wall and qjacobi row scaling.  When a norm or a Gram entry has left
-    the float range, the failed result's notes name the first harmonic
-    index and degree where it did.
+    radial.norms call and serve both the diagonal reference and the wall
+    and qjacobi row scaling.  When a norm or a Gram entry has left the
+    float range, the failed result's notes name the first harmonic index
+    and degree where it did.
     """
     from . import bivariate  # deferred to avoid import cycle
 
@@ -486,7 +475,7 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     alphas = range(degree_cap + 1)
     nmaxes = [degree_cap - a for a in alphas]
     scales = [bivariate.harmonic_scale(fam, nmax) for nmax in nmaxes]
-    zrefs = radial.block_norms(rad, alphas, nmaxes)
+    zrefs = radial.norms(rad, alphas, nmaxes)
     grams = radial_grams(rad, alphas, nmaxes, scales, zrefs)
     blocks = []
     for a, nmax, scale, zref, g in zip(alphas, nmaxes, scales, zrefs, grams):

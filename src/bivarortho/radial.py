@@ -21,17 +21,16 @@ little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 The three q families share one coefficient term formula, evaluated from
 q-Pochhammer prefix products formed once per table.  Besides coefficient
 tables the module provides the closed-form monic three-term recurrence of
-each family (phi_rows, the route for numerics at nodes, sample points and
-the bilateral q-Laguerre lattice; the tables serve the exact identity
-algebra), the wall and little q-Jacobi rows at their lattice points q^k in
-the terminating Newton form of their 2phi1 (lattice_rows, on the nodes of
-lattice_points), the rows of all blocks of a q-family Gram in one
-evaluation (block_rows), the norms (norms, the one home of every family's
-closed form, for a whole Gram block; zeta reads one entry; block_norms and
-q_norms form those of all blocks, the q families' in one array pass), the
-alpha-raising connection machinery, and zeros as the eigenvalues of the
-symmetric Jacobi matrix (numpy.linalg.eigvalsh), the path of the Gauss
-nodes too.
+each family (phi_rows, the route for numerics at nodes and sample points;
+the tables serve the exact identity algebra), the rows of all blocks of a
+q-family Gram in one evaluation (block_rows: the recurrence on the
+bilateral q-Laguerre lattice, and for wall and little q-Jacobi the
+terminating Newton form of their 2phi1 on the nodes of lattice_points),
+the norms (norms, the one home of every family's closed form: one row
+per alpha to its own degree, the q families' in one array pass; zeta
+reads one entry), the alpha-raising connection machinery, and zeros as the
+eigenvalues of the symmetric Jacobi matrix (numpy.linalg.eigvalsh), the
+path of the Gauss nodes too.
 """
 
 import math
@@ -175,14 +174,17 @@ def radial_coeffs(fam, n, alpha):
 
 
 def zeta(fam, n, alpha):
-    """Squared norm of phi_n with respect to x^alpha dnu: entry n of norms."""
-    return float(norms(fam, alpha, n)[n])
+    """Squared norm of phi_n with respect to x^alpha dnu: one entry of norms."""
+    return float(norms(fam, [alpha], [n])[0][n])
 
 
-def norms(fam, alpha, nmax):
-    """The squared norms zeta_0..zeta_nmax of phi_n with respect to
-    x^alpha dnu, as a float array: the one home of every family's closed
-    form, formed once for a Gram block.
+def norms(fam, alphas, nmaxes):
+    """The squared norms zeta_0..zeta_nmaxes[b] of phi_n with respect to
+    x^alphas[b] dnu for every block b, as a list of float rows, each to its
+    own degree: the one home of every family's closed form.  Every entry
+    equals that of the one-alpha call at the same degree bit for bit: every
+    operation is entrywise, and the q families' degree steps are one
+    running product along the row.
 
     laguerre: Gamma(a + n + 1) / n! with a = alpha + beta.  jacobi:
     Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1) (t + 2n + 1))
@@ -203,50 +205,32 @@ def norms(fam, alpha, nmax):
     factors, unlike the separate infinite products, neither underflow nor
     overflow as q -> 1 ((q; q)_inf is 1e-714 at q = 0.999).  For qjacobi
     (q^(s+n); q)_n / (q^(s+1); q)_2n is 1 at n = 0 and 1 / ((q^(s+1); q)_(n-1)
-    (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  They
-    are formed in np.longdouble and rounded once to float, by q_norms.
+    (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  The q
+    rows are formed to the largest degree in one array pass in
+    np.longdouble, rounded once to float and cut to their own degrees; each
+    row keeps its own count of factors of R, the factors past it exactly
+    1.0, so it equals the row of its alpha alone bit for bit.  A norm
+    outside the float range reads inf or 0, without a warning.  The
+    classical rows are formed to their own degrees only, so math.gamma
+    meets no argument past those of the entries returned.
     """
-    a = alpha + fam.beta
     if fam.kind == "laguerre":
-        return np.array([math.gamma(a + n + 1) / math.factorial(n) for n in range(nmax + 1)])
+        return [np.array([math.gamma(alpha + fam.beta + n + 1) / math.factorial(n)
+                          for n in range(nmax + 1)]) for alpha, nmax in zip(alphas, nmaxes)]
     if fam.kind == "jacobi":
-        g = alpha + fam.gamma
-        t = alpha + fam.beta + fam.gamma
-
-        def jacobi_norm(n):
+        def jacobi_norm(alpha, n):
+            g = alpha + fam.gamma
+            t = alpha + fam.beta + fam.gamma
             # Gamma(t + 1) (t + 1) = Gamma(t + 2) at n = 0 also covers t = -1
             scale = math.gamma(t + n + 1) * (t + 2 * n + 1) if n else math.gamma(t + 2)
             return math.gamma(g + n + 1) * math.gamma(fam.beta + n + 1) / (math.factorial(n) * scale)
 
-        return np.array([jacobi_norm(n) for n in range(nmax + 1)])
+        return [np.array([jacobi_norm(alpha, n) for n in range(nmax + 1)])
+                for alpha, nmax in zip(alphas, nmaxes)]
     if not fam.is_q():
         raise ValueError(f"unknown radial family kind {fam.kind!r}")
-    return q_norms(fam, alpha, nmax)[0]
-
-
-def block_norms(fam, alphas, nmaxes):
-    """norms(fam, alphas[b], nmaxes[b]) for every block b, bit for bit:
-    for the q families the rows of one q_norms pass, per block for the
-    others."""
-    if not fam.is_q():
-        return [norms(fam, alpha, nmax) for alpha, nmax in zip(alphas, nmaxes)]
-    table = q_norms(fam, alphas, max(nmaxes))
-    return [row[:nmax + 1] for row, nmax in zip(table, nmaxes)]
-
-
-def q_norms(fam, alpha, nmax):
-    """The closed-form squared norms zeta_0..zeta_nmax of a q family at
-    every entry of ``alpha`` (a number or a 1-D array), one row per entry,
-    in one array pass: the q branch of norms, whose closed form is stated
-    there.
-
-    Each row equals norms(fam, alpha[b], n) bit for bit in its first n + 1
-    entries, for every n <= nmax: every operation is entrywise, the degree
-    steps are one running product along the row, and R keeps its own count
-    of factors, the factors past it exactly 1.0.  A norm outside the float
-    range reads inf or 0, without a warning.
-    """
-    a = np.atleast_1d(np.add(alpha, fam.beta))
+    nmax = max(nmaxes)
+    a = np.add(alphas, fam.beta)
     q = np.longdouble(fam.q)
     qa = q ** a  # q^a
 
@@ -290,7 +274,8 @@ def q_norms(fam, alpha, nmax):
         head = np.cumprod(np.concatenate((ones, 1.0 - col(qs) * qn[:-1]), axis=1), axis=1)
         out[:, 1:] /= head * (1.0 - col(qs) * pw[2:2 * nmax + 1:2])
     with np.errstate(over="ignore"):
-        return out.astype(float)
+        out = out.astype(float)
+    return [row[:n + 1] for row, n in zip(out, nmaxes)]
 
 
 def measure_mass(fam, alpha):
@@ -432,47 +417,27 @@ def phi_rows(fam, alpha, nmax, scale=None):
 def lattice_points(q, n):
     """The first n points q^0, q^1, ... of the unilateral q-lattice in
     np.longdouble, each the running product of the last and q, so that a
-    point and the equal Newton node of lattice_rows are one number."""
+    point and the equal Newton node of block_rows are one number."""
     steps = np.full(max(n - 1, 0), q, dtype=np.longdouble)
     return np.multiply.accumulate(np.concatenate(([np.longdouble(1.0)], steps)))[:n]
 
 
-def lattice_rows(fam, alpha, nmax, scale=None):
-    """Evaluator of the rows phi_0..phi_nmax(x; alpha) of wall or qjacobi at
-    points x of lattice_points, times ``scale[k]`` when given: the
-    one-block case of block_rows.
-
-    With a = q^(alpha+beta) and b = q^gamma (b = 0 for wall), the 2phi1 of
-    Koekoek-Lesky-Swarttouw 2010 (14.12.1) in terminating Newton form on
-    the nodes q^i of lattice_points:
+def _newton_coeffs(fam, alpha, nmax):
+    """The coefficients of the wall and qjacobi rows in the terminating
+    Newton form of their 2phi1 (Koekoek-Lesky-Swarttouw 2010, 14.12.1) on
+    the nodes q^i of lattice_points, with a = q^(alpha+beta) and b = q^gamma
+    (b = 0 for wall):
 
         phi_n(x) = P_n sum_{j<=n} T_{n,j} prod_{i<j} (x - q^i),
         T_{n,j} = prod_{i<j} (1 - q^(i-n)) (1 - ab q^(n+1+i))
                   / ((1 - b q^(i+1)) (1 - q^(i+1))) (-q^(-i) / a),
         P_n = (bq; q)_n / (aq; q)_n (-1)^n q^(n(n-1)/2) (aq)^n.
 
-    At x = q^k the node q^k is x itself, so every term past j = min(n, k)
-    is an exact zero.  For q up to 0.8 the rest cancel mildly, where the
-    three-term recurrence at the same points loses up to 70 digits; their
-    cancellation grows as q -> 1, where the recurrence does better (WALL
-    cap 3 at q = 0.999 reads max_offdiag 1.3e-9 from these rows).  Returns rows(x)
-    in np.longdouble of shape (nmax + 1,) + shape(x).
-    """
-    rows = block_rows(fam, [alpha], [nmax], None if scale is None else np.asarray(scale))
-
-    def one_block(x):
-        x = np.asarray(x, dtype=np.longdouble)
-        return rows(x.ravel()).reshape((nmax + 1,) + x.shape)
-
-    return one_block
-
-
-def _newton_coeffs(fam, alpha, nmax):
-    """T_{n,j} and P_n of lattice_rows for degrees n, j <= nmax at every
-    entry of the 1-D array ``alpha``: arrays of shape (len(alpha), nmax + 1,
-    nmax + 1) and (len(alpha), nmax + 1).  T_{n,j} is one running product
-    over i < j, and P_n one over i < n, so the entries of degrees up to m
-    are those of the same call at nmax = m."""
+    T_{n,j} and P_n for degrees n, j <= nmax at every entry of the 1-D
+    array ``alpha``: arrays of shape (len(alpha), nmax + 1, nmax + 1) and
+    (len(alpha), nmax + 1).  T_{n,j} is one running product over i < j,
+    and P_n one over i < n, so the entries of degrees up to m are those of
+    the same call at nmax = m."""
     q = np.longdouble(fam.q)
     a = q ** np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[:, None]
     # one table of powers, pw[nmax + k] = q^k, so that q^(i-n) at i = n is
@@ -495,26 +460,32 @@ def _newton_coeffs(fam, alpha, nmax):
     return coef, lead
 
 
-def block_rows(fam, alphas, nmaxes, factors=None):
+def block_rows(fam, alphas, nmaxes, factors):
     """Evaluator of the rows of several blocks of a q family at once:
-    block b is phi_0..phi_nmaxes[b](x; alphas[b]), its rows times the
-    entries of ``factors`` (one per row, stacked block after block) when
-    given.
+    block b is phi_0..phi_nmaxes[b](x; alphas[b]).  For wall and qjacobi
+    the rows are times the entries of ``factors`` (one per row, stacked
+    block after block) unless that is None; qlaguerre rows take no factors,
+    and their ``factors`` is not read.
 
-    Returns rows(x, live=None): the rows of the blocks where the boolean
-    mask ``live`` is True (all blocks when None), stacked block after block,
-    at the 1-D np.longdouble points x, in np.longdouble of shape
-    (rows, len(x)).  Each row equals its one-block evaluation bit for bit.
-    For qlaguerre, the values of phi_rows: one monic recurrence loop over
-    an array of (blocks x points), each block with its own A_k and B_k, to
-    the largest degree of the live blocks, times the leading coefficients.
-    For wall and qjacobi, the Newton form of lattice_rows: one Newton basis
+    Returns rows(x, live): the rows of the blocks where the boolean mask
+    ``live`` is True, stacked block after block, at the 1-D np.longdouble
+    points x, in np.longdouble of shape (rows, len(x)).  Each row equals
+    its one-block evaluation bit for bit.  For qlaguerre, the values of
+    phi_rows: one monic recurrence loop over an array of (blocks x points),
+    each block with its own A_k and B_k, to the largest degree of the live
+    blocks, times the leading coefficients.  For wall and qjacobi, the
+    terminating Newton form of _newton_coeffs: one Newton basis
     prod_{i<j} (x - q^i), j up to the largest live degree, shared by every
     block, and one np.dot of the stacked coefficient rows with it.  A
     block's coefficients past its own degree n are exact zeros (T_{n,j}
     for j > n), whose products add nothing to the sums, which np.dot forms
     in index order.  The coefficients of all blocks are formed in one array
-    pass.
+    pass.  At a lattice point x = q^k the node q^k is x itself, so every
+    Newton term past j = min(n, k) is an exact zero.  For q up to 0.8 the
+    rest cancel mildly, where the three-term recurrence at the same points
+    loses up to 70 digits; their cancellation grows as q -> 1, where the
+    recurrence does better (WALL cap 3 at q = 0.999 reads max_offdiag
+    1.3e-9 from these rows).
     """
     nmaxes = np.asarray(nmaxes)
     top = int(nmaxes.max())
@@ -524,11 +495,9 @@ def block_rows(fam, alphas, nmaxes, factors=None):
     if fam.kind == "qlaguerre":
         A, B = recurrence(fam, alphas, top + 1)
         lead = leading_coeffs(fam, alphas, top)[block, degree]
-        if factors is not None:
-            lead = lead * factors
 
-        def rows(x, live=None):
-            order = np.arange(len(nmaxes)) if live is None else np.flatnonzero(live)
+        def rows(x, live):
+            order = np.flatnonzero(live)
             width = nmaxes[order] + 1
             first = np.cumsum(width) - width  # the first row of each live block
             # the live blocks by falling degree, so that those whose rows
@@ -548,7 +517,7 @@ def block_rows(fam, alphas, nmaxes, factors=None):
                     c -= 1
                 prev, cur = cur[:c], (x - a[:c, k, None]) * cur[:c] - b[:c, k, None] * prev[:c]
                 out[first[:c] + k + 1] = cur
-            out *= lead[slice(None) if live is None else live[block], None]
+            out *= lead[live[block], None]
             return out
 
         return rows
@@ -559,12 +528,12 @@ def block_rows(fam, alphas, nmaxes, factors=None):
     coef = coef[block, degree] * lead[:, None]
     nodes = lattice_points(np.longdouble(fam.q), top)[:, None]
 
-    def rows(x, live=None):
-        sel, deg = (slice(None), top) if live is None else (live[block], int(nmaxes[live].max()))
+    def rows(x, live):
+        deg = int(nmaxes[live].max())
         newton = np.ones((deg + 1, len(x)), np.longdouble)
         np.cumprod(x[None, :] - nodes[:deg], axis=0, out=newton[1:])
         # np.dot, unlike matmul, has a fast loop for np.longdouble
-        return np.dot(coef[sel, :deg + 1], newton)
+        return np.dot(coef[live[block], :deg + 1], newton)
 
     return rows
 

@@ -2,6 +2,7 @@
 norms, the 1D Gram matrix, and the three tensor biorthogonality pairings."""
 
 import cmath
+import hashlib
 import itertools
 import math
 
@@ -198,14 +199,19 @@ class TestWeight:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_h_product_matches_mpmath(self, q):
-        # h(x, a) = |(a e^(i theta); q)_inf|^2 for real a, at every node
+        # h(x, a) = |(a e^(i theta); q)_inf|^2 for real a, at every node;
+        # a = -1 and -sqrt(q) are checked at the nodes -x against the
+        # references of a = 1 and sqrt(q): h(-x, -a) = h(x, a) holds
+        # factor by factor, and -x is an exact negation
         mp = pytest.importorskip("mpmath")
         xs = gauss_theta_nodes()
         rq = math.sqrt(q)
-        for a in (1.0, -1.0, rq, -rq, 0.2, -0.3, 0.95):
+        for a in (1.0, rq, 0.2, -0.3, 0.95):
             with mp.workdps(20):
                 ref = [float(abs(mp.qp(a * mp_unit_point(mp, x), q)) ** 2) for x in xs]
             assert_allclose(aw.h_prod(xs, a, q), ref, rtol=1e-13, err_msg=f"a={a}")
+            if a in (1.0, rq):
+                assert_allclose(aw.h_prod(-xs, -a, q), ref, rtol=1e-13, err_msg=f"a={-a}")
 
     @pytest.mark.parametrize("a,q", [(0.4, 0.5), (-0.3, 0.7), (0.95, 0.3)])
     def test_half_h_matches_mpmath(self, a, q):
@@ -280,14 +286,17 @@ class TestNorms:
         # parameters, equals aw_norm degree by degree bit for bit: the
         # factors past an entry's own truncation are exactly 1.0
         for p in (P, P2, aw.AWParams(0.9, -0.7, 0.5, 0.3, 0.9)):
-            norms = aw._norms(p.a, p.b, p.c, p.d, p.q, np.arange(13))
+            n = np.arange(13)
+            products = aw._lead_products(p.a, p.b, p.c, p.d, p.q, n)
+            norms = aw._norms(p.a, p.b, p.c, p.d, p.q, n, products)
             assert norms.tolist() == [aw.aw_norm(p, n) for n in range(13)]
         tp = aw.TensorParams(P, P2)
         ks = np.repeat(np.arange(4), 4)
         js = np.tile(np.arange(4), 4)
         d1s = np.array([tp.shifted_d1(k) for k in range(4)])
         c1s = np.array([tp.shifted_c1(k) for k in range(4)])
-        norms = aw._norms(P.a, P.b, c1s[ks], d1s[ks], P.q, js)
+        norms = aw._norms(P.a, P.b, c1s[ks], d1s[ks], P.q, js,
+                          aw._lead_products(P.a, P.b, c1s[ks], d1s[ks], P.q, js))
         assert norms.tolist() == [
             aw.aw_norm(aw._x_params(tp, "pq", k), j) for j, k in zip(js, ks)]
 
@@ -539,6 +548,24 @@ class TestTensorSystems:
         assert dev_uv > 1e-3
         assert dev_self > 1e-3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["uv", "pq", "self"])
+    def test_q_near_one_is_a_diagnosed_failure(self, mode):
+        # at q = 0.999 in block 1 its weight numerator and h(x, d1) pass
+        # 1e308 and (q^(n+1); q)_inf underflows to 0: a failed check that
+        # names them, not a NaN with overflow and divide-by-zero warnings.
+        # The products out of range do not depend on the node count, which
+        # is kept small here
+        tp = aw.TensorParams(P.with_params(q=0.999), P2)
+        res = aw.tensor_biortho_check(tp, 2, mode=mode, theta_nodes=64)
+        assert not res.passed
+        assert res.notes.startswith(f"{mode}; at q = 0.999: ")
+        assert "weight numerator |(e^(2 i theta); q)_inf|^2 overflows" in res.notes
+        assert "h(x, d) leaves the float range" in res.notes
+        assert "(q^(n+1); q)_inf of the norms underflows to 0 from degree 0" in res.notes
+        res = aw.tensor_biortho_check(aw.TensorParams(P.with_params(q=0.99), P2), 2, mode=mode)
+        assert res.passed and res.notes == mode
+
     def test_negative_caps_raise(self):
         tp = aw.TensorParams(P, P2)
         with pytest.raises(ValueError, match="degree_cap must be nonnegative"):
@@ -553,3 +580,36 @@ class TestTensorSystems:
             aw.tensor_biortho_check(tp, 1, mode="nope")
         with pytest.raises(ValueError):
             aw.tensor_diag_printed(tp, "nope", 0, 0)
+
+
+def _results_digest(results):
+    """sha256 prefix over every block (indices, G, ref), the diagonal
+    references, maxima, verdict, notes and node count of the results."""
+    h = hashlib.sha256()
+    for res in results:
+        for idxs, g, ref in res.blocks:
+            h.update(repr(idxs).encode())
+            h.update(np.ascontiguousarray(g).tobytes())
+            h.update(np.ascontiguousarray(ref).tobytes())
+        h.update(repr((sorted(res.diag_ref.items()), res.max_offdiag, res.max_diag_relerr,
+                       res.passed, res.notes, res.theta_nodes)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestAskeyWilsonPinned:
+    # the 1D cap ladder 1..8 and the criterion-8 tensor checks of the
+    # aw_tensor benchmark workload, recorded while the leading coefficients
+    # 2^n (abcd q^(n-1); q)_n of the rows were scalar qcalc.qpochhammer
+    # calls, one per degree; TestNorms.test_array_products_equal_the_scalar
+    # is the oracle of the array pass that replaced them
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63,
+        reason="digests recorded with x87 80-bit extended np.longdouble",
+    )
+    def test_results_bit_identical(self):
+        ladder = [aw.aw_gram_1d(P, cap, diag_rel_tol=1e-6, offdiag_tol=1e-6) for cap in range(1, 9)]
+        assert _results_digest(ladder) == "52f08087dceec0aa"
+        tp = aw.TensorParams(P, P2)
+        tensors = [aw.tensor_biortho_check(tp, 2, mode=mode, diag_rel_tol=1e-5, offdiag_tol=1e-6)
+                   for mode in ("self", "uv", "pq")]
+        assert _results_digest(tensors) == "8cfec8c07e38054c"

@@ -305,12 +305,21 @@ ORACLE_FAMILIES = {
 }
 
 
+def _one_block(rad, alpha, nmax, scale=None):
+    """The radial Gram block of phi_0..phi_nmax(x; alpha), times ``scale``
+    in its rows and columns when given: a one-block quad.radial_grams
+    request."""
+    return quad.radial_grams(rad, [alpha], [nmax], [scale], radial.norms(rad, [alpha], [nmax]))[0]
+
+
 def _summed_rows(rad, alpha, nmax):
-    """The rows radial_gram sums over the lattice of a q family, and the
+    """The rows a one-block radial_grams request sums over the lattice of a
+    q family, as rows(x) at a point or a 1-D array of points, and the
     factors it scales the summed block back by (None for phi_rows)."""
     if rad.kind in ("wall", "qjacobi"):
-        root = np.sqrt(np.asarray(radial.norms(rad, alpha, nmax), dtype=np.longdouble))
-        return radial.lattice_rows(rad, alpha, nmax, 1 / root), root
+        root = np.sqrt(radial.norms(rad, [alpha], [nmax])[0].astype(np.longdouble))
+        rows = radial.block_rows(rad, [alpha], [nmax], 1 / root)
+        return lambda x: rows(np.atleast_1d(x), np.ones(1, bool)), root
     return radial.phi_rows(rad, alpha, nmax), None
 
 
@@ -319,7 +328,7 @@ class TestLatticeSumAgainstScalarLoop:
     def test_gram_blocks_bit_identical(self, fam, monkeypatch):
         # every radial block of the Grams at caps 2..15: q_lattice_sum of
         # the outer product equals the scalar loop bit for bit; the walk of
-        # radial_gram, stopped on the diagonal, keeps exactly the points the
+        # radial_grams, stopped on the diagonal, keeps exactly the points the
         # scalar loop visits and sums the same diagonal bit for bit; its
         # block, one np.dot over those points, is within 2.2e-16 of the
         # loop relative to the diagonal
@@ -349,8 +358,8 @@ class TestLatticeSumAgainstScalarLoop:
                 ref = _scalar_lattice_sum(rad, alpha, scalar_outer)
                 assert ref.dtype == np.longdouble
                 assert np.array_equal(quad.q_lattice_sum(rad, alpha, outer), ref), (cap, alpha)
-                block = quad.radial_gram(rad, alpha, cap - alpha)
-                # the one-block walk of radial_gram: its block's sums and chunks
+                block = _one_block(rad, alpha, cap - alpha)
+                # the one-block walk of radial_grams: its block's sums and chunks
                 diagonal, kept = (per_block[0] for per_block in walks[-1])
                 points = np.concatenate([x for x, _, _ in kept])
                 assert np.array_equal(points, np.array(visited)), (cap, alpha)
@@ -402,14 +411,14 @@ class TestLatticeSumAgainstScalarLoop:
             return make
 
         monkeypatch.setattr(radial, "block_rows", counting(radial.block_rows))
-        quad.radial_gram(bivariate.radial_of(fam), 0, 8)
+        _one_block(bivariate.radial_of(fam), 0, 8)
         assert 1 <= len(calls) <= 2 * directions
 
 
 def _block_walked_alone(rad, alpha, nmax):
     """One Gram block by the composition the one-pass walk replaced, kept
-    as its oracle: a lattice walk of its own, with the rows of
-    radial.lattice_rows or radial.phi_rows, one np.dot over the kept
+    as its oracle: a lattice walk of its own, with the rows of a one-block
+    radial.block_rows or radial.phi_rows, one np.dot over the kept
     points, and the wall and qjacobi block scaled back.  Returns the block
     and the walk's diagonal sums and kept chunks."""
     rows, root = _summed_rows(rad, alpha, nmax)
@@ -439,7 +448,7 @@ class TestOnePassWalk:
     def test_every_block_equals_its_walk_alone(self, kind, beta, gamma, q, c, cap, data):
         # one walk for all blocks of a Gram, requested in any order: each
         # block keeps the points, diagonal sums and block of its own walk,
-        # bit for bit
+        # bit for bit, its norms read from one table as it scales its rows
         rad = radial.RadialFamily(kind, beta, gamma, q, c)
         alphas = data.draw(st.permutations(range(cap + 1)))
         nmaxes = [cap - a for a in alphas]
@@ -450,9 +459,11 @@ class TestOnePassWalk:
             walks.append(walk(*args))
             return walks[-1]
 
+        # the norms as gram passes them, one radial.norms call
+        norms = radial.norms(rad, alphas, nmaxes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quad, "_lattice_walk", spy)
-            blocks = quad.radial_grams(rad, alphas, nmaxes)
+            blocks = quad.radial_grams(rad, alphas, nmaxes, [None] * len(alphas), norms)
         assert len(walks) == 1
         totals, kept = walks[0]
         for b, (alpha, nmax) in enumerate(zip(alphas, nmaxes)):
@@ -476,7 +487,7 @@ class TestOnePassWalk:
         cap = 6
         alphas = list(range(cap + 1))
         widths = np.array([cap - a + 1 for a in alphas])
-        rows = radial.block_rows(rad, alphas, widths - 1)
+        rows = radial.block_rows(rad, alphas, widths - 1, None)
         totals, kept = quad._lattice_walk(rad, alphas, rows, np.square, widths)
         b = 3
         points = np.concatenate([x for x, _, _ in kept[b]])
@@ -517,7 +528,7 @@ class TestOnePassWalk:
         # per call, as one cap-15 block took at LATTICE_MAX_CHUNK points
         fam = radial.wall(0.5, 0.95)
         alphas = list(range(16))
-        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas])
+        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas], None)
         sizes = []
 
         def counted(x, live):
@@ -638,11 +649,19 @@ class TestGram:
         ids=["WALL-large-beta", "MQ-large-beta", "MQ-negative", "WALL-q0.8"],
     )
     def test_lattice_families_certify_cap_20(self, fam):
-        # the rows from radial.lattice_rows, summed in orthonormal scale,
+        # the Newton rows of radial.block_rows, summed in orthonormal scale,
         # read max_offdiag <= 7.3e-17 and diag relerr <= 1.5e-14 here
         res = quad.gram(fam, 20, offdiag_tol=1e-9, diag_rel_tol=1e-8)
         assert res.passed, (res.max_offdiag, res.max_diag_relerr)
         assert res.max_offdiag < 1e-15 and res.max_diag_relerr < 1e-13
+
+    @pytest.mark.parametrize("fam", [bivariate.Z(0.0), bivariate.M(0.0, 0.0)], ids=["Z", "M"])
+    @pytest.mark.filterwarnings("error")
+    def test_continuous_families_certify_cap_90(self, fam):
+        # each block's norms stop at its own degree: a table to the cap in
+        # every block would take math.gamma past 171.6, which raises
+        res = quad.gram(fam, 90, offdiag_tol=1e-9, diag_rel_tol=1e-8)
+        assert res.passed, (res.max_offdiag, res.max_diag_relerr)
 
     def test_diagonal_never_negative(self):
         # each diagonal is a positively weighted sum of squares, so the
@@ -662,7 +681,7 @@ class TestGram:
         ids=["ZQ0-q0.3", "ZQ-q0.5", "WALL-q0.3"],
     )
     def test_norm_out_of_float_range_is_a_diagnosed_failure(self, fam, cap, note):
-        # the ZQ norm at degree 0 of the top harmonic index, R of q_norms
+        # the ZQ norm at degree 0 of the top harmonic index, R of radial.norms
         # with (-q^(-a) / c; q)_inf near q^(-a^2 / 2), passes 1e308; the
         # wall norm R q^((a+1) n) ... falls under the subnormals.  The
         # Gram fails with the first one named, and no warning; the wall
@@ -692,7 +711,7 @@ class TestGram:
 # digests pin the recurrence rows on the q-Laguerre lattice, with the
 # np.longdouble leading coefficients, against the one-product norms, whose
 # oracle is tests/test_radial.py TestQLaguerreNorms.  The WALL and MQ
-# digests pin the rows of radial.lattice_rows summed in orthonormal scale;
+# digests pin the Newton rows of radial.block_rows summed in orthonormal scale;
 # tests/test_radial.py TestLatticeRows and TestLatticeNorms and the
 # certified caps of TestGram are their oracles.  Before the q blocks were
 # one np.dot (the outer products summed point by point), ZQ read
@@ -743,8 +762,8 @@ class TestRadialGram:
     def test_scale_multiplies_rows_and_columns(self):
         fam = radial.laguerre(0.0)
         scale = [1.0, -2.0, 3.0]
-        plain = quad.radial_gram(fam, 1, 2)
-        scaled = quad.radial_gram(fam, 1, 2, scale)
+        plain = _one_block(fam, 1, 2)
+        scaled = _one_block(fam, 1, 2, scale)
         assert_allclose(scaled, np.outer(scale, scale) * plain, rtol=1e-13, atol=1e-13)
 
 
@@ -783,13 +802,13 @@ class TestRadialGramAgainstTables:
         ids=["Z", "M", "ZQ", "WALL", "MQ"],
     )
     def test_recurrence_blocks_match_power_basis(self, fam, cap):
-        # the rows of radial_gram (the recurrence, or for WALL and MQ the
+        # the rows of radial_grams (the recurrence, or for WALL and MQ the
         # lattice Newton form) and the exact tables give the same Gram; the
         # alternating q tables lose digits to cancellation in the power
         # basis beyond cap 4 (3e-11 at cap 6), so WALL and MQ stop there
         rad = bivariate.radial_of(fam)
         for alpha in range(cap + 1):
-            block = quad.radial_gram(rad, alpha, cap - alpha)
+            block = _one_block(rad, alpha, cap - alpha)
             ref = _table_block(rad, alpha, cap - alpha)
             scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
             assert np.max(np.abs(block - ref) / scale) < 1e-12, alpha
@@ -936,7 +955,7 @@ def _old_entries(fam, cap):
     index and 0.0 across."""
     rad = bivariate.radial_of(fam)
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
-    blocks = [norm_const * quad.radial_gram(rad, a, cap - a, bivariate.harmonic_scale(fam, cap - a))
+    blocks = [norm_const * _one_block(rad, a, cap - a, bivariate.harmonic_scale(fam, cap - a))
               for a in range(cap + 1)]
     indices = [(m, n) for m in range(cap + 1) for n in range(cap + 1)]
     entries = {}

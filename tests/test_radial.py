@@ -96,7 +96,7 @@ class TestClassicalTables:
         with pytest.raises(ValueError):
             radial.zeta(bad, 2, 0)
         with pytest.raises(ValueError):
-            radial.norms(bad, 0, 2)
+            radial.norms(bad, [0], [2])
         with pytest.raises(ValueError):
             radial.leading_coeff(bad, 2, 0)
 
@@ -159,6 +159,12 @@ class TestTableCache:
         assert radial.radial_coeffs(radial.laguerre(0.5), 3, 1) is c
 
 
+def _one_block(fam, alpha, nmax):
+    """The radial Gram block of phi_0..phi_nmax(x; alpha): a one-block
+    quad.radial_grams request."""
+    return quad.radial_grams(fam, [alpha], [nmax], [None], radial.norms(fam, [alpha], [nmax]))[0]
+
+
 class TestNorms:
     @pytest.mark.parametrize(
         "fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS
@@ -166,14 +172,14 @@ class TestNorms:
     @pytest.mark.parametrize("alpha", [0, 2])
     def test_zeta_matches_direct_integration(self, fam, alpha):
         # integrate phi_n^2 x^alpha dnu independently of the closed form
-        block = quad.radial_gram(fam, alpha, 3)
+        block = _one_block(fam, alpha, 3)
         zeta = [radial.zeta(fam, n, alpha) for n in range(4)]
         assert_allclose(np.diag(block), zeta, rtol=1e-9)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_orthogonality_distinct_degrees(self, fam):
         alpha = 1
-        block = quad.radial_gram(fam, alpha, 3)
+        block = _one_block(fam, alpha, 3)
         for n in range(3):
             for m in range(n + 1, 4):
                 scale = math.sqrt(
@@ -190,6 +196,23 @@ class TestNorms:
         fam = radial.shifted_jacobi(0.7, 0.4)
         ref = math.gamma(3.4) * math.gamma(1.7) / math.gamma(5.1)  # B(3.4, 1.7)
         assert_allclose(radial.measure_mass(fam, 2), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "fam", ALL_FAMILIES + REMOVABLE_CASES + [radial.q_laguerre(0.5, 0.999, 2.5)],
+        ids=FAM_IDS + REMOVABLE_IDS + ["qlaguerre-q0.999"],
+    )
+    def test_rows_are_the_rows_alone(self, fam):
+        # one call with a row per alpha, each to its own degree as gram
+        # asks for them: every row is the one-alpha call at its degree, bit
+        # for bit, and so is every prefix of a longer row
+        alphas = list(range(12))
+        rows = radial.norms(fam, alphas, [11 - a for a in alphas])
+        assert [(row.dtype, row.shape) for row in rows] == [(float, (12 - a,)) for a in alphas]
+        for alpha, row in zip(alphas, rows):
+            assert np.array_equal(row, radial.norms(fam, [alpha], [11 - alpha])[0])
+            for n in (0, 1, 6):
+                if n <= 11 - alpha:
+                    assert np.array_equal(row[:n + 1], radial.norms(fam, [alpha], [n])[0])
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_zeta_ratio_telescoping(self, fam):
@@ -217,6 +240,10 @@ LATTICE_IDS = ["wall-q0.3", "wall-q0.8", "wall-large-beta", "wall-beta2-q0.8", "
                "qjacobi-large-beta", "qjacobi-negative", "qjacobi-abq1", "qjacobi-ab1"]
 
 
+# the live mask of a one-block radial.block_rows evaluator
+ONE_BLOCK = np.ones(1, bool)
+
+
 def _mp_params(mp, fam, alpha):
     # the exponent alpha + beta as the library forms it, in double
     q = mp.mpf(fam.q)
@@ -237,7 +264,7 @@ class TestLatticeRows:
         nmax, kmax = 12, 40
         x = radial.lattice_points(np.longdouble(fam.q), kmax + 1)
         for alpha in (0, 2):
-            vals = radial.lattice_rows(fam, alpha, nmax)(x).astype(float)
+            vals = radial.block_rows(fam, [alpha], [nmax], None)(x, ONE_BLOCK).astype(float)
             with mp.workdps(250):
                 q, a, b = _mp_params(mp, fam, alpha)
                 for n in range(nmax + 1):
@@ -257,10 +284,10 @@ class TestLatticeRows:
         # phi_10(1; 0) of WALL(0.5; 0.3) is 5.45e-32 (the oracle above); the
         # three-term recurrence at the same point gives -7260
         fam = radial.wall(0.5, 0.3)
-        one = np.longdouble(1.0)
-        assert_allclose(float(radial.lattice_rows(fam, 0, 10)(one)[10]), 5.45023212040486e-32,
-                        rtol=1e-14)
-        assert abs(radial.phi_rows(fam, 0, 10)(one)[10]) > 1.0
+        one = np.ones(1, np.longdouble)
+        newton = radial.block_rows(fam, [0], [10], None)(one, ONE_BLOCK)
+        assert_allclose(float(newton[10, 0]), 5.45023212040486e-32, rtol=1e-14)
+        assert abs(radial.phi_rows(fam, 0, 10)(one)[10, 0]) > 1.0
 
     @pytest.mark.parametrize("fam", LATTICE_FAMILIES[:5:4], ids=LATTICE_IDS[:5:4])
     def test_same_polynomials_as_the_tables(self, fam):
@@ -268,19 +295,11 @@ class TestLatticeRows:
         # power basis cancels there, so the error is taken against the row
         x = np.array([0.05, 0.3, 0.71])
         scale = [1.0, -2.0, 6.0, -24.0, 120.0, -720.0]
-        vals = radial.lattice_rows(fam, 1, 5, scale)(x)
+        vals = radial.block_rows(fam, [1], [5], np.array(scale))(x.astype(np.longdouble), ONE_BLOCK)
         assert vals.shape == (6, 3) and vals.dtype == np.longdouble
         for k in range(6):
             ref = scale[k] * table_values(fam, k, 1, x)
             assert np.max(np.abs(vals[k].astype(float) - ref)) < 1e-12 * np.max(np.abs(ref)), k
-
-    def test_scalar_point_matches_array(self):
-        fam = radial.little_q_jacobi(0.5, 0.7, 0.4)
-        x = radial.lattice_points(np.longdouble(0.4), 9)
-        rows = radial.lattice_rows(fam, 2, 6)
-        vals = rows(x)
-        for k in range(9):
-            assert np.array_equal(rows(x[k]), vals[:, k])
 
     def test_lattice_points_are_running_products(self):
         q = np.longdouble(0.3)
@@ -294,9 +313,9 @@ class TestLatticeNorms:
     def test_match_50_digit_products(self, fam):
         mp = pytest.importorskip("mpmath")
         qp = mp.qp
-        for alpha in (0, 3):
-            z = radial.norms(fam, alpha, 15)
-            assert z.dtype == float and z.shape == (16,)
+        table = radial.norms(fam, [0, 3], [15, 15])
+        assert [(z.dtype, z.shape) for z in table] == [(float, (16,))] * 2
+        for alpha, z in zip((0, 3), table):
             with mp.workdps(50):
                 q, _, _ = _mp_params(mp, fam, alpha)
                 e = mp.mpf(alpha + fam.beta)
@@ -318,7 +337,7 @@ class TestLatticeNorms:
         # (q; q)_inf is 1e-714 at q = 0.999, below the float range; the
         # product of ratios is not, and zeta_0 is the lattice mass
         mass = quad.q_lattice_sum(fam, 1, lambda x: 1.0)
-        assert_allclose(radial.norms(fam, 1, 3)[0], float(mass), rtol=1e-10)
+        assert_allclose(radial.norms(fam, [1], [3])[0][0], float(mass), rtol=1e-10)
 
 
 def _mp_theta(mp, q, x):
@@ -351,8 +370,7 @@ class TestQLaguerreNorms:
         for beta in betas:
             for c in (1.0, 2.5):
                 fam = radial.q_laguerre(beta, q, c)
-                for alpha in (0, 3, 15):
-                    z = radial.norms(fam, alpha, 30)
+                for alpha, z in zip((0, 3, 15), radial.norms(fam, [0, 3, 15], [30] * 3)):
                     with mp.workdps(50):
                         Q, C, e = mp.mpf(q), mp.mpf(c), mp.mpf(alpha + beta)
                         if q < 0.999:
@@ -627,9 +645,10 @@ class TestClosedFormsAgainstTheSeparateForms:
     )
     def test_norms_and_zeta(self, families):
         for fam in families:
+            table = radial.norms(fam, ORACLE_ALPHAS, [30] * len(ORACLE_ALPHAS))
             for alpha in ORACLE_ALPHAS:
                 ref = np.array([_ref_zeta(fam, n, alpha) for n in range(31)])
-                z = radial.norms(fam, alpha, 30)
+                z = table[alpha]
                 assert z.dtype == float
                 if fam.kind == "qlaguerre":
                     # q-Laguerre's norms are one product of factor ratios,
