@@ -18,6 +18,20 @@ variants are forced by the construction (and are the ones the verdict is
 computed on); ``printed`` variants reproduce published forms that are
 suspected of typos, and their failures are reported as known
 discrepancies rather than errors.
+
+The catalog runs on diagonal batches (polycore.DiagTables): a builder
+(fam, P, m, n) takes the index pairs of its domain as int arrays m, n and
+the batch P that gathers its tables, and forms both sides of every
+variant for all of them at once, each table gathered from one
+coefficient cube per family (radial_coeffs, bit for bit construct's).  A
+branch on the indices is a mask or a gather, and per-pair scalars are
+arrays; q-powers go through Python's float power entry by entry, so every
+entry is the same float operation the per-pair formulas take.  ``sweep``
+runs each builder once per family over its domain pairs; ``check_identity``
+reads one row of the batch over the domain pairs of the TILE x TILE block
+holding (m, n), kept in a small LRU cache with the gate applied per call.
+``construct`` (dict tables) serves the CLI's coefficient rows, the
+connection and q-degeneration checks and the series solver.
 """
 
 import math
@@ -27,8 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import radial
-from .polycore import BivariatePoly, Tolerance, identity_residual, pack
-from .qcalc import pochhammer, falling, qnumber
+from .polycore import BivariatePoly, DiagFactor, DiagTables, Tolerance, identity_residual, pack, safe_power
+from .qcalc import pochhammer
 
 # identities whose printed variant is expected to fail (suspected typos);
 # the derived variant carries the verdict and the printed residual is
@@ -176,12 +190,11 @@ def values(fam, m, n, z1, z2):
 # ---------------------------------------------------------------------------
 
 
-# shared one-term tables (tables are immutable): z1, z2, x = z1 z2, 1 and 0
-_Z1 = BivariatePoly.monomial(1, 0)
-_Z2 = BivariatePoly.monomial(0, 1)
-_X = BivariatePoly.monomial(1, 1)
-_ONE = BivariatePoly.const(1.0)
-_ZERO = BivariatePoly.zero()
+# shared factor tables: z1, z2, x = z1 z2 and 1
+_Z1 = DiagFactor(1.0, shift=(1, 0))
+_Z2 = DiagFactor(1.0, shift=(0, 1))
+_X = DiagFactor(beta=1.0)
+_ONE = DiagFactor(1.0)
 
 
 class IdentityRangeError(ValueError):
@@ -203,87 +216,128 @@ class IdentityReport:
     note: str = ""
 
 
-def _c0(rad, k, alpha):
-    return float(radial.radial_coeffs(rad, k, alpha)[0])
+def _pow(base, e):
+    """base ** e for every entry of an exponent array, by Python's float
+    power as the scalar formulas take it; inf where it overflows or divides
+    by zero, NaN where it leaves the reals."""
+    exps = e.tolist()
+    try:
+        return np.array([base ** x for x in exps], dtype=float)
+    except (OverflowError, ZeroDivisionError, TypeError):
+        return np.array([safe_power(base, x) for x in exps])
 
 
-def _cj(rad, k, j, alpha):
-    if j > k:
-        return 0.0
-    return float(radial.radial_coeffs(rad, k, alpha)[j])
+# a family's cube and its raised and lowered neighbours' serve one sweep
+@lru_cache(maxsize=4)
+def _cube(fam, mlo, mhi, nlo, nhi):
+    """Coefficient cube of a family over the index box [mlo, mhi] x
+    [nlo, nhi]: entry [a, k, d] is coefficient d of f_{m,n} with
+    a = |m - n| and k = min(m, n), bit for bit construct's (radial_coeffs,
+    times H's harmonic scale).  The k = -1 slot (the last) is zero, so a
+    negative index gathers the zero table; a table whose coefficients
+    overflow reads NaN."""
+    needed = {(abs(x - y), min(x, y)) for x in range(mlo, mhi + 1) for y in range(nlo, nhi + 1)}
+    amax = max(a for a, _ in needed)
+    kmax = max(k for _, k in needed)
+    cube = np.zeros((amax + 3, kmax + 2, kmax + 1))
+    rad = radial_of(fam)
+    factors = harmonic_scale(fam, kmax)
+    for a, k in needed:
+        try:
+            row = radial.radial_coeffs(rad, k, a)
+        except (OverflowError, ZeroDivisionError):
+            row = math.nan
+        cube[a, k, :k + 1] = row if factors is None else factors[k] * row
+    cube.setflags(write=False)
+    return cube
 
 
-def _zero_if_negative(fam, m, n):
-    if m < 0 or n < 0:
-        return _ZERO
-    return construct(fam, m, n)
+class _Batch:
+    """The index pairs (m, n) of one batched check, as int arrays, and the
+    tables a builder reads there, all gathered from the coefficient cubes
+    of one index box."""
+
+    __slots__ = ("fam", "m", "n", "box")
+
+    def __init__(self, fam, m, n, box):
+        self.fam, self.m, self.n, self.box = fam, m, n, box
+
+    def f(self, di, dj, fam=None):
+        """The tables f_{m+di, n+dj} of ``fam`` (default: the batch's), a
+        zero row where an index is negative."""
+        cube = _cube(self.fam if fam is None else fam, *self.box)
+        m, n = self.m + di, self.n + dj
+        return DiagTables(cube[np.abs(m - n), np.minimum(m, n)], self.m, self.n, di, dj)
+
+    def coeff(self, k, a, j=0):
+        """Coefficient j of f's radial row phi_k(x; a) per pair, as the cube
+        holds it (times H's scale; 0.0 where k = -1)."""
+        return _cube(self.fam, *self.box)[a, k, j]
+
+    def recurrence(self, a, n):
+        """The monic recurrence coefficients A_n(a), B_n(a) per pair, each
+        radial.recurrence's entry rounded to float."""
+        rad = radial_of(self.fam)
+        alphas = np.unique(a)
+        npts = int(n.max()) + 1
+        if rad.is_q():
+            A, B = radial.recurrence(rad, alphas, npts)
+        else:
+            rows = [radial.recurrence(rad, alpha, npts) for alpha in alphas.tolist()]
+            A, B = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        row = np.searchsorted(alphas, a)
+        return A[row, n].astype(float), B[row, n].astype(float)
 
 
 # --- generic construction identities ---------------------------------------
 
 
-def _gen_3trr(fam, m, n):
-    rad = radial_of(fam)
+def _gen_3trr(fam, P, m, n):
     a = m - n
-    A = _c0(rad, n, a + 1) / _c0(rad, n + 1, a)
-    B = -A * _cj(rad, n + 1, n + 1, a) / _cj(rad, n, n, a)
-    lhs = _Z2 * construct(fam, m + 1, n)
-    rhs = A * construct(fam, m + 1, n + 1) + B * construct(fam, m, n)
+    A = P.coeff(n, a + 1) / P.coeff(n + 1, a)
+    B = -A * P.coeff(n + 1, a, n + 1) / P.coeff(n, a, n)
+    lhs = _Z2 * P.f(1, 0)
+    rhs = A * P.f(1, 1) + B * P.f(0, 0)
     return [("derived", lhs, rhs)]
 
 
-def _gen_uv(fam, m, n):
-    rad = radial_of(fam)
+def _gen_uv(fam, P, m, n):
+    # v and u are radial.shift_a and shift_b, read off the cube
     a = m - n
-    v = radial.shift_a(rad, n, a)
-    u = radial.shift_b(rad, n, a)
-    lhs = _Z1 * construct(fam, m, n) - v * construct(fam, m + 1, n)
-    rhs = u * _zero_if_negative(fam, m, n - 1)
+    v = P.coeff(n, a) / P.coeff(n, a + 1)
+    u = np.where(n > 0, (P.coeff(n, a + 1) * P.coeff(n, a, 1) - P.coeff(n, a) * P.coeff(n, a + 1, 1))
+                 / (P.coeff(n - 1, a + 1) * P.coeff(n, a + 1)), 0.0)
+    lhs = _Z1 * P.f(0, 0) - v * P.f(1, 0)
+    rhs = u * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-# degrees per step of growth of the recurrence tables _gen_diag reads
-_RECURRENCE_STEP = 16
-
-
-@lru_cache(maxsize=radial.TABLE_CACHE_SIZE)
-def _recurrence_table(rad, alpha, npts):
-    """Read-only radial.recurrence(rad, alpha, npts), shared by every
-    GEN_DIAG check of that radial family and alpha; its entries do not
-    depend on npts, so a longer table reads the same numbers."""
-    A, B = radial.recurrence(rad, alpha, npts)
-    A.setflags(write=False)
-    B.setflags(write=False)
-    return A, B
-
-
-def _gen_diag(fam, m, n):
-    rad = radial_of(fam)
+def _gen_diag(fam, P, m, n):
     a = m - n
-    A, B = _recurrence_table(rad, a, _RECURRENCE_STEP * (n // _RECURRENCE_STEP + 1))
-    lhs = (_X - float(A[n])) * construct(fam, m, n)
-    lower = float(B[n]) * _c0(rad, n, a) / _c0(rad, n - 1, a) if n else 0.0
-    rhs = (_c0(rad, n, a) / _c0(rad, n + 1, a) * construct(fam, m + 1, n + 1)
-           + lower * _zero_if_negative(fam, m - 1, n - 1))
+    A, B = P.recurrence(a, n)
+    lhs = (_X - A) * P.f(0, 0)
+    c0 = P.coeff(n, a)
+    lower = np.where(n > 0, B * c0 / P.coeff(n - 1, a), 0.0)
+    rhs = c0 / P.coeff(n + 1, a) * P.f(1, 1) + lower * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _gen_eigen(fam, m, n):
-    f = construct(fam, m, n)
+def _gen_eigen(fam, P, m, n):
+    f = P.f(0, 0)
     lhs = f.diff_theta(1) - f.diff_theta(2)
     rhs = (m - n) * f
     return [("derived", lhs, rhs)]
 
 
-def _gen_eigen_q(fam, m, n):
+def _gen_eigen_q(fam, P, m, n):
     q = fam.q
-    f = construct(fam, m, n)
-    lhs = f.diff_qtheta(1, q) - q ** (m - n) * f.diff_qtheta(2, q)
-    rhs = qnumber(m - n, q) * f
+    f = P.f(0, 0)
+    lhs = f.diff_qtheta(1, q) - _pow(q, m - n) * f.diff_qtheta(2, q)
+    rhs = (1.0 - _pow(q, m - n)) / (1.0 - q) * f  # the q-number [m - n]_q
     return [("derived", lhs, rhs)]
 
 
-def _raise_param(fam, m, n):
+def _raise_param(fam, P, m, n):
     """Parameter-raising: z1 times the raised-parameter table equals the
     index-raised table.  Z/ZQ/WALL raise beta; M raises gamma; MQ raises
     beta."""
@@ -291,188 +345,199 @@ def _raise_param(fam, m, n):
         raised = fam.with_params(gamma=fam.gamma + 1)
     else:
         raised = fam.with_params(beta=fam.beta + 1)
-    lhs = _Z1 * construct(raised, m, n)
-    rhs = construct(fam, m + 1, n)
+    lhs = _Z1 * P.f(0, 0, raised)
+    rhs = P.f(1, 0)
     return [("derived", lhs, rhs)]
 
 
 # --- Z family ---------------------------------------------------------------
 
 
-def _z_rr1(fam, m, n):
-    lhs = _Z1 * construct(fam, m, n)
-    rhs = construct(fam, m + 1, n) - _zero_if_negative(fam, m, n - 1)
+def _z_rr1(fam, P, m, n):
+    lhs = _Z1 * P.f(0, 0)
+    rhs = P.f(1, 0) - P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-def _z_rr2(fam, m, n):
+def _z_rr2(fam, P, m, n):
     b = fam.beta
-    lhs = _Z2 * construct(fam, m + 1, n)
-    rhs = -(n + 1.0) * construct(fam, m + 1, n + 1) + (b + m + 1.0) * construct(fam, m, n)
+    lhs = _Z2 * P.f(1, 0)
+    rhs = -(n + 1.0) * P.f(1, 1) + (b + m + 1.0) * P.f(0, 0)
     return [("derived", lhs, rhs)]
 
 
-def _z_diag(fam, m, n):
+def _z_diag(fam, P, m, n):
     b = fam.beta
-    lhs = (b + m + n + 1.0 - _X) * construct(fam, m, n)
-    rhs = (n + 1.0) * construct(fam, m + 1, n + 1) + (m + b) * construct(fam, m - 1, n - 1)
+    lhs = (b + m + n + 1.0 - _X) * P.f(0, 0)
+    rhs = (n + 1.0) * P.f(1, 1) + (m + b) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _z_ladder1(fam, m, n):
-    f = construct(fam, m, n)
+def _z_ladder1(fam, P, m, n):
+    lhs = P.f(0, 0).diff_theta(2)
+    rhs = -_Z2 * P.f(0, -1)
+    return [("derived", lhs, rhs)]
+
+
+def _z_ladder2(fam, P, m, n):
+    b = fam.beta
+    f = P.f(0, 0)
     lhs = f.diff_theta(2)
-    rhs = -_Z2 * _zero_if_negative(fam, m, n - 1)
+    rhs = n * f - (b + m) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _z_ladder2(fam, m, n):
-    b = fam.beta
-    f = construct(fam, m, n)
-    lhs = f.diff_theta(2)
-    rhs = n * f - (b + m) * _zero_if_negative(fam, m - 1, n - 1) if n >= 1 else n * f
-    return [("derived", lhs, rhs)]
-
-
-def _z_ladder3(fam, m, n):
-    f = construct(fam, m, n)
+def _z_ladder3(fam, P, m, n):
+    f = P.f(0, 0)
     lhs = f.diff_theta(1)
-    rhs = (m - n) * f - _Z2 * _zero_if_negative(fam, m, n - 1)
+    rhs = (m - n) * f - _Z2 * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-def _z_ladder4(fam, m, n):
+def _z_ladder4(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = f.diff_theta(1)
-    rhs = m * f - (m + b) * _zero_if_negative(fam, m - 1, n - 1) if n >= 1 else m * f
+    rhs = m * f - (m + b) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _z_ladder6(fam, m, n):
+def _z_ladder6(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = n * f.diff_theta(1) - m * f.diff_theta(2)
-    rhs = (m - n) * (m + b) * construct(fam, m - 1, n - 1)
+    rhs = (m - n) * (m + b) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _z_diff_down(fam, m, n):
-    f = construct(fam, m, n)
+def _z_diff_down(fam, P, m, n):
+    f = P.f(0, 0)
     lhs = f.diff_partial(2) - _Z1 * f
-    rhs = -construct(fam, m + 1, n)
+    rhs = -P.f(1, 0)
     return [("derived", lhs, rhs)]
 
 
-def _z_shift_up(fam, m, n):
+def _z_shift_up(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = f.diff_theta(1) + (b - _X) * f
-    rhs = (n + 1.0) * _Z1 * construct(fam, m, n + 1)
+    rhs = (n + 1.0) * _Z1 * P.f(0, 1)
     return [("derived", lhs, rhs)]
 
 
-def _z_delta_w2(fam, m, n):
+def _z_delta_w2(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = f.diff_theta(2) + (b - _X) * f
-    rhs = b * f - _Z2 * construct(fam, m + 1, n)
+    rhs = b * f - _Z2 * P.f(1, 0)
     return [("derived", lhs, rhs)]
 
 
-def _z_delta_w1(fam, m, n):
+def _z_delta_w1(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = f.diff_theta(1) + (b - _X) * f
-    rhs = (b + m - n) * f - _Z2 * construct(fam, m + 1, n)
+    rhs = (b + m - n) * f - _Z2 * P.f(1, 0)
     return [("derived", lhs, rhs)]
 
 
-def _z_pde(fam, m, n):
+def _z_pde(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = (
         _Z1 * f.diff_partial(1).diff_partial(2)
         + (b - _X) * f.diff_partial(2)
         + n * _Z1 * f
     )
-    return [("derived", lhs, _ZERO)]
+    return [("derived", lhs, None)]
 
 
-def _z_ode(fam, m, n):
+def _z_ode(fam, P, m, n):
     b = fam.beta
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = (
         _Z2 * f.diff_partial(2).diff_partial(2)
         + (1.0 + b + m - n - _X) * f.diff_partial(2)
         + n * _Z1 * f
     )
-    return [("derived", lhs, _ZERO)]
+    return [("derived", lhs, None)]
 
 
-def _z_oprep(fam, m, n):
-    lhs = construct(fam, m, n)
-    rhs = operational_Z(m, n, fam.beta)
-    return [("derived", lhs, rhs)]
+def _z_oprep(fam, P, m, n):
+    """f_{m,n} against the exponential-of-cross-derivatives representation
+    ((-1)^n / n!) z1^(-beta) exp(-d1 d2) z1^(beta+m) z2^n: coefficient i is
+    (-1)^(n+i) / (n! i!) falling(beta + m, i) falling(n, i), each falling
+    factorial one running product (qcalc.falling's order)."""
+    width = int(n.max()) + 1
+    i = np.arange(width)
+    sign = np.where((n[:, None] + i) % 2 == 0, 1.0, -1.0)
+    fact = [math.factorial(k) for k in range(width)]
+    denom = np.array([[float(fact[k] * fact[j]) for j in range(width)] for k in range(width)])
+    fall_m = np.ones((len(m), width))
+    fall_n = np.ones((len(m), width))
+    x = fam.beta + m
+    for k in range(width - 1):
+        fall_m[:, k + 1] = fall_m[:, k] * (x - k)
+        fall_n[:, k + 1] = fall_n[:, k] * (n - k)
+    rhs = DiagTables(sign / denom[n] * fall_m * fall_n, m, n)
+    return [("derived", P.f(0, 0), rhs)]
 
 
 # --- M family ---------------------------------------------------------------
 
 
-def _m_rr1(fam, m, n):
+def _m_rr1(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    lhs = (b + g + m + n + 2.0) * _Z2 * construct(fam, m + 1, n)
-    rhs = (g + m + 1.0) * construct(fam, m, n) - (n + 1.0) * construct(fam, m + 1, n + 1)
+    lhs = (b + g + m + n + 2.0) * _Z2 * P.f(1, 0)
+    rhs = (g + m + 1.0) * P.f(0, 0) - (n + 1.0) * P.f(1, 1)
     return [("derived", lhs, rhs)]
 
 
-def _m_rr2(fam, m, n):
+def _m_rr2(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    lhs = (b + g + m + n + 1.0) * _Z1 * construct(fam, m, n)
-    rhs = (b + g + m + 1.0) * construct(fam, m + 1, n) - (b + n) * _zero_if_negative(
-        fam, m, n - 1
-    )
+    lhs = (b + g + m + n + 1.0) * _Z1 * P.f(0, 0)
+    rhs = (b + g + m + 1.0) * P.f(1, 0) - (b + n) * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-def _m_rr3(fam, m, n):
+def _m_rr3(fam, P, m, n):
     b, g = fam.beta, fam.gamma
     s = b + g + m + n
     an = (n + 1.0) * (b + g + m + 1.0) / ((s + 1.0) * (s + 2.0))
     bn = (g + m) * (b + n) / (s * (s + 1.0))
     cn = (n + 1.0) * (g + m + 1.0) / (s + 2.0) - n * (g + m) / s
-    lhs = (cn - _X) * construct(fam, m, n)
-    rhs = an * construct(fam, m + 1, n + 1) + bn * construct(fam, m - 1, n - 1)
+    lhs = (cn - _X) * P.f(0, 0)
+    rhs = an * P.f(1, 1) + bn * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _m_pde1(fam, m, n):
+def _m_pde1(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     d2 = f.diff_theta(2)
     lhs = (
         (1.0 - _X) * d2.diff_theta(2)
-        + (float(m - n + g) - (b + g + m - n + 1.0) * _X) * d2
+        + ((m - n + g) - (b + g + m - n + 1.0) * _X) * d2
         + n * (b + g + m + 1.0) * _X * f
     )
-    return [("derived", lhs, _ZERO)]
+    return [("derived", lhs, None)]
 
 
-def _m_pde1b(fam, m, n):
+def _m_pde1b(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = (
         (1.0 - _X) * _Z2 * f.diff_partial(2).diff_partial(2)
         + (1.0 + m - n + g - (2.0 + g + b + m - n) * _X) * f.diff_partial(2)
         + n * (m + b + g + 1.0) * _Z1 * f
     )
-    return [("derived", lhs, _ZERO)]
+    return [("derived", lhs, None)]
 
 
-def _m_pde2(fam, m, n):
+def _m_pde2(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
-    nu = float(m - n)
+    f = P.f(0, 0)
+    nu = (m - n).astype(float)
     # 1D data A = 1-x, B = nu+g - x(nu+b+g+1), C = x n (nu+b+g+n+1);
     # z1 substitution sends the Euler operator to delta_{z1} - nu
     A = 1.0 - _X
@@ -489,278 +554,277 @@ def _m_pde2(fam, m, n):
         + m * (n + b + g + 1.0) * _Z2 * f
     )
     return [
-        ("derived", derived, _ZERO),
-        ("printed", printed, _ZERO),
+        ("derived", derived, None),
+        ("printed", printed, None),
     ]
 
 
-def _m_ladder1(fam, m, n):
+def _m_ladder1(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
     raised = fam.with_params(beta=b + 1)
-    lhs = f.diff_partial(2)
-    derived = -(b + g + m + 1.0) * construct(raised, m, n - 1)
-    printed = -(b + g + m + 1.0) * construct(raised, m, n)
+    lhs = P.f(0, 0).diff_partial(2)
+    derived = -(b + g + m + 1.0) * P.f(0, -1, raised)
+    printed = -(b + g + m + 1.0) * P.f(0, 0, raised)
     return [("derived", lhs, derived), ("printed", lhs, printed)]
 
 
-def _m_ladder2(fam, m, n):
+def _m_ladder2(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     raised = fam.with_params(beta=b + 1)
     lhs = f.diff_theta(2)
-    rhs1 = n * f - (g + m) * _zero_if_negative(raised, m - 1, n - 1) if n >= 1 else n * f
-    rhs2 = (b + g + m + 1.0) * (construct(raised, m, n) - f)
+    rhs1 = n * f - (g + m) * P.f(-1, -1, raised)
+    rhs2 = (b + g + m + 1.0) * (P.f(0, 0, raised) - f)
     return [("derived", lhs, rhs1), ("derived-b", lhs, rhs2)]
 
 
-def _m_ladder3(fam, m, n):
+def _m_ladder3(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     raised = fam.with_params(beta=b + 1)
     lhs = f.diff_theta(1)
-    rhs1 = m * f - (g + m) * _zero_if_negative(raised, m - 1, n - 1) if n >= 1 else m * f
-    rhs2 = (b + g + m + 1.0) * construct(raised, m, n) - (b + g + n + 1.0) * f
+    rhs1 = m * f - (g + m) * P.f(-1, -1, raised)
+    rhs2 = (b + g + m + 1.0) * P.f(0, 0, raised) - (b + g + n + 1.0) * f
     return [("derived", lhs, rhs1), ("derived-b", lhs, rhs2)]
 
 
-def _m_ladder4(fam, m, n):
+def _m_ladder4(fam, P, m, n):
     b, g = fam.beta, fam.gamma
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     raised = fam.with_params(beta=b + 1)
     lhs = (b + g + m + 1.0) * f.diff_theta(1) - (b + g + n + 1.0) * f.diff_theta(2)
-    rhs = (m - n) * (b + g + m + 1.0) * construct(raised, m, n)
+    rhs = (m - n) * (b + g + m + 1.0) * P.f(0, 0, raised)
     return [("derived", lhs, rhs)]
 
 
 # --- ZQ family --------------------------------------------------------------
 
 
-def _zq_rr1(fam, m, n):
+def _zq_rr1(fam, P, m, n):
     b, q = fam.beta, fam.q
-    lhs = q ** (m + 1 + b) * _Z2 * construct(fam, m + 1, n)
-    rhs = -(1.0 - q ** (n + 1)) * construct(fam, m + 1, n + 1) + (
-        1.0 - q ** (m + b + 1)
-    ) * construct(fam, m, n)
+    lhs = _pow(q, m + 1 + b) * _Z2 * P.f(1, 0)
+    rhs = -(1.0 - _pow(q, n + 1)) * P.f(1, 1) + (
+        1.0 - _pow(q, m + b + 1)
+    ) * P.f(0, 0)
     return [("derived", lhs, rhs)]
 
 
-def _zq_rr2(fam, m, n):
+def _zq_rr2(fam, P, m, n):
     q = fam.q
-    rhs = construct(fam, m + 1, n) - construct(fam, m, n - 1)
-    derived_lhs = q ** n * _Z1 * construct(fam, m, n)
-    printed_lhs = q ** n * _Z1 * construct(fam, m, n + 1)
+    rhs = P.f(1, 0) - P.f(0, -1)
+    derived_lhs = _pow(q, n) * _Z1 * P.f(0, 0)
+    printed_lhs = _pow(q, n) * _Z1 * P.f(0, 1)
     return [("derived", derived_lhs, rhs), ("printed", printed_lhs, rhs)]
 
 
-def _zq_diag(fam, m, n):
+def _zq_diag(fam, P, m, n):
     b, q = fam.beta, fam.q
-    coeff = 1.0 + q * (1.0 - q ** n - q ** (m + b))
-    lhs = (coeff - q ** (b + m + n + 1) * _X) * construct(fam, m, n)
-    rhs = (1.0 - q ** (1 + n)) * construct(fam, m + 1, n + 1) + q * (
-        1.0 - q ** (b + m)
-    ) * construct(fam, m - 1, n - 1)
+    coeff = 1.0 + q * (1.0 - _pow(q, n) - _pow(q, m + b))
+    lhs = (coeff - _pow(q, b + m + n + 1) * _X) * P.f(0, 0)
+    rhs = (1.0 - _pow(q, 1 + n)) * P.f(1, 1) + q * (
+        1.0 - _pow(q, b + m)
+    ) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _zq_qde1(fam, m, n):
+def _zq_qde1(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     t2 = f.diff_qtheta(2, q)
     lhs = (
         (1.0 - q) ** 2 * (1.0 + q * _X) * t2.diff_qtheta(2, q)
-        + (1.0 - q) * (q ** (n - m - b) - 1.0 - (2.0 - q ** n) * q * _X) * t2
+        + (1.0 - q) * (_pow(q, n - m - b) - 1.0 - (2.0 - _pow(q, n)) * q * _X) * t2
     )
-    rhs = -q * (1.0 - q ** n) * _X * f
+    rhs = -q * (1.0 - _pow(q, n)) * _X * f
     return [("derived", lhs, rhs)]
 
 
-def _zq_qde2(fam, m, n):
+def _zq_qde2(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     al = b + m - n
     nu = m - n
-    derived_lhs = (_ONE + q * _X) * f.dilate(1, q * q) - q ** nu * (
-        (1.0 + q ** (-al)) * _ONE + q ** (n + 1) * _X
+    derived_lhs = (_ONE + q * _X) * f.dilate(1, q * q) - _pow(q, nu) * (
+        (1.0 + _pow(q, -al)) * _ONE + _pow(q, n + 1) * _X
     ) * f.dilate(1, q)
-    derived_rhs = -(q ** (2 * nu)) * q ** (-al) * f
+    derived_rhs = -(_pow(q, 2 * nu)) * _pow(q, -al) * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
         (1.0 - q) ** 2 * (1.0 + q * _X) * t1.diff_qtheta(1, q)
         - (1.0 - q)
-        * (1.0 - q ** (b + m - n) + (2.0 - q ** (b + m + 1)) * q * _X)
+        * (1.0 - _pow(q, b + m - n) + (2.0 - _pow(q, b + m + 1)) * q * _X)
         * t1
     )
-    printed_rhs = -q * (1.0 - q ** (b + m)) * _X * f
+    printed_rhs = -q * (1.0 - _pow(q, b + m)) * _X * f
     return [
         ("derived", derived_lhs, derived_rhs),
         ("printed", printed_lhs, printed_rhs),
     ]
 
 
-def _zq_lad19(fam, m, n):
+def _zq_lad19(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    down = _zero_if_negative(fam, m, n - 1).dilate(1, q)
-    lhs = q ** (m - n) * f - f.dilate(1, q)
-    rhs = -(q ** (b + m - n)) * _Z2 * down
+    f = P.f(0, 0)
+    down = P.f(0, -1).dilate(1, q)
+    lhs = _pow(q, m - n) * f - f.dilate(1, q)
+    rhs = -(_pow(q, b + m - n)) * _Z2 * down
     return [("derived", lhs, rhs)]
 
 
-def _zq_lad20(fam, m, n):
+def _zq_lad20(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    down = _zero_if_negative(fam, m, n - 1).dilate(1, q)
+    f = P.f(0, 0)
+    down = P.f(0, -1).dilate(1, q)
     lhs = f - f.dilate(2, q)
     rhs = -(q ** b) * _Z2 * down
     return [("derived", lhs, rhs)]
 
 
-def _zq_lad22(fam, m, n):
-    f = construct(fam, m, n)
+def _zq_lad22(fam, P, m, n):
+    f = P.f(0, 0)
     q = fam.q
     lhs = f - (1.0 + _X) * f.dilate(2, q)
-    rhs = -_Z2 * construct(fam, m + 1, n)
+    rhs = -_Z2 * P.f(1, 0)
     return [("derived", lhs, rhs)]
 
 
-def _zq_lad23(fam, m, n):
+def _zq_lad23(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = f - q ** b * (1.0 + _X) * f.dilate(1, q)
-    rhs = (1.0 - q ** (n + 1)) * _Z1 * construct(fam, m, n + 1)
+    rhs = (1.0 - _pow(q, n + 1)) * _Z1 * P.f(0, 1)
     return [("derived", lhs, rhs)]
 
 
-def _zq_lad24(fam, m, n):
+def _zq_lad24(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    lhs = f - q ** (b + m - n) * (1.0 + _X) * f.dilate(2, q)
-    rhs = (1.0 - q ** (n + 1)) * _Z1 * construct(fam, m, n + 1)
+    f = P.f(0, 0)
+    lhs = f - _pow(q, b + m - n) * (1.0 + _X) * f.dilate(2, q)
+    rhs = (1.0 - _pow(q, n + 1)) * _Z1 * P.f(0, 1)
     return [("derived", lhs, rhs)]
 
 
 # --- WALL family ------------------------------------------------------------
 
 
-def _wall_rr1(fam, m, n):
+def _wall_rr1(fam, P, m, n):
     b, q = fam.beta, fam.q
-    lhs = _Z2 * construct(fam, m + 1, n)
+    lhs = _Z2 * P.f(1, 0)
     rhs = (
-        q ** n
-        * (1.0 - q ** (m - n + b + 1))
-        * (construct(fam, m, n) - construct(fam, m + 1, n + 1))
+        _pow(q, n)
+        * (1.0 - _pow(q, m - n + b + 1))
+        * (P.f(0, 0) - P.f(1, 1))
     )
     return [("derived", lhs, rhs)]
 
 
-def _wall_rr2(fam, m, n):
+def _wall_rr2(fam, P, m, n):
     b, q = fam.beta, fam.q
-    lhs = (1.0 - q ** (m - n + b + 1)) * _Z1 * construct(fam, m, n)
-    rhs = (1.0 - q ** (m + b + 1)) * construct(fam, m + 1, n) - q ** (m - n + b + 1) * (
-        1.0 - q ** n
-    ) * _zero_if_negative(fam, m, n - 1)
+    lhs = (1.0 - _pow(q, m - n + b + 1)) * _Z1 * P.f(0, 0)
+    rhs = (1.0 - _pow(q, m + b + 1)) * P.f(1, 0) - _pow(q, m - n + b + 1) * (
+        1.0 - _pow(q, n)
+    ) * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-def _wall_diag(fam, m, n):
+def _wall_diag(fam, P, m, n):
     b, q = fam.beta, fam.q
-    coeff = q ** n + q ** (m + b) * (1.0 - q ** n - q ** (n + 1))
-    lhs = (coeff - _X) * construct(fam, m, n)
-    rhs = q ** n * (1.0 - q ** (m + b + 1)) * construct(fam, m + 1, n + 1) + q ** (
-        m + b
-    ) * (1.0 - q ** n) * construct(fam, m - 1, n - 1)
+    coeff = _pow(q, n) + _pow(q, m + b) * (1.0 - _pow(q, n) - _pow(q, n + 1))
+    lhs = (coeff - _X) * P.f(0, 0)
+    rhs = _pow(q, n) * (1.0 - _pow(q, m + b + 1)) * P.f(1, 1) + _pow(
+        q, m + b
+    ) * (1.0 - _pow(q, n)) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
-def _wall_qde1(fam, m, n):
+def _wall_qde1(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     t2 = f.diff_qtheta(2, q)
     lhs = (
-        (1.0 - q) ** 2 * q ** (b + m - 1) * t2.diff_qtheta(2, q)
-        + (1.0 - q) * (q ** (n - 1) - q ** (b + m - 1) - _X) * t2
+        (1.0 - q) ** 2 * _pow(q, b + m - 1) * t2.diff_qtheta(2, q)
+        + (1.0 - q) * (_pow(q, n - 1) - _pow(q, b + m - 1) - _X) * t2
     )
-    rhs = -(1.0 - q ** n) * _X * f
+    rhs = -(1.0 - _pow(q, n)) * _X * f
     return [("derived", lhs, rhs)]
 
 
-def _wall_qde2(fam, m, n):
+def _wall_qde2(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     nu = m - n
-    derived_lhs = q ** (b + m - 1) * f.dilate(1, q * q) - q ** nu * (
-        (q ** (n - 1) + q ** (b + m - 1)) * _ONE - _X
+    derived_lhs = _pow(q, b + m - 1) * f.dilate(1, q * q) - _pow(q, nu) * (
+        (_pow(q, n - 1) + _pow(q, b + m - 1)) * _ONE - _X
     ) * f.dilate(1, q)
-    derived_rhs = -(q ** (2 * nu)) * q ** (n - 1) * (_ONE - q * _X) * f
+    derived_rhs = -(_pow(q, 2 * nu)) * _pow(q, n - 1) * (_ONE - q * _X) * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
-        (1.0 - q) ** 2 * q ** n * t1.diff_qtheta(1, q)
-        - (1.0 - q) * (q ** n - q ** (b + m) + q * _X) * t1
+        (1.0 - q) ** 2 * _pow(q, n) * t1.diff_qtheta(1, q)
+        - (1.0 - q) * (_pow(q, n) - _pow(q, b + m) + q * _X) * t1
     )
-    printed_rhs = -q * (1.0 - q ** (b + m)) * _X * f
+    printed_rhs = -q * (1.0 - _pow(q, b + m)) * _X * f
     return [
         ("derived", derived_lhs, derived_rhs),
         ("printed", printed_lhs, printed_rhs),
     ]
 
 
-def _wall_lad1(fam, m, n):
+def _wall_lad1(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    lhs = (1.0 - q ** (b + m - n + 1)) * (f - q ** (n - m) * f.dilate(1, q))
-    rhs = -(q ** (1 - n)) * (1.0 - q ** n) * _Z2 * _zero_if_negative(fam, m, n - 1)
+    f = P.f(0, 0)
+    lhs = (1.0 - _pow(q, b + m - n + 1)) * (f - _pow(q, n - m) * f.dilate(1, q))
+    rhs = -(_pow(q, 1 - n)) * (1.0 - _pow(q, n)) * _Z2 * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-def _wall_lad2(fam, m, n):
+def _wall_lad2(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    lhs = (1.0 - q ** (b + m - n + 1)) * (f - f.dilate(2, q))
-    rhs = -(q ** (1 - n)) * (1.0 - q ** n) * _Z2 * _zero_if_negative(fam, m, n - 1)
+    f = P.f(0, 0)
+    lhs = (1.0 - _pow(q, b + m - n + 1)) * (f - f.dilate(2, q))
+    rhs = -(_pow(q, 1 - n)) * (1.0 - _pow(q, n)) * _Z2 * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
-def _wall_lad20(fam, m, n):
+def _wall_lad20(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lhs = q ** b * f - (1.0 - _X) * f.dilate(1, 1.0 / q)
     rhs = (
-        -(1.0 - q ** (b + m - n))
-        * q ** (n - m)
+        -(1.0 - _pow(q, b + m - n))
+        * _pow(q, n - m)
         * _Z1
-        * construct(fam, m, n + 1)
+        * P.f(0, 1)
     )
     return [("derived", lhs, rhs)]
 
 
-def _wall_lad21(fam, m, n):
+def _wall_lad21(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    lhs = q ** b * f - q ** (n - m) * (1.0 - _X) * f.dilate(2, 1.0 / q)
+    f = P.f(0, 0)
+    lhs = q ** b * f - _pow(q, n - m) * (1.0 - _X) * f.dilate(2, 1.0 / q)
     rhs = (
-        -(q ** (n - m))
-        * (1.0 - q ** (b + m - n))
+        -(_pow(q, n - m))
+        * (1.0 - _pow(q, b + m - n))
         * _Z1
-        * construct(fam, m, n + 1)
+        * P.f(0, 1)
     )
     return [("derived", lhs, rhs)]
 
 
-def _wall_lad22(fam, m, n):
+def _wall_lad22(fam, P, m, n):
     b, q = fam.beta, fam.q
-    f = construct(fam, m, n)
-    lhs = (1.0 - q ** (b + m - n + 1)) * (
+    f = P.f(0, 0)
+    lhs = (1.0 - _pow(q, b + m - n + 1)) * (
         q ** b * f - (1.0 - _X) * f.dilate(2, 1.0 / q)
     )
-    z2up = _Z2 * construct(fam, m + 1, n)
+    z2up = _Z2 * P.f(1, 0)
     derived = (
-        -(1.0 - q ** b) * (1.0 - q ** (b + m - n + 1)) * f
-        + q ** (-n) * (1.0 - q ** (b + m + 1)) * z2up
+        -(1.0 - q ** b) * (1.0 - _pow(q, b + m - n + 1)) * f
+        + _pow(q, -n) * (1.0 - _pow(q, b + m + 1)) * z2up
     )
     printed = (
-        -(q ** (b - 1)) * (1.0 - q ** b) * (1.0 - q ** (b + m - n + 1)) * f
-        + q ** (2 * b - n) * (1.0 - q ** (b + m + 1)) * z2up
+        -(q ** (b - 1)) * (1.0 - q ** b) * (1.0 - _pow(q, b + m - n + 1)) * f
+        + _pow(q, 2 * b - n) * (1.0 - _pow(q, b + m + 1)) * z2up
     )
     return [("derived", lhs, derived), ("printed", lhs, printed)]
 
@@ -768,42 +832,42 @@ def _wall_lad22(fam, m, n):
 # --- MQ family --------------------------------------------------------------
 
 
-def _mq_rr1(fam, m, n):
+def _mq_rr1(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    lhs = (1.0 - q ** (b + g + m + n + 2)) * _Z2 * construct(fam, m + 1, n)
+    lhs = (1.0 - _pow(q, b + g + m + n + 2)) * _Z2 * P.f(1, 0)
     rhs = (
-        q ** n
-        * (1.0 - q ** (b + m - n + 1))
-        * (construct(fam, m, n) - construct(fam, m + 1, n + 1))
+        _pow(q, n)
+        * (1.0 - _pow(q, b + m - n + 1))
+        * (P.f(0, 0) - P.f(1, 1))
     )
     return [("derived", lhs, rhs)]
 
 
-def _mq_rr2(fam, m, n):
+def _mq_rr2(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    den = (1.0 - q ** (b + m - n + 1)) * (1.0 - q ** (b + g + m + n + 1))
-    lhs = den * _Z1 * construct(fam, m, n)
-    up = (1.0 - q ** (b + m + 1)) * (1.0 - q ** (b + g + m + 1)) * construct(fam, m + 1, n)
-    down = q ** (m - n + b + 1) * (1.0 - q ** n) * (
-        1.0 - q ** (g + n)
-    ) * _zero_if_negative(fam, m, n - 1)
+    den = (1.0 - _pow(q, b + m - n + 1)) * (1.0 - _pow(q, b + g + m + n + 1))
+    lhs = den * _Z1 * P.f(0, 0)
+    up = (1.0 - _pow(q, b + m + 1)) * (1.0 - _pow(q, b + g + m + 1)) * P.f(1, 0)
+    down = _pow(q, m - n + b + 1) * (1.0 - _pow(q, n)) * (
+        1.0 - _pow(q, g + n)
+    ) * P.f(0, -1)
     return [("derived", lhs, up - down), ("printed", lhs, up + down)]
 
 
 def _mq_three_point(fam, m, n):
     """Radial three-point data (a, b, c) for the little-q-Jacobi factor at
-    alpha = beta + m - n, as polynomials in x = z1 z2."""
+    alpha = beta + m - n, as factors in x = z1 z2."""
     b, g, q = fam.beta, fam.gamma, fam.q
     al = b + m - n
-    a = q ** al * (_ONE - q ** (g + 2) * _X)
-    bb = -((1.0 + q ** al) * _ONE - (q ** (1 - n) + q ** (n + al + g + 2)) * _X)
+    a = _pow(q, al) * (_ONE - q ** (g + 2) * _X)
+    bb = -((1.0 + _pow(q, al)) * _ONE - (_pow(q, 1 - n) + _pow(q, n + al + g + 2)) * _X)
     c = _ONE - q * _X
     return a, bb, c
 
 
-def _mq_qde1(fam, m, n):
+def _mq_qde1(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     a, bb, c = _mq_three_point(fam, m, n)
     derived_lhs = a * f.dilate(2, q * q) + bb * f.dilate(2, q)
     derived_rhs = -c * f
@@ -812,14 +876,14 @@ def _mq_qde1(fam, m, n):
         (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * _X) * t2.diff_qtheta(2, q)
         + (1.0 - q)
         * (
-            q ** (n - m - b)
+            _pow(q, n - m - b)
             - 1.0
-            - (q ** (1 - m - b) + q ** (g + 2) * (2.0 - q ** n)) * _X
+            - (_pow(q, 1 - m - b) + q ** (g + 2) * (2.0 - _pow(q, n))) * _X
         )
         * t2
     )
     printed_rhs = (
-        1.0 + (q ** (n + 1 - m - b) - q ** (1 - m - b) - q ** (g + n + 2)) * _X
+        1.0 + (_pow(q, n + 1 - m - b) - _pow(q, 1 - m - b) - _pow(q, g + n + 2)) * _X
     ) * f
     return [
         ("derived", derived_lhs, derived_rhs),
@@ -827,31 +891,31 @@ def _mq_qde1(fam, m, n):
     ]
 
 
-def _mq_qde2(fam, m, n):
+def _mq_qde2(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     a, bb, c = _mq_three_point(fam, m, n)
     nu = m - n
-    derived_lhs = a * f.dilate(1, q * q) + q ** nu * bb * f.dilate(1, q)
-    derived_rhs = -(q ** (2 * nu)) * c * f
+    derived_lhs = a * f.dilate(1, q * q) + _pow(q, nu) * bb * f.dilate(1, q)
+    derived_rhs = -(_pow(q, 2 * nu)) * c * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
         (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * _X) * t1.diff_qtheta(1, q)
         + (1.0 - q)
         * (
-            (2.0 * q ** (g + 2) - q ** (1 - n) - q ** (m + b + g + 2)) * _X
-            + (q ** (m - n + b) - 1.0)
+            (2.0 * q ** (g + 2) - _pow(q, 1 - n) - _pow(q, m + b + g + 2)) * _X
+            + (_pow(q, m - n + b) - 1.0)
         )
         * t1
     )
     printed_rhs = -(
         (
-            q ** (1 - n)
-            - q ** (1 + m - n + b)
-            + q ** (g + 2) * (q ** (m + b) + q ** (2 * (m - n + b)) - 1.0)
+            _pow(q, 1 - n)
+            - _pow(q, 1 + m - n + b)
+            + q ** (g + 2) * (_pow(q, m + b) + _pow(q, 2 * (m - n + b)) - 1.0)
         )
         * _X
-        - q ** (2 * (m - n + b)) * _ONE
+        - _pow(q, 2 * (m - n + b)) * _ONE
     ) * f
     return [
         ("derived", derived_lhs, derived_rhs),
@@ -859,55 +923,54 @@ def _mq_qde2(fam, m, n):
     ]
 
 
-def _mq_ladder1(fam, m, n):
+def _mq_ladder1(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     raised = fam.with_params(gamma=g + 1)
     lhs = f - f.dilate(2, q)
+    down = P.f(0, -1, raised)
     derived = (
-        -(q ** (1 - n))
-        * (1.0 - q ** n)
-        * (1.0 - q ** (b + g + m + 1))
-        / (1.0 - q ** (b + m - n + 1))
-    ) * _Z2 * construct(raised, m, n - 1)
-    out = [("derived", lhs, derived)]
-    if abs(1.0 - q ** (m - n + b)) > 1e-12:  # printed denominator can vanish
-        printed = (
-            -(q ** (1 - n))
-            * (1.0 - q ** n)
-            * (1.0 - q ** (m + b + g - 1))
-            / (1.0 - q ** (m - n + b))
-        ) * _Z2 * construct(raised, m, n - 1)
-        out.append(("printed", lhs, printed))
-    return out
+        -(_pow(q, 1 - n))
+        * (1.0 - _pow(q, n))
+        * (1.0 - _pow(q, b + g + m + 1))
+        / (1.0 - _pow(q, b + m - n + 1))
+    ) * _Z2 * down
+    printed = (
+        -(_pow(q, 1 - n))
+        * (1.0 - _pow(q, n))
+        * (1.0 - _pow(q, m + b + g - 1))
+        / (1.0 - _pow(q, m - n + b))
+    ) * _Z2 * down
+    # the printed form is left out where its denominator vanishes
+    stated = np.abs(1.0 - _pow(q, m - n + b)) > 1e-12
+    return [("derived", lhs, derived), ("printed", lhs, printed, stated)]
 
 
-def _mq_ladder2(fam, m, n):
+def _mq_ladder2(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lowered = fam.with_params(gamma=g - 1)
     lhs = q ** b * (1.0 - q ** g * _X) * f - (1.0 - _X) * f.dilate(1, 1.0 / q)
-    z1low = _Z1 * construct(lowered, m, n + 1)
-    derived = -(1.0 - q ** (m - n + b)) * q ** (n - m) * z1low
-    printed = -(1.0 - q ** (m - n + b)) * q ** (n - m - 1) * z1low
+    z1low = _Z1 * P.f(0, 1, lowered)
+    derived = -(1.0 - _pow(q, m - n + b)) * _pow(q, n - m) * z1low
+    printed = -(1.0 - _pow(q, m - n + b)) * _pow(q, n - m - 1) * z1low
     return [("derived", lhs, derived), ("printed", lhs, printed)]
 
 
-def _mq_ladder3(fam, m, n):
+def _mq_ladder3(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    f = construct(fam, m, n)
+    f = P.f(0, 0)
     lowered = fam.with_params(gamma=g - 1)
-    lhs = q ** b * (1.0 - q ** g * _X) * f - q ** (n - m) * (1.0 - _X) * f.dilate(
+    lhs = q ** b * (1.0 - q ** g * _X) * f - _pow(q, n - m) * (1.0 - _X) * f.dilate(
         2, 1.0 / q
     )
     rhs = (
-        -(q ** (n - m))
-        * (1.0 - q ** (m - n + b))
+        -(_pow(q, n - m))
+        * (1.0 - _pow(q, m - n + b))
         * _Z1
-        * construct(lowered, m, n + 1)
+        * P.f(0, 1, lowered)
     )
     return [("derived", lhs, rhs)]
-
 
 # --- registry ---------------------------------------------------------------
 
@@ -997,20 +1060,39 @@ def _in_domain(domain, m, n):
     return domain is None or (m - n >= domain[0] and n >= domain[1])
 
 
-def _verdict(variants, tol):
-    """(residual, scale, passed, printed_residual, printed_passed) of one
-    identity's variants, as check_identity reports them."""
-    worst_res, worst_scale, passed = 0.0, 0.0, True
-    printed_res = printed_passed = None
-    for label, lhs, rhs in variants:
-        res, scale = identity_residual(lhs, rhs)
-        if label == "printed":
-            printed_res, printed_passed = float(res), bool(tol.passes(res, scale))
-        else:
-            if res > worst_res or res != res:  # a NaN residual is the worst
-                worst_res, worst_scale = res, scale
-            passed = bool(passed and tol.passes(res, scale))
-    return worst_res, worst_scale, passed, printed_res, printed_passed
+def _residuals(fam, builder, m, n, box):
+    """(derived, printed) of one builder run over the pairs (m, n): derived
+    holds (residual, scale) arrays, one per derived variant; printed is
+    (residual, scale, stated) or None, stated marking the pairs where the
+    printed form is given (None: all).  Float overflow and division by zero
+    read inf or NaN, never raise: a parameter that breaks the builder
+    itself fails every pair with a NaN residual."""
+    with np.errstate(all="ignore"):
+        try:
+            variants = builder(fam, _Batch(fam, m, n, box), m, n)
+        except (OverflowError, ZeroDivisionError):
+            nan = np.full(len(m), np.nan)
+            return [(nan, nan)], None
+        derived, printed = [], None
+        for label, lhs, rhs, *stated in variants:
+            res, scale = lhs.residual(rhs)
+            if label == "printed":
+                printed = (res, scale, stated[0] if stated else None)
+            else:
+                derived.append((res, scale))
+    return derived, printed
+
+
+def _worst(derived):
+    """Residual and scale of the worst derived variant per pair: the first
+    largest residual, a NaN over any number; 0.0 and 0.0 when every
+    residual is 0.0."""
+    worst_res = worst_scale = np.zeros(len(derived[0][0]))
+    for res, scale in derived:
+        take = (res > worst_res) | np.isnan(res)
+        worst_res = np.where(take, res, worst_res)
+        worst_scale = np.where(take, scale, worst_scale)
+    return worst_res, worst_scale
 
 
 def _report(name, fam, m, n, verdict):
@@ -1021,6 +1103,36 @@ def _report(name, fam, m, n, verdict):
     return IdentityReport(name, fam.tag, m, n, *verdict, known, note)
 
 
+# check_identity runs a builder over the domain pairs of the TILE x TILE
+# block holding (m, n) and keeps the residuals of the last few blocks
+TILE = 16
+TILE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=TILE_CACHE_SIZE)
+def _tile(fam, builder, domain, tm, tn):
+    """The residuals of one builder over the domain pairs of tile (tm, tn),
+    as lists: (row of each (m, n), derived (residual, scale) lists, worst
+    residual, worst scale, printed (residual, scale, stated) lists or
+    None)."""
+    m0, n0 = tm * TILE, tn * TILE
+    m, n = np.divmod(np.arange(TILE * TILE), TILE)
+    m, n = m + m0, n + n0
+    if domain is not None:
+        keep = (m - n >= domain[0]) & (n >= domain[1])
+        m, n = m[keep], n[keep]
+    box = (max(m0 - 1, 0), m0 + TILE, max(n0 - 1, 0), n0 + TILE)
+    derived, printed = _residuals(fam, builder, m, n, box)
+    rows = dict(zip(zip(m.tolist(), n.tolist()), range(len(m))))
+    worst = [v.tolist() for v in _worst(derived)]
+    derived = [(res.tolist(), scale.tolist()) for res, scale in derived]
+    if printed is not None:
+        res, scale, stated = printed
+        stated = [True] * len(m) if stated is None else stated.tolist()
+        printed = (res.tolist(), scale.tolist(), stated)
+    return rows, derived, worst[0], worst[1], printed
+
+
 def check_identity(fam, name, m, n, tol=None):
     """Check one catalog identity at one index pair.
 
@@ -1029,7 +1141,10 @@ def check_identity(fam, name, m, n, tol=None):
     flagged as a known discrepancy rather than an error.  An unknown name
     raises KeyError; a family the identity does not apply to, or a pair
     outside its index domain, raises IdentityRangeError before any table is
-    built.
+    built, and a negative index ValueError.  The residuals come from one
+    batch over the domain pairs of the TILE x TILE block holding (m, n),
+    the same rows sweep reads, and the last TILE_CACHE_SIZE blocks are
+    kept; the gate is applied per call.
     """
     if tol is None:
         tol = Tolerance()
@@ -1040,15 +1155,27 @@ def check_identity(fam, name, m, n, tol=None):
         raise IdentityRangeError(f"{name} does not apply to family {fam.tag}")
     if not _in_domain(domain, m, n):
         raise IdentityRangeError("index outside identity range")
-    return _report(name, fam, m, n, _verdict(builder(fam, m, n), tol))
+    if m < 0 or n < 0:
+        raise ValueError("indices must be nonnegative")
+    rows, derived, worst_res, worst_scale, printed = _tile(fam, builder, domain,
+                                                          m // TILE, n // TILE)
+    row = rows[(m, n)]
+    passes = tol.passes
+    passed = all(passes(res[row], scale[row]) for res, scale in derived)
+    printed_res = printed_passed = None
+    if printed is not None and printed[2][row]:
+        printed_res = printed[0][row]
+        printed_passed = passes(printed_res, printed[1][row])
+    verdict = (worst_res[row], worst_scale[row], passed, printed_res, printed_passed)
+    return _report(name, fam, m, n, verdict)
 
 
 def sweep(fam, names=None, max_mn=6, tol=None):
     """Run identities over the index pairs m, n <= max_mn of their domains;
     a name that is not an identity of the family raises IdentityRangeError
     before any work starts.  Returns the reports, in name, m, n order, each
-    equal to check_identity's; names that share a builder share its one
-    check per pair."""
+    equal to check_identity's.  Each builder runs once, as one batch over
+    the pairs of its domain; names that share a builder share its batch."""
     if tol is None:
         tol = Tolerance()
     available = identity_ids_for(fam)
@@ -1058,44 +1185,44 @@ def sweep(fam, names=None, max_mn=6, tol=None):
         raise IdentityRangeError(f"unknown identity ids for family {fam.tag}: {', '.join(foreign)}")
     if max_mn < 0:
         raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
-    pairs = [(m, n) for m in range(max_mn + 1) for n in range(max_mn + 1)]
-    domain_pairs = {}  # index domain -> its pairs
-    verdicts = {}  # builder -> {pair: verdict}
+    m_all, n_all = np.divmod(np.arange((max_mn + 1) ** 2), max_mn + 1)
+    box = (0, max_mn + 1, 0, max_mn + 1)
+    verdicts = {}  # (builder, domain) -> (pairs, verdict per pair)
     reports = []
     for name in names:
         _, builder, domain = IDENTITIES[name]
-        if domain not in domain_pairs:
-            domain_pairs[domain] = [(m, n) for m, n in pairs if _in_domain(domain, m, n)]
-        done = verdicts.setdefault(builder, {})
-        for pair in domain_pairs[domain]:
-            verdict = done.get(pair)
-            if verdict is None:
-                verdict = done[pair] = _verdict(builder(fam, *pair), tol)
-            reports.append(_report(name, fam, *pair, verdict))
+        key = builder, domain
+        if key not in verdicts:
+            m, n = m_all, n_all
+            if domain is not None:
+                keep = (m - n >= domain[0]) & (n >= domain[1])
+                m, n = m[keep], n[keep]
+            derived, printed = _residuals(fam, builder, m, n, box)
+            passed = np.logical_and.reduce([tol.gate(res, scale) for res, scale in derived])
+            columns = [v.tolist() for v in _worst(derived)] + [passed.tolist()]
+            if printed is None:
+                columns += [[None] * len(m)] * 2
+            else:
+                res, scale, stated = printed
+                printed_res, printed_passed = res.tolist(), tol.gate(res, scale).tolist()
+                if stated is not None:
+                    printed_res = [r if s else None for r, s in zip(printed_res, stated.tolist())]
+                    printed_passed = [p if s else None for p, s in zip(printed_passed, stated.tolist())]
+                columns += [printed_res, printed_passed]
+            verdicts[key] = (list(zip(m.tolist(), n.tolist())), list(zip(*columns)))
+        pairs, rows = verdicts[key]
+        if name in KNOWN_DISCREPANCIES:
+            reports += [_report(name, fam, m, n, verdict) for (m, n), verdict in zip(pairs, rows)]
+        else:
+            tag = fam.tag
+            reports += [IdentityReport(name, tag, m, n, *verdict)
+                        for (m, n), verdict in zip(pairs, rows)]
     return reports
 
 
 # ---------------------------------------------------------------------------
-# operational representation, connections, generating functions, solver
+# connections, generating functions, solver
 # ---------------------------------------------------------------------------
-
-
-def operational_Z(m, n, beta):
-    """Z table via the exponential-of-cross-derivatives representation:
-    ((-1)^n / n!) z1^(-beta) exp(-d1 d2) z1^(beta+m) z2^n, with the
-    non-integer z1 exponents handled as falling-factorial ladders."""
-    if m < n:
-        return operational_Z(n, m, beta).swap_vars()
-    terms = {}
-    for i in range(n + 1):
-        coeff = (
-            (-1.0) ** (n + i)
-            / (math.factorial(n) * math.factorial(i))
-            * falling(beta + m, i)
-            * falling(n, i)
-        )
-        terms[pack(m - i, n - i)] = coeff
-    return BivariatePoly(terms)
 
 
 def connection_Z(m, n, beta, gamma):
@@ -1105,7 +1232,7 @@ def connection_Z(m, n, beta, gamma):
     if m < n:
         raise ValueError("connection stated for m >= n")
     coeffs = [pochhammer(beta - gamma, j) / math.factorial(j) for j in range(n + 1)]
-    rhs = _ZERO
+    rhs = BivariatePoly.zero()
     for j in range(n + 1):
         if m - j < 0 or n - j < 0:
             break
@@ -1346,10 +1473,11 @@ def pde_interior_residual(beta, n, f):
     admits it, and this function makes the leftover visible instead of
     folding it into a single max.  Returns (interior, boundary).
     """
+    z1, x = BivariatePoly.monomial(1, 0), BivariatePoly.monomial(1, 1)
     lhs = (
-        _Z1 * f.diff_partial(1).diff_partial(2)
-        + (beta - _X) * f.diff_partial(2)
-        + n * _Z1 * f
+        z1 * f.diff_partial(1).diff_partial(2)
+        + (beta - x) * f.diff_partial(2)
+        + n * z1 * f
     )
     interior = 0.0
     boundary = 0.0
@@ -1379,7 +1507,7 @@ def q_degeneration_residuals(beta, m, n, qs=(0.9, 0.99, 0.999)):
         # becomes z2 Z_{m+1,n} = -(n+1) Z_{m+1,n+1} + (beta+m+1) Z_{m,n}
         s_up = construct(fam, m + 1, n).dilate(2, 1.0 - q)
         s_upup = construct(fam, m + 1, n + 1).dilate(2, 1.0 - q)
-        lhs = _Z2 * s_up
+        lhs = BivariatePoly.monomial(0, 1) * s_up
         rhs = -(n + 1.0) * s_upup + (beta + m + 1.0) * scaled
         res_i, scale_i = identity_residual(lhs, rhs)
         out.append((q, res_t / max(scale_t, 1.0), res_i / max(scale_i, 1.0)))

@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import radial
+from .polycore import safe_power
 from .qcalc import qpochhammer
 
 
@@ -476,20 +477,26 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     nmaxes = [degree_cap - a for a in alphas]
     scales = [bivariate.harmonic_scale(fam, nmax) for nmax in nmaxes]
     zrefs = radial.norms(rad, alphas, nmaxes)
-    grams = radial_grams(rad, alphas, nmaxes, scales, zrefs)
-    blocks = []
-    for a, nmax, scale, zref, g in zip(alphas, nmaxes, scales, zrefs, grams):
-        g = norm_const * g
-        if scale is not None:
-            zref = [z * s ** 2 for z, s in zip(zref, scale)]
-        ref = norm_const * np.asarray(zref)
-        blocks.append(([(a + k, k) for k in range(nmax + 1)], g, ref))
-        if a > 0:
-            blocks.append(([(k, a + k) for k in range(nmax + 1)], g, ref))
-    result = summarize(blocks, offdiag_tol, diag_rel_tol)
+    blocks, refs, scaled = [], [], []
+    # H's norms take the square of its harmonic scale, which leaves the
+    # float range from degree 99 (99!^2), and its rows from about the same
+    # degree: such an entry reads inf, without a raise or a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = radial_grams(rad, alphas, nmaxes, scales, zrefs)
+        for a, nmax, scale, zref, g in zip(alphas, nmaxes, scales, zrefs, grams):
+            g = norm_const * g
+            if scale is not None:
+                zref = [z * safe_power(s, 2) for z, s in zip(zref, scale)]
+            ref = norm_const * np.asarray(zref)
+            refs.append(ref)
+            scaled.append(g)
+            blocks.append(([(a + k, k) for k in range(nmax + 1)], g, ref))
+            if a > 0:
+                blocks.append(([(k, a + k) for k in range(nmax + 1)], g, ref))
+        result = summarize(blocks, offdiag_tol, diag_rel_tol)
     # a norm or diagonal entry out of range reads a non-finite error
     if not math.isfinite(result.max_diag_relerr):
-        result.notes = _range_note(zrefs, grams)
+        result.notes = _range_note(refs, scaled)
     return result
 
 

@@ -227,12 +227,24 @@ class TestWeight:
         # |(e^(2 i theta); q)_inf|^2 against 20-digit mpmath (3.5e-14 at
         # q = 0.99, measured), and against the four h-factors
         # h(x, +-1) h(x, +-sqrt(q)) it replaces, whose own rounding reaches
-        # 7.5e-14 there
+        # 7.5e-14 there.  The reference is the real product
+        # prod_k (1 - 2 q^k cos 2 theta + q^2k), cos 2 theta = 2 x^2 - 1 from
+        # the exact node, to the first q^k below 1e-25
         mp = pytest.importorskip("mpmath")
         xs = gauss_theta_nodes(64)
         with mp.workdps(20):
-            ref = [float(abs(mp.qp(mp_unit_point(mp, x) ** 2, q, maxterms=20000)) ** 2)
-                   for x in xs]
+            qk, heads, powers = mp.mpf(q), [], []
+            while qk > mp.mpf(10) ** -25:
+                heads.append(1 + qk * qk)
+                powers.append(qk)
+                qk *= q
+            ref = []
+            for x in xs:
+                twice_cos = 2 * (2 * mp.mpf(x) ** 2 - 1)
+                prod = 2 - twice_cos  # the k = 0 factor
+                for head, qk in zip(heads, powers):
+                    prod *= head - qk * twice_cos
+                ref.append(float(prod))
         got = aw._weight_numerator(xs, q)
         assert_allclose(got, ref, rtol=1e-13)
         rq = math.sqrt(q)

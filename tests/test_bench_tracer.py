@@ -20,12 +20,15 @@ def _tracer():
 
 
 def _ops():
-    """A ZQ and an H Gram, an Askey-Wilson Gram and a small WALL sweep, each
-    at parameters no other test uses, so that no table cache hides a call."""
+    """A ZQ and an H Gram, an Askey-Wilson Gram, a small WALL sweep and a
+    q -> 1 degeneration check (the dict tables: construct and their
+    products), each at parameters no other test uses, so that no table
+    cache hides a call."""
     return (quad.gram(bivariate.ZQ(0.41, 0.37), 3),
             quad.gram(bivariate.H(), 3),
             awbiortho.aw_gram_1d(awbiortho.AWParams(0.21, -0.33, 0.12, 0.38, 0.47), 3),
-            bivariate.sweep(bivariate.WALL(0.43, 0.39), None, 2))
+            bivariate.sweep(bivariate.WALL(0.43, 0.39), None, 2),
+            bivariate.q_degeneration_residuals(0.47, 2, 1, qs=(0.9,)))
 
 
 def test_traced_names_install_and_run():
@@ -33,7 +36,7 @@ def test_traced_names_install_and_run():
     original = quad.gram
     tracer.install()
     try:
-        zq, h, aw, reports = _ops()
+        zq, h, aw, reports, degeneration = _ops()
     finally:
         tracer.uninstall()
     spans = tracer.summary()
@@ -54,3 +57,4 @@ def test_traced_names_install_and_run():
         assert all(np.array_equal(g1, g2) for (_, g1, _), (_, g2, _) in zip(traced.blocks,
                                                                             plain.blocks))
     assert reports and all(r.passed for r in reports)
+    assert degeneration[0][1] < 6.0 * (1.0 - 0.9)

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from numpy.testing import assert_allclose
 
 from bivarortho import bivariate as bv
 from bivarortho import radial
-from bivarortho.polycore import BivariatePoly, Tolerance, identity_residual, pack
+from bivarortho.polycore import BivariatePoly, DiagTables, Tolerance, identity_residual, pack
 from bivarortho.qcalc import pochhammer
 
 FAMILIES = [
@@ -171,6 +172,7 @@ class TestTableCache:
         warm = verdicts()
         radial.radial_coeffs.cache_clear()
         bv.construct.cache_clear()
+        bv._cube.cache_clear()
         cold = verdicts()
         assert warm == cold
         assert any(r[-1] is not None for r in cold)
@@ -185,23 +187,34 @@ class TestTableCache:
                     assert bv.construct(fam, m, n) == _uncached_table(fam, m, n), (fam, m, n)
 
 
+def _batch(fam, domain, max_mn):
+    """The batch of a family over the pairs m, n <= max_mn of an index
+    domain, as sweep makes it."""
+    pairs = [(m, n) for m in range(max_mn + 1) for n in range(max_mn + 1)
+             if bv._in_domain(domain, m, n)]
+    m, n = (np.array(v) for v in zip(*pairs))
+    return bv._Batch(fam, m, n, (0, max_mn + 1, 0, max_mn + 1))
+
+
 def _catalog_tables(fam, max_mn):
-    """Both sides of every variant of every catalog identity of a family at
-    the pairs m, n <= max_mn of its declared index domain."""
+    """Both sides of every variant of every catalog identity of a family,
+    each a batch over the pairs m, n <= max_mn of its declared index domain
+    (None: the zero table)."""
     for name in bv.identity_ids_for(fam):
         _, builder, domain = bv.IDENTITIES[name]
-        for m in range(max_mn + 1):
-            for n in range(max_mn + 1):
-                if not bv._in_domain(domain, m, n):
-                    continue
-                for _, lhs, rhs in builder(fam, m, n):
-                    yield name, m, n, lhs
-                    yield name, m, n, rhs
+        with np.errstate(all="ignore"):  # as the catalog runs its builders
+            P = _batch(fam, domain, max_mn)
+            variants = builder(fam, P, P.m, P.n)
+        for _, lhs, rhs, *_ in variants:
+            yield name, lhs
+            if rhs is not None:
+                yield name, rhs
 
 
 class TestCoefficientType:
-    """Table coefficients are Python floats, so the algebra runs on the
-    interpreter's float paths rather than numpy's scalar ones."""
+    """construct's tables hold Python floats, so the dict algebra runs on
+    the interpreter's float paths; the catalog's batches are float64
+    arrays."""
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_construct_coefficients_are_floats(self, fam):
@@ -213,21 +226,26 @@ class TestCoefficientType:
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_identity_sides_hold_floats(self, fam):
         count = 0
-        for name, m, n, table in _catalog_tables(fam, 6):
-            count += len(table.terms)
-            kinds = {type(v) for v in table.terms.values()}
-            assert kinds <= {float}, (name, m, n, kinds)
+        for name, table in _catalog_tables(fam, 6):
+            count += np.count_nonzero(table.c)
+            assert table.c.dtype == np.float64, name
         assert count > 0
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_radial_scalars_are_floats(self, fam):
-        # a numpy scalar times a table would take numpy's object-array path
+        # the radial scalars a builder reads are float64 arrays, bit for bit
+        # radial_coeffs' entries (times H's harmonic scale)
         rad = bv.radial_of(fam)
+        P = _batch(fam, None, 6)
+        scale = bv.harmonic_scale(fam, 4)
         for n in range(5):
             for alpha in range(3):
-                scalars = (bv._c0(rad, n, alpha), bv._cj(rad, n, n, alpha),
-                           radial.shift_a(rad, n, alpha), radial.shift_b(rad, n, alpha))
-                assert {type(v) for v in scalars} == {float}, (n, alpha)
+                k, a = np.array([n]), np.array([alpha])
+                got = [P.coeff(k, a), P.coeff(k, a, k)]
+                assert {v.dtype for v in got} == {np.dtype(np.float64)}
+                row = radial.radial_coeffs(rad, n, alpha)
+                want = [row[0], row[n]] if scale is None else [scale[n] * row[0], scale[n] * row[n]]
+                assert [v[0].hex() for v in got] == [float(v).hex() for v in want], (n, alpha)
 
 
 def criterion3_families():
@@ -341,15 +359,18 @@ class TestIdentityCatalog:
     @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-second"])
     def test_nan_residual_is_reported(self, first, monkeypatch):
         # a NaN residual is the worst one, whichever variant carries it
-        good = BivariatePoly({pack(0, 0): 1.0})
-        bad = BivariatePoly({pack(0, 0): 1.0, pack(1, 0): math.nan})
-        variants = [("derived", good, good), ("derived", bad, good)]
-        if first:
-            variants.reverse()
-        monkeypatch.setitem(bv.IDENTITIES, "Z_ODE", (("Z",), lambda fam, m, n: variants, None))
+        def variants(fam, P, m, n):
+            good = DiagTables(np.ones((len(P.m), 1)), P.m, P.n)
+            bad = DiagTables(np.full((len(P.m), 1), math.nan), P.m, P.n)
+            out = [("derived", good, good), ("derived", bad, good)]
+            return out[::-1] if first else out
+
+        monkeypatch.setitem(bv.IDENTITIES, "Z_ODE", (("Z",), variants, None))
         rep = bv.check_identity(bv.Z(0.5), "Z_ODE", 1, 1)
         assert math.isnan(rep.residual)
         assert rep.passed is False
+        swept = [r for r in bv.sweep(bv.Z(0.5), ["Z_ODE"], 2) if (r.m, r.n) == (1, 1)]
+        assert math.isnan(swept[0].residual) and swept[0].passed is False
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_sweep_equals_check_identity(self, fam):
@@ -364,19 +385,74 @@ class TestIdentityCatalog:
         ]
         assert [_report_fields(r) for r in bv.sweep(fam, None, 6)] == expected
 
+    def test_sweep_equals_check_identity_deep(self):
+        # the deep grid spans one check_identity tile; sweep's batches are
+        # cut by max_mn instead, and every row reads the same
+        fam = bv.MQ(0.7, 0.7, 0.3)
+        expected = [
+            _report_fields(bv.check_identity(fam, name, m, n))
+            for name in bv.identity_ids_for(fam)
+            for m in range(15)
+            for n in range(15)
+            if bv._in_domain(bv.IDENTITIES[name][2], m, n)
+        ]
+        assert [_report_fields(r) for r in bv.sweep(fam, None, 14)] == expected
+
+    @pytest.mark.parametrize("fam,name", [(bv.Z(0.5), "Z_RR1"), (bv.M(0.5, 0.7), "M_LADDER2"),
+                                          (bv.MQ(0.5, 0.7, 0.5), "MQ_LADDER1")])
+    def test_far_pair_equals_its_sweep_row(self, fam, name):
+        rep = bv.check_identity(fam, name, 40, 3)
+        row = [r for r in bv.sweep(fam, [name], 40) if (r.m, r.n) == (40, 3)]
+        assert [_report_fields(rep)] == [_report_fields(r) for r in row]
+        assert rep.passed
+
+    def test_negative_index_raises(self):
+        # GEN_EIGEN is stated at every pair; a negative index is no pair
+        with pytest.raises(ValueError, match="nonnegative"):
+            bv.check_identity(bv.Z(0.5), "GEN_EIGEN", -1, 2)
+
+    def test_tile_cache_is_bounded(self):
+        fam = bv.Z(0.5)
+        for m in range(0, 200, bv.TILE):
+            bv.check_identity(fam, "Z_RR1", m, 0)
+        info = bv._tile.cache_info()
+        assert info.maxsize == bv.TILE_CACHE_SIZE and info.currsize <= bv.TILE_CACHE_SIZE
+
+    @pytest.mark.parametrize("fam,name", [(bv.WALL(0.5, 0.3), "WALL_LADDER1"),
+                                          (bv.MQ(0.5, 0.7, 0.3), "MQ_LADDER2"),
+                                          (bv.ZQ(0.5, 0.3), "ZQ_QDE1")])
+    def test_float_overflow_is_a_failed_report(self, fam, name):
+        # q^(n - m) leaves the float range at m - n = 700 (a Python float
+        # power raises there): the pair fails, with no exception or warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = bv.check_identity(fam, name, 700, 0)
+        assert rep.passed is False and not math.isfinite(rep.residual)
+
+    def test_printed_variant_left_out_where_its_denominator_vanishes(self):
+        # MQ_LADDER1's printed denominator 1 - q^(m - n + beta) is 0 at
+        # m = n when beta = 0
+        reports = bv.sweep(bv.MQ(0.0, 0.7, 0.5), ["MQ_LADDER1"], 3)
+        for rep in reports:
+            assert (rep.printed_residual is None) == (rep.m == rep.n)
+            assert (rep.printed_passed is None) == (rep.m == rep.n)
+        rep = bv.check_identity(bv.MQ(0.0, 0.7, 0.5), "MQ_LADDER1", 2, 2)
+        assert rep.printed_residual is None and rep.passed
+
     def test_shared_builder_checked_once_per_pair(self, monkeypatch):
+        # one batch over the domain pairs serves both names
         calls = []
 
-        def counted(fam, m, n):
-            calls.append((m, n))
-            return bv._gen_uv(fam, m, n)
+        def counted(fam, P, m, n):
+            calls.append(list(zip(m.tolist(), n.tolist())))
+            return bv._gen_uv(fam, P, m, n)
 
         for name in ("GEN_REC2", "GEN_UV"):
             tags, _, domain = bv.IDENTITIES[name]
             monkeypatch.setitem(bv.IDENTITIES, name, (tags, counted, domain))
         reports = bv.sweep(bv.Z(0.5), ["GEN_REC2", "GEN_UV"], 4)
         wedge = [(m, n) for m in range(5) for n in range(5) if m >= n]
-        assert calls == wedge
+        assert calls == [wedge]
         assert [(r.identity, r.m, r.n) for r in reports] == (
             [("GEN_REC2",) + p for p in wedge] + [("GEN_UV",) + p for p in wedge])
 
@@ -388,7 +464,9 @@ class TestIdentityCatalog:
         def no_tables(*args):
             raise AssertionError("table built")
 
-        monkeypatch.setattr(bv, "construct", no_tables)
+        # every batch gathers its tables from a coefficient cube
+        bv._tile.cache_clear()
+        monkeypatch.setattr(bv, "_cube", no_tables)
         if domain is None:
             outside, inside = [], [(0, 0), (0, 3), (3, 0)]
         else:
@@ -414,11 +492,10 @@ class TestIdentityCatalog:
 class TestOperationalRepresentation:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
     def test_matches_construction(self, beta):
-        for m in range(5):
-            for n in range(5):
-                lhs = bv.construct(bv.Z(beta), m, n)
-                res, scale = identity_residual(lhs, bv.operational_Z(m, n, beta))
-                assert res <= 1e-12 * max(scale, 1.0)
+        reports = bv.sweep(bv.Z(beta), ["Z_OPREP"], 4)
+        assert len(reports) == 15
+        for rep in reports:
+            assert rep.residual <= 1e-12 * max(rep.scale, 1.0), (rep.m, rep.n)
 
 
 def connection_Z_to_H(m, n, beta):
@@ -456,7 +533,9 @@ def commutator_check(beta, rng, trials=5, degree=6):
         )
 
     def opB(f):
-        return f.diff_theta(1) - f.diff_theta(2)
+        # delta_{z1} - delta_{z2} as z1 d1 - z2 d2
+        return (BivariatePoly.monomial(1, 0) * f.diff_partial(1)
+                + BivariatePoly.monomial(0, 1, -1.0) * f.diff_partial(2))
 
     worst = 0.0
     for _ in range(trials):
@@ -467,8 +546,8 @@ def commutator_check(beta, rng, trials=5, degree=6):
                 for k in range(degree + 1)
             }
         )
-        lhs = opA(opB(f)) - opB(opA(f))
-        res, _ = identity_residual(lhs, -opA(f))
+        lhs = opA(opB(f)) + -1.0 * opB(opA(f))
+        res, _ = identity_residual(lhs, -1.0 * opA(f))
         worst = max(worst, res)
     return worst
 

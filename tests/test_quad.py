@@ -691,6 +691,17 @@ class TestGram:
         assert res.notes == note
         assert quad.gram(fam, 8).notes == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cap", [98, 100])
+    def test_h_norm_out_of_float_range_is_a_diagnosed_failure(self, cap):
+        # pi (98!)^2 passes 1e308 at degree 98; (99!)^2 leaves the float
+        # range itself, which a Python float power would raise on
+        res = quad.gram(bivariate.H(), cap)
+        assert not res.passed
+        assert res.notes == ("harmonic index 0, degree 98: the closed-form norm "
+                             "overflows the float range")
+        assert quad.gram(bivariate.H(), 97).passed
+
     def test_range_note_names_an_overflowed_entry(self):
         norms = [np.array([1.0, 2.0]), np.array([1.0, 1.0])]
         grams = [np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]])]
