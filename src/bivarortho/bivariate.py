@@ -28,8 +28,9 @@ branch on the indices is a mask or a gather, and per-pair scalars are
 arrays; q-powers go through Python's float power entry by entry, so every
 entry is the same float operation the per-pair formulas take.  ``sweep``
 runs each builder once per family over its domain pairs; ``check_identity``
-reads one row of the batch over the domain pairs of the TILE x TILE block
-holding (m, n), kept in a small LRU cache with the gate applied per call.
+reads one row of the verdicts over the domain pairs of the TILE x TILE
+block holding (m, n), kept in a small LRU cache per tolerance.  Both gate
+through one routine, _verdicts.
 ``construct`` (dict tables) serves the CLI's coefficient rows, the
 connection and q-degeneration checks and the series solver.
 """
@@ -144,14 +145,9 @@ def radial_of(fam):
     return make(*(getattr(fam, name) for name in names))
 
 
-@lru_cache(maxsize=radial.TABLE_CACHE_SIZE)
 def construct(fam, m, n):
     """Coefficient table of f_{m,n}: z1^(m-n) phi_n(z1 z2; m-n) for m >= n,
-    with the roles of z1 and z2 swapped when m < n.
-
-    Tables are memoized on (fam, m, n) and the returned BivariatePoly is
-    shared between callers: treat it as immutable (every BivariatePoly
-    operation returns a new table)."""
+    with the roles of z1 and z2 swapped when m < n."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     if m < n:
@@ -231,15 +227,17 @@ def _pow(base, e):
 @lru_cache(maxsize=4)
 def _cube(fam, mlo, mhi, nlo, nhi):
     """Coefficient cube of a family over the index box [mlo, mhi] x
-    [nlo, nhi]: entry [a, k, d] is coefficient d of f_{m,n} with
-    a = |m - n| and k = min(m, n), bit for bit construct's (radial_coeffs,
-    times H's harmonic scale).  The k = -1 slot (the last) is zero, so a
-    negative index gathers the zero table; a table whose coefficients
-    overflow reads NaN."""
+    [nlo, nhi], and the smallest harmonic index a0 of the box: entry
+    [a - a0, k, d] is coefficient d of f_{m,n} with a = |m - n| and
+    k = min(m, n), bit for bit construct's (radial_coeffs, times H's
+    harmonic scale).  The k = -1 slot (the last) is zero, so a negative
+    index gathers the zero table; a table whose coefficients overflow reads
+    NaN."""
     needed = {(abs(x - y), min(x, y)) for x in range(mlo, mhi + 1) for y in range(nlo, nhi + 1)}
+    a0 = min(a for a, _ in needed)
     amax = max(a for a, _ in needed)
     kmax = max(k for _, k in needed)
-    cube = np.zeros((amax + 3, kmax + 2, kmax + 1))
+    cube = np.zeros((amax - a0 + 3, kmax + 2, kmax + 1))
     rad = radial_of(fam)
     factors = harmonic_scale(fam, kmax)
     for a, k in needed:
@@ -247,9 +245,9 @@ def _cube(fam, mlo, mhi, nlo, nhi):
             row = radial.radial_coeffs(rad, k, a)
         except (OverflowError, ZeroDivisionError):
             row = math.nan
-        cube[a, k, :k + 1] = row if factors is None else factors[k] * row
+        cube[a - a0, k, :k + 1] = row if factors is None else factors[k] * row
     cube.setflags(write=False)
-    return cube
+    return cube, a0
 
 
 class _Batch:
@@ -265,26 +263,21 @@ class _Batch:
     def f(self, di, dj, fam=None):
         """The tables f_{m+di, n+dj} of ``fam`` (default: the batch's), a
         zero row where an index is negative."""
-        cube = _cube(self.fam if fam is None else fam, *self.box)
+        cube, a0 = _cube(self.fam if fam is None else fam, *self.box)
         m, n = self.m + di, self.n + dj
-        return DiagTables(cube[np.abs(m - n), np.minimum(m, n)], self.m, self.n, di, dj)
+        return DiagTables(cube[np.abs(m - n) - a0, np.minimum(m, n)], self.m, self.n, di, dj)
 
     def coeff(self, k, a, j=0):
         """Coefficient j of f's radial row phi_k(x; a) per pair, as the cube
         holds it (times H's scale; 0.0 where k = -1)."""
-        return _cube(self.fam, *self.box)[a, k, j]
+        cube, a0 = _cube(self.fam, *self.box)
+        return cube[a - a0, k, j]
 
     def recurrence(self, a, n):
         """The monic recurrence coefficients A_n(a), B_n(a) per pair, each
         radial.recurrence's entry rounded to float."""
-        rad = radial_of(self.fam)
         alphas = np.unique(a)
-        npts = int(n.max()) + 1
-        if rad.is_q():
-            A, B = radial.recurrence(rad, alphas, npts)
-        else:
-            rows = [radial.recurrence(rad, alpha, npts) for alpha in alphas.tolist()]
-            A, B = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        A, B = radial.recurrence(radial_of(self.fam), alphas, int(n.max()) + 1)
         row = np.searchsorted(alphas, a)
         return A[row, n].astype(float), B[row, n].astype(float)
 
@@ -302,7 +295,8 @@ def _gen_3trr(fam, P, m, n):
 
 
 def _gen_uv(fam, P, m, n):
-    # v and u are radial.shift_a and shift_b, read off the cube
+    # phi_n(x; a) - v phi_n(x; a+1) = u phi_{n-1}(x; a+1), the a-raising
+    # relation, with v and u read off the cube
     a = m - n
     v = P.coeff(n, a) / P.coeff(n, a + 1)
     u = np.where(n > 0, (P.coeff(n, a + 1) * P.coeff(n, a, 1) - P.coeff(n, a) * P.coeff(n, a + 1, 1))
@@ -466,8 +460,8 @@ def _z_ode(fam, P, m, n):
 def _z_oprep(fam, P, m, n):
     """f_{m,n} against the exponential-of-cross-derivatives representation
     ((-1)^n / n!) z1^(-beta) exp(-d1 d2) z1^(beta+m) z2^n: coefficient i is
-    (-1)^(n+i) / (n! i!) falling(beta + m, i) falling(n, i), each falling
-    factorial one running product (qcalc.falling's order)."""
+    (-1)^(n+i) / (n! i!) (beta + m)(beta + m - 1)...(beta + m - i + 1)
+    n(n - 1)...(n - i + 1), each falling factorial one running product."""
     width = int(n.max()) + 1
     i = np.arange(width)
     sign = np.where((n[:, None] + i) % 2 == 0, 1.0, -1.0)
@@ -1057,7 +1051,10 @@ def identity_ids_for(fam):
 
 
 def _in_domain(domain, m, n):
-    return domain is None or (m - n >= domain[0] and n >= domain[1])
+    """Whether the pairs (m, n) lie in an index domain: a bool for ints, a
+    mask for int arrays."""
+    gap, low = (-math.inf, -math.inf) if domain is None else domain
+    return (m - n >= gap) & (n >= low)
 
 
 def _residuals(fam, builder, m, n, box):
@@ -1095,42 +1092,67 @@ def _worst(derived):
     return worst_res, worst_scale
 
 
-def _report(name, fam, m, n, verdict):
-    """IdentityReport of a verdict under an identity's name: a failing
-    printed variant of a KNOWN_DISCREPANCIES name is flagged, with its note."""
-    known = name in KNOWN_DISCREPANCIES and verdict[4] is False
-    note = KNOWN_DISCREPANCIES[name] if known else ""
-    return IdentityReport(name, fam.tag, m, n, *verdict, known, note)
+def _verdicts(fam, builder, domain, m, n, box, tol):
+    """The verdicts of one builder over those of the pairs (m, n) inside an
+    index domain, gated by ``tol``: {(m, n): (residual, scale, passed,
+    printed residual, printed passed)} in the order of the pairs.  The
+    residual and scale are the worst derived variant's, and the pair passes
+    when every derived variant does; the printed fields are None where no
+    printed form is stated."""
+    keep = _in_domain(domain, m, n)
+    m, n = m[keep], n[keep]
+    derived, printed = _residuals(fam, builder, m, n, box)
+    passed = np.logical_and.reduce([tol.gate(res, scale) for res, scale in derived])
+    columns = [v.tolist() for v in _worst(derived)] + [passed.tolist()]
+    if printed is None:
+        columns += [[None] * len(m)] * 2
+    else:
+        res, scale, stated = printed
+        printed_res, printed_passed = res.tolist(), tol.gate(res, scale).tolist()
+        if stated is not None:
+            printed_res = [r if s else None for r, s in zip(printed_res, stated.tolist())]
+            printed_passed = [p if s else None for p, s in zip(printed_passed, stated.tolist())]
+        columns += [printed_res, printed_passed]
+    return dict(zip(zip(m.tolist(), n.tolist()), zip(*columns)))
 
 
-# check_identity runs a builder over the domain pairs of the TILE x TILE
-# block holding (m, n) and keeps the residuals of the last few blocks
+def _reports(name, fam, verdicts):
+    """The IdentityReports of {(m, n): verdict} under an identity's name, in
+    its order.  A failing printed variant of a KNOWN_DISCREPANCIES name is
+    flagged, with its note, when its residual is finite; a non-finite one
+    is a breakdown of the printed form, not its typo, and is noted as such."""
+    tag = fam.tag
+    if name not in KNOWN_DISCREPANCIES:
+        return [IdentityReport(name, tag, m, n, *verdict) for (m, n), verdict in verdicts.items()]
+    typo = KNOWN_DISCREPANCIES[name]
+    reports = []
+    for (m, n), verdict in verdicts.items():
+        printed_res, printed_passed = verdict[3:]
+        if printed_passed is not False:
+            known, note = False, ""
+        elif math.isfinite(printed_res):
+            known, note = True, typo
+        else:
+            known, note = False, f"printed form breaks down: residual {printed_res}"
+        reports.append(IdentityReport(name, tag, m, n, *verdict, known, note))
+    return reports
+
+
+# check_identity reads the verdicts of a builder over the domain pairs of
+# the TILE x TILE block holding (m, n), and keeps those of the last few
+# blocks
 TILE = 16
 TILE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=TILE_CACHE_SIZE)
-def _tile(fam, builder, domain, tm, tn):
-    """The residuals of one builder over the domain pairs of tile (tm, tn),
-    as lists: (row of each (m, n), derived (residual, scale) lists, worst
-    residual, worst scale, printed (residual, scale, stated) lists or
-    None)."""
+def _tile(fam, builder, domain, tm, tn, tol):
+    """The verdicts of one builder over the domain pairs of tile (tm, tn),
+    gated by ``tol``."""
     m0, n0 = tm * TILE, tn * TILE
     m, n = np.divmod(np.arange(TILE * TILE), TILE)
-    m, n = m + m0, n + n0
-    if domain is not None:
-        keep = (m - n >= domain[0]) & (n >= domain[1])
-        m, n = m[keep], n[keep]
     box = (max(m0 - 1, 0), m0 + TILE, max(n0 - 1, 0), n0 + TILE)
-    derived, printed = _residuals(fam, builder, m, n, box)
-    rows = dict(zip(zip(m.tolist(), n.tolist()), range(len(m))))
-    worst = [v.tolist() for v in _worst(derived)]
-    derived = [(res.tolist(), scale.tolist()) for res, scale in derived]
-    if printed is not None:
-        res, scale, stated = printed
-        stated = [True] * len(m) if stated is None else stated.tolist()
-        printed = (res.tolist(), scale.tolist(), stated)
-    return rows, derived, worst[0], worst[1], printed
+    return _verdicts(fam, builder, domain, m + m0, n + n0, box, tol)
 
 
 def check_identity(fam, name, m, n, tol=None):
@@ -1141,10 +1163,10 @@ def check_identity(fam, name, m, n, tol=None):
     flagged as a known discrepancy rather than an error.  An unknown name
     raises KeyError; a family the identity does not apply to, or a pair
     outside its index domain, raises IdentityRangeError before any table is
-    built, and a negative index ValueError.  The residuals come from one
-    batch over the domain pairs of the TILE x TILE block holding (m, n),
-    the same rows sweep reads, and the last TILE_CACHE_SIZE blocks are
-    kept; the gate is applied per call.
+    built, and a negative index ValueError.  The verdict is a row of those
+    over the domain pairs of the TILE x TILE block holding (m, n), formed
+    as sweep forms its own; the last TILE_CACHE_SIZE blocks are kept, per
+    tolerance.
     """
     if tol is None:
         tol = Tolerance()
@@ -1157,17 +1179,8 @@ def check_identity(fam, name, m, n, tol=None):
         raise IdentityRangeError("index outside identity range")
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    rows, derived, worst_res, worst_scale, printed = _tile(fam, builder, domain,
-                                                          m // TILE, n // TILE)
-    row = rows[(m, n)]
-    passes = tol.passes
-    passed = all(passes(res[row], scale[row]) for res, scale in derived)
-    printed_res = printed_passed = None
-    if printed is not None and printed[2][row]:
-        printed_res = printed[0][row]
-        printed_passed = passes(printed_res, printed[1][row])
-    verdict = (worst_res[row], worst_scale[row], passed, printed_res, printed_passed)
-    return _report(name, fam, m, n, verdict)
+    verdict = _tile(fam, builder, domain, m // TILE, n // TILE, tol)[(m, n)]
+    return _reports(name, fam, {(m, n): verdict})[0]
 
 
 def sweep(fam, names=None, max_mn=6, tol=None):
@@ -1185,38 +1198,16 @@ def sweep(fam, names=None, max_mn=6, tol=None):
         raise IdentityRangeError(f"unknown identity ids for family {fam.tag}: {', '.join(foreign)}")
     if max_mn < 0:
         raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
-    m_all, n_all = np.divmod(np.arange((max_mn + 1) ** 2), max_mn + 1)
+    m, n = np.divmod(np.arange((max_mn + 1) ** 2), max_mn + 1)
     box = (0, max_mn + 1, 0, max_mn + 1)
-    verdicts = {}  # (builder, domain) -> (pairs, verdict per pair)
+    verdicts = {}  # (builder, domain) -> {(m, n): verdict}
     reports = []
     for name in names:
         _, builder, domain = IDENTITIES[name]
         key = builder, domain
         if key not in verdicts:
-            m, n = m_all, n_all
-            if domain is not None:
-                keep = (m - n >= domain[0]) & (n >= domain[1])
-                m, n = m[keep], n[keep]
-            derived, printed = _residuals(fam, builder, m, n, box)
-            passed = np.logical_and.reduce([tol.gate(res, scale) for res, scale in derived])
-            columns = [v.tolist() for v in _worst(derived)] + [passed.tolist()]
-            if printed is None:
-                columns += [[None] * len(m)] * 2
-            else:
-                res, scale, stated = printed
-                printed_res, printed_passed = res.tolist(), tol.gate(res, scale).tolist()
-                if stated is not None:
-                    printed_res = [r if s else None for r, s in zip(printed_res, stated.tolist())]
-                    printed_passed = [p if s else None for p, s in zip(printed_passed, stated.tolist())]
-                columns += [printed_res, printed_passed]
-            verdicts[key] = (list(zip(m.tolist(), n.tolist())), list(zip(*columns)))
-        pairs, rows = verdicts[key]
-        if name in KNOWN_DISCREPANCIES:
-            reports += [_report(name, fam, m, n, verdict) for (m, n), verdict in zip(pairs, rows)]
-        else:
-            tag = fam.tag
-            reports += [IdentityReport(name, tag, m, n, *verdict)
-                        for (m, n), verdict in zip(pairs, rows)]
+            verdicts[key] = _verdicts(fam, builder, domain, m, n, box, tol)
+        reports += _reports(name, fam, verdicts[key])
     return reports
 
 

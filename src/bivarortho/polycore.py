@@ -227,12 +227,8 @@ class Tolerance:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
 
-    def passes(self, res, scale):
-        return math.isfinite(res) and (res <= self.abs_tol
-                                       or res <= self.rel_tol * max(scale, 1.0))
-
     def gate(self, res, scale):
-        """``passes`` over arrays of residuals and scales, entry by entry."""
+        """The verdicts on arrays of residuals and scales, entry by entry."""
         return np.isfinite(res) & ((res <= self.abs_tol)
                                    | (res <= self.rel_tol * np.maximum(scale, 1.0)))
 

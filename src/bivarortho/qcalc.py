@@ -1,4 +1,4 @@
-"""Pochhammer symbols, q-Pochhammer symbols and q-numbers.
+"""Pochhammer and q-Pochhammer symbols.
 
 All routines are plain scalar helpers used by the radial and bivariate
 construction code.  Infinite q-products are truncated with a certified
@@ -33,14 +33,6 @@ def pochhammer(a, n):
     out = 1.0
     for k in range(n):
         out *= a + k
-    return out
-
-
-def falling(a, n):
-    """Falling factorial a (a-1) ... (a-n+1)."""
-    out = 1.0
-    for k in range(n):
-        out *= a - k
     return out
 
 
@@ -106,7 +98,3 @@ def qproduct_terms(a, q):
         k -= 1
     return k
 
-
-def qnumber(alpha, q):
-    """q-number [alpha]_q = (1 - q^alpha) / (1 - q)."""
-    return (1.0 - q ** alpha) / (1.0 - q)

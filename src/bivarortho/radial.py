@@ -28,9 +28,8 @@ bilateral q-Laguerre lattice, and for wall and little q-Jacobi the
 terminating Newton form of their 2phi1 on the nodes of lattice_points),
 the norms (norms, the one home of every family's closed form: one row
 per alpha to its own degree, the q families' in one array pass; zeta
-reads one entry), the alpha-raising connection machinery, and zeros as the
-eigenvalues of the symmetric Jacobi matrix (numpy.linalg.eigvalsh), the
-path of the Gauss nodes too.
+reads one entry), and zeros as the eigenvalues of the symmetric Jacobi
+matrix (numpy.linalg.eigvalsh), the path of the Gauss nodes too.
 """
 
 import math
@@ -41,9 +40,9 @@ import numpy as np
 
 from .qcalc import pochhammer, qpochhammer_prefix, qproduct_terms
 
-# Entries kept by the table caches (radial_coeffs here, bivariate.construct);
-# enough for one family's whole m, n <= 15 working set, including the
-# raised and lowered neighbour tables the identity catalog reaches for.
+# Entries kept by the radial_coeffs cache; enough for one family's whole
+# m, n <= 15 working set, including the raised and lowered neighbour tables
+# the identity catalog reaches for.
 TABLE_CACHE_SIZE = 1024
 
 
@@ -284,22 +283,6 @@ def measure_mass(fam, alpha):
     return zeta(fam, 0, alpha) / c00 ** 2
 
 
-def shift_a(fam, n, alpha):
-    """Coefficient a_n(alpha) in phi_n(x; alpha) - a_n phi_n(x; alpha+1)
-    = b_n phi_{n-1}(x; alpha+1)."""
-    return float(radial_coeffs(fam, n, alpha)[0] / radial_coeffs(fam, n, alpha + 1)[0])
-
-
-def shift_b(fam, n, alpha):
-    """Coefficient b_n(alpha) of the alpha-raising relation; b_0 = 0."""
-    if n == 0:
-        return 0.0
-    cn_a = radial_coeffs(fam, n, alpha)
-    cn_a1 = radial_coeffs(fam, n, alpha + 1)
-    c0nm1_a1 = radial_coeffs(fam, n - 1, alpha + 1)[0]
-    return float((cn_a1[0] * cn_a[1] - cn_a[0] * cn_a1[1]) / (c0nm1_a1 * cn_a1[0]))
-
-
 def recurrence(fam, alpha, npts):
     """Monic three-term recurrence x p_n = p_{n+1} + A_n p_n + B_n p_{n-1},
     n = 0..npts-1, of p_n = phi_n(x; alpha) / c_0(n, alpha).
@@ -310,11 +293,14 @@ def recurrence(fam, alpha, npts):
     q-Laguerre 14.21.  Returns (A, B) in np.longdouble with B_0 = 0; the
     removable 0/0 of the Jacobi forms at n = 0, 1 (alpha+beta+gamma = 0,
     -1) and of the little q-Jacobi forms at n = 0 (ab = 1 or abq = 1) are
-    set from their cancelled limits.  For the q families ``alpha`` may be a
-    1-D array; A and B then hold one row per entry, each equal to its
-    one-alpha recurrence bit for bit.
+    set from their cancelled limits.  ``alpha`` may be a 1-D array; A and
+    B then hold one row per entry, each equal to its one-alpha recurrence
+    bit for bit.
     """
     n = np.arange(npts, dtype=np.longdouble)
+    # a float column for an array alpha; a one-entry axis, which the
+    # products over n absorb, for a number
+    alpha = np.asarray(alpha, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam.kind == "laguerre":
             a = alpha + fam.beta
@@ -327,14 +313,15 @@ def recurrence(fam, alpha, npts):
             s = 2 * n + t
             A = (1 - (b - g) * t / (s * (s + 2))) / 2
             B = n * (n + g) * (n + b) * (n + t) / (s * s * (s + 1) * (s - 1))
-            A[0] = (1 - (b - g) / (t + 2)) / 2
-            B[1:2] = (1 + g) * (1 + b) / ((t + 2) ** 2 * (t + 3))
+            A[..., 0] = ((1 - (b - g) / (t + 2)) / 2)[..., 0]
+            # (t + 2) ** 2 by Python's float power entry by entry, as a
+            # number alpha takes it: numpy squares, which can round apart
+            square = np.reshape([x ** 2 for x in (t + 2).ravel().tolist()], t.shape)
+            B[..., 1:2] = (1 + g) * (1 + b) / (square * (t + 3))
         elif fam.is_q():
             q = np.longdouble(fam.q)
             qn = q ** n
-            # a column for an array alpha; a one-entry axis, which the
-            # products over n absorb, for a number
-            a = q ** np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[..., None]
+            a = q ** (alpha + fam.beta).astype(np.longdouble)
             if fam.kind == "qlaguerre":
                 A = ((1 - q * qn) + q * (1 - a * qn)) / (a * q * qn * qn)
                 B = q * (1 - qn) * (1 - a * qn) / (a * a * qn ** 4)

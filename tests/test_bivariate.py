@@ -119,7 +119,7 @@ class TestFamilyIds:
 
     def test_id_pickled_under_another_hash_seed_hits_the_cache(self):
         # a str hash differs between processes; an id unpickled here must
-        # hash as one made here, or construct's cache would miss
+        # hash as one made here, or the caches keyed on it would miss
         fam = bv.M(0.5, 0.7)
         script = ("import pickle, sys; from bivarortho import bivariate as bv; "
                   "sys.stdout.write(repr((hash('M'), pickle.dumps(bv.M(0.5, 0.7)).hex())))")
@@ -132,12 +132,12 @@ class TestFamilyIds:
             if their_hash != hash("M"):
                 break
         assert their_hash != hash("M")
-        table = bv.construct(fam, 3, 2)
-        before = bv.construct.cache_info()
+        rad = bv.radial_of(fam)
+        before = bv.radial_of.cache_info()
         loaded = pickle.loads(bytes.fromhex(data))
         assert loaded == fam and hash(loaded) == hash(fam)
-        assert bv.construct(loaded, 3, 2) is table
-        after = bv.construct.cache_info()
+        assert bv.radial_of(loaded) is rad
+        after = bv.radial_of.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
@@ -157,9 +157,6 @@ class TestTableCache:
             for n in range(6):
                 assert bv.construct(fam, m, n) == _uncached_table(fam, m, n)
 
-    def test_repeated_construct_shares_the_table(self):
-        assert bv.construct(bv.M(0.5, 0.7), 4, 2) is bv.construct(bv.M(0.5, 0.7), 4, 2)
-
     @pytest.mark.parametrize("fam", [bv.M(0.5, 0.7), bv.MQ(0.5, 0.7, 0.3)], ids=["M", "MQ"])
     def test_sweep_identical_warm_and_cold(self, fam):
         def verdicts():
@@ -171,15 +168,14 @@ class TestTableCache:
         bv.sweep(fam, None, 4)
         warm = verdicts()
         radial.radial_coeffs.cache_clear()
-        bv.construct.cache_clear()
         bv._cube.cache_clear()
         cold = verdicts()
         assert warm == cold
         assert any(r[-1] is not None for r in cold)
 
     def test_shared_table_unchanged_by_a_sweep(self):
-        # the operators never write into an operand's dict, so a cached
-        # table reads the same after every identity has used it
+        # no sweep writes into the cached radial rows construct reads, so
+        # a table reads the same after every identity has used them
         for fam in FAMILIES:
             bv.sweep(fam, None, 6)
             for m in range(9):
@@ -405,6 +401,40 @@ class TestIdentityCatalog:
         row = [r for r in bv.sweep(fam, [name], 40) if (r.m, r.n) == (40, 3)]
         assert [_report_fields(rep)] == [_report_fields(r) for r in row]
         assert rep.passed
+
+    def test_printed_breakdown_is_not_a_known_discrepancy(self):
+        # q^(n - m - 1) overflows at m - n = 700: the printed residual is not
+        # finite, which is a breakdown of the printed form, not its typo
+        rep = bv.check_identity(bv.MQ(0.5, 0.7, 0.3), "MQ_LADDER2", 700, 0)
+        assert not math.isfinite(rep.printed_residual)
+        assert rep.printed_passed is False and rep.known_discrepancy is False
+        assert rep.note.startswith("printed form breaks down")
+        # a finite printed failure stays the known typo
+        typo = bv.check_identity(bv.MQ(0.5, 0.7, 0.3), "MQ_LADDER2", 5, 2)
+        assert typo.printed_passed is False and typo.known_discrepancy is True
+        assert typo.note == bv.KNOWN_DISCREPANCIES["MQ_LADDER2"]
+
+    def test_far_box_cube_is_sized_by_its_a_span(self):
+        # the box of tile (43, 0), which holds (700, 0): m 687..704 and
+        # n 0..16 reach a = 671..704, the cube's rows and two spare
+        fam = bv.Z(0.5)
+        cube, a0 = bv._cube(fam, 687, 704, 0, 16)
+        assert a0 == 671 and cube.shape == (704 - 671 + 3, 18, 17)
+        rad = bv.radial_of(fam)
+        for m, n in [(687, 16), (700, 0), (704, 16)]:
+            a, k = m - n, n
+            assert cube[a - a0, k, :k + 1].tolist() == radial.radial_coeffs(rad, k, a).tolist()
+
+    def test_tile_cache_keeps_verdicts_per_tolerance(self):
+        # the same tile at two tolerances: the second call gates afresh
+        fam, name = bv.MQ(0.5, 0.7, 0.3), "GEN_DIAG"
+        tight = Tolerance(abs_tol=0.0, rel_tol=1e-300)
+        loose = [bv.check_identity(fam, name, m, n) for m in range(5) for n in range(m + 1)]
+        strict = [bv.check_identity(fam, name, m, n, tol=tight)
+                  for m in range(5) for n in range(m + 1)]
+        swept = bv.sweep(fam, [name], 4, tol=tight)
+        assert [_report_fields(r) for r in strict] == [_report_fields(r) for r in swept]
+        assert all(r.passed for r in loose) and not all(r.passed for r in strict)
 
     def test_negative_index_raises(self):
         # GEN_EIGEN is stated at every pair; a negative index is no pair

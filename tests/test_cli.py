@@ -394,6 +394,22 @@ class TestCheck:
         verdicts = {r["verdict"] for r in payload["rows"]}
         assert verdicts == {"KNOWN_DISCREPANCY"}
 
+    def test_printed_form_breakdown_reads_fail(self, capsys):
+        # at q = 0.01 the printed q^(n - m - 1) of MQ_LADDER2 overflows at
+        # (18, 17): a NaN printed residual is a failure, not the known typo
+        code, out, _ = run(
+            ["check", "--family", "MQ", "--beta", "0.5", "--gamma", "0.7", "--q", "0.01",
+             "--ids", "MQ_LADDER2", "--max-degree", "18", "--printed-form",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 1
+        rows = json.loads(out)["rows"]
+        failed = [r for r in rows if r["verdict"] == "FAIL"]
+        assert [(r["m"], r["n"], r["residual"]) for r in failed] == [(18, 17, "nan")]
+        assert failed[0]["note"].startswith("printed form breaks down")
+        assert {r["verdict"] for r in rows if r is not failed[0]} == {"KNOWN_DISCREPANCY"}
+
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run(
             ["check", "--family", "Z", "--ids", "NOPE"], capsys

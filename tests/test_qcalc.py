@@ -10,9 +10,7 @@ from numpy.testing import assert_allclose
 
 from bivarortho.qcalc import (
     TRUNCATION_EPS,
-    falling,
     pochhammer,
-    qnumber,
     qpochhammer,
     qpochhammer_prefix,
     qproduct_terms,
@@ -126,20 +124,6 @@ class TestPochhammer:
         assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
-class TestFalling:
-    def test_vs_rising(self):
-        # falling(a, n) = (-1)^n (-a)_n
-        for a in (-1.5, 0.0, 2.0, 4.7):
-            for n in range(6):
-                assert_allclose(
-                    falling(a, n), (-1.0) ** n * pochhammer(-a, n), rtol=1e-13
-                )
-
-    def test_integer_termination(self):
-        assert falling(3.0, 4) == 0.0
-        assert falling(3.0, 3) == 6.0
-
-
 class TestQPochhammer:
     def test_finite_direct_product(self):
         q, a = 0.3, 0.7
@@ -206,17 +190,6 @@ class TestQProductTerms:
     def test_needs_q_inside_disc(self):
         with pytest.raises(ValueError):
             qproduct_terms(0.5, -1.0)
-
-
-class TestQNumber:
-    def test_defining_relation(self):
-        for q in (0.3, 0.9):
-            for n in (0, 1, 4, 7):
-                assert_allclose(qnumber(n, q) * (1.0 - q), 1.0 - q ** n, rtol=1e-14)
-
-    def test_classical_limit(self):
-        # [n]_q -> n as q -> 1
-        assert_allclose(qnumber(5, 1.0 - 1e-9), 5.0, rtol=1e-6)
 
 
 def gaussian_binomial(n, k, q):

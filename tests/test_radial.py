@@ -27,17 +27,33 @@ def table_values(fam, n, alpha, x):
     return np.polynomial.polynomial.polyval(x, power_coeffs(fam, n, alpha))
 
 
+def shift_a(fam, n, alpha):
+    """Coefficient a_n(alpha) of the alpha-raising relation
+    phi_n(x; alpha) - a_n phi_n(x; alpha+1) = b_n phi_{n-1}(x; alpha+1)."""
+    return float(radial.radial_coeffs(fam, n, alpha)[0] / radial.radial_coeffs(fam, n, alpha + 1)[0])
+
+
+def shift_b(fam, n, alpha):
+    """Coefficient b_n(alpha) of the alpha-raising relation; b_0 = 0."""
+    if n == 0:
+        return 0.0
+    cn_a = radial.radial_coeffs(fam, n, alpha)
+    cn_a1 = radial.radial_coeffs(fam, n, alpha + 1)
+    c0nm1_a1 = radial.radial_coeffs(fam, n - 1, alpha + 1)[0]
+    return float((cn_a1[0] * cn_a[1] - cn_a[0] * cn_a1[1]) / (c0nm1_a1 * cn_a1[0]))
+
+
 def shift_lambdas(fam, n, alpha):
     """Connection coefficients lambda_j with
     phi_n(x; alpha+1) = sum_j lambda_j(n, alpha) phi_j(x; alpha), from the
     alpha-raising coefficients a_k, b_k."""
     lam = np.zeros(n + 1)
-    lam[n] = 1.0 / radial.shift_a(fam, n, alpha)
+    lam[n] = 1.0 / shift_a(fam, n, alpha)
     for j in range(n - 1, -1, -1):
         prod = 1.0
         for k in range(n - j):
-            prod *= radial.shift_b(fam, n - k, alpha) / radial.shift_a(fam, n - k, alpha)
-        lam[j] = (-1.0) ** (n - j) * prod / radial.shift_a(fam, j, alpha)
+            prod *= shift_b(fam, n - k, alpha) / shift_a(fam, n - k, alpha)
+        lam[j] = (-1.0) ** (n - j) * prod / shift_a(fam, j, alpha)
     return lam
 
 
@@ -53,8 +69,8 @@ def zeta_ratio_product(fam, n, alpha):
     prod = 1.0
     for j in range(n):
         prod *= (
-            radial.shift_b(fam, n - j, alpha + j)
-            * radial.shift_a(fam, n - j - 1, alpha + j)
+            shift_b(fam, n - j, alpha + j)
+            * shift_a(fam, n - j - 1, alpha + j)
             * lead(n - j, alpha + j)
             / lead(n - j - 1, alpha + j)
         )
@@ -391,8 +407,8 @@ class TestShiftMachinery:
         # phi_n(x; alpha) - a_n phi_n(x; alpha+1) = b_n phi_{n-1}(x; alpha+1)
         alpha = 1
         for n in range(1, 5):
-            a = radial.shift_a(fam, n, alpha)
-            b = radial.shift_b(fam, n, alpha)
+            a = shift_a(fam, n, alpha)
+            b = shift_b(fam, n, alpha)
             lhs = power_coeffs(fam, n, alpha) - a * power_coeffs(
                 fam, n, alpha + 1
             )
@@ -412,7 +428,7 @@ class TestShiftMachinery:
         assert_allclose(rebuilt, target, rtol=1e-9, atol=1e-11)
 
     def test_shift_b_vanishes_at_zero(self):
-        assert radial.shift_b(radial.laguerre(0.5), 0, 1) == 0.0
+        assert shift_b(radial.laguerre(0.5), 0, 1) == 0.0
 
 
 def _peel(fam, n, alpha):
@@ -455,6 +471,18 @@ class TestRecurrenceFormulas:
             assert np.max(np.abs(x_pn - rebuilt)) < 1e-10 * np.max(np.abs(x_pn))
             ref_a, ref_b = _peel(fam, n, alpha)
             assert_allclose([float(A[n]), float(B[n])], [ref_a, ref_b], rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS
+    )
+    def test_array_alpha_rows_equal_one_alpha_calls(self, fam):
+        # every kind takes an array of alphas, one row each, bit for bit
+        alphas = [0, 1, 2, 5, 0.5]
+        A, B = radial.recurrence(fam, np.array(alphas), 7)
+        assert A.shape == B.shape == (len(alphas), 7)
+        for row, alpha in enumerate(alphas):
+            a, b = radial.recurrence(fam, alpha, 7)
+            assert A[row].tolist() == a.tolist() and B[row].tolist() == b.tolist(), alpha
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_monic_values_match_tables(self, fam):
