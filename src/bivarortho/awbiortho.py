@@ -18,12 +18,14 @@ theta rule: h_prod forms the product of the real factors
 1 - 2 a q^k x + a^2 q^(2k) with the K of qcalc's certified tail rule, the
 weight numerator is the one product |(e^(2 i theta); q)_inf|^2,
 _node_rows forms all recurrence rows at once, and each Gram, 1D or
-tensor, is one weighted matrix product (L * w) @ R.T of node-value rows,
-compared with the closed-form norms of all its degrees from one array
-pass (_norms).  The finite products (abcd q^(n-1); q)_n of a Gram are
-formed once (_lead_products), for both its norms and the leading
-coefficients of its rows.  A product that leaves the float range as
-q -> 1 fails the Gram with notes that name it (_range_note).
+tensor, is one weighted matrix product (L * w) @ R.T of node-value rows
+in the orthonormal scale of quad.summarize: every row divided by the
+square root of its closed-form norm, from one array pass over all
+degrees (_norms), so the Gram reads the identity.  The finite products
+(abcd q^(n-1); q)_n of a Gram are formed once (_lead_products), for both
+its norms and the leading coefficients of its rows.  A product that
+leaves the float range as q -> 1 fails the Gram with notes that name it
+(_range_note, from the products the Gram formed).
 
 Three tensor pairings are verified: the u/v and p/q systems (k-coupled
 parameter shifts c1 q^(alpha k + beta), d1 q^(gamma k + delta) on the
@@ -37,11 +39,12 @@ known discrepancies.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import radial
+from .polycore import powers
 from .qcalc import qpochhammer, qproduct_terms
 from .quad import summarize
 
@@ -146,7 +149,7 @@ def aw_eval(p, n, x):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     products = _lead_products(p.a, p.b, p.c, p.d, p.q, np.arange(n + 1))
-    vals = _node_rows(p, _check_nodes(x), products)[n] / aw_prefactor(p, n)
+    vals = _node_rows(p, _check_nodes(x), products, np.ones(n + 1))[n] / aw_prefactor(p, n)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -196,12 +199,14 @@ def _weight_numerator(xs, q):
                          qproduct_terms(1.0, q), xs.size)
 
 
-def _theta_weight(p, x):
+def _theta_weight(p, xs):
     """Askey-Wilson weight w(x; a, b, c, d | q) times sin(theta), i.e.
-    with its 1/sqrt(1-x^2) factor removed analytically."""
-    return _weight_numerator(x, p.q) / (
-        h_prod(x, p.a, p.q) * h_prod(x, p.b, p.q) * h_prod(x, p.c, p.q) * h_prod(x, p.d, p.q)
-    )
+    with its 1/sqrt(1-x^2) factor removed analytically, at the nodes
+    ``xs``; and the products it is formed from, which _range_note reads:
+    the weight numerator and h(x, a)..h(x, d) by parameter name."""
+    numerator = _weight_numerator(xs, p.q)
+    hs = {name: h_prod(xs, getattr(p, name), p.q) for name in "abcd"}
+    return numerator / (hs["a"] * hs["b"] * hs["c"] * hs["d"]), numerator, hs
 
 
 def aw_norm(p, n):
@@ -213,7 +218,7 @@ def aw_norm(p, n):
         raise ValueError("degree must be nonnegative")
     n = np.array([n])
     products = _lead_products(p.a, p.b, p.c, p.d, p.q, n)
-    return float(_norms(p.a, p.b, p.c, p.d, p.q, n, products)[0])
+    return float(_norms(p.a, p.b, p.c, p.d, p.q, n, products, _q_tails(p.q, n))[0])
 
 
 def _qpochhammer(starts, q, n=None):
@@ -258,34 +263,30 @@ def _q_tails(q, n):
     return np.cumprod(factors)[::-1][n]
 
 
-def _powers(q, top):
-    """q^m for m = -1..top - 1 as Python powers, the same at every size."""
-    return np.array([q ** m for m in range(-1, top)])
-
-
 def _lead_products(a, b, c, d, q, n):
     """(abcd q^(n-1); q)_n for every degree in the integer array ``n``, the
     parameters a..d floats or arrays broadcast against it, in one
     _qpochhammer pass: the finite product of the norms (_norms) and, times
     2^n, the leading coefficients of the rows (_node_rows), so that a Gram
     forms it once for both."""
-    return _qpochhammer(a * b * c * d * _powers(q, int(np.max(n, initial=0)))[n], q, n)
+    qpow = powers(q, range(-1, int(np.max(n, initial=0))))  # q^(i-1) at entry i
+    return _qpochhammer(a * b * c * d * qpow[n], q, n)
 
 
-def _norms(a, b, c, d, q, n, products):
+def _norms(a, b, c, d, q, n, products, tails):
     """aw_norm of every degree in the integer array ``n``, the parameters
     a..d floats or arrays broadcast against it, given their
-    _lead_products: (q^(n+1); q)_inf from _q_tails, and the other seven
-    infinite q-products in one _qpochhammer pass over their stacked
+    _lead_products and their (q^(n+1); q)_inf from _q_tails: the other
+    seven infinite q-products in one _qpochhammer pass over their stacked
     starting values."""
-    qpow = _powers(q, 2 * int(n.max(initial=0)) + 2)
+    qpow = powers(q, range(-1, 2 * int(n.max(initial=0)) + 2))  # q^(i-1) at entry i
     qn = qpow[n + 1]
     abcd = a * b * c * d
     starts = np.stack((abcd * qpow[2 * n + 1],
                        a * b * qn, a * c * qn, a * d * qn, b * c * qn, b * d * qn, c * d * qn))
     inf = _qpochhammer(starts, q)
     num = 2.0 * math.pi * inf[0] * products
-    den = _q_tails(q, n) * inf[1] * inf[2] * inf[3] * inf[4] * inf[5] * inf[6]
+    den = tails * inf[1] * inf[2] * inf[3] * inf[4] * inf[5] * inf[6]
     return num / den
 
 
@@ -416,63 +417,75 @@ def _recurrence(p, npts):
     return A, np.concatenate(([0], up[:-1] * down[1:])) / 4
 
 
-def _node_rows(p, xs, products):
+def _node_rows(p, xs, products, norms):
     """Rows p_0(xs)..p_N(xs), N = len(products) - 1, of the symmetric
     polynomials p_n = aw_prefactor(p, n) 4phi3, which the closed-form norms
-    refer to: the recurrence rows times their leading coefficients
-    2^n (abcd q^(n-1); q)_n, with ``products`` the _lead_products of p at
-    degrees 0..N."""
+    refer to, divided by the square roots of ``norms`` (the Grams pass
+    theirs, for the orthonormal scale): the recurrence rows times their
+    leading coefficients 2^n (abcd q^(n-1); q)_n, with ``products`` the
+    _lead_products of p at degrees 0..N."""
     n = np.arange(len(products))
     A, B = _recurrence(p, len(n))
-    return ((2.0 ** n * products)[:, None] * radial.monic_values(A, B, xs)).astype(float)
+    lead = 2.0 ** n * products / np.sqrt(norms)
+    return (lead[:, None] * radial.monic_values(A, B, xs)).astype(float)
 
 
 def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1e-7):
-    """Gram matrix of p_0..p_degree_cap against the Askey-Wilson weight,
-    integrated in theta so sin(theta) cancels the endpoint singularity:
-    one weighted product (V * w) @ V.T of the node-value rows V.  The theta
-    rule has ``theta_nodes`` nodes, by default the _theta_node_count of
-    a, b, c, d, q and the cap; the result states the count."""
+    """Gram matrix of p_0..p_degree_cap against the Askey-Wilson weight in
+    the orthonormal scale (_gram_block).  The theta rule has
+    ``theta_nodes`` nodes, by default the _theta_node_count of a, b, c, d,
+    q and the cap; the result states the count."""
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     if theta_nodes is None:
         theta_nodes = _theta_node_count((p.a, p.b, p.c, p.d), p.q, degree_cap)
     thetas, wts = _theta_rule(theta_nodes)
-    xs = np.cos(thetas)
     degrees = np.arange(degree_cap + 1)
-    # an infinite q-product out of the float range propagates to a
-    # non-finite error, which _range_note then names
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        products = _lead_products(p.a, p.b, p.c, p.d, p.q, degrees)
-        vals = _node_rows(p, xs, products)
-        gram = (vals * (wts * _theta_weight(p, xs))) @ vals.T
-        ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees, products)
+    gram, ref, note = _gram_block(p, np.cos(thetas), wts, degrees)
     result = summarize([(degrees.tolist(), gram, ref)], offdiag_tol, diag_rel_tol,
                        theta_nodes=theta_nodes)
-    if not math.isfinite(result.max_diag_relerr):
-        result.notes = _range_note(p, xs, degrees)
+    if not result.passed:
+        result.notes = note()
     return result
 
 
-def _range_note(p, xs, degrees):
-    """The infinite q-products of the Gram of p that have left the float
+def _gram_block(p, xs, wts, degrees):
+    """The Gram of p_n, n in ``degrees``, over the theta rule (xs, wts),
+    integrated in theta so sin(theta) cancels the endpoint singularity:
+    one weighted product (V * w) @ V.T of the node-value rows V, each
+    divided by the square root of its closed-form norm h_n, so that it
+    reads the identity up to rounding.  Returns it, the norms, and a call
+    that gives the _range_note of the products it formed: an infinite
+    q-product out of the float range propagates, without a warning, to a
+    failed Gram, which the note then names."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tails = _q_tails(p.q, degrees)
+        products = _lead_products(p.a, p.b, p.c, p.d, p.q, degrees)
+        ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees, products, tails)
+        vals = _node_rows(p, xs, products, ref)
+        weight, numerator, hs = _theta_weight(p, xs)
+        gram = (vals * (wts * weight)) @ vals.T
+    return gram, ref, partial(_range_note, p.q, numerator, hs, tails, degrees)
+
+
+def _range_note(q, numerator, hs, tails, degrees):
+    """The infinite q-products a Gram at q formed that have left the float
     range, as a note, or "" when none has: as q -> 1 the weight numerator
     |(e^(2 i theta); q)_inf|^2 overflows at some nodes, an h-factor of the
-    denominator can overflow or underflow, and (q^(n+1); q)_inf of the
-    norms underflows to 0 (at q = 0.999: 1e-714)."""
+    denominator (``hs``, the products h(x, .) of each parameter by name) can
+    overflow or underflow, and (q^(n+1); q)_inf of the norms at the
+    degrees ``degrees`` (``tails``) underflows to 0 (at q = 0.999:
+    1e-714)."""
     out = []
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(_weight_numerator(xs, p.q))):
-            out.append("the weight numerator |(e^(2 i theta); q)_inf|^2 overflows")
-        for name in "abcd":
-            h = h_prod(xs, getattr(p, name), p.q)
-            if not np.all((h > 0.0) & (h < np.inf)):
-                out.append(f"h(x, {name}) leaves the float range")
-        tails = _q_tails(p.q, degrees)
+    if not np.all(np.isfinite(numerator)):
+        out.append("the weight numerator |(e^(2 i theta); q)_inf|^2 overflows")
+    for name, h in hs.items():
+        if not np.all((h > 0.0) & (h < np.inf)):
+            out.append(f"h(x, {name}) leaves the float range")
     if np.any(tails == 0.0):
         n = degrees[np.argmax(tails == 0.0)]
         out.append(f"(q^(n+1); q)_inf of the norms underflows to 0 from degree {n}")
-    return f"at q = {p.q}: " + "; ".join(out) if out else ""
+    return f"at q = {q}: " + "; ".join(out) if out else ""
 
 
 def _x_params(tp, mode, k):
@@ -549,7 +562,10 @@ def tensor_biortho_check(
     Both integrals are weighted matrix products over the theta rule: the
     x-block is (L * w) @ R.T with one row of node values per index (j, k),
     each row divided by that member's h- or half h-factor, and entry
-    ((j, k), (m, n)) is its real product with y-entry (k, n).
+    ((j, k), (m, n)) is its real product with y-entry (k, n).  Every row is
+    divided by the square root of its closed-form norm (the first-block
+    norm at the shifted parameters of k, and the second-block norm), so the
+    entries are in the orthonormal scale of quad.summarize.
 
     Both share one theta rule of ``theta_nodes`` nodes, by default the
     larger _theta_node_count of the two integrands (the x-entries' h-factors
@@ -578,48 +594,49 @@ def tensor_biortho_check(
                           _theta_node_count((p2.a, p2.b, p2.c, p2.d), p2.q, index_cap))
     thetas, wts = _theta_rule(theta_nodes)
     xs = np.cos(thetas)
-    # an infinite q-product out of the float range propagates to a
-    # non-finite error, which _range_note then names for each block
+    # rows ordered like ``indices``: row j * cap + k is the degree-j
+    # polynomial at coupling index k
+    indices = [(j, k) for j in range(cap) for k in range(cap)]
+    js, ks = np.divmod(np.arange(cap * cap), cap)
+    # an infinite q-product out of the float range propagates to a failed
+    # check, which _range_note then names for each block
+    y_int, y_ref, y_note = _gram_block(p2, xs, wts, np.arange(cap))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y_degrees = np.arange(cap)
-        y_products = _lead_products(p2.a, p2.b, p2.c, p2.d, p2.q, y_degrees)
-        yvals = _node_rows(p2, xs, y_products)
-        y_int = (yvals * (wts * _theta_weight(p2, xs))) @ yvals.T
-
-        wx = wts * _weight_numerator(xs, q) / (h_prod(xs, p1.a, q) * h_prod(xs, p1.b, q))
-        if mode != "pq":
-            wx = wx / h_prod(xs, p1.c, q)
-
-        # rows ordered like ``indices``: row j * cap + k is the degree-j
-        # polynomial at coupling index k
-        indices = [(j, k) for j in range(cap) for k in range(cap)]
-        js, ks = np.divmod(np.arange(cap * cap), cap)
         # the first-block parameters of every index: c1 shifted by k in pq
         c1_at = np.array(c1s)[ks] if mode == "pq" else p1.c
         d1_at = np.array(d1s)[ks]
+        x_tails = _q_tails(q, js)
         x_products = _lead_products(p1.a, p1.b, c1_at, d1_at, q, js)
-        xvals = np.array([_node_rows(_x_params(tp, mode, k), xs, x_products[k::cap])
-                          for k in range(cap)])
+        # tensor_diag_ref of every index over the second-block norm of
+        # degree k: the first-block norms at the shifted parameters of k
+        x_ref = _norms(p1.a, p1.b, c1_at, d1_at, q, js, x_products, x_tails)
+        xvals = np.array([_node_rows(_x_params(tp, mode, k), xs, x_products[k::cap],
+                                     x_ref[k::cap]) for k in range(cap)])
         left = xvals.transpose(1, 0, 2).reshape(cap * cap, -1)
         right = left
+
+        x_numerator = _weight_numerator(xs, q)
+        x_hs = {"a": h_prod(xs, p1.a, q), "b": h_prod(xs, p1.b, q)}
+        wx = wts * x_numerator / (x_hs["a"] * x_hs["b"])
+        if mode == "pq":
+            x_hs["c"] = np.array([h_prod(xs, c1, q) for c1 in c1s])
+            left = left / x_hs["c"][ks]
+        else:
+            x_hs["c"] = h_prod(xs, p1.c, q)
+            wx = wx / x_hs["c"]
         if mode == "self":
             eits = np.exp(1j * thetas)
             half_h = np.array([_half_h(d1, eits, q) for d1 in d1s])
+            x_hs["d"] = np.abs(half_h) ** 2
             left = left / half_h[ks]
             right = right / np.conj(half_h[ks])
         else:
-            right = right / np.array([h_prod(xs, d1, q) for d1 in d1s])[ks]
-            if mode == "pq":
-                left = left / np.array([h_prod(xs, c1, q) for c1 in c1s])[ks]
+            x_hs["d"] = np.array([h_prod(xs, d1, q) for d1 in d1s])
+            right = right / x_hs["d"][ks]
         vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
-        # tensor_diag_ref of every index: the first-block norms at the
-        # shifted parameters of their k, times the second-block norm of
-        # degree k
-        ref = (_norms(p1.a, p1.b, c1_at, d1_at, q, js, x_products)
-               * _norms(p2.a, p2.b, p2.c, p2.d, p2.q, y_degrees, y_products)[ks])
-    result = summarize([(indices, vals, ref)], offdiag_tol, diag_rel_tol, notes=mode,
-                       theta_nodes=theta_nodes)
-    if not math.isfinite(result.max_diag_relerr):
-        notes = [_range_note(p, xs, np.arange(cap)) for p in (p1, p2)]
+    result = summarize([(indices, vals, x_ref * y_ref[ks])], offdiag_tol, diag_rel_tol,
+                       notes=mode, theta_nodes=theta_nodes)
+    if not result.passed:
+        notes = [_range_note(q, x_numerator, x_hs, x_tails, js), y_note()]
         result.notes = "; ".join([mode] + [note for note in notes if note])
     return result

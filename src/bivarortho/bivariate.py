@@ -42,7 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import radial
-from .polycore import BivariatePoly, DiagFactor, DiagTables, Tolerance, identity_residual, pack, safe_power
+from .polycore import (BivariatePoly, DiagFactor, DiagTables, Tolerance, identity_residual, pack,
+                       powers)
 from .qcalc import pochhammer
 
 # identities whose printed variant is expected to fail (suspected typos);
@@ -159,11 +160,12 @@ def construct(fam, m, n):
 
 
 def harmonic_scale(fam, nmax):
-    """Factors of the radial rows phi_0..phi_nmax of a family: H rescales
-    phi_k by (-1)^k k!; None for the others."""
+    """Factors of the radial rows phi_0..phi_nmax of a family, as exact
+    ints, which the Gram's np.longdouble norms square past the float range:
+    H rescales phi_k by (-1)^k k!; None for the others."""
     if fam.tag != "H":
         return None
-    return [(-1.0) ** k * math.factorial(k) for k in range(nmax + 1)]
+    return [(-1) ** k * math.factorial(k) for k in range(nmax + 1)]
 
 
 def values(fam, m, n, z1, z2):
@@ -208,19 +210,9 @@ class IdentityReport:
     passed: bool
     printed_residual: float = None
     printed_passed: bool = None
+    printed_scale: float = None
     known_discrepancy: bool = False
     note: str = ""
-
-
-def _pow(base, e):
-    """base ** e for every entry of an exponent array, by Python's float
-    power as the scalar formulas take it; inf where it overflows or divides
-    by zero, NaN where it leaves the reals."""
-    exps = e.tolist()
-    try:
-        return np.array([base ** x for x in exps], dtype=float)
-    except (OverflowError, ZeroDivisionError, TypeError):
-        return np.array([safe_power(base, x) for x in exps])
 
 
 # a family's cube and its raised and lowered neighbours' serve one sweep
@@ -326,8 +318,8 @@ def _gen_eigen(fam, P, m, n):
 def _gen_eigen_q(fam, P, m, n):
     q = fam.q
     f = P.f(0, 0)
-    lhs = f.diff_qtheta(1, q) - _pow(q, m - n) * f.diff_qtheta(2, q)
-    rhs = (1.0 - _pow(q, m - n)) / (1.0 - q) * f  # the q-number [m - n]_q
+    lhs = f.diff_qtheta(1, q) - powers(q, m - n) * f.diff_qtheta(2, q)
+    rhs = (1.0 - powers(q, m - n)) / (1.0 - q) * f  # the q-number [m - n]_q
     return [("derived", lhs, rhs)]
 
 
@@ -596,9 +588,9 @@ def _m_ladder4(fam, P, m, n):
 
 def _zq_rr1(fam, P, m, n):
     b, q = fam.beta, fam.q
-    lhs = _pow(q, m + 1 + b) * _Z2 * P.f(1, 0)
-    rhs = -(1.0 - _pow(q, n + 1)) * P.f(1, 1) + (
-        1.0 - _pow(q, m + b + 1)
+    lhs = powers(q, m + 1 + b) * _Z2 * P.f(1, 0)
+    rhs = -(1.0 - powers(q, n + 1)) * P.f(1, 1) + (
+        1.0 - powers(q, m + b + 1)
     ) * P.f(0, 0)
     return [("derived", lhs, rhs)]
 
@@ -606,17 +598,17 @@ def _zq_rr1(fam, P, m, n):
 def _zq_rr2(fam, P, m, n):
     q = fam.q
     rhs = P.f(1, 0) - P.f(0, -1)
-    derived_lhs = _pow(q, n) * _Z1 * P.f(0, 0)
-    printed_lhs = _pow(q, n) * _Z1 * P.f(0, 1)
+    derived_lhs = powers(q, n) * _Z1 * P.f(0, 0)
+    printed_lhs = powers(q, n) * _Z1 * P.f(0, 1)
     return [("derived", derived_lhs, rhs), ("printed", printed_lhs, rhs)]
 
 
 def _zq_diag(fam, P, m, n):
     b, q = fam.beta, fam.q
-    coeff = 1.0 + q * (1.0 - _pow(q, n) - _pow(q, m + b))
-    lhs = (coeff - _pow(q, b + m + n + 1) * _X) * P.f(0, 0)
-    rhs = (1.0 - _pow(q, 1 + n)) * P.f(1, 1) + q * (
-        1.0 - _pow(q, b + m)
+    coeff = 1.0 + q * (1.0 - powers(q, n) - powers(q, m + b))
+    lhs = (coeff - powers(q, b + m + n + 1) * _X) * P.f(0, 0)
+    rhs = (1.0 - powers(q, 1 + n)) * P.f(1, 1) + q * (
+        1.0 - powers(q, b + m)
     ) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
@@ -627,9 +619,9 @@ def _zq_qde1(fam, P, m, n):
     t2 = f.diff_qtheta(2, q)
     lhs = (
         (1.0 - q) ** 2 * (1.0 + q * _X) * t2.diff_qtheta(2, q)
-        + (1.0 - q) * (_pow(q, n - m - b) - 1.0 - (2.0 - _pow(q, n)) * q * _X) * t2
+        + (1.0 - q) * (powers(q, n - m - b) - 1.0 - (2.0 - powers(q, n)) * q * _X) * t2
     )
-    rhs = -q * (1.0 - _pow(q, n)) * _X * f
+    rhs = -q * (1.0 - powers(q, n)) * _X * f
     return [("derived", lhs, rhs)]
 
 
@@ -638,18 +630,18 @@ def _zq_qde2(fam, P, m, n):
     f = P.f(0, 0)
     al = b + m - n
     nu = m - n
-    derived_lhs = (_ONE + q * _X) * f.dilate(1, q * q) - _pow(q, nu) * (
-        (1.0 + _pow(q, -al)) * _ONE + _pow(q, n + 1) * _X
+    derived_lhs = (_ONE + q * _X) * f.dilate(1, q * q) - powers(q, nu) * (
+        (1.0 + powers(q, -al)) * _ONE + powers(q, n + 1) * _X
     ) * f.dilate(1, q)
-    derived_rhs = -(_pow(q, 2 * nu)) * _pow(q, -al) * f
+    derived_rhs = -(powers(q, 2 * nu)) * powers(q, -al) * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
         (1.0 - q) ** 2 * (1.0 + q * _X) * t1.diff_qtheta(1, q)
         - (1.0 - q)
-        * (1.0 - _pow(q, b + m - n) + (2.0 - _pow(q, b + m + 1)) * q * _X)
+        * (1.0 - powers(q, b + m - n) + (2.0 - powers(q, b + m + 1)) * q * _X)
         * t1
     )
-    printed_rhs = -q * (1.0 - _pow(q, b + m)) * _X * f
+    printed_rhs = -q * (1.0 - powers(q, b + m)) * _X * f
     return [
         ("derived", derived_lhs, derived_rhs),
         ("printed", printed_lhs, printed_rhs),
@@ -660,8 +652,8 @@ def _zq_lad19(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
     down = P.f(0, -1).dilate(1, q)
-    lhs = _pow(q, m - n) * f - f.dilate(1, q)
-    rhs = -(_pow(q, b + m - n)) * _Z2 * down
+    lhs = powers(q, m - n) * f - f.dilate(1, q)
+    rhs = -(powers(q, b + m - n)) * _Z2 * down
     return [("derived", lhs, rhs)]
 
 
@@ -686,15 +678,15 @@ def _zq_lad23(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
     lhs = f - q ** b * (1.0 + _X) * f.dilate(1, q)
-    rhs = (1.0 - _pow(q, n + 1)) * _Z1 * P.f(0, 1)
+    rhs = (1.0 - powers(q, n + 1)) * _Z1 * P.f(0, 1)
     return [("derived", lhs, rhs)]
 
 
 def _zq_lad24(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
-    lhs = f - _pow(q, b + m - n) * (1.0 + _X) * f.dilate(2, q)
-    rhs = (1.0 - _pow(q, n + 1)) * _Z1 * P.f(0, 1)
+    lhs = f - powers(q, b + m - n) * (1.0 + _X) * f.dilate(2, q)
+    rhs = (1.0 - powers(q, n + 1)) * _Z1 * P.f(0, 1)
     return [("derived", lhs, rhs)]
 
 
@@ -705,8 +697,8 @@ def _wall_rr1(fam, P, m, n):
     b, q = fam.beta, fam.q
     lhs = _Z2 * P.f(1, 0)
     rhs = (
-        _pow(q, n)
-        * (1.0 - _pow(q, m - n + b + 1))
+        powers(q, n)
+        * (1.0 - powers(q, m - n + b + 1))
         * (P.f(0, 0) - P.f(1, 1))
     )
     return [("derived", lhs, rhs)]
@@ -714,20 +706,20 @@ def _wall_rr1(fam, P, m, n):
 
 def _wall_rr2(fam, P, m, n):
     b, q = fam.beta, fam.q
-    lhs = (1.0 - _pow(q, m - n + b + 1)) * _Z1 * P.f(0, 0)
-    rhs = (1.0 - _pow(q, m + b + 1)) * P.f(1, 0) - _pow(q, m - n + b + 1) * (
-        1.0 - _pow(q, n)
+    lhs = (1.0 - powers(q, m - n + b + 1)) * _Z1 * P.f(0, 0)
+    rhs = (1.0 - powers(q, m + b + 1)) * P.f(1, 0) - powers(q, m - n + b + 1) * (
+        1.0 - powers(q, n)
     ) * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
 def _wall_diag(fam, P, m, n):
     b, q = fam.beta, fam.q
-    coeff = _pow(q, n) + _pow(q, m + b) * (1.0 - _pow(q, n) - _pow(q, n + 1))
+    coeff = powers(q, n) + powers(q, m + b) * (1.0 - powers(q, n) - powers(q, n + 1))
     lhs = (coeff - _X) * P.f(0, 0)
-    rhs = _pow(q, n) * (1.0 - _pow(q, m + b + 1)) * P.f(1, 1) + _pow(
+    rhs = powers(q, n) * (1.0 - powers(q, m + b + 1)) * P.f(1, 1) + powers(
         q, m + b
-    ) * (1.0 - _pow(q, n)) * P.f(-1, -1)
+    ) * (1.0 - powers(q, n)) * P.f(-1, -1)
     return [("derived", lhs, rhs)]
 
 
@@ -736,10 +728,10 @@ def _wall_qde1(fam, P, m, n):
     f = P.f(0, 0)
     t2 = f.diff_qtheta(2, q)
     lhs = (
-        (1.0 - q) ** 2 * _pow(q, b + m - 1) * t2.diff_qtheta(2, q)
-        + (1.0 - q) * (_pow(q, n - 1) - _pow(q, b + m - 1) - _X) * t2
+        (1.0 - q) ** 2 * powers(q, b + m - 1) * t2.diff_qtheta(2, q)
+        + (1.0 - q) * (powers(q, n - 1) - powers(q, b + m - 1) - _X) * t2
     )
-    rhs = -(1.0 - _pow(q, n)) * _X * f
+    rhs = -(1.0 - powers(q, n)) * _X * f
     return [("derived", lhs, rhs)]
 
 
@@ -747,16 +739,16 @@ def _wall_qde2(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
     nu = m - n
-    derived_lhs = _pow(q, b + m - 1) * f.dilate(1, q * q) - _pow(q, nu) * (
-        (_pow(q, n - 1) + _pow(q, b + m - 1)) * _ONE - _X
+    derived_lhs = powers(q, b + m - 1) * f.dilate(1, q * q) - powers(q, nu) * (
+        (powers(q, n - 1) + powers(q, b + m - 1)) * _ONE - _X
     ) * f.dilate(1, q)
-    derived_rhs = -(_pow(q, 2 * nu)) * _pow(q, n - 1) * (_ONE - q * _X) * f
+    derived_rhs = -(powers(q, 2 * nu)) * powers(q, n - 1) * (_ONE - q * _X) * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
-        (1.0 - q) ** 2 * _pow(q, n) * t1.diff_qtheta(1, q)
-        - (1.0 - q) * (_pow(q, n) - _pow(q, b + m) + q * _X) * t1
+        (1.0 - q) ** 2 * powers(q, n) * t1.diff_qtheta(1, q)
+        - (1.0 - q) * (powers(q, n) - powers(q, b + m) + q * _X) * t1
     )
-    printed_rhs = -q * (1.0 - _pow(q, b + m)) * _X * f
+    printed_rhs = -q * (1.0 - powers(q, b + m)) * _X * f
     return [
         ("derived", derived_lhs, derived_rhs),
         ("printed", printed_lhs, printed_rhs),
@@ -766,16 +758,16 @@ def _wall_qde2(fam, P, m, n):
 def _wall_lad1(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
-    lhs = (1.0 - _pow(q, b + m - n + 1)) * (f - _pow(q, n - m) * f.dilate(1, q))
-    rhs = -(_pow(q, 1 - n)) * (1.0 - _pow(q, n)) * _Z2 * P.f(0, -1)
+    lhs = (1.0 - powers(q, b + m - n + 1)) * (f - powers(q, n - m) * f.dilate(1, q))
+    rhs = -(powers(q, 1 - n)) * (1.0 - powers(q, n)) * _Z2 * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
 def _wall_lad2(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
-    lhs = (1.0 - _pow(q, b + m - n + 1)) * (f - f.dilate(2, q))
-    rhs = -(_pow(q, 1 - n)) * (1.0 - _pow(q, n)) * _Z2 * P.f(0, -1)
+    lhs = (1.0 - powers(q, b + m - n + 1)) * (f - f.dilate(2, q))
+    rhs = -(powers(q, 1 - n)) * (1.0 - powers(q, n)) * _Z2 * P.f(0, -1)
     return [("derived", lhs, rhs)]
 
 
@@ -784,8 +776,8 @@ def _wall_lad20(fam, P, m, n):
     f = P.f(0, 0)
     lhs = q ** b * f - (1.0 - _X) * f.dilate(1, 1.0 / q)
     rhs = (
-        -(1.0 - _pow(q, b + m - n))
-        * _pow(q, n - m)
+        -(1.0 - powers(q, b + m - n))
+        * powers(q, n - m)
         * _Z1
         * P.f(0, 1)
     )
@@ -795,10 +787,10 @@ def _wall_lad20(fam, P, m, n):
 def _wall_lad21(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
-    lhs = q ** b * f - _pow(q, n - m) * (1.0 - _X) * f.dilate(2, 1.0 / q)
+    lhs = q ** b * f - powers(q, n - m) * (1.0 - _X) * f.dilate(2, 1.0 / q)
     rhs = (
-        -(_pow(q, n - m))
-        * (1.0 - _pow(q, b + m - n))
+        -(powers(q, n - m))
+        * (1.0 - powers(q, b + m - n))
         * _Z1
         * P.f(0, 1)
     )
@@ -808,17 +800,17 @@ def _wall_lad21(fam, P, m, n):
 def _wall_lad22(fam, P, m, n):
     b, q = fam.beta, fam.q
     f = P.f(0, 0)
-    lhs = (1.0 - _pow(q, b + m - n + 1)) * (
+    lhs = (1.0 - powers(q, b + m - n + 1)) * (
         q ** b * f - (1.0 - _X) * f.dilate(2, 1.0 / q)
     )
     z2up = _Z2 * P.f(1, 0)
     derived = (
-        -(1.0 - q ** b) * (1.0 - _pow(q, b + m - n + 1)) * f
-        + _pow(q, -n) * (1.0 - _pow(q, b + m + 1)) * z2up
+        -(1.0 - q ** b) * (1.0 - powers(q, b + m - n + 1)) * f
+        + powers(q, -n) * (1.0 - powers(q, b + m + 1)) * z2up
     )
     printed = (
-        -(q ** (b - 1)) * (1.0 - q ** b) * (1.0 - _pow(q, b + m - n + 1)) * f
-        + _pow(q, 2 * b - n) * (1.0 - _pow(q, b + m + 1)) * z2up
+        -(q ** (b - 1)) * (1.0 - q ** b) * (1.0 - powers(q, b + m - n + 1)) * f
+        + powers(q, 2 * b - n) * (1.0 - powers(q, b + m + 1)) * z2up
     )
     return [("derived", lhs, derived), ("printed", lhs, printed)]
 
@@ -828,10 +820,10 @@ def _wall_lad22(fam, P, m, n):
 
 def _mq_rr1(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    lhs = (1.0 - _pow(q, b + g + m + n + 2)) * _Z2 * P.f(1, 0)
+    lhs = (1.0 - powers(q, b + g + m + n + 2)) * _Z2 * P.f(1, 0)
     rhs = (
-        _pow(q, n)
-        * (1.0 - _pow(q, b + m - n + 1))
+        powers(q, n)
+        * (1.0 - powers(q, b + m - n + 1))
         * (P.f(0, 0) - P.f(1, 1))
     )
     return [("derived", lhs, rhs)]
@@ -839,11 +831,11 @@ def _mq_rr1(fam, P, m, n):
 
 def _mq_rr2(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
-    den = (1.0 - _pow(q, b + m - n + 1)) * (1.0 - _pow(q, b + g + m + n + 1))
+    den = (1.0 - powers(q, b + m - n + 1)) * (1.0 - powers(q, b + g + m + n + 1))
     lhs = den * _Z1 * P.f(0, 0)
-    up = (1.0 - _pow(q, b + m + 1)) * (1.0 - _pow(q, b + g + m + 1)) * P.f(1, 0)
-    down = _pow(q, m - n + b + 1) * (1.0 - _pow(q, n)) * (
-        1.0 - _pow(q, g + n)
+    up = (1.0 - powers(q, b + m + 1)) * (1.0 - powers(q, b + g + m + 1)) * P.f(1, 0)
+    down = powers(q, m - n + b + 1) * (1.0 - powers(q, n)) * (
+        1.0 - powers(q, g + n)
     ) * P.f(0, -1)
     return [("derived", lhs, up - down), ("printed", lhs, up + down)]
 
@@ -853,8 +845,8 @@ def _mq_three_point(fam, m, n):
     alpha = beta + m - n, as factors in x = z1 z2."""
     b, g, q = fam.beta, fam.gamma, fam.q
     al = b + m - n
-    a = _pow(q, al) * (_ONE - q ** (g + 2) * _X)
-    bb = -((1.0 + _pow(q, al)) * _ONE - (_pow(q, 1 - n) + _pow(q, n + al + g + 2)) * _X)
+    a = powers(q, al) * (_ONE - q ** (g + 2) * _X)
+    bb = -((1.0 + powers(q, al)) * _ONE - (powers(q, 1 - n) + powers(q, n + al + g + 2)) * _X)
     c = _ONE - q * _X
     return a, bb, c
 
@@ -870,14 +862,14 @@ def _mq_qde1(fam, P, m, n):
         (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * _X) * t2.diff_qtheta(2, q)
         + (1.0 - q)
         * (
-            _pow(q, n - m - b)
+            powers(q, n - m - b)
             - 1.0
-            - (_pow(q, 1 - m - b) + q ** (g + 2) * (2.0 - _pow(q, n))) * _X
+            - (powers(q, 1 - m - b) + q ** (g + 2) * (2.0 - powers(q, n))) * _X
         )
         * t2
     )
     printed_rhs = (
-        1.0 + (_pow(q, n + 1 - m - b) - _pow(q, 1 - m - b) - _pow(q, g + n + 2)) * _X
+        1.0 + (powers(q, n + 1 - m - b) - powers(q, 1 - m - b) - powers(q, g + n + 2)) * _X
     ) * f
     return [
         ("derived", derived_lhs, derived_rhs),
@@ -890,26 +882,26 @@ def _mq_qde2(fam, P, m, n):
     f = P.f(0, 0)
     a, bb, c = _mq_three_point(fam, m, n)
     nu = m - n
-    derived_lhs = a * f.dilate(1, q * q) + _pow(q, nu) * bb * f.dilate(1, q)
-    derived_rhs = -(_pow(q, 2 * nu)) * c * f
+    derived_lhs = a * f.dilate(1, q * q) + powers(q, nu) * bb * f.dilate(1, q)
+    derived_rhs = -(powers(q, 2 * nu)) * c * f
     t1 = f.diff_qtheta(1, q)
     printed_lhs = (
         (1.0 - q) ** 2 * (1.0 - q ** (g + 2) * _X) * t1.diff_qtheta(1, q)
         + (1.0 - q)
         * (
-            (2.0 * q ** (g + 2) - _pow(q, 1 - n) - _pow(q, m + b + g + 2)) * _X
-            + (_pow(q, m - n + b) - 1.0)
+            (2.0 * q ** (g + 2) - powers(q, 1 - n) - powers(q, m + b + g + 2)) * _X
+            + (powers(q, m - n + b) - 1.0)
         )
         * t1
     )
     printed_rhs = -(
         (
-            _pow(q, 1 - n)
-            - _pow(q, 1 + m - n + b)
-            + q ** (g + 2) * (_pow(q, m + b) + _pow(q, 2 * (m - n + b)) - 1.0)
+            powers(q, 1 - n)
+            - powers(q, 1 + m - n + b)
+            + q ** (g + 2) * (powers(q, m + b) + powers(q, 2 * (m - n + b)) - 1.0)
         )
         * _X
-        - _pow(q, 2 * (m - n + b)) * _ONE
+        - powers(q, 2 * (m - n + b)) * _ONE
     ) * f
     return [
         ("derived", derived_lhs, derived_rhs),
@@ -924,19 +916,19 @@ def _mq_ladder1(fam, P, m, n):
     lhs = f - f.dilate(2, q)
     down = P.f(0, -1, raised)
     derived = (
-        -(_pow(q, 1 - n))
-        * (1.0 - _pow(q, n))
-        * (1.0 - _pow(q, b + g + m + 1))
-        / (1.0 - _pow(q, b + m - n + 1))
+        -(powers(q, 1 - n))
+        * (1.0 - powers(q, n))
+        * (1.0 - powers(q, b + g + m + 1))
+        / (1.0 - powers(q, b + m - n + 1))
     ) * _Z2 * down
     printed = (
-        -(_pow(q, 1 - n))
-        * (1.0 - _pow(q, n))
-        * (1.0 - _pow(q, m + b + g - 1))
-        / (1.0 - _pow(q, m - n + b))
+        -(powers(q, 1 - n))
+        * (1.0 - powers(q, n))
+        * (1.0 - powers(q, m + b + g - 1))
+        / (1.0 - powers(q, m - n + b))
     ) * _Z2 * down
     # the printed form is left out where its denominator vanishes
-    stated = np.abs(1.0 - _pow(q, m - n + b)) > 1e-12
+    stated = np.abs(1.0 - powers(q, m - n + b)) > 1e-12
     return [("derived", lhs, derived), ("printed", lhs, printed, stated)]
 
 
@@ -946,8 +938,8 @@ def _mq_ladder2(fam, P, m, n):
     lowered = fam.with_params(gamma=g - 1)
     lhs = q ** b * (1.0 - q ** g * _X) * f - (1.0 - _X) * f.dilate(1, 1.0 / q)
     z1low = _Z1 * P.f(0, 1, lowered)
-    derived = -(1.0 - _pow(q, m - n + b)) * _pow(q, n - m) * z1low
-    printed = -(1.0 - _pow(q, m - n + b)) * _pow(q, n - m - 1) * z1low
+    derived = -(1.0 - powers(q, m - n + b)) * powers(q, n - m) * z1low
+    printed = -(1.0 - powers(q, m - n + b)) * powers(q, n - m - 1) * z1low
     return [("derived", lhs, derived), ("printed", lhs, printed)]
 
 
@@ -955,12 +947,12 @@ def _mq_ladder3(fam, P, m, n):
     b, g, q = fam.beta, fam.gamma, fam.q
     f = P.f(0, 0)
     lowered = fam.with_params(gamma=g - 1)
-    lhs = q ** b * (1.0 - q ** g * _X) * f - _pow(q, n - m) * (1.0 - _X) * f.dilate(
+    lhs = q ** b * (1.0 - q ** g * _X) * f - powers(q, n - m) * (1.0 - _X) * f.dilate(
         2, 1.0 / q
     )
     rhs = (
-        -(_pow(q, n - m))
-        * (1.0 - _pow(q, m - n + b))
+        -(powers(q, n - m))
+        * (1.0 - powers(q, m - n + b))
         * _Z1
         * P.f(0, 1, lowered)
     )
@@ -1095,24 +1087,25 @@ def _worst(derived):
 def _verdicts(fam, builder, domain, m, n, box, tol):
     """The verdicts of one builder over those of the pairs (m, n) inside an
     index domain, gated by ``tol``: {(m, n): (residual, scale, passed,
-    printed residual, printed passed)} in the order of the pairs.  The
-    residual and scale are the worst derived variant's, and the pair passes
-    when every derived variant does; the printed fields are None where no
-    printed form is stated."""
+    printed residual, printed passed, printed scale)} in the order of the
+    pairs.  The residual and scale are the worst derived variant's, and the
+    pair passes when every derived variant does; the printed variant is
+    gated against its own scale, and its fields are None where no printed
+    form is stated."""
     keep = _in_domain(domain, m, n)
     m, n = m[keep], n[keep]
     derived, printed = _residuals(fam, builder, m, n, box)
     passed = np.logical_and.reduce([tol.gate(res, scale) for res, scale in derived])
     columns = [v.tolist() for v in _worst(derived)] + [passed.tolist()]
     if printed is None:
-        columns += [[None] * len(m)] * 2
+        columns += [[None] * len(m)] * 3
     else:
         res, scale, stated = printed
-        printed_res, printed_passed = res.tolist(), tol.gate(res, scale).tolist()
+        printed = [res.tolist(), tol.gate(res, scale).tolist(), scale.tolist()]
         if stated is not None:
-            printed_res = [r if s else None for r, s in zip(printed_res, stated.tolist())]
-            printed_passed = [p if s else None for p, s in zip(printed_passed, stated.tolist())]
-        columns += [printed_res, printed_passed]
+            stated = stated.tolist()
+            printed = [[v if s else None for v, s in zip(column, stated)] for column in printed]
+        columns += printed
     return dict(zip(zip(m.tolist(), n.tolist()), zip(*columns)))
 
 
@@ -1127,7 +1120,7 @@ def _reports(name, fam, verdicts):
     typo = KNOWN_DISCREPANCIES[name]
     reports = []
     for (m, n), verdict in verdicts.items():
-        printed_res, printed_passed = verdict[3:]
+        printed_res, printed_passed, _ = verdict[3:]
         if printed_passed is not False:
             known, note = False, ""
         elif math.isfinite(printed_res):

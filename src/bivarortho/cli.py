@@ -127,10 +127,12 @@ def cmd_gram(args):
         diag_rel_tol=args.tol_diag,
     )
     # pairs across blocks are exact zeros by construction and are left out;
-    # the rest keep the order of result.entries, row index first
+    # the rest are the raw entries of result.entries, in its order, row
+    # index first
     pairs = sorted(
-        (idx1, idx2, g[p1, p2])
-        for idxs, g, _ in result.blocks
+        (idx1, idx2, raw[p1, p2])
+        for idxs, g, zeta in result.blocks
+        for raw in [quad.raw_entries(g, zeta)]
         for p1, idx1 in enumerate(idxs)
         for p2, idx2 in enumerate(idxs)
     )
@@ -173,19 +175,19 @@ def cmd_check(args):
             else:
                 verdict = "FAIL"
                 failures += 1
-            residual = rep.printed_residual
+            residual, scale = rep.printed_residual, rep.printed_scale
         else:
             verdict = "PASS" if rep.passed else "FAIL"
             if not rep.passed:
                 failures += 1
-            residual = rep.residual
+            residual, scale = rep.residual, rep.scale
         rows.append(
             {
                 "identity": rep.identity,
                 "m": rep.m,
                 "n": rep.n,
                 "residual": residual,
-                "scale": rep.scale,
+                "scale": scale,
                 "verdict": verdict,
                 "note": rep.note,
             }

@@ -297,21 +297,29 @@ def _pad(c, lead, width):
     return out
 
 
-@lru_cache(maxsize=64)
-def _powers(base, count):
-    """base ** e for e = 0..count-1 by Python's float power, as the dict
-    operators take it; inf where it overflows."""
-    return np.array([safe_power(base, e) for e in range(count)])
-
-
-def safe_power(base, e):
-    """base ** e by Python's float power; inf where it overflows or divides
-    by zero, NaN where it leaves the reals."""
+def powers(base, exps):
+    """base ** e for every entry e of an exponent array or sequence, as a
+    float array, by Python's float power entry by entry, as the scalar
+    formulas and the dict operators take it; inf where it overflows or
+    divides by zero, NaN where it leaves the reals."""
+    exps = np.asarray(exps).tolist()
     try:
-        out = base ** e
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-    return out if isinstance(out, float) else math.nan
+        return np.array([base ** e for e in exps], dtype=float)
+    except (OverflowError, ZeroDivisionError, TypeError):
+        pass
+    out = []
+    for e in exps:
+        try:
+            value = base ** e
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        out.append(value if isinstance(value, float) else math.nan)
+    return np.array(out)
+
+
+# the power tables of dilate and diff_qtheta, which a sweep asks for again
+# and again at a few bases
+_powers = lru_cache(maxsize=64)(lambda base, count: powers(base, range(count)))
 
 
 _ARANGE = np.arange(64)

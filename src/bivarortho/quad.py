@@ -3,21 +3,17 @@
 Gauss rules for the continuous radial measures (golub_welsch: nodes the
 eigenvalues of the Jacobi matrix of the closed-form recurrence, weights
 the Christoffel numbers from the np.longdouble monic rows at them),
-longdouble q-lattice sums with certified tail bounds (q_lattice_sum: each
-lattice direction an array of points and closed-form weights, walked in
-chunks under one stop rule), the radial Gram blocks of a Gram in one
-request (radial_grams: V W V^T as one np.dot of the rows V at a rule's
-points, the Gauss nodes of each block, with the monic rows of the rule
-times their leading coefficients, or for a q family the lattice points
-shared by every block, walked once for all of them, each block keeping
-the points up to its own stop point, read on its own diagonal terms, with
-the rows of every block still walking from one radial.block_rows
-evaluation per chunk), block-diagonal Gram assembly for the bivariate
-families (gram: one radial block per circle-harmonic index, against the
-closed-form norms of one radial.norms call), the Gram summary shared
-with the Askey–Wilson checks (summarize), and zero-circle monotonicity
-checks (zero_circle_monotonicity), whose zeros are refined by Brent's
-bracketed root finder on the recurrence values (bisection_zeros).
+longdouble q-lattice sums with certified tail bounds (q_lattice_sum), the
+radial Gram blocks of a Gram in one request (radial_grams, one lattice
+walk for all blocks of a q family), the block-diagonal Gram of a
+bivariate family (gram), the Gram summary shared with the Askey-Wilson
+checks (summarize) and zero-circle monotonicity checks
+(zero_circle_monotonicity, refined by Brent's method in bisection_zeros).
+
+Every Gram block (indices, G, zeta) is in one orthonormal scale: its rows
+divided by the square roots of the np.longdouble closed-form norms zeta,
+G is the identity up to rounding, which summarize reads against 1.  The
+raw entries sqrt(zeta_i) G_ij sqrt(zeta_j) are formed in raw_entries.
 """
 
 import math
@@ -28,7 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import radial
-from .polycore import safe_power
 from .qcalc import qpochhammer
 
 
@@ -83,8 +78,6 @@ LATTICE_MAX_ENTRIES = 16 * LATTICE_MAX_CHUNK
 LATTICE_MAX_POINTS = 100000
 # floor of the running sum in the stop test, at the working precision
 _LONGDOUBLE_TINY = np.finfo(np.longdouble).tiny
-# smallest normal float: a diagonal product under it has lost digits
-_FLOAT_TINY = np.finfo(float).tiny
 # relative bracket tolerance and step limit of _brent, as in scipy's brentq,
 # and the absolute bracket tolerance bisection_zeros gives it
 _BRENT_RTOL = 4 * np.finfo(float).eps
@@ -279,77 +272,69 @@ def q_lattice_sum(fam, alpha, integrand):
     return totals[0].reshape(shape[0])[()]
 
 
-def radial_grams(fam, alphas, nmaxes, scales, norms):
+def radial_grams(fam, alphas, nmaxes, factors):
     """Gram blocks V W V^T of phi_0..phi_nmaxes[b](x; alphas[b]) against
-    x^alphas[b] dnu, one per block b: for each, one np.dot of the rows V
-    at a rule's points, times its weights W, with V^T.  ``scales[b]``
-    multiplies the rows of a continuous block unless it is None (no q
-    family has a harmonic scale, and the q branch does not read it);
-    ``norms[b]`` holds the closed-form norms of block b, which only wall
-    and qjacobi read.
+    x^alphas[b] dnu, one per block b, with row k of block b times
+    ``factors[b][k]`` (gram passes 1 / sqrt(zeta_k), the orthonormal
+    scale): for each, one np.dot of the rows V at a rule's points, times
+    its weights W, with V^T.
 
     For the continuous families the rows of V are the monic rows of
     golub_welsch(fam, alpha, nmax + 1), which is exact to degree
-    2 nmax + 1, times their leading coefficients: one recurrence per block
-    gives its nodes, weights and block, since the nodes move with alpha.
-    For the q families every block lies on the same lattice points, so one
-    lattice walk serves them all: the rows of every block still walking
-    come from one radial.block_rows evaluation per chunk of points, and
-    each block keeps the points and weights of its own stop point, the
-    stop rule read on its own diagonal terms w v_k^2.  Every partial sum of
-    a positively weighted Gram is positive semidefinite, so its largest
-    entry is on the diagonal, and the largest |term| of a point is
-    w max_k v_k^2.  For wall and qjacobi the rows are divided by the square
-    roots of the block's norms and the block is scaled back: in the
-    orthonormal scale every diagonal entry is near 1, so the stop rule,
-    relative to the largest entry, holds for the smallest norm of the block
-    too; a row whose norm underflowed to 0 is left at 0.  Each block
-    equals the walk of its block alone bit for bit.
+    2 nmax + 1, times their leading coefficients and factors: one
+    recurrence per block gives its nodes, weights and block, since the
+    nodes move with alpha.  For the q families every block lies on the same
+    lattice points, so one lattice walk serves them all: the rows of every
+    block still walking come from one radial.block_rows evaluation per
+    chunk of points, and each block keeps the points and weights of its
+    own stop point, the stop rule read on its own diagonal terms w v_k^2.
+    A partial sum of a positively weighted Gram is positive semidefinite,
+    so its largest entry is on the diagonal, near 1 in the orthonormal
+    scale for every row, and the stop rule relative to it holds for all of
+    them.  Each block equals the walk of its block alone bit for bit.
     """
     if not fam.is_q():
         blocks = []
-        for alpha, nmax, scale in zip(alphas, nmaxes, scales):
+        for alpha, nmax, f in zip(alphas, nmaxes, factors):
             rule = golub_welsch(fam, alpha, nmax + 1)
-            vals = radial.leading_coeffs(fam, alpha, nmax, scale)[:, None] * rule.monic
+            vals = radial.leading_coeffs(fam, alpha, nmax, f)[:, None] * rule.monic
             # np.dot, unlike matmul, has a fast loop for np.longdouble
             blocks.append(np.dot(vals * rule.weights, vals.T).astype(float))
         return blocks
     widths = np.asarray(nmaxes) + 1
-    factors = root = None
-    if fam.kind in ("wall", "qjacobi"):
-        root = np.sqrt(np.concatenate(norms).astype(np.longdouble))
-        with np.errstate(divide="ignore"):
-            factors = 1 / root
-        # a row whose norm underflowed to 0 sums to 0, a failed diagonal
-        factors[root == 0.0] = 0.0
-        root = np.split(root, np.cumsum(widths)[:-1])
-    rows = radial.block_rows(fam, alphas, nmaxes, factors)
+    rows = radial.block_rows(fam, alphas, nmaxes, np.concatenate(factors))
     _, kept = _lattice_walk(fam, alphas, rows, np.square, widths)
     blocks = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b, chunks in enumerate(kept):
-            _, weights, vals = chunks[0]
-            if len(chunks) > 1:
-                weights = np.concatenate([w for _, w, _ in chunks])
-                vals = np.concatenate([f for _, _, f in chunks], axis=1)
-            block = np.dot(vals * weights, vals.T)
-            if root is not None:
-                block = root[b][:, None] * block * root[b]
-            blocks.append(block.astype(float))
+    for chunks in kept:
+        _, weights, vals = chunks[0]
+        if len(chunks) > 1:
+            weights = np.concatenate([w for _, w, _ in chunks])
+            vals = np.concatenate([f for _, _, f in chunks], axis=1)
+        blocks.append(np.dot(vals * weights, vals.T).astype(float))
     return blocks
+
+
+def raw_entries(g, zeta):
+    """The Gram entries sqrt(zeta_i) G_ij sqrt(zeta_j) of one block
+    (indices, G, zeta) in float, G in the orthonormal scale and zeta the
+    closed-form norms; an entry past the float range reads inf."""
+    root = np.sqrt(zeta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (root[:, None] * g * root).astype(float)
 
 
 class GramEntries(Mapping):
     """Read-only {(idx1, idx2): value} view of a block-diagonal Gram.
 
-    A pair inside one block reads that block's matrix; a pair across blocks
-    is an exact 0.0; a key off the index set raises KeyError.  Keys iterate
-    over every pair of ``indices`` in order, row index first.
+    A pair inside one block reads that block's raw entry (raw_entries); a
+    pair across blocks is an exact 0.0; a key off the index set raises
+    KeyError.  Keys iterate over every pair of ``indices`` in order, row
+    index first.
     """
 
     def __init__(self, indices, blocks):
         self._indices = indices
-        self._blocks = blocks
+        self._raw = [raw_entries(g, zeta) for _, g, zeta in blocks]
         self._where = {
             idx: (b, p) for b, (idxs, _, _) in enumerate(blocks) for p, idx in enumerate(idxs)
         }
@@ -363,7 +348,7 @@ class GramEntries(Mapping):
             raise KeyError(key) from None
         if b1 != b2:
             return 0.0
-        return float(self._blocks[b1][1][p1, p2])
+        return float(self._raw[b1][p1, p2])
 
     def __iter__(self):
         return ((idx1, idx2) for idx1 in self._indices for idx2 in self._indices)
@@ -375,15 +360,17 @@ class GramEntries(Mapping):
 @dataclass(eq=False)
 class GramResult:
     """Gram matrix of a bivariate family over its planar measure, kept as
-    the diagonal blocks it was computed from.
+    the diagonal blocks it was computed from, in the orthonormal scale.
 
-    Each block is a triple (indices, G, ref): the block's index list, its
-    matrix and its closed-form diagonal vector.  ``indices`` lists every
-    block index in sorted order; ``entries`` is a read-only mapping view of
-    all index pairs (GramEntries) and ``diag_ref`` maps each index to its
-    closed-form diagonal value.  ``max_offdiag`` is normalized by the
-    geometric mean of the adjacent diagonals.  ``theta_nodes`` is the node
-    count of the theta rule of an Askey-Wilson Gram, None for any other.
+    Each block is a triple (indices, G, zeta): the block's index list, its
+    matrix G_ij = <f_i, f_j> / sqrt(zeta_i zeta_j), the identity up to
+    rounding at any size of the norms, and its closed-form norms zeta.
+    ``indices`` lists every block index in sorted order; ``entries`` is a
+    read-only mapping view of the raw entries <f_i, f_j> of all index pairs
+    (GramEntries) and ``diag_ref`` maps each index to its norm, both in
+    float.  ``max_offdiag`` is the largest |G_ij|, i != j, and
+    ``max_diag_relerr`` the largest |G_ii - 1|.  ``theta_nodes`` is the
+    node count of the theta rule of an Askey-Wilson Gram, None otherwise.
     """
 
     indices: list
@@ -401,71 +388,52 @@ class GramResult:
 
 
 def summarize(blocks, offdiag_tol, diag_rel_tol, notes="", theta_nodes=None):
-    """GramResult of the blocks (indices, G, ref) with the largest
-    normalized off-diagonal |G_ij| / sqrt|G_ii G_jj| and the largest
-    relative diagonal error |G_ii - ref_i| / |ref_i|; passed when both are
-    under their tolerances.  ``notes`` and ``theta_nodes`` pass through to
-    the result.
+    """GramResult of the orthonormal blocks (indices, G, zeta) with the
+    largest off-diagonal |G_ij| and the largest diagonal error |G_ii - 1|;
+    passed when both are under their tolerances.  ``notes`` and
+    ``theta_nodes`` pass through to the result.
 
-    Entries across blocks are exact zeros and cannot raise the maximum;
-    nor can an exact zero inside a block.  A block that repeats the G and
-    ref of the block before it (gram's blocks of index a and -a share
-    them) is measured once: the same values cannot change a maximum.  A
-    NaN anywhere propagates to its maximum and fails the Gram; a nonzero
-    off-diagonal over a zero diagonal reads inf.  A product G_ii G_jj
-    outside the normal float range, which would read an overflowed pair as
-    0 or an underflowed one as inf, is taken as sqrt|G_ii| sqrt|G_jj|
-    instead.
+    Entries across blocks are exact zeros and cannot raise the maximum.  A
+    block that repeats the G of the block before it (gram's blocks of index
+    a and -a share it) is measured once: the same values cannot change a
+    maximum.  A NaN anywhere propagates to its maximum and fails the Gram.
     """
     diag_ref = dict(sorted(
-        (idx, float(r)) for idxs, _, ref in blocks for idx, r in zip(idxs, ref)
+        (idx, float(z)) for idxs, _, zeta in blocks for idx, z in zip(idxs, zeta)
     ))
-    indices = list(diag_ref)
-    distinct = [(g, ref) for i, (_, g, ref) in enumerate(blocks)
-                if not (i and g is blocks[i - 1][1] and ref is blocks[i - 1][2])]
     offs, rels = [], []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # one range test for the whole Gram: rounding is monotone, so when
-        # the extreme |G_ii| square into the range every product does
-        size = np.abs(np.concatenate([np.empty(0)] + [np.diagonal(g) for g, _ in distinct]))
-        lo, hi = np.min(size, initial=np.inf), np.max(size, initial=0.0)
-        in_range = lo * lo >= _FLOAT_TINY and hi * hi < np.inf
-        for g, ref in distinct:
-            d = np.diagonal(g)
-            rels.append(np.max(np.abs(d - ref) / np.abs(ref)))
-            prod = np.abs(np.multiply.outer(d, d))
-            scale = np.sqrt(prod)
-            # the pair mask only for a block with a product out of range
-            if not (in_range or prod.min() >= _FLOAT_TINY and prod.max() < np.inf):
-                out = ~((prod >= _FLOAT_TINY) & (prod < np.inf))
-                root = np.sqrt(np.abs(d))
-                scale[out] = np.multiply.outer(root, root)[out]
-            ratio = np.abs(g) / scale
-            ratio[g == 0.0] = 0.0
-            np.fill_diagonal(ratio, 0.0)
-            offs.append(np.max(ratio))
+    for i, (_, g, _) in enumerate(blocks):
+        if i and g is blocks[i - 1][1]:
+            continue
+        rels.append(np.max(np.abs(np.diagonal(g) - 1.0)))
+        off = np.abs(g)
+        np.fill_diagonal(off, 0.0)
+        offs.append(np.max(off))
     # np.max, unlike the builtin max, propagates a NaN
     max_off = float(np.max(offs, initial=0.0))
     max_rel = float(np.max(rels, initial=0.0))
     passed = max_off < offdiag_tol and max_rel < diag_rel_tol
-    return GramResult(indices, blocks, diag_ref, max_off, max_rel, passed, notes, theta_nodes)
+    return GramResult(list(diag_ref), blocks, diag_ref, max_off, max_rel, passed, notes,
+                      theta_nodes)
 
 
 def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
-    """Assemble the Gram matrix of a bivariate family up to a degree cap and
-    compare with the closed-form diagonal.
+    """Assemble the Gram matrix of a bivariate family up to a degree cap in
+    the orthonormal scale and compare it with the identity.
 
     The circle average pairs f_{m,n} only with members of the same
     harmonic index m - n, so the matrix is block diagonal: the blocks of
     index a and -a, members f_{a+k,k} and f_{k,a+k} for k <= cap - |a|,
     share the radial Gram of phi_0..phi_{cap-|a|}(x; |a|) against
-    x^|a| dnu, and every entry across blocks is an exact zero.  One
-    radial_grams request forms every radial block: for a q family, one
-    lattice walk.  The closed-form norms of all blocks come from one
-    radial.norms call and serve both the diagonal reference and the wall
-    and qjacobi row scaling.  When a norm or a Gram entry has left the
-    float range, the failed result's notes name the first harmonic index
-    and degree where it did.
+    x^|a| dnu, and every entry across blocks is an exact zero.  The norms
+    of all blocks come from one radial.norms call, in np.longdouble:
+    zeta_k, times pi for Z and H, and for H times s_k^2 of its harmonic
+    scale s_k = (-1)^k k!.  One radial_grams request forms every radial
+    block (for a q family, one lattice walk) with its rows times
+    s_k / sqrt(s_k^2 zeta_k) (s_k = 1 but for H), the orthonormal scale; a
+    row whose norm is 0 is left at 0, a failed diagonal.  When the Gram
+    fails, its notes name the first harmonic index and degree whose norm
+    or row has left the range, if one has.
     """
     from . import bivariate  # deferred to avoid import cycle
 
@@ -475,45 +443,41 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
     alphas = range(degree_cap + 1)
     nmaxes = [degree_cap - a for a in alphas]
-    scales = [bivariate.harmonic_scale(fam, nmax) for nmax in nmaxes]
-    zrefs = radial.norms(rad, alphas, nmaxes)
-    blocks, refs, scaled = [], [], []
-    # H's norms take the square of its harmonic scale, which leaves the
-    # float range from degree 99 (99!^2), and its rows from about the same
-    # degree: such an entry reads inf, without a raise or a warning
+    scale = np.array(bivariate.harmonic_scale(fam, degree_cap) or [1] * (degree_cap + 1),
+                     np.longdouble)
+    zetas = [z * scale[:len(z)] ** 2 for z in radial.norms(rad, alphas, nmaxes)]
+    factors = [np.divide(scale[:len(z)], np.sqrt(z), out=np.zeros_like(z), where=z > 0.0)
+               for z in zetas]
+    # the Newton coefficients of wall and qjacobi, formed to the cap for
+    # every block, leave the range past a block's own degree, which no row
+    # reads, from WALL(0.5; 0.001) at cap 30; a row that does raises in the walk
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = radial_grams(rad, alphas, nmaxes, scales, zrefs)
-        for a, nmax, scale, zref, g in zip(alphas, nmaxes, scales, zrefs, grams):
-            g = norm_const * g
-            if scale is not None:
-                zref = [z * safe_power(s, 2) for z, s in zip(zref, scale)]
-            ref = norm_const * np.asarray(zref)
-            refs.append(ref)
-            scaled.append(g)
-            blocks.append(([(a + k, k) for k in range(nmax + 1)], g, ref))
-            if a > 0:
-                blocks.append(([(k, a + k) for k in range(nmax + 1)], g, ref))
-        result = summarize(blocks, offdiag_tol, diag_rel_tol)
-    # a norm or diagonal entry out of range reads a non-finite error
-    if not math.isfinite(result.max_diag_relerr):
-        result.notes = _range_note(refs, scaled)
+        grams = radial_grams(rad, alphas, nmaxes, factors)
+    blocks = []
+    for a, nmax, zeta, g in zip(alphas, nmaxes, zetas, grams):
+        zeta = norm_const * zeta
+        blocks.append(([(a + k, k) for k in range(nmax + 1)], g, zeta))
+        if a > 0:
+            blocks.append(([(k, a + k) for k in range(nmax + 1)], g, zeta))
+    result = summarize(blocks, offdiag_tol, diag_rel_tol)
+    if not result.passed:
+        result.notes = _range_note(zetas, grams)
     return result
 
 
 def _range_note(norms, grams):
     """The first harmonic index and degree whose closed-form norm (inf, or
-    0 from underflow) or Gram row (an infinite entry) has left the float
-    range, as a note; "" when none has."""
+    0 from underflow) or Gram row (an infinite entry) has left the range,
+    as a note; "" when none has."""
     for a, (z, g) in enumerate(zip(norms, grams)):
-        z = np.asarray(z)
         wrong_norm = np.isinf(z) | (z == 0.0)
         out = np.flatnonzero(wrong_norm | np.isinf(g).any(axis=1))
         if out.size:
             k = out[0]
             if not wrong_norm[k]:
-                what = "a Gram entry overflows the float range"
+                what = "a Gram entry leaves the float range"
             elif z[k]:
-                what = "the closed-form norm overflows the float range"
+                what = "the closed-form norm overflows the extended range"
             else:
                 what = "the closed-form norm underflows to 0"
             return f"harmonic index {a}, degree {k}: {what}"

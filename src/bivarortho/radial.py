@@ -26,10 +26,12 @@ the tables serve the exact identity algebra), the rows of all blocks of a
 q-family Gram in one evaluation (block_rows: the recurrence on the
 bilateral q-Laguerre lattice, and for wall and little q-Jacobi the
 terminating Newton form of their 2phi1 on the nodes of lattice_points),
-the norms (norms, the one home of every family's closed form: one row
-per alpha to its own degree, the q families' in one array pass; zeta
-reads one entry), and zeros as the eigenvalues of the symmetric Jacobi
-matrix (numpy.linalg.eigvalsh), the path of the Gauss nodes too.
+the norms (norms, the one home of every family's closed form: np.longdouble
+rows, one per alpha to its own degree, each a running product from its
+mass, so that the orthonormal Gram rows can be divided by their square
+roots at any degree the Grams reach; zeta reads one entry), and zeros as
+the eigenvalues of the symmetric Jacobi matrix (numpy.linalg.eigvalsh),
+the path of the Gauss nodes too.
 """
 
 import math
@@ -173,22 +175,30 @@ def radial_coeffs(fam, n, alpha):
 
 
 def zeta(fam, n, alpha):
-    """Squared norm of phi_n with respect to x^alpha dnu: one entry of norms."""
-    return float(norms(fam, [alpha], [n])[0][n])
+    """Squared norm of phi_n with respect to x^alpha dnu: one entry of norms.
+    phi_0 = 1 for every family, so zeta_0 is the total mass of x^alpha dnu."""
+    return norms(fam, [alpha], [n])[0][n]
+
+
+def _col(v):
+    return np.reshape(v, (-1, 1))
 
 
 def norms(fam, alphas, nmaxes):
     """The squared norms zeta_0..zeta_nmaxes[b] of phi_n with respect to
-    x^alphas[b] dnu for every block b, as a list of float rows, each to its
-    own degree: the one home of every family's closed form.  Every entry
-    equals that of the one-alpha call at the same degree bit for bit: every
-    operation is entrywise, and the q families' degree steps are one
-    running product along the row.
+    x^alphas[b] dnu for every block b, as a list of np.longdouble rows, each
+    to its own degree: the one home of every family's closed form.  Each
+    row is one running product from its mass zeta_0 by the ratios
+    zeta_n / zeta_(n-1), all rows in one np.cumprod, so every entry equals
+    that of the one-alpha call bit for bit; a norm outside the
+    np.longdouble range reads inf or 0, without a warning.
 
-    laguerre: Gamma(a + n + 1) / n! with a = alpha + beta.  jacobi:
-    Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1) (t + 2n + 1))
-    with g = alpha + gamma, t = g + beta, written Gamma(t + 2) at n = 0 so
-    that t = -1 needs no 0/0.
+    laguerre (a = alpha + beta): zeta_n = Gamma(a + n + 1) / n!, ratios
+    (a + n) / n.  jacobi (g = alpha + gamma, t = g + beta):
+    zeta_n = Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1)
+    (t + 2n + 1)), ratios (g + 1)(beta + 1) / (t + 3) at n = 1 (no 0/0 at
+    t = -1), then (g + n)(beta + n)(t + 2n - 1) / (n (t + n)(t + 2n + 1)).
+    Their masses are those of measure_mass.
 
     For the q families (a = alpha + beta, g = gamma, s = a + g + 1)
 
@@ -200,87 +210,89 @@ def norms(fam, alphas, nmaxes):
     c^(a+1) (-c q^(a+1); q)_inf (-q^(-a) / c; q)_inf / ((-c; q)_inf
     (-q / c; q)_inf) and, for qjacobi, (q^(s+1); q)_inf / (q^(g+1); q)_inf.
     It is one product of factor ratios near 1, kept to the largest of
-    qproduct_terms over the absolute values of its arguments.  Its
-    factors, unlike the separate infinite products, neither underflow nor
-    overflow as q -> 1 ((q; q)_inf is 1e-714 at q = 0.999).  For qjacobi
-    (q^(s+n); q)_n / (q^(s+1); q)_2n is 1 at n = 0 and 1 / ((q^(s+1); q)_(n-1)
-    (1 - q^(s+2n))) beyond, which needs no 0/0 at s = 0 (abq = 1).  The q
-    rows are formed to the largest degree in one array pass in
-    np.longdouble, rounded once to float and cut to their own degrees; each
-    row keeps its own count of factors of R, the factors past it exactly
-    1.0, so it equals the row of its alpha alone bit for bit.  A norm
-    outside the float range reads inf or 0, without a warning.  The
-    classical rows are formed to their own degrees only, so math.gamma
-    meets no argument past those of the entries returned.
+    qproduct_terms over the absolute values of its arguments, each row to
+    its own count; unlike the separate infinite products they neither
+    underflow nor overflow as q -> 1 ((q; q)_inf is 1e-714 at q = 0.999).
+    For qjacobi (q^(s+n); q)_n / (q^(s+1); q)_2n steps by 1 / (1 - q^(s+2))
+    at n = 1 (no 0/0 at s = 0, abq = 1), then by (1 - q^(s+2n-2)) /
+    ((1 - q^(s+n-1)) (1 - q^(s+2n))).
     """
-    if fam.kind == "laguerre":
-        return [np.array([math.gamma(alpha + fam.beta + n + 1) / math.factorial(n)
-                          for n in range(nmax + 1)]) for alpha, nmax in zip(alphas, nmaxes)]
-    if fam.kind == "jacobi":
-        def jacobi_norm(alpha, n):
-            g = alpha + fam.gamma
-            t = alpha + fam.beta + fam.gamma
-            # Gamma(t + 1) (t + 1) = Gamma(t + 2) at n = 0 also covers t = -1
-            scale = math.gamma(t + n + 1) * (t + 2 * n + 1) if n else math.gamma(t + 2)
-            return math.gamma(g + n + 1) * math.gamma(fam.beta + n + 1) / (math.factorial(n) * scale)
-
-        return [np.array([jacobi_norm(alpha, n) for n in range(nmax + 1)])
-                for alpha, nmax in zip(alphas, nmaxes)]
-    if not fam.is_q():
-        raise ValueError(f"unknown radial family kind {fam.kind!r}")
     nmax = max(nmaxes)
-    a = np.add(alphas, fam.beta)
-    q = np.longdouble(fam.q)
-    qa = q ** a  # q^a
-
-    def col(v):
-        return np.reshape(v, (-1, 1))
-
-    up, down = [q], [qa * q]
-    if fam.kind == "qlaguerre":
-        c = np.longdouble(fam.c)
-        up += [-c * qa * q, -1.0 / (qa * c)]
-        down += [-c, -q / c]
-    elif fam.kind == "qjacobi":
-        qg = q ** fam.gamma
-        qs = qa * qg * q
-        up.append(qs * q)
-        down.append(qg * q)
-    # qproduct_terms grows with |argument|: the largest one of a row sets
-    # the count of its factors
-    sizes = abs(qa * q)
-    for v in up + down[1:]:
-        sizes = np.maximum(sizes, abs(v))
-    count = np.array([qproduct_terms(size, q) for size in sizes])
-    k = int(count.max())
-    pw = lattice_points(q, max(k, 2 * nmax + 1))  # pw[i] = q^i
-    ratio = np.ones((len(a), k), np.longdouble)
-    for u, d in zip(up, down):
-        ratio *= (1.0 - col(u) * pw[:k]) / (1.0 - col(d) * pw[:k])
-    ratio[np.arange(k) >= count[:, None]] = 1.0
-    R = np.prod(ratio, axis=1)
-    qn = pw[1:nmax + 1]
-    if fam.kind == "qlaguerre":
-        R = R * c ** (a + 1)
-        steps = (1.0 - col(qa) * qn) / ((1.0 - qn) * q)
+    n = np.arange(1, nmax + 1, dtype=np.longdouble)
+    if fam.kind == "laguerre" or fam.kind == "jacobi":
+        b = fam.beta
+        a = np.add(alphas, b if fam.kind == "laguerre" else fam.gamma)  # a, or g
+        if fam.kind == "laguerre":
+            steps = (_col(a) + n) / n
+        else:
+            g, t, m = _col(a), _col(a + b), n[1:]
+            steps = np.concatenate(((g + n[:1]) * (b + n[:1]) / (t + 3.0), (g + m) * (b + m)
+                                    * (t + 2 * m - 1) / (m * (t + m) * (t + 2 * m + 1))), axis=1)
+        head = _col(np.array([measure_mass(fam, alpha) for alpha in alphas], np.longdouble))
+    elif fam.is_q():
+        a = np.add(alphas, fam.beta)
+        q = np.longdouble(fam.q)
+        qa = q ** a  # q^a
+        up, down = [q], [qa * q]
+        if fam.kind == "qlaguerre":
+            c = np.longdouble(fam.c)
+            up += [-c * qa * q, -1.0 / (qa * c)]
+            down += [-c, -q / c]
+        elif fam.kind == "qjacobi":
+            qg = q ** fam.gamma
+            qs = _col(qa * qg * q)
+            up.append(qs[:, 0] * q)
+            down.append(qg * q)
+        # qproduct_terms grows with |argument|: the largest one of a row
+        # sets the count of its factors
+        sizes = abs(qa * q)
+        for v in up + down[1:]:
+            sizes = np.maximum(sizes, abs(v))
+        count = np.array([qproduct_terms(size, q) for size in sizes])
+        k = int(count.max())
+        pw = lattice_points(q, max(k, 2 * nmax + 1))  # pw[i] = q^i
+        ratio = np.ones((len(a), k), np.longdouble)
+        for u, d in zip(up, down):
+            ratio *= (1.0 - _col(u) * pw[:k]) / (1.0 - _col(d) * pw[:k])
+        ratio[np.arange(k) >= count[:, None]] = 1.0
+        qn = pw[1:nmax + 1]
+        with np.errstate(over="ignore"):
+            R = np.prod(ratio, axis=1)
+            if fam.kind == "qlaguerre":
+                R = R * c ** (a + 1)
+                steps = (1.0 - _col(qa) * qn) / ((1.0 - qn) * q)
+            else:
+                steps = _col(qa) * q * (1.0 - qn) / (1.0 - _col(qa) * qn)
+        if fam.kind == "qjacobi":
+            steps *= (1.0 - qg * qn) / (1.0 - qs * pw[2:2 * nmax + 1:2])
+            m = np.arange(2, nmax + 1)  # the degrees past 1
+            steps[:, 1:] *= (1.0 - qs * pw[2 * m - 2]) / (1.0 - qs * pw[m - 1])
+        head = _col(R)
     else:
-        steps = col(qa) * q * (1.0 - qn) / (1.0 - col(qa) * qn)
-    if fam.kind == "qjacobi":
-        steps *= 1.0 - qg * qn
-    ones = np.ones((len(a), 1), np.longdouble)
-    out = col(R) * np.cumprod(np.concatenate((ones, steps), axis=1), axis=1)
-    if fam.kind == "qjacobi":
-        head = np.cumprod(np.concatenate((ones, 1.0 - col(qs) * qn[:-1]), axis=1), axis=1)
-        out[:, 1:] /= head * (1.0 - col(qs) * pw[2:2 * nmax + 1:2])
+        raise ValueError(f"unknown radial family kind {fam.kind!r}")
     with np.errstate(over="ignore"):
-        out = out.astype(float)
+        out = np.cumprod(np.concatenate((head, steps), axis=1), axis=1)
     return [row[:n + 1] for row, n in zip(out, nmaxes)]
 
 
 def measure_mass(fam, alpha):
-    """Total mass of x^alpha dnu; phi_0 is the constant c_0(0, alpha)."""
-    c00 = radial_coeffs(fam, 0, alpha)[0]
-    return zeta(fam, 0, alpha) / c00 ** 2
+    """Total mass of x^alpha dnu of a continuous family, in np.longdouble:
+    zeta_0 of norms bit for bit.  With x = a + 1 (laguerre, a = alpha +
+    beta) or g + 1 (jacobi, g = alpha + gamma) written f + N, f in (0, 1],
+    it is the product Gamma(a + 1) = Gamma(f) prod_(i<N) (f + i), or
+    B(g + 1, beta + 1) = B(f, beta + 1) prod_(i<N) (f + i) / (f + i + beta
+    + 1), so math.gamma meets no argument past beta + 2."""
+    if fam.kind != "laguerre" and fam.kind != "jacobi":
+        raise ValueError(f"not a continuous family: {fam.kind!r}")
+    b = fam.beta
+    x = alpha + (b if fam.kind == "laguerre" else fam.gamma) + 1.0
+    count = math.ceil(x) - 1
+    f = x - count
+    grow = f + np.arange(count, dtype=np.longdouble)
+    if fam.kind == "laguerre":
+        return math.gamma(f) * np.prod(grow)
+    return math.gamma(b + 1.0) * math.gamma(f) / math.gamma(f + b + 1.0) * np.prod(
+        grow / (grow + (b + 1.0)))
 
 
 def recurrence(fam, alpha, npts):
@@ -360,25 +372,32 @@ def monic_values(A, B, x):
 
 def leading_coeffs(fam, alpha, nmax, scale=None):
     """c_0(k, alpha), times ``scale[k]`` when given, k = 0..nmax, in
-    np.longdouble: the factors that turn monic rows p_k into phi_k.
-
-    For q-Laguerre they come from the closed form
-    c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k, a = alpha + beta, in np.longdouble
-    arithmetic: the float leading_coeff leaves the normal range once
-    q^((a+k)k) does (ZQ at q = 0.3 from k = 25 at a = 0).  There ``alpha``
-    may be a 1-D array, which gives one row per entry."""
-    if fam.kind == "qlaguerre":
+    np.longdouble: the factors that turn monic rows p_k into phi_k.  The
+    float leading_coeff leaves the float range from k = 171 for laguerre
+    (1 / k!), and for q-Laguerre once q^((a+k)k) does (ZQ at q = 0.3 from
+    k = 25 at a = 0).  Those of laguerre, jacobi and qlaguerre are running
+    products of the ratios c_0(k) / c_0(k - 1): -1 / k; -(t + 2) at k = 1,
+    no 0/0 at t = -1, then -(t + 2k)(t + 2k - 1) / (k (t + k)), with
+    t = alpha + beta + gamma; and -q^(a+2k-1) / (1 - q^k), a = alpha + beta,
+    of c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k, where ``alpha`` may be a 1-D
+    array, which gives one row per entry."""
+    k = np.arange(1, nmax + 1, dtype=np.longdouble)
+    if fam.kind == "laguerre":
+        steps = -1.0 / k
+    elif fam.kind == "jacobi":
+        t = alpha + fam.beta + fam.gamma
+        steps = np.concatenate(([-(t + 2.0)], -(t + 2 * k[1:]) * (t + 2 * k[1:] - 1)
+                                / (k[1:] * (t + k[1:]))))[:nmax]
+    elif fam.kind == "qlaguerre":
         q = np.longdouble(fam.q)
-        k = np.arange(nmax + 1, dtype=np.longdouble)
-        qq = np.cumprod(np.concatenate(([np.longdouble(1.0)], 1.0 - q ** k[1:])))
-        a = np.asarray(np.add(alpha, fam.beta))[..., None]
-        lead = (-1.0) ** k * q ** ((a + k) * k) / qq
-        return lead if scale is None else lead * scale
-    lead = np.array([leading_coeff(fam, k, alpha) for k in range(nmax + 1)],
-                    dtype=np.longdouble)
-    if scale is not None:
-        lead *= scale
-    return lead
+        steps = -q ** (np.asarray(np.add(alpha, fam.beta))[..., None] + 2 * k - 1) / (1.0 - q ** k)
+    else:
+        lead = np.array([leading_coeff(fam, n, alpha) for n in range(nmax + 1)],
+                        dtype=np.longdouble)
+        return lead if scale is None else lead * np.asarray(scale, np.longdouble)
+    ones = np.ones(steps.shape[:-1] + (1,), np.longdouble)
+    lead = np.cumprod(np.concatenate((ones, steps), axis=-1), axis=-1)
+    return lead if scale is None else lead * np.asarray(scale, np.longdouble)
 
 
 def phi_rows(fam, alpha, nmax, scale=None):
@@ -449,10 +468,8 @@ def _newton_coeffs(fam, alpha, nmax):
 
 def block_rows(fam, alphas, nmaxes, factors):
     """Evaluator of the rows of several blocks of a q family at once:
-    block b is phi_0..phi_nmaxes[b](x; alphas[b]).  For wall and qjacobi
-    the rows are times the entries of ``factors`` (one per row, stacked
-    block after block) unless that is None; qlaguerre rows take no factors,
-    and their ``factors`` is not read.
+    block b is phi_0..phi_nmaxes[b](x; alphas[b]), each row times its entry
+    of ``factors`` (one per row, stacked block after block).
 
     Returns rows(x, live): the rows of the blocks where the boolean mask
     ``live`` is True, stacked block after block, at the 1-D np.longdouble
@@ -460,10 +477,10 @@ def block_rows(fam, alphas, nmaxes, factors):
     its one-block evaluation bit for bit.  For qlaguerre, the values of
     phi_rows: one monic recurrence loop over an array of (blocks x points),
     each block with its own A_k and B_k, to the largest degree of the live
-    blocks, times the leading coefficients.  For wall and qjacobi, the
-    terminating Newton form of _newton_coeffs: one Newton basis
-    prod_{i<j} (x - q^i), j up to the largest live degree, shared by every
-    block, and one np.dot of the stacked coefficient rows with it.  A
+    blocks, times the leading coefficients and factors.  For wall and
+    qjacobi, the terminating Newton form of _newton_coeffs: one Newton
+    basis prod_{i<j} (x - q^i), j up to the largest live degree, shared by
+    every block, and one np.dot of the stacked coefficient rows with it.  A
     block's coefficients past its own degree n are exact zeros (T_{n,j}
     for j > n), whose products add nothing to the sums, which np.dot forms
     in index order.  The coefficients of all blocks are formed in one array
@@ -481,7 +498,7 @@ def block_rows(fam, alphas, nmaxes, factors):
 
     if fam.kind == "qlaguerre":
         A, B = recurrence(fam, alphas, top + 1)
-        lead = leading_coeffs(fam, alphas, top)[block, degree]
+        lead = leading_coeffs(fam, alphas, top)[block, degree] * factors
 
         def rows(x, live):
             order = np.flatnonzero(live)
@@ -509,10 +526,7 @@ def block_rows(fam, alphas, nmaxes, factors):
 
         return rows
     coef, lead = _newton_coeffs(fam, alphas, top)
-    lead = lead[block, degree]
-    if factors is not None:
-        lead = lead * factors
-    coef = coef[block, degree] * lead[:, None]
+    coef = coef[block, degree] * (lead[block, degree] * factors)[:, None]
     nodes = lattice_points(np.longdouble(fam.q), top)[:, None]
 
     def rows(x, live):

@@ -185,7 +185,7 @@ class TestWeight:
     def test_positive_on_open_interval(self):
         # w(x) sin(theta) as integrated by the Gram checks
         for x in np.linspace(-0.99, 0.99, 21):
-            assert aw._theta_weight(P, x) > 0.0
+            assert aw._theta_weight(P, np.array([x]))[0] > 0.0
 
     def test_h_product_splits(self):
         # h(x, a) with a = 0 is the empty product
@@ -300,7 +300,7 @@ class TestNorms:
         for p in (P, P2, aw.AWParams(0.9, -0.7, 0.5, 0.3, 0.9)):
             n = np.arange(13)
             products = aw._lead_products(p.a, p.b, p.c, p.d, p.q, n)
-            norms = aw._norms(p.a, p.b, p.c, p.d, p.q, n, products)
+            norms = aw._norms(p.a, p.b, p.c, p.d, p.q, n, products, aw._q_tails(p.q, n))
             assert norms.tolist() == [aw.aw_norm(p, n) for n in range(13)]
         tp = aw.TensorParams(P, P2)
         ks = np.repeat(np.arange(4), 4)
@@ -308,7 +308,8 @@ class TestNorms:
         d1s = np.array([tp.shifted_d1(k) for k in range(4)])
         c1s = np.array([tp.shifted_c1(k) for k in range(4)])
         norms = aw._norms(P.a, P.b, c1s[ks], d1s[ks], P.q, js,
-                          aw._lead_products(P.a, P.b, c1s[ks], d1s[ks], P.q, js))
+                          aw._lead_products(P.a, P.b, c1s[ks], d1s[ks], P.q, js),
+                          aw._q_tails(P.q, js))
         assert norms.tolist() == [
             aw.aw_norm(aw._x_params(tp, "pq", k), j) for j, k in zip(js, ks)]
 
@@ -500,7 +501,7 @@ class TestTensorSystems:
         wx = aw._weight_numerator(xs, q) / (aw.h_prod(xs, P.a, q) * aw.h_prod(xs, P.b, q))
         if mode != "pq":
             wx = wx / aw.h_prod(xs, P.c, q)
-        wy = aw._theta_weight(P2, xs)
+        wy = aw._theta_weight(P2, xs)[0]
         for (j, k) in res.indices:
             left = rows(aw._x_params(tp, mode, k), j)
             if mode == "pq":
@@ -610,18 +611,22 @@ def _results_digest(results):
 
 class TestAskeyWilsonPinned:
     # the 1D cap ladder 1..8 and the criterion-8 tensor checks of the
-    # aw_tensor benchmark workload, recorded while the leading coefficients
+    # aw_tensor benchmark workload, re-recorded when the rows were divided
+    # by the square roots of their closed-form norms, so that every block
+    # is in the orthonormal scale (before: 52f08087dceec0aa and
+    # 8cfec8c07e38054c, recorded while the leading coefficients
     # 2^n (abcd q^(n-1); q)_n of the rows were scalar qcalc.qpochhammer
-    # calls, one per degree; TestNorms.test_array_products_equal_the_scalar
-    # is the oracle of the array pass that replaced them
+    # calls, one per degree); TestNorms.test_matches_mpmath_closed_form (the
+    # mpmath Askey-Wilson norms) and test_array_norms_equal_the_scalar are
+    # their oracles
     @pytest.mark.skipif(
         np.finfo(np.longdouble).nmant != 63,
         reason="digests recorded with x87 80-bit extended np.longdouble",
     )
     def test_results_bit_identical(self):
         ladder = [aw.aw_gram_1d(P, cap, diag_rel_tol=1e-6, offdiag_tol=1e-6) for cap in range(1, 9)]
-        assert _results_digest(ladder) == "52f08087dceec0aa"
+        assert _results_digest(ladder) == "144e60c2d419c7d7"
         tp = aw.TensorParams(P, P2)
         tensors = [aw.tensor_biortho_check(tp, 2, mode=mode, diag_rel_tol=1e-5, offdiag_tol=1e-6)
                    for mode in ("self", "uv", "pq")]
-        assert _results_digest(tensors) == "8cfec8c07e38054c"
+        assert _results_digest(tensors) == "43d2de0986a811f2"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bivarortho import bivariate, cli, quad, radial
+from bivarortho.polycore import Tolerance
 
 
 def run(argv, capsys):
@@ -289,15 +290,21 @@ class TestGram:
     # re-recorded when the q blocks became one np.dot over the kept lattice
     # points and the q-Laguerre leading coefficients np.longdouble (before:
     # ZQ 2f34b1e35cbd2fba, WALL 4b44b9a6bee82908, MQ cbd1e3af07adc693),
-    # whose oracle is tests/test_quad.py TestLatticeSumAgainstScalarLoop
+    # whose oracle is tests/test_quad.py TestLatticeSumAgainstScalarLoop.
+    # All six were re-recorded when every block took one orthonormal scale
+    # and the rows became the raw entries sqrt(zeta_i) G_ij sqrt(zeta_j) of
+    # it, with np.longdouble norms (before: Z 246292fb8bd09f2a, H
+    # 2f344a8bec15b35c, M 933d76eff5d23cec, ZQ e2293c2c77902efe, WALL
+    # 15517e26b8cffcc0, MQ 783ddc69730451ce); their oracles are the same,
+    # with tests/test_radial.py TestLatticeNorms for WALL and MQ
     GRAM_DIGESTS = {
-        "Z": (["--family", "Z", "--beta", "0.5"], "246292fb8bd09f2a"),
-        "H": (["--family", "H"], "2f344a8bec15b35c"),
-        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "933d76eff5d23cec"),
-        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "e2293c2c77902efe"),
-        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "15517e26b8cffcc0"),
+        "Z": (["--family", "Z", "--beta", "0.5"], "c2f4e8bacf3c683f"),
+        "H": (["--family", "H"], "a5c0c3972fc4ad4a"),
+        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "816981367d18999b"),
+        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "ecf1cc173ade846d"),
+        "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "8a7f20f8ceaae8bb"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
-               "783ddc69730451ce"),
+               "ea708f83144d0cab"),
     }
 
     @pytest.mark.skipif(
@@ -340,13 +347,14 @@ class TestGram:
         [
             ([[1.0, np.nan], [np.nan, 1.0]], "max_offdiag", "nan"),
             ([[np.nan, 0.0], [0.0, 1.0]], "max_diag_relerr", "nan"),
-            ([[0.0, 1e-3], [1e-3, 1.0]], "max_offdiag", "inf"),
+            ([[0.0, 1e-3], [1e-3, 1.0]], "max_diag_relerr", "1"),
         ],
         ids=["nan-offdiag", "nan-diag", "zero-scale"],
     )
     def test_broken_block_fails_exit_1(self, block, field, value, capsys, monkeypatch):
-        # a NaN or a zero diagonal in a radial block is a failed Gram
-        def radial_grams(fam, alphas, nmaxes, scales=None, norms=None):
+        # a NaN or a zero diagonal in an orthonormal radial block is a
+        # failed Gram
+        def radial_grams(fam, alphas, nmaxes, factors):
             return [np.array(block)[: nmax + 1, : nmax + 1] for nmax in nmaxes]
 
         monkeypatch.setattr(cli.quad, "radial_grams", radial_grams)
@@ -409,6 +417,28 @@ class TestCheck:
         assert [(r["m"], r["n"], r["residual"]) for r in failed] == [(18, 17, "nan")]
         assert failed[0]["note"].startswith("printed form breaks down")
         assert {r["verdict"] for r in rows if r is not failed[0]} == {"KNOWN_DISCREPANCY"}
+
+    def test_printed_form_writes_the_printed_scale(self, capsys):
+        # each printed row carries the scale its own gate read, not the
+        # derived variant's: at (18, 17) the printed side overflows to inf
+        # where the derived scale is 1.01e308
+        argv = ["check", "--family", "MQ", "--beta", "0.5", "--gamma", "0.7", "--q", "0.01",
+                "--ids", "MQ_LADDER2", "--max-degree", "18", "--format", "json"]
+        code, out, _ = run(argv + ["--printed-form"], capsys)
+        assert code == 1
+        printed = {(r["m"], r["n"]): r for r in json.loads(out)["rows"]}
+        _, out, _ = run(argv, capsys)
+        derived = {(r["m"], r["n"]): r for r in json.loads(out)["rows"]}
+        assert printed[(18, 17)]["scale"] == "inf"
+        assert float(derived[(18, 17)]["scale"]) == pytest.approx(1.0101112132435549e308)
+        fam = bivariate.MQ(0.5, 0.7, 0.01)
+        for (m, n), row in printed.items():
+            rep = bivariate.check_identity(fam, "MQ_LADDER2", m, n)
+            assert float(row["scale"]) == rep.printed_scale
+            assert float(row["residual"]) == rep.printed_residual or row["residual"] == "nan"
+            assert rep.printed_passed == bool(
+                Tolerance().gate(np.array([rep.printed_residual]), np.array([rep.printed_scale]))[0])
+        assert printed[(17, 16)]["scale"] != derived[(17, 16)]["scale"]
 
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run(

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,12 +110,12 @@ class TestQLatticeSum:
     )
     def test_mass_matches_closed_form(self, fam):
         total = quad.q_lattice_sum(fam, 1.0, lambda x: 1.0)
-        assert_allclose(total, radial.measure_mass(fam, 1.0), rtol=1e-12)
+        assert_allclose(total, radial.zeta(fam, 0, 1.0), rtol=1e-12)
 
     def test_bilateral_mass(self):
         fam = radial.q_laguerre(0.5, 0.5, c=1.0)
         total = quad.q_lattice_sum(fam, 1.0, lambda x: 1.0)
-        assert_allclose(total, radial.measure_mass(fam, 1.0), rtol=1e-12)
+        assert_allclose(total, radial.zeta(fam, 0, 1.0), rtol=1e-12)
 
     def test_unilateral_brute_force(self):
         # independently coded lattice sum for the wall weight
@@ -184,7 +185,7 @@ class TestQLatticeSum:
         fam = radial.wall(0.5, 0.5)
         tiny = np.longdouble("1e-400")
         total = quad.q_lattice_sum(fam, 1.0, lambda x: np.full_like(x, tiny))
-        assert_allclose(float(total / tiny), radial.measure_mass(fam, 1.0), rtol=1e-12)
+        assert_allclose(float(total / tiny), radial.zeta(fam, 0, 1.0), rtol=1e-12)
 
     def test_slow_decay_under_float64_range_does_not_stop_early(self):
         # every weight is below 1e-300; the 64th alone is 9.9e-611, so a
@@ -305,29 +306,35 @@ ORACLE_FAMILIES = {
 }
 
 
-def _one_block(rad, alpha, nmax, scale=None):
-    """The radial Gram block of phi_0..phi_nmax(x; alpha), times ``scale``
-    in its rows and columns when given: a one-block quad.radial_grams
-    request."""
-    return quad.radial_grams(rad, [alpha], [nmax], [scale], radial.norms(rad, [alpha], [nmax]))[0]
+def _orthonormal(rad, alphas, nmaxes):
+    """The row factors 1 / sqrt(zeta_k) of the blocks of alphas, as gram
+    passes them to radial_grams for every family but H."""
+    return [1 / np.sqrt(z) for z in radial.norms(rad, alphas, nmaxes)]
+
+
+def _one_block(rad, alpha, nmax, factors=None):
+    """The radial Gram block of phi_0..phi_nmax(x; alpha) in the
+    orthonormal scale, or with its rows times ``factors`` when given: a
+    one-block quad.radial_grams request."""
+    if factors is None:
+        factors = _orthonormal(rad, [alpha], [nmax])[0]
+    return quad.radial_grams(rad, [alpha], [nmax], [factors])[0]
 
 
 def _summed_rows(rad, alpha, nmax):
     """The rows a one-block radial_grams request sums over the lattice of a
-    q family, as rows(x) at a point or a 1-D array of points, and the
-    factors it scales the summed block back by (None for phi_rows)."""
-    if rad.kind in ("wall", "qjacobi"):
-        root = np.sqrt(radial.norms(rad, [alpha], [nmax])[0].astype(np.longdouble))
-        rows = radial.block_rows(rad, [alpha], [nmax], 1 / root)
-        return lambda x: rows(np.atleast_1d(x), np.ones(1, bool)), root
-    return radial.phi_rows(rad, alpha, nmax), None
+    q family, in the orthonormal scale, as rows(x) at a point or a 1-D
+    array of points."""
+    rows = radial.block_rows(rad, [alpha], [nmax], _orthonormal(rad, [alpha], [nmax])[0])
+    return lambda x: rows(np.atleast_1d(x), np.ones(1, bool))
 
 
 class TestLatticeSumAgainstScalarLoop:
     @pytest.mark.parametrize("fam", list(ORACLE_FAMILIES.values()), ids=list(ORACLE_FAMILIES))
     def test_gram_blocks_bit_identical(self, fam, monkeypatch):
-        # every radial block of the Grams at caps 2..15: q_lattice_sum of
-        # the outer product equals the scalar loop bit for bit; the walk of
+        # every radial block of the Grams at caps 2..15, its rows in the
+        # orthonormal scale of gram: q_lattice_sum of the outer product
+        # equals the scalar loop bit for bit; the walk of
         # radial_grams, stopped on the diagonal, keeps exactly the points the
         # scalar loop visits and sums the same diagonal bit for bit; its
         # block, one np.dot over those points, is within 2.2e-16 of the
@@ -343,7 +350,7 @@ class TestLatticeSumAgainstScalarLoop:
         monkeypatch.setattr(quad, "_lattice_walk", spy)
         for cap in range(2, 16):
             for alpha in range(cap + 1):
-                rows, root = _summed_rows(rad, alpha, cap - alpha)
+                rows = _summed_rows(rad, alpha, cap - alpha)
 
                 def outer(x):
                     v = rows(x).T
@@ -364,8 +371,6 @@ class TestLatticeSumAgainstScalarLoop:
                 points = np.concatenate([x for x, _, _ in kept])
                 assert np.array_equal(points, np.array(visited)), (cap, alpha)
                 assert np.array_equal(diagonal, np.diagonal(ref)), (cap, alpha)
-                if root is not None:
-                    ref = root[:, None] * ref * root
                 d = np.abs(np.diagonal(ref))
                 bound = 2.2e-16 * np.sqrt(np.multiply.outer(d, d))
                 assert np.all(np.abs(block - ref) <= bound), (cap, alpha)
@@ -418,16 +423,13 @@ class TestLatticeSumAgainstScalarLoop:
 def _block_walked_alone(rad, alpha, nmax):
     """One Gram block by the composition the one-pass walk replaced, kept
     as its oracle: a lattice walk of its own, with the rows of a one-block
-    radial.block_rows or radial.phi_rows, one np.dot over the kept
-    points, and the wall and qjacobi block scaled back.  Returns the block
-    and the walk's diagonal sums and kept chunks."""
-    rows, root = _summed_rows(rad, alpha, nmax)
+    radial.block_rows and one np.dot over the kept points.  Returns the
+    block and the walk's diagonal sums and kept chunks."""
+    rows = _summed_rows(rad, alpha, nmax)
     totals, kept = quad._lattice_walk(rad, [alpha], lambda x, live: rows(x), np.square, [nmax + 1])
     vals = np.concatenate([f for _, _, f in kept[0]], axis=1)
     weights = np.concatenate([w for _, w, _ in kept[0]])
     block = np.dot(vals * weights, vals.T)
-    if root is not None:
-        block = root[:, None] * block * root
     return block.astype(float), totals[0], kept[0]
 
 
@@ -459,11 +461,11 @@ class TestOnePassWalk:
             walks.append(walk(*args))
             return walks[-1]
 
-        # the norms as gram passes them, one radial.norms call
-        norms = radial.norms(rad, alphas, nmaxes)
+        # the row factors as gram passes them, from one radial.norms call
+        factors = _orthonormal(rad, alphas, nmaxes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quad, "_lattice_walk", spy)
-            blocks = quad.radial_grams(rad, alphas, nmaxes, [None] * len(alphas), norms)
+            blocks = quad.radial_grams(rad, alphas, nmaxes, factors)
         assert len(walks) == 1
         totals, kept = walks[0]
         for b, (alpha, nmax) in enumerate(zip(alphas, nmaxes)):
@@ -487,7 +489,8 @@ class TestOnePassWalk:
         cap = 6
         alphas = list(range(cap + 1))
         widths = np.array([cap - a + 1 for a in alphas])
-        rows = radial.block_rows(rad, alphas, widths - 1, None)
+        rows = radial.block_rows(rad, alphas, widths - 1,
+                                 np.concatenate(_orthonormal(rad, alphas, widths - 1)))
         totals, kept = quad._lattice_walk(rad, alphas, rows, np.square, widths)
         b = 3
         points = np.concatenate([x for x, _, _ in kept[b]])
@@ -528,7 +531,7 @@ class TestOnePassWalk:
         # per call, as one cap-15 block took at LATTICE_MAX_CHUNK points
         fam = radial.wall(0.5, 0.95)
         alphas = list(range(16))
-        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas], None)
+        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas], np.ones(136))
         sizes = []
 
         def counted(x, live):
@@ -550,6 +553,28 @@ class TestGram:
             ref = math.pi * math.gamma(0.5 + max(m, n) + 1) / math.factorial(min(m, n))
             assert_allclose(res.diag_ref[(m, n)], ref, rtol=1e-13)
             assert_allclose(res.entries[((m, n), (m, n))], ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("fam", [bivariate.Z(0.5), bivariate.Z(2.0), bivariate.H(),
+                                     bivariate.M(0.5, 0.7), bivariate.M(2.0, -0.5)],
+                             ids=["Z", "Z2", "H", "M", "M-negative"])
+    def test_raw_diagonal_reads_the_textbook_norms(self, fam):
+        # sqrt(zeta_i) G_ii sqrt(zeta_i) of the orthonormal blocks against
+        # the Laguerre and Jacobi norms written from math.gamma (4.8e-15 and
+        # 7.7e-15 at most, measured)
+        def textbook(m, n):
+            k, a = min(m, n), abs(m - n)
+            if fam.tag == "Z":
+                return math.pi * math.gamma(fam.beta + k + a + 1) / math.factorial(k)
+            if fam.tag == "H":
+                return math.pi * math.factorial(k + a) * math.factorial(k)
+            g, b = a + fam.gamma, fam.beta
+            return (math.gamma(k + g + 1) * math.gamma(k + b + 1)
+                    / ((2 * k + g + b + 1) * math.factorial(k) * math.gamma(k + g + b + 1)))
+
+        for cap in (0, 4, 15):
+            res = quad.gram(fam, cap)
+            for i in res.indices:
+                assert_allclose(res.entries[(i, i)], textbook(*i), rtol=1e-13)
 
     def test_rescaled_plane_family(self):
         # diagonal carries the square of the n! rescaling
@@ -627,7 +652,7 @@ class TestGram:
         # the q-Laguerre leading coefficients in np.longdouble: in float they
         # underflowed at q = 0.3 and cap 25 (diag relerr 1.0); these read
         # max_offdiag <= 8.4e-16 and diag relerr <= 5.8e-14 (measured), with
-        # diagonals up to 8e242, whose products leave the float range
+        # norms up to 8e242
         + [(fam, cap) for fam in (bivariate.ZQ(0.0, 0.3), bivariate.ZQ(0.5, 0.3),
                                   bivariate.ZQ(0.7, 0.3, 2.0))
            for cap in (25, 30)],
@@ -658,8 +683,6 @@ class TestGram:
     @pytest.mark.parametrize("fam", [bivariate.Z(0.0), bivariate.M(0.0, 0.0)], ids=["Z", "M"])
     @pytest.mark.filterwarnings("error")
     def test_continuous_families_certify_cap_90(self, fam):
-        # each block's norms stop at its own degree: a table to the cap in
-        # every block would take math.gamma past 171.6, which raises
         res = quad.gram(fam, 90, offdiag_tol=1e-9, diag_rel_tol=1e-8)
         assert res.passed, (res.max_offdiag, res.max_diag_relerr)
 
@@ -669,66 +692,87 @@ class TestGram:
         res = quad.gram(bivariate.WALL(0.5, 0.3), 12)
         assert all(res.entries[(i, i)] >= 0.0 for i in res.indices)
 
+    # the cases where the float norms and products of the raw scale left
+    # the range: ZQ(0; 0.3) failed from cap 34 and ZQ(0.5; 0.5) from cap 45
+    # (the ZQ norm at degree 0 of the top harmonic index, with
+    # (-q^(-a) / c; q)_inf near q^(-a^2 / 2), passed 1e308), WALL(0.5; 0.3)
+    # at cap 50 (its norm R q^((a+1) n) ... fell under the subnormals) and H
+    # from cap 98 (pi (98!)^2 passed 1e308).  In the orthonormal scale with
+    # np.longdouble norms they certify, and a raw entry past the float
+    # range reads inf
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "fam,cap,note",
-        [(bivariate.ZQ(0.0, 0.3), 34,
-          "harmonic index 34, degree 0: the closed-form norm overflows the float range"),
-         (bivariate.ZQ(0.5, 0.5), 45,
-          "harmonic index 45, degree 0: the closed-form norm overflows the float range"),
-         (bivariate.WALL(0.5, 0.3), 50,
-          "harmonic index 18, degree 32: the closed-form norm underflows to 0")],
-        ids=["ZQ0-q0.3", "ZQ-q0.5", "WALL-q0.3"],
+        "fam,cap",
+        [(bivariate.ZQ(0.0, 0.3), 60), (bivariate.ZQ(0.5, 0.5), 50),
+         (bivariate.WALL(0.5, 0.3), 50), (bivariate.H(), 98), (bivariate.H(), 100),
+         (bivariate.H(), 110)],
+        ids=["ZQ0-q0.3-cap60", "ZQ-q0.5-cap50", "WALL-q0.3-cap50", "H-cap98", "H-cap100",
+             "H-cap110"],
     )
-    def test_norm_out_of_float_range_is_a_diagnosed_failure(self, fam, cap, note):
-        # the ZQ norm at degree 0 of the top harmonic index, R of radial.norms
-        # with (-q^(-a) / c; q)_inf near q^(-a^2 / 2), passes 1e308; the
-        # wall norm R q^((a+1) n) ... falls under the subnormals.  The
-        # Gram fails with the first one named, and no warning; the wall
-        # row of a zero norm sums to 0 instead of raising on 1 / 0
+    def test_norms_past_the_float_range_pass(self, fam, cap):
         res = quad.gram(fam, cap)
-        assert not res.passed
-        assert res.notes == note
-        assert quad.gram(fam, 8).notes == ""
+        assert res.passed, (res.max_offdiag, res.max_diag_relerr)
+        assert res.notes == ""
+        tiny = np.finfo(float).tiny
+        normal = [tiny <= res.diag_ref[i] < math.inf for i in res.indices]
+        assert not all(normal)
+        for i, inside in zip(res.indices, normal):
+            if inside:
+                assert abs(res.entries[(i, i)] - res.diag_ref[i]) <= 1e-12 * res.diag_ref[i]
+            elif res.diag_ref[i] == math.inf:
+                assert res.entries[(i, i)] == math.inf
 
+    # math.gamma(a + n + 1) of the classical norms raised OverflowError
+    # ("math range error") here
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("cap", [98, 100])
-    def test_h_norm_out_of_float_range_is_a_diagnosed_failure(self, cap):
-        # pi (98!)^2 passes 1e308 at degree 98; (99!)^2 leaves the float
-        # range itself, which a Python float power would raise on
-        res = quad.gram(bivariate.H(), cap)
-        assert not res.passed
-        assert res.notes == ("harmonic index 0, degree 98: the closed-form norm "
-                             "overflows the float range")
-        assert quad.gram(bivariate.H(), 97).passed
+    @pytest.mark.parametrize("fam,cap", [(bivariate.Z(0.0), 175), (bivariate.M(2.0, -0.5), 140)],
+                             ids=["Z0-cap175", "M-cap140"])
+    def test_gauss_norms_past_math_gamma_give_a_result(self, fam, cap):
+        res = quad.gram(fam, cap)
+        assert res.passed or re.fullmatch(r"harmonic index \d+, degree \d+: .+", res.notes), (
+            res.max_offdiag, res.max_diag_relerr, res.notes)
 
     def test_range_note_names_an_overflowed_entry(self):
-        norms = [np.array([1.0, 2.0]), np.array([1.0, 1.0])]
+        # norms past the np.longdouble range, and an infinite Gram entry
+        norms = [np.array([1.0, 2.0], np.longdouble), np.array([1.0, 1.0], np.longdouble)]
         grams = [np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]])]
         assert quad._range_note(norms, grams) == (
-            "harmonic index 1, degree 0: a Gram entry overflows the float range")
+            "harmonic index 1, degree 0: a Gram entry leaves the float range")
         grams[1][:] = np.nan
         assert quad._range_note(norms, grams) == ""
+        with np.errstate(over="ignore", under="ignore"):
+            norms[1][1] = np.longdouble(1e-4000) * 1e-4000
+            assert quad._range_note(norms, grams) == (
+                "harmonic index 1, degree 1: the closed-form norm underflows to 0")
+            norms[0][1] = np.longdouble(1e4000) * 1e4000
+        assert quad._range_note(norms, grams) == (
+            "harmonic index 0, degree 1: the closed-form norm overflows the extended range")
 
 
 # The Gram grids and cap ladders of the gram_frontier benchmark workload,
-# and digests of their results.  The Z, H and M digests, and the grid
-# digest of Z and M, pin those families bit for bit as their recurrence
-# rows at the nodes and Christoffel weights of golub_welsch give them;
-# TestGolubWelsch.test_matches_40_digit_rule and the certified caps of
-# TestGram are their oracles.  The q-family blocks are one np.dot over the
-# points the lattice walk keeps, whose oracle is
+# and digests of their results: the raw entries, norms and maxima.  The Z,
+# H and M digests, and the grid digest of Z and M, pin those families bit
+# for bit as their recurrence rows at the nodes and Christoffel weights of
+# golub_welsch give them; TestGolubWelsch.test_matches_40_digit_rule, the
+# certified caps of TestGram and test_raw_diagonal_reads_the_textbook_norms
+# are their oracles.  The q-family blocks are one np.dot over the points
+# the lattice walk keeps, whose oracle is
 # TestLatticeSumAgainstScalarLoop.test_gram_blocks_bit_identical.  The ZQ
 # digests pin the recurrence rows on the q-Laguerre lattice, with the
 # np.longdouble leading coefficients, against the one-product norms, whose
 # oracle is tests/test_radial.py TestQLaguerreNorms.  The WALL and MQ
-# digests pin the Newton rows of radial.block_rows summed in orthonormal scale;
-# tests/test_radial.py TestLatticeRows and TestLatticeNorms and the
-# certified caps of TestGram are their oracles.  Before the q blocks were
-# one np.dot (the outer products summed point by point), ZQ read
+# digests pin the Newton rows of radial.block_rows; tests/test_radial.py
+# TestLatticeRows and TestLatticeNorms and the certified caps of TestGram
+# are their oracles.  Every digest was re-recorded when every block took
+# one orthonormal scale, its rows divided by the square roots of
+# np.longdouble norms (before: grids 557ad928ddeb6530, grids-ZQ
+# 2fe45496d9ae8957, grids-WALL-MQ 650453198a4562f8, Z c91ed1ce8e1bb088, H
+# 549bda9b5b356049, M eb827d853d45b9f2, ZQ 74210797b3fa0db8, WALL
+# 5369749b2e5fd01d, MQ 9ba9db3ba3a75ceb).  Before the q blocks were one
+# np.dot (the outer products summed point by point), ZQ read
 # 68a22e2d93a667f4, WALL 050c35697422d195, MQ 12cdfd69395e4fbd and
 # grids-WALL-MQ 9073153e4c43af53, and the grid digest held ZQ too
-# (c381c7f8f9ed2947); the Z and M grids alone read 557ad928ddeb6530 then.
+# (c381c7f8f9ed2947).
 GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
 LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
                    bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
@@ -742,15 +786,15 @@ GRAM_GROUPS = {
     **{fam.tag: [(fam, cap, 1e-9, 1e-8) for cap in GRAM_LADDER] for fam in LADDER_FAMILIES},
 }
 GRAM_DIGESTS = {
-    "grids": "557ad928ddeb6530",
-    "grids-ZQ": "2fe45496d9ae8957",
-    "grids-WALL-MQ": "650453198a4562f8",
-    "Z": "c91ed1ce8e1bb088",
-    "H": "549bda9b5b356049",
-    "M": "eb827d853d45b9f2",
-    "ZQ": "74210797b3fa0db8",
-    "WALL": "5369749b2e5fd01d",
-    "MQ": "9ba9db3ba3a75ceb",
+    "grids": "f5a14962dce8717d",
+    "grids-ZQ": "fef214d4746d9274",
+    "grids-WALL-MQ": "89bfaf2a8161a6cc",
+    "Z": "c28e69b9decd9e1f",
+    "H": "ac1730a612d11360",
+    "M": "272715febe06e571",
+    "ZQ": "f4bbac2bf520c5b7",
+    "WALL": "e900afbfbc351cce",
+    "MQ": "a599b1363887ee4b",
 }
 
 
@@ -772,8 +816,8 @@ class TestGramPinned:
 class TestRadialGram:
     def test_scale_multiplies_rows_and_columns(self):
         fam = radial.laguerre(0.0)
-        scale = [1.0, -2.0, 3.0]
-        plain = _one_block(fam, 1, 2)
+        scale = np.array([1.0, -2.0, 3.0])
+        plain = _one_block(fam, 1, 2, np.ones(3))
         scaled = _one_block(fam, 1, 2, scale)
         assert_allclose(scaled, np.outer(scale, scale) * plain, rtol=1e-13, atol=1e-13)
 
@@ -819,7 +863,7 @@ class TestRadialGramAgainstTables:
         # basis beyond cap 4 (3e-11 at cap 6), so WALL and MQ stop there
         rad = bivariate.radial_of(fam)
         for alpha in range(cap + 1):
-            block = _one_block(rad, alpha, cap - alpha)
+            block = _one_block(rad, alpha, cap - alpha, np.ones(cap - alpha + 1))
             ref = _table_block(rad, alpha, cap - alpha)
             scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
             assert np.max(np.abs(block - ref) / scale) < 1e-12, alpha
@@ -827,9 +871,9 @@ class TestRadialGramAgainstTables:
 
 class TestSummarize:
     def test_repeated_block_measured_once(self):
-        # gram's blocks of index a and -a share one (G, ref) pair, one after
-        # the other; the pair is measured once, and the result is that of
-        # measuring every block
+        # gram's blocks of index a and -a share one G, one after the other;
+        # it is measured once, and the result is that of measuring every
+        # block
         class Counted(np.ndarray):
             differences = 0
 
@@ -837,38 +881,49 @@ class TestSummarize:
                 Counted.differences += ufunc is np.subtract
                 return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-        g = np.array([[2.0, 0.1], [0.1, 8.0]])
-        ref = np.array([2.0, 10.0]).view(Counted)
-        other = (np.array([[1.0, 1e-3], [1e-3, 3.0]]), np.array([1.0, 3.0]))
-        blocks = [([0, 1], g, ref), ([2, 3], g, ref), ([4, 5], *other), ([6, 7], g, ref)]
+        g = np.array([[1.2, 0.1], [0.1, 0.8]]).view(Counted)
+        zeta = np.array([2.0, 10.0])
+        other = (np.array([[1.0, 1e-3], [1e-3, 1.0 + 1e-9]]), np.array([1.0, 3.0]))
+        blocks = [([0, 1], g, zeta), ([2, 3], g, zeta), ([4, 5], *other), ([6, 7], g, zeta)]
         res = quad.summarize(blocks, 1e-9, 0.5)
         assert Counted.differences == 2
-        copies = [(idxs, g.copy(), np.array(r)) for idxs, g, r in blocks]
+        copies = [(idxs, np.array(g), z.copy()) for idxs, g, z in blocks]
         full = quad.summarize(copies, 1e-9, 0.5)
         assert (res.max_offdiag, res.max_diag_relerr, res.diag_ref) == (
             full.max_offdiag, full.max_diag_relerr, full.diag_ref)
 
     def test_reports_worst_entries(self):
-        blocks = [([0, 1], np.array([[2.0, 0.1], [0.1, 8.0]]), np.array([2.0, 10.0]))]
+        blocks = [([0, 1], np.array([[1.0, 0.025], [0.025, 0.8]]), np.array([2.0, 10.0]))]
         res = quad.summarize(blocks, 1e-9, 0.5, notes="x")
-        assert res.max_offdiag == pytest.approx(0.1 / 4.0)
+        assert res.max_offdiag == 0.025
         assert res.max_diag_relerr == pytest.approx(0.2)
         assert not res.passed
         assert res.notes == "x"
-        blocks = [([0, 1], blocks[0][1], np.array([2.0, 8.0]))]
-        assert quad.summarize(blocks, 0.1, 1e-9).passed
+        assert res.diag_ref == {0: 2.0, 1: 10.0}
+        assert quad.summarize(blocks, 0.1, 0.5).passed
 
     def test_matches_all_pairs_loop(self):
-        # exact-zero off-diagonals are skipped; the maxima must equal a
-        # loop over every pair, zeros included
-        def all_pairs(indices, entries, diag_ref):
+        # the maxima equal a loop over every pair, exact zeros included;
+        # normalized by the closed-form norms, the raw entries read them to
+        # rounding
+        def all_pairs(indices, entries):
             max_off = max_rel = 0.0
             for i in indices:
-                max_rel = max(max_rel, abs(entries[(i, i)] - diag_ref[i]) / abs(diag_ref[i]))
+                max_rel = max(max_rel, abs(entries[(i, i)] - 1.0))
                 for j in indices:
                     if i != j:
-                        scale = math.sqrt(abs(entries[(i, i)] * entries[(j, j)]))
-                        max_off = max(max_off, abs(entries[(i, j)]) / scale)
+                        max_off = max(max_off, abs(entries[(i, j)]))
+            return max_off, max_rel
+
+        def raw_pairs(res):
+            max_off = max_rel = 0.0
+            for i in res.indices:
+                z = res.diag_ref[i]
+                max_rel = max(max_rel, abs(res.entries[(i, i)] - z) / z)
+                for j in res.indices:
+                    if i != j:
+                        scale = math.sqrt(z * res.diag_ref[j])
+                        max_off = max(max_off, abs(res.entries[(i, j)]) / scale)
             return max_off, max_rel
 
         rng = np.random.default_rng(3)
@@ -877,19 +932,21 @@ class TestSummarize:
         for i in indices:
             for j in indices:
                 if i == j:
-                    entries[(i, j)] = rng.uniform(1.0, 5.0)
+                    entries[(i, j)] = 1.0 + rng.normal(scale=1e-6)
                 else:
                     entries[(i, j)] = 0.0 if (i + j) % 3 else rng.normal(scale=1e-3)
-        diag_ref = {i: entries[(i, i)] * (1 + rng.normal(scale=1e-6)) for i in indices}
         g = np.array([[entries[(i, j)] for j in indices] for i in indices])
-        ref = np.array([diag_ref[i] for i in indices])
-        res = quad.summarize([(indices, g, ref)], 1e-9, 1e-8)
-        assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(indices, entries, diag_ref)
+        zeta = rng.uniform(1.0, 5.0, len(indices))
+        res = quad.summarize([(indices, g, zeta)], 1e-9, 1e-8)
+        assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(indices, entries)
         assert res.max_offdiag > 0.0
+        assert_allclose(raw_pairs(res), all_pairs(indices, entries), rtol=1e-12, atol=1e-15)
         res = quad.gram(bivariate.M(0.5, 0.5), 4)
-        assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(
-            res.indices, res.entries, res.diag_ref
-        )
+        blocks = {i: (idxs, g) for idxs, g, _ in res.blocks for i in idxs}
+        entries = {(i, j): g[idxs.index(i), idxs.index(j)] if j in idxs else 0.0
+                   for i, (idxs, g) in blocks.items() for j in res.indices}
+        assert (res.max_offdiag, res.max_diag_relerr) == all_pairs(res.indices, entries)
+        assert_allclose(raw_pairs(res), all_pairs(res.indices, entries), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize(
         "g",
@@ -917,41 +974,49 @@ class TestSummarize:
         assert not res.passed
 
     def test_zero_diagonal_under_nonzero_offdiagonal_fails(self):
+        # in the orthonormal scale a zero diagonal is a diagonal error of 1
         g = np.array([[0.0, 1e-3], [1e-3, 1.0]])
         res = quad.summarize([([0, 1], g, np.ones(2))], 1e-9, 2.0)
-        assert res.max_offdiag == math.inf
+        assert (res.max_offdiag, res.max_diag_relerr) == (1e-3, 1.0)
         assert not res.passed
 
     def test_overflowing_diagonal_product(self):
-        # 1e200 * 1e200 overflows: the pair must read 0.5, not 0
-        g = np.array([[1e200, 0.5e200], [0.5e200, 1e200]])
-        res = quad.summarize([([0, 1], g, np.diagonal(g).copy())], 1e-9, 1e-8)
-        assert res.max_offdiag == 0.5
+        # norms whose product 1e200 * 1e200 overflows: the pair reads 0.5,
+        # its orthonormal entry, and the raw entry 0.5e300 * ... reads inf
+        g = np.array([[1.0, 0.5], [0.5, 1.0]])
+        res = quad.summarize([([0, 1], g, np.full(2, 1e200))], 1e-9, 1e-8)
+        assert (res.max_offdiag, res.max_diag_relerr) == (0.5, 0.0)
         assert not res.passed
+        assert res.entries[(0, 1)] == pytest.approx(0.5e200, rel=1e-15)
+        big = np.full(2, np.longdouble(1e300) * 1e100)
+        res = quad.summarize([([0, 1], g, big)], 1e-9, 1e-8)
+        assert res.max_offdiag == 0.5
+        assert res.entries[(0, 1)] == res.diag_ref[0] == math.inf
 
     def test_underflowing_diagonal_product(self):
-        # 1e-200 * 1e-200 underflows to 0: the pair must read 1e-20, not inf
-        g = np.array([[1e-200, 1e-220], [1e-220, 1e-200]])
-        res = quad.summarize([([0, 1], g, np.diagonal(g).copy())], 1e-9, 1e-8)
-        assert res.max_offdiag == pytest.approx(1e-20, rel=1e-15)
+        # norms whose product 1e-200 * 1e-200 underflows to 0: the pair
+        # reads 1e-20, not inf
+        g = np.array([[1.0, 1e-20], [1e-20, 1.0]])
+        res = quad.summarize([([0, 1], g, np.full(2, 1e-200))], 1e-9, 1e-8)
+        assert res.max_offdiag == 1e-20
         assert res.passed
 
     def test_blocks_read_as_alone_when_the_gram_spans_the_range(self):
-        # the extreme diagonals of different blocks square out of range, so
-        # the Gram-wide range test fails and each block is tested on its own
-        blocks = [([0, 1], np.array([[1e-170, 3e-173], [3e-173, 1e-170]]), np.full(2, 1e-170)),
-                  ([2, 3], np.array([[1e170, 2e168], [2e168, 1e170]]), np.full(2, 1e170)),
-                  ([4, 5], np.array([[1e200, 5e199], [5e199, 1e200]]), np.full(2, 1e200))]
+        # the norms of different blocks span the float range, which the
+        # orthonormal blocks do not see
+        blocks = [([0, 1], np.array([[1.0, 3e-3], [3e-3, 1.0]]), np.full(2, 1e-170)),
+                  ([2, 3], np.array([[1.0, 2e-2], [2e-2, 1.0]]), np.full(2, 1e170)),
+                  ([4, 5], np.array([[1.0, 0.5], [0.5, 1.0]]), np.full(2, 1e200))]
         alone = [quad.summarize([b], 1e-9, 1e-8).max_offdiag for b in blocks]
-        assert alone == [pytest.approx(3e-3, rel=1e-15), pytest.approx(2e-2, rel=1e-15), 0.5]
+        assert alone == [3e-3, 2e-2, 0.5]
         for k in (2, 3):
             assert quad.summarize(blocks[:k], 1e-9, 1e-8).max_offdiag == max(alone[:k])
         res = quad.summarize([], 1e-9, 1e-8)
         assert (res.indices, res.max_offdiag, res.passed) == ([], 0.0, True)
 
     def test_exact_zeros_never_count(self):
-        # an exact zero over a zero diagonal is no 0/0: it cannot raise the
-        # maximum, inside a block or across blocks
+        # an exact zero cannot raise the maximum, inside a block or across
+        # blocks, even next to a zero diagonal
         blocks = [([0, 1], np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([1e-300, 1.0])),
                   ([2], np.array([[1.0]]), np.ones(1))]
         res = quad.summarize(blocks, 1e-9, 2.0)
@@ -962,12 +1027,20 @@ class TestSummarize:
 
 def _old_entries(fam, cap):
     """The (cap+1)^4 entry dict as gram assembled it before block results:
-    one float per index pair, the radial block value within a harmonic
-    index and 0.0 across."""
+    one float per index pair, the raw radial block value within a harmonic
+    index, sqrt(zeta_i) G_ij sqrt(zeta_j) of its orthonormal block G and
+    norms zeta, and 0.0 across."""
     rad = bivariate.radial_of(fam)
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
-    blocks = [norm_const * _one_block(rad, a, cap - a, bivariate.harmonic_scale(fam, cap - a))
-              for a in range(cap + 1)]
+    blocks = []
+    for a in range(cap + 1):
+        zeta = radial.norms(rad, [a], [cap - a])[0]
+        scale = bivariate.harmonic_scale(fam, cap - a)
+        scale = 1.0 if scale is None else np.array(scale, np.longdouble)
+        zeta = zeta * scale ** 2
+        root = np.sqrt(norm_const * zeta)
+        g = _one_block(rad, a, cap - a, scale / np.sqrt(zeta))
+        blocks.append((root[:, None] * g * root).astype(float))
     indices = [(m, n) for m in range(cap + 1) for n in range(cap + 1)]
     entries = {}
     for (m, n) in indices:
@@ -1005,10 +1078,11 @@ class TestEntriesView:
     def test_blocks_one_per_harmonic_index(self):
         res = quad.gram(bivariate.M(0.5, 0.5), 3)
         assert sorted(idxs[0][0] - idxs[0][1] for idxs, _, _ in res.blocks) == list(range(-3, 4))
-        for idxs, g, ref in res.blocks:
-            assert g.shape == (len(idxs), len(idxs)) == (len(ref), len(ref))
+        for idxs, g, zeta in res.blocks:
+            assert g.shape == (len(idxs), len(idxs)) == (len(zeta), len(zeta))
+            assert zeta.dtype == np.longdouble
             assert len({m - n for m, n in idxs}) == 1
-            assert [res.diag_ref[i] for i in idxs] == list(ref)
+            assert [res.diag_ref[i] for i in idxs] == [float(z) for z in zeta]
 
 
 # the brackets of bisection_zeros: midpoints between the eigensolver zeros

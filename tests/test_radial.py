@@ -115,6 +115,9 @@ class TestClassicalTables:
             radial.norms(bad, [0], [2])
         with pytest.raises(ValueError):
             radial.leading_coeff(bad, 2, 0)
+        for fam in (bad, radial.wall(0.5, 0.5)):
+            with pytest.raises(ValueError, match="not a continuous family"):
+                radial.measure_mass(fam, 0)
 
 
 class TestQTableStructure:
@@ -176,9 +179,10 @@ class TestTableCache:
 
 
 def _one_block(fam, alpha, nmax):
-    """The radial Gram block of phi_0..phi_nmax(x; alpha): a one-block
-    quad.radial_grams request."""
-    return quad.radial_grams(fam, [alpha], [nmax], [None], radial.norms(fam, [alpha], [nmax]))[0]
+    """The radial Gram block of phi_0..phi_nmax(x; alpha), not scaled by
+    the closed-form norms: a one-block quad.radial_grams request with unit
+    row factors."""
+    return quad.radial_grams(fam, [alpha], [nmax], [np.ones(nmax + 1)])[0]
 
 
 class TestNorms:
@@ -223,7 +227,8 @@ class TestNorms:
         # for bit, and so is every prefix of a longer row
         alphas = list(range(12))
         rows = radial.norms(fam, alphas, [11 - a for a in alphas])
-        assert [(row.dtype, row.shape) for row in rows] == [(float, (12 - a,)) for a in alphas]
+        assert [(row.dtype, row.shape) for row in rows] == [(np.longdouble, (12 - a,))
+                                                             for a in alphas]
         for alpha, row in zip(alphas, rows):
             assert np.array_equal(row, radial.norms(fam, [alpha], [11 - alpha])[0])
             for n in (0, 1, 6):
@@ -268,6 +273,12 @@ def _mp_params(mp, fam, alpha):
     return q, a, b
 
 
+def _mp_exact(mp, v):
+    """The np.longdouble v as an mpmath number, exactly."""
+    num, den = np.longdouble(v).as_integer_ratio()
+    return mp.mpf(num) / den
+
+
 class TestLatticeRows:
     @pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=LATTICE_IDS)
     def test_matches_mpmath_oracle(self, fam):
@@ -280,7 +291,8 @@ class TestLatticeRows:
         nmax, kmax = 12, 40
         x = radial.lattice_points(np.longdouble(fam.q), kmax + 1)
         for alpha in (0, 2):
-            vals = radial.block_rows(fam, [alpha], [nmax], None)(x, ONE_BLOCK).astype(float)
+            rows = radial.block_rows(fam, [alpha], [nmax], np.ones(nmax + 1))
+            vals = rows(x, ONE_BLOCK).astype(float)
             with mp.workdps(250):
                 q, a, b = _mp_params(mp, fam, alpha)
                 for n in range(nmax + 1):
@@ -301,7 +313,7 @@ class TestLatticeRows:
         # three-term recurrence at the same point gives -7260
         fam = radial.wall(0.5, 0.3)
         one = np.ones(1, np.longdouble)
-        newton = radial.block_rows(fam, [0], [10], None)(one, ONE_BLOCK)
+        newton = radial.block_rows(fam, [0], [10], np.ones(11))(one, ONE_BLOCK)
         assert_allclose(float(newton[10, 0]), 5.45023212040486e-32, rtol=1e-14)
         assert abs(radial.phi_rows(fam, 0, 10)(one)[10, 0]) > 1.0
 
@@ -330,7 +342,7 @@ class TestLatticeNorms:
         mp = pytest.importorskip("mpmath")
         qp = mp.qp
         table = radial.norms(fam, [0, 3], [15, 15])
-        assert [(z.dtype, z.shape) for z in table] == [(float, (16,))] * 2
+        assert [(z.dtype, z.shape) for z in table] == [(np.longdouble, (16,))] * 2
         for alpha, z in zip((0, 3), table):
             with mp.workdps(50):
                 q, _, _ = _mp_params(mp, fam, alpha)
@@ -342,7 +354,7 @@ class TestLatticeNorms:
                     if fam.kind == "qjacobi":
                         ref *= (qp(q ** (e + g + n + 1), q, n) * qp(q ** (e + g + 2 * n + 2), q)
                                 / qp(q ** (g + n + 1), q))
-                    assert abs(z[n] - ref) < 1e-15 * ref, (alpha, n)
+                    assert abs(_mp_exact(mp, z[n]) - ref) < 1e-15 * ref, (alpha, n)
                     assert radial.zeta(fam, n, alpha) == z[n]
 
     @pytest.mark.parametrize(
@@ -398,7 +410,7 @@ class TestQLaguerreNorms:
                         for n in range(31):
                             ref = R * mp.qp(Q ** (e + 1), Q, n) / (mp.qp(Q, Q, n) * Q ** n)
                             # 3.4e-16 measured
-                            assert abs(z[n] - ref) < 1e-15 * ref, (beta, c, alpha, n)
+                            assert abs(_mp_exact(mp, z[n]) - ref) < 1e-15 * ref, (beta, c, alpha, n)
 
 
 class TestShiftMachinery:
@@ -677,19 +689,20 @@ class TestClosedFormsAgainstTheSeparateForms:
             for alpha in ORACLE_ALPHAS:
                 ref = np.array([_ref_zeta(fam, n, alpha) for n in range(31)])
                 z = table[alpha]
-                assert z.dtype == float
-                if fam.kind == "qlaguerre":
-                    # q-Laguerre's norms are one product of factor ratios,
-                    # not the separate products: TestQLaguerreNorms is their
-                    # 50-digit oracle, and the separate form, where finite,
-                    # agrees to 1.2e-14 (measured)
-                    assert np.all(np.isfinite(z)), (fam, alpha)
-                    if fam.q < 0.999:
-                        assert_allclose(z, ref, rtol=2e-14, atol=0, err_msg=str((fam, alpha)))
-                    ref = z
-                assert np.array_equal(z, ref, equal_nan=True), (fam, alpha)
+                assert z.dtype == np.longdouble
+                assert np.all(np.isfinite(z)), (fam, alpha)
+                # the classical norms are running products from the mass,
+                # and q-Laguerre's one product of factor ratios, not the
+                # separate float forms: TestQLaguerreNorms is the 50-digit
+                # oracle of the latter, and the separate forms, where
+                # finite, agree to 1.2e-14 (q-Laguerre) and 1.4e-14
+                # (math.gamma; measured)
+                if fam.q < 0.999:
+                    assert_allclose(z.astype(float), ref, rtol=2e-14, atol=0,
+                                    err_msg=str((fam, alpha)))
                 zetas = [radial.zeta(fam, n, alpha) for n in (0, 1, 7, 30)]
-                assert np.array_equal(zetas, ref[[0, 1, 7, 30]], equal_nan=True)
-                c00 = radial.radial_coeffs(fam, 0, alpha)[0]
-                mass = radial.measure_mass(fam, alpha)
-                assert np.array_equal(mass, ref[0] / c00 ** 2, equal_nan=True)
+                assert np.array_equal(zetas, z[[0, 1, 7, 30]])
+                # phi_0 = 1, so zeta_0 is the mass
+                assert radial.radial_coeffs(fam, 0, alpha)[0] == 1.0
+                if not fam.is_q():
+                    assert radial.measure_mass(fam, alpha) == z[0]
