@@ -42,8 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import radial
-from .polycore import (BivariatePoly, DiagFactor, DiagTables, Tolerance, identity_residual, pack,
-                       powers)
+from .polycore import BivariatePoly, DiagFactor, DiagTables, Tolerance, identity_residual, powers
 from .qcalc import pochhammer
 
 # identities whose printed variant is expected to fail (suspected typos);
@@ -156,7 +155,7 @@ def construct(fam, m, n):
     coeffs = radial.radial_coeffs(radial_of(fam), n, m - n).tolist()
     factors = harmonic_scale(fam, n)
     scale = 1.0 if factors is None else factors[n]
-    return BivariatePoly({pack(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
+    return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
 def harmonic_scale(fam, nmax):
@@ -1404,7 +1403,7 @@ def pde_series_solution(beta, n, boundary_j0=None, boundary_0k=None, cutoff=40):
         for key, val in new.items():
             a[key] = a.get(key, 0.0) + val
         frontier = new
-    return BivariatePoly({pack(j, k): v for (j, k), v in a.items()})
+    return BivariatePoly(a)
 
 
 def pde_closed_form(beta, n, p=None, r=None):
@@ -1416,14 +1415,14 @@ def pde_closed_form(beta, n, p=None, r=None):
         coeffs = radial.radial_coeffs(rad, n, beta + p).tolist()
         scale = math.factorial(n) / pochhammer(beta + p + 1, n)
         return BivariatePoly(
-            {pack(p + n - j, n - j): scale * coeffs[j] for j in range(n + 1)}
+            {(p + n - j, n - j): scale * coeffs[j] for j in range(n + 1)}
         )
     if r is not None:
         terms = {}
         term = 1.0
         i = 0
         while True:
-            terms[pack(i, r + i)] = term
+            terms[(i, r + i)] = term
             nxt = (
                 term
                 * (r - n + i)
@@ -1465,7 +1464,7 @@ def pde_interior_residual(beta, n, f):
     )
     interior = 0.0
     boundary = 0.0
-    for (j, _), v in lhs.pairs().items():
+    for (j, _), v in lhs.terms.items():
         if j >= 1:
             interior = max(interior, abs(v))
         else:

@@ -112,7 +112,7 @@ def cmd_eval(args):
     ]
     if args.coeffs:
         table = bivariate.construct(fam, args.m, args.n)
-        for (j, k), value in sorted(table.pairs().items()):
+        for (j, k), value in sorted(table.terms.items()):
             rows.append({"z1": f"coeff[{j},{k}]", "z2": "", "value": value})
     _emit(args, "eval", rows, {"family": fam.tag, "m": args.m, "n": args.n})
     return 0

@@ -4,13 +4,7 @@ operators acting on them, in two forms: a sparse dict per table
 (``DiagTables``, the identity catalog's form).
 
 Keys.  A polynomial in the variables (z1, z2) is stored as a dict mapping
-packed exponent keys to coefficients: the pair (j, k) is the one int key
-``j << 20 | k``, made by ``pack``, which rejects an exponent outside
-0..MAX_EXPONENT.  A product adds keys as ints.  The admitted exponents use
-16 of the 20 bits of the z2 field, so a product of up to 16 admitted
-tables never carries into the z1 field.  Sorted keys read in (j, k) order.
-``pairs`` is the one (j, k)-keyed read view, for callers that need the
-exponents.
+exponent pairs (j, k) to coefficients; sorted keys read in (j, k) order.
 
 Coefficients.  The package's tables hold Python floats: the table sources
 (``bivariate.construct``, the series solver) convert numpy scalars where
@@ -18,16 +12,14 @@ they are made, so the operators run on the interpreter's float paths;
 complex coefficients work the same way.
 
 Zeros.  A table holds no exact zero (0, 0.0, -0.0, 0j: the falsy
-coefficients), by one scan when it is made; a NaN is kept.  The operators
-drop the zeros they make while they build their dict (a sum that cancels),
-so the scan copies only when a product or a scalar factor yields a zero.
+coefficients): ``__init__``, every table's one constructor, prunes them
+from the dict it is given; a NaN is kept.
 
-Ownership.  A table takes ownership of the dict it is given and never
-copies it otherwise, so the dict must not be changed afterwards.  Tables
-are immutable, and may be shared.  The operators make their result
-through ``_table``, which skips type.__call__ and __init__; each builds a
-fresh dict, and no result shares a dict with an operand.  A scalar operand
-of ``+`` makes no constant table: it acts on the key-0 (constant) entry of
+Ownership.  A table takes ownership of the dict it is given and keeps it
+unless a zero has to be pruned, so the dict must not be changed
+afterwards.  Tables are immutable, and may be shared.  Each operator
+builds a fresh dict, so no result shares a dict with an operand.  A scalar
+operand of ``+`` makes no constant table: it acts on the (0, 0) entry of
 the result's dict.  ``identity_residual`` forms the difference of two
 tables in one dict pass and carries the NaN rule of the identity gates.
 
@@ -56,36 +48,6 @@ from functools import lru_cache
 
 import numpy as np
 
-SHIFT = 20  # bits of the z2 exponent in a packed key
-MASK = (1 << SHIFT) - 1
-MAX_EXPONENT = (1 << (SHIFT - 4)) - 1
-_Z1_STEP = 1 << SHIFT  # the key of z1: adding it raises the z1 exponent by one
-
-
-def pack(j, k):
-    """Packed key of the exponent pair (j, k); ValueError outside
-    0..MAX_EXPONENT."""
-    if not (0 <= j <= MAX_EXPONENT and 0 <= k <= MAX_EXPONENT):
-        raise ValueError(f"exponents ({j}, {k}) outside 0..{MAX_EXPONENT}")
-    return j << SHIFT | k
-
-
-def _nonzero(terms):
-    return {k: v for k, v in terms.items() if v}
-
-
-_new = object.__new__
-
-
-def _table(terms):
-    """The table over ``terms``, made without type.__call__ and __init__:
-    the operators' one constructor, with __init__'s zero rule."""
-    if not all(terms.values()):
-        terms = _nonzero(terms)
-    poly = _new(BivariatePoly)
-    poly.terms = terms
-    return poly
-
 
 def _modulus(v):
     """|v| that cannot overflow for finite parts: the hypotenuse of the
@@ -94,7 +56,7 @@ def _modulus(v):
 
 
 class BivariatePoly:
-    """Sparse polynomial sum_{(j,k)} c_{j,k} z1^j z2^k over packed keys.
+    """Sparse polynomial sum_{(j,k)} c_{j,k} z1^j z2^k.
 
     Exact zeros are pruned on construction so that equality of tables means
     equality of polynomials.  The table takes ownership of ``terms``: it
@@ -108,7 +70,7 @@ class BivariatePoly:
         if terms is None:
             terms = {}
         elif not all(terms.values()):
-            terms = _nonzero(terms)
+            terms = {k: v for k, v in terms.items() if v}
         self.terms = terms
 
     @classmethod
@@ -117,77 +79,53 @@ class BivariatePoly:
 
     @classmethod
     def monomial(cls, j, k, c=1.0):
-        return cls({pack(j, k): c})
-
-    def pairs(self):
-        """The coefficients keyed by exponent pair (j, k), in table order."""
-        return {(key >> SHIFT, key & MASK): v for key, v in self.terms.items()}
+        return cls({(j, k): c})
 
     def __repr__(self):
         if not self.terms:
             return "BivariatePoly(0)"
-        bits = [f"({v})*z1^{j}*z2^{k}" for (j, k), v in sorted(self.pairs().items())]
+        bits = [f"({v})*z1^{j}*z2^{k}" for (j, k), v in sorted(self.terms.items())]
         return "BivariatePoly(" + " + ".join(bits) + ")"
 
     def __eq__(self, other):
         return isinstance(other, BivariatePoly) and self.terms == other.terms
 
-    # a sum that cancels drops its key here; a scalar operand s acts on key 0
-    # as a constant table would: a zero s adds nothing, any other s takes the
-    # same float operation there
+    # a scalar operand s acts on key (0, 0) as a constant table would: a
+    # zero s adds nothing, any other s takes the same float operation there
     def __add__(self, other):
         out = dict(self.terms)
-        get = out.get
         if isinstance(other, BivariatePoly):
             for k, v in other.terms.items():
-                w = get(k, 0) + v
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + v
         elif other != 0:
-            w = get(0, 0) + other
-            if w:
-                out[0] = w
-            else:
-                out.pop(0, None)
-        return _table(out)
+            out[(0, 0)] = out.get((0, 0), 0) + other
+        return BivariatePoly(out)
 
     __radd__ = __add__
 
     def __rsub__(self, other):
         out = {k: -v for k, v in self.terms.items()}
         if other != 0:
-            w = out.get(0, 0) + other
-            if w:
-                out[0] = w
-            else:
-                out.pop(0, None)
-        return _table(out)
+            out[(0, 0)] = out.get((0, 0), 0) + other
+        return BivariatePoly(out)
 
     def __mul__(self, other):
         if not isinstance(other, BivariatePoly):
-            if other:
-                return _table({k: v * other for k, v in self.terms.items()})
-            # a zero scalar makes zeros, dropped here; 0 * NaN and 0 * inf
-            # give a NaN, which stays
-            return _table({k: w for k, v in self.terms.items() if (w := v * other)})
+            return BivariatePoly({k: v * other for k, v in self.terms.items()})
         a, b = self.terms, other.terms
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
             # a product by a one-term table is a shift of the keys (the
             # float and complex products commute bit for bit)
-            (shift, c), = b.items()
-            return _table({k + shift: v * c for k, v in a.items()})
+            ((dj, dk), c), = b.items()
+            return BivariatePoly({(j + dj, k + dk): v * c for (j, k), v in a.items()})
         out = {}
-        get = out.get
-        b_items = b.items()
-        for k1, v1 in a.items():
-            for k2, v2 in b_items:
-                key = k1 + k2
-                out[key] = get(key, 0) + v1 * v2
-        return _table(out)
+        for (j1, k1), v1 in a.items():
+            for (j2, k2), v2 in b.items():
+                key = (j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + v1 * v2
+        return BivariatePoly(out)
 
     __rmul__ = __mul__
 
@@ -196,26 +134,24 @@ class BivariatePoly:
         the result is deterministic across runs."""
         terms = self.terms
         total = 0.0
-        for key in sorted(terms):
-            total = total + terms[key] * z1 ** (key >> SHIFT) * z2 ** (key & MASK)
+        for j, k in sorted(terms):
+            total = total + terms[(j, k)] * z1 ** j * z2 ** k
         return total
 
     def swap_vars(self):
         """Exchange z1 and z2."""
-        return _table({(k & MASK) << SHIFT | k >> SHIFT: v for k, v in self.terms.items()})
+        return BivariatePoly({(k, j): v for (j, k), v in self.terms.items()})
 
     def dilate(self, var, factor):
         """Substitute z_var -> factor * z_var (used for q-shifted arguments)."""
-        if var == 1:
-            return _table({k: v * factor ** (k >> SHIFT) for k, v in self.terms.items()})
-        return _table({k: v * factor ** (k & MASK) for k, v in self.terms.items()})
+        i = var - 1
+        return BivariatePoly({key: v * factor ** key[i] for key, v in self.terms.items()})
 
     def diff_partial(self, var):
         """d/dz_var."""
         if var == 1:
-            return _table({k - _Z1_STEP: (k >> SHIFT) * v
-                           for k, v in self.terms.items() if k >= _Z1_STEP})
-        return _table({k - 1: (k & MASK) * v for k, v in self.terms.items() if k & MASK})
+            return BivariatePoly({(j - 1, k): j * v for (j, k), v in self.terms.items() if j})
+        return BivariatePoly({(j, k - 1): k * v for (j, k), v in self.terms.items() if k})
 
 
 @dataclass(frozen=True)
@@ -250,14 +186,11 @@ def identity_residual(lhs, rhs):
     test: a NaN on either side reaches the difference the residual
     measures."""
     a, b = lhs.terms, rhs.terms
-    # max runs only on a dict known to be non-empty: its default= keyword
-    # costs more to parse than the test
-    scale = max(max(map(_modulus, a.values())) if a else 0.0,
-                max(map(_modulus, b.values())) if b else 0.0)
+    scale = max(max(map(_modulus, a.values()), default=0.0),
+                max(map(_modulus, b.values()), default=0.0))
     diff = dict(a)
-    get = diff.get
     for k, v in b.items():
-        diff[k] = get(k, 0) - v
+        diff[k] = diff.get(k, 0) - v
     values = diff.values()
     try:
         total = math.fsum(values)
@@ -265,7 +198,7 @@ def identity_residual(lhs, rhs):
         total = sum(values)
     if total != total:
         return math.nan, scale
-    return (max(map(_modulus, values)) if diff else 0.0), scale
+    return max(map(_modulus, values), default=0.0), scale
 
 
 # --- diagonal batches -------------------------------------------------------
@@ -323,6 +256,7 @@ _powers = lru_cache(maxsize=64)(lambda base, count: powers(base, range(count)))
 
 
 _ARANGE = np.arange(64)
+_new = object.__new__
 
 
 def _diag(c, m, n, i, j):

@@ -44,18 +44,13 @@ def qpochhammer(a, q, n=None):
     |a q^K| / (1 - |q|), falls below TRUNCATION_EPS.  Complex ``a`` is
     supported (used for unit-circle arguments).
     """
-    if n is not None:
-        if n < 0:
-            raise ValueError("q-Pochhammer order must be nonnegative")
-        out = 1.0
-        aq = a
-        for _ in range(n):
-            out = out * (1.0 - aq)
-            aq = aq * q
-        return out
+    if n is None:
+        n = qproduct_terms(a, q)
+    elif n < 0:
+        raise ValueError("q-Pochhammer order must be nonnegative")
     out = 1.0
     aq = a
-    for _ in range(qproduct_terms(a, q)):
+    for _ in range(n):
         out = out * (1.0 - aq)
         aq = aq * q
     return out

@@ -275,24 +275,43 @@ def norms(fam, alphas, nmaxes):
     return [row[:n + 1] for row, n in zip(out, nmaxes)]
 
 
+def _whole_part(x):
+    """(f, N) with x = f + N, f in (0, 1] and N >= 0 an integer."""
+    count = math.ceil(x) - 1
+    return x - count, count
+
+
+_PRODUCT_CHUNK = 1 << 16
+
+
+def _rising(start, count, shift=None):
+    """prod_(i<count) (start + i), or prod_(i<count) (start + i) / (start + i
+    + shift), in np.longdouble, formed _PRODUCT_CHUNK factors at a time so
+    that a large count costs time but no memory."""
+    out = np.longdouble(1.0)
+    for lo in range(0, count, _PRODUCT_CHUNK):
+        grow = start + np.arange(lo, min(lo + _PRODUCT_CHUNK, count), dtype=np.longdouble)
+        out = out * np.prod(grow if shift is None else grow / (grow + shift))
+    return out
+
+
 def measure_mass(fam, alpha):
     """Total mass of x^alpha dnu of a continuous family, in np.longdouble:
     zeta_0 of norms bit for bit.  With x = a + 1 (laguerre, a = alpha +
-    beta) or g + 1 (jacobi, g = alpha + gamma) written f + N, f in (0, 1],
-    it is the product Gamma(a + 1) = Gamma(f) prod_(i<N) (f + i), or
-    B(g + 1, beta + 1) = B(f, beta + 1) prod_(i<N) (f + i) / (f + i + beta
-    + 1), so math.gamma meets no argument past beta + 2."""
+    beta) or g + 1 (jacobi, g = alpha + gamma) written f + N and beta + 1
+    written e + M, f and e in (0, 1], it is the product Gamma(a + 1) =
+    Gamma(f) prod_(i<N) (f + i), or B(g + 1, beta + 1) = B(f, e)
+    prod_(i<N) (f + i) / (f + i + e) prod_(j<M) (e + j) / (x + e + j), so
+    math.gamma meets no argument past 2."""
     if fam.kind != "laguerre" and fam.kind != "jacobi":
         raise ValueError(f"not a continuous family: {fam.kind!r}")
-    b = fam.beta
-    x = alpha + (b if fam.kind == "laguerre" else fam.gamma) + 1.0
-    count = math.ceil(x) - 1
-    f = x - count
-    grow = f + np.arange(count, dtype=np.longdouble)
+    x = alpha + (fam.beta if fam.kind == "laguerre" else fam.gamma) + 1.0
+    f, count = _whole_part(x)
     if fam.kind == "laguerre":
-        return math.gamma(f) * np.prod(grow)
-    return math.gamma(b + 1.0) * math.gamma(f) / math.gamma(f + b + 1.0) * np.prod(
-        grow / (grow + (b + 1.0)))
+        return math.gamma(f) * _rising(f, count)
+    e, count_b = _whole_part(fam.beta + 1.0)
+    return (math.gamma(f) * math.gamma(e) / math.gamma(f + e) * _rising(f, count, e)
+            * _rising(e, count_b, x))
 
 
 def recurrence(fam, alpha, npts):

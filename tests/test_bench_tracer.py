@@ -50,6 +50,9 @@ def test_traced_names_install_and_run():
     assert tracer.counters["quad.golub_welsch.nodes"] == 4 + 3 + 2 + 1
     # every upper-triangle pair of the two Grams' 16 indices
     assert tracer.counters["quad.gram.computed_pairs"] == 2 * 16 * 17 // 2
+    # the q -> 1 check makes every dict table of these ops: four constructs,
+    # three dilations, one monomial, three products and one sum
+    assert tracer.counters["polycore.tables_built"] == 4 + 3 + 1 + 3 + 1
     # the wrappers pass every result through unchanged, and are removed
     assert quad.gram is original
     for traced, plain in zip((zq, h, aw), _ops()[:3]):

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 
 from bivarortho import bivariate as bv
 from bivarortho import radial
-from bivarortho.polycore import BivariatePoly, DiagTables, Tolerance, identity_residual, pack
+from bivarortho.polycore import BivariatePoly, DiagTables, Tolerance, identity_residual
 from bivarortho.qcalc import pochhammer
 
 FAMILIES = [
@@ -37,13 +37,13 @@ class TestConstruct:
     def test_frozen_small_tables(self):
         # degree (1,1) member at beta = 0 is 1 - z1 z2
         f = bv.construct(bv.Z(0.0), 1, 1)
-        assert f.pairs() == {(0, 0): 1.0, (1, 1): -1.0}
+        assert f.terms == {(0, 0): 1.0, (1, 1): -1.0}
         # the rescaled family flips the sign and clears the 1/n!
         h = bv.construct(bv.H(), 1, 1)
-        assert h.pairs() == {(0, 0): -1.0, (1, 1): 1.0}
+        assert h.terms == {(0, 0): -1.0, (1, 1): 1.0}
         # pure circle harmonic at n = 0
         f = bv.construct(bv.Z(0.7), 3, 0)
-        assert f.pairs() == {(3, 0): 1.0}
+        assert f.terms == {(3, 0): 1.0}
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_index_symmetry(self, fam):
@@ -53,7 +53,7 @@ class TestConstruct:
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=FAM_IDS)
     def test_degrees_and_sparsity(self, fam):
-        f = bv.construct(fam, 4, 2).pairs()
+        f = bv.construct(fam, 4, 2).terms
         assert max(j for j, _ in f) == 4 and max(k for _, k in f) == 2
         # terms live on the diagonal ray (4-j, 2-j)
         assert set(f) <= {(4, 2), (3, 1), (2, 0)}
@@ -147,7 +147,7 @@ def _uncached_table(fam, m, n):
         return _uncached_table(fam, n, m).swap_vars()
     coeffs = radial.radial_coeffs.__wrapped__(bv.radial_of(fam), n, m - n)
     scale = (-1.0) ** n * math.factorial(n) if fam.tag == "H" else 1.0
-    return BivariatePoly({pack(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
+    return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
 class TestTableCache:
@@ -571,7 +571,7 @@ def commutator_check(beta, rng, trials=5, degree=6):
     for _ in range(trials):
         f = BivariatePoly(
             {
-                pack(j, k): rng.uniform(-1.0, 1.0)
+                (j, k): rng.uniform(-1.0, 1.0)
                 for j in range(degree + 1)
                 for k in range(degree + 1)
             }
@@ -655,7 +655,7 @@ class TestValues:
                 table = bv.construct(fam, m, n)
                 vals = bv.values(fam, m, n, z1, z2)
                 for val, p1, p2 in zip(vals, z1, z2):
-                    size = sum(abs(c * p1 ** j * p2 ** k) for (j, k), c in table.pairs().items())
+                    size = sum(abs(c * p1 ** j * p2 ** k) for (j, k), c in table.terms.items())
                     assert abs(val - table.evaluate(p1, p2)) <= 1e-12 * size, (m, n)
 
     def test_scalar_point_and_shape(self):

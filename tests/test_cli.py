@@ -90,6 +90,13 @@ class TestEval:
         assert text.count("\n") == 24
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    def test_coefficient_rows_past_16_bit_exponents(self, capsys):
+        # f_{m,0} = z1^m: one coefficient row at an exponent past 2^16 - 1
+        code, out, _ = run(["eval", "--family", "Z", "--beta", "0.5", "--m", "70000", "--n", "0",
+                            "--coeffs"], capsys)
+        assert code == 0
+        assert '"coeff[70000,0]",,1' in out.splitlines()
+
     def test_mismatched_points_exit_2(self, capsys):
         code, _, err = run(
             ["eval", "--family", "Z", "--m", "1", "--n", "0", "--z1", "1.0"],
@@ -296,11 +303,15 @@ class TestGram:
     # it, with np.longdouble norms (before: Z 246292fb8bd09f2a, H
     # 2f344a8bec15b35c, M 933d76eff5d23cec, ZQ e2293c2c77902efe, WALL
     # 15517e26b8cffcc0, MQ 783ddc69730451ce); their oracles are the same,
-    # with tests/test_radial.py TestLatticeNorms for WALL and MQ
+    # with tests/test_radial.py TestLatticeNorms for WALL and MQ.  M was then
+    # re-recorded when radial.measure_mass formed the Jacobi mass from
+    # B(f, e), f and e in (0, 1], and two running products (before:
+    # 816981367d18999b), whose oracle is tests/test_radial.py
+    # TestNorms.test_jacobi_mass_matches_mpmath_beta
     GRAM_DIGESTS = {
         "Z": (["--family", "Z", "--beta", "0.5"], "c2f4e8bacf3c683f"),
         "H": (["--family", "H"], "a5c0c3972fc4ad4a"),
-        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "816981367d18999b"),
+        "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "efa7fcbf0db93750"),
         "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "ecf1cc173ade846d"),
         "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "8a7f20f8ceaae8bb"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],

@@ -732,6 +732,15 @@ class TestGram:
         assert res.passed or re.fullmatch(r"harmonic index \d+, degree \d+: .+", res.notes), (
             res.max_offdiag, res.max_diag_relerr, res.notes)
 
+    # math.gamma(beta + 1) of the Jacobi mass raised OverflowError past
+    # beta = 170
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [171.0, 200.0, 1000.0])
+    def test_jacobi_mass_past_math_gamma_passes(self, beta):
+        for cap in (2, 10, 30):
+            res = quad.gram(bivariate.M(beta, 0.5), cap)
+            assert res.passed, (cap, res.max_offdiag, res.max_diag_relerr, res.notes)
+
     def test_range_note_names_an_overflowed_entry(self):
         # norms past the np.longdouble range, and an infinite Gram entry
         norms = [np.array([1.0, 2.0], np.longdouble), np.array([1.0, 1.0], np.longdouble)]
@@ -772,7 +781,12 @@ class TestGram:
 # np.dot (the outer products summed point by point), ZQ read
 # 68a22e2d93a667f4, WALL 050c35697422d195, MQ 12cdfd69395e4fbd and
 # grids-WALL-MQ 9073153e4c43af53, and the grid digest held ZQ too
-# (c381c7f8f9ed2947).
+# (c381c7f8f9ed2947).  The M and grid digests were re-recorded when
+# radial.measure_mass formed the Jacobi mass B(g + 1, beta + 1) from B(f, e)
+# with f, e in (0, 1] and two running products (before: grids
+# f5a14962dce8717d, M 272715febe06e571); every entry moved by at most
+# 2.6e-16 of its diagonal, and the oracle of the new mass is
+# tests/test_radial.py TestNorms.test_jacobi_mass_matches_mpmath_beta.
 GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
 LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
                    bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
@@ -786,12 +800,12 @@ GRAM_GROUPS = {
     **{fam.tag: [(fam, cap, 1e-9, 1e-8) for cap in GRAM_LADDER] for fam in LADDER_FAMILIES},
 }
 GRAM_DIGESTS = {
-    "grids": "f5a14962dce8717d",
+    "grids": "0999a986e6ae92dd",
     "grids-ZQ": "fef214d4746d9274",
     "grids-WALL-MQ": "89bfaf2a8161a6cc",
     "Z": "c28e69b9decd9e1f",
     "H": "ac1730a612d11360",
-    "M": "272715febe06e571",
+    "M": "4511e05854e53bc9",
     "ZQ": "f4bbac2bf520c5b7",
     "WALL": "e900afbfbc351cce",
     "MQ": "a599b1363887ee4b",

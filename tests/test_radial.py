@@ -217,6 +217,29 @@ class TestNorms:
         ref = math.gamma(3.4) * math.gamma(1.7) / math.gamma(5.1)  # B(3.4, 1.7)
         assert_allclose(radial.measure_mass(fam, 2), ref, rtol=1e-13)
 
+    @pytest.mark.parametrize("beta", [-0.9, 0.0, 0.7, 169.5, 171.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.7, 30.2])
+    def test_jacobi_mass_matches_mpmath_beta(self, beta, gamma):
+        # B(alpha + gamma + 1, beta + 1) at 40 digits; math.gamma(beta + 1)
+        # alone overflows past beta = 170
+        mp = pytest.importorskip("mpmath")
+        fam = radial.shifted_jacobi(beta, gamma)
+        with mp.workdps(40):
+            for alpha in (0, 3, 17):
+                ref = mp.beta(mp.mpf(alpha + gamma + 1.0), mp.mpf(beta + 1.0))
+                got = _mp_exact(mp, radial.measure_mass(fam, alpha))
+                assert abs(got - ref) <= 2e-15 * ref, (alpha, got, ref)
+
+    @pytest.mark.parametrize("fam", [radial.laguerre(40.5), radial.shifted_jacobi(40.5, 0.3)],
+                             ids=["laguerre", "jacobi"])
+    def test_mass_products_run_in_chunks(self, fam, monkeypatch):
+        # a count of many chunks gives the one-chunk product to rounding
+        whole = radial.measure_mass(fam, 25)
+        monkeypatch.setattr(radial, "_PRODUCT_CHUNK", 7)
+        chunked = radial.measure_mass(fam, 25)
+        assert chunked.dtype == np.longdouble
+        assert abs(chunked - whole) <= 1e-17 * whole
+
     @pytest.mark.parametrize(
         "fam", ALL_FAMILIES + REMOVABLE_CASES + [radial.q_laguerre(0.5, 0.999, 2.5)],
         ids=FAM_IDS + REMOVABLE_IDS + ["qlaguerre-q0.999"],
