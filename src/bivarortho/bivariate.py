@@ -1226,6 +1226,25 @@ def connection_Z(m, n, beta, gamma):
 
 GENFUNS = ("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE")
 
+# entries of the (index x degree x point) grid of one genfun_check pass;
+# more points are summed chunk by chunk, so that memory stays bounded for
+# any count of points
+_GENFUN_GRID = 1 << 18
+
+
+def _factorials(count):
+    """a!, a < count, as a float64 and an np.longdouble array, each entry
+    as the Python int a! converts to that type.  Past a = 170, a! is inf in
+    float64, so 1 / a! enters a float weight as 0, and a running product
+    in np.longdouble, which holds it to a = 1754 and is inf past that."""
+    exact = [math.factorial(a) for a in range(min(count, 171))]
+    wide = np.array(exact, np.longdouble)
+    if count > len(exact):
+        with np.errstate(over="ignore"):
+            grow = np.cumprod(np.arange(len(exact), count, dtype=np.longdouble))
+            wide = np.concatenate((wide, wide[-1] * grow))
+    return np.array(exact + [math.inf] * (count - len(exact))), wide
+
 
 def genfun_check(fam, which, u, v, z1, z2, N=30):
     """Residual of a truncated double generating-function sum against its
@@ -1234,47 +1253,81 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     M_, must be the family's tag; another family raises ValueError.
 
     u, v, z1, z2 may be scalars or arrays of one shape; the results have
-    that shape.  The sum runs one harmonic index a at a time: with
-    s_a = sum_{k <= N-a} (uv)^k phi_k(z1 z2; a) from radial.phi_rows, the
-    members f_{a+k,k} = z1^a phi_k add (u z1)^a s_a (divided by a! for the
-    EXP forms), and for M_DOUBLE the members f_{k,a+k} = z2^a phi_k add
-    (v z2)^a s_a for a >= 1.  The series is summed in the same order for
-    any shape of the points.  The tail estimate is the largest |term| with
-    a + k = N + 1 under the same weights, each of M_DOUBLE's two members
-    counted as its own term.
+    that shape.  The sum takes every harmonic index a = 0..N + 1 in one
+    pass: radial.phi_rows over the array of a gives phi_k(z1 z2; a) for
+    k <= N + 1 on the (a x point) grid, and one np.cumsum over k of the
+    terms (uv)^k phi_k gives each partial sum s_a = sum_{k <= N-a}, gathered
+    with the term of the first omitted shell, k = N + 1 - a.  The members
+    f_{a+k,k} = z1^a phi_k add (u z1)^a s_a (divided by a! for the EXP
+    forms, which past a = 170, where a! leaves the float range, adds 0),
+    and for M_DOUBLE the members f_{k,a+k} = z2^a phi_k add (v z2)^a s_a
+    for a >= 1; the a-terms are added in a order, and the sums run in the
+    same order for any shape of the points.  The tail estimate is the
+    largest |term| with a + k = N + 1 under the same weights, each of
+    M_DOUBLE's two members counted as its own term.  The grid holds
+    (N + 2)^2 entries a point, so points past _GENFUN_GRID entries are
+    taken chunk by chunk.
     """
     if which not in GENFUNS or which.split("_")[0] != fam.tag:
         raise ValueError(f"no generating function {which!r} for family {fam.tag}")
     if N < 0:
         raise ValueError("need N >= 0 terms")
-    u, v, z1, z2 = (np.asarray(t, dtype=float) for t in (u, v, z1, z2))
-    uv = u * v
-    if np.any(np.abs(uv) >= 1.0):
+    u, v, z1, z2 = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (u, v, z1, z2)))
+    if np.any(np.abs(u * v) >= 1.0):
         raise ValueError("need |uv| < 1")
-    rad = radial_of(fam)
+    step = max(1, _GENFUN_GRID // (N + 2) ** 2)
+    if u.size <= step:
+        total, tail = _genfun_series(fam, which, N, u, v, z1, z2)
+    else:
+        # each entry reads its own point alone, so a chunk of the
+        # flattened points gives its entries bit for bit
+        flat = [t.reshape(-1) for t in (u, v, z1, z2)]
+        parts = [_genfun_series(fam, which, N, *(t[i:i + step] for t in flat))
+                 for i in range(0, u.size, step)]
+        total, tail = (np.concatenate(p).reshape(u.shape) for p in zip(*parts))
+    residual = np.abs(total - _closed_form(fam, which, u, v, z1, z2)).astype(float)
+    if residual.ndim == 0:
+        return float(residual), float(tail)
+    return residual, tail
+
+
+def _genfun_series(fam, which, N, u, v, z1, z2):
+    """genfun_check's truncated sum, in np.longdouble, and its tail
+    estimate at float arrays u, v, z1, z2 of one shape."""
+    uv = u * v
     x = z1.astype(np.longdouble) * z2
-    uv_pow = uv ** np.arange(N + 2).reshape((-1,) + (1,) * uv.ndim)
-    total = np.zeros(x.shape, dtype=np.longdouble)
-    tail = np.zeros(x.shape)
-    for a in range(N + 2):
-        # rows up to k = N + 1 - a: the last one lies in the omitted shell
-        rows = radial.phi_rows(rad, a, N + 1 - a)(x)
-        terms = uv_pow[: N + 2 - a] * rows
-        weight = (u * z1) ** a
-        # the tail's weights are powers in longdouble, whose scalar and
-        # array loops round alike, so the estimate does not depend on shape
-        size = np.abs(u * z1).astype(np.longdouble) ** a
-        if which in ("Z_EXP", "M_EXP"):
-            weight = weight / math.factorial(a)
-            size = size / math.factorial(a)
-        if which == "M_DOUBLE" and a > 0:
-            size = np.maximum(size, np.abs(v * z2).astype(np.longdouble) ** a)
-            weight = weight + (v * z2) ** a
-        tail = np.maximum(tail, (size * np.abs(terms[-1])).astype(float))
-        if a <= N:
-            # a running sum adds in k order for any shape of the points
-            s_a = np.cumsum(terms[:-1], axis=0)[-1]
-            total += weight * s_a
+    a = np.arange(N + 2)
+    col = a.reshape((-1,) + (1,) * x.ndim)
+    # terms[a, k] = (uv)^k phi_k(x; a); those past k = N + 1 - a are
+    # neither summed nor in the shell
+    rows = radial.phi_rows(radial_of(fam), a, N + 1)(x)
+    terms = uv ** col * rows
+    sums = np.cumsum(terms, axis=1)[a[:-1], N - a[:-1]]  # s_a, a = 0..N
+    shell = terms[a, N + 1 - a]
+    uz = u * z1
+    # float powers one scalar exponent at a time: numpy's float64 power
+    # with an array of exponents can round apart from it in the last bit;
+    # the tail's weights are powers in longdouble, whose scalar and array
+    # loops round alike, so the estimate does not depend on shape
+    weight = np.array([uz ** i for i in range(N + 2)])
+    size = np.abs(uz).astype(np.longdouble) ** col
+    if which in ("Z_EXP", "M_EXP"):
+        fact, wide = _factorials(N + 2)
+        weight = weight / fact.reshape(col.shape)
+        size = size / wide.reshape(col.shape)
+    if which == "M_DOUBLE":
+        vz = v * z2
+        size[1:] = np.maximum(size[1:], np.abs(vz).astype(np.longdouble) ** col[1:])
+        weight[1:] += np.array([vz ** i for i in range(1, N + 2)])
+    tail = np.max((size * np.abs(shell)).astype(float), axis=0)
+    # a running sum adds in a order for any shape of the points
+    return np.cumsum(weight[:-1] * sums, axis=0)[-1], tail
+
+
+def _closed_form(fam, which, u, v, z1, z2):
+    """The closed form of genfun_check's series at float arrays u, v, z1,
+    z2; raises ValueError at a degenerate point of the M forms."""
+    uv = u * v
     if which in ("Z_EXP", "Z_PLAIN"):
         b = fam.beta
         if which == "Z_EXP":
@@ -1313,10 +1366,7 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
                 * (1.0 - uv + rho) ** (1.0 - g)
                 / (rho * (1.0 - uv - 2.0 * u * z1 + rho))
             )
-    residual = np.abs(total - closed).astype(float)
-    if residual.ndim == 0:
-        return float(residual), float(tail)
-    return residual, tail
+    return closed
 
 
 def convolution_Z_check(m, n, beta, gamma, pts, printed=False):

@@ -70,6 +70,36 @@ def _family(args):
     return bivariate.FamilyId(tag, **params)
 
 
+# json.dumps falls back on its pure-Python encoder when given an indent;
+# these C encoders write the newline and indent of an indent=2 layout as
+# their item separator, for a flat dict at the depth of a row and of a
+# top-level field
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_FIELD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+
+
+def _json_object(encoder, obj, indent):
+    text = encoder.encode(obj)
+    return text if text == "{}" else f"{{\n{indent}  {text[1:-1]}\n{indent}}}"
+
+
+def _json_text(payload):
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte,
+    for a payload whose fields are scalars, flat dicts of scalars and lists
+    of flat dicts, as those of _emit are."""
+    fields = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, list):
+            items = ",\n    ".join(_json_object(_ROW_ENCODER, row, "    ") for row in value)
+            text = f"[\n    {items}\n  ]" if value else "[]"
+        elif isinstance(value, dict):
+            text = _json_object(_FIELD_ENCODER, value, "  ")
+        else:
+            text = _FIELD_ENCODER.encode(value)
+        fields.append(f"  {_FIELD_ENCODER.encode(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def _emit(args, command, rows, summary):
     """Serialize rows + summary to CSV or JSON, to --out or stdout."""
     if args.format == "json":
@@ -79,7 +109,7 @@ def _emit(args, command, rows, summary):
             "rows": [{k: _fmt(v) for k, v in r.items()} for r in rows],
             "summary": {k: _fmt(v) for k, v in summary.items()},
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     else:
         buf = io.StringIO()
         if rows:
@@ -235,8 +265,9 @@ def cmd_zeros(args):
 
 def cmd_genfun(args):
     fam = _family(args)
-    if args.npoints < 0:
-        raise ValueError(f"--npoints must be nonnegative, got {args.npoints}")
+    if args.npoints < 1:
+        # a check of no points would pass vacuously
+        raise ValueError(f"--npoints must be positive, got {args.npoints}")
     rng = np.random.default_rng(args.seed)
     draws = [
         (*rng.uniform(-0.15, 0.15, 2), *rng.uniform(-1.0, 1.0, 2))

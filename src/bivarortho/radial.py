@@ -375,10 +375,20 @@ def recurrence(fam, alpha, npts):
 
 
 def monic_values(A, B, x):
-    """Rows p_0(x)..p_{len(A)-1}(x) of the monic recurrence (A, B) at the
-    points x, in np.longdouble."""
+    """Rows p_0(x)..p_{K-1}(x) of the monic recurrence (A, B) at the points
+    x, in np.longdouble, with K the length of the last axis of A and B.
+
+    A and B may hold one recurrence per alpha on axes before the last, as
+    recurrence gives them for an array of alpha: row k is then p_k on the
+    (alpha x point) grid, of shape shape(A)[:-1] + shape(x), so that one
+    walk serves every alpha, each entry equal to its one-alpha walk bit for
+    bit."""
     x = np.asarray(x, dtype=np.longdouble)
-    rows = np.ones((len(A),) + x.shape, dtype=np.longdouble)
+    rows = np.ones((A.shape[-1],) + A.shape[:-1] + x.shape, dtype=np.longdouble)
+    if A.ndim > 1:
+        # step k as one column per alpha, which broadcasts over the points
+        grid = A.shape[:-1] + (1,) * x.ndim
+        A, B = (np.moveaxis(C, -1, 0).reshape((-1,) + grid) for C in (A, B))
     # [()] turns a 0-d point into a numpy scalar, whose arithmetic is
     # several times cheaper than a 0-d array's; arrays pass unchanged
     x = x[()]
@@ -398,21 +408,28 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
     products of the ratios c_0(k) / c_0(k - 1): -1 / k; -(t + 2) at k = 1,
     no 0/0 at t = -1, then -(t + 2k)(t + 2k - 1) / (k (t + k)), with
     t = alpha + beta + gamma; and -q^(a+2k-1) / (1 - q^k), a = alpha + beta,
-    of c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k, where ``alpha`` may be a 1-D
-    array, which gives one row per entry."""
+    of c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k; those of wall and qjacobi are
+    leading_coeff's.  ``alpha`` may be a 1-D array, which gives one row per
+    entry, each equal to its one-alpha row bit for bit."""
     k = np.arange(1, nmax + 1, dtype=np.longdouble)
     if fam.kind == "laguerre":
         steps = -1.0 / k
+        if np.ndim(alpha):
+            steps = np.broadcast_to(steps, np.shape(alpha) + k.shape)
     elif fam.kind == "jacobi":
-        t = alpha + fam.beta + fam.gamma
-        steps = np.concatenate(([-(t + 2.0)], -(t + 2 * k[1:]) * (t + 2 * k[1:] - 1)
-                                / (k[1:] * (t + k[1:]))))[:nmax]
+        # a column for an array alpha; a one-entry axis, which the steps
+        # over k absorb, for a number
+        t = np.asarray(alpha, dtype=float)[..., None] + fam.beta + fam.gamma
+        steps = np.concatenate((-(t + 2.0), -(t + 2 * k[1:]) * (t + 2 * k[1:] - 1)
+                                / (k[1:] * (t + k[1:]))), axis=-1)[..., :nmax]
     elif fam.kind == "qlaguerre":
         q = np.longdouble(fam.q)
         steps = -q ** (np.asarray(np.add(alpha, fam.beta))[..., None] + 2 * k - 1) / (1.0 - q ** k)
     else:
-        lead = np.array([leading_coeff(fam, n, alpha) for n in range(nmax + 1)],
-                        dtype=np.longdouble)
+        # one row per alpha, each from the number a one-alpha call reads
+        each = np.asarray(alpha).tolist() if np.ndim(alpha) else [alpha]
+        lead = np.array([[leading_coeff(fam, n, a) for n in range(nmax + 1)] for a in each],
+                        dtype=np.longdouble).reshape(np.shape(alpha) + (nmax + 1,))
         return lead if scale is None else lead * np.asarray(scale, np.longdouble)
     ones = np.ones(steps.shape[:-1] + (1,), np.longdouble)
     lead = np.cumprod(np.concatenate((ones, steps), axis=-1), axis=-1)
@@ -425,16 +442,23 @@ def phi_rows(fam, alpha, nmax, scale=None):
 
     Returns rows(x) = c_0(k, alpha) scale[k] p_k(x), k = 0..nmax, with p_k
     from the monic recurrence, in np.longdouble and of shape
-    (nmax + 1,) + shape(x).  The leading coefficients and the recurrence
-    are formed once, so a lattice sum can call rows chunk by chunk.  This
-    is the one route to values at points; the tables serve the algebra.
+    (nmax + 1,) + shape(x).  ``alpha`` may be a 1-D array: rows(x) then
+    holds the rows of every alpha, of shape (len(alpha), nmax + 1) +
+    shape(x), from one recurrence walk over the (alpha x point) grid, each
+    equal to its one-alpha rows bit for bit.  The leading coefficients and
+    the recurrence are formed once, so a lattice sum can call rows chunk by
+    chunk.  This is the one route to values at points; the tables serve
+    the algebra.
     """
     lead = leading_coeffs(fam, alpha, nmax, scale)
     A, B = recurrence(fam, alpha, nmax + 1)
 
     def rows(x):
         x = np.asarray(x)
-        return lead.reshape((-1,) + (1,) * x.ndim) * monic_values(A, B, x)
+        monic = monic_values(A, B, x)
+        if lead.ndim > 1:
+            monic = np.moveaxis(monic, 0, 1)  # the walk's k axis after alpha
+        return lead.reshape(lead.shape + (1,) * x.ndim) * monic
 
     return rows
 

@@ -670,6 +670,38 @@ class TestValues:
             bv.values(bv.Z(0.5), -1, 2, 0.1, 0.2)
 
 
+def _genfun_loop(fam, which, u, v, z1, z2, N):
+    """genfun_check's series summed one harmonic index a at a time, each
+    index with its own radial.phi_rows call: the oracle of the one-pass
+    sum.  Returns (total, tail)."""
+    u, v, z1, z2 = (np.asarray(t, dtype=float) for t in (u, v, z1, z2))
+    uv = u * v
+    rad = bv.radial_of(fam)
+    x = z1.astype(np.longdouble) * z2
+    uv_pow = uv ** np.arange(N + 2).reshape((-1,) + (1,) * uv.ndim)
+    total = np.zeros(x.shape, dtype=np.longdouble)
+    tail = np.zeros(x.shape)
+    for a in range(N + 2):
+        rows = radial.phi_rows(rad, a, N + 1 - a)(x)
+        terms = uv_pow[: N + 2 - a] * rows
+        weight = (u * z1) ** a
+        size = np.abs(u * z1).astype(np.longdouble) ** a
+        if which in ("Z_EXP", "M_EXP"):
+            weight = weight / math.factorial(a)
+            size = size / math.factorial(a)
+        if which == "M_DOUBLE" and a > 0:
+            size = np.maximum(size, np.abs(v * z2).astype(np.longdouble) ** a)
+            weight = weight + (v * z2) ** a
+        tail = np.maximum(tail, (size * np.abs(terms[-1])).astype(float))
+        if a <= N:
+            total += weight * np.cumsum(terms[:-1], axis=0)[-1]
+    return total, tail
+
+
+def _genfun_family(which):
+    return bv.Z(0.5) if which[0] == "Z" else bv.M(0.5, 0.7)
+
+
 class TestGeneratingFunctions:
     @pytest.mark.parametrize(
         "fam,which",
@@ -737,6 +769,46 @@ class TestGeneratingFunctions:
                         term = term / math.factorial(m - n)
                     dropped += term
             assert np.all(tail >= 0.1 * np.abs(dropped)), (which, tail, dropped)
+
+    @pytest.mark.parametrize("which", bv.GENFUNS)
+    @pytest.mark.parametrize("N", [0, 1, 5, 30])
+    @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["scalar", "2x3"])
+    def test_one_pass_equals_per_index_loop(self, which, N, shape):
+        fam = _genfun_family(which)
+        rng = np.random.default_rng(N)
+        u, v = rng.uniform(-0.15, 0.15, (2,) + shape)
+        z1, z2 = rng.uniform(-1.0, 1.0, (2,) + shape)
+        residual, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=N)
+        total, ref_tail = _genfun_loop(fam, which, u, v, z1, z2, N)
+        closed = bv._closed_form(fam, which, *(np.asarray(t, dtype=float) for t in (u, v, z1, z2)))
+        assert np.array_equal(residual, np.abs(total - closed).astype(float))
+        assert np.array_equal(tail, ref_tail)
+
+    @pytest.mark.parametrize("which", bv.GENFUNS)
+    @pytest.mark.parametrize("chunk", [1, 4], ids=["one-point", "four-points"])
+    def test_points_in_chunks_equal_one_grid(self, which, chunk, monkeypatch):
+        fam = _genfun_family(which)
+        rng = np.random.default_rng(11)
+        u, v = rng.uniform(-0.15, 0.15, (2, 3, 7))
+        z1, z2 = rng.uniform(-1.0, 1.0, (2, 3, 7))
+        whole = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
+        monkeypatch.setattr(bv, "_GENFUN_GRID", chunk * 32 ** 2)
+        residual, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
+        assert np.array_equal(residual, whole[0]) and np.array_equal(tail, whole[1])
+
+    @pytest.mark.parametrize("which", ["Z_EXP", "M_EXP"])
+    def test_past_the_float_factorials(self, which):
+        # 1 / a! leaves the float range past a = 170 and adds 0, with no
+        # raise and no warning
+        fam = _genfun_family(which)
+        rng = np.random.default_rng(3)
+        u, v = rng.uniform(-0.15, 0.15, (2, 10))
+        z1, z2 = rng.uniform(-1.0, 1.0, (2, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=200)
+        assert np.all(np.isfinite(residual)) and np.all(np.isfinite(tail))
+        assert residual.max() <= bv.genfun_check(fam, which, u, v, z1, z2, N=30)[0].max()
 
     def test_rejects_divergent_point(self):
         with pytest.raises(ValueError):

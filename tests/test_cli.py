@@ -606,23 +606,88 @@ class TestGenfun:
         _, out2, _ = run(base + ["--seed", "2"], capsys)
         assert out1 != out2
 
+    @pytest.mark.parametrize("which,flags", [("Z_EXP", ["--family", "Z", "--beta", "0.5"]),
+                                             ("M_EXP", ["--family", "M", "--beta", "0.5",
+                                                        "--gamma", "0.7"])])
+    def test_terms_past_the_float_factorials(self, which, flags, capsys):
+        # 1 / a! is 0 in the float weights past a = 170: no breakdown
+        code, out, err = run(["genfun", "--which", which, "--nterms", "200", "--format", "json"]
+                             + flags, capsys)
+        assert code == 0, err
+        assert err == ""
+        assert json.loads(out)["summary"]["passed"] is True
+
+    # sha256 prefixes of the genfun output, CSV then JSON at seeds 1 and 2
+    # with 25 points; recorded while the series was summed one harmonic
+    # index at a time, so they pin the one-pass sum to its bits
+    GENFUN_DIGESTS = {
+        "Z_EXP": (["--family", "Z", "--beta", "0.5"], "2fe0ca12df43053c"),
+        "Z_PLAIN": (["--family", "Z", "--beta", "0.5"], "15be9791c43b7c4b"),
+        "M_EXP": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "29c8d32f89417135"),
+        "M_PLAIN": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "df082f06f52ee922"),
+        "M_DOUBLE": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "726841fd14cba750"),
+    }
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63,
+        reason="digests recorded with x87 80-bit extended np.longdouble",
+    )
+    @pytest.mark.parametrize("which", sorted(GENFUN_DIGESTS))
+    def test_rows_unchanged(self, which, capsys):
+        flags, digest = self.GENFUN_DIGESTS[which]
+        h = hashlib.sha256()
+        for seed in ("1", "2"):
+            for fmt in ("csv", "json"):
+                code, out, _ = run(["genfun", "--which", which, "--npoints", "25", "--seed", seed,
+                                    "--format", fmt] + flags, capsys)
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest()[:16] == digest
+
 
 @pytest.mark.parametrize(
-    "argv,name",
+    "argv,message",
     [
-        (["gram", "--family", "Z", "--degree-cap", "-1"], "degree_cap"),
-        (["check", "--family", "Z", "--max-degree", "-1"], "max_mn"),
-        (["genfun", "--family", "Z", "--which", "Z_EXP", "--npoints", "-1"], "--npoints"),
-        (["zeros", "--family", "Z", "--n", "-1", "--m-min", "0", "--m-max", "2"], "n"),
+        (["gram", "--family", "Z", "--degree-cap", "-1"], "degree_cap must be nonnegative, got -1"),
+        (["check", "--family", "Z", "--max-degree", "-1"], "max_mn must be nonnegative, got -1"),
+        (["genfun", "--family", "Z", "--which", "Z_EXP", "--npoints", "-1"],
+         "--npoints must be positive, got -1"),
+        (["genfun", "--family", "Z", "--which", "Z_EXP", "--npoints", "0"],
+         "--npoints must be positive, got 0"),
+        (["zeros", "--family", "Z", "--n", "-1", "--m-min", "0", "--m-max", "2"],
+         "n must be nonnegative, got -1"),
     ],
-    ids=["gram-degree-cap", "check-max-degree", "genfun-npoints", "zeros-n"],
+    ids=["gram-degree-cap", "check-max-degree", "genfun-npoints", "genfun-npoints-zero",
+         "zeros-n"],
 )
-def test_negative_cap_or_count_exit_2(argv, name, capsys):
+def test_negative_cap_or_count_exit_2(argv, message, capsys):
     # an empty range of degrees or points would pass vacuously
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert f"error: {name} must be nonnegative, got -1" in err
+    assert f"error: {message}" in err
+
+
+class TestJsonText:
+    # the rows and summary of every command are flat dicts of scalars,
+    # floats already written as strings
+    ROWS = {
+        "none": [],
+        "one": [{"z1": "0.5", "z2": "-0.25", "value": "1.5"}],
+        "empty-row": [{}],
+        "escapes": [{"note": 'a "quoted" \\ back\nslash', "identity": "β-Ω ✓", "m": 3},
+                    {"note": "", "identity": "Z_EXP", "m": -1}],
+        "scalars": [{"none": None, "true": True, "false": False, "int": 12, "nan": "nan",
+                     "inf": "inf", "neg": "-inf"}],
+    }
+
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    @pytest.mark.parametrize("summary", [{}, {"family": "Z", "passed": False, "records": 0,
+                                              "max_residual": "nan", "note": "é\t\"x\""}],
+                             ids=["no-summary", "summary"])
+    def test_equals_indented_dumps(self, rows, summary):
+        payload = {"schema": 1, "command": "check", "rows": self.ROWS[rows], "summary": summary}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestParser:

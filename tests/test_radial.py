@@ -519,6 +519,29 @@ class TestRecurrenceFormulas:
             a, b = radial.recurrence(fam, alpha, 7)
             assert A[row].tolist() == a.tolist() and B[row].tolist() == b.tolist(), alpha
 
+    @pytest.mark.parametrize(
+        "fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS
+    )
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, np.array([0.05, -0.4, 0.9]), np.array([[0.05, 0.3, -0.7], [0.71, 0.9, 1.4]])],
+        ids=["scalar", "1d", "2d"],
+    )
+    @pytest.mark.parametrize("nmax", [0, 1, 6])
+    def test_array_alpha_phi_rows_equal_stacked_rows(self, fam, x, nmax):
+        # one walk over the (alpha x point) grid gives every alpha's rows
+        # bit for bit, leading coefficients and scale included
+        alphas = [0, 1, 2, 5, 0.5]
+        scale = [(-2.0) ** k for k in range(nmax + 1)]
+        lead = radial.leading_coeffs(fam, np.array(alphas), nmax, scale)
+        assert lead.shape == (len(alphas), nmax + 1) and lead.dtype == np.longdouble
+        rows = radial.phi_rows(fam, np.array(alphas), nmax, scale)(x)
+        assert rows.shape == (len(alphas), nmax + 1) + np.shape(x) and rows.dtype == np.longdouble
+        for row, alpha in enumerate(alphas):
+            assert lead[row].tolist() == radial.leading_coeffs(fam, alpha, nmax, scale).tolist()
+            one = radial.phi_rows(fam, alpha, nmax, scale)(x)
+            assert np.array_equal(rows[row], one), alpha
+
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_monic_values_match_tables(self, fam):
         A, B = radial.recurrence(fam, 1, 6)
