@@ -23,7 +23,7 @@ The catalog runs on diagonal batches (polycore.DiagTables): a builder
 (fam, P, m, n) takes the index pairs of its domain as int arrays m, n and
 the batch P that gathers its tables, and forms both sides of every
 variant for all of them at once, each table gathered from one
-coefficient cube per family (radial_coeffs, bit for bit construct's).  A
+coefficient cube per family (radial.coeff_rows, bit for bit construct's).  A
 branch on the indices is a mask or a gather, and per-pair scalars are
 arrays; q-powers go through Python's float power entry by entry, so every
 entry is the same float operation the per-pair formulas take.  ``sweep``
@@ -153,18 +153,24 @@ def construct(fam, m, n):
     if m < n:
         return construct(fam, n, m).swap_vars()
     coeffs = radial.radial_coeffs(radial_of(fam), n, m - n).tolist()
-    factors = harmonic_scale(fam, n)
-    scale = 1.0 if factors is None else factors[n]
+    scale = float(harmonic_scale(fam, n)[n])
     return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
 
 def harmonic_scale(fam, nmax):
-    """Factors of the radial rows phi_0..phi_nmax of a family, as exact
-    ints, which the Gram's np.longdouble norms square past the float range:
-    H rescales phi_k by (-1)^k k!; None for the others."""
+    """Factors of the radial rows phi_0..phi_nmax of a family in
+    np.longdouble, which the Gram's norms square past the float range: H
+    rescales phi_k by (-1)^k k!, rounded from its top 128 bits, the last
+    one sticky (numpy's conversion of the int refuses 4300 digits), so that
+    in float it reads float(k!); inf from k = 1755.  The others: 1."""
     if fam.tag != "H":
-        return None
-    return [(-1) ** k * math.factorial(k) for k in range(nmax + 1)]
+        return np.ones(nmax + 1, np.longdouble)
+    facts = [math.factorial(k) for k in range(nmax + 1)]
+    shifts = [max(f.bit_length() - 128, 0) for f in facts]
+    heads = [(-1) ** k * (f >> s | (f >> s << s != f))
+             for k, (f, s) in enumerate(zip(facts, shifts))]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.array(heads, np.longdouble), np.array(shifts))
 
 
 def values(fam, m, n, z1, z2):
@@ -172,14 +178,15 @@ def values(fam, m, n, z1, z2):
     radial recurrence: z1^(m-n) phi_n(z1 z2; m-n) for m >= n and
     z2^(n-m) phi_m(z1 z2; n-m) otherwise, formed in np.longdouble.  The
     value of construct(fam, m, n), without the cancellation of summing the
-    power basis."""
+    power basis; past the float range it reads inf or NaN, with no warning."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     z1 = np.asarray(z1, dtype=np.longdouble)
     z2 = np.asarray(z2, dtype=np.longdouble)
     a, k = abs(m - n), min(m, n)
-    rows = radial.phi_rows(radial_of(fam), a, k, harmonic_scale(fam, k))(z1 * z2)
-    return ((z1 if m >= n else z2) ** a * rows[k]).astype(float)
+    with np.errstate(all="ignore"):
+        rows = radial.phi_rows(radial_of(fam), a, k, harmonic_scale(fam, k))(z1 * z2)
+        return ((z1 if m >= n else z2) ** a * rows[k]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +227,18 @@ def _cube(fam, mlo, mhi, nlo, nhi):
     """Coefficient cube of a family over the index box [mlo, mhi] x
     [nlo, nhi], and the smallest harmonic index a0 of the box: entry
     [a - a0, k, d] is coefficient d of f_{m,n} with a = |m - n| and
-    k = min(m, n), bit for bit construct's (radial_coeffs, times H's
-    harmonic scale).  The k = -1 slot (the last) is zero, so a negative
-    index gathers the zero table; a table whose coefficients overflow reads
-    NaN."""
+    k = min(m, n), bit for bit construct's (one radial.coeff_rows call
+    over the box's (k, a) pairs, H's rows times its harmonic scale).  The
+    k = -1 slot (the last) is zero, so a negative index gathers the zero
+    table; a table whose coefficients overflow reads NaN."""
     needed = {(abs(x - y), min(x, y)) for x in range(mlo, mhi + 1) for y in range(nlo, nhi + 1)}
-    a0 = min(a for a, _ in needed)
-    amax = max(a for a, _ in needed)
-    kmax = max(k for _, k in needed)
-    cube = np.zeros((amax - a0 + 3, kmax + 2, kmax + 1))
-    rad = radial_of(fam)
-    factors = harmonic_scale(fam, kmax)
-    for a, k in needed:
-        try:
-            row = radial.radial_coeffs(rad, k, a)
-        except (OverflowError, ZeroDivisionError):
-            row = math.nan
-        cube[a - a0, k, :k + 1] = row if factors is None else factors[k] * row
+    a, k = (np.array(v) for v in zip(*needed))
+    a0, kmax = int(a.min()), int(k.max())
+    cube = np.zeros((int(a.max()) - a0 + 3, kmax + 2, kmax + 1))
+    rows = radial.coeff_rows(radial_of(fam), k, a)
+    with np.errstate(over="ignore"):  # H's float scale past k = 170, where rows read NaN
+        rows *= harmonic_scale(fam, kmax).astype(float)[k, None]
+    cube[a - a0, k] = rows
     cube.setflags(write=False)
     return cube, a0
 

@@ -136,6 +136,8 @@ def cmd_eval(args):
     if len(args.z1) != len(args.z2):
         raise ValueError("need matching counts of --z1 and --z2")
     vals = bivariate.values(fam, args.m, args.n, args.z1, args.z2)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError(f"{fam.tag} value at (m, n) = ({args.m}, {args.n}) is not finite")
     rows = [
         {"z1": z1, "z2": z2, "value": float(val)}
         for z1, z2, val in zip(args.z1, args.z2, vals)

@@ -56,18 +56,6 @@ def qpochhammer(a, q, n=None):
     return out
 
 
-def qpochhammer_prefix(a, q, n):
-    """[(a; q)_0, ..., (a; q)_n] as one running product in qpochhammer's
-    own order, so that entry m equals qpochhammer(a, q, m) bit for bit."""
-    out, aq = 1.0, a
-    prefix = [out]
-    for _ in range(n):
-        out = out * (1.0 - aq)
-        aq = aq * q
-        prefix.append(out)
-    return prefix
-
-
 def qproduct_terms(a, q):
     """Number K of factors kept by the truncated infinite product
     (a; q)_inf: the smallest K with |a| |q|^K / (1 - |q|) < TRUNCATION_EPS.

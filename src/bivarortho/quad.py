@@ -61,7 +61,8 @@ def golub_welsch(fam, alpha, npts):
     nodes = np.linalg.eigvalsh(radial.jacobi_matrix(A, B))
     monic = radial.monic_values(A, B, nodes)
     B[0] = radial.measure_mass(fam, alpha)  # so that cumprod(B) is h
-    weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
+    with np.errstate(divide="ignore"):  # a mass past the range: inf weights
+        weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
     return QuadratureRule(nodes, weights, 2 * npts - 1, monic)
 
 
@@ -443,8 +444,7 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
     alphas = range(degree_cap + 1)
     nmaxes = [degree_cap - a for a in alphas]
-    scale = np.array(bivariate.harmonic_scale(fam, degree_cap) or [1] * (degree_cap + 1),
-                     np.longdouble)
+    scale = bivariate.harmonic_scale(fam, degree_cap)
     zetas = [z * scale[:len(z)] ** 2 for z in radial.norms(rad, alphas, nmaxes)]
     factors = [np.divide(scale[:len(z)], np.sqrt(z), out=np.zeros_like(z), where=z > 0.0)
                for z in zetas]

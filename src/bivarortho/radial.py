@@ -18,8 +18,8 @@ q_laguerre(beta, q, c)        phi_n = L_n^(alpha+beta)(x; q), bilateral lattice 
 wall(beta, q)                 phi_n = p_n(x; q^(alpha+beta) | q), lattice q^k
 little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 
-The three q families share one coefficient term formula, evaluated from
-q-Pochhammer prefix products formed once per table.  Besides coefficient
+Every table is a row of coeff_rows, one array pass over any number of
+(n, alpha) pairs; radial_coeffs is its one-row call.  Besides coefficient
 tables the module provides the closed-form monic three-term recurrence of
 each family (phi_rows, the route for numerics at nodes and sample points;
 the tables serve the exact identity algebra), the rows of all blocks of a
@@ -36,16 +36,11 @@ the path of the Gauss nodes too.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .qcalc import pochhammer, qpochhammer_prefix, qproduct_terms
-
-# Entries kept by the radial_coeffs cache; enough for one family's whole
-# m, n <= 15 working set, including the raised and lowered neighbour tables
-# the identity catalog reaches for.
-TABLE_CACHE_SIZE = 1024
+from .polycore import powers
+from .qcalc import pochhammer, qproduct_terms
 
 
 @dataclass(frozen=True)
@@ -93,85 +88,91 @@ def little_q_jacobi(beta, gamma, q):
     return RadialFamily("qjacobi", beta=beta, gamma=gamma, q=q)
 
 
-def _q_terms(fam, n, alpha, count):
-    """The first ``count`` coefficients c_j of a q-family table, all from the
-    one term formula (a = alpha + beta)
-
-        c_j = H (T; q)_(n-j) q^P(j) (-1)^(n-j)
-              / ((q; q)_j (q; q)_(n-j) (q^(a+1); q)_(n-j)),
-
-    with q-laguerre: H = (q^(a+1); q)_n, T = 0, P(j) = (a+n-j)(n-j);
-    wall: H = (q; q)_n, T = 0, P(j) = j(j-1)/2 - n(n-1)/2; and qjacobi as
-    wall with T = q^(a+gamma+n+1).  The factors come from one prefix list
-    per q-Pochhammer base, so a table costs O(n)."""
-    q = fam.q
-    a = alpha + fam.beta
-    qq = qpochhammer_prefix(q, q, n)
-    qa = qpochhammer_prefix(q ** (a + 1), q, n)
-    if fam.kind == "qlaguerre":
-        head, top = qa[n], 0.0
-
-        def power(j):
-            return (a + n - j) * (n - j)
-    elif fam.kind == "wall" or fam.kind == "qjacobi":
-        head = qq[n]
-        top = q ** (a + fam.gamma + n + 1) if fam.kind == "qjacobi" else 0.0
-
-        def power(j):
-            return j * (j - 1) / 2.0 - n * (n - 1) / 2.0
-    else:
-        raise ValueError(f"unknown radial family kind {fam.kind!r}")
-    tt = qpochhammer_prefix(top, q, n)
-    return [
-        head * tt[n - j] * q ** power(j) * (-1.0) ** (n - j)
-        / (qq[j] * qq[n - j] * qa[n - j])
-        for j in range(count)
-    ]
+def _prefix_rows(bases, q, n):
+    """(b; q)_0..(b; q)_n per entry b of ``bases``: qcalc.qpochhammer's running products."""
+    steps = np.full((len(bases), n + 1), q)
+    steps[:, 0] = bases
+    steps[:, 1:] = 1.0 - np.multiply.accumulate(steps, axis=1)[:, :n]  # 1 - b q^i
+    steps[:, 0] = 1.0
+    return np.multiply.accumulate(steps, axis=1)
 
 
-def leading_coeff(fam, n, alpha):
-    """c_0(n, alpha), the coefficient of x^n in phi_n(x; alpha), without
-    building the table: the j = 0 term of radial_coeffs in the same
-    floating-point operations, so it equals radial_coeffs(fam, n,
-    alpha)[0] bit for bit."""
-    if fam.kind == "laguerre":
-        return (-1.0) ** n / math.factorial(n)
-    if fam.kind == "jacobi":
-        t = alpha + fam.beta + fam.gamma
+def _head(fam, t, n):
+    """c_0 of a classical table by its one-table formula, t = alpha + beta +
+    gamma; NaN where it leaves the float range."""
+    try:
+        if fam.kind == "laguerre":
+            return (-1.0) ** n / math.factorial(n)
         return (-1.0) ** n * pochhammer(t + n + 1, n) / math.factorial(n)
-    return _q_terms(fam, n, alpha, 1)[0]
+    except OverflowError:
+        return math.nan
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def radial_coeffs(fam, n, alpha):
-    """Exact coefficients c_j(n, alpha), j = 0..n, of x^(n-j) in phi_n.
-
-    Classical families are built by term ratios from c_0 so the Pochhammer
-    cancellations happen symbolically; the q-families share one term
-    formula (_q_terms), evaluated directly from q-Pochhammer prefix
-    products formed once per table.
-
-    Tables are memoized on (fam, n, alpha) and shared between callers, so
-    the returned array is read-only; copy it before changing it.
-    """
-    if n < 0:
+def coeff_rows(fam, ns, alphas):
+    """Exact coefficient rows c_j(n, alpha), j = 0..n, of x^(n-j) in phi_n
+    for the 1-D arrays ``ns`` and ``alphas`` of (n, alpha) pairs: row p, of
+    width max(ns) + 1, holds the table of (ns[p], alphas[p]), then zeros; a
+    row with an entry outside the float range reads NaN.  One array pass
+    over all pairs, in the float operations of the one-table formulas:
+    classical rows are running products of term ratios from c_0 (laguerre,
+    a = alpha + beta: c_0 = (-1)^n / n!, ratios -(n - j)(a + n - j) /
+    (j + 1); jacobi, g = alpha + gamma, t = g + beta: c_0 = (-1)^n
+    (t + n + 1)_n / n!, ratios -(n - j)(g + n - j) / ((j + 1)(t + 2n - j))).
+    q rows share the term H (T; q)_(n-j) q^P(j) (-1)^(n-j) / ((q; q)_j
+    (q; q)_(n-j) (q^(a+1); q)_(n-j)): qlaguerre H = (q^(a+1); q)_n, T = 0,
+    P(j) = (a + n - j)(n - j); wall H = (q; q)_n, T = 0, P(j) = j(j - 1)/2
+    - n(n - 1)/2; qjacobi as wall with T = q^(a + gamma + n + 1); its
+    factors are prefix rows, one per distinct base, and Python's float
+    powers of q (numpy's array power rounds apart)."""
+    n, alpha = np.asarray(ns, dtype=int), np.asarray(alphas, dtype=float)
+    if np.any(n < 0):
         raise ValueError("degree must be nonnegative")
-    c = np.zeros(n + 1)
-    if fam.kind == "laguerre":
-        a = alpha + fam.beta
-        c[0] = (-1.0) ** n / math.factorial(n)
-        for j in range(n):
-            c[j + 1] = c[j] * (-(n - j) * (a + n - j) / (j + 1.0))
-    elif fam.kind == "jacobi":
-        g = alpha + fam.gamma
-        t = alpha + fam.beta + fam.gamma
-        c[0] = (-1.0) ** n * pochhammer(t + n + 1, n) / math.factorial(n)
-        for j in range(n):
-            c[j + 1] = c[j] * (-(n - j) * (g + n - j) / ((j + 1.0) * (t + 2 * n - j)))
-    else:
-        c[:] = _q_terms(fam, n, alpha, n + 1)
-    c.setflags(write=False)
-    return c
+    col, j = n[:, None], np.arange(n.max(initial=0) + 1)
+    live = j <= col  # the entries of each row's own table
+    with np.errstate(all="ignore"):
+        if fam.kind == "laguerre" or fam.kind == "jacobi":
+            i, t = j[:-1], alpha + fam.beta + fam.gamma
+            head = np.array([_head(fam, *pair) for pair in zip(t.tolist(), n.tolist())], float)
+            if fam.kind == "laguerre":
+                g, den = alpha + fam.beta, i + 1.0
+            else:
+                g, den = alpha + fam.gamma, (i + 1.0) * ((t[:, None] + 2 * col) - i)
+            ratios = -(col - i) * ((g[:, None] + col) - i) / den
+            out = np.concatenate((head[:, None], ratios), axis=1)
+            np.multiply.accumulate(out, axis=1, out=out)
+        elif fam.is_q():
+            q, a, top = fam.q, alpha + fam.beta, len(j) - 1
+            back = np.where(live, col - j, 0)  # n - j, 0 past the row
+            qq = _prefix_rows(np.array([q]), q, top)[0]
+            bases, which = np.unique(powers(q, a + 1), return_inverse=True)
+            qa = _prefix_rows(bases, q, top)
+            if fam.kind == "qlaguerre":
+                out = qa[which, n][:, None]
+                exps = ((a[:, None] + col) - j) * back
+            else:
+                out = qq[n][:, None]
+                exps = np.where(live, j * (j - 1) / 2.0 - (col * (col - 1)) / 2.0, 0.0)
+            if fam.kind == "qjacobi":
+                tops, at = np.unique(powers(q, a + fam.gamma + n + 1), return_inverse=True)
+                out = out * _prefix_rows(tops, q, top)[at[:, None], back]
+            exps, at = np.unique(exps, return_inverse=True)
+            out = (out * powers(q, exps)[at].reshape(back.shape) * np.where(back % 2, -1.0, 1.0)
+                   / (qq[j] * qq[back] * qa[which[:, None], back]))
+        else:
+            raise ValueError(f"unknown radial family kind {fam.kind!r}")
+        out = np.where(live, out, 0.0)
+        out[~np.isfinite(out).all(axis=1)] = np.nan
+    return out
+
+
+def radial_coeffs(fam, n, alpha):
+    """Exact coefficients c_j(n, alpha), j = 0..n, of x^(n-j) in phi_n: the
+    one row of coeff_rows; OverflowError where that row reads NaN."""
+    row = coeff_rows(fam, [n], [alpha])[0]
+    if np.isnan(row[0]):
+        raise OverflowError(f"{fam.kind} table of degree {n} at alpha = {alpha} "
+                            "leaves the float range")
+    return row
 
 
 def zeta(fam, n, alpha):
@@ -287,11 +288,12 @@ _PRODUCT_CHUNK = 1 << 16
 def _rising(start, count, shift=None):
     """prod_(i<count) (start + i), or prod_(i<count) (start + i) / (start + i
     + shift), in np.longdouble, formed _PRODUCT_CHUNK factors at a time so
-    that a large count costs time but no memory."""
+    that a large count costs time but no memory; inf past the range."""
     out = np.longdouble(1.0)
-    for lo in range(0, count, _PRODUCT_CHUNK):
-        grow = start + np.arange(lo, min(lo + _PRODUCT_CHUNK, count), dtype=np.longdouble)
-        out = out * np.prod(grow if shift is None else grow / (grow + shift))
+    with np.errstate(over="ignore"):
+        for lo in range(0, count, _PRODUCT_CHUNK):
+            grow = start + np.arange(lo, min(lo + _PRODUCT_CHUNK, count), dtype=np.longdouble)
+            out = out * np.prod(grow if shift is None else grow / (grow + shift))
     return out
 
 
@@ -401,16 +403,15 @@ def monic_values(A, B, x):
 
 def leading_coeffs(fam, alpha, nmax, scale=None):
     """c_0(k, alpha), times ``scale[k]`` when given, k = 0..nmax, in
-    np.longdouble: the factors that turn monic rows p_k into phi_k.  The
-    float leading_coeff leaves the float range from k = 171 for laguerre
-    (1 / k!), and for q-Laguerre once q^((a+k)k) does (ZQ at q = 0.3 from
-    k = 25 at a = 0).  Those of laguerre, jacobi and qlaguerre are running
-    products of the ratios c_0(k) / c_0(k - 1): -1 / k; -(t + 2) at k = 1,
-    no 0/0 at t = -1, then -(t + 2k)(t + 2k - 1) / (k (t + k)), with
-    t = alpha + beta + gamma; and -q^(a+2k-1) / (1 - q^k), a = alpha + beta,
-    of c_0(k) = (-1)^k q^((a+k)k) / (q; q)_k; those of wall and qjacobi are
-    leading_coeff's.  ``alpha`` may be a 1-D array, which gives one row per
-    entry, each equal to its one-alpha row bit for bit."""
+    np.longdouble (the float table heads leave the range, laguerre from
+    k = 171): running products of c_0(k) / c_0(k - 1), laguerre -1 / k;
+    jacobi (t = alpha + beta + gamma) -(t + 2) at k = 1, no 0/0 at t = -1,
+    then -(t + 2k)(t + 2k - 1) / (k (t + k)); with a = alpha + beta,
+    qlaguerre -q^(a+2k-1) / (1 - q^k), wall -q^(1-k) / (1 - q^(a+k)), and
+    qjacobi (s = a + gamma + 1) wall's times (1 - q^(s+2k-2))
+    (1 - q^(s+2k-1)) / (1 - q^(s+k-1)), at k = 1 -(1 - q^(s+1)) /
+    (1 - q^(a+1)), no 0/0 at s = 0.  ``alpha`` may be a 1-D array: one row
+    per entry, each its one-alpha row bit for bit."""
     k = np.arange(1, nmax + 1, dtype=np.longdouble)
     if fam.kind == "laguerre":
         steps = -1.0 / k
@@ -422,15 +423,20 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
         t = np.asarray(alpha, dtype=float)[..., None] + fam.beta + fam.gamma
         steps = np.concatenate((-(t + 2.0), -(t + 2 * k[1:]) * (t + 2 * k[1:] - 1)
                                 / (k[1:] * (t + k[1:]))), axis=-1)[..., :nmax]
-    elif fam.kind == "qlaguerre":
+    elif fam.is_q():
         q = np.longdouble(fam.q)
-        steps = -q ** (np.asarray(np.add(alpha, fam.beta))[..., None] + 2 * k - 1) / (1.0 - q ** k)
+        a = np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[..., None]
+        if fam.kind == "qlaguerre":
+            steps = -q ** (a + 2 * k - 1) / (1.0 - q ** k)
+        else:
+            steps = -q ** (1.0 - k) / (1.0 - q ** (a + k))
+        if fam.kind == "qjacobi":
+            s, m = a + fam.gamma + 1.0, k[1:]
+            steps *= np.concatenate((1.0 - q ** (s + 1.0), (1.0 - q ** (s + 2 * m - 2))
+                                     * (1.0 - q ** (s + 2 * m - 1)) / (1.0 - q ** (s + m - 1))),
+                                    axis=-1)[..., :nmax]
     else:
-        # one row per alpha, each from the number a one-alpha call reads
-        each = np.asarray(alpha).tolist() if np.ndim(alpha) else [alpha]
-        lead = np.array([[leading_coeff(fam, n, a) for n in range(nmax + 1)] for a in each],
-                        dtype=np.longdouble).reshape(np.shape(alpha) + (nmax + 1,))
-        return lead if scale is None else lead * np.asarray(scale, np.longdouble)
+        raise ValueError(f"unknown radial family kind {fam.kind!r}")
     ones = np.ones(steps.shape[:-1] + (1,), np.longdouble)
     lead = np.cumprod(np.concatenate((ones, steps), axis=-1), axis=-1)
     return lead if scale is None else lead * np.asarray(scale, np.longdouble)

@@ -142,10 +142,10 @@ class TestFamilyIds:
 
 
 def _uncached_table(fam, m, n):
-    """f_{m,n} rebuilt from an uncached radial table, as construct defines it."""
+    """f_{m,n} rebuilt from its radial table, as construct defines it."""
     if m < n:
         return _uncached_table(fam, n, m).swap_vars()
-    coeffs = radial.radial_coeffs.__wrapped__(bv.radial_of(fam), n, m - n)
+    coeffs = radial.radial_coeffs(bv.radial_of(fam), n, m - n)
     scale = (-1.0) ** n * math.factorial(n) if fam.tag == "H" else 1.0
     return BivariatePoly({(m - j, n - j): scale * coeffs[j] for j in range(n + 1)})
 
@@ -167,15 +167,14 @@ class TestTableCache:
 
         bv.sweep(fam, None, 4)
         warm = verdicts()
-        radial.radial_coeffs.cache_clear()
         bv._cube.cache_clear()
         cold = verdicts()
         assert warm == cold
         assert any(r[-1] is not None for r in cold)
 
     def test_shared_table_unchanged_by_a_sweep(self):
-        # no sweep writes into the cached radial rows construct reads, so
-        # a table reads the same after every identity has used them
+        # no sweep writes into the cached cubes, and construct's tables
+        # read the same after every identity has used them
         for fam in FAMILIES:
             bv.sweep(fam, None, 6)
             for m in range(9):
@@ -424,6 +423,20 @@ class TestIdentityCatalog:
         for m, n in [(687, 16), (700, 0), (704, 16)]:
             a, k = m - n, n
             assert cube[a - a0, k, :k + 1].tolist() == radial.radial_coeffs(rad, k, a).tolist()
+
+    @pytest.mark.parametrize("fam", [bv.Z(0.5), bv.H()], ids=["Z", "H"])
+    def test_cube_past_the_float_range_reads_nan(self, fam):
+        # 1 / k! leaves the float range at k = 171: those tables read NaN,
+        # the rest are construct's
+        cube, a0 = bv._cube(fam, 166, 174, 166, 174)
+        assert a0 == 0
+        for m, n in [(166, 166), (170, 168), (174, 170), (171, 171), (174, 172)]:
+            a, k = m - n, n
+            if k <= 170:
+                table = bv.construct(fam, m, n).terms
+                assert cube[a - a0, k, :k + 1].tolist() == [table[(m - j, n - j)] for j in range(k + 1)]
+            else:
+                assert np.isnan(cube[a - a0, k, :k + 1]).all(), (m, n)
 
     def test_tile_cache_keeps_verdicts_per_tolerance(self):
         # the same tile at two tolerances: the second call gates afresh

@@ -97,6 +97,38 @@ class TestEval:
         assert code == 0
         assert '"coeff[70000,0]",,1' in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "flags,kind,degree",
+        [(["--family", "H"], "laguerre", 171),
+         (["--family", "Z"], "laguerre", 171),
+         (["--family", "M", "--beta", "0.5", "--gamma", "0.5"], "jacobi", 171),
+         (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "wall", 200)],
+        ids=["H", "Z", "M", "WALL"],
+    )
+    def test_coefficient_rows_past_the_float_range_exit_1(self, flags, kind, degree, capsys):
+        # one diagnosis, naming the degree, wherever a table leaves the range
+        code, out, err = run(["eval", *flags, "--m", str(degree), "--n", str(degree), "--coeffs"],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: numerical breakdown: {kind} table of degree {degree} "
+                       "at alpha = 0 leaves the float range\n")
+
+    @pytest.mark.parametrize(
+        "flags,degree",
+        [(["--family", "ZQ", "--beta", "0.5", "--q", "0.05"], 300),
+         (["--family", "H"], 400),
+         (["--family", "H"], 2000),
+         (["--family", "Z", "--beta", "0.5"], 3000)],
+        ids=["ZQ", "H", "H-scale-past-4300-digits", "Z"],
+    )
+    def test_values_past_the_float_range_exit_1(self, flags, degree, capsys):
+        # a NaN or infinite value is a breakdown, not a printed number
+        code, out, err = run(["eval", *flags, "--m", str(degree), "--n", str(degree),
+                              "--z1", "0.3", "--z2", "0.2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: numerical breakdown: {flags[1]} value at (m, n) = "
+                       f"({degree}, {degree}) is not finite\n")
+
     def test_mismatched_points_exit_2(self, capsys):
         code, _, err = run(
             ["eval", "--family", "Z", "--m", "1", "--n", "0", "--z1", "1.0"],

@@ -12,7 +12,6 @@ from bivarortho.qcalc import (
     TRUNCATION_EPS,
     pochhammer,
     qpochhammer,
-    qpochhammer_prefix,
     qproduct_terms,
 )
 
@@ -161,14 +160,6 @@ class TestQPochhammer:
     def test_negative_order_raises(self):
         with pytest.raises(ValueError):
             qpochhammer(0.5, 0.5, -2)
-
-    def test_prefix_entries_are_the_finite_products(self):
-        # bit for bit, the radial tables' factors depend on it
-        for q in (0.1, 0.5, 0.999):
-            for a in (0.0, q, q ** 2.5, -2.5 * q, 0.7 * complex(math.cos(1.1), math.sin(1.1))):
-                prefix = qpochhammer_prefix(a, q, 30)
-                assert len(prefix) == 31
-                assert prefix == [qpochhammer(a, q, m) for m in range(31)]
 
 
 class TestQProductTerms:

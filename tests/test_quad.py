@@ -741,6 +741,15 @@ class TestGram:
             res = quad.gram(bivariate.M(beta, 0.5), cap)
             assert res.passed, (cap, res.max_offdiag, res.max_diag_relerr, res.notes)
 
+    @pytest.mark.filterwarnings("error")
+    def test_mass_past_the_extended_range_fails_without_a_warning(self):
+        # Gamma(1801) of the Z(1800) mass overflows np.longdouble: the Gauss
+        # weights read inf, and the Gram fails on its first norm
+        res = quad.gram(bivariate.Z(1800), 2)
+        assert not res.passed
+        assert res.notes == (
+            "harmonic index 0, degree 0: the closed-form norm overflows the extended range")
+
     def test_range_note_names_an_overflowed_entry(self):
         # norms past the np.longdouble range, and an infinite Gram entry
         norms = [np.array([1.0, 2.0], np.longdouble), np.array([1.0, 1.0], np.longdouble)]

@@ -11,10 +11,11 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, eval_jacobi
 
 from bivarortho import quad, radial
-from bivarortho.qcalc import qpochhammer
+from bivarortho.qcalc import pochhammer, qpochhammer
 
 XS = np.array([0.05, 0.3, 0.71, 1.4, 2.9])
 XS01 = np.array([0.04, 0.22, 0.5, 0.77, 0.96])
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def power_coeffs(fam, n, alpha):
@@ -114,7 +115,9 @@ class TestClassicalTables:
         with pytest.raises(ValueError):
             radial.norms(bad, [0], [2])
         with pytest.raises(ValueError):
-            radial.leading_coeff(bad, 2, 0)
+            radial.coeff_rows(bad, [2, 3], [0, 1])
+        with pytest.raises(ValueError):
+            radial.leading_coeffs(bad, 0, 2)
         for fam in (bad, radial.wall(0.5, 0.5)):
             with pytest.raises(ValueError, match="not a continuous family"):
                 radial.measure_mass(fam, 0)
@@ -168,14 +171,6 @@ REMOVABLE_CASES = [
     radial.little_q_jacobi(-0.5, 0.5, 0.25),
 ]
 REMOVABLE_IDS = ["jacobi-t-1", "jacobi-t0", "qjacobi-abq1", "qjacobi-ab1"]
-
-
-class TestTableCache:
-    def test_returned_table_is_read_only(self):
-        c = radial.radial_coeffs(radial.laguerre(0.5), 3, 1)
-        with pytest.raises(ValueError):
-            c[0] = 1.0
-        assert radial.radial_coeffs(radial.laguerre(0.5), 3, 1) is c
 
 
 def _one_block(fam, alpha, nmax):
@@ -567,9 +562,14 @@ class TestRecurrenceFormulas:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS)
     def test_leading_coeff_is_the_table_head(self, fam):
-        for alpha in (0, 1, 2.5, 7):
-            for n in range(31):
-                assert radial.leading_coeff(fam, n, alpha) == radial.radial_coeffs(fam, n, alpha)[0]
+        # the np.longdouble running products of leading_coeffs against the
+        # float heads of the tables, which carry a few roundings each (4.7e-14
+        # for jacobi past n = 20, from pochhammer's log-gamma; measured); a
+        # subnormal head holds fewer digits
+        alphas = [0, 1, 2.5, 7]
+        lead = radial.leading_coeffs(fam, np.array(alphas), 30)
+        heads = radial.coeff_rows(fam, np.tile(np.arange(31), 4), np.repeat(alphas, 31))[:, 0]
+        assert_allclose(lead.ravel().astype(float), heads, rtol=1e-13, atol=TINY)
 
     def test_jacobi_matrix_rejects_nonpositive_measure(self):
         # alpha + beta = -1.5 has no positive Laguerre measure: B_1 = 1 + a < 0
@@ -627,13 +627,29 @@ class TestZeros:
         assert radial.radial_zeros(radial.laguerre(0.0), 0, 0).size == 0
 
 
-# The q branches of radial_coeffs, the q forms of leading_coeff and the
-# per-degree zeta as they stood before the three q families shared one term
-# formula from prefix products and norms became the only home of the norms;
-# the library must reproduce them bit for bit.  The q-Pochhammer values are
-# memoized here only to keep the grid fast: qcalc.qpochhammer is
-# deterministic, so the memo changes no number.
+# The classical tables as scalar loops of term ratios from c_0, the q tables
+# as the separate q-Pochhammer forms and the per-degree zeta, as they stood
+# before coeff_rows built every table in one array pass and norms became the
+# only home of the norms; the library must reproduce the tables bit for bit.
+# The q-Pochhammer values are memoized here only to keep the grid fast:
+# qcalc.qpochhammer is deterministic, so the memo changes no number.
 _ref_qpoch = lru_cache(maxsize=None)(qpochhammer)
+
+
+def _ref_classical_coeffs(fam, n, alpha):
+    c = np.zeros(n + 1)
+    if fam.kind == "laguerre":
+        a = alpha + fam.beta
+        c[0] = (-1.0) ** n / math.factorial(n)
+        for j in range(n):
+            c[j + 1] = c[j] * (-(n - j) * (a + n - j) / (j + 1.0))
+    else:
+        g = alpha + fam.gamma
+        t = alpha + fam.beta + fam.gamma
+        c[0] = (-1.0) ** n * pochhammer(t + n + 1, n) / math.factorial(n)
+        for j in range(n):
+            c[j + 1] = c[j] * (-(n - j) * (g + n - j) / ((j + 1.0) * (t + 2 * n - j)))
+    return c
 
 
 def _ref_radial_coeffs(fam, n, alpha):
@@ -661,19 +677,6 @@ def _ref_radial_coeffs(fam, n, alpha):
                     / (_ref_qpoch(q, q, j) * _ref_qpoch(q, q, n - j)
                        * _ref_qpoch(q ** (a + 1), q, n - j)))
     return c
-
-
-def _ref_leading_coeff(fam, n, alpha):
-    q = fam.q
-    a = alpha + fam.beta
-    qn = _ref_qpoch(q, q, n)
-    qa = _ref_qpoch(q ** (a + 1), q, n)
-    if fam.kind == "qlaguerre":
-        return qa * q ** ((a + n) * n) * (-1.0) ** n / (qn * qa)
-    if fam.kind == "wall":
-        return qn * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa)
-    return (qn * _ref_qpoch(q ** (a + fam.gamma + n + 1), q, n)
-            * q ** (-n * (n - 1) / 2.0) * (-1.0) ** n / (qn * qa))
 
 
 def _ref_zeta(fam, n, alpha):
@@ -708,15 +711,24 @@ def _oracle_q_families(q):
 class TestClosedFormsAgainstTheSeparateForms:
     @pytest.mark.parametrize("q", ORACLE_QS)
     def test_q_tables_and_leading_coeffs(self, q):
-        # the memoized radial_coeffs is bypassed, so the grid leaves its
-        # cache as it found it
-        build = radial.radial_coeffs.__wrapped__
+        # one coeff_rows call per family for the whole grid; the leading
+        # coefficients are np.longdouble running products, which agree with
+        # the normal float table heads to the heads' roundings (measured:
+        # wall and qjacobi 2.3e-15 for q <= 0.9 and 2.8e-13 at q = 0.999,
+        # where the float prefix products lose digits; qlaguerre 1.2e-13,
+        # from the rounded exponent of q^((a+n)n))
+        ns = np.tile(np.arange(26), len(ORACLE_ALPHAS))
+        alphas = np.repeat(ORACLE_ALPHAS, 26)
         for fam in _oracle_q_families(q):
-            for alpha in ORACLE_ALPHAS:
-                for n in range(26):
-                    table = build(fam, n, alpha)
-                    assert np.array_equal(table, _ref_radial_coeffs(fam, n, alpha)), (fam, n, alpha)
-                    assert radial.leading_coeff(fam, n, alpha) == _ref_leading_coeff(fam, n, alpha)
+            rows = radial.coeff_rows(fam, ns, alphas)
+            assert rows.shape == (len(ns), 26)
+            for row, n, alpha in zip(rows, ns.tolist(), alphas.tolist()):
+                ref = _ref_radial_coeffs(fam, n, alpha)
+                assert np.array_equal(row[:n + 1], ref), (fam, n, alpha)
+                assert not row[n + 1:].any()
+            lead = radial.leading_coeffs(fam, np.array(ORACLE_ALPHAS), 25).ravel()
+            rtol = 5e-13 if q == 0.999 or fam.kind == "qlaguerre" else 3e-15
+            assert_allclose(lead.astype(float), rows[:, 0], rtol=rtol, atol=TINY, err_msg=str(fam))
 
     @pytest.mark.parametrize(
         "families",
@@ -752,3 +764,84 @@ class TestClosedFormsAgainstTheSeparateForms:
                 assert radial.radial_coeffs(fam, 0, alpha)[0] == 1.0
                 if not fam.is_q():
                     assert radial.measure_mass(fam, alpha) == z[0]
+
+
+def _oracle_table(fam, n, alpha):
+    return (_ref_radial_coeffs if fam.is_q() else _ref_classical_coeffs)(fam, n, alpha)
+
+
+def _assert_rows_are_the_tables(fam, ns, alphas):
+    """One coeff_rows call over the (n, alpha) pairs: each row the oracle
+    table bit for bit, then zeros."""
+    rows = radial.coeff_rows(fam, ns, alphas)
+    assert rows.shape == (len(ns), max(ns) + 1) and rows.dtype == np.float64
+    for row, n, alpha in zip(rows, np.asarray(ns).tolist(), np.asarray(alphas).tolist()):
+        assert row[:n + 1].tobytes() == _oracle_table(fam, n, alpha).tobytes(), (fam, n, alpha)
+        assert not row[n + 1:].any()
+
+
+class TestCoeffRows:
+    @pytest.mark.parametrize(
+        "families",
+        [[radial.laguerre(b) for b in ORACLE_BETAS],
+         [radial.shifted_jacobi(b, g) for b in ORACLE_BETAS for g in ORACLE_GAMMAS]],
+        ids=["laguerre", "jacobi"],
+    )
+    def test_classical_rows_are_the_scalar_loop(self, families):
+        # degrees past 20 reach pochhammer's log-gamma form of the Jacobi head
+        ns = np.tile(np.arange(31), 20)
+        alphas = np.repeat(list(range(18)) + [0.5, 2.5], 31)
+        for fam in families:
+            _assert_rows_are_the_tables(fam, ns, alphas)
+
+    @pytest.mark.parametrize(
+        "fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS
+    )
+    def test_removable_cases_and_every_kind(self, fam):
+        ns = np.tile(np.arange(17), 4)
+        _assert_rows_are_the_tables(fam, ns, np.repeat([0, 1, 2.5, 7], 17))
+
+    def test_far_box(self):
+        # the harmonic indices a = 671..704 of the identity sweep's far tile
+        a, n = np.meshgrid(np.arange(671, 705), np.arange(17))
+        _assert_rows_are_the_tables(radial.laguerre(0.5), n.ravel(), a.ravel())
+
+    def test_nan_rows_past_the_float_range(self):
+        # 1 / n! leaves the float range at n = 171: the whole row reads NaN,
+        # not c_0 = 0, and the one-row call raises, naming the degree
+        fam = radial.laguerre(0.5)
+        n, a = (v.ravel() for v in np.meshgrid(np.arange(160, 176), np.arange(4)))
+        rows = radial.coeff_rows(fam, n, a)
+        for row, k, alpha in zip(rows, n.tolist(), a.tolist()):
+            if k <= 170:
+                assert row[:k + 1].tobytes() == _ref_classical_coeffs(fam, k, alpha).tobytes()
+            else:
+                assert np.isnan(row).all(), (k, alpha)
+        for fam, k in [(fam, 171), (radial.shifted_jacobi(0.5, 0.5), 171), (radial.wall(0.5, 0.5), 200)]:
+            with pytest.raises(OverflowError, match=f"{fam.kind} table of degree {k} at alpha = 0"):
+                radial.radial_coeffs(fam, k, 0)
+
+    def test_one_row_call(self):
+        for fam in ALL_FAMILIES:
+            assert np.array_equal(radial.radial_coeffs(fam, 6, 2), radial.coeff_rows(fam, [6], [2])[0])
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.999])
+    def test_wall_and_qjacobi_leading_coeffs_match_mpmath(self, q):
+        # c_0(k) = (-1)^k q^(-k(k-1)/2) / (q^(a+1); q)_k, times
+        # (q^(s+k); q)_k for qjacobi (s = a + gamma + 1), at 30 digits
+        mp = pytest.importorskip("mpmath")
+        families = ([radial.wall(b, q) for b in (-0.5, 0.5, 2.0)]
+                    + [radial.little_q_jacobi(b, g, q) for b in (-0.5, 2.0) for g in (-0.5, 2.0)])
+        if q == 0.5:
+            families += [radial.little_q_jacobi(-0.5, g, 0.25) for g in (-0.5, 0.5)]
+        alphas = [0, 2.5, 15]
+        for fam in families:
+            lead = radial.leading_coeffs(fam, np.array(alphas), 30)
+            for row, alpha in zip(lead, alphas):
+                with mp.workdps(30):
+                    qq, a = mp.mpf(fam.q), mp.mpf(alpha) + mp.mpf(fam.beta)
+                    for k in range(31):
+                        ref = (-1) ** k * qq ** (-mp.mpf(k * (k - 1)) / 2) / mp.qp(qq ** (a + 1), qq, k)
+                        if fam.kind == "qjacobi":
+                            ref *= mp.qp(qq ** (a + mp.mpf(fam.gamma) + 1 + k), qq, k)
+                        assert abs(mp.mpf(str(row[k])) / ref - 1) < 1e-15, (fam, alpha, k)
