@@ -135,6 +135,29 @@ FAMILIES = {
 }
 
 
+# the ranges where the radial measures exist, each with the need it states;
+# the rest, infinities and NaNs included, are rejected before any work starts
+PARAM_RANGES = {
+    "beta": (lambda v: -1 < v < math.inf, "finite {} > -1"),
+    "gamma": (lambda v: -1 < v < math.inf, "finite {} > -1"),
+    "q": (lambda v: 0 < v < 1, "0 < {} < 1"),
+    "c": (lambda v: 0 < v < math.inf, "finite {} > 0"),
+}
+
+
+def check_params(fam, prefix=""):
+    """Raise ValueError naming the first parameter the family reads
+    (FAMILIES) that lies outside its range of PARAM_RANGES, as ``prefix``
+    plus its name: its measure does not exist."""
+    if fam.tag not in FAMILIES:
+        raise ValueError(f"unknown family tag {fam.tag!r}")
+    for name in FAMILIES[fam.tag][1]:
+        valid, need = PARAM_RANGES[name]
+        value = getattr(fam, name)
+        if not valid(value):
+            raise ValueError(f"family {fam.tag} needs {need.format(prefix + name)}, got {value}")
+
+
 @lru_cache(maxsize=None)
 def radial_of(fam):
     """Radial family underlying a bivariate family, memoized (FamilyId and

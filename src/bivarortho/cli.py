@@ -48,26 +48,14 @@ def _fmt(value):
     return value
 
 
-# the radial measures exist only for these ranges; the rest, infinities and
-# NaNs included, are rejected before any work starts
-_RANGES = {
-    "beta": (lambda v: -1 < v < math.inf, "finite --beta > -1"),
-    "gamma": (lambda v: -1 < v < math.inf, "finite --gamma > -1"),
-    "q": (lambda v: 0 < v < 1, "0 < --q < 1"),
-    "c": (lambda v: 0 < v < math.inf, "finite --c > 0"),
-}
-
-
 def _family(args):
     tag = args.family.upper()
     if tag not in bivariate.FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
-    params = {name: getattr(args, name) for name in bivariate.FAMILIES[tag][1]}
-    for name, value in params.items():
-        valid, need = _RANGES[name]
-        if not valid(value):
-            raise ValueError(f"family {tag} needs {need}, got {value}")
-    return bivariate.FamilyId(tag, **params)
+    fam = bivariate.FamilyId(tag, **{name: getattr(args, name)
+                                     for name in bivariate.FAMILIES[tag][1]})
+    bivariate.check_params(fam, "--")
+    return fam
 
 
 # json.dumps falls back on its pure-Python encoder when given an indent;

@@ -1,11 +1,14 @@
 """Quadrature and summation engines.
 
-Gauss rules for the continuous radial measures (golub_welsch: nodes the
-eigenvalues of the Jacobi matrix of the closed-form recurrence, weights
-the Christoffel numbers from the np.longdouble monic rows at them),
-longdouble q-lattice sums with certified tail bounds (q_lattice_sum), the
-radial Gram blocks of a Gram in one request (radial_grams, one lattice
-walk for all blocks of a q family), the block-diagonal Gram of a
+Gauss rules for the continuous radial measures (gauss_rules, every block
+of a Gram from one recurrence, one mass row and one monic walk per group
+of blocks: nodes the eigenvalues of the Jacobi matrix of the closed-form
+recurrence, weights the Christoffel numbers from the np.longdouble monic
+rows at them; golub_welsch is its one-rule call), longdouble q-lattice
+sums with certified tail bounds (q_lattice_sum), the radial Gram blocks
+of a Gram in one request (radial_grams, one gauss_rules pass for a
+continuous family, one lattice walk for all blocks of a q family), the
+block-diagonal Gram of a
 bivariate family (gram), the Gram summary shared with the Askey-Wilson
 checks (summarize) and zero-circle monotonicity checks
 (zero_circle_monotonicity, refined by Brent's method in bisection_zeros).
@@ -16,6 +19,7 @@ G is the identity up to rounding, which summarize reads against 1.  The
 raw entries sqrt(zeta_i) G_ij sqrt(zeta_j) are formed in raw_entries.
 """
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -40,30 +44,113 @@ class QuadratureRule:
 
 
 def golub_welsch(fam, alpha, npts):
-    """Gauss rule for the measure x^alpha dnu of a continuous radial family,
-    from one closed-form recurrence (A, B) of order npts.
+    """Gauss rule of order npts for the measure x^alpha dnu of a continuous
+    radial family: the one-rule call of gauss_rules."""
+    return next(gauss_rules(fam, [alpha], [npts]))
 
-    Nodes are the eigenvalues of its Jacobi matrix (numpy.linalg.eigvalsh,
-    the route of radial.radial_zeros).  Weights are the Christoffel numbers
-    w_i = 1 / sum_{k<npts} p_k(x_i)^2 / h_k, with h_k = mass B_1 ... B_k the
-    squared norms of the monic p_k, summed from the np.longdouble monic rows
-    at the nodes (Golub and Welsch 1969; Gautschi 2004, Orthogonal
-    Polynomials: Computation and Approximation, 3.1.1).  Unlike the squared
-    first components of the eigenvectors, they keep their relative accuracy
-    at the tiny weights of the largest nodes.  Exact for polynomials of
-    degree <= 2*npts - 1.
+
+def gauss_rules(fam, alphas, npts):
+    """Gauss rules for the measures x^alphas[b] dnu of a continuous radial
+    family, rule b of order npts[b], yielded in block order from one pass,
+    each equal to its one-rule call bit for bit.
+
+    One closed-form recurrence (A, B) of order max(npts) serves every block
+    (radial.recurrence).  The nodes of rule b are the eigenvalues of the
+    Jacobi matrix of its first npts[b] terms (numpy.linalg.eigvalsh, the
+    route of radial.radial_zeros), one call per block, since the orders
+    differ.  Its weights are the Christoffel numbers w_i = 1 / sum_{k<npts}
+    p_k(x_i)^2 / h_k, with h_k = mass B_1 ... B_k the squared norms of the
+    monic p_k and the masses one radial.measure_mass row, summed from the
+    np.longdouble monic rows at the nodes (Golub and Welsch 1969; Gautschi
+    2004, Orthogonal Polynomials: Computation and Approximation, 3.1.1).
+    Unlike the squared first components of the eigenvectors, they keep
+    their relative accuracy at the tiny weights of the largest nodes.  Rule
+    b is exact for polynomials of degree <= 2*npts[b] - 1.
+
+    The monic rows come from one recurrence walk over the (block x node)
+    grid of a group of consecutive blocks, each block leaving the walk past
+    its own degree, and the weights from one sum over it.  A group takes
+    blocks while its walk, its largest order times its node count, stays
+    within LATTICE_MAX_ENTRIES; a larger block walks alone.  The rules of a
+    group hold views of its rows, and the groups are walked as the rules
+    are taken, so a caller that drops each rule in turn holds the rows of
+    one group at a time.
     """
-    if npts < 1:
+    npts = [int(n) for n in npts]
+    if min(npts, default=1) < 1:
         raise ValueError("need at least one quadrature point")
     if fam.is_q():
         raise ValueError("q-lattice measures are summed, not quadratured")
-    A, B = radial.recurrence(fam, alpha, npts)
-    nodes = np.linalg.eigvalsh(radial.jacobi_matrix(A, B))
-    monic = radial.monic_values(A, B, nodes)
-    B[0] = radial.measure_mass(fam, alpha)  # so that cumprod(B) is h
-    with np.errstate(divide="ignore"):  # a mass past the range: inf weights
-        weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
-    return QuadratureRule(nodes, weights, 2 * npts - 1, monic)
+    A, B = radial.recurrence(fam, alphas, max(npts, default=1))
+    mass = radial.measure_mass(fam, alphas)
+    for lo, hi in _groups(npts):
+        yield from _group_rules(A[lo:hi], B[lo:hi], mass[lo:hi], npts[lo:hi])
+
+
+def _groups(orders):
+    """The runs lo:hi of consecutive blocks of the given orders taken
+    together: each grows while its largest order times the sum of its
+    orders stays within LATTICE_MAX_ENTRIES, and holds one block at least."""
+    lo = 0
+    while lo < len(orders):
+        hi, top, width = lo + 1, orders[lo], orders[lo]
+        while (hi < len(orders)
+               and max(top, orders[hi]) * (width + orders[hi]) <= LATTICE_MAX_ENTRIES):
+            top, width, hi = max(top, orders[hi]), width + orders[hi], hi + 1
+        yield lo, hi
+        lo = hi
+
+
+def _group_rules(A, B, mass, npts):
+    """The Gauss rules of gauss_rules for one group of blocks, block j of
+    order npts[j] with the recurrence rows A[j], B[j] and the mass mass[j]."""
+    top = max(npts)
+    # the order-n Jacobi matrix of a block is the leading n x n part of its
+    # order-top matrix
+    J = radial.jacobi_matrix(A[:, :top], B[:, :top])
+    nodes = [np.linalg.eigvalsh(J[j, :n, :n]) for j, n in enumerate(npts)]
+    # the blocks by falling order, so that those still walking at step k
+    # hold a prefix of the node columns
+    order = sorted(range(len(npts)), key=lambda j: -npts[j])
+    sizes = [npts[j] for j in order]
+    ends = list(itertools.accumulate(sizes))
+    x = np.concatenate([nodes[j] for j in order], dtype=np.longdouble)
+
+    def columns(C):
+        # one column per node of the (k x block) array C, k rows
+        return np.repeat(C[:, order], sizes, axis=1)
+
+    # x - A_k and B_k at every node, k < top - 1
+    steps = x - columns(A[:, :top - 1].T)
+    b = columns(B[:, :top - 1].T)
+    # p_(k+1) = (x - A_k) p_k - B_k p_(k-1) at the nodes of the blocks
+    # still walking; p_1 = (x - A_0) p_0, since B_0 p_(-1) is an exact 0
+    monic = np.zeros((top, len(x)), np.longdouble)
+    monic[0] = 1
+    live = len(sizes)
+    for k in range(top - 1):
+        while sizes[live - 1] <= k + 1:
+            live -= 1
+        c = ends[live - 1]
+        row = np.multiply(steps[k, :c], monic[k, :c], out=monic[k + 1, :c])
+        if k:
+            row -= b[k, :c] * monic[k - 1, :c]
+    with np.errstate(divide="ignore", over="ignore"):
+        # h_k = mass B_1 ... B_k; a mass past the range gives inf weights.
+        # Past a block's own degree, where its rows are 0, h_k may leave
+        # the range, and reads 1
+        h = np.cumprod(np.concatenate((mass[:, None], B[:, 1:top]), axis=1), axis=1)
+        if sizes[-1] < top:
+            h[np.arange(top) >= np.array(npts)[:, None]] = 1.0
+        # C-ordered terms, summed down each column in k order, as a
+        # one-block rule sums them
+        terms = monic ** 2
+        terms /= columns(h.T)
+        weights = 1.0 / terms.sum(axis=0)
+    first = dict(zip(order, [end - n for end, n in zip(ends, sizes)]))
+    for j, n in enumerate(npts):
+        at = first[j]
+        yield QuadratureRule(nodes[j], weights[at:at + n], 2 * n - 1, monic[:n, at:at + n])
 
 
 # relative stop target of q_lattice_sum, just under the longdouble epsilon
@@ -280,11 +367,13 @@ def radial_grams(fam, alphas, nmaxes, factors):
     scale): for each, one np.dot of the rows V at a rule's points, times
     its weights W, with V^T.
 
-    For the continuous families the rows of V are the monic rows of
-    golub_welsch(fam, alpha, nmax + 1), which is exact to degree
-    2 nmax + 1, times their leading coefficients and factors: one
-    recurrence per block gives its nodes, weights and block, since the
-    nodes move with alpha.  For the q families every block lies on the same
+    For the continuous families the rows of V are the monic rows of the
+    rule of order nmax + 1, which is exact to degree 2 nmax + 1, times
+    their leading coefficients and factors: one gauss_rules pass gives the
+    rules of all blocks, whose nodes move with alpha, and one
+    radial.leading_coeffs call the leading coefficients of all; each block
+    is taken, and its rule dropped, before the next group of rules is
+    walked.  For the q families every block lies on the same
     lattice points, so one lattice walk serves them all: the rows of every
     block still walking come from one radial.block_rows evaluation per
     chunk of points, and each block keeps the points and weights of its
@@ -295,10 +384,11 @@ def radial_grams(fam, alphas, nmaxes, factors):
     them.  Each block equals the walk of its block alone bit for bit.
     """
     if not fam.is_q():
+        lead = radial.leading_coeffs(fam, alphas, max(nmaxes))
+        rules = gauss_rules(fam, alphas, [nmax + 1 for nmax in nmaxes])
         blocks = []
-        for alpha, nmax, f in zip(alphas, nmaxes, factors):
-            rule = golub_welsch(fam, alpha, nmax + 1)
-            vals = radial.leading_coeffs(fam, alpha, nmax, f)[:, None] * rule.monic
+        for rule, row, nmax, f in zip(rules, lead, nmaxes, factors):
+            vals = (row[:nmax + 1] * np.asarray(f, np.longdouble))[:, None] * rule.monic
             # np.dot, unlike matmul, has a fast loop for np.longdouble
             blocks.append(np.dot(vals * rule.weights, vals.T).astype(float))
         return blocks
@@ -392,27 +482,34 @@ def summarize(blocks, offdiag_tol, diag_rel_tol, notes="", theta_nodes=None):
     """GramResult of the orthonormal blocks (indices, G, zeta) with the
     largest off-diagonal |G_ij| and the largest diagonal error |G_ii - 1|;
     passed when both are under their tolerances.  ``notes`` and
-    ``theta_nodes`` pass through to the result.
+    ``theta_nodes`` pass through to the result; the indices of all blocks
+    are distinct, and ``diag_ref`` holds them in sorted order.
 
     Entries across blocks are exact zeros and cannot raise the maximum.  A
     block that repeats the G of the block before it (gram's blocks of index
     a and -a share it) is measured once: the same values cannot change a
-    maximum.  A NaN anywhere propagates to its maximum and fails the Gram.
+    maximum.  The off-diagonal entries of the measured blocks are read in
+    one array pass per group of blocks, grouped as gauss_rules groups its
+    walks, and the diagonal errors in one more.  A NaN anywhere propagates
+    to its maximum and fails the Gram.
     """
-    diag_ref = dict(sorted(
-        (idx, float(z)) for idxs, _, zeta in blocks for idx, z in zip(idxs, zeta)
-    ))
-    offs, rels = [], []
-    for i, (_, g, _) in enumerate(blocks):
-        if i and g is blocks[i - 1][1]:
-            continue
-        rels.append(np.max(np.abs(np.diagonal(g) - 1.0)))
-        off = np.abs(g)
-        np.fill_diagonal(off, 0.0)
-        offs.append(np.max(off))
+    keys = [idx for idxs, _, _ in blocks for idx in idxs]
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norms = np.concatenate([z for _, _, z in blocks] or [[]]).astype(float).tolist()
+    diag_ref = {keys[i]: norms[i] for i in sorted(range(len(keys)), key=keys.__getitem__)}
+    mats = [g for i, (_, g, _) in enumerate(blocks) if not (i and g is blocks[i - 1][1])]
     # np.max, unlike the builtin max, propagates a NaN
-    max_off = float(np.max(offs, initial=0.0))
-    max_rel = float(np.max(rels, initial=0.0))
+    max_rel = max_off = 0.0
+    if mats:
+        max_rel = np.max(np.abs(np.concatenate([g.diagonal() - 1.0 for g in mats])))
+    for lo, hi in _groups([len(g) for g in mats]):
+        off = np.abs(np.concatenate([g.ravel() for g in mats[lo:hi]]))
+        at = 0
+        for g in mats[lo:hi]:
+            off[at:at + g.size:len(g) + 1] = 0.0  # its diagonal
+            at += g.size
+        max_off = np.max(off, initial=max_off)
+    max_off, max_rel = float(max_off), float(max_rel)
     passed = max_off < offdiag_tol and max_rel < diag_rel_tol
     return GramResult(list(diag_ref), blocks, diag_ref, max_off, max_rel, passed, notes,
                       theta_nodes)
@@ -434,12 +531,15 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     s_k / sqrt(s_k^2 zeta_k) (s_k = 1 but for H), the orthonormal scale; a
     row whose norm is 0 is left at 0, a failed diagonal.  When the Gram
     fails, its notes name the first harmonic index and degree whose norm
-    or row has left the range, if one has.
+    or row has left the range, if one has.  A family parameter outside
+    the range of its measure (bivariate.check_params), NaN and infinities
+    included, raises ValueError before any work starts.
     """
     from . import bivariate  # deferred to avoid import cycle
 
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
+    bivariate.check_params(fam)
     rad = bivariate.radial_of(fam)
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
     alphas = range(degree_cap + 1)

@@ -29,8 +29,11 @@ terminating Newton form of their 2phi1 on the nodes of lattice_points),
 the norms (norms, the one home of every family's closed form: np.longdouble
 rows, one per alpha to its own degree, each a running product from its
 mass, so that the orthonormal Gram rows can be divided by their square
-roots at any degree the Grams reach; zeta reads one entry), and zeros as
-the eigenvalues of the symmetric Jacobi matrix (numpy.linalg.eigvalsh),
+roots at any degree the Grams reach; zeta reads one entry), the masses
+of the continuous measures (measure_mass, one array pass over any number
+of alpha, which norms and the Gauss rules of quad.gauss_rules each take
+in one call), and zeros as the eigenvalues of the symmetric Jacobi matrix
+(jacobi_matrix, stacked for an array of alpha; numpy.linalg.eigvalsh),
 the path of the Gauss nodes too.
 """
 
@@ -199,7 +202,7 @@ def norms(fam, alphas, nmaxes):
     zeta_n = Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1)
     (t + 2n + 1)), ratios (g + 1)(beta + 1) / (t + 3) at n = 1 (no 0/0 at
     t = -1), then (g + n)(beta + n)(t + 2n - 1) / (n (t + n)(t + 2n + 1)).
-    Their masses are those of measure_mass.
+    Their masses are one measure_mass call over every alpha.
 
     For the q families (a = alpha + beta, g = gamma, s = a + g + 1)
 
@@ -229,7 +232,7 @@ def norms(fam, alphas, nmaxes):
             g, t, m = _col(a), _col(a + b), n[1:]
             steps = np.concatenate(((g + n[:1]) * (b + n[:1]) / (t + 3.0), (g + m) * (b + m)
                                     * (t + 2 * m - 1) / (m * (t + m) * (t + 2 * m + 1))), axis=1)
-        head = _col(np.array([measure_mass(fam, alpha) for alpha in alphas], np.longdouble))
+        head = _col(measure_mass(fam, alphas))
     elif fam.is_q():
         a = np.add(alphas, fam.beta)
         q = np.longdouble(fam.q)
@@ -287,13 +290,34 @@ _PRODUCT_CHUNK = 1 << 16
 
 def _rising(start, count, shift=None):
     """prod_(i<count) (start + i), or prod_(i<count) (start + i) / (start + i
-    + shift), in np.longdouble, formed _PRODUCT_CHUNK factors at a time so
-    that a large count costs time but no memory; inf past the range."""
-    out = np.longdouble(1.0)
+    + shift), in np.longdouble, for every entry of the sequences ``start``,
+    ``count`` and ``shift`` of one length: one running product per entry,
+    _PRODUCT_CHUNK factors at a time, its factors past its own count an
+    exact 1, so that each equals its one-entry product bit for bit.  A pass
+    takes as many entries as keep it within _PRODUCT_CHUNK factors, at
+    least one, so that a large count costs time but no memory; inf past
+    the range."""
+    out = np.ones(len(start), np.longdouble)
+    width = min(_PRODUCT_CHUNK, max(count, default=0))
+    step = _PRODUCT_CHUNK // max(width, 1)  # the entries of one pass
+    # np.longdouble columns, so that every ufunc call takes one dtype
+    start, ends = (np.array(v, np.longdouble)[:, None] for v in (start, count))
+    if shift is not None:
+        shift = np.array(shift, np.longdouble)[:, None]
     with np.errstate(over="ignore"):
-        for lo in range(0, count, _PRODUCT_CHUNK):
-            grow = start + np.arange(lo, min(lo + _PRODUCT_CHUNK, count), dtype=np.longdouble)
-            out = out * np.prod(grow if shift is None else grow / (grow + shift))
+        for r in range(0, len(out), step):
+            top = max(count[r:r + step])
+            for lo in range(0, top, _PRODUCT_CHUNK):
+                k = np.arange(lo, min(lo + _PRODUCT_CHUNK, top), dtype=np.longdouble)
+                # the factors past an entry's own count, which read 1
+                past = k >= ends[r:r + step] if min(count[r:r + step]) < lo + len(k) else None
+                grow = start[r:r + step] + k
+                del k  # freed before the quotient's temporary
+                if shift is not None:
+                    grow /= grow + shift[r:r + step]
+                if past is not None:
+                    grow[past] = 1.0
+                out[r:r + step] *= np.multiply.reduce(grow, axis=1)
     return out
 
 
@@ -304,16 +328,23 @@ def measure_mass(fam, alpha):
     written e + M, f and e in (0, 1], it is the product Gamma(a + 1) =
     Gamma(f) prod_(i<N) (f + i), or B(g + 1, beta + 1) = B(f, e)
     prod_(i<N) (f + i) / (f + i + e) prod_(j<M) (e + j) / (x + e + j), so
-    math.gamma meets no argument past 2."""
+    math.gamma meets no argument past 2.  ``alpha`` may be a 1-D array:
+    one mass per entry, the running products of all in one pass (_rising),
+    each equal to its one-alpha mass bit for bit."""
     if fam.kind != "laguerre" and fam.kind != "jacobi":
         raise ValueError(f"not a continuous family: {fam.kind!r}")
-    x = alpha + (fam.beta if fam.kind == "laguerre" else fam.gamma) + 1.0
-    f, count = _whole_part(x)
+    shift = fam.beta if fam.kind == "laguerre" else fam.gamma
+    x = [a + shift + 1.0 for a in np.ravel(alpha).tolist()]
+    f, count = zip(*map(_whole_part, x)) if x else ((), ())
+    head = np.array([math.gamma(v) for v in f])
     if fam.kind == "laguerre":
-        return math.gamma(f) * _rising(f, count)
-    e, count_b = _whole_part(fam.beta + 1.0)
-    return (math.gamma(f) * math.gamma(e) / math.gamma(f + e) * _rising(f, count, e)
-            * _rising(e, count_b, x))
+        mass = head * _rising(f, count)
+    else:
+        e, count_b = _whole_part(fam.beta + 1.0)
+        head = head * math.gamma(e) / np.array([math.gamma(v + e) for v in f])
+        es = [e] * len(f)
+        mass = head * _rising(f, count, es) * _rising(es, [count_b] * len(f), x)
+    return mass if np.ndim(alpha) else mass[0]
 
 
 def recurrence(fam, alpha, npts):
@@ -589,17 +620,21 @@ def block_rows(fam, alphas, nmaxes, factors):
 
 
 def jacobi_matrix(A, B):
-    """The symmetric Jacobi matrix of order len(A) of the monic recurrence
-    (A, B) as a dense float array: diagonal A_k, subdiagonal sqrt(B_k),
-    k >= 1, and a zero upper triangle, which numpy.linalg.eigvalsh does not
-    read.  Raises ValueError when some B_k, k >= 1, is not positive: the
-    measure is then not positive."""
-    if np.any(B[1:] <= 0):
+    """The symmetric Jacobi matrix of order n, the length of the last axis
+    of A and B, of the monic recurrence (A, B) as a dense float array:
+    diagonal A_k, subdiagonal sqrt(B_k), k >= 1, and a zero upper triangle,
+    which numpy.linalg.eigvalsh does not read.  A and B may hold one
+    recurrence per alpha on axes before the last, as recurrence gives them
+    for an array of alpha: the matrices are then stacked on those axes.
+    Raises ValueError when some B_k, k >= 1, is not positive: the measure
+    is then not positive."""
+    if np.any(B[..., 1:] <= 0):
         raise ValueError("nonpositive recurrence product; measure not positive")
-    n = len(A)
-    J = np.zeros((n, n))
-    J.flat[::n + 1] = A
-    J.flat[n::n + 1] = np.sqrt(B[1:])
+    n = A.shape[-1]
+    k = np.arange(n)
+    J = np.zeros(A.shape + (n,))
+    J[..., k, k] = A
+    J[..., k[1:], k[:-1]] = np.sqrt(B[..., 1:])
     return J
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bivarortho import awbiortho, bivariate, quad
+from bivarortho import awbiortho, bivariate, quad, radial
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -37,6 +37,7 @@ def test_traced_names_install_and_run():
     tracer.install()
     try:
         zq, h, aw, reports, degeneration = _ops()
+        rule = quad.golub_welsch(radial.laguerre(0.37), 2, 5)
     finally:
         tracer.uninstall()
     spans = tracer.summary()
@@ -45,9 +46,10 @@ def test_traced_names_install_and_run():
     for name in ("radial.radial_coeffs", "bivariate.construct", "awbiortho.h_prod",
                  "qcalc.qpochhammer", "polycore.mul"):
         assert spans[name]["calls"] > 0, name
-    # the H Gram at cap 3: one Gauss rule of cap - a + 1 nodes per index a
-    assert spans["quad.golub_welsch"]["calls"] == 4
-    assert tracer.counters["quad.golub_welsch.nodes"] == 4 + 3 + 2 + 1
+    # the Grams take their Gauss rules from quad.gauss_rules; the one direct
+    # rule counts its order as nodes
+    assert spans["quad.golub_welsch"]["calls"] == 1
+    assert tracer.counters["quad.golub_welsch.nodes"] == len(rule.nodes) == 5
     # every upper-triangle pair of the two Grams' 16 indices
     assert tracer.counters["quad.gram.computed_pairs"] == 2 * 16 * 17 // 2
     # the q -> 1 check makes every dict table of these ops: four constructs,

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,87 @@ class TestGolubWelsch:
         assert np.all(np.diff(ref_x) > 0)  # n distinct roots
         assert np.max(np.abs(rule.nodes - ref_x)) <= 4e-15 * np.max(np.abs(ref_x))
         assert np.max(np.abs(rule.weights.astype(float) - ref_w) / ref_w) <= 1e-12
+
+
+def _ref_golub_welsch(fam, alpha, npts):
+    """The one-block Gauss rule as golub_welsch formed it before the rules
+    of a Gram came from one pass: its own recurrence, Jacobi matrix, monic
+    walk, mass and weights."""
+    if npts < 1:
+        raise ValueError("need at least one quadrature point")
+    if fam.is_q():
+        raise ValueError("q-lattice measures are summed, not quadratured")
+    A, B = radial.recurrence(fam, alpha, npts)
+    nodes = np.linalg.eigvalsh(radial.jacobi_matrix(A, B))
+    monic = radial.monic_values(A, B, nodes)
+    B[0] = radial.measure_mass(fam, alpha)  # so that cumprod(B) is h
+    with np.errstate(divide="ignore"):  # a mass past the range: inf weights
+        weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
+    return quad.QuadratureRule(nodes, weights, 2 * npts - 1, monic)
+
+
+# the radial families of Z, H and M: the removable 0/0 of the Jacobi forms
+# (alpha + beta + gamma = -1 and 0), beta near -1, past math.gamma and past
+# the np.longdouble range of the mass (1700, 1e6)
+GAUSS_FAMILIES = ([radial.laguerre(b) for b in (0.5, 0.0, 3.0, -0.999, 1700.0, 1e6)]
+                  + [radial.shifted_jacobi(b, g) for b, g in
+                     ((0.5, 0.5), (2.0, -0.5), (-0.5, -0.5), (0.5, -0.5), (-0.999, -0.999),
+                      (1700.0, 2.0), (1e6, 0.5))])
+GAUSS_IDS = ["Z", "H", "Z3", "Z-0.999", "Z1700", "Z1e6", "M", "M-negative", "M-t-1", "M-t0",
+             "M-0.999", "M1700", "M1e6"]
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("fam", GAUSS_FAMILIES, ids=GAUSS_IDS)
+    def test_every_block_is_its_one_rule_bit_for_bit(self, fam):
+        # the Gram's blocks: alpha = 0..cap of order cap + 1 - alpha; cap 40
+        # walks in more than one group
+        for cap in ((0, 1, 4) if fam.beta == 1e6 else (0, 1, 4, 15, 40)):
+            alphas = range(cap + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rules = list(quad.gauss_rules(fam, alphas, [cap + 1 - a for a in alphas]))
+            assert len(rules) == cap + 1
+            for a, rule in zip(alphas, rules):
+                with np.errstate(over="ignore"):
+                    ref = _ref_golub_welsch(fam, a, cap + 1 - a)
+                assert rule.exactness == ref.exactness
+                for got, want in ((rule.nodes, ref.nodes), (rule.weights, ref.weights),
+                                  (rule.monic, ref.monic)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want, equal_nan=True), (cap, a)
+            if cap == 40:
+                assert len({id(rule.monic.base) for rule in rules}) > 1
+
+    def test_any_order_of_blocks(self):
+        # blocks in rising, repeated and mixed orders, each its one rule
+        fam = radial.shifted_jacobi(0.7, 0.4)
+        alphas, npts = [3, 0, 5, 1, 2], [2, 9, 9, 1, 4]
+        for alpha, n, rule in zip(alphas, npts, quad.gauss_rules(fam, alphas, npts)):
+            ref = _ref_golub_welsch(fam, alpha, n)
+            assert np.array_equal(rule.nodes, ref.nodes)
+            assert np.array_equal(rule.weights, ref.weights)
+            assert np.array_equal(rule.monic, ref.monic)
+
+    def test_walks_stay_within_the_lattice_bound(self):
+        # a group holds at most LATTICE_MAX_ENTRIES rows times nodes, and a
+        # larger block walks alone: no walk grows with the cube of the cap
+        cap = 150
+        rules = quad.gauss_rules(radial.laguerre(0.5), range(cap + 1),
+                                 [cap + 1 - a for a in range(cap + 1)])
+        walks = []
+        for a, rule in enumerate(rules):
+            n = cap + 1 - a
+            assert rule.monic.base.size <= max(quad.LATTICE_MAX_ENTRIES, n * n)
+            if not any(rule.monic.base is w for w in walks):
+                walks.append(rule.monic.base)
+        assert 1 < len(walks) < cap + 1
+
+    def test_rejects_empty_rules_and_q_families(self):
+        with pytest.raises(ValueError, match="at least one"):
+            list(quad.gauss_rules(radial.laguerre(0.0), [0, 1], [3, 0]))
+        with pytest.raises(ValueError, match="summed"):
+            list(quad.gauss_rules(radial.wall(0.5, 0.5), [0], [2]))
 
 
 class TestQLatticeSum:
@@ -602,6 +684,34 @@ class TestGram:
         # an empty Gram would pass vacuously
         with pytest.raises(ValueError, match="degree_cap must be nonnegative"):
             quad.gram(bivariate.Z(0.0), -1)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [bivariate.Z(-1.5), bivariate.M(0.5, -1.2), bivariate.M(-1.0, 0.5),
+         bivariate.ZQ(-1.5, 0.5), bivariate.Z(math.nan), bivariate.M(math.inf, 0.5),
+         bivariate.ZQ(0.5, 1.0),
+         bivariate.WALL(0.5, 0.0), bivariate.MQ(0.5, 0.5, math.nan), bivariate.ZQ(0.5, 0.5, 0.0),
+         bivariate.ZQ(0.5, 0.5, -2.0), bivariate.MQ(0.5, -1.0, 0.5)],
+        ids=["Z-beta", "M-gamma", "M-beta", "ZQ-beta", "Z-nan", "M-inf", "ZQ-q1", "WALL-q0",
+             "MQ-q-nan", "ZQ-c0", "ZQ-c-neg", "MQ-gamma"],
+    )
+    def test_non_measures_raise_before_any_work(self, fam, monkeypatch):
+        # Z(-1.5) and M(0.5, -1.2) once certified at cap 0 on a mass of the
+        # wrong sign; no norm, rule or lattice point is formed for them
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(radial, "norms", no_work)
+        monkeypatch.setattr(quad, "radial_grams", no_work)
+        for cap in (0, 3):
+            with pytest.raises(ValueError, match=f"family {fam.tag} needs"):
+                quad.gram(fam, cap)
+
+    def test_parameters_a_family_does_not_read_are_free(self):
+        # H reads no parameter, and Z no gamma, q or c
+        for fam in (bivariate.FamilyId("H", beta=math.nan, q=2.0),
+                    bivariate.Z(0.5).with_params(gamma=-3.0, q=1.5, c=0.0)):
+            assert quad.gram(fam, 2).passed
 
     def test_cap_zero(self):
         res = quad.gram(bivariate.Z(0.0), 0)

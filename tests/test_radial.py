@@ -235,6 +235,36 @@ class TestNorms:
         assert chunked.dtype == np.longdouble
         assert abs(chunked - whole) <= 1e-17 * whole
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fam,alphas",
+        [(radial.laguerre(0.5), [0, 1, 3, 17, 65540]),
+         (radial.laguerre(-0.999), [0, 2, 40]),
+         (radial.laguerre(1750.5), [0, 2, 3, 4, 17]),
+         (radial.shifted_jacobi(0.7, 0.4), list(range(41))),
+         (radial.shifted_jacobi(-0.999, 70000.3), [0, 3, 17]),
+         (radial.shifted_jacobi(1e5, 0.5), [0, 1, 2]),
+         (radial.shifted_jacobi(0.5, -0.5), [0, 1, 2])],
+        ids=["laguerre", "laguerre-0.999", "laguerre-past-range", "jacobi", "jacobi-chunks",
+             "jacobi-beta-chunks", "jacobi-t0"],
+    )
+    @pytest.mark.parametrize("chunk", [None, 7, 128], ids=["chunk", "chunk7", "chunk128"])
+    def test_array_mass_is_the_one_alpha_masses(self, fam, alphas, chunk, monkeypatch):
+        # one pass over every alpha gives each one-alpha mass bit for bit:
+        # Gamma(65541.5) and Gamma(1754.5 + alpha) past the range read inf,
+        # x = alpha + gamma + 1 > 65536 takes two chunks, and small chunks
+        # take several entries a pass, padded past their own counts
+        if chunk:
+            monkeypatch.setattr(radial, "_PRODUCT_CHUNK", chunk)
+        masses = radial.measure_mass(fam, np.array(alphas))
+        assert masses.dtype == np.longdouble and masses.shape == (len(alphas),)
+        for alpha, mass in zip(alphas, masses):
+            one = radial.measure_mass(fam, alpha)
+            assert type(one) is np.longdouble
+            assert mass == one, (alpha, mass, one)
+        if fam.beta == 1750.5:
+            assert np.isinf(masses[-1]) and np.isfinite(masses[0])
+
     @pytest.mark.parametrize(
         "fam", ALL_FAMILIES + REMOVABLE_CASES + [radial.q_laguerre(0.5, 0.999, 2.5)],
         ids=FAM_IDS + REMOVABLE_IDS + ["qlaguerre-q0.999"],
