@@ -1098,10 +1098,10 @@ def _residuals(fam, builder, m, n, box):
 
 def _worst(derived):
     """Residual and scale of the worst derived variant per pair: the first
-    largest residual, a NaN over any number; 0.0 and 0.0 when every
-    residual is 0.0."""
-    worst_res = worst_scale = np.zeros(len(derived[0][0]))
-    for res, scale in derived:
+    largest residual, a NaN over any number, with the scale its gate read;
+    the first variant's when every residual is 0.0."""
+    worst_res, worst_scale = derived[0]
+    for res, scale in derived[1:]:
         take = (res > worst_res) | np.isnan(res)
         worst_res = np.where(take, res, worst_res)
         worst_scale = np.where(take, scale, worst_scale)
@@ -1310,7 +1310,10 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
         parts = [_genfun_series(fam, which, N, *(t[i:i + step] for t in flat))
                  for i in range(0, u.size, step)]
         total, tail = (np.concatenate(p).reshape(u.shape) for p in zip(*parts))
-    residual = np.abs(total - _closed_form(fam, which, u, v, z1, z2)).astype(float)
+    # past the float range, as at a large beta, the closed form and the
+    # residual read inf or NaN, which fails the check, with no warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        residual = np.abs(total - _closed_form(fam, which, u, v, z1, z2)).astype(float)
     if residual.ndim == 0:
         return float(residual), float(tail)
     return residual, tail
@@ -1325,7 +1328,7 @@ def _genfun_series(fam, which, N, u, v, z1, z2):
     col = a.reshape((-1,) + (1,) * x.ndim)
     # terms[a, k] = (uv)^k phi_k(x; a); those past k = N + 1 - a are
     # neither summed nor in the shell
-    rows = radial.phi_rows(radial_of(fam), a, N + 1)(x)
+    rows = radial.phi_rows(radial_of(fam), a, N + 1, degrees=N + 1 - a)(x)
     terms = uv ** col * rows
     sums = np.cumsum(terms, axis=1)[a[:-1], N - a[:-1]]  # s_a, a = 0..N
     shell = terms[a, N + 1 - a]

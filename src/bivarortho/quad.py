@@ -1,10 +1,11 @@
 """Quadrature and summation engines.
 
 Gauss rules for the continuous radial measures (gauss_rules, every block
-of a Gram from one recurrence, one mass row and one monic walk per group
-of blocks: nodes the eigenvalues of the Jacobi matrix of the closed-form
-recurrence, weights the Christoffel numbers from the np.longdouble monic
-rows at them; golub_welsch is its one-rule call), longdouble q-lattice
+of a Gram from one recurrence, one mass row and one radial.monic_values
+walk per group of blocks, the one monic three-term walk: nodes
+the eigenvalues of the Jacobi matrix of the closed-form recurrence,
+weights the Christoffel numbers from the np.longdouble monic rows at
+them; golub_welsch is its one-rule call), longdouble q-lattice
 sums with certified tail bounds (q_lattice_sum), the radial Gram blocks
 of a Gram in one request (radial_grams, one gauss_rules pass for a
 continuous family, one lattice walk for all blocks of a q family), the
@@ -19,7 +20,6 @@ G is the identity up to rounding, which summarize reads against 1.  The
 raw entries sqrt(zeta_i) G_ij sqrt(zeta_j) are formed in raw_entries.
 """
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,9 +67,9 @@ def gauss_rules(fam, alphas, npts):
     their relative accuracy at the tiny weights of the largest nodes.  Rule
     b is exact for polynomials of degree <= 2*npts[b] - 1.
 
-    The monic rows come from one recurrence walk over the (block x node)
-    grid of a group of consecutive blocks, each block leaving the walk past
-    its own degree, and the weights from one sum over it.  A group takes
+    The monic rows come from one radial.monic_values walk of a group of
+    consecutive blocks, one entry per node with its block's recurrence and
+    degree, and the weights from one sum over it.  A group takes
     blocks while its walk, its largest order times its node count, stays
     within LATTICE_MAX_ENTRIES; a larger block walks alone.  The rules of a
     group hold views of its rows, and the groups are walked as the rules
@@ -109,48 +109,26 @@ def _group_rules(A, B, mass, npts):
     # order-top matrix
     J = radial.jacobi_matrix(A[:, :top], B[:, :top])
     nodes = [np.linalg.eigvalsh(J[j, :n, :n]) for j, n in enumerate(npts)]
-    # the blocks by falling order, so that those still walking at step k
-    # hold a prefix of the node columns
-    order = sorted(range(len(npts)), key=lambda j: -npts[j])
-    sizes = [npts[j] for j in order]
-    ends = list(itertools.accumulate(sizes))
-    x = np.concatenate([nodes[j] for j in order], dtype=np.longdouble)
-
-    def columns(C):
-        # one column per node of the (k x block) array C, k rows
-        return np.repeat(C[:, order], sizes, axis=1)
-
-    # x - A_k and B_k at every node, k < top - 1
-    steps = x - columns(A[:, :top - 1].T)
-    b = columns(B[:, :top - 1].T)
-    # p_(k+1) = (x - A_k) p_k - B_k p_(k-1) at the nodes of the blocks
-    # still walking; p_1 = (x - A_0) p_0, since B_0 p_(-1) is an exact 0
-    monic = np.zeros((top, len(x)), np.longdouble)
-    monic[0] = 1
-    live = len(sizes)
-    for k in range(top - 1):
-        while sizes[live - 1] <= k + 1:
-            live -= 1
-        c = ends[live - 1]
-        row = np.multiply(steps[k, :c], monic[k, :c], out=monic[k + 1, :c])
-        if k:
-            row -= b[k, :c] * monic[k - 1, :c]
+    # one walk entry per node, with its block's recurrence and degree
+    npts = np.array(npts)
+    block = np.repeat(np.arange(len(npts)), npts)
+    monic = radial.monic_values(A[block, :top], B[block, :top],
+                                np.concatenate(nodes, dtype=np.longdouble), npts[block] - 1)
     with np.errstate(divide="ignore", over="ignore"):
         # h_k = mass B_1 ... B_k; a mass past the range gives inf weights.
         # Past a block's own degree, where its rows are 0, h_k may leave
         # the range, and reads 1
         h = np.cumprod(np.concatenate((mass[:, None], B[:, 1:top]), axis=1), axis=1)
-        if sizes[-1] < top:
-            h[np.arange(top) >= np.array(npts)[:, None]] = 1.0
+        h[np.arange(top) >= npts[:, None]] = 1.0
         # C-ordered terms, summed down each column in k order, as a
         # one-block rule sums them
         terms = monic ** 2
-        terms /= columns(h.T)
+        terms /= h[block].T
         weights = 1.0 / terms.sum(axis=0)
-    first = dict(zip(order, [end - n for end, n in zip(ends, sizes)]))
-    for j, n in enumerate(npts):
-        at = first[j]
+    at = 0
+    for j, n in enumerate(npts.tolist()):
         yield QuadratureRule(nodes[j], weights[at:at + n], 2 * n - 1, monic[:n, at:at + n])
+        at += n
 
 
 # relative stop target of q_lattice_sum, just under the longdouble epsilon
@@ -687,9 +665,11 @@ def zero_circle_monotonicity(rad, n, m_range):
     monotone is True iff every radius strictly increases with m; max_dev is
     the largest distance between the eigensolver zeros and their bisection
     refinement (bisection_zeros), inf when a zero could not be bracketed.
+    Degree n >= 1 is needed, m - n >= 0 for every m of a nonempty range.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if n < 1:
+        # degree 0 has no zeros: a check of none would pass vacuously
+        raise ValueError(f"n must be positive, got {n}")
     if not m_range:
         raise ValueError("zero-circle check needs a nonempty range of m")
     radii_table = []

@@ -21,15 +21,18 @@ little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 Every table is a row of coeff_rows, one array pass over any number of
 (n, alpha) pairs; radial_coeffs is its one-row call.  Besides coefficient
 tables the module provides the closed-form monic three-term recurrence of
-each family (phi_rows, the route for numerics at nodes and sample points;
-the tables serve the exact identity algebra), the rows of all blocks of a
-q-family Gram in one evaluation (block_rows: the recurrence on the
-bilateral q-Laguerre lattice, and for wall and little q-Jacobi the
-terminating Newton form of their 2phi1 on the nodes of lattice_points),
-the norms (norms, the one home of every family's closed form: np.longdouble
-rows, one per alpha to its own degree, each a running product from its
-mass, so that the orthonormal Gram rows can be divided by their square
-roots at any degree the Grams reach; zeta reads one entry), the masses
+each family (recurrence) and monic_values, the one walk of every
+monic three-term recurrence of the package, a batch of them at once, each
+entry to its own degree.  On them rest phi_rows, the route for numerics
+at nodes and sample points (the tables serve the exact identity algebra),
+and the rows of all blocks of a q-family Gram in one evaluation
+(block_rows: one walk on the bilateral q-Laguerre lattice, and for wall
+and little q-Jacobi the terminating Newton form of their 2phi1 on the
+nodes of lattice_points).  The module also provides the norms (norms,
+the one home of every family's closed form: np.longdouble rows, one per
+alpha to its own degree, each a running product from its mass, so that
+the orthonormal Gram rows can be divided by their square roots at any
+degree the Grams reach; zeta reads one entry), the masses
 of the continuous measures (measure_mass, one array pass over any number
 of alpha, which norms and the Gauss rules of quad.gauss_rules each take
 in one call), and zeros as the eigenvalues of the symmetric Jacobi matrix
@@ -407,29 +410,57 @@ def recurrence(fam, alpha, npts):
     return A, B
 
 
-def monic_values(A, B, x):
+def monic_values(A, B, x, degrees=None):
     """Rows p_0(x)..p_{K-1}(x) of the monic recurrence (A, B) at the points
-    x, in np.longdouble, with K the length of the last axis of A and B.
+    x, in np.longdouble, with K the length of the last axis of A and B: the
+    one monic three-term walk of the package, p_(k+1) = (x - A_k) p_k - B_k
+    p_(k-1) from p_0 = 1, with p_1 = (x - A_0) p_0.
 
-    A and B may hold one recurrence per alpha on axes before the last, as
-    recurrence gives them for an array of alpha: row k is then p_k on the
-    (alpha x point) grid, of shape shape(A)[:-1] + shape(x), so that one
-    walk serves every alpha, each entry equal to its one-alpha walk bit for
-    bit."""
+    A and B may hold one recurrence per entry (an alpha, say) on axes
+    before the last, as recurrence gives them for an array of alpha.  The
+    leading axes of x pair with those entry axes, each of length 1 for
+    points shared by every entry or one per entry, and its further axes
+    hold the points: row k is p_k of shape shape(A)[:-1] + shape(x)[A.ndim
+    - 1:].  The grid of every entry at the points y is x = y[None].
+
+    ``degrees``, one per entry along the first entry axis (which x then
+    holds too), stops entry i at degree degrees[i] < K: it is not walked further, and its rows past
+    that degree are 0.  The entries are walked by falling degree, so that
+    those still walking at step k, of degree > k, are a prefix of them.
+    Every entry equals its own one-entry walk bit for bit, in the same
+    float operations."""
     x = np.asarray(x, dtype=np.longdouble)
-    rows = np.ones((A.shape[-1],) + A.shape[:-1] + x.shape, dtype=np.longdouble)
+    rows = np.ones((A.shape[-1],) + A.shape[:-1] + x.shape[A.ndim - 1:], dtype=np.longdouble)
     if A.ndim > 1:
-        # step k as one column per alpha, which broadcasts over the points
-        grid = A.shape[:-1] + (1,) * x.ndim
-        A, B = (np.moveaxis(C, -1, 0).reshape((-1,) + grid) for C in (A, B))
-    # [()] turns a 0-d point into a numpy scalar, whose arithmetic is
-    # several times cheaper than a 0-d array's; arrays pass unchanged
-    x = x[()]
-    prev, cur = 0, 1
-    for k in range(len(A) - 1):
-        prev, cur = cur, (x - A[k]) * cur - B[k] * prev
-        rows[k + 1] = cur
-    return rows
+        # step k as one column per entry, which broadcasts over its points
+        grid = A.shape[:-1] + (1,) * (x.ndim - A.ndim + 1)
+        axes = (A.ndim - 1,) + tuple(range(A.ndim - 1))  # the step axis first
+        A, B = (C.transpose(axes).reshape((-1,) + grid) for C in (A, B))
+    if degrees is None:
+        # [()] turns a 0-d point into a numpy scalar, whose arithmetic is
+        # several times cheaper than a 0-d array's; arrays pass unchanged
+        x = x[()]
+        prev, cur = 0, 1
+        for k in range(len(A) - 1):
+            prev, cur = cur, (x - A[k]) * cur - B[k] * prev
+            rows[k + 1] = cur
+        return rows
+    rows[1:] = 0
+    degrees = np.asarray(degrees)
+    unsorted = (degrees[1:] > degrees[:-1]).any()
+    if unsorted:
+        order = np.argsort(-degrees, kind="stable")
+        A, B, degrees = A[:, order], B[:, order], degrees[order]
+        if len(x) > 1:
+            x = x[order]
+    # live[k] entries, those of degree > k, walk step k, in the float
+    # operations of the loop above, in place in their rows
+    live = np.searchsorted(-degrees, -np.arange(degrees.max(initial=0)))
+    for k, c in enumerate(live.tolist()):
+        row = np.multiply(x[:c] - A[k, :c], rows[k, :c], out=rows[k + 1, :c])
+        if k:
+            row -= B[k, :c] * rows[k - 1, :c]
+    return np.take(rows, np.argsort(order), axis=1) if unsorted else rows
 
 
 def leading_coeffs(fam, alpha, nmax, scale=None):
@@ -473,7 +504,7 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
     return lead if scale is None else lead * np.asarray(scale, np.longdouble)
 
 
-def phi_rows(fam, alpha, nmax, scale=None):
+def phi_rows(fam, alpha, nmax, scale=None, degrees=None):
     """Evaluator of the rows phi_0..phi_nmax(x; alpha), times ``scale[k]``
     when given.
 
@@ -481,20 +512,22 @@ def phi_rows(fam, alpha, nmax, scale=None):
     from the monic recurrence, in np.longdouble and of shape
     (nmax + 1,) + shape(x).  ``alpha`` may be a 1-D array: rows(x) then
     holds the rows of every alpha, of shape (len(alpha), nmax + 1) +
-    shape(x), from one recurrence walk over the (alpha x point) grid, each
-    equal to its one-alpha rows bit for bit.  The leading coefficients and
-    the recurrence are formed once, so a lattice sum can call rows chunk by
-    chunk.  This is the one route to values at points; the tables serve
-    the algebra.
+    shape(x), from one monic_values walk over the (alpha x point) grid,
+    each equal to its one-alpha rows bit for bit; with ``degrees``, one per
+    alpha, the rows of alpha[i] past degrees[i] are not walked and read 0.
+    The leading coefficients and the recurrence are formed once, so a
+    lattice sum can call rows chunk by chunk.  This is the one route to
+    values at points; the tables serve the algebra.
     """
     lead = leading_coeffs(fam, alpha, nmax, scale)
     A, B = recurrence(fam, alpha, nmax + 1)
 
     def rows(x):
         x = np.asarray(x)
-        monic = monic_values(A, B, x)
-        if lead.ndim > 1:
-            monic = np.moveaxis(monic, 0, 1)  # the walk's k axis after alpha
+        if lead.ndim == 1:
+            monic = monic_values(A, B, x)
+        else:  # the walk's k axis after alpha
+            monic = np.moveaxis(monic_values(A, B, x[None], degrees), 0, 1)
         return lead.reshape(lead.shape + (1,) * x.ndim) * monic
 
     return rows
@@ -555,9 +588,9 @@ def block_rows(fam, alphas, nmaxes, factors):
     ``live`` is True, stacked block after block, at the 1-D np.longdouble
     points x, in np.longdouble of shape (rows, len(x)).  Each row equals
     its one-block evaluation bit for bit.  For qlaguerre, the values of
-    phi_rows: one monic recurrence loop over an array of (blocks x points),
-    each block with its own A_k and B_k, to the largest degree of the live
-    blocks, times the leading coefficients and factors.  For wall and
+    phi_rows: one monic_values walk of the live blocks, each with its own
+    A_k and B_k and stopped at its own degree, broadcast over the shared
+    points, times the leading coefficients and factors.  For wall and
     qjacobi, the terminating Newton form of _newton_coeffs: one Newton
     basis prod_{i<j} (x - q^i), j up to the largest live degree, shared by
     every block, and one np.dot of the stacked coefficient rows with it.  A
@@ -581,27 +614,12 @@ def block_rows(fam, alphas, nmaxes, factors):
         lead = leading_coeffs(fam, alphas, top)[block, degree] * factors
 
         def rows(x, live):
-            order = np.flatnonzero(live)
-            width = nmaxes[order] + 1
-            first = np.cumsum(width) - width  # the first row of each live block
-            # the live blocks by falling degree, so that those whose rows
-            # need step k of the recurrence are a prefix of them
-            rank = sorted(range(len(order)), key=lambda j: -width[j])
-            first, need = first[rank], [int(width[j]) - 1 for j in rank]
-            a, b = A[order[rank]], B[order[rank]]
-            out = np.empty((width.sum(), len(x)), np.longdouble)
-            out[first] = 1
-            # p_0 = 1 and p_-1 = 0 as arrays, which multiply like the
-            # numbers 1 and 0 of monic_values
-            prev = np.zeros((len(rank), 1), np.longdouble)
-            cur = np.ones((len(rank), 1), np.longdouble)
-            c = len(rank)
-            for k in range(need[0]):
-                while need[c - 1] <= k:
-                    c -= 1
-                prev, cur = cur[:c], (x - a[:c, k, None]) * cur[:c] - b[:c, k, None] * prev[:c]
-                out[first[:c] + k + 1] = cur
-            out *= lead[live[block], None]
+            deg = int(nmaxes[live].max())
+            monic = monic_values(A[live, :deg + 1], B[live, :deg + 1], x[None], nmaxes[live])
+            mine = live[block]  # the rows of the live blocks
+            # row (degree, block) of the (k x live block x point) walk
+            out = monic[degree[mine], (np.cumsum(live) - 1)[block[mine]]]
+            out *= lead[mine, None]
             return out
 
         return rows
@@ -641,7 +659,7 @@ def jacobi_matrix(A, B):
 def radial_zeros(fam, n, alpha):
     """Zeros of phi_n(x; alpha), ascending: the eigenvalues of its Jacobi
     matrix of order n by numpy.linalg.eigvalsh, the route of the Gauss
-    nodes of quad.golub_welsch too."""
+    nodes of quad.gauss_rules too."""
     if n == 0:
         return np.array([])
     return np.linalg.eigvalsh(jacobi_matrix(*recurrence(fam, alpha, n)))

@@ -284,13 +284,13 @@ def _sweep_digest(fams, max_mn):
 
 
 class TestIdentityReportsPinned:
-    # sha256 prefix over every IdentityReport of the criterion-3 grid,
-    # recorded with the numpy-scalar tables that the Python-float tables,
-    # the shifted monomial products and the one-pass residual replaced
-    DIGEST = "aa5fa75a05e3df4e"
-    # the same over the deep grid (m, n <= 14), recorded with the
-    # tuple-keyed tables that the packed keys replaced
-    DEEP_DIGEST = "bd805caeb9b715fb"
+    # sha256 prefix over every IdentityReport of the criterion-3 grid and
+    # of the deep grid (m, n <= 14), recorded when a report whose every
+    # residual is 0.0 took the scale its gate read in place of 0.0; over
+    # every other field both grids hash as they did with the numpy-scalar
+    # tables, the tuple-keyed tables and the per-variant residuals before
+    DIGEST = "0232adc6e5be6693"
+    DEEP_DIGEST = "47e7da4eeabf9bb7"
 
     def test_reports_bit_identical(self):
         assert _sweep_digest(criterion3_families(), 6) == (41545, self.DIGEST)
@@ -350,6 +350,22 @@ class TestIdentityCatalog:
     def test_sweep_rejects_identity_of_another_family(self):
         with pytest.raises(bv.IdentityRangeError, match="family Z: ZQ_RR1"):
             bv.sweep(bv.Z(0.5), ["Z_RR1", "ZQ_RR1"], 3)
+
+    def test_zero_residual_reports_the_gate_scale(self):
+        # both sides of Z_RR1 at (0, 0) hold a coefficient 1, so the gate
+        # reads scale 1, and the report carries it
+        rep = bv.check_identity(bv.Z(0.5), "Z_RR1", 0, 0)
+        assert rep.residual == 0.0 and rep.scale == 1.0 and rep.passed
+
+    def test_worst_variant_carries_its_own_scale(self):
+        # per pair: every residual 0.0 (the first variant's scale), the
+        # first largest residual, and a NaN over any number
+        derived = [(np.array([0.0, 1.0, 1.0]), np.array([3.0, 4.0, 5.0])),
+                   (np.array([0.0, 2.0, np.nan]), np.array([6.0, 7.0, 8.0])),
+                   (np.array([0.0, 2.0, 3.0]), np.array([9.0, 10.0, 11.0]))]
+        res, scale = bv._worst(derived)
+        assert np.array_equal(res, [0.0, 2.0, np.nan], equal_nan=True)
+        assert scale.tolist() == [3.0, 7.0, 8.0]
 
     @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-second"])
     def test_nan_residual_is_reported(self, first, monkeypatch):
@@ -808,6 +824,30 @@ class TestGeneratingFunctions:
         monkeypatch.setattr(bv, "_GENFUN_GRID", chunk * 32 ** 2)
         residual, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
         assert np.array_equal(residual, whole[0]) and np.array_equal(tail, whole[1])
+
+    @pytest.mark.parametrize("which", bv.GENFUNS)
+    def test_many_points_equal_per_index_loop(self, which):
+        # 2,000 points, summed in chunks, each index walked to the degree
+        # it reads
+        fam = _genfun_family(which)
+        rng = np.random.default_rng(29)
+        u, v = rng.uniform(-0.15, 0.15, (2, 2000))
+        z1, z2 = rng.uniform(-1.0, 1.0, (2, 2000))
+        residual, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
+        total, ref_tail = _genfun_loop(fam, which, u, v, z1, z2, 30)
+        closed = bv._closed_form(fam, which, u, v, z1, z2)
+        assert np.array_equal(residual, np.abs(total - closed).astype(float))
+        assert np.array_equal(tail, ref_tail)
+
+    @pytest.mark.parametrize("which", ["Z_PLAIN", "Z_EXP"])
+    def test_closed_form_past_the_float_range_fails_quietly(self, which):
+        # at beta = 1e6, (1 - uv)^beta leaves the float range for uv > 0:
+        # the residual reads inf or NaN, which fails the check, with no
+        # warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual, _ = bv.genfun_check(bv.Z(1e6), which, 0.1, 0.1, 0.3, 0.4)
+        assert not math.isfinite(residual)
 
     @pytest.mark.parametrize("which", ["Z_EXP", "M_EXP"])
     def test_past_the_float_factorials(self, which):

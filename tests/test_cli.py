@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -608,6 +609,17 @@ class TestZeros:
 
 
 class TestGenfun:
+    @pytest.mark.parametrize("which", ["Z_PLAIN", "Z_EXP"])
+    def test_closed_form_past_the_float_range_fails_quietly(self, which, capsys):
+        # at beta = 1e6 the closed form leaves the float range: the check
+        # fails on the non-finite residual, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["genfun", "--family", "Z", "--beta", "1e6", "--which", which,
+                                  "--format", "json"], capsys)
+        assert code == 1 and err == ""
+        assert json.loads(out)["summary"]["passed"] is False
+
     def test_pass(self, capsys):
         code, out, _ = run(
             ["genfun", "--family", "Z", "--beta", "0.5", "--which", "Z_EXP",
@@ -687,10 +699,12 @@ class TestGenfun:
         (["genfun", "--family", "Z", "--which", "Z_EXP", "--npoints", "0"],
          "--npoints must be positive, got 0"),
         (["zeros", "--family", "Z", "--n", "-1", "--m-min", "0", "--m-max", "2"],
-         "n must be nonnegative, got -1"),
+         "n must be positive, got -1"),
+        (["zeros", "--family", "Z", "--n", "0", "--m-min", "0", "--m-max", "2"],
+         "n must be positive, got 0"),
     ],
     ids=["gram-degree-cap", "check-max-degree", "genfun-npoints", "genfun-npoints-zero",
-         "zeros-n"],
+         "zeros-n", "zeros-n-zero"],
 )
 def test_negative_cap_or_count_exit_2(argv, message, capsys):
     # an empty range of degrees or points would pass vacuously

@@ -1313,6 +1313,16 @@ class TestZeros:
         for _, radii in table:
             assert np.all(np.diff(radii) > 0) or radii.size == 1
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_degrees_without_zeros_before_any_work(self, n, monkeypatch):
+        # degree 0 has no zeros: a check of none would pass vacuously
+        def no_work(*args):
+            raise AssertionError("zeros formed")
+
+        monkeypatch.setattr(radial, "radial_zeros", no_work)
+        with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+            quad.zero_circle_monotonicity(radial.laguerre(0.0), n, range(max(n, 0), 3))
+
     def test_rejects_empty_m_range(self):
         with pytest.raises(ValueError, match="nonempty range of m"):
             quad.zero_circle_monotonicity(radial.laguerre(0.0), 2, range(3, 2))

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, eval_jacobi
 
@@ -617,6 +618,39 @@ class TestRecurrenceFormulas:
         assert J.dtype == float and np.array_equal(np.triu(J, 1), np.zeros((5, 5)))
         assert np.array_equal(np.diagonal(J), A.astype(float))
         assert np.array_equal(np.diagonal(J, -1), np.sqrt(B[1:]).astype(float))
+
+
+class TestRaggedWalk:
+    # monic_values with a degree per entry against each entry's one-entry
+    # walk: the recurrences of every family at drawn alphas, the entries in
+    # any order, degree 0 among them
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_each_entry_is_its_own_walk(self, data):
+        fam = data.draw(st.sampled_from(ALL_FAMILIES + REMOVABLE_CASES))
+        K = data.draw(st.integers(1, 14))
+        degrees = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=9))
+        alphas = data.draw(st.lists(st.sampled_from([0, 1, 2, 3.5, 7]), min_size=len(degrees),
+                                    max_size=len(degrees)))
+        shared = data.draw(st.booleans())
+        # points shared by every entry, or one point per entry
+        points = data.draw(st.lists(st.floats(0.01, 4.0), min_size=1 if shared else len(degrees),
+                                    max_size=5 if shared else len(degrees)))
+        A, B = radial.recurrence(fam, alphas, K)
+        x = np.array(points, np.longdouble)
+        rows = radial.monic_values(A, B, x[None] if shared else x, degrees)
+        assert rows.shape == (K, len(degrees)) + ((len(points),) if shared else ())
+        for i, d in enumerate(degrees):
+            one = radial.monic_values(A[i, :d + 1], B[i, :d + 1], x if shared else x[i])
+            assert np.array_equal(rows[:d + 1, i], one, equal_nan=True), (i, d)
+            assert not rows[d + 1:, i].any()
+
+    def test_rows_past_the_degree_are_not_walked(self):
+        # an entry past its degree meets no step: a NaN step there reads 0
+        A, B = radial.recurrence(radial.laguerre(0.5), [0, 1], 6)
+        A[1, 2:] = np.nan
+        rows = radial.monic_values(A, B, np.array([0.3, 1.7], np.longdouble), [5, 2])
+        assert np.all(np.isfinite(rows)) and not rows[3:, 1].any()
 
 
 class TestZeros:
