@@ -1369,7 +1369,11 @@ def _closed_form(fam, which, u, v, z1, z2):
         rho = np.sqrt(1.0 - 2.0 * uv * (1.0 - 2.0 * z1 * z2) + uv ** 2)
         if np.any(np.abs(1.0 - uv + rho) < 1e-8):
             raise ValueError("degenerate generating-function point")
-        pref = 2.0 ** (b + g) * (1.0 + uv + rho) ** (-b)
+        try:
+            head = 2.0 ** (b + g)
+        except OverflowError:  # past the float range, from b + g = 1024
+            head = math.inf
+        pref = head * (1.0 + uv + rho) ** (-b)
         if which == "M_DOUBLE":
             closed = (
                 pref

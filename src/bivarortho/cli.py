@@ -42,10 +42,15 @@ def _clean(value):
 
 
 def _fmt(value):
-    value = _clean(value)
-    if isinstance(value, float):
+    """A value as written: a float by _FMT, a Python int, str or bool as it
+    is, anything else (numpy scalars) by _clean first."""
+    kind = type(value)
+    if kind is float:
         return _FMT.format(value)
-    return value
+    if kind is int or kind is str or kind is bool:
+        return value
+    value = _clean(value)
+    return _FMT.format(value) if isinstance(value, float) else value
 
 
 def _family(args):
@@ -101,10 +106,10 @@ def _emit(args, command, rows, summary):
     else:
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for r in rows:
-                writer.writerow({k: _fmt(v) for k, v in r.items()})
+            # every row holds the fields of the first, in its order
+            writer = csv.writer(buf, lineterminator="\r\n")
+            writer.writerow(rows[0])
+            writer.writerows([_fmt(v) for v in r.values()] for r in rows)
         for k, v in summary.items():
             buf.write(f"# {k}={_fmt(v)}\n")
         text = buf.getvalue()

@@ -12,7 +12,9 @@ continuous family, one lattice walk for all blocks of a q family), the
 block-diagonal Gram of a
 bivariate family (gram), the Gram summary shared with the Askey-Wilson
 checks (summarize) and zero-circle monotonicity checks
-(zero_circle_monotonicity, refined by Brent's method in bisection_zeros).
+(zero_circle_monotonicity: one array pass over its range of m, one
+eigensolve of the stacked Jacobi matrices and one lockstep Brent over
+every bracket of every m in bisection_zeros).
 
 Every Gram block (indices, G, zeta) is in one orthonormal scale: its rows
 divided by the square roots of the np.longdouble closed-form norms zeta,
@@ -563,98 +565,126 @@ def _range_note(norms, grams):
 
 
 def _same_sign(fa, fb):
-    """True when fa and fb are both positive or both negative; a sign test,
-    because their product can underflow."""
-    return (fa > 0 and fb > 0) or (fa < 0 and fb < 0)
+    """True where fa and fb are both positive or both negative; a sign
+    test, because their product can underflow."""
+    return ((fa > 0) & (fb > 0)) | ((fa < 0) & (fb < 0))
 
 
 def _brent(f, xpre, xcur, fpre, fcur, xtol):
-    """Root of f in the bracket [xpre, xcur], given fpre = f(xpre) and
-    fcur = f(xcur) of opposite signs (bisection_zeros checks them with
-    _same_sign), by Brent's method (Brent 1973, Algorithms for Minimization
-    without Derivatives, ch. 4).
+    """Roots of f in the brackets [xpre[i], xcur[i]], given the float
+    arrays fpre = f(xpre) and fcur = f(xcur), opposite in sign bracket by
+    bracket (bisection_zeros checks them with _same_sign), by Brent's
+    method (Brent 1973, Algorithms for Minimization without Derivatives,
+    ch. 4), every bracket in lockstep.
 
-    Step for step the C routine behind scipy.optimize.brentq: inverse
-    quadratic or secant steps while they shrink fast enough, bisection
-    otherwise, until half the bracket is below (xtol + _BRENT_RTOL |x|) / 2.
-    Raises RuntimeError on a NaN value or after _BRENT_MAXITER steps.
+    Each bracket steps exactly as the C routine behind
+    scipy.optimize.brentq: inverse quadratic or secant steps while they
+    shrink fast enough, bisection otherwise, until half the bracket is
+    below (xtol + _BRENT_RTOL |x|) / 2; each step's float operations are
+    that routine's, entry by entry.  A bracket leaves the live set once it
+    converges.  f(x, live) is called once a step with the next points x of
+    the brackets still live, whose indices are ``live``, and returns
+    their values, which are taken as a new float array.  Raises
+    RuntimeError on a NaN value or when some bracket is still live after
+    _BRENT_MAXITER steps.
     """
-    if math.isnan(fpre) or math.isnan(fcur):
+    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in (xpre, xcur, fpre, fcur))
+    if np.isnan(fpre).any() or np.isnan(fcur).any():
         raise RuntimeError("Brent's method: NaN value at a bracket end")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise RuntimeError(f"Brent's method: NaN value at x = {xcur!r}")
+    roots = np.where(fpre == 0, xpre, xcur)  # an end at a zero is its root
+    live = np.flatnonzero((fpre != 0) & (fcur != 0))
+    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    # no two of the eight state arrays overlap, so the moves below can be
+    # in place
+    xblk, fblk, spre, scur = np.zeros((4, len(live)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_BRENT_MAXITER):
+            # fpre and fcur nonzero and of opposite signs
+            flip = np.sign(fpre) * np.sign(fcur) < 0
+            np.copyto(xblk, xpre, where=flip)
+            np.copyto(fblk, fpre, where=flip)
+            np.copyto(spre, xcur - xpre, where=flip)
+            np.copyto(scur, spre, where=flip)
+            # xpre, xcur, xblk = xcur, xblk, xcur, and so for f
+            swap = abs(fblk) < abs(fcur)
+            for pre, cur, blk in ((xpre, xcur, xblk), (fpre, fcur, fblk)):
+                np.copyto(pre, cur, where=swap)
+                np.copyto(cur, blk, where=swap)
+                np.copyto(blk, pre, where=swap)
+            delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (abs(sbis) < delta)
+            if np.count_nonzero(done):
+                roots[live[done]] = xcur[done]
+                keep = ~done
+                live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    v[keep] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                      delta, sbis))
+            if not live.size:
+                return roots
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            # extrapolate, or interpolate where xpre == xblk
+            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            np.copyto(stry, -fcur * (xcur - xpre) / (fcur - fpre), where=xpre == xblk)
+            # a good short step, else bisection
+            good = ((abs(spre) > delta) & (abs(fcur) < abs(fpre))
+                    & (2 * abs(stry) < np.minimum(abs(spre), 3 * abs(sbis) - delta)))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            # new arrays for xcur and fcur, so that xpre and fpre take the old
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = np.array(f(xcur, live), dtype=float)
+            if np.count_nonzero(np.isnan(fcur)):
+                at = float(xcur[np.isnan(fcur)][0])
+                raise RuntimeError(f"Brent's method: NaN value at x = {at!r}")
     raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
-def bisection_zeros(fam, n, alpha):
-    """Refine the zeros of phi_n by Brent's bracketed root finding on sign
-    changes of its recurrence value (radial.phi_rows), to the absolute
-    bracket tolerance _BRENT_XTOL, independent of the eigensolver route.
+def bisection_zeros(fam, n, alphas, approx):
+    """Refine the eigensolver zeros ``approx`` of phi_n, one row per alpha
+    of ``alphas`` (radial.radial_zeros over the array), by Brent's
+    bracketed root finding on sign changes of its recurrence value, to the
+    absolute bracket tolerance _BRENT_XTOL, independent of the eigensolver
+    route.  Returns the refined zeros in the shape of ``approx``.
 
     Each zero is bracketed by the midpoints between the eigensolver zeros
     or, failing that, by the eigensolver value +- 1e-6 relative; a zero
-    that neither brackets reads NaN.
+    that neither brackets reads NaN.  Every cut of every alpha is valued
+    in one radial.monic_values walk, and every bracket is refined in one
+    lockstep _brent, whose steps value all live brackets in one walk more,
+    each entry with its own alpha's recurrence and its own point.  The
+    value of phi_n at x is c_0(n, alpha) p_n(x) in np.longdouble, rounded
+    to float, as radial.phi_rows gives it.
     """
-    if n == 0:
-        return np.array([])
-    approx = radial.radial_zeros(fam, n, alpha)
-    rows = radial.phi_rows(fam, alpha, n)
+    A, B = radial.recurrence(fam, alphas, n + 1)
+    lead = radial.leading_coeffs(fam, alphas, n)[:, n]
 
-    def f(x):
-        return float(rows(x)[n])
+    def f(x, which):  # phi_n(x[i]; alphas[which[i]])
+        return (lead[which] * radial.monic_values(A[which], B[which], x)[n]).astype(float)
 
-    lo_edge = approx[0] - max(1.0, approx[0])
-    hi_edge = approx[-1] + max(1.0, approx[-1])
-    cuts = [lo_edge] + [(approx[i] + approx[i + 1]) / 2.0 for i in range(n - 1)] + [hi_edge]
-    roots = []
-    for i in range(n):
-        a, b = cuts[i], cuts[i + 1]
-        fa, fb = f(a), f(b)
-        if _same_sign(fa, fb):
-            # narrow to the approximate root until a sign change appears
-            a = approx[i] - 1e-6 * max(1.0, abs(approx[i]))
-            b = approx[i] + 1e-6 * max(1.0, abs(approx[i]))
-            fa, fb = f(a), f(b)
-            if _same_sign(fa, fb):
-                roots.append(math.nan)
-                continue
-        roots.append(_brent(f, a, b, fa, fb, _BRENT_XTOL))
-    return np.array(roots)
+    # the outer cuts lie max(1, zero) past the outer zeros
+    lo, hi = approx[:, 0], approx[:, -1]
+    cuts = np.column_stack((lo - np.where(lo > 1.0, lo, 1.0),
+                            (approx[:, :-1] + approx[:, 1:]) / 2.0,
+                            hi + np.where(hi > 1.0, hi, 1.0)))
+    values = f(cuts.ravel(), np.repeat(np.arange(len(cuts)), n + 1)).reshape(cuts.shape)
+    a, b, fa, fb = cuts[:, :-1], cuts[:, 1:], values[:, :-1], values[:, 1:]
+    narrow = _same_sign(fa, fb)
+    if narrow.any():
+        # narrow to the eigensolver zero until a sign change appears
+        a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
+        zero = approx[narrow]
+        width = 1e-6 * np.where(abs(zero) > 1.0, abs(zero), 1.0)
+        a[narrow], b[narrow] = zero - width, zero + width
+        fa[narrow], fb[narrow] = f(np.concatenate((a[narrow], b[narrow])),
+                                   np.tile(np.nonzero(narrow)[0], 2)).reshape(2, -1)
+    roots = np.full(approx.shape, np.nan)
+    ok = ~_same_sign(fa, fb)
+    which = np.nonzero(ok)[0]  # the alpha of each bracket
+    roots[ok] = _brent(lambda x, live: f(x, which[live]), a[ok], b[ok], fa[ok], fb[ok],
+                       _BRENT_XTOL)
+    return roots
 
 
 def zero_circle_monotonicity(rad, n, m_range):
@@ -665,29 +695,34 @@ def zero_circle_monotonicity(rad, n, m_range):
     monotone is True iff every radius strictly increases with m; max_dev is
     the largest distance between the eigensolver zeros and their bisection
     refinement (bisection_zeros), inf when a zero could not be bracketed.
-    Degree n >= 1 is needed, m - n >= 0 for every m of a nonempty range.
+    Degree n >= 1 is needed, m - n >= 0 for every m of a nonempty range;
+    both are checked before any work.
+
+    One array pass over the range: one radial.radial_zeros call over the
+    array of alpha stacks the Jacobi matrices of every m for one
+    eigensolve, and one bisection_zeros call refines every zero of every m
+    in one lockstep Brent.  A range whose walks, n + 1 rows at n + 1 cuts
+    an m, would pass LATTICE_MAX_ENTRIES is taken in groups of m that stay
+    within it, as gauss_rules groups its blocks (_groups); every m reads
+    the same numbers in any group.
     """
     if n < 1:
         # degree 0 has no zeros: a check of none would pass vacuously
         raise ValueError(f"n must be positive, got {n}")
     if not m_range:
         raise ValueError("zero-circle check needs a nonempty range of m")
-    radii_table = []
-    max_dev = 0.0
-    for m in m_range:
-        if m < n:
-            raise ValueError("zero-circle check needs m >= n")
-        zeros = radial.radial_zeros(rad, n, m - n)
-        ref = bisection_zeros(rad, n, m - n)
-        # an unbracketed zero (NaN) deviates without bound; np.max, unlike
-        # the builtin max, propagates any other NaN
-        dev = np.where(np.isnan(ref), np.inf, np.abs(zeros - ref))
-        max_dev = float(np.max(dev, initial=max_dev))
-        radii_table.append((m, np.sqrt(zeros)))
-    monotone = True
-    for i in range(1, len(radii_table)):
-        prev = radii_table[i - 1][1]
-        cur = radii_table[i][1]
-        if not np.all(cur > prev):
-            monotone = False
-    return monotone, radii_table, max_dev
+    if min(m_range) < n:
+        raise ValueError("zero-circle check needs m >= n")
+    alphas = np.array(m_range) - n
+    zeros, ref = [], []
+    for lo, hi in _groups([n + 1] * len(alphas)):
+        zeros.append(radial.radial_zeros(rad, n, alphas[lo:hi]))
+        ref.append(bisection_zeros(rad, n, alphas[lo:hi], zeros[-1]))
+    zeros, ref = np.concatenate(zeros), np.concatenate(ref)
+    # an unbracketed zero (NaN) deviates without bound; np.max, unlike the
+    # builtin max, propagates any other NaN
+    dev = np.where(np.isnan(ref), np.inf, np.abs(zeros - ref))
+    max_dev = float(np.max(dev, initial=0.0))
+    radii = np.sqrt(zeros)
+    monotone = bool(np.all(radii[1:] > radii[:-1]))
+    return monotone, list(zip(m_range, radii)), max_dev

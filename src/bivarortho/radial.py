@@ -36,8 +36,8 @@ degree the Grams reach; zeta reads one entry), the masses
 of the continuous measures (measure_mass, one array pass over any number
 of alpha, which norms and the Gauss rules of quad.gauss_rules each take
 in one call), and zeros as the eigenvalues of the symmetric Jacobi matrix
-(jacobi_matrix, stacked for an array of alpha; numpy.linalg.eigvalsh),
-the path of the Gauss nodes too.
+(jacobi_matrix, stacked for an array of alpha; numpy.linalg.eigvalsh,
+one call over them in radial_zeros), the path of the Gauss nodes too.
 """
 
 import math
@@ -659,7 +659,9 @@ def jacobi_matrix(A, B):
 def radial_zeros(fam, n, alpha):
     """Zeros of phi_n(x; alpha), ascending: the eigenvalues of its Jacobi
     matrix of order n by numpy.linalg.eigvalsh, the route of the Gauss
-    nodes of quad.gauss_rules too."""
+    nodes of quad.gauss_rules too.  ``alpha`` may be a 1-D array: one row
+    of zeros per entry, from one eigvalsh call over the stacked matrices,
+    each row equal to its one-alpha call bit for bit."""
     if n == 0:
-        return np.array([])
+        return np.empty(np.shape(alpha) + (0,))
     return np.linalg.eigvalsh(jacobi_matrix(*recurrence(fam, alpha, n)))

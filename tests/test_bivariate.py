@@ -839,14 +839,19 @@ class TestGeneratingFunctions:
         assert np.array_equal(residual, np.abs(total - closed).astype(float))
         assert np.array_equal(tail, ref_tail)
 
-    @pytest.mark.parametrize("which", ["Z_PLAIN", "Z_EXP"])
-    def test_closed_form_past_the_float_range_fails_quietly(self, which):
-        # at beta = 1e6, (1 - uv)^beta leaves the float range for uv > 0:
+    @pytest.mark.parametrize(
+        "fam,which",
+        [(bv.Z(1e6), "Z_PLAIN"), (bv.Z(1e6), "Z_EXP"), (bv.M(1e6, 0.5), "M_PLAIN"),
+         (bv.M(1e6, 0.5), "M_EXP"), (bv.M(1e6, 0.5), "M_DOUBLE"), (bv.M(1023.5, 0.5), "M_PLAIN")],
+        ids=["Z_PLAIN", "Z_EXP", "M_PLAIN", "M_EXP", "M_DOUBLE", "M_PLAIN-1024"])
+    def test_closed_form_past_the_float_range_fails_quietly(self, fam, which):
+        # at beta = 1e6, (1 - uv)^beta leaves the float range for uv > 0,
+        # and the M forms' 2^(beta + gamma) does from beta + gamma = 1024:
         # the residual reads inf or NaN, which fails the check, with no
-        # warning
+        # OverflowError and no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            residual, _ = bv.genfun_check(bv.Z(1e6), which, 0.1, 0.1, 0.3, 0.4)
+            residual, _ = bv.genfun_check(fam, which, 0.1, 0.1, 0.3, 0.4)
         assert not math.isfinite(residual)
 
     @pytest.mark.parametrize("which", ["Z_EXP", "M_EXP"])

@@ -609,14 +609,15 @@ class TestZeros:
 
 
 class TestGenfun:
-    @pytest.mark.parametrize("which", ["Z_PLAIN", "Z_EXP"])
+    @pytest.mark.parametrize("which", ["Z_PLAIN", "Z_EXP", "M_PLAIN", "M_EXP", "M_DOUBLE"])
     def test_closed_form_past_the_float_range_fails_quietly(self, which, capsys):
         # at beta = 1e6 the closed form leaves the float range: the check
-        # fails on the non-finite residual, with no warning
+        # fails on the non-finite residual, exit 1, with no warning and no
+        # "numerical breakdown"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(["genfun", "--family", "Z", "--beta", "1e6", "--which", which,
-                                  "--format", "json"], capsys)
+            code, out, err = run(["genfun", "--family", which[0], "--beta", "1e6", "--gamma", "0.5",
+                                  "--which", which, "--format", "json"], capsys)
         assert code == 1 and err == ""
         assert json.loads(out)["summary"]["passed"] is False
 

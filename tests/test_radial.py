@@ -689,6 +689,21 @@ class TestZeros:
 
     def test_degree_zero(self):
         assert radial.radial_zeros(radial.laguerre(0.0), 0, 0).size == 0
+        assert radial.radial_zeros(radial.laguerre(0.0), 0, [0, 1]).shape == (2, 0)
+
+    @pytest.mark.parametrize(
+        "fam", [radial.laguerre(0.5), radial.laguerre(-0.5), radial.shifted_jacobi(0.5, 0.7)]
+        + REMOVABLE_CASES[:2], ids=["laguerre", "laguerre-neg", "jacobi"] + REMOVABLE_IDS[:2])
+    def test_alpha_array_rows_are_one_alpha_calls(self, fam):
+        # one eigvalsh over the stacked Jacobi matrices; alpha = 0 and 1
+        # meet the removable 0/0 of jacobi-t-1 (t = -1, 0) and alpha = 0
+        # that of jacobi-t0
+        alphas = [0, 1, 2, 5, 0, 3.5]
+        for n in range(1, 31):
+            rows = radial.radial_zeros(fam, n, np.array(alphas))
+            assert rows.shape == (len(alphas), n)
+            for row, alpha in zip(rows, alphas):
+                assert row.tobytes() == radial.radial_zeros(fam, n, alpha).tobytes(), (n, alpha)
 
 
 # The classical tables as scalar loops of term ratios from c_0, the q tables
