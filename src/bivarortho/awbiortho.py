@@ -43,7 +43,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import radial
+from . import qcalc, radial
 from .polycore import powers
 from .qcalc import qpochhammer, qproduct_terms
 from .quad import summarize
@@ -112,24 +112,6 @@ def _check_nodes(x):
     return xs
 
 
-# entries of one array step of a q-product: its factors are taken this many
-# entries at a time, which bounds the memory when q is near 1 and the
-# product runs to thousands of factors
-_QPRODUCT_CHUNK = 1 << 16
-
-
-def _node_product(factors, count, nnodes):
-    """Product over k < count of the factor rows ``factors(k)``, each a
-    (len(k), nnodes) array for a float column k of indices, in order and
-    _QPRODUCT_CHUNK entries at a time."""
-    step = max(1, _QPRODUCT_CHUNK // nnodes)
-    out = np.ones(nnodes)
-    for lo in range(0, count, step):
-        k = np.arange(lo, min(lo + step, count), dtype=float)
-        out = out * np.prod(factors(k[:, None]), axis=0)
-    return out
-
-
 def _pair_factors(xs, aq):
     """(1 - aq e^(i theta)) (1 - aq e^(-i theta)) = 1 - 2 aq x + aq^2 for a
     column aq, as a (len(aq), len(xs)) array, written
@@ -175,14 +157,16 @@ def h_prod(x, a, q):
     K of qpochhammer's certified tail rule (the same at every node since
     |a e^(i theta)| = |a|).  A scalar x gives a float, an array an array."""
     xs = _check_nodes(x)
-    vals = _node_product(lambda k: _pair_factors(xs, a * q ** k), qproduct_terms(a, q), xs.size)
+    vals = qcalc.products(lambda k: _pair_factors(xs, a * q ** k), qproduct_terms(a, q),
+                          shape=xs.shape)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def _half_h(a, eits, q):
     """(a e^(i theta); q)_inf at each of the unit-circle points ``eits``,
     truncated at the same K as h_prod."""
-    return _node_product(lambda k: 1.0 - a * q ** k * eits, qproduct_terms(a, q), eits.size)
+    return qcalc.products(lambda k: 1.0 - a * q ** k * eits, qproduct_terms(a, q), complex,
+                          shape=eits.shape)
 
 
 def _weight_numerator(xs, q):
@@ -195,8 +179,8 @@ def _weight_numerator(xs, q):
     1 - q^k = -expm1(k ln q) keeps its ulp as q^k nears 1."""
     sin2 = (1.0 - xs) * (1.0 + xs)
     lnq = math.log(q)
-    return _node_product(lambda k: np.expm1(k * lnq) ** 2 + (4.0 * q ** k) * sin2,
-                         qproduct_terms(1.0, q), xs.size)
+    return qcalc.products(lambda k: np.expm1(k * lnq) ** 2 + (4.0 * q ** k) * sin2,
+                          qproduct_terms(1.0, q), shape=xs.shape)
 
 
 def _theta_weight(p, xs):
@@ -223,31 +207,28 @@ def aw_norm(p, n):
 
 def _qpochhammer(starts, q, n=None):
     """(s; q)_n for every entry s of the array ``starts`` and the matching
-    entry of the integer array ``n``, or (s; q)_inf when ``n`` is None,
-    truncated at the K of qproduct_terms for the largest |s|.  Each entry is
-    its scalar qpochhammer bit for bit: the powers s q^k are one running
-    product (cumprod), the factors multiply in order, a factor past an
+    entry of the integer array ``n`` of its shape, or (s; q)_inf when ``n``
+    is None, truncated at the K of qproduct_terms for the largest |s|: one
+    qcalc.products pass.  Each entry is its scalar qpochhammer bit for bit:
+    the powers s q^k are one running product (cumprod), carried from one
+    array step to the next, the factors multiply in order, a factor past an
     entry's own length is exactly 1.0, and so is every factor past its own
     K, since |s q^k| < 1e-17 rounds 1 - s q^k to 1."""
-    if n is None:
-        count = qproduct_terms(np.max(np.abs(starts), initial=0.0), q)
-    else:
-        count = int(np.max(n, initial=0))
-    step = max(1, _QPRODUCT_CHUNK // max(starts.size, 1))
-    out, aq = np.ones_like(starts), starts
-    for lo in range(0, count, step):
-        m = min(step, count - lo)
-        rows = np.empty((m + 1,) + starts.shape)
+    aq = starts  # s q^k at the first k of the next step
+
+    def factors(k):
+        nonlocal aq
+        rows = np.empty((len(k) + 1,) + starts.shape)
         rows[0] = aq
         rows[1:] = q
         rows = np.cumprod(rows, axis=0)
-        aq = rows[m]
-        factors = 1.0 - rows[:m]
-        if n is not None:
-            k = np.arange(lo, lo + m).reshape((m,) + (1,) * starts.ndim)
-            factors = np.where(k < n, factors, 1.0)
-        out = np.prod(np.concatenate((out[None], factors)), axis=0)
-    return out
+        aq = rows[-1]
+        return 1.0 - rows[:-1]
+
+    if n is None:
+        count = qproduct_terms(np.max(np.abs(starts), initial=0.0), q)
+        return qcalc.products(factors, count, shape=starts.shape)
+    return qcalc.products(factors, n)
 
 
 def _q_tails(q, n):

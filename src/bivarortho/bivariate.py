@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import radial
+from . import qcalc, radial
 from .polycore import BivariatePoly, DiagFactor, DiagTables, Tolerance, identity_residual, powers
 from .qcalc import pochhammer
 
@@ -1251,11 +1251,6 @@ def connection_Z(m, n, beta, gamma):
 
 GENFUNS = ("Z_EXP", "Z_PLAIN", "M_EXP", "M_PLAIN", "M_DOUBLE")
 
-# entries of the (index x degree x point) grid of one genfun_check pass;
-# more points are summed chunk by chunk, so that memory stays bounded for
-# any count of points
-_GENFUN_GRID = 1 << 18
-
 
 def _factorials(count):
     """a!, a < count, as a float64 and an np.longdouble array, each entry
@@ -1290,7 +1285,7 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     same order for any shape of the points.  The tail estimate is the
     largest |term| with a + k = N + 1 under the same weights, each of
     M_DOUBLE's two members counted as its own term.  The grid holds
-    (N + 2)^2 entries a point, so points past _GENFUN_GRID entries are
+    (N + 2)^2 entries a point, so points past qcalc.MAX_ENTRIES entries are
     taken chunk by chunk.
     """
     if which not in GENFUNS or which.split("_")[0] != fam.tag:
@@ -1300,7 +1295,7 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     u, v, z1, z2 = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (u, v, z1, z2)))
     if np.any(np.abs(u * v) >= 1.0):
         raise ValueError("need |uv| < 1")
-    step = max(1, _GENFUN_GRID // (N + 2) ** 2)
+    step = max(1, qcalc.MAX_ENTRIES // (N + 2) ** 2)
     if u.size <= step:
         total, tail = _genfun_series(fam, which, N, u, v, z1, z2)
     else:

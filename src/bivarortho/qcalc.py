@@ -1,12 +1,19 @@
-"""Pochhammer and q-Pochhammer symbols.
+"""Pochhammer and q-Pochhammer symbols, and the one bounded array product.
 
-All routines are plain scalar helpers used by the radial and bivariate
+pochhammer and qpochhammer are scalar helpers of the radial and bivariate
 construction code.  Infinite q-products are truncated with a certified
-geometric tail bound; qproduct_terms gives the number of factors it keeps,
-which the array products of the Askey-Wilson module share.
+geometric tail bound; qproduct_terms gives the number of factors it keeps.
+products forms many long products at once, as running products in array
+steps of at most MAX_ENTRIES entries: the masses and q-ratio products of
+the radial norms and the q-products of the Askey-Wilson module all go
+through it.  MAX_ENTRIES is the package's one working-set bound: every
+array pass that takes its work in groups (the Gauss rules, the lattice
+walk, the zero-circle checks, the generating-function sums) reads it.
 """
 
 import math
+
+import numpy as np
 
 # Truncation target for infinite q-products.  The remaining tail of
 # log(a;q)_inf after the last retained factor is bounded by
@@ -14,6 +21,9 @@ import math
 TRUNCATION_EPS = 1e-17
 
 _MAX_QPRODUCT_TERMS = 100000
+
+# entries of one array step of a grouped pass: its memory bound
+MAX_ENTRIES = 1 << 16
 
 
 def pochhammer(a, n):
@@ -81,3 +91,41 @@ def qproduct_terms(a, q):
         k -= 1
     return k
 
+
+def products(factors, counts, dtype=float, shape=None):
+    """The running products prod_(k < counts[e]) factors(k)[e] for every
+    entry e of the integer array ``counts`` (any shape), as an array of
+    that shape and ``dtype``; with ``shape``, ``counts`` is one int shared
+    by every entry of that shape, the lean path: no count is searched and
+    no factor masked.
+
+    factors(k) takes a column of consecutive indices k, of shape (len(k),)
+    + (1,) * ndim, and returns the factors of every entry at them, of shape
+    (len(k),) + the entries' shape; it is called once per array step, in k
+    order, so it may carry a running state from one step to the next.  Each
+    entry is the product of its factors in k order, ((1 f_0) f_1) ..., and
+    a factor past the entry's own count is an exact 1.  A step takes as
+    many k as keep it within MAX_ENTRIES entries, at least one, and
+    continues every product where the last step left it, so any chunking
+    gives the same bits.  Only a step past the smallest count masks its
+    factors.  (numpy multiplies the complex factors of a single entry in
+    its reduce loop, whose rounding can differ from its elementwise loop's
+    at several entries.)"""
+    if shape is None:
+        counts = np.asarray(counts)
+        shape = counts.shape
+        top = int(counts.max(initial=0))
+        low = int(counts.min(initial=top))
+    else:
+        top = low = counts
+    step = max(1, MAX_ENTRIES // max(math.prod(shape), 1))
+    out = None
+    for lo in range(0, top, step):
+        k = np.arange(lo, min(lo + step, top)).reshape((-1,) + (1,) * len(shape))
+        f = np.asarray(factors(k), dtype)
+        if lo + len(k) > low:
+            f = np.where(k < counts, f, 1)
+        if out is not None:
+            f = np.concatenate((out[None], f))
+        out = np.multiply.reduce(f, axis=0)
+    return np.ones(shape, dtype) if out is None else out

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import radial
+from . import qcalc, radial
 from .qcalc import qpochhammer
 
 
@@ -51,7 +51,7 @@ def golub_welsch(fam, alpha, npts):
     return next(gauss_rules(fam, [alpha], [npts]))
 
 
-def gauss_rules(fam, alphas, npts):
+def gauss_rules(fam, alphas, npts, masses=None):
     """Gauss rules for the measures x^alphas[b] dnu of a continuous radial
     family, rule b of order npts[b], yielded in block order from one pass,
     each equal to its one-rule call bit for bit.
@@ -62,9 +62,11 @@ def gauss_rules(fam, alphas, npts):
     route of radial.radial_zeros), one call per block, since the orders
     differ.  Its weights are the Christoffel numbers w_i = 1 / sum_{k<npts}
     p_k(x_i)^2 / h_k, with h_k = mass B_1 ... B_k the squared norms of the
-    monic p_k and the masses one radial.measure_mass row, summed from the
-    np.longdouble monic rows at the nodes (Golub and Welsch 1969; Gautschi
-    2004, Orthogonal Polynomials: Computation and Approximation, 3.1.1).
+    monic p_k and the masses one radial.measure_mass row, or ``masses``
+    when the caller holds them (a Gram's norm rows start with them, bit
+    for bit), summed from the np.longdouble monic rows at the nodes (Golub
+    and Welsch 1969; Gautschi 2004, Orthogonal Polynomials: Computation and
+    Approximation, 3.1.1).
     Unlike the squared first components of the eigenvectors, they keep
     their relative accuracy at the tiny weights of the largest nodes.  Rule
     b is exact for polynomials of degree <= 2*npts[b] - 1.
@@ -73,7 +75,7 @@ def gauss_rules(fam, alphas, npts):
     consecutive blocks, one entry per node with its block's recurrence and
     degree, and the weights from one sum over it.  A group takes
     blocks while its walk, its largest order times its node count, stays
-    within LATTICE_MAX_ENTRIES; a larger block walks alone.  The rules of a
+    within qcalc.MAX_ENTRIES; a larger block walks alone.  The rules of a
     group hold views of its rows, and the groups are walked as the rules
     are taken, so a caller that drops each rule in turn holds the rows of
     one group at a time.
@@ -84,7 +86,7 @@ def gauss_rules(fam, alphas, npts):
     if fam.is_q():
         raise ValueError("q-lattice measures are summed, not quadratured")
     A, B = radial.recurrence(fam, alphas, max(npts, default=1))
-    mass = radial.measure_mass(fam, alphas)
+    mass = radial.measure_mass(fam, alphas) if masses is None else np.asarray(masses)
     for lo, hi in _groups(npts):
         yield from _group_rules(A[lo:hi], B[lo:hi], mass[lo:hi], npts[lo:hi])
 
@@ -92,12 +94,12 @@ def gauss_rules(fam, alphas, npts):
 def _groups(orders):
     """The runs lo:hi of consecutive blocks of the given orders taken
     together: each grows while its largest order times the sum of its
-    orders stays within LATTICE_MAX_ENTRIES, and holds one block at least."""
+    orders stays within qcalc.MAX_ENTRIES, and holds one block at least."""
     lo = 0
     while lo < len(orders):
         hi, top, width = lo + 1, orders[lo], orders[lo]
         while (hi < len(orders)
-               and max(top, orders[hi]) * (width + orders[hi]) <= LATTICE_MAX_ENTRIES):
+               and max(top, orders[hi]) * (width + orders[hi]) <= qcalc.MAX_ENTRIES):
             top, width, hi = max(top, orders[hi]), width + orders[hi], hi + 1
         yield lo, hi
         lo = hi
@@ -137,12 +139,10 @@ def _group_rules(A, B, mass, npts):
 LATTICE_TAIL_TOL = 1e-19
 # points of a lattice direction in its first integrand call; each further
 # call takes twice as many as the last, at most LATTICE_MAX_CHUNK, and at
-# most LATTICE_MAX_ENTRIES rows times points, which bounds the memory of one
-# call (the rows of one cap-15 Gram block at LATTICE_MAX_CHUNK points in
-# np.longdouble: 256 kB)
+# most qcalc.MAX_ENTRIES rows times points, which bounds the memory of one
+# call (1 MB of np.longdouble)
 LATTICE_CHUNK = 64
 LATTICE_MAX_CHUNK = 1024
-LATTICE_MAX_ENTRIES = 16 * LATTICE_MAX_CHUNK
 LATTICE_MAX_POINTS = 100000
 # floor of the running sum in the stop test, at the working precision
 _LONGDOUBLE_TINY = np.finfo(np.longdouble).tiny
@@ -227,7 +227,7 @@ def _lattice_directions(fam, exponents):
     raise ValueError(f"not a q-lattice family: {fam.kind!r}")
 
 
-def _lattice_walk(fam, alphas, integrand, summand, widths=None):
+def _lattice_walk(fam, alphas, integrand, summand, widths=None, faults=None):
     """Walk the directions of the q-lattice of x^alpha dnu for every alpha
     of ``alphas`` at once, one block per alpha: chunks of points shared by
     the blocks, each block stopped by the stop rule of q_lattice_sum, which
@@ -237,15 +237,18 @@ def _lattice_walk(fam, alphas, integrand, summand, widths=None):
     mask of the blocks still walking; it returns their values stacked
     along the leading axis, widths[b] rows for block b (one block of any
     width when ``widths`` is None), and one column per point, at most
-    LATTICE_MAX_ENTRIES values once the widths are known.  summand(f) of
+    qcalc.MAX_ENTRIES values once the widths are known.  summand(f) of
     the values, a new np.longdouble array, which the walk overwrites, is
     weighted by each block's weights and summed; block b's stop rule reads
     its own rows of those terms and of their running sums, with its own
-    tail factor, and a non-finite term of its own at or before its stop
-    point raises.  A stopped block is not evaluated again in the
-    direction.  Returns (totals, kept), per block: the sums of its rows,
-    and per chunk in lattice order the triple (x, w, f) of the points and
-    weights up to its stop point and its rows of the integrand at them.
+    tail factor.  A non-finite term of its own at or before its stop point
+    raises, or, when ``faults`` is a dict, stops the block in every
+    direction and records the lattice index of the term there under the
+    block's position, the term and the points before it kept.  A stopped
+    block is not evaluated again in the direction.  Returns (totals, kept),
+    per block: the sums of its rows, and per chunk in lattice order the
+    triple (x, w, f) of the points and weights up to its stop point and its
+    rows of the integrand at them.
     The sums run along each row in lattice order, chunk after chunk, so
     every block's sums and kept points are those of its walk alone.
     """
@@ -257,12 +260,13 @@ def _lattice_walk(fam, alphas, integrand, summand, widths=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for points_weights, tails, k0, index in _lattice_directions(fam, exponents):
             live = np.ones(count, bool)
+            live[list(faults or ())] = False
             x = w = ()
             start, chunk = 0, LATTICE_CHUNK
-            while True:
+            while live.any():
                 step = chunk
                 if widths is not None:
-                    step = min(chunk, max(1, LATTICE_MAX_ENTRIES // int(widths[live].sum())))
+                    step = min(chunk, max(1, qcalc.MAX_ENTRIES // int(widths[live].sum())))
                 n = min(start + step, LATTICE_MAX_POINTS)
                 if n > len(x):
                     # rebuilding at least twice as many keeps the cost linear
@@ -293,15 +297,15 @@ def _lattice_walk(fam, alphas, integrand, summand, widths=None):
                     if hits.size:
                         ends[j] = end = hits[0]
                         if bad[j, end]:
-                            raise RuntimeError("q-lattice sum: non-finite term at lattice "
-                                               f"index {index(start + end)}")
+                            if faults is None:
+                                raise RuntimeError("q-lattice sum: non-finite term at lattice "
+                                                   f"index {index(start + end)}")
+                            faults[b] = index(start + end)
                         live[b] = False
                     kept[b].append((x[start:start + ends[j] + 1], w[b, start:start + ends[j] + 1],
                                     f[at:at + nrows, :ends[j] + 1]))
                 total[mine] = sums[np.arange(len(sums)), np.repeat(ends, rows)]
-                if not live.any():
-                    break
-                if n == LATTICE_MAX_POINTS:
+                if live.any() and n == LATTICE_MAX_POINTS:
                     raise RuntimeError(f"q-lattice sum did not converge in {n} points")
                 start, chunk = n, min(2 * chunk, LATTICE_MAX_CHUNK)
     return np.split(total, np.cumsum(widths)[:-1]), kept
@@ -325,7 +329,7 @@ def q_lattice_sum(fam, alpha, integrand):
     point raises, naming its lattice index.  Each direction takes its
     points in chunks: LATTICE_CHUNK in the first integrand call, twice as
     many in each further call up to LATTICE_MAX_CHUNK (and up to
-    LATTICE_MAX_ENTRIES entries of the integrand's value), and at most
+    qcalc.MAX_ENTRIES entries of the integrand's value), and at most
     LATTICE_MAX_POINTS in all.
     """
     shape = []
@@ -340,7 +344,7 @@ def q_lattice_sum(fam, alpha, integrand):
     return totals[0].reshape(shape[0])[()]
 
 
-def radial_grams(fam, alphas, nmaxes, factors):
+def radial_grams(fam, alphas, nmaxes, factors, masses=None, faults=None):
     """Gram blocks V W V^T of phi_0..phi_nmaxes[b](x; alphas[b]) against
     x^alphas[b] dnu, one per block b, with row k of block b times
     ``factors[b][k]`` (gram passes 1 / sqrt(zeta_k), the orthonormal
@@ -351,21 +355,24 @@ def radial_grams(fam, alphas, nmaxes, factors):
     rule of order nmax + 1, which is exact to degree 2 nmax + 1, times
     their leading coefficients and factors: one gauss_rules pass gives the
     rules of all blocks, whose nodes move with alpha, and one
-    radial.leading_coeffs call the leading coefficients of all; each block
-    is taken, and its rule dropped, before the next group of rules is
-    walked.  For the q families every block lies on the same
-    lattice points, so one lattice walk serves them all: the rows of every
-    block still walking come from one radial.block_rows evaluation per
-    chunk of points, and each block keeps the points and weights of its
-    own stop point, the stop rule read on its own diagonal terms w v_k^2.
+    radial.leading_coeffs call the leading coefficients of all (``masses``,
+    when given, are the masses of gauss_rules); each block is taken, and
+    its rule dropped, before the next group of rules is walked.  For the q
+    families every block lies on the same lattice points, so one lattice
+    walk serves them all: the rows of every block still walking come from
+    one radial.block_rows evaluation per chunk of points, and each block
+    keeps the points and weights of its own stop point, the stop rule read
+    on its own diagonal terms w v_k^2.
     A partial sum of a positively weighted Gram is positive semidefinite,
     so its largest entry is on the diagonal, near 1 in the orthonormal
     scale for every row, and the stop rule relative to it holds for all of
-    them.  Each block equals the walk of its block alone bit for bit.
+    them.  Each block equals the walk of its block alone bit for bit.  A
+    non-finite term raises, or, when ``faults`` is a dict, stops its block,
+    as in the lattice walk, whose faults the dict then holds.
     """
     if not fam.is_q():
         lead = radial.leading_coeffs(fam, alphas, max(nmaxes))
-        rules = gauss_rules(fam, alphas, [nmax + 1 for nmax in nmaxes])
+        rules = gauss_rules(fam, alphas, [nmax + 1 for nmax in nmaxes], masses)
         blocks = []
         for rule, row, nmax, f in zip(rules, lead, nmaxes, factors):
             vals = (row[:nmax + 1] * np.asarray(f, np.longdouble))[:, None] * rule.monic
@@ -374,7 +381,7 @@ def radial_grams(fam, alphas, nmaxes, factors):
         return blocks
     widths = np.asarray(nmaxes) + 1
     rows = radial.block_rows(fam, alphas, nmaxes, np.concatenate(factors))
-    _, kept = _lattice_walk(fam, alphas, rows, np.square, widths)
+    _, kept = _lattice_walk(fam, alphas, rows, np.square, widths, faults)
     blocks = []
     for chunks in kept:
         _, weights, vals = chunks[0]
@@ -507,13 +514,17 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     of all blocks come from one radial.norms call, in np.longdouble:
     zeta_k, times pi for Z and H, and for H times s_k^2 of its harmonic
     scale s_k = (-1)^k k!.  One radial_grams request forms every radial
-    block (for a q family, one lattice walk) with its rows times
+    block (for a q family, one lattice walk; for a continuous one, Gauss
+    rules whose masses are the heads of the norm rows) with its rows times
     s_k / sqrt(s_k^2 zeta_k) (s_k = 1 but for H), the orthonormal scale; a
-    row whose norm is 0 is left at 0, a failed diagonal.  When the Gram
-    fails, its notes name the first harmonic index and degree whose norm
-    or row has left the range, if one has.  A family parameter outside
-    the range of its measure (bivariate.check_params), NaN and infinities
-    included, raises ValueError before any work starts.
+    row whose norm is 0 is left at 0, a failed diagonal.  A non-finite
+    lattice term stops its block and fails the Gram.  When the Gram fails,
+    its notes name the first harmonic index whose lattice walk met such a
+    term, with its lattice index and the count of such indices, and the
+    first harmonic index and degree whose norm or row has left the range,
+    if one has.  A family parameter outside the range of its measure
+    (bivariate.check_params), NaN and infinities included, raises
+    ValueError before any work starts.
     """
     from . import bivariate  # deferred to avoid import cycle
 
@@ -525,14 +536,16 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     alphas = range(degree_cap + 1)
     nmaxes = [degree_cap - a for a in alphas]
     scale = bivariate.harmonic_scale(fam, degree_cap)
-    zetas = [z * scale[:len(z)] ** 2 for z in radial.norms(rad, alphas, nmaxes)]
+    norms = radial.norms(rad, alphas, nmaxes)
+    zetas = [z * scale[:len(z)] ** 2 for z in norms]
     factors = [np.divide(scale[:len(z)], np.sqrt(z), out=np.zeros_like(z), where=z > 0.0)
                for z in zetas]
     # the Newton coefficients of wall and qjacobi, formed to the cap for
     # every block, leave the range past a block's own degree, which no row
-    # reads, from WALL(0.5; 0.001) at cap 30; a row that does raises in the walk
+    # reads, from WALL(0.5; 0.001) at cap 30; a row that does stops its block
+    faults = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = radial_grams(rad, alphas, nmaxes, factors)
+        grams = radial_grams(rad, alphas, nmaxes, factors, [z[0] for z in norms], faults)
     blocks = []
     for a, nmax, zeta, g in zip(alphas, nmaxes, zetas, grams):
         zeta = norm_const * zeta
@@ -540,8 +553,13 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
         if a > 0:
             blocks.append(([(k, a + k) for k in range(nmax + 1)], g, zeta))
     result = summarize(blocks, offdiag_tol, diag_rel_tol)
+    if faults:
+        a = min(faults)
+        result.passed, result.notes = False, (
+            f"harmonic index {a}: non-finite term at lattice index {faults[a]} "
+            f"({len(faults)} of {len(alphas)} harmonic indices stopped so)")
     if not result.passed:
-        result.notes = _range_note(zetas, grams)
+        result.notes = "; ".join(filter(None, [result.notes, _range_note(zetas, grams)]))
     return result
 
 
@@ -702,7 +720,7 @@ def zero_circle_monotonicity(rad, n, m_range):
     array of alpha stacks the Jacobi matrices of every m for one
     eigensolve, and one bisection_zeros call refines every zero of every m
     in one lockstep Brent.  A range whose walks, n + 1 rows at n + 1 cuts
-    an m, would pass LATTICE_MAX_ENTRIES is taken in groups of m that stay
+    an m, would pass qcalc.MAX_ENTRIES is taken in groups of m that stay
     within it, as gauss_rules groups its blocks (_groups); every m reads
     the same numbers in any group.
     """

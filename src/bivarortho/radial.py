@@ -34,10 +34,11 @@ alpha to its own degree, each a running product from its mass, so that
 the orthonormal Gram rows can be divided by their square roots at any
 degree the Grams reach; zeta reads one entry), the masses
 of the continuous measures (measure_mass, one array pass over any number
-of alpha, which norms and the Gauss rules of quad.gauss_rules each take
-in one call), and zeros as the eigenvalues of the symmetric Jacobi matrix
-(jacobi_matrix, stacked for an array of alpha; numpy.linalg.eigvalsh,
-one call over them in radial_zeros), the path of the Gauss nodes too.
+of alpha, which norms takes in one call; a Gram hands the heads of its
+norm rows to quad.gauss_rules), and zeros as the eigenvalues of the
+symmetric Jacobi matrix (jacobi_matrix, stacked for an array of alpha;
+numpy.linalg.eigvalsh, one call over them in radial_zeros), the path of
+the Gauss nodes too.
 """
 
 import math
@@ -46,14 +47,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polycore import powers
-from .qcalc import pochhammer, qproduct_terms
+from .qcalc import pochhammer, products, qproduct_terms
+
+KINDS = frozenset(("laguerre", "jacobi", "qlaguerre", "wall", "qjacobi"))
 
 
 @dataclass(frozen=True)
 class RadialFamily:
-    """Radial family selector.  Hashed once, when it is made; unpickling and
-    copying make it again through the constructor (``__reduce__``), since a
-    str hash differs between processes."""
+    """Radial family selector, its kind checked and its hash formed once,
+    when it is made; unpickling and copying make it again through the
+    constructor (``__reduce__``), since a str hash differs between
+    processes."""
 
     kind: str
     beta: float = 0.0
@@ -62,6 +66,8 @@ class RadialFamily:
     c: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown radial family kind {self.kind!r}")
         object.__setattr__(self, "_hash", hash((self.kind, self.beta, self.gamma, self.q, self.c)))
 
     def __hash__(self):
@@ -146,7 +152,7 @@ def coeff_rows(fam, ns, alphas):
             ratios = -(col - i) * ((g[:, None] + col) - i) / den
             out = np.concatenate((head[:, None], ratios), axis=1)
             np.multiply.accumulate(out, axis=1, out=out)
-        elif fam.is_q():
+        else:
             q, a, top = fam.q, alpha + fam.beta, len(j) - 1
             back = np.where(live, col - j, 0)  # n - j, 0 past the row
             qq = _prefix_rows(np.array([q]), q, top)[0]
@@ -164,8 +170,6 @@ def coeff_rows(fam, ns, alphas):
             exps, at = np.unique(exps, return_inverse=True)
             out = (out * powers(q, exps)[at].reshape(back.shape) * np.where(back % 2, -1.0, 1.0)
                    / (qq[j] * qq[back] * qa[which[:, None], back]))
-        else:
-            raise ValueError(f"unknown radial family kind {fam.kind!r}")
         out = np.where(live, out, 0.0)
         out[~np.isfinite(out).all(axis=1)] = np.nan
     return out
@@ -218,8 +222,10 @@ def norms(fam, alphas, nmaxes):
     (-q / c; q)_inf) and, for qjacobi, (q^(s+1); q)_inf / (q^(g+1); q)_inf.
     It is one product of factor ratios near 1, kept to the largest of
     qproduct_terms over the absolute values of its arguments, each row to
-    its own count; unlike the separate infinite products they neither
-    underflow nor overflow as q -> 1 ((q; q)_inf is 1e-714 at q = 0.999).
+    its own count, in one qcalc.products pass, whose memory stays bounded
+    however many factors q -> 1 takes; unlike the separate infinite
+    products they neither underflow nor overflow as q -> 1 ((q; q)_inf is
+    1e-714 at q = 0.999).
     For qjacobi (q^(s+n); q)_n / (q^(s+1); q)_2n steps by 1 / (1 - q^(s+2))
     at n = 1 (no 0/0 at s = 0, abq = 1), then by (1 - q^(s+2n-2)) /
     ((1 - q^(s+n-1)) (1 - q^(s+2n))).
@@ -236,7 +242,7 @@ def norms(fam, alphas, nmaxes):
             steps = np.concatenate(((g + n[:1]) * (b + n[:1]) / (t + 3.0), (g + m) * (b + m)
                                     * (t + 2 * m - 1) / (m * (t + m) * (t + 2 * m + 1))), axis=1)
         head = _col(measure_mass(fam, alphas))
-    elif fam.is_q():
+    else:
         a = np.add(alphas, fam.beta)
         q = np.longdouble(fam.q)
         qa = q ** a  # q^a
@@ -256,15 +262,17 @@ def norms(fam, alphas, nmaxes):
         for v in up + down[1:]:
             sizes = np.maximum(sizes, abs(v))
         count = np.array([qproduct_terms(size, q) for size in sizes])
-        k = int(count.max())
-        pw = lattice_points(q, max(k, 2 * nmax + 1))  # pw[i] = q^i
-        ratio = np.ones((len(a), k), np.longdouble)
-        for u, d in zip(up, down):
-            ratio *= (1.0 - _col(u) * pw[:k]) / (1.0 - _col(d) * pw[:k])
-        ratio[np.arange(k) >= count[:, None]] = 1.0
+        pw = lattice_points(q, max(int(count.max()), 2 * nmax + 1))  # pw[i] = q^i
+
+        def ratios(k):
+            ratio = 1.0
+            for u, d in zip(up, down):
+                ratio = ratio * ((1.0 - u * pw[k]) / (1.0 - d * pw[k]))
+            return ratio
+
         qn = pw[1:nmax + 1]
         with np.errstate(over="ignore"):
-            R = np.prod(ratio, axis=1)
+            R = products(ratios, count, np.longdouble)
             if fam.kind == "qlaguerre":
                 R = R * c ** (a + 1)
                 steps = (1.0 - _col(qa) * qn) / ((1.0 - qn) * q)
@@ -275,8 +283,6 @@ def norms(fam, alphas, nmaxes):
             m = np.arange(2, nmax + 1)  # the degrees past 1
             steps[:, 1:] *= (1.0 - qs * pw[2 * m - 2]) / (1.0 - qs * pw[m - 1])
         head = _col(R)
-    else:
-        raise ValueError(f"unknown radial family kind {fam.kind!r}")
     with np.errstate(over="ignore"):
         out = np.cumprod(np.concatenate((head, steps), axis=1), axis=1)
     return [row[:n + 1] for row, n in zip(out, nmaxes)]
@@ -288,40 +294,25 @@ def _whole_part(x):
     return x - count, count
 
 
-_PRODUCT_CHUNK = 1 << 16
-
-
 def _rising(start, count, shift=None):
     """prod_(i<count) (start + i), or prod_(i<count) (start + i) / (start + i
     + shift), in np.longdouble, for every entry of the sequences ``start``,
-    ``count`` and ``shift`` of one length: one running product per entry,
-    _PRODUCT_CHUNK factors at a time, its factors past its own count an
-    exact 1, so that each equals its one-entry product bit for bit.  A pass
-    takes as many entries as keep it within _PRODUCT_CHUNK factors, at
-    least one, so that a large count costs time but no memory; inf past
-    the range."""
-    out = np.ones(len(start), np.longdouble)
-    width = min(_PRODUCT_CHUNK, max(count, default=0))
-    step = _PRODUCT_CHUNK // max(width, 1)  # the entries of one pass
-    # np.longdouble columns, so that every ufunc call takes one dtype
-    start, ends = (np.array(v, np.longdouble)[:, None] for v in (start, count))
+    ``count`` and ``shift`` of one length: one qcalc.products pass, so that
+    each equals its one-entry product bit for bit and a large count costs
+    time but no memory; inf past the range."""
+    # np.longdouble rows, so that every factor is formed in it
+    start = np.array(start, np.longdouble)
     if shift is not None:
-        shift = np.array(shift, np.longdouble)[:, None]
+        shift = np.array(shift, np.longdouble)
+
+    def factors(k):
+        grow = start + k
+        if shift is not None:
+            grow /= grow + shift
+        return grow
+
     with np.errstate(over="ignore"):
-        for r in range(0, len(out), step):
-            top = max(count[r:r + step])
-            for lo in range(0, top, _PRODUCT_CHUNK):
-                k = np.arange(lo, min(lo + _PRODUCT_CHUNK, top), dtype=np.longdouble)
-                # the factors past an entry's own count, which read 1
-                past = k >= ends[r:r + step] if min(count[r:r + step]) < lo + len(k) else None
-                grow = start[r:r + step] + k
-                del k  # freed before the quotient's temporary
-                if shift is not None:
-                    grow /= grow + shift[r:r + step]
-                if past is not None:
-                    grow[past] = 1.0
-                out[r:r + step] *= np.multiply.reduce(grow, axis=1)
-    return out
+        return products(factors, np.array(count, int), np.longdouble)
 
 
 def measure_mass(fam, alpha):
@@ -385,7 +376,7 @@ def recurrence(fam, alpha, npts):
             # number alpha takes it: numpy squares, which can round apart
             square = np.reshape([x ** 2 for x in (t + 2).ravel().tolist()], t.shape)
             B[..., 1:2] = (1 + g) * (1 + b) / (square * (t + 3))
-        elif fam.is_q():
+        else:
             q = np.longdouble(fam.q)
             qn = q ** n
             a = q ** (alpha + fam.beta).astype(np.longdouble)
@@ -404,8 +395,6 @@ def recurrence(fam, alpha, npts):
                 A = up + down
                 B = np.concatenate((np.zeros_like(up[..., :1]), up[..., :-1] * down[..., 1:]),
                                    axis=-1)
-        else:
-            raise ValueError(f"unknown radial family kind {fam.kind!r}")
     B[..., 0] = 0
     return A, B
 
@@ -485,7 +474,7 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
         t = np.asarray(alpha, dtype=float)[..., None] + fam.beta + fam.gamma
         steps = np.concatenate((-(t + 2.0), -(t + 2 * k[1:]) * (t + 2 * k[1:] - 1)
                                 / (k[1:] * (t + k[1:]))), axis=-1)[..., :nmax]
-    elif fam.is_q():
+    else:
         q = np.longdouble(fam.q)
         a = np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[..., None]
         if fam.kind == "qlaguerre":
@@ -497,8 +486,6 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
             steps *= np.concatenate((1.0 - q ** (s + 1.0), (1.0 - q ** (s + 2 * m - 2))
                                      * (1.0 - q ** (s + 2 * m - 1)) / (1.0 - q ** (s + m - 1))),
                                     axis=-1)[..., :nmax]
-    else:
-        raise ValueError(f"unknown radial family kind {fam.kind!r}")
     ones = np.ones(steps.shape[:-1] + (1,), np.longdouble)
     lead = np.cumprod(np.concatenate((ones, steps), axis=-1), axis=-1)
     return lead if scale is None else lead * np.asarray(scale, np.longdouble)

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bivarortho import awbiortho as aw
+from bivarortho import qcalc
 
 P = aw.AWParams(0.2, -0.3, 0.1, 0.4, 0.5)
 P2 = aw.AWParams(0.3, -0.2, 0.15, 0.25, 0.5)
@@ -276,9 +277,13 @@ class TestNorms:
                 ref = 2 * mp.pi * mp.qp(abcd * q ** (2 * n), q) * mp.qp(abcd * q ** (n - 1), q, n) / den
                 assert abs(aw.aw_norm(p, n) / float(ref) - 1.0) <= 1e-14, n
 
-    def test_array_products_equal_the_scalar(self):
+    @pytest.mark.parametrize("bound", [None, 16], ids=["one-step", "two-factors-a-step"])
+    def test_array_products_equal_the_scalar(self, bound, monkeypatch):
         # _qpochhammer against qcalc's scalar loop, entry by entry, for
-        # infinite and finite orders, across the chunking step too
+        # infinite and finite orders, in one array step and, with the bound
+        # patched small, across thousands of them
+        if bound:
+            monkeypatch.setattr(qcalc, "MAX_ENTRIES", bound)
         starts = np.array([[0.95, -0.5, 0.0], [0.3, 1e-18, -0.999]])
         lengths = np.array([[0, 1, 2], [5, 0, 9]])
         for q in (0.1, 0.5, 0.99):
@@ -286,7 +291,7 @@ class TestNorms:
             fin = aw._qpochhammer(starts, q, lengths)
             for s, v, n, u in zip(starts.flat, inf.flat, lengths.flat, fin.flat):
                 assert v == aw.qpochhammer(s, q) and u == aw.qpochhammer(s, q, n)
-        wide = np.linspace(-0.9, 0.9, aw._QPRODUCT_CHUNK // 16)
+        wide = np.linspace(-0.9, 0.9, 7)
         assert aw._qpochhammer(wide, 0.99).tolist() == [aw.qpochhammer(s, 0.99) for s in wide]
 
     def test_negative_degree_raises(self):

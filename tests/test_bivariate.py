@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bivarortho import bivariate as bv
-from bivarortho import radial
+from bivarortho import qcalc, radial
 from bivarortho.polycore import BivariatePoly, DiagTables, Tolerance, identity_residual
 from bivarortho.qcalc import pochhammer
 
@@ -821,7 +821,7 @@ class TestGeneratingFunctions:
         u, v = rng.uniform(-0.15, 0.15, (2, 3, 7))
         z1, z2 = rng.uniform(-1.0, 1.0, (2, 3, 7))
         whole = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
-        monkeypatch.setattr(bv, "_GENFUN_GRID", chunk * 32 ** 2)
+        monkeypatch.setattr(qcalc, "MAX_ENTRIES", chunk * 32 ** 2)
         residual, tail = bv.genfun_check(fam, which, u, v, z1, z2, N=30)
         assert np.array_equal(residual, whole[0]) and np.array_equal(tail, whole[1])
 

@@ -165,6 +165,21 @@ class TestGram:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--family", "WALL", "--beta", "0.5", "--q", "0.001", "--degree-cap", "45"],
+         ["--family", "ZQ", "--beta", "0", "--q", "0.3", "--degree-cap", "70"]],
+        ids=["WALL-q0.001", "ZQ-q0.3"],
+    )
+    def test_lattice_edge_is_a_failed_check(self, argv, capsys, tmp_path):
+        # a non-finite lattice term fails the Gram, exit 1, with its output
+        # written and no "numerical breakdown"
+        path = tmp_path / "gram.json"
+        code, _, err = run(["gram"] + argv + ["--format", "json", "--out", str(path)], capsys)
+        assert code == 1 and err == ""
+        payload = json.loads(path.read_text())
+        assert payload["summary"]["passed"] is False and payload["rows"]
+
     def test_numerical_failure_exit_1(self, capsys):
         # a Gram that misses its tolerance is a failed check, not a usage
         # error; WALL at q = 0.999 and cap 6 reads max_offdiag 0.19, from
@@ -398,7 +413,7 @@ class TestGram:
     def test_broken_block_fails_exit_1(self, block, field, value, capsys, monkeypatch):
         # a NaN or a zero diagonal in an orthonormal radial block is a
         # failed Gram
-        def radial_grams(fam, alphas, nmaxes, factors):
+        def radial_grams(fam, alphas, nmaxes, factors, masses=None, faults=None):
             return [np.array(block)[: nmax + 1, : nmax + 1] for nmax in nmaxes]
 
         monkeypatch.setattr(cli.quad, "radial_grams", radial_grams)

@@ -1,13 +1,16 @@
-"""Tests for the scalar Pochhammer / q-Pochhammer helpers, and for the
-terminating (basic) hypergeometric sums kept here as test-local helpers."""
+"""Tests for the scalar Pochhammer / q-Pochhammer helpers, the bounded
+array product, and the terminating (basic) hypergeometric sums kept here as
+test-local helpers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bivarortho import qcalc
 from bivarortho.qcalc import (
     TRUNCATION_EPS,
     pochhammer,
@@ -186,6 +189,69 @@ class TestQProductTerms:
 def gaussian_binomial(n, k, q):
     """[n choose k]_q written from finite q-Pochhammer products."""
     return qpochhammer(q, q, n) / (qpochhammer(q, q, k) * qpochhammer(q, q, n - k))
+
+
+def _running_product(table, count, entry, dtype):
+    """The plain running product of table[k][entry], k < count, in k order,
+    in numpy's array arithmetic (a complex product of numpy scalars rounds
+    apart from the array loop's)."""
+    acc = np.ones(1, dtype)
+    for k in range(count):
+        acc = acc * table[(slice(k, k + 1),) + entry]
+    return acc[0]
+
+
+class TestProducts:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        bound=st.integers(1, 64),
+        dtype=st.sampled_from([np.float64, np.longdouble, np.complex128]),
+        shape=st.one_of(st.tuples(st.integers(0, 7)),
+                        st.tuples(st.integers(1, 4), st.integers(1, 4))),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_are_running_products_in_k_order(self, bound, dtype, shape, shared, seed):
+        # every entry, bit for bit, under any bound: ragged counts with 0
+        # among them, or one shared count on the lean path.  numpy reduces
+        # the complex products of one entry alone in its reduce loop, which
+        # rounds apart from its elementwise loop (fused multiply-adds on
+        # some hosts), so complex draws hold no single entry
+        assume(dtype is not np.complex128 or math.prod(shape) != 1)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 13, shape)
+        if shared:
+            counts[...] = rng.integers(0, 13)
+        top = int(counts.max(initial=0))
+        table = rng.uniform(-2.0, 2.0, (top,) + shape).astype(dtype)
+        if dtype is np.complex128:
+            table = table + 1j * rng.uniform(-2.0, 2.0, table.shape)
+        steps = []
+
+        def factors(k):
+            steps.append(k.ravel())
+            assert k.shape == (len(k),) + (1,) * len(shape)
+            return table[k.ravel()]
+
+        with mock.patch.object(qcalc, "MAX_ENTRIES", bound):
+            if shared:
+                got = qcalc.products(factors, top, dtype, shape=shape)
+            else:
+                got = qcalc.products(factors, counts, dtype)
+        assert got.dtype == dtype and got.shape == shape
+        # consecutive steps in k order, each within the bound (one k at least)
+        assert np.array_equal(np.concatenate(steps or [[]]), np.arange(top))
+        assert all(len(k) * max(math.prod(shape), 1) <= max(bound, math.prod(shape))
+                   for k in steps)
+        for entry in np.ndindex(shape):
+            want = _running_product(table, int(counts[entry]), entry, dtype)
+            assert got[entry] == want, (entry, got[entry], want)
+
+    def test_a_factor_past_its_count_is_never_read(self):
+        # non-finite factors past an entry's own count read an exact 1
+        table = np.array([[2.0, 3.0], [np.nan, 5.0], [np.inf, 7.0]])
+        got = qcalc.products(lambda k: table[k.ravel()], np.array([1, 3]))
+        assert got.tolist() == [2.0, 105.0]
 
 
 class TestQBinomial:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bivarortho import bivariate, quad, radial
+from bivarortho import bivariate, qcalc, quad, radial
 from bivarortho.qcalc import qpochhammer
 
 
@@ -134,9 +134,9 @@ GAUSS_IDS = ["Z", "H", "Z3", "Z-0.999", "Z1700", "Z1e6", "M", "M-negative", "M-t
 class TestGaussRules:
     @pytest.mark.parametrize("fam", GAUSS_FAMILIES, ids=GAUSS_IDS)
     def test_every_block_is_its_one_rule_bit_for_bit(self, fam):
-        # the Gram's blocks: alpha = 0..cap of order cap + 1 - alpha; cap 40
+        # the Gram's blocks: alpha = 0..cap of order cap + 1 - alpha; cap 60
         # walks in more than one group
-        for cap in ((0, 1, 4) if fam.beta == 1e6 else (0, 1, 4, 15, 40)):
+        for cap in ((0, 1, 4) if fam.beta == 1e6 else (0, 1, 4, 15, 60)):
             alphas = range(cap + 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -150,7 +150,7 @@ class TestGaussRules:
                                   (rule.monic, ref.monic)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert np.array_equal(got, want, equal_nan=True), (cap, a)
-            if cap == 40:
+            if cap == 60:
                 assert len({id(rule.monic.base) for rule in rules}) > 1
 
     def test_any_order_of_blocks(self):
@@ -164,7 +164,7 @@ class TestGaussRules:
             assert np.array_equal(rule.monic, ref.monic)
 
     def test_walks_stay_within_the_lattice_bound(self):
-        # a group holds at most LATTICE_MAX_ENTRIES rows times nodes, and a
+        # a group holds at most qcalc.MAX_ENTRIES rows times nodes, and a
         # larger block walks alone: no walk grows with the cube of the cap
         cap = 150
         rules = quad.gauss_rules(radial.laguerre(0.5), range(cap + 1),
@@ -172,7 +172,7 @@ class TestGaussRules:
         walks = []
         for a, rule in enumerate(rules):
             n = cap + 1 - a
-            assert rule.monic.base.size <= max(quad.LATTICE_MAX_ENTRIES, n * n)
+            assert rule.monic.base.size <= max(qcalc.MAX_ENTRIES, n * n)
             if not any(rule.monic.base is w for w in walks):
                 walks.append(rule.monic.base)
         assert 1 < len(walks) < cap + 1
@@ -607,9 +607,20 @@ class TestOnePassWalk:
             at_stop = poisoned(lambda x: x == point)
             with pytest.raises(RuntimeError, match=f"non-finite term at lattice index {index}$"):
                 quad._lattice_walk(rad, alphas, at_stop, np.square, widths)
+            # with a faults dict the walk stops the block there instead, and
+            # every other block reads its sums and points unchanged
+            faults = {}
+            totals3, kept3 = quad._lattice_walk(rad, alphas, at_stop, np.square, widths, faults)
+            assert faults == {b: index}
+            assert np.isnan(totals3[b]).any()
+            for a in (a for a in alphas if a != b):
+                assert np.array_equal(totals3[a], totals[a])
+                for at in (0, 2):
+                    assert np.array_equal(np.concatenate([c[at] for c in kept[a]], axis=-1),
+                                          np.concatenate([c[at] for c in kept3[a]], axis=-1))
 
     def test_rows_times_points_capped(self):
-        # a cap-15 Gram's 136 rows take at most LATTICE_MAX_ENTRIES entries
+        # a cap-15 Gram's 136 rows take at most qcalc.MAX_ENTRIES entries
         # per call, as one cap-15 block took at LATTICE_MAX_CHUNK points
         fam = radial.wall(0.5, 0.95)
         alphas = list(range(16))
@@ -623,7 +634,7 @@ class TestOnePassWalk:
 
         quad._lattice_walk(fam, alphas, counted, np.square, np.array([16 - a for a in alphas]))
         assert len(sizes) > 3
-        assert max(sizes) <= quad.LATTICE_MAX_ENTRIES
+        assert max(sizes) <= qcalc.MAX_ENTRIES
 
 
 class TestGram:
@@ -859,6 +870,34 @@ class TestGram:
         assert not res.passed
         assert res.notes == (
             "harmonic index 0, degree 0: the closed-form norm overflows the extended range")
+
+    @pytest.mark.parametrize(
+        "fam,cap,stopped,lattice",
+        [(bivariate.ZQ(0, 0.3), 70, 2, -135), (bivariate.WALL(0.5, 0.001), 45, 9, 0),
+         (bivariate.WALL(0, 0.1), 140, 105, 0)],
+        ids=["ZQ-q0.3", "WALL-q0.001", "WALL-q0.1"],
+    )
+    def test_lattice_edge_is_a_diagnosed_failure(self, fam, cap, stopped, lattice):
+        # a non-finite lattice term stops its block and fails the Gram,
+        # whose notes name the first harmonic index it stopped and the
+        # lattice index of the term
+        res = quad.gram(fam, cap)
+        assert res.passed is False
+        assert res.notes.startswith(
+            f"harmonic index 0: non-finite term at lattice index {lattice} "
+            f"({stopped} of {cap + 1} harmonic indices stopped so)"), res.notes
+
+    def test_continuous_gram_forms_each_mass_once(self, monkeypatch):
+        # the Gauss rules take their masses from the heads of the norm rows
+        want = quad.gram(bivariate.M(0.5, 0.5), 15)
+        calls = []
+        mass = radial.measure_mass
+        monkeypatch.setattr(radial, "measure_mass",
+                            lambda *args: calls.append(args) or mass(*args))
+        got = quad.gram(bivariate.M(0.5, 0.5), 15)
+        assert len(calls) == 1
+        for (_, g1, z1), (_, g2, z2) in zip(got.blocks, want.blocks):
+            assert np.array_equal(g1, g2) and np.array_equal(z1, z2)
 
     def test_range_note_names_an_overflowed_entry(self):
         # norms past the np.longdouble range, and an infinite Gram entry
@@ -1431,11 +1470,11 @@ class TestZeros:
                     assert row.tobytes() == _ref_bisection(fam, n, alpha, zeros).tobytes()
 
     def test_groups_of_m_read_the_one_group_numbers(self, monkeypatch):
-        # a range past LATTICE_MAX_ENTRIES is taken in groups of m, three m
+        # a range past qcalc.MAX_ENTRIES is taken in groups of m, three m
         # a group here, each m reading the same numbers
         fam = radial.shifted_jacobi(1.3, 0.7)
         mono, table, dev = quad.zero_circle_monotonicity(fam, 3, range(3, 11))
-        monkeypatch.setattr(quad, "LATTICE_MAX_ENTRIES", 3 * 16)
+        monkeypatch.setattr(qcalc, "MAX_ENTRIES", 3 * 16)
         calls = []
         true_zeros = radial.radial_zeros
         monkeypatch.setattr(radial, "radial_zeros",

@@ -3,6 +3,7 @@ scipy oracles, norms against direct quadrature/lattice summation, shift
 machinery, the closed-form recurrences against the tables, and zeros."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, eval_jacobi
 
-from bivarortho import quad, radial
+from bivarortho import qcalc, quad, radial
 from bivarortho.qcalc import pochhammer, qpochhammer
 
 XS = np.array([0.05, 0.3, 0.71, 1.4, 2.9])
@@ -108,20 +109,11 @@ class TestClassicalTables:
             radial.radial_coeffs(radial.laguerre(0.0), -1, 0)
 
     def test_unknown_kind_raises(self):
-        bad = radial.RadialFamily("nope")
-        with pytest.raises(ValueError):
-            radial.radial_coeffs(bad, 2, 0)
-        with pytest.raises(ValueError):
-            radial.zeta(bad, 2, 0)
-        with pytest.raises(ValueError):
-            radial.norms(bad, [0], [2])
-        with pytest.raises(ValueError):
-            radial.coeff_rows(bad, [2, 3], [0, 1])
-        with pytest.raises(ValueError):
-            radial.leading_coeffs(bad, 0, 2)
-        for fam in (bad, radial.wall(0.5, 0.5)):
-            with pytest.raises(ValueError, match="not a continuous family"):
-                radial.measure_mass(fam, 0)
+        # the kind is checked once, when the family is made
+        with pytest.raises(ValueError, match="unknown radial family kind 'nope'"):
+            radial.RadialFamily("nope")
+        with pytest.raises(ValueError, match="not a continuous family"):
+            radial.measure_mass(radial.wall(0.5, 0.5), 0)
 
 
 class TestQTableStructure:
@@ -229,12 +221,12 @@ class TestNorms:
     @pytest.mark.parametrize("fam", [radial.laguerre(40.5), radial.shifted_jacobi(40.5, 0.3)],
                              ids=["laguerre", "jacobi"])
     def test_mass_products_run_in_chunks(self, fam, monkeypatch):
-        # a count of many chunks gives the one-chunk product to rounding
+        # a count of many array steps gives the one-step product bit for bit
         whole = radial.measure_mass(fam, 25)
-        monkeypatch.setattr(radial, "_PRODUCT_CHUNK", 7)
+        monkeypatch.setattr(qcalc, "MAX_ENTRIES", 7)
         chunked = radial.measure_mass(fam, 25)
         assert chunked.dtype == np.longdouble
-        assert abs(chunked - whole) <= 1e-17 * whole
+        assert chunked == whole
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -253,10 +245,10 @@ class TestNorms:
     def test_array_mass_is_the_one_alpha_masses(self, fam, alphas, chunk, monkeypatch):
         # one pass over every alpha gives each one-alpha mass bit for bit:
         # Gamma(65541.5) and Gamma(1754.5 + alpha) past the range read inf,
-        # x = alpha + gamma + 1 > 65536 takes two chunks, and small chunks
-        # take several entries a pass, padded past their own counts
+        # x = alpha + gamma + 1 > 65536 takes two array steps, and small
+        # bounds take few factors a step, padded past their own counts
         if chunk:
-            monkeypatch.setattr(radial, "_PRODUCT_CHUNK", chunk)
+            monkeypatch.setattr(qcalc, "MAX_ENTRIES", chunk)
         masses = radial.measure_mass(fam, np.array(alphas))
         assert masses.dtype == np.longdouble and masses.shape == (len(alphas),)
         for alpha, mass in zip(alphas, masses):
@@ -386,6 +378,21 @@ class TestLatticeRows:
 
 
 class TestLatticeNorms:
+    def test_ratio_product_memory_is_bounded_near_q_one(self):
+        # WALL(0.5; 0.999) at cap 200: each row's q-ratio product runs to
+        # about 45,000 factors, taken qcalc.MAX_ENTRIES entries a step
+        # (446 MB when all rows were formed at once)
+        fam = radial.wall(0.5, 0.999)
+        alphas = range(201)
+        tracemalloc.start()
+        try:
+            rows = radial.norms(fam, alphas, [200 - a for a in alphas])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 201 and np.isfinite(rows[0]).all()
+        assert peak < 16 * 2 ** 20, peak
+
     @pytest.mark.parametrize("fam", LATTICE_FAMILIES, ids=LATTICE_IDS)
     def test_match_50_digit_products(self, fam):
         mp = pytest.importorskip("mpmath")
