@@ -22,11 +22,10 @@ from .polycore import Tolerance
 
 _FMT = "{:.17g}"  # 17 significant digits for byte-stable reproducibility
 
-# `zeros` fails when an eigensolver zero is off its bisection refinement by
-# more than this, relative to the largest zero of the range; the worst seen
-# over Laguerre beta in {-0.5, 0, 0.5, 1.5, 3.1} and Jacobi (beta, gamma) in
-# {-0.5, 0.5, 2}^2, n <= 15, m <= n + 30 is 2.6e-14.  An unbracketed zero
-# deviates without bound and always fails.
+# `zeros` fails when the half-width within which quad.zero_circle_monotonicity
+# certifies every zero exceeds this, relative to the largest zero of the
+# range; a certified range reads quad.ZERO_HALF_WIDTH = 1e-12 times it.  A
+# zero that no sign change certifies deviates without bound and always fails.
 ZERO_DEV_REL_TOL = 1e-9
 
 
@@ -151,9 +150,8 @@ def cmd_gram(args):
         offdiag_tol=args.tol_offdiag,
         diag_rel_tol=args.tol_diag,
     )
-    # pairs across blocks are exact zeros by construction and are left out;
-    # the rest are the raw entries of result.entries, in its order, row
-    # index first
+    # the raw entries of every block, by index pair, row index first; pairs
+    # across blocks are exact zeros by construction and are left out
     pairs = sorted(
         (idx1, idx2, raw[p1, p2])
         for idxs, g, zeta in result.blocks
@@ -179,6 +177,8 @@ def cmd_gram(args):
         "passed": result.passed,
     }
     _emit(args, "gram", rows, summary)
+    if result.notes:  # the diagnosis of a failed Gram
+        print(f"gram: {result.notes}", file=sys.stderr)
     return 0 if result.passed else 1
 
 

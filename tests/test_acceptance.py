@@ -163,7 +163,8 @@ def test_criterion_6_series_solver(capsys):
 
 def test_criterion_7_zero_monotonicity(capsys):
     # all zero-circle radii strictly increase in m for n in {1, 2, 3},
-    # m in {n, ..., n+5}; eigensolver matches bisection within 1e-9
+    # m in {n, ..., n+5}; a sign change of phi_n certifies every eigensolver
+    # zero within a half-width under 1e-9
     with criterion(capsys, 7, "zero monotonicity"):
         for rad in (radial.laguerre(0.5), radial.shifted_jacobi(0.5, 0.5)):
             for n in (1, 2, 3):

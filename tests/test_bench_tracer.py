@@ -20,15 +20,16 @@ def _tracer():
 
 
 def _ops():
-    """A ZQ and an H Gram, an Askey-Wilson Gram, a small WALL sweep and a
+    """A ZQ and an H Gram, an Askey-Wilson Gram, a small WALL sweep, a
     q -> 1 degeneration check (the dict tables: construct and their
-    products), each at parameters no other test uses, so that no table
-    cache hides a call."""
+    products) and a zero-circle table, each at parameters no other test
+    uses, so that no table cache hides a call."""
     return (quad.gram(bivariate.ZQ(0.41, 0.37), 3),
             quad.gram(bivariate.H(), 3),
             awbiortho.aw_gram_1d(awbiortho.AWParams(0.21, -0.33, 0.12, 0.38, 0.47), 3),
             bivariate.sweep(bivariate.WALL(0.43, 0.39), None, 2),
-            bivariate.q_degeneration_residuals(0.47, 2, 1, qs=(0.9,)))
+            bivariate.q_degeneration_residuals(0.47, 2, 1, qs=(0.9,)),
+            quad.zero_circle_monotonicity(radial.laguerre(0.29), 2, range(2, 5)))
 
 
 def test_traced_names_install_and_run():
@@ -36,13 +37,16 @@ def test_traced_names_install_and_run():
     original = quad.gram
     tracer.install()
     try:
-        zq, h, aw, reports, degeneration = _ops()
+        zq, h, aw, reports, degeneration, zeros = _ops()
         rule = quad.golub_welsch(radial.laguerre(0.37), 2, 5)
     finally:
         tracer.uninstall()
     spans = tracer.summary()
     assert spans["quad.gram"]["calls"] == 2
     assert spans["awbiortho.aw_gram_1d"]["calls"] == 1
+    # the zero-circle table takes its zeros from radial.radial_zeros
+    assert spans["quad.zero_circle_monotonicity"]["calls"] == 1
+    assert spans["radial.radial_zeros"]["calls"] > 0
     for name in ("radial.radial_coeffs", "bivariate.construct", "awbiortho.h_prod",
                  "qcalc.qpochhammer", "polycore.mul"):
         assert spans[name]["calls"] > 0, name
@@ -63,3 +67,4 @@ def test_traced_names_install_and_run():
                                                                             plain.blocks))
     assert reports and all(r.passed for r in reports)
     assert degeneration[0][1] < 6.0 * (1.0 - 0.9)
+    assert zeros[0] and zeros[2] < 1e-9

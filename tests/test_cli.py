@@ -173,12 +173,25 @@ class TestGram:
     )
     def test_lattice_edge_is_a_failed_check(self, argv, capsys, tmp_path):
         # a non-finite lattice term fails the Gram, exit 1, with its output
-        # written and no "numerical breakdown"
+        # written and its notes, not a "numerical breakdown", on stderr
         path = tmp_path / "gram.json"
         code, _, err = run(["gram"] + argv + ["--format", "json", "--out", str(path)], capsys)
-        assert code == 1 and err == ""
+        assert code == 1
+        assert err.startswith("gram: harmonic index ") and err.count("\n") == 1
+        assert "non-finite term at lattice index" in err
         payload = json.loads(path.read_text())
         assert payload["summary"]["passed"] is False and payload["rows"]
+
+    def test_failed_gram_writes_its_notes_to_stderr(self, capsys):
+        # the norm of beta = 1800 leaves the extended range: the notes go to
+        # stderr, and stdout holds the output the Gram writes without them
+        argv = ["gram", "--family", "Z", "--beta", "1800", "--degree-cap", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err == ("gram: harmonic index 0, degree 0: the closed-form norm overflows "
+                       "the extended range\n")
+        assert out.endswith("# passed=False\n")
+        assert run(argv, capsys)[1] == out
 
     def test_numerical_failure_exit_1(self, capsys):
         # a Gram that misses its tolerance is a failed check, not a usage
@@ -535,43 +548,56 @@ class TestZeros:
         radii = [float(r["radius_1"]) for r in payload["rows"]]
         assert radii == sorted(radii)
 
-    # sha256 prefixes of the csv then json output, recorded with the
-    # scipy.optimize.brentq refinement that the Brent port replaced
+    # sha256 prefixes of the csv then json output less the gate's three
+    # summary fields, recorded from the output of the Brent refinement that
+    # the sign-change certificate replaced: every radius row kept its bits
+    # (with the gate's values, the digests first read M c66897a3178d19e3
+    # and Z 70d649b7317d0fc4 less the two fields that came after them)
     ZEROS_DIGESTS = {
         "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.5", "--n", "3",
-               "--m-min", "3", "--m-max", "30"], "c66897a3178d19e3"),
+               "--m-min", "3", "--m-max", "30"], "f30844d61b7bc27c"),
         "Z": (["--family", "Z", "--beta", "1.5", "--n", "7",
-               "--m-min", "7", "--m-max", "30"], "70d649b7317d0fc4"),
+               "--m-min", "7", "--m-max", "30"], "be1eda953577ff55"),
     }
+    GATE = ("max_bisection_dev", "bisection_rel_tol", "bisection_passed")
 
-    @staticmethod
-    def _without_gate(fmt, out):
-        """The output less the bisection gate's two summary fields, which
-        came after the digests were recorded; both are checked here."""
+    @classmethod
+    def _without_gate(cls, fmt, out):
+        """The output less the gate's three summary fields, and the fields."""
         if fmt == "csv":
             lines = out.splitlines(keepends=True)
-            assert "# bisection_passed=True\n" in lines
-            assert f"# bisection_rel_tol={cli._FMT.format(cli.ZERO_DEV_REL_TOL)}\n" in lines
-            return "".join(line for line in lines if not line.startswith("# bisection_"))
+            fields = dict(line[2:-1].split("=", 1) for line in lines if line.startswith("# "))
+            gate = {k: fields[k] for k in cls.GATE}
+            return "".join(line for line in lines
+                           if not line.startswith(tuple(f"# {k}=" for k in cls.GATE))), gate
         payload = json.loads(out)
-        assert payload["summary"].pop("bisection_passed") is True
-        assert float(payload["summary"].pop("bisection_rel_tol")) == cli.ZERO_DEV_REL_TOL
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        gate = {k: str(payload["summary"].pop(k)) for k in cls.GATE}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n", gate
 
     @pytest.mark.parametrize("tag", sorted(ZEROS_DIGESTS))
     def test_rows_unchanged(self, tag, capsys):
         flags, digest = self.ZEROS_DIGESTS[tag]
         h = hashlib.sha256()
+        gates = []
         for fmt in ("csv", "json"):
             code, out, _ = run(["zeros", "--format", fmt] + flags, capsys)
             assert code == 0
-            h.update(self._without_gate(fmt, out).encode())
+            text, gate = self._without_gate(fmt, out)
+            h.update(text.encode())
+            gates.append(gate)
         assert h.hexdigest()[:16] == digest
+        rows = json.loads(out)["rows"]
+        largest = max(float(v) for row in rows for k, v in row.items() if k.startswith("radius_"))
+        for gate in gates:
+            assert gate["bisection_passed"] == "True"
+            assert float(gate["bisection_rel_tol"]) == cli.ZERO_DEV_REL_TOL
+            # the certified half-width: finite and within the gate
+            assert 0.0 < float(gate["max_bisection_dev"]) <= cli.ZERO_DEV_REL_TOL * largest ** 2
 
     def test_bisection_deviation_fails(self, capsys, monkeypatch):
-        # eigensolver zeros moved by +50 cannot be bracketed by the
-        # bisection: the deviation reads inf and the command exits 1 even
-        # though the moved radii are still monotone
+        # eigensolver zeros moved by +50 hold no zero in their intervals,
+        # which certify nothing: the deviation reads inf and the command
+        # exits 1 even though the moved radii are still monotone
         true_zeros = radial.radial_zeros
         monkeypatch.setattr(radial, "radial_zeros", lambda *a: true_zeros(*a) + 50.0)
         code, out, _ = run(
@@ -580,6 +606,28 @@ class TestZeros:
             capsys,
         )
         assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["monotone"] is True
+        assert summary["bisection_passed"] is False
+        assert float(summary["max_bisection_dev"]) == np.inf
+
+    def test_walk_breakdown_fails_the_check(self, capsys, monkeypatch):
+        # a NaN value of p_n certifies nothing: exit 1 with the table
+        # written, not a "numerical breakdown"
+        true_walk = radial.monic_values
+
+        def nan_walk(*args):
+            rows = true_walk(*args)
+            rows[-1] = np.nan
+            return rows
+
+        monkeypatch.setattr(radial, "monic_values", nan_walk)
+        code, out, err = run(
+            ["zeros", "--family", "Z", "--beta", "0.5", "--n", "3",
+             "--m-min", "3", "--m-max", "5", "--format", "json"],
+            capsys,
+        )
+        assert code == 1 and err == ""
         summary = json.loads(out)["summary"]
         assert summary["monotone"] is True
         assert summary["bisection_passed"] is False

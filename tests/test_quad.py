@@ -1257,182 +1257,44 @@ class TestEntriesView:
             assert [res.diag_ref[i] for i in idxs] == [float(z) for z in zeta]
 
 
-# the brackets of bisection_zeros: midpoints between the eigensolver zeros
-BRENT_FAMILIES = [radial.laguerre(b) for b in (0.5, -0.5, 3.1)] + [
-    radial.shifted_jacobi(0.5, 0.5),
-    radial.shifted_jacobi(2.0, -0.5),
-]
-
-
 def _scalar_values(fam, n, alpha):
-    """phi_n(x; alpha) at one float x, rounded to float: the value the
-    bisection refines."""
+    """phi_n(x; alpha) at one float x, rounded to float."""
     rows = radial.phi_rows(fam, alpha, n)
     return lambda x: float(rows(x)[n])
 
 
-def _array_values(fs):
-    """The f(x, live) of quad._brent over brackets whose scalar functions
-    are fs, one per bracket."""
-    return lambda x, live: np.array([fs[i](v) for i, v in zip(live.tolist(), x.tolist())])
-
-
-# The scalar Brent and the per-m zero-circle loop as they stood before one
-# lockstep Brent refined every bracket of every m together; the library
-# must reproduce them bit for bit.
-def _ref_brent(f, xpre, xcur, fpre, fcur, xtol):
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise RuntimeError("Brent's method: NaN value at a bracket end")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(quad._BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + quad._BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise RuntimeError(f"Brent's method: NaN value at x = {xcur!r}")
-    raise RuntimeError(f"Brent's method did not converge in {quad._BRENT_MAXITER} steps")
-
-
-def _ref_same_sign(fa, fb):
-    return (fa > 0 and fb > 0) or (fa < 0 and fb < 0)
-
-
-def _ref_bisection(fam, n, alpha, approx):
-    f = _scalar_values(fam, n, alpha)
-    lo_edge = approx[0] - max(1.0, approx[0])
-    hi_edge = approx[-1] + max(1.0, approx[-1])
-    cuts = [lo_edge] + [(approx[i] + approx[i + 1]) / 2.0 for i in range(n - 1)] + [hi_edge]
-    roots = []
-    for i in range(n):
-        a, b = cuts[i], cuts[i + 1]
-        fa, fb = f(a), f(b)
-        if _ref_same_sign(fa, fb):
-            a = approx[i] - 1e-6 * max(1.0, abs(approx[i]))
-            b = approx[i] + 1e-6 * max(1.0, abs(approx[i]))
-            fa, fb = f(a), f(b)
-            if _ref_same_sign(fa, fb):
-                roots.append(math.nan)
-                continue
-        roots.append(_ref_brent(f, a, b, fa, fb, quad._BRENT_XTOL))
-    return np.array(roots)
-
-
 def _ref_zero_circles(rad, n, m_range):
+    """The zero-circle table m by m, each m certified by scalar sign tests
+    of phi_n at the ends of its intervals [z_i - w, z_i + w] and by their
+    disjointness; max_dev is the largest w, inf when some m is not
+    certified."""
     radii_table = []
     max_dev = 0.0
     for m in m_range:
         zeros = radial.radial_zeros(rad, n, m - n)
-        ref = _ref_bisection(rad, n, m - n, zeros)
-        dev = np.where(np.isnan(ref), np.inf, np.abs(zeros - ref))
-        max_dev = float(np.max(dev, initial=max_dev))
+        w = quad.ZERO_HALF_WIDTH * zeros[-1]
+        f = _scalar_values(rad, n, m - n)
+        ends = [(z - w, z + w) for z in zeros.tolist()]
+        values = [(f(a), f(b)) for a, b in ends]
+        certified = (all(fa < 0 < fb or fa > 0 > fb for fa, fb in values)
+                     and all(b < a for (_, b), (a, _) in zip(ends, ends[1:])))
+        max_dev = max(max_dev, w if certified else math.inf)
         radii_table.append((m, np.sqrt(zeros)))
     monotone = all(np.all(cur > prev) for (_, prev), (_, cur) in zip(radii_table, radii_table[1:]))
     return monotone, radii_table, max_dev
 
 
-class TestBrent:
-    def test_bit_identical_to_scipy_brentq(self):
-        # every bracket of one (family, n) in one lockstep call
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        count = 0
-        for fam in BRENT_FAMILIES:
-            for n in range(1, 30):
-                brackets = []
-                for alpha in (0, 1, 2, 5):
-                    approx = radial.radial_zeros(fam, n, alpha)
-                    f = _scalar_values(fam, n, alpha)
-                    cuts = ([approx[0] - max(1.0, approx[0])]
-                            + [(approx[i] + approx[i + 1]) / 2.0 for i in range(n - 1)]
-                            + [approx[-1] + max(1.0, approx[-1])])
-                    for a, b in zip(cuts, cuts[1:]):
-                        fa, fb = f(a), f(b)
-                        if fa * fb <= 0:
-                            brackets.append((f, a, b, fa, fb))
-                fs, a, b, fa, fb = zip(*brackets)
-                roots = quad._brent(_array_values(fs), a, b, fa, fb, 1e-13)
-                for root, f, lo, hi in zip(roots.tolist(), fs, a, b):
-                    assert root.hex() == brentq(f, lo, hi, xtol=1e-13).hex()
-                count += len(roots)
-        assert count == 8700
+def _moved(monkeypatch, move):
+    """Patch radial.radial_zeros so that every row of zeros passes through
+    move(zeros, w), w the half-width of its m, before the check reads it."""
+    true_zeros = radial.radial_zeros
 
-    def test_brackets_leave_the_lockstep_as_they_converge(self):
-        # a bracket already within tolerance finishes at step 1, with no
-        # value taken; one on a ninth root takes a value at each of 43
-        # steps, and both roots are brentq's
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        fs = [lambda x: x - 1.0,
-              lambda x: math.copysign(abs(x - 0.3) ** (1 / 9), x - 0.3)]
-        a, b = [1.0 - 1e-14, -10.0], [1.0 + 1e-14, 10.0]
-        calls = []
+    def moved_zeros(*args):
+        zeros = true_zeros(*args)
+        move(zeros, quad.ZERO_HALF_WIDTH * zeros[:, -1])
+        return zeros
 
-        def f(x, live):
-            calls.append(live.tolist())
-            return _array_values(fs)(x, live)
-
-        roots = quad._brent(f, a, b, [fs[i](a[i]) for i in (0, 1)],
-                            [fs[i](b[i]) for i in (0, 1)], 1e-13)
-        for i in (0, 1):
-            assert roots[i].hex() == brentq(fs[i], a[i], b[i], xtol=1e-13).hex()
-        assert calls == [[1]] * 43
-
-    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (-1.0, 1.0), (0.5, 1.0)])
-    def test_endpoint_exactly_zero(self, a, b):
-        # alone and beside a bracket that steps on
-        brentq = pytest.importorskip("scipy.optimize").brentq
-
-        def f(x):
-            return x - 1.0
-
-        roots = quad._brent(_array_values([f, f]), [a, 0.0], [b, 2.5], [f(a), f(0.0)],
-                            [f(b), f(2.5)], 1e-13)
-        assert roots.tolist() == [1.0, 1.0]
-        assert roots[0] == brentq(f, a, b, xtol=1e-13)
-
-    def test_nan_value_raises_runtime_error(self):
-        with pytest.raises(RuntimeError, match="NaN value at a bracket end"):
-            quad._brent(lambda x, live: x, [-1.0, 0.0], [1.0, 1.0], [-1.0, math.nan],
-                        [1.0, 1.0], 1e-13)
-        with pytest.raises(RuntimeError, match="NaN value at x = "):
-            quad._brent(lambda x, live: np.full(len(x), math.nan), [-1.0], [1.0], [-1.0],
-                        [1.0], 1e-13)
-
-    def test_no_convergence_raises_runtime_error(self, monkeypatch):
-        def f(x, live):
-            return np.where(x < 0.0, -1.0, 1.0)
-
-        monkeypatch.setattr(quad, "_BRENT_MAXITER", 3)
-        with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
-            quad._brent(f, [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], 1e-13)
+    monkeypatch.setattr(radial, "radial_zeros", moved_zeros)
 
 
 # the zero-circle grid of the per-m reference: Laguerre and Jacobi, each n
@@ -1454,27 +1316,74 @@ class TestZeros:
                 assert b"".join(r.tobytes() for _, r in table) == b"".join(
                     r.tobytes() for _, r in ref_table)
 
-    def test_narrowed_and_unbracketed_zeros_match_the_reference(self):
-        # moving the largest zero by +50 leaves two zeros between one pair
-        # of cuts, the one left behind caught by its +-1e-6 bracket; moving
-        # every zero by +50 leaves most unbracketed
+    def test_certified_intervals_hold_a_sign_change_of_phi_n(self):
+        # 30-digit mpmath values of phi_n, from mpmath's L_n^(alpha+beta)(x)
+        # and P_n^(alpha+gamma, beta)(1 - 2x), at the float ends of every
+        # interval of m = n and m = n + 30 change sign across it
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for fam in REF_FAMILIES:
+                for n in (1, 3, 15, 26):
+                    _, table, dev = quad.zero_circle_monotonicity(fam, n, [n, n + 30])
+                    widths = []
+                    for alpha in (0, 30):
+                        zeros = radial.radial_zeros(fam, n, alpha)
+                        w = quad.ZERO_HALF_WIDTH * zeros[-1]
+                        for ends in zip((zeros - w).tolist(), (zeros + w).tolist()):
+                            x = [mp.mpf(end) for end in ends]
+                            if fam.kind == "laguerre":
+                                lo, hi = (mp.laguerre(n, alpha + fam.beta, t) for t in x)
+                            else:
+                                lo, hi = (mp.jacobi(n, alpha + fam.gamma, fam.beta, 1 - 2 * t)
+                                          for t in x)
+                            assert mp.sign(lo) * mp.sign(hi) < 0, (fam, n, alpha)
+                        widths.append(w)
+                    assert dev == max(widths), (fam, n)
+
+    @pytest.mark.parametrize("fam", [radial.laguerre(0.5), radial.shifted_jacobi(0.5, -0.5)],
+                             ids=["laguerre", "jacobi"])
+    def test_zero_moved_by_ten_widths_is_an_infinite_deviation(self, fam, monkeypatch):
+        # no interval may certify a zero it does not hold, in either
+        # direction and at any place among the zeros
+        assert quad.zero_circle_monotonicity(fam, 4, range(4, 7))[2] < math.inf
+        for i in range(4):
+            for sign in (1.0, -1.0):
+                def move(zeros, w, i=i, sign=sign):
+                    zeros[:, i] += sign * 10.0 * w
+                with monkeypatch.context() as patch:
+                    _moved(patch, move)
+                    assert quad.zero_circle_monotonicity(fam, 4, range(4, 7))[2] == math.inf
+
+    def test_two_zeros_in_one_interval_are_an_infinite_deviation(self, monkeypatch):
+        # both intervals change sign across the one zero they share, so
+        # only their overlap keeps them from certifying the zero left out
         fam = radial.shifted_jacobi(0.5, -0.5)
-        alphas = np.arange(5)
-        for n in (1, 4, 9):
-            true = radial.radial_zeros(fam, n, alphas)
-            moved = true.copy()
-            moved[:, -1] += 50.0
-            for approx in (true * (1.0 + 1e-7), moved, true + 50.0):
-                ref = quad.bisection_zeros(fam, n, alphas, approx)
-                for row, alpha, zeros in zip(ref, alphas.tolist(), approx):
-                    assert row.tobytes() == _ref_bisection(fam, n, alpha, zeros).tobytes()
+
+        def move(zeros, w):
+            zeros[:, 1] = zeros[:, 0] + w / 2
+
+        _moved(monkeypatch, move)
+        assert quad.zero_circle_monotonicity(fam, 3, range(3, 6))[2] == math.inf
+
+    def test_nan_walk_value_is_an_infinite_deviation(self, monkeypatch):
+        # a breakdown of the walk fails the check; it does not raise
+        true_walk = radial.monic_values
+
+        def nan_walk(*args):
+            rows = true_walk(*args)
+            rows[-1] = np.nan
+            return rows
+
+        monkeypatch.setattr(radial, "monic_values", nan_walk)
+        mono, _, dev = quad.zero_circle_monotonicity(radial.laguerre(0.5), 3, range(3, 6))
+        assert mono and dev == math.inf
 
     def test_groups_of_m_read_the_one_group_numbers(self, monkeypatch):
         # a range past qcalc.MAX_ENTRIES is taken in groups of m, three m
         # a group here, each m reading the same numbers
         fam = radial.shifted_jacobi(1.3, 0.7)
         mono, table, dev = quad.zero_circle_monotonicity(fam, 3, range(3, 11))
-        monkeypatch.setattr(qcalc, "MAX_ENTRIES", 3 * 16)
+        monkeypatch.setattr(qcalc, "MAX_ENTRIES", 3 * 36)
         calls = []
         true_zeros = radial.radial_zeros
         monkeypatch.setattr(radial, "radial_zeros",
@@ -1486,31 +1395,13 @@ class TestZeros:
         assert all(r.tobytes() == g.tobytes() for (_, r), (_, g) in zip(table, grouped))
 
     def test_unbracketed_zero_is_an_infinite_deviation(self, monkeypatch):
-        # eigensolver zeros off by +50: two of the three cannot be
-        # bracketed and must not certify themselves
+        # eigensolver zeros off by +50 hold no zero in their intervals and
+        # must not certify themselves
         fam = radial.laguerre(0.5)
         true = radial.radial_zeros(fam, 3, [1])
         monkeypatch.setattr(radial, "radial_zeros", lambda *args: true + 50.0)
-        ref = quad.bisection_zeros(fam, 3, [1], true + 50.0)
-        assert np.isnan(ref).sum() == 2
         _, _, dev = quad.zero_circle_monotonicity(fam, 3, range(4, 5))
         assert dev == math.inf
-
-    def test_bisection_matches_eigensolver(self):
-        for fam in (radial.laguerre(0.5), radial.shifted_jacobi(0.5, 0.5)):
-            for n in (1, 3):
-                z = radial.radial_zeros(fam, n, [1])
-                ref = quad.bisection_zeros(fam, n, [1], z)
-                assert_allclose(z, ref, atol=1e-9)
-
-    def test_bisection_matches_eigensolver_at_high_degree(self):
-        # the power-basis table cancels here (deviations 4e-7 for Laguerre
-        # at n = 20 and 3e-2 for Jacobi at n = 26); the recurrence does not
-        for fam in (radial.laguerre(0.5), radial.shifted_jacobi(0.5, 0.5)):
-            for n in (20, 26):
-                z = radial.radial_zeros(fam, n, [0, 2])
-                ref = quad.bisection_zeros(fam, n, [0, 2], z)
-                assert_allclose(z, ref, rtol=1e-12, atol=1e-12)
 
     def test_monotone_radii(self):
         mono, table, dev = quad.zero_circle_monotonicity(
