@@ -1354,6 +1354,32 @@ class TestZeros:
                     _moved(patch, move)
                     assert quad.zero_circle_monotonicity(fam, 4, range(4, 7))[2] == math.inf
 
+    @pytest.mark.parametrize("fam", [radial.laguerre(0.5), radial.shifted_jacobi(0.5, -0.5)],
+                             ids=["laguerre", "jacobi"])
+    def test_zero_moved_by_half_a_width_stays_certified(self, fam, monkeypatch):
+        # an interval holds its zero over its whole half-width w, so a zero
+        # off by w / 2 either way is certified, and the deviation stays w
+        dev = quad.zero_circle_monotonicity(fam, 4, range(4, 7))[2]
+        for i in range(4):
+            for sign in (1.0, -1.0):
+                def move(zeros, w, i=i, sign=sign):
+                    zeros[:, i] += sign * 0.5 * w
+                with monkeypatch.context() as patch:
+                    _moved(patch, move)
+                    moved_dev = quad.zero_circle_monotonicity(fam, 4, range(4, 7))[2]
+                    assert moved_dev == pytest.approx(dev, rel=1e-12), (i, sign)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_certifies_every_zero_at_high_degree(self, n):
+        # the recurrence walk keeps the sign of p_n at every interval end
+        # far past the degrees of the reference grid
+        for fam in (radial.laguerre(0.5), radial.laguerre(-0.9),
+                    radial.shifted_jacobi(0.5, 0.5), radial.shifted_jacobi(-0.5, -0.9)):
+            mono, _, dev = quad.zero_circle_monotonicity(fam, n, range(n, n + 20))
+            largest = radial.radial_zeros(fam, n, np.arange(20))[:, -1].max()
+            assert mono, (fam, n)
+            assert dev == quad.ZERO_HALF_WIDTH * largest, (fam, n)
+
     def test_two_zeros_in_one_interval_are_an_infinite_deviation(self, monkeypatch):
         # both intervals change sign across the one zero they share, so
         # only their overlap keeps them from certifying the zero left out
