@@ -196,19 +196,32 @@ def harmonic_scale(fam, nmax):
         return np.ldexp(np.array(heads, np.longdouble), np.array(shifts))
 
 
+def harmonic_ratios(fam, nmax):
+    """The ratios s_k / s_(k-1), k = 1..nmax, of harmonic_scale, after
+    s_0 = 1, in np.longdouble: -k for H, 1 for the others."""
+    k = np.arange(nmax + 1, dtype=np.longdouble)
+    return np.where(k > 0, -k, 1.0) if fam.tag == "H" else np.ones_like(k)
+
+
 def values(fam, m, n, z1, z2):
     """f_{m,n}(z1, z2) at points (scalars or arrays of one shape) from the
     radial recurrence: z1^(m-n) phi_n(z1 z2; m-n) for m >= n and
-    z2^(n-m) phi_m(z1 z2; n-m) otherwise, formed in np.longdouble.  The
-    value of construct(fam, m, n), without the cancellation of summing the
-    power basis; past the float range it reads inf or NaN, with no warning."""
+    z2^(n-m) phi_m(z1 z2; n-m) otherwise, formed in np.longdouble by one
+    radial.monic_values walk with the ratios of radial.lead_ratios times
+    harmonic_ratios, so that H's (-1)^k k! and the leading coefficients
+    never leave the range as a product: ZQ(0.5; 0.05) reads the exact
+    1.0422498995921048 at (m, n) = (300, 300) and (z1, z2) = (0.3, 0.2).
+    The value of construct(fam, m, n), without the cancellation of summing
+    the power basis; where the value itself passes the float range it
+    reads inf or NaN, with no warning."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    z1 = np.asarray(z1, dtype=np.longdouble)
-    z2 = np.asarray(z2, dtype=np.longdouble)
+    z1, z2 = (np.asarray(z, dtype=np.longdouble) for z in (z1, z2))
     a, k = abs(m - n), min(m, n)
-    with np.errstate(all="ignore"):
-        rows = radial.phi_rows(radial_of(fam), a, k, harmonic_scale(fam, k))(z1 * z2)
+    rad = radial_of(fam)
+    ratios = radial.lead_ratios(rad, a, k) * harmonic_ratios(fam, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = radial.monic_values(*radial.recurrence(rad, a, k + 1), z1 * z2, ratios=ratios)
         return ((z1 if m >= n else z2) ** a * rows[k]).astype(float)
 
 
@@ -1296,15 +1309,12 @@ def genfun_check(fam, which, u, v, z1, z2, N=30):
     if np.any(np.abs(u * v) >= 1.0):
         raise ValueError("need |uv| < 1")
     step = max(1, qcalc.MAX_ENTRIES // (N + 2) ** 2)
-    if u.size <= step:
-        total, tail = _genfun_series(fam, which, N, u, v, z1, z2)
-    else:
-        # each entry reads its own point alone, so a chunk of the
-        # flattened points gives its entries bit for bit
-        flat = [t.reshape(-1) for t in (u, v, z1, z2)]
-        parts = [_genfun_series(fam, which, N, *(t[i:i + step] for t in flat))
-                 for i in range(0, u.size, step)]
-        total, tail = (np.concatenate(p).reshape(u.shape) for p in zip(*parts))
+    # each entry reads its own point alone, so a chunk of the flattened
+    # points gives its entries bit for bit
+    flat = [t.reshape(-1) for t in (u, v, z1, z2)]
+    parts = [_genfun_series(fam, which, N, *(t[i:i + step] for t in flat))
+             for i in range(0, max(u.size, 1), step)]
+    total, tail = (np.concatenate(p).reshape(u.shape) for p in zip(*parts))
     # past the float range, as at a large beta, the closed form and the
     # residual read inf or NaN, which fails the check, with no warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -1,31 +1,32 @@
 """Quadrature and summation engines.
 
-Gauss rules for the continuous radial measures (gauss_rules, every block
-of a Gram from one recurrence, one mass row and one radial.monic_values
-walk per group of blocks, the one monic three-term walk: nodes
-the eigenvalues of the Jacobi matrix of the closed-form recurrence,
-weights the Christoffel numbers from the np.longdouble monic rows at
-them; golub_welsch is its one-rule call), longdouble q-lattice
-sums with certified tail bounds (q_lattice_sum), the radial Gram blocks
-of a Gram in one request (radial_grams, one gauss_rules pass for a
+Gauss rules for the continuous radial measures, relative to their masses
+(gauss_rules, every block of a Gram from one recurrence and one
+radial.monic_values walk per group of blocks, the one three-term walk:
+nodes the eigenvalues of the Jacobi matrix of the closed-form recurrence,
+weights the Christoffel numbers over the mass from the np.longdouble rows
+at them; golub_welsch is its one-rule call, times the mass), longdouble
+q-lattice sums with certified tail bounds (q_lattice_sum), the radial Gram
+blocks of a Gram in one request (radial_grams, one gauss_rules pass for a
 continuous family, one lattice walk for all blocks of a q family), the
-block-diagonal Gram of a
-bivariate family (gram), the Gram summary shared with the Askey-Wilson
-checks (summarize) and zero-circle monotonicity checks
-(zero_circle_monotonicity: one array pass over its range of m, one
+block-diagonal Gram of a bivariate family (gram), the Gram summary shared
+with the Askey-Wilson checks (summarize) and zero-circle monotonicity
+checks (zero_circle_monotonicity: one array pass over its range of m, one
 eigensolve of the stacked Jacobi matrices and one recurrence walk that
 certifies every zero of every m by a sign change of p_n across an
 interval around it).
 
 Every Gram block (indices, G, zeta) is in one orthonormal scale: its rows
-divided by the square roots of the np.longdouble closed-form norms zeta,
-G is the identity up to rounding, which summarize reads against 1.  The
-raw entries sqrt(zeta_i) G_ij sqrt(zeta_j) are formed in raw_entries.
+walked with the ratios (s_k / s_(k-1)) sqrt(zeta_(k-1) / zeta_k) of the
+np.longdouble closed-form norms zeta inside the recurrence, so that G is
+the identity up to rounding wherever the norms and the masses leave the
+range, which summarize reads against 1.  The raw entries sqrt(zeta_i)
+G_ij sqrt(zeta_j) are formed in raw_entries.
 """
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -37,44 +38,51 @@ from .qcalc import qpochhammer
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule: nodes, positive weights, the highest polynomial degree
-    integrated exactly, and the monic rows p_0..p_{npts-1} at the nodes in
-    np.longdouble, which the weights are formed from."""
+    integrated exactly, and the rows at the nodes in np.longdouble that the
+    weights are formed from: p_0..p_{npts-1} of the monic walk, or those of
+    the walk with the ratios of gauss_rules."""
 
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
-    monic: np.ndarray
+    rows: np.ndarray
 
 
 def golub_welsch(fam, alpha, npts):
     """Gauss rule of order npts for the measure x^alpha dnu of a continuous
-    radial family: the one-rule call of gauss_rules."""
-    return next(gauss_rules(fam, [alpha], [npts]))
+    radial family: the one-rule call of gauss_rules, its weights times the
+    mass (radial.measure_mass), inf where the mass leaves the range."""
+    rule = next(gauss_rules(fam, [alpha], [npts]))
+    return replace(rule, weights=rule.weights * radial.measure_mass(fam, alpha))
 
 
-def gauss_rules(fam, alphas, npts, masses=None):
+def gauss_rules(fam, alphas, npts, ratios=None):
     """Gauss rules for the measures x^alphas[b] dnu of a continuous radial
-    family, rule b of order npts[b], yielded in block order from one pass,
-    each equal to its one-rule call bit for bit.
+    family, relative to their masses, rule b of order npts[b], yielded in
+    block order from one pass, each equal to its one-rule call bit for bit.
 
     One closed-form recurrence (A, B) of order max(npts) serves every block
     (radial.recurrence).  The nodes of rule b are the eigenvalues of the
     Jacobi matrix of its first npts[b] terms (numpy.linalg.eigvalsh, the
     route of radial.radial_zeros), one call per block, since the orders
-    differ.  Its weights are the Christoffel numbers w_i = 1 / sum_{k<npts}
-    p_k(x_i)^2 / h_k, with h_k = mass B_1 ... B_k the squared norms of the
-    monic p_k and the masses one radial.measure_mass row, or ``masses``
-    when the caller holds them (a Gram's norm rows start with them, bit
-    for bit), summed from the np.longdouble monic rows at the nodes (Golub
-    and Welsch 1969; Gautschi 2004, Orthogonal Polynomials: Computation and
-    Approximation, 3.1.1).
+    differ.  Its weights are the Christoffel numbers divided by the mass,
+    w_i = 1 / sum_{k<npts} p_k(x_i)^2 / h_k with h_k = B_1 ... B_k the
+    squared norms of the monic p_k over the mass, summed from the
+    np.longdouble monic rows at the nodes (Golub and Welsch 1969; Gautschi
+    2004, Orthogonal Polynomials: Computation and Approximation, 3.1.1).
     Unlike the squared first components of the eigenvectors, they keep
-    their relative accuracy at the tiny weights of the largest nodes.  Rule
-    b is exact for polynomials of degree <= 2*npts[b] - 1.
+    their relative accuracy at the tiny weights of the largest nodes, and
+    the mass, which leaves the np.longdouble range from Gamma(1755), never
+    enters them.  Rule b is exact for polynomials of degree <=
+    2*npts[b] - 1.  With ``ratios``, one np.longdouble row per block of
+    length max(npts), the rows are those of the walk with the ratios of
+    block b (radial.monic_values), p_k times r_0 ... r_k, and each term of
+    the sum is divided by the squared scale too: by g_k = r_0^2 prod_(i<=k)
+    r_i^2 B_i, the same weights up to rounding.
 
-    The monic rows come from one radial.monic_values walk of a group of
-    consecutive blocks, one entry per node with its block's recurrence and
-    degree, and the weights from one sum over it.  A group takes
+    The rows come from one radial.monic_values walk of a group of
+    consecutive blocks, one entry per node with its block's recurrence,
+    ratios and degree, and the weights from one sum over it.  A group takes
     blocks while its walk, its largest order times its node count, stays
     within qcalc.MAX_ENTRIES; a larger block walks alone.  The rules of a
     group hold views of its rows, and the groups are walked as the rules
@@ -87,9 +95,9 @@ def gauss_rules(fam, alphas, npts, masses=None):
     if fam.is_q():
         raise ValueError("q-lattice measures are summed, not quadratured")
     A, B = radial.recurrence(fam, alphas, max(npts, default=1))
-    mass = radial.measure_mass(fam, alphas) if masses is None else np.asarray(masses)
+    R = np.ones_like(A) if ratios is None else ratios
     for lo, hi in _groups(npts):
-        yield from _group_rules(A[lo:hi], B[lo:hi], mass[lo:hi], npts[lo:hi])
+        yield from _group_rules(A[lo:hi], B[lo:hi], R[lo:hi], npts[lo:hi])
 
 
 def _groups(orders):
@@ -106,9 +114,10 @@ def _groups(orders):
         lo = hi
 
 
-def _group_rules(A, B, mass, npts):
+def _group_rules(A, B, R, npts):
     """The Gauss rules of gauss_rules for one group of blocks, block j of
-    order npts[j] with the recurrence rows A[j], B[j] and the mass mass[j]."""
+    order npts[j] with the recurrence rows A[j], B[j] and the ratios R[j]
+    (all 1 for the monic rows)."""
     top = max(npts)
     # the order-n Jacobi matrix of a block is the leading n x n part of its
     # order-top matrix
@@ -117,22 +126,24 @@ def _group_rules(A, B, mass, npts):
     # one walk entry per node, with its block's recurrence and degree
     npts = np.array(npts)
     block = np.repeat(np.arange(len(npts)), npts)
-    monic = radial.monic_values(A[block, :top], B[block, :top],
-                                np.concatenate(nodes, dtype=np.longdouble), npts[block] - 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        # h_k = mass B_1 ... B_k; a mass past the range gives inf weights.
-        # Past a block's own degree, where its rows are 0, h_k may leave
-        # the range, and reads 1
-        h = np.cumprod(np.concatenate((mass[:, None], B[:, 1:top]), axis=1), axis=1)
-        h[np.arange(top) >= npts[:, None]] = 1.0
+    rows = radial.monic_values(A[block, :top], B[block, :top],
+                               np.concatenate(nodes, dtype=np.longdouble), npts[block] - 1,
+                               R[block, :top])
+    with np.errstate(over="ignore"):
+        # g_k = r_0^2 prod_(i<=k) r_i^2 B_i, B_1 ... B_k for the monic
+        # rows, which may leave the range at a high order.  Past a block's
+        # own degree, where its rows are 0, g_k reads 1
+        g = np.cumprod(np.concatenate((R[:, :1] ** 2, B[:, 1:top] * R[:, 1:top] ** 2), axis=1),
+                       axis=1)
+        g[np.arange(top) >= npts[:, None]] = 1.0
         # C-ordered terms, summed down each column in k order, as a
         # one-block rule sums them
-        terms = monic ** 2
-        terms /= h[block].T
+        terms = rows ** 2
+        terms /= g[block].T
         weights = 1.0 / terms.sum(axis=0)
     at = 0
     for j, n in enumerate(npts.tolist()):
-        yield QuadratureRule(nodes[j], weights[at:at + n], 2 * n - 1, monic[:n, at:at + n])
+        yield QuadratureRule(nodes[j], weights[at:at + n], 2 * n - 1, rows[:n, at:at + n])
         at += n
 
 
@@ -237,9 +248,12 @@ def _lattice_walk(fam, alphas, integrand, summand, widths=None, faults=None):
     the values, a new np.longdouble array, which the walk overwrites, is
     weighted by each block's weights and summed; block b's stop rule reads
     its own rows of those terms and of their running sums, with its own
-    tail factor.  A non-finite term of its own at or before its stop point
-    raises, or, when ``faults`` is a dict, stops the block in every
-    direction and records the lattice index of the term there under the
+    tail factor.  A non-finite term of its own at or before its stop
+    point, or a weight there under the np.longdouble range (0 or
+    subnormal, whose term the stop rule would read as converged), raises,
+    or, when ``faults`` is a dict, stops the block in every direction and
+    records what went wrong and its lattice index (as "non-finite term at
+    lattice index k" or "weight underflows at lattice index k") under the
     block's position, the term and the points before it kept.  A stopped
     block is not evaluated again in the direction.  Returns (totals, kept),
     per block: the sums of its rows, and per chunk in lattice order the
@@ -286,17 +300,19 @@ def _lattice_walk(fam, alphas, integrand, summand, widths=None, faults=None):
                 k = np.arange(start, n)
                 stop = (k >= k0) & (size * tails[live, None] <= LATTICE_TAIL_TOL * reach)
                 bad = ~(size < np.inf)
-                hit = stop | bad
+                low = w[live, start:n] < _LONGDOUBLE_TINY
+                hit = stop | bad | low
                 ends = np.full(len(rows), n - start - 1)  # the last kept point of each
                 for j, (b, at, nrows) in enumerate(zip(np.flatnonzero(live), first, rows)):
                     hits = np.flatnonzero(hit[j])
                     if hits.size:
                         ends[j] = end = hits[0]
-                        if bad[j, end]:
+                        if bad[j, end] or low[j, end]:
+                            what = "non-finite term" if bad[j, end] else "weight underflows"
+                            fault = f"{what} at lattice index {index(start + end)}"
                             if faults is None:
-                                raise RuntimeError("q-lattice sum: non-finite term at lattice "
-                                                   f"index {index(start + end)}")
-                            faults[b] = index(start + end)
+                                raise RuntimeError(f"q-lattice sum: {fault}")
+                            faults[b] = fault
                         live[b] = False
                     kept[b].append((x[start:start + ends[j] + 1], w[b, start:start + ends[j] + 1],
                                     f[at:at + nrows, :ends[j] + 1]))
@@ -322,7 +338,8 @@ def q_lattice_sum(fam, alpha, integrand):
     stops at its first point k >= k0 whose largest |term| times the
     direction's tail factor is at most LATTICE_TAIL_TOL times the largest
     |entry| of the sum so far; a NaN or infinite term at or before that
-    point raises, naming its lattice index.  Each direction takes its
+    point, or a weight there under the np.longdouble range, raises, naming
+    its lattice index.  Each direction takes its
     points in chunks: LATTICE_CHUNK in the first integrand call, twice as
     many in each further call up to LATTICE_MAX_CHUNK (and up to
     qcalc.MAX_ENTRIES entries of the integrand's value), and at most
@@ -340,50 +357,46 @@ def q_lattice_sum(fam, alpha, integrand):
     return totals[0].reshape(shape[0])[()]
 
 
-def radial_grams(fam, alphas, nmaxes, factors, masses=None, faults=None):
+def radial_grams(fam, alphas, nmaxes, ratios, faults=None):
     """Gram blocks V W V^T of phi_0..phi_nmaxes[b](x; alphas[b]) against
-    x^alphas[b] dnu, one per block b, with row k of block b times
-    ``factors[b][k]`` (gram passes 1 / sqrt(zeta_k), the orthonormal
-    scale): for each, one np.dot of the rows V at a rule's points, times
-    its weights W, with V^T.
+    x^alphas[b] dnu, one per block b, with row k of block b times the
+    running product of ratios[b, 0..k] (``ratios`` one np.longdouble row per
+    block, of length max(nmaxes) + 1; gram passes the orthonormal scale):
+    for each, one np.dot of the rows V at a rule's points, times its
+    weights W, with V^T.
 
-    For the continuous families the rows of V are the monic rows of the
-    rule of order nmax + 1, which is exact to degree 2 nmax + 1, times
-    their leading coefficients and factors: one gauss_rules pass gives the
-    rules of all blocks, whose nodes move with alpha, and one
-    radial.leading_coeffs call the leading coefficients of all (``masses``,
-    when given, are the masses of gauss_rules); each block is taken, and
-    its rule dropped, before the next group of rules is walked.  For the q
-    families every block lies on the same lattice points, so one lattice
-    walk serves them all: the rows of every block still walking come from
-    one radial.block_rows evaluation per chunk of points, and each block
-    keeps the points and weights of its own stop point, the stop rule read
-    on its own diagonal terms w v_k^2.
+    For the continuous families W holds the Gauss weights relative to the
+    mass, so the mass cancels from every block: one gauss_rules pass, of
+    order nmax + 1, which is exact to degree 2 nmax + 1, gives the rules of
+    all blocks, whose nodes move with alpha, and V their rows, walked with
+    radial.lead_ratios times the ratios; each block is taken, and its rule
+    dropped, before the next group of rules is walked.  For the q families
+    W holds the lattice weights, whose sum is the mass, and every block
+    lies on the same lattice points, so one lattice walk serves them all:
+    the rows of every block still walking come from one radial.block_rows
+    evaluation per chunk of points, and each block keeps the points and
+    weights of its own stop point, the stop rule read on its own diagonal
+    terms w v_k^2.
     A partial sum of a positively weighted Gram is positive semidefinite,
     so its largest entry is on the diagonal, near 1 in the orthonormal
     scale for every row, and the stop rule relative to it holds for all of
     them.  Each block equals the walk of its block alone bit for bit.  A
-    non-finite term raises, or, when ``faults`` is a dict, stops its block,
-    as in the lattice walk, whose faults the dict then holds.
+    non-finite term or an underflowed weight raises, or, when ``faults`` is
+    a dict, stops its block, as in the lattice walk, whose faults the dict
+    then holds.
     """
     if not fam.is_q():
-        lead = radial.leading_coeffs(fam, alphas, max(nmaxes))
-        rules = gauss_rules(fam, alphas, [nmax + 1 for nmax in nmaxes], masses)
-        blocks = []
-        for rule, row, nmax, f in zip(rules, lead, nmaxes, factors):
-            vals = (row[:nmax + 1] * np.asarray(f, np.longdouble))[:, None] * rule.monic
-            # np.dot, unlike matmul, has a fast loop for np.longdouble
-            blocks.append(np.dot(vals * rule.weights, vals.T).astype(float))
-        return blocks
+        ratios = radial.lead_ratios(fam, alphas, max(nmaxes)) * ratios
+        rules = gauss_rules(fam, alphas, [nmax + 1 for nmax in nmaxes], ratios)
+        # np.dot, unlike matmul, has a fast loop for np.longdouble
+        return [np.dot(rule.rows * rule.weights, rule.rows.T).astype(float) for rule in rules]
     widths = np.asarray(nmaxes) + 1
-    rows = radial.block_rows(fam, alphas, nmaxes, np.concatenate(factors))
+    rows = radial.block_rows(fam, alphas, nmaxes, ratios)
     _, kept = _lattice_walk(fam, alphas, rows, np.square, widths, faults)
     blocks = []
     for chunks in kept:
-        _, weights, vals = chunks[0]
-        if len(chunks) > 1:
-            weights = np.concatenate([w for _, w, _ in chunks])
-            vals = np.concatenate([f for _, _, f in chunks], axis=1)
+        weights = np.concatenate([w for _, w, _ in chunks])
+        vals = np.concatenate([f for _, _, f in chunks], axis=1)
         blocks.append(np.dot(vals * weights, vals.T).astype(float))
     return blocks
 
@@ -511,12 +524,17 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     zeta_k, times pi for Z and H, and for H times s_k^2 of its harmonic
     scale s_k = (-1)^k k!.  One radial_grams request forms every radial
     block (for a q family, one lattice walk; for a continuous one, Gauss
-    rules whose masses are the heads of the norm rows) with its rows times
-    s_k / sqrt(s_k^2 zeta_k) (s_k = 1 but for H), the orthonormal scale; a
-    row whose norm is 0 is left at 0, a failed diagonal.  A non-finite
-    lattice term stops its block and fails the Gram.  When the Gram fails,
-    its notes name the first harmonic index whose lattice walk met such a
-    term, with its lattice index and the count of such indices, and the
+    rules relative to the mass) in the orthonormal scale, its rows walked
+    with the per-step ratios (s_k / s_(k-1)) sqrt(zeta_(k-1) / zeta_k) of
+    the norms times s_k^2, taken from the closed-form steps of
+    radial.norm_steps, never by dividing two norms, so that the scale
+    stays in range wherever the norms leave it; row 0 reads 1 /
+    sqrt(zeta_0) on the lattice, whose weights sum to the mass, and 1 in
+    the Gauss rules, where the mass cancels.  A non-finite lattice term,
+    or a lattice weight under the np.longdouble range, stops its block and
+    fails the Gram.  When the Gram fails, its notes name the first harmonic
+    index whose lattice walk met either, what it met and its lattice
+    index, and the count of such indices, and the
     first harmonic index and degree whose norm or row has left the range,
     if one has.  A family parameter outside the range of its measure
     (bivariate.check_params), NaN and infinities included, raises
@@ -534,14 +552,15 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     scale = bivariate.harmonic_scale(fam, degree_cap)
     norms = radial.norms(rad, alphas, nmaxes)
     zetas = [z * scale[:len(z)] ** 2 for z in norms]
-    factors = [np.divide(scale[:len(z)], np.sqrt(z), out=np.zeros_like(z), where=z > 0.0)
-               for z in zetas]
+    h = bivariate.harmonic_ratios(fam, degree_cap)[1:]
+    heads = [[1 / np.sqrt(z[0]) if rad.is_q() else 1.0] for z in norms]
+    ratios = np.hstack((heads, h / np.sqrt(h * h * radial.norm_steps(rad, alphas, degree_cap))))
     # the Newton coefficients of wall and qjacobi, formed to the cap for
     # every block, leave the range past a block's own degree, which no row
     # reads, from WALL(0.5; 0.001) at cap 30; a row that does stops its block
     faults = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = radial_grams(rad, alphas, nmaxes, factors, [z[0] for z in norms], faults)
+        grams = radial_grams(rad, alphas, nmaxes, ratios, faults)
     blocks = []
     for a, nmax, zeta, g in zip(alphas, nmaxes, zetas, grams):
         zeta = norm_const * zeta
@@ -552,7 +571,7 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     if faults:
         a = min(faults)
         result.passed, result.notes = False, (
-            f"harmonic index {a}: non-finite term at lattice index {faults[a]} "
+            f"harmonic index {a}: {faults[a]} "
             f"({len(faults)} of {len(alphas)} harmonic indices stopped so)")
     if not result.passed:
         result.notes = "; ".join(filter(None, [result.notes, _range_note(zetas, grams)]))

@@ -21,24 +21,25 @@ little_q_jacobi(beta, gamma, q)  phi_n = p_n(x; q^(alpha+beta), q^gamma | q)
 Every table is a row of coeff_rows, one array pass over any number of
 (n, alpha) pairs; radial_coeffs is its one-row call.  Besides coefficient
 tables the module provides the closed-form monic three-term recurrence of
-each family (recurrence) and monic_values, the one walk of every
-monic three-term recurrence of the package, a batch of them at once, each
-entry to its own degree.  On them rest phi_rows, the route for numerics
-at nodes and sample points (the tables serve the exact identity algebra),
-and the rows of all blocks of a q-family Gram in one evaluation
-(block_rows: one walk on the bilateral q-Laguerre lattice, and for wall
-and little q-Jacobi the terminating Newton form of their 2phi1 on the
-nodes of lattice_points).  The module also provides the norms (norms,
-the one home of every family's closed form: np.longdouble rows, one per
-alpha to its own degree, each a running product from its mass, so that
-the orthonormal Gram rows can be divided by their square roots at any
-degree the Grams reach; zeta reads one entry), the masses
-of the continuous measures (measure_mass, one array pass over any number
-of alpha, which norms takes in one call; a Gram hands the heads of its
-norm rows to quad.gauss_rules), and zeros as the eigenvalues of the
-symmetric Jacobi matrix (jacobi_matrix, stacked for an array of alpha;
-numpy.linalg.eigvalsh, one call over them in radial_zeros), the path of
-the Gauss nodes too.
+each family (recurrence), the ratios c_0(k) / c_0(k - 1) of its leading
+coefficients (lead_ratios) and monic_values, the one walk of every
+three-term recurrence of the package, a batch of them at once, each
+entry to its own degree, its rows scaled by per-step ratios taken inside
+the recurrence, or monic without them.  On them rest phi_rows, the route
+for numerics at nodes and sample points (the tables serve the exact
+identity algebra), and the rows of all blocks of a q-family Gram in one
+evaluation (block_rows: one walk on the bilateral q-Laguerre lattice, and
+for wall and little q-Jacobi the terminating Newton form of their 2phi1
+on the nodes of lattice_points).  The module also provides the norms
+(norms, the one home of every family's closed form: np.longdouble rows,
+one per alpha to its own degree, each a running product from its mass by
+the closed-form steps of norm_steps, which a Gram's orthonormal ratios
+read instead of dividing two norms; zeta reads one entry), the masses of
+the continuous measures (measure_mass, one array pass over any number of
+alpha, which norms takes in one call), and zeros as the eigenvalues of
+the symmetric Jacobi matrix (jacobi_matrix, stacked for an array of
+alpha; numpy.linalg.eigvalsh, one call over them in radial_zeros), the
+path of the Gauss nodes too.
 """
 
 import math
@@ -195,21 +196,57 @@ def _col(v):
     return np.reshape(v, (-1, 1))
 
 
+def norm_steps(fam, alphas, nmax):
+    """The closed-form ratios zeta_n / zeta_(n-1), n = 1..nmax, of the
+    squared norms of phi_n with respect to x^alphas[b] dnu, one np.longdouble
+    row per block b: the steps of norms' running products, and of the
+    orthonormal scale of a Gram, which never divides two norms.
+
+    laguerre (a = alpha + beta): (a + n) / n.  jacobi (g = alpha + gamma,
+    t = g + beta): (g + 1)(beta + 1) / (t + 3) at n = 1 (no 0/0 at t = -1),
+    then (g + n)(beta + n)(t + 2n - 1) / (n (t + n)(t + 2n + 1)).  With
+    a = alpha + beta: qlaguerre (1 - q^(a+n)) / ((1 - q^n) q); wall
+    q^(a+1) (1 - q^n) / (1 - q^(a+n)); qjacobi (g = gamma, s = a + g + 1)
+    wall's times (1 - q^(g+n)) / (1 - q^(s+2n)), and from n = 2 times
+    (1 - q^(s+2n-2)) / (1 - q^(s+n-1)) (no 0/0 at s = 0, abq = 1).  The
+    powers q^n are the running products of lattice_points."""
+    n = np.arange(1, nmax + 1, dtype=np.longdouble)
+    if fam.kind == "laguerre":
+        return (_col(np.add(alphas, fam.beta)) + n) / n
+    if fam.kind == "jacobi":
+        b, g, m = fam.beta, _col(np.add(alphas, fam.gamma)), n[1:]
+        t = g + b
+        return np.concatenate(((g + n[:1]) * (b + n[:1]) / (t + 3.0), (g + m) * (b + m)
+                               * (t + 2 * m - 1) / (m * (t + m) * (t + 2 * m + 1))), axis=1)
+    q = np.longdouble(fam.q)
+    qa = _col(q ** np.add(alphas, fam.beta))  # q^a
+    pw = lattice_points(q, 2 * nmax + 1)  # pw[i] = q^i
+    qn = pw[1:nmax + 1]
+    if fam.kind == "qlaguerre":
+        return (1.0 - qa * qn) / ((1.0 - qn) * q)
+    steps = qa * q * (1.0 - qn) / (1.0 - qa * qn)
+    if fam.kind == "qjacobi":
+        qg = q ** fam.gamma
+        qs = qa * qg * q
+        steps *= (1.0 - qg * qn) / (1.0 - qs * pw[2:2 * nmax + 1:2])
+        m = np.arange(2, nmax + 1)  # the degrees past 1
+        steps[:, 1:] *= (1.0 - qs * pw[2 * m - 2]) / (1.0 - qs * pw[m - 1])
+    return steps
+
+
 def norms(fam, alphas, nmaxes):
     """The squared norms zeta_0..zeta_nmaxes[b] of phi_n with respect to
     x^alphas[b] dnu for every block b, as a list of np.longdouble rows, each
     to its own degree: the one home of every family's closed form.  Each
-    row is one running product from its mass zeta_0 by the ratios
-    zeta_n / zeta_(n-1), all rows in one np.cumprod, so every entry equals
-    that of the one-alpha call bit for bit; a norm outside the
+    row is one running product from its mass zeta_0 by the steps
+    zeta_n / zeta_(n-1) of norm_steps, all rows in one np.cumprod, so every
+    entry equals that of the one-alpha call bit for bit; a norm outside the
     np.longdouble range reads inf or 0, without a warning.
 
-    laguerre (a = alpha + beta): zeta_n = Gamma(a + n + 1) / n!, ratios
-    (a + n) / n.  jacobi (g = alpha + gamma, t = g + beta):
-    zeta_n = Gamma(g + n + 1) Gamma(beta + n + 1) / (n! Gamma(t + n + 1)
-    (t + 2n + 1)), ratios (g + 1)(beta + 1) / (t + 3) at n = 1 (no 0/0 at
-    t = -1), then (g + n)(beta + n)(t + 2n - 1) / (n (t + n)(t + 2n + 1)).
-    Their masses are one measure_mass call over every alpha.
+    laguerre (a = alpha + beta): zeta_n = Gamma(a + n + 1) / n!.  jacobi
+    (g = alpha + gamma, t = g + beta): zeta_n = Gamma(g + n + 1)
+    Gamma(beta + n + 1) / (n! Gamma(t + n + 1) (t + 2n + 1)).  Their masses
+    are one measure_mass call over every alpha.
 
     For the q families (a = alpha + beta, g = gamma, s = a + g + 1)
 
@@ -226,22 +263,9 @@ def norms(fam, alphas, nmaxes):
     however many factors q -> 1 takes; unlike the separate infinite
     products they neither underflow nor overflow as q -> 1 ((q; q)_inf is
     1e-714 at q = 0.999).
-    For qjacobi (q^(s+n); q)_n / (q^(s+1); q)_2n steps by 1 / (1 - q^(s+2))
-    at n = 1 (no 0/0 at s = 0, abq = 1), then by (1 - q^(s+2n-2)) /
-    ((1 - q^(s+n-1)) (1 - q^(s+2n))).
     """
-    nmax = max(nmaxes)
-    n = np.arange(1, nmax + 1, dtype=np.longdouble)
     if fam.kind == "laguerre" or fam.kind == "jacobi":
-        b = fam.beta
-        a = np.add(alphas, b if fam.kind == "laguerre" else fam.gamma)  # a, or g
-        if fam.kind == "laguerre":
-            steps = (_col(a) + n) / n
-        else:
-            g, t, m = _col(a), _col(a + b), n[1:]
-            steps = np.concatenate(((g + n[:1]) * (b + n[:1]) / (t + 3.0), (g + m) * (b + m)
-                                    * (t + 2 * m - 1) / (m * (t + m) * (t + 2 * m + 1))), axis=1)
-        head = _col(measure_mass(fam, alphas))
+        head = measure_mass(fam, alphas)
     else:
         a = np.add(alphas, fam.beta)
         q = np.longdouble(fam.q)
@@ -253,16 +277,13 @@ def norms(fam, alphas, nmaxes):
             down += [-c, -q / c]
         elif fam.kind == "qjacobi":
             qg = q ** fam.gamma
-            qs = _col(qa * qg * q)
-            up.append(qs[:, 0] * q)
+            up.append(qa * qg * q * q)
             down.append(qg * q)
         # qproduct_terms grows with |argument|: the largest one of a row
         # sets the count of its factors
-        sizes = abs(qa * q)
-        for v in up + down[1:]:
-            sizes = np.maximum(sizes, abs(v))
+        sizes = np.max(np.abs(np.broadcast_arrays(*up, *down)), axis=0)
         count = np.array([qproduct_terms(size, q) for size in sizes])
-        pw = lattice_points(q, max(int(count.max()), 2 * nmax + 1))  # pw[i] = q^i
+        pw = lattice_points(q, int(count.max()))  # pw[i] = q^i
 
         def ratios(k):
             ratio = 1.0
@@ -270,21 +291,13 @@ def norms(fam, alphas, nmaxes):
                 ratio = ratio * ((1.0 - u * pw[k]) / (1.0 - d * pw[k]))
             return ratio
 
-        qn = pw[1:nmax + 1]
         with np.errstate(over="ignore"):
-            R = products(ratios, count, np.longdouble)
+            head = products(ratios, count, np.longdouble)
             if fam.kind == "qlaguerre":
-                R = R * c ** (a + 1)
-                steps = (1.0 - _col(qa) * qn) / ((1.0 - qn) * q)
-            else:
-                steps = _col(qa) * q * (1.0 - qn) / (1.0 - _col(qa) * qn)
-        if fam.kind == "qjacobi":
-            steps *= (1.0 - qg * qn) / (1.0 - qs * pw[2:2 * nmax + 1:2])
-            m = np.arange(2, nmax + 1)  # the degrees past 1
-            steps[:, 1:] *= (1.0 - qs * pw[2 * m - 2]) / (1.0 - qs * pw[m - 1])
-        head = _col(R)
+                head = head * c ** (a + 1)
     with np.errstate(over="ignore"):
-        out = np.cumprod(np.concatenate((head, steps), axis=1), axis=1)
+        steps = norm_steps(fam, alphas, max(nmaxes))
+        out = np.cumprod(np.concatenate((_col(head), steps), axis=1), axis=1)
     return [row[:n + 1] for row, n in zip(out, nmaxes)]
 
 
@@ -399,49 +412,60 @@ def recurrence(fam, alpha, npts):
     return A, B
 
 
-def monic_values(A, B, x, degrees=None):
+def monic_values(A, B, x, degrees=None, ratios=None):
     """Rows p_0(x)..p_{K-1}(x) of the monic recurrence (A, B) at the points
-    x, in np.longdouble, with K the length of the last axis of A and B: the
-    one monic three-term walk of the package, p_(k+1) = (x - A_k) p_k - B_k
-    p_(k-1) from p_0 = 1, with p_1 = (x - A_0) p_0.
+    x, row k times the running product r_0 ... r_k of ``ratios`` (of the
+    shape of A) when given, in np.longdouble, with K the length of the last
+    axis of A and B: the one three-term walk of the package,
+
+        phi_(k+1) = r_(k+1) [(x - A_k) phi_k - B_k r_k phi_(k-1)]
+
+    from phi_0 = r_0, with phi_1 = r_1 (x - A_0) phi_0 (Gautschi 2004,
+    Orthogonal Polynomials, 1.3: the orthonormal recurrence is one choice
+    of ratios).  The ratios are taken inside the recurrence, so rows whose
+    scale and monic values leave the range in opposite directions stay in
+    it.  Without them (r = 1, whose products are exact) it is the monic
+    walk p_(k+1) = (x - A_k) p_k - B_k p_(k-1) from p_0 = 1, bit for bit.
 
     A and B may hold one recurrence per entry (an alpha, say) on axes
     before the last, as recurrence gives them for an array of alpha.  The
     leading axes of x pair with those entry axes, each of length 1 for
     points shared by every entry or one per entry, and its further axes
-    hold the points: row k is p_k of shape shape(A)[:-1] + shape(x)[A.ndim
-    - 1:].  The grid of every entry at the points y is x = y[None].
+    hold the points: row k is of shape shape(A)[:-1] + shape(x)[A.ndim -
+    1:].  The grid of every entry at the points y is x = y[None].
 
     ``degrees``, one per entry along the first entry axis (which x then
-    holds too), stops entry i at degree degrees[i] < K: it is not walked further, and its rows past
-    that degree are 0.  The entries are walked by falling degree, so that
-    those still walking at step k, of degree > k, are a prefix of them.
-    Every entry equals its own one-entry walk bit for bit, in the same
-    float operations."""
+    holds too), stops entry i at degree degrees[i] < K: it is not walked
+    further, and its rows past that degree are 0.  The entries are walked
+    by falling degree, so that those still walking at step k, of degree
+    > k, are a prefix of them.  Every entry equals its own one-entry walk
+    bit for bit, in the same float operations."""
     x = np.asarray(x, dtype=np.longdouble)
-    rows = np.ones((A.shape[-1],) + A.shape[:-1] + x.shape[A.ndim - 1:], dtype=np.longdouble)
+    B, R = (B, np.ones_like(A)) if ratios is None else (B * ratios, ratios)  # B_k r_k
+    rows = np.zeros((A.shape[-1],) + A.shape[:-1] + x.shape[A.ndim - 1:], dtype=np.longdouble)
     if A.ndim > 1:
         # step k as one column per entry, which broadcasts over its points
         grid = A.shape[:-1] + (1,) * (x.ndim - A.ndim + 1)
         axes = (A.ndim - 1,) + tuple(range(A.ndim - 1))  # the step axis first
-        A, B = (C.transpose(axes).reshape((-1,) + grid) for C in (A, B))
+        A, B, R = (C.transpose(axes).reshape((-1,) + grid) for C in (A, B, R))
+    if degrees is not None:
+        degrees = np.asarray(degrees)
+        unsorted = (degrees[1:] > degrees[:-1]).any()
+        if unsorted:
+            order = np.argsort(-degrees, kind="stable")
+            A, B, R, degrees = A[:, order], B[:, order], R[:, order], degrees[order]
+            if len(x) > 1:
+                x = x[order]
+    rows[0] = R[0]
     if degrees is None:
         # [()] turns a 0-d point into a numpy scalar, whose arithmetic is
         # several times cheaper than a 0-d array's; arrays pass unchanged
         x = x[()]
-        prev, cur = 0, 1
+        prev, cur = 0, rows[0]
         for k in range(len(A) - 1):
-            prev, cur = cur, (x - A[k]) * cur - B[k] * prev
+            prev, cur = cur, ((x - A[k]) * cur - B[k] * prev) * R[k + 1]
             rows[k + 1] = cur
         return rows
-    rows[1:] = 0
-    degrees = np.asarray(degrees)
-    unsorted = (degrees[1:] > degrees[:-1]).any()
-    if unsorted:
-        order = np.argsort(-degrees, kind="stable")
-        A, B, degrees = A[:, order], B[:, order], degrees[order]
-        if len(x) > 1:
-            x = x[order]
     # live[k] entries, those of degree > k, walk step k, in the float
     # operations of the loop above, in place in their rows
     live = np.searchsorted(-degrees, -np.arange(degrees.max(initial=0)))
@@ -449,20 +473,23 @@ def monic_values(A, B, x, degrees=None):
         row = np.multiply(x[:c] - A[k, :c], rows[k, :c], out=rows[k + 1, :c])
         if k:
             row -= B[k, :c] * rows[k - 1, :c]
+        row *= R[k + 1, :c]
     return np.take(rows, np.argsort(order), axis=1) if unsorted else rows
 
 
-def leading_coeffs(fam, alpha, nmax, scale=None):
-    """c_0(k, alpha), times ``scale[k]`` when given, k = 0..nmax, in
-    np.longdouble (the float table heads leave the range, laguerre from
-    k = 171): running products of c_0(k) / c_0(k - 1), laguerre -1 / k;
-    jacobi (t = alpha + beta + gamma) -(t + 2) at k = 1, no 0/0 at t = -1,
-    then -(t + 2k)(t + 2k - 1) / (k (t + k)); with a = alpha + beta,
-    qlaguerre -q^(a+2k-1) / (1 - q^k), wall -q^(1-k) / (1 - q^(a+k)), and
-    qjacobi (s = a + gamma + 1) wall's times (1 - q^(s+2k-2))
-    (1 - q^(s+2k-1)) / (1 - q^(s+k-1)), at k = 1 -(1 - q^(s+1)) /
-    (1 - q^(a+1)), no 0/0 at s = 0.  ``alpha`` may be a 1-D array: one row
-    per entry, each its one-alpha row bit for bit."""
+def lead_ratios(fam, alpha, nmax):
+    """The ratios r_k = c_0(k, alpha) / c_0(k - 1, alpha), k = 1..nmax,
+    after r_0 = c_0(0, alpha) = 1, in np.longdouble: the ratios with which
+    monic_values walks phi_k = c_0(k) p_k.  Their running product c_0(k)
+    leaves the range where the ratios do not (laguerre from k = 1755, the q
+    families at small q), so it is never formed.  laguerre -1 / k; jacobi
+    (t = alpha + beta + gamma) -(t + 2) at k = 1, no 0/0 at t = -1, then
+    -(t + 2k)(t + 2k - 1) / (k (t + k)); with a = alpha + beta, qlaguerre
+    -q^(a+2k-1) / (1 - q^k), wall -q^(1-k) / (1 - q^(a+k)), and qjacobi
+    (s = a + gamma + 1) wall's times (1 - q^(s+2k-2)) (1 - q^(s+2k-1)) /
+    (1 - q^(s+k-1)), at k = 1 -(1 - q^(s+1)) / (1 - q^(a+1)), no 0/0 at
+    s = 0.  ``alpha`` may be a 1-D array: one row per entry, each its
+    one-alpha row bit for bit."""
     k = np.arange(1, nmax + 1, dtype=np.longdouble)
     if fam.kind == "laguerre":
         steps = -1.0 / k
@@ -486,36 +513,31 @@ def leading_coeffs(fam, alpha, nmax, scale=None):
             steps *= np.concatenate((1.0 - q ** (s + 1.0), (1.0 - q ** (s + 2 * m - 2))
                                      * (1.0 - q ** (s + 2 * m - 1)) / (1.0 - q ** (s + m - 1))),
                                     axis=-1)[..., :nmax]
-    ones = np.ones(steps.shape[:-1] + (1,), np.longdouble)
-    lead = np.cumprod(np.concatenate((ones, steps), axis=-1), axis=-1)
-    return lead if scale is None else lead * np.asarray(scale, np.longdouble)
+    return np.concatenate((np.ones(steps.shape[:-1] + (1,), np.longdouble), steps), axis=-1)
 
 
-def phi_rows(fam, alpha, nmax, scale=None, degrees=None):
-    """Evaluator of the rows phi_0..phi_nmax(x; alpha), times ``scale[k]``
-    when given.
+def phi_rows(fam, alpha, nmax, degrees=None):
+    """Evaluator of the rows phi_0..phi_nmax(x; alpha).
 
-    Returns rows(x) = c_0(k, alpha) scale[k] p_k(x), k = 0..nmax, with p_k
-    from the monic recurrence, in np.longdouble and of shape
-    (nmax + 1,) + shape(x).  ``alpha`` may be a 1-D array: rows(x) then
-    holds the rows of every alpha, of shape (len(alpha), nmax + 1) +
-    shape(x), from one monic_values walk over the (alpha x point) grid,
-    each equal to its one-alpha rows bit for bit; with ``degrees``, one per
-    alpha, the rows of alpha[i] past degrees[i] are not walked and read 0.
-    The leading coefficients and the recurrence are formed once, so a
-    lattice sum can call rows chunk by chunk.  This is the one route to
-    values at points; the tables serve the algebra.
+    Returns rows(x), k = 0..nmax, from one monic_values walk with the
+    ratios of lead_ratios, in np.longdouble and of shape (nmax + 1,) +
+    shape(x).  ``alpha`` may be a 1-D array: rows(x) then holds the rows of
+    every alpha, of shape (len(alpha), nmax + 1) + shape(x), from one walk
+    over the (alpha x point) grid, each equal to its one-alpha rows bit for
+    bit; with ``degrees``, one per alpha, the rows of alpha[i] past
+    degrees[i] are not walked and read 0.  The ratios and the recurrence
+    are formed once, so a lattice sum can call rows chunk by chunk.  This
+    is the one route to values at points; the tables serve the algebra.
     """
-    lead = leading_coeffs(fam, alpha, nmax, scale)
+    ratios = lead_ratios(fam, alpha, nmax)
     A, B = recurrence(fam, alpha, nmax + 1)
 
     def rows(x):
         x = np.asarray(x)
-        if lead.ndim == 1:
-            monic = monic_values(A, B, x)
-        else:  # the walk's k axis after alpha
-            monic = np.moveaxis(monic_values(A, B, x[None], degrees), 0, 1)
-        return lead.reshape(lead.shape + (1,) * x.ndim) * monic
+        if ratios.ndim == 1:
+            return monic_values(A, B, x, ratios=ratios)
+        # the walk's k axis after alpha
+        return np.moveaxis(monic_values(A, B, x[None], degrees, ratios), 0, 1)
 
     return rows
 
@@ -528,7 +550,7 @@ def lattice_points(q, n):
     return np.multiply.accumulate(np.concatenate(([np.longdouble(1.0)], steps)))[:n]
 
 
-def _newton_coeffs(fam, alpha, nmax):
+def _newton_coeffs(fam, alpha, nmax, ratios):
     """The coefficients of the wall and qjacobi rows in the terminating
     Newton form of their 2phi1 (Koekoek-Lesky-Swarttouw 2010, 14.12.1) on
     the nodes q^i of lattice_points, with a = q^(alpha+beta) and b = q^gamma
@@ -539,11 +561,12 @@ def _newton_coeffs(fam, alpha, nmax):
                   / ((1 - b q^(i+1)) (1 - q^(i+1))) (-q^(-i) / a),
         P_n = (bq; q)_n / (aq; q)_n (-1)^n q^(n(n-1)/2) (aq)^n.
 
-    T_{n,j} and P_n for degrees n, j <= nmax at every entry of the 1-D
-    array ``alpha``: arrays of shape (len(alpha), nmax + 1, nmax + 1) and
-    (len(alpha), nmax + 1).  T_{n,j} is one running product over i < j,
-    and P_n one over i < n, so the entries of degrees up to m are those of
-    the same call at nmax = m."""
+    The products P_n T_{n,j} for degrees n, j <= nmax at every entry of
+    the 1-D array ``alpha``, of shape (len(alpha), nmax + 1, nmax + 1),
+    with P_n times the running product of the entry's row of ``ratios`` to
+    n.  T_{n,j} is one running product over i < j, and P_n one over i < n,
+    its steps times the ratios, so the entries of degrees up to m are those
+    of the same call at nmax = m."""
     q = np.longdouble(fam.q)
     a = q ** np.asarray(np.add(alpha, fam.beta), dtype=np.longdouble)[:, None]
     # one table of powers, pw[nmax + k] = q^k, so that q^(i-n) at i = n is
@@ -561,35 +584,35 @@ def _newton_coeffs(fam, alpha, nmax):
         steps *= 1 - b * up
     coef = np.ones((len(a), nmax + 1, nmax + 1), np.longdouble)
     np.cumprod(ratio, axis=2, out=coef[:, :, 1:])
-    lead = np.ones((len(a), nmax + 1), np.longdouble)
-    np.cumprod(steps, axis=1, out=lead[:, 1:])
-    return coef, lead
+    lead = np.cumprod(np.concatenate((ratios[:, :1], steps * ratios[:, 1:]), axis=1), axis=1)
+    return coef * lead[:, :, None]
 
 
-def block_rows(fam, alphas, nmaxes, factors):
+def block_rows(fam, alphas, nmaxes, ratios):
     """Evaluator of the rows of several blocks of a q family at once:
-    block b is phi_0..phi_nmaxes[b](x; alphas[b]), each row times its entry
-    of ``factors`` (one per row, stacked block after block).
+    block b is phi_0..phi_nmaxes[b](x; alphas[b]), row k times the running
+    product of ratios[b, 0..k] (``ratios`` one np.longdouble row per block,
+    of length max(nmaxes) + 1; gram passes the orthonormal scale).
 
     Returns rows(x, live): the rows of the blocks where the boolean mask
     ``live`` is True, stacked block after block, at the 1-D np.longdouble
     points x, in np.longdouble of shape (rows, len(x)).  Each row equals
-    its one-block evaluation bit for bit.  For qlaguerre, the values of
-    phi_rows: one monic_values walk of the live blocks, each with its own
-    A_k and B_k and stopped at its own degree, broadcast over the shared
-    points, times the leading coefficients and factors.  For wall and
-    qjacobi, the terminating Newton form of _newton_coeffs: one Newton
-    basis prod_{i<j} (x - q^i), j up to the largest live degree, shared by
-    every block, and one np.dot of the stacked coefficient rows with it.  A
-    block's coefficients past its own degree n are exact zeros (T_{n,j}
-    for j > n), whose products add nothing to the sums, which np.dot forms
-    in index order.  The coefficients of all blocks are formed in one array
-    pass.  At a lattice point x = q^k the node q^k is x itself, so every
-    Newton term past j = min(n, k) is an exact zero.  For q up to 0.8 the
-    rest cancel mildly, where the three-term recurrence at the same points
-    loses up to 70 digits; their cancellation grows as q -> 1, where the
-    recurrence does better (WALL cap 3 at q = 0.999 reads max_offdiag
-    1.3e-9 from these rows).
+    its one-block evaluation bit for bit.  For qlaguerre, one monic_values
+    walk of the live blocks, each with its own A_k and B_k, its
+    lead_ratios times its ratios, and stopped at its own degree, broadcast
+    over the shared points.  For wall and qjacobi, the terminating Newton
+    form of _newton_coeffs: one Newton basis prod_{i<j} (x - q^i), j up to
+    the largest live degree, shared by every block, and one np.dot of the
+    stacked coefficient rows with it.  A block's coefficients past its own
+    degree n are exact zeros (T_{n,j} for j > n), whose products add
+    nothing to the sums, which np.dot forms in index order.  The
+    coefficients of all blocks are formed in one array pass.  At a lattice
+    point x = q^k the node q^k is x itself, so every Newton term past
+    j = min(n, k) is an exact zero.  For q up to 0.8 the rest cancel
+    mildly, where the three-term recurrence at the same points loses up to
+    70 digits; their cancellation grows as q -> 1, where the recurrence
+    does better (WALL cap 3 at q = 0.999 reads max_offdiag 1.3e-9 from
+    these rows).
     """
     nmaxes = np.asarray(nmaxes)
     top = int(nmaxes.max())
@@ -598,20 +621,18 @@ def block_rows(fam, alphas, nmaxes, factors):
 
     if fam.kind == "qlaguerre":
         A, B = recurrence(fam, alphas, top + 1)
-        lead = leading_coeffs(fam, alphas, top)[block, degree] * factors
+        R = lead_ratios(fam, alphas, top) * ratios
 
         def rows(x, live):
             deg = int(nmaxes[live].max())
-            monic = monic_values(A[live, :deg + 1], B[live, :deg + 1], x[None], nmaxes[live])
+            walk = monic_values(A[live, :deg + 1], B[live, :deg + 1], x[None], nmaxes[live],
+                                R[live, :deg + 1])
             mine = live[block]  # the rows of the live blocks
             # row (degree, block) of the (k x live block x point) walk
-            out = monic[degree[mine], (np.cumsum(live) - 1)[block[mine]]]
-            out *= lead[mine, None]
-            return out
+            return walk[degree[mine], (np.cumsum(live) - 1)[block[mine]]]
 
         return rows
-    coef, lead = _newton_coeffs(fam, alphas, top)
-    coef = coef[block, degree] * (lead[block, degree] * factors)[:, None]
+    coef = _newton_coeffs(fam, alphas, top, ratios)[block, degree]
     nodes = lattice_points(np.longdouble(fam.q), top)[:, None]
 
     def rows(x, live):

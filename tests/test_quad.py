@@ -50,7 +50,7 @@ class TestGolubWelsch:
             for n in (1, 7, 30):
                 rule = quad.golub_welsch(fam, 2, n)
                 assert np.array_equal(rule.nodes, radial.radial_zeros(fam, n, 2))
-                assert rule.monic.shape == (n, n) and rule.monic.dtype == np.longdouble
+                assert rule.rows.shape == (n, n) and rule.rows.dtype == np.longdouble
 
     @pytest.mark.parametrize("n", [5, 20, 41])
     @pytest.mark.parametrize(
@@ -104,9 +104,9 @@ class TestGolubWelsch:
 
 
 def _ref_golub_welsch(fam, alpha, npts):
-    """The one-block Gauss rule as golub_welsch formed it before the rules
-    of a Gram came from one pass: its own recurrence, Jacobi matrix, monic
-    walk, mass and weights."""
+    """The one-block Gauss rule, relative to the mass, as golub_welsch
+    formed it before the rules of a Gram came from one pass: its own
+    recurrence, Jacobi matrix, monic walk and weights."""
     if npts < 1:
         raise ValueError("need at least one quadrature point")
     if fam.is_q():
@@ -114,9 +114,8 @@ def _ref_golub_welsch(fam, alpha, npts):
     A, B = radial.recurrence(fam, alpha, npts)
     nodes = np.linalg.eigvalsh(radial.jacobi_matrix(A, B))
     monic = radial.monic_values(A, B, nodes)
-    B[0] = radial.measure_mass(fam, alpha)  # so that cumprod(B) is h
-    with np.errstate(divide="ignore"):  # a mass past the range: inf weights
-        weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
+    B[0] = 1.0  # so that cumprod(B) is h over the mass
+    weights = 1.0 / (monic ** 2 / np.cumprod(B)[:, None]).sum(axis=0)
     return quad.QuadratureRule(nodes, weights, 2 * npts - 1, monic)
 
 
@@ -147,11 +146,11 @@ class TestGaussRules:
                     ref = _ref_golub_welsch(fam, a, cap + 1 - a)
                 assert rule.exactness == ref.exactness
                 for got, want in ((rule.nodes, ref.nodes), (rule.weights, ref.weights),
-                                  (rule.monic, ref.monic)):
+                                  (rule.rows, ref.rows)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert np.array_equal(got, want, equal_nan=True), (cap, a)
             if cap == 60:
-                assert len({id(rule.monic.base) for rule in rules}) > 1
+                assert len({id(rule.rows.base) for rule in rules}) > 1
 
     def test_any_order_of_blocks(self):
         # blocks in rising, repeated and mixed orders, each its one rule
@@ -161,7 +160,7 @@ class TestGaussRules:
             ref = _ref_golub_welsch(fam, alpha, n)
             assert np.array_equal(rule.nodes, ref.nodes)
             assert np.array_equal(rule.weights, ref.weights)
-            assert np.array_equal(rule.monic, ref.monic)
+            assert np.array_equal(rule.rows, ref.rows)
 
     def test_walks_stay_within_the_lattice_bound(self):
         # a group holds at most qcalc.MAX_ENTRIES rows times nodes, and a
@@ -172,9 +171,9 @@ class TestGaussRules:
         walks = []
         for a, rule in enumerate(rules):
             n = cap + 1 - a
-            assert rule.monic.base.size <= max(qcalc.MAX_ENTRIES, n * n)
-            if not any(rule.monic.base is w for w in walks):
-                walks.append(rule.monic.base)
+            assert rule.rows.base.size <= max(qcalc.MAX_ENTRIES, n * n)
+            if not any(rule.rows.base is w for w in walks):
+                walks.append(rule.rows.base)
         assert 1 < len(walks) < cap + 1
 
     def test_rejects_empty_rules_and_q_families(self):
@@ -238,6 +237,18 @@ class TestQLatticeSum:
         with pytest.raises(RuntimeError, match="non-finite term at lattice index 0"):
             quad.q_lattice_sum(fam, 1.0, integrand)
         assert len(calls) == 1
+
+    def test_underflowed_weight_raises(self):
+        # the orthonormal rows of ZQ(0; 0.3) to degree 70 stay in range
+        # where the downward weights underflow to 0, at x = 4.3e71; a stop
+        # there would read the sum as converged
+        rad = radial.q_laguerre(0.0, 0.3)
+        rows = _summed_rows(rad, 0, 70)
+        with pytest.raises(RuntimeError, match="weight underflows at lattice index -137$"):
+            quad.q_lattice_sum(rad, 0, lambda x: rows(x).T ** 2)
+        # the rows to degree 59 reach their norms before it
+        assert_allclose(quad.q_lattice_sum(rad, 0, lambda x: rows(x)[:60].T ** 2), 1.0,
+                        rtol=1e-15)
 
     def test_non_finite_term_raises_on_downward_branch(self):
         # the bilateral lattice reaches x > c only on its downward branch
@@ -389,25 +400,42 @@ ORACLE_FAMILIES = {
 
 
 def _orthonormal(rad, alphas, nmaxes):
-    """The row factors 1 / sqrt(zeta_k) of the blocks of alphas, as gram
-    passes them to radial_grams for every family but H."""
-    return [1 / np.sqrt(z) for z in radial.norms(rad, alphas, nmaxes)]
+    """The ratios of the orthonormal scale of the blocks of alphas, as gram
+    passes them to radial_grams for every family but H: 1 / sqrt(zeta_0),
+    then sqrt(zeta_(k-1) / zeta_k) from the closed-form norm steps (row 0
+    of a continuous family reads 1, its Gauss weights being relative to
+    the mass)."""
+    ratios = np.ones((len(alphas), max(nmaxes) + 1), np.longdouble)
+    ratios[:, 1:] = 1 / np.sqrt(radial.norm_steps(rad, alphas, max(nmaxes)))
+    if rad.is_q():
+        ratios[:, 0] = [1 / np.sqrt(z[0]) for z in radial.norms(rad, alphas, nmaxes)]
+    return ratios
 
 
-def _one_block(rad, alpha, nmax, factors=None):
+def _unit(rad, alpha, nmax):
+    """Unit ratios of one block, but for row 0 of a continuous family: the
+    square root of the mass, which its Gauss weights leave out, so that
+    the block holds the raw radial Gram."""
+    ratios = np.ones((1, nmax + 1), np.longdouble)
+    if not rad.is_q():
+        ratios[0, 0] = np.sqrt(radial.measure_mass(rad, alpha))
+    return ratios
+
+
+def _one_block(rad, alpha, nmax, ratios=None):
     """The radial Gram block of phi_0..phi_nmax(x; alpha) in the
-    orthonormal scale, or with its rows times ``factors`` when given: a
-    one-block quad.radial_grams request."""
-    if factors is None:
-        factors = _orthonormal(rad, [alpha], [nmax])[0]
-    return quad.radial_grams(rad, [alpha], [nmax], [factors])[0]
+    orthonormal scale, or with row k times the running product of
+    ``ratios[0, 0..k]`` when given: a one-block quad.radial_grams request."""
+    if ratios is None:
+        ratios = _orthonormal(rad, [alpha], [nmax])
+    return quad.radial_grams(rad, [alpha], [nmax], ratios)[0]
 
 
 def _summed_rows(rad, alpha, nmax):
     """The rows a one-block radial_grams request sums over the lattice of a
     q family, in the orthonormal scale, as rows(x) at a point or a 1-D
     array of points."""
-    rows = radial.block_rows(rad, [alpha], [nmax], _orthonormal(rad, [alpha], [nmax])[0])
+    rows = radial.block_rows(rad, [alpha], [nmax], _orthonormal(rad, [alpha], [nmax]))
     return lambda x: rows(np.atleast_1d(x), np.ones(1, bool))
 
 
@@ -543,11 +571,11 @@ class TestOnePassWalk:
             walks.append(walk(*args))
             return walks[-1]
 
-        # the row factors as gram passes them, from one radial.norms call
-        factors = _orthonormal(rad, alphas, nmaxes)
+        # the ratios as gram passes them, from one radial.norms call
+        ratios = _orthonormal(rad, alphas, nmaxes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quad, "_lattice_walk", spy)
-            blocks = quad.radial_grams(rad, alphas, nmaxes, factors)
+            blocks = quad.radial_grams(rad, alphas, nmaxes, ratios)
         assert len(walks) == 1
         totals, kept = walks[0]
         for b, (alpha, nmax) in enumerate(zip(alphas, nmaxes)):
@@ -571,8 +599,7 @@ class TestOnePassWalk:
         cap = 6
         alphas = list(range(cap + 1))
         widths = np.array([cap - a + 1 for a in alphas])
-        rows = radial.block_rows(rad, alphas, widths - 1,
-                                 np.concatenate(_orthonormal(rad, alphas, widths - 1)))
+        rows = radial.block_rows(rad, alphas, widths - 1, _orthonormal(rad, alphas, widths - 1))
         totals, kept = quad._lattice_walk(rad, alphas, rows, np.square, widths)
         b = 3
         points = np.concatenate([x for x, _, _ in kept[b]])
@@ -611,7 +638,7 @@ class TestOnePassWalk:
             # every other block reads its sums and points unchanged
             faults = {}
             totals3, kept3 = quad._lattice_walk(rad, alphas, at_stop, np.square, widths, faults)
-            assert faults == {b: index}
+            assert faults == {b: f"non-finite term at lattice index {index}"}
             assert np.isnan(totals3[b]).any()
             for a in (a for a in alphas if a != b):
                 assert np.array_equal(totals3[a], totals[a])
@@ -624,7 +651,7 @@ class TestOnePassWalk:
         # per call, as one cap-15 block took at LATTICE_MAX_CHUNK points
         fam = radial.wall(0.5, 0.95)
         alphas = list(range(16))
-        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas], np.ones(136))
+        rows = radial.block_rows(fam, alphas, [15 - a for a in alphas], np.ones((16, 16)))
         sizes = []
 
         def counted(x, live):
@@ -863,32 +890,39 @@ class TestGram:
             assert res.passed, (cap, res.max_offdiag, res.max_diag_relerr, res.notes)
 
     @pytest.mark.filterwarnings("error")
-    def test_mass_past_the_extended_range_fails_without_a_warning(self):
-        # Gamma(1801) of the Z(1800) mass overflows np.longdouble: the Gauss
-        # weights read inf, and the Gram fails on its first norm
+    def test_mass_past_the_extended_range_passes(self):
+        # Gamma(1801) of the Z(1800) mass overflows np.longdouble; the Gauss
+        # weights, relative to the mass, and the ratios of the orthonormal
+        # scale never form it, so the blocks read the identity (4e-15) and
+        # only the norms, which the raw entries carry, read inf
         res = quad.gram(bivariate.Z(1800), 2)
-        assert not res.passed
-        assert res.notes == (
-            "harmonic index 0, degree 0: the closed-form norm overflows the extended range")
+        assert res.passed and res.notes == ""
+        assert res.max_offdiag < 1e-14 and res.max_diag_relerr < 1e-14
+        assert all(res.diag_ref[i] == math.inf for i in res.indices)
 
     @pytest.mark.parametrize(
-        "fam,cap,stopped,lattice",
-        [(bivariate.ZQ(0, 0.3), 70, 2, -135), (bivariate.WALL(0.5, 0.001), 45, 9, 0),
-         (bivariate.WALL(0, 0.1), 140, 105, 0)],
+        "fam,cap,stopped,fault",
+        [(bivariate.ZQ(0, 0.3), 70, 13, "weight underflows at lattice index -137"),
+         (bivariate.WALL(0.5, 0.001), 45, 9, "non-finite term at lattice index 0"),
+         (bivariate.WALL(0, 0.1), 140, 105, "non-finite term at lattice index 0")],
         ids=["ZQ-q0.3", "WALL-q0.001", "WALL-q0.1"],
     )
-    def test_lattice_edge_is_a_diagnosed_failure(self, fam, cap, stopped, lattice):
-        # a non-finite lattice term stops its block and fails the Gram,
-        # whose notes name the first harmonic index it stopped and the
-        # lattice index of the term
+    def test_lattice_edge_is_a_diagnosed_failure(self, fam, cap, stopped, fault):
+        # a non-finite lattice term, or a weight under the np.longdouble
+        # range, stops its block and fails the Gram, whose notes name the
+        # first harmonic index it stopped, what it met and its lattice
+        # index; ZQ(0; 0.3) keeps its rows in range at cap 70, but its
+        # weights underflow to 0 on the way out, which the stop rule would
+        # have read as a converged sum (max_diag_relerr 0.96)
         res = quad.gram(fam, cap)
         assert res.passed is False
         assert res.notes.startswith(
-            f"harmonic index 0: non-finite term at lattice index {lattice} "
-            f"({stopped} of {cap + 1} harmonic indices stopped so)"), res.notes
+            f"harmonic index 0: {fault} ({stopped} of {cap + 1} harmonic indices stopped so)"
+        ), res.notes
 
     def test_continuous_gram_forms_each_mass_once(self, monkeypatch):
-        # the Gauss rules take their masses from the heads of the norm rows
+        # the masses are formed once, for the norm rows; the Gauss rules,
+        # relative to them, never form them
         want = quad.gram(bivariate.M(0.5, 0.5), 15)
         calls = []
         mass = radial.measure_mass
@@ -916,6 +950,45 @@ class TestGram:
             "harmonic index 0, degree 1: the closed-form norm overflows the extended range")
 
 
+GAUSS_GRAM_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5))
+
+
+class TestGaussGramsCanFail:
+    # the rows are walked with the closed-form ratios of the leading
+    # coefficients and norms, and the Gauss weights come from the recurrence
+    # alone: a diagonal entry is r_0^2 prod r_i^2 B_i, which reads 1 only
+    # where the recurrence and the closed forms agree
+
+    @pytest.mark.parametrize("fam", GAUSS_GRAM_FAMILIES, ids=["Z", "H", "M"])
+    def test_recurrence_off_by_a_thousandth_fails_the_diagonal(self, fam, monkeypatch):
+        true = radial.recurrence
+
+        def off(*args):
+            A, B = true(*args)
+            B[..., 5:] *= 1.001
+            return A, B
+
+        assert quad.gram(fam, 15).passed
+        monkeypatch.setattr(radial, "recurrence", off)
+        res = quad.gram(fam, 15)
+        assert not res.passed
+        assert res.max_diag_relerr > 1e-3, res.max_diag_relerr
+
+    @pytest.mark.parametrize("fam", GAUSS_GRAM_FAMILIES, ids=["Z", "H", "M"])
+    def test_one_norm_step_off_by_a_millionth_fails(self, fam, monkeypatch):
+        true = radial.norm_steps
+
+        def off(*args):
+            steps = true(*args)
+            steps[:, 6] *= 1 + 1e-6  # zeta_7 / zeta_6 of every block
+            return steps
+
+        monkeypatch.setattr(radial, "norm_steps", off)
+        res = quad.gram(fam, 15)
+        assert not res.passed
+        assert res.max_diag_relerr > 4e-7, res.max_diag_relerr
+
+
 # The Gram grids and cap ladders of the gram_frontier benchmark workload,
 # and digests of their results: the raw entries, norms and maxima.  The Z,
 # H and M digests, and the grid digest of Z and M, pin those families bit
@@ -926,7 +999,7 @@ class TestGram:
 # the lattice walk keeps, whose oracle is
 # TestLatticeSumAgainstScalarLoop.test_gram_blocks_bit_identical.  The ZQ
 # digests pin the recurrence rows on the q-Laguerre lattice, with the
-# np.longdouble leading coefficients, against the one-product norms, whose
+# np.longdouble leading-coefficient ratios, against the one-product norms, whose
 # oracle is tests/test_radial.py TestQLaguerreNorms.  The WALL and MQ
 # digests pin the Newton rows of radial.block_rows; tests/test_radial.py
 # TestLatticeRows and TestLatticeNorms and the certified caps of TestGram
@@ -945,6 +1018,16 @@ class TestGram:
 # f5a14962dce8717d, M 272715febe06e571); every entry moved by at most
 # 2.6e-16 of its diagonal, and the oracle of the new mass is
 # tests/test_radial.py TestNorms.test_jacobi_mass_matches_mpmath_beta.
+# Every digest was re-recorded when the rows were walked with the ratios
+# of the leading coefficients and of the orthonormal scale inside the
+# recurrence (radial.monic_values), the Gauss weights became relative to
+# the mass and the Newton rows took the ratios into P_n (before: grids
+# 0999a986e6ae92dd, grids-ZQ fef214d4746d9274, grids-WALL-MQ
+# 89bfaf2a8161a6cc, Z c28e69b9decd9e1f, H ac1730a612d11360, M
+# 4511e05854e53bc9, ZQ f4bbac2bf520c5b7, WALL e900afbfbc351cce, MQ
+# a599b1363887ee4b); every orthonormal entry moved by at most 1.1e-16,
+# and tests/test_radial.py TestRowsAgainstMpmath is the 30-digit oracle
+# of the rows, beside those named above.
 GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
 LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
                    bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
@@ -958,15 +1041,15 @@ GRAM_GROUPS = {
     **{fam.tag: [(fam, cap, 1e-9, 1e-8) for cap in GRAM_LADDER] for fam in LADDER_FAMILIES},
 }
 GRAM_DIGESTS = {
-    "grids": "0999a986e6ae92dd",
-    "grids-ZQ": "fef214d4746d9274",
-    "grids-WALL-MQ": "89bfaf2a8161a6cc",
-    "Z": "c28e69b9decd9e1f",
-    "H": "ac1730a612d11360",
-    "M": "4511e05854e53bc9",
-    "ZQ": "f4bbac2bf520c5b7",
-    "WALL": "e900afbfbc351cce",
-    "MQ": "a599b1363887ee4b",
+    "grids": "33e6ecb3621a64be",
+    "grids-ZQ": "ceb19e1094ddeec0",
+    "grids-WALL-MQ": "58a93f24227cee21",
+    "Z": "eb0a1e70ab0d585e",
+    "H": "ba00c48b4c899732",
+    "M": "fd1c7dd6abd924ec",
+    "ZQ": "40a1a83d08fc3316",
+    "WALL": "5aa936b77181bceb",
+    "MQ": "d293496c6c64b122",
 }
 
 
@@ -987,10 +1070,11 @@ class TestGramPinned:
 
 class TestRadialGram:
     def test_scale_multiplies_rows_and_columns(self):
+        # ratios whose running products are the scale
         fam = radial.laguerre(0.0)
         scale = np.array([1.0, -2.0, 3.0])
-        plain = _one_block(fam, 1, 2, np.ones(3))
-        scaled = _one_block(fam, 1, 2, scale)
+        plain = _one_block(fam, 1, 2, np.ones((1, 3)))
+        scaled = _one_block(fam, 1, 2, np.array([[1.0, -2.0, -1.5]]))
         assert_allclose(scaled, np.outer(scale, scale) * plain, rtol=1e-13, atol=1e-13)
 
 
@@ -1035,7 +1119,7 @@ class TestRadialGramAgainstTables:
         # basis beyond cap 4 (3e-11 at cap 6), so WALL and MQ stop there
         rad = bivariate.radial_of(fam)
         for alpha in range(cap + 1):
-            block = _one_block(rad, alpha, cap - alpha, np.ones(cap - alpha + 1))
+            block = _one_block(rad, alpha, cap - alpha, _unit(rad, alpha, cap - alpha))
             ref = _table_block(rad, alpha, cap - alpha)
             scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
             assert np.max(np.abs(block - ref) / scale) < 1e-12, alpha
@@ -1206,12 +1290,13 @@ def _old_entries(fam, cap):
     norm_const = math.pi if fam.tag in ("Z", "H") else 1.0
     blocks = []
     for a in range(cap + 1):
-        zeta = radial.norms(rad, [a], [cap - a])[0]
-        scale = bivariate.harmonic_scale(fam, cap - a)
-        scale = 1.0 if scale is None else np.array(scale, np.longdouble)
-        zeta = zeta * scale ** 2
+        zeta = radial.norms(rad, [a], [cap - a])[0] * bivariate.harmonic_scale(fam, cap - a) ** 2
         root = np.sqrt(norm_const * zeta)
-        g = _one_block(rad, a, cap - a, scale / np.sqrt(zeta))
+        ratios = _orthonormal(rad, [a], [cap - a])
+        if fam.tag == "H":  # the ratios -k of its harmonic scale
+            h = bivariate.harmonic_ratios(fam, cap - a)[1:]
+            ratios[:, 1:] = h / np.sqrt(h * h * radial.norm_steps(rad, [a], cap - a))
+        g = _one_block(rad, a, cap - a, ratios)
         blocks.append((root[:, None] * g * root).astype(float))
     indices = [(m, n) for m in range(cap + 1) for n in range(cap + 1)]
     entries = {}

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, eval_jacobi
 
-from bivarortho import qcalc, quad, radial
+from bivarortho import bivariate, qcalc, quad, radial
 from bivarortho.qcalc import pochhammer, qpochhammer
 
 XS = np.array([0.05, 0.3, 0.71, 1.4, 2.9])
@@ -169,8 +169,12 @@ REMOVABLE_IDS = ["jacobi-t-1", "jacobi-t0", "qjacobi-abq1", "qjacobi-ab1"]
 def _one_block(fam, alpha, nmax):
     """The radial Gram block of phi_0..phi_nmax(x; alpha), not scaled by
     the closed-form norms: a one-block quad.radial_grams request with unit
-    row factors."""
-    return quad.radial_grams(fam, [alpha], [nmax], [np.ones(nmax + 1)])[0]
+    ratios but for row 0 of a continuous family, which takes the square
+    root of the mass that its Gauss weights leave out."""
+    ratios = np.ones((1, nmax + 1), np.longdouble)
+    if not fam.is_q():
+        ratios[0, 0] = np.sqrt(radial.measure_mass(fam, alpha))
+    return quad.radial_grams(fam, [alpha], [nmax], ratios)[0]
 
 
 class TestNorms:
@@ -332,7 +336,7 @@ class TestLatticeRows:
         nmax, kmax = 12, 40
         x = radial.lattice_points(np.longdouble(fam.q), kmax + 1)
         for alpha in (0, 2):
-            rows = radial.block_rows(fam, [alpha], [nmax], np.ones(nmax + 1))
+            rows = radial.block_rows(fam, [alpha], [nmax], np.ones((1, nmax + 1)))
             vals = rows(x, ONE_BLOCK).astype(float)
             with mp.workdps(250):
                 q, a, b = _mp_params(mp, fam, alpha)
@@ -354,7 +358,7 @@ class TestLatticeRows:
         # three-term recurrence at the same point gives -7260
         fam = radial.wall(0.5, 0.3)
         one = np.ones(1, np.longdouble)
-        newton = radial.block_rows(fam, [0], [10], np.ones(11))(one, ONE_BLOCK)
+        newton = radial.block_rows(fam, [0], [10], np.ones((1, 11)))(one, ONE_BLOCK)
         assert_allclose(float(newton[10, 0]), 5.45023212040486e-32, rtol=1e-14)
         assert abs(radial.phi_rows(fam, 0, 10)(one)[10, 0]) > 1.0
 
@@ -363,8 +367,10 @@ class TestLatticeRows:
         # off the lattice too, the Newton form is phi_n with its c_0; the
         # power basis cancels there, so the error is taken against the row
         x = np.array([0.05, 0.3, 0.71])
+        # ratios whose running products are the scale
+        ratios = np.array([[1.0, -2.0, -3.0, -4.0, -5.0, -6.0]])
         scale = [1.0, -2.0, 6.0, -24.0, 120.0, -720.0]
-        vals = radial.block_rows(fam, [1], [5], np.array(scale))(x.astype(np.longdouble), ONE_BLOCK)
+        vals = radial.block_rows(fam, [1], [5], ratios)(x.astype(np.longdouble), ONE_BLOCK)
         assert vals.shape == (6, 3) and vals.dtype == np.longdouble
         for k in range(6):
             ref = scale[k] * table_values(fam, k, 1, x)
@@ -563,16 +569,15 @@ class TestRecurrenceFormulas:
     @pytest.mark.parametrize("nmax", [0, 1, 6])
     def test_array_alpha_phi_rows_equal_stacked_rows(self, fam, x, nmax):
         # one walk over the (alpha x point) grid gives every alpha's rows
-        # bit for bit, leading coefficients and scale included
+        # bit for bit, the ratios of the leading coefficients included
         alphas = [0, 1, 2, 5, 0.5]
-        scale = [(-2.0) ** k for k in range(nmax + 1)]
-        lead = radial.leading_coeffs(fam, np.array(alphas), nmax, scale)
-        assert lead.shape == (len(alphas), nmax + 1) and lead.dtype == np.longdouble
-        rows = radial.phi_rows(fam, np.array(alphas), nmax, scale)(x)
+        ratios = radial.lead_ratios(fam, np.array(alphas), nmax)
+        assert ratios.shape == (len(alphas), nmax + 1) and ratios.dtype == np.longdouble
+        rows = radial.phi_rows(fam, np.array(alphas), nmax)(x)
         assert rows.shape == (len(alphas), nmax + 1) + np.shape(x) and rows.dtype == np.longdouble
         for row, alpha in enumerate(alphas):
-            assert lead[row].tolist() == radial.leading_coeffs(fam, alpha, nmax, scale).tolist()
-            one = radial.phi_rows(fam, alpha, nmax, scale)(x)
+            assert ratios[row].tolist() == radial.lead_ratios(fam, alpha, nmax).tolist()
+            one = radial.phi_rows(fam, alpha, nmax)(x)
             assert np.array_equal(rows[row], one), alpha
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
@@ -587,25 +592,24 @@ class TestRecurrenceFormulas:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAM_IDS)
     def test_phi_rows_match_tables(self, fam):
-        scale = [1.0, -2.0, 6.0, -24.0, 120.0, -720.0]
-        rows = radial.phi_rows(fam, 1, 5, scale)
+        rows = radial.phi_rows(fam, 1, 5)
         x = np.array([[0.05, 0.3], [0.71, 0.9]])
         vals = rows(x)
         assert vals.shape == (6, 2, 2) and vals.dtype == np.longdouble
         for k in range(6):
-            ref = scale[k] * table_values(fam, k, 1, x)
+            ref = table_values(fam, k, 1, x)
             assert_allclose(vals[k].astype(float), ref, rtol=1e-9, atol=1e-12)
             # a scalar point gives the same numbers as the array
             assert rows(x[1, 0])[k] == vals[k, 1, 0]
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES + REMOVABLE_CASES, ids=FAM_IDS + REMOVABLE_IDS)
     def test_leading_coeff_is_the_table_head(self, fam):
-        # the np.longdouble running products of leading_coeffs against the
+        # the np.longdouble running products of lead_ratios against the
         # float heads of the tables, which carry a few roundings each (4.7e-14
         # for jacobi past n = 20, from pochhammer's log-gamma; measured); a
         # subnormal head holds fewer digits
         alphas = [0, 1, 2.5, 7]
-        lead = radial.leading_coeffs(fam, np.array(alphas), 30)
+        lead = np.cumprod(radial.lead_ratios(fam, np.array(alphas), 30), axis=-1)
         heads = radial.coeff_rows(fam, np.tile(np.arange(31), 4), np.repeat(alphas, 31))[:, 0]
         assert_allclose(lead.ravel().astype(float), heads, rtol=1e-13, atol=TINY)
 
@@ -627,10 +631,87 @@ class TestRecurrenceFormulas:
         assert np.array_equal(np.diagonal(J, -1), np.sqrt(B[1:]).astype(float))
 
 
+def _mp_phi(mp, fam, alpha, k, x):
+    """phi_k(x; alpha) at the mpmath point x in the working precision:
+    mpmath's Laguerre and Jacobi functions, and for the q families their
+    basic hypergeometric sums (Koekoek-Lesky-Swarttouw 2010: q-Laguerre
+    14.21.1, (q^(a+1); q)_k / (q; q)_k 1phi1(q^-k; q^(a+1); q,
+    -q^(k+a+1) x); wall 14.20.1, 2phi1(q^-k, 0; q^(a+1); q, qx); little
+    q-Jacobi 14.12.1, 2phi1(q^-k, q^(a+gamma+k+1); q^(a+1); q, qx)), with
+    a = alpha + beta as the library forms it, in double."""
+    if fam.kind == "jacobi":
+        return mp.jacobi(k, mp.mpf(alpha + fam.gamma), mp.mpf(fam.beta), 1 - 2 * x)
+    a = mp.mpf(alpha + fam.beta)
+    if fam.kind == "laguerre":
+        return mp.laguerre(k, a, x)
+    q = mp.mpf(fam.q)
+    up = q ** (a + mp.mpf(fam.gamma) + k + 1) if fam.kind == "qjacobi" else 0
+    total, term = 0, mp.mpf(1)
+    for j in range(k + 1):
+        total += term
+        term *= ((1 - q ** (j - k)) * (1 - up * q ** j)
+                 / ((1 - q ** (a + 1 + j)) * (1 - q ** (j + 1))))
+        term *= q ** (j + k + a + 1) * x if fam.kind == "qlaguerre" else q * x
+    if fam.kind == "qlaguerre":
+        total *= mp.qp(q ** (a + 1), q, k) / mp.qp(q, q, k)
+    return total
+
+
+# the kinds at points inside and past their supports: c = 1 for qlaguerre
+ORACLE_POINTS = {"laguerre": [0.06, 1.7, 9.3], "jacobi": [0.06, 0.45, 0.93],
+                 "qlaguerre": [0.06, 0.71, 2.5], "wall": [0.06, 0.3, 0.71],
+                 "qjacobi": [0.06, 0.3, 0.71]}
+
+
+class TestRowsAgainstMpmath:
+    # the rows of phi_rows, walked with the ratios of lead_ratios inside
+    # the recurrence, against 30-digit values of each family's closed form:
+    # the oracle of every digest of rows at points (Gram, genfun, eval).
+    # jacobi's beta + gamma is exact in double here, since the rows carry
+    # the rounding of alpha + beta + gamma; its B_1 is formed in double
+    # (recurrence), which the rows carry too (3e-16; the others 2e-18, all
+    # relative to the largest |phi_k| at the three points; measured)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [radial.laguerre(0.5), radial.shifted_jacobi(0.5, 0.25), radial.q_laguerre(0.5, 0.5),
+         radial.wall(0.5, 0.5), radial.little_q_jacobi(0.5, 0.7, 0.5),
+         radial.shifted_jacobi(-0.5, -0.5), radial.little_q_jacobi(-0.5, -0.5, 0.25)],
+        ids=FAM_IDS + REMOVABLE_IDS[:1] + REMOVABLE_IDS[2:3],
+    )
+    def test_rows_match_30_digits(self, fam):
+        mp = pytest.importorskip("mpmath")
+        tol = 1e-15 if fam.kind == "jacobi" else 2e-17
+        x = np.array(ORACLE_POINTS[fam.kind], np.longdouble)
+        with mp.workdps(30):
+            for alpha in (0, 3):
+                rows = radial.phi_rows(fam, alpha, 15)(x)
+                for k, row in enumerate(rows):
+                    refs = [_mp_phi(mp, fam, alpha, k, _mp_exact(mp, v)) for v in x]
+                    size = max(abs(ref) for ref in refs)
+                    for got, ref in zip(row, refs):
+                        assert abs(_mp_exact(mp, got) - ref) <= tol * size, (alpha, k, got, ref)
+
+    def test_small_q_rows_past_the_range_of_their_scale(self):
+        # ZQ(0.5; 0.05): c_0(k) ~ q^(k^2) underflows and the monic value
+        # overflows from k = 62 (their product read NaN); the walk with the
+        # ratios reads phi_k(0.06; 0) to 7e-18 up to k = 300
+        mp = pytest.importorskip("mpmath")
+        fam = radial.q_laguerre(0.5, 0.05)
+        x = np.longdouble(0.3) * np.longdouble(0.2)  # z1 z2 of values at (0.3, 0.2)
+        rows = radial.phi_rows(fam, 0, 300)(x)
+        with mp.workdps(30):
+            for k in (61, 62, 100, 300):
+                ref = _mp_phi(mp, fam, 0, k, _mp_exact(mp, x))
+                assert abs(_mp_exact(mp, rows[k]) - ref) <= 2e-17 * abs(ref), k
+        for k in (62, 100, 300):
+            assert bivariate.values(bivariate.ZQ(0.5, 0.05), k, k, 0.3, 0.2) == 1.0422498995921048
+
+
 class TestRaggedWalk:
     # monic_values with a degree per entry against each entry's one-entry
-    # walk: the recurrences of every family at drawn alphas, the entries in
-    # any order, degree 0 among them
+    # walk: the recurrences of every family at drawn alphas, monic or with
+    # ratios, the entries in any order, degree 0 among them
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_each_entry_is_its_own_walk(self, data):
@@ -644,11 +725,14 @@ class TestRaggedWalk:
         points = data.draw(st.lists(st.floats(0.01, 4.0), min_size=1 if shared else len(degrees),
                                     max_size=5 if shared else len(degrees)))
         A, B = radial.recurrence(fam, alphas, K)
+        # monic, or scaled by the ratios of the leading coefficients
+        R = radial.lead_ratios(fam, np.array(alphas), K - 1) if data.draw(st.booleans()) else None
         x = np.array(points, np.longdouble)
-        rows = radial.monic_values(A, B, x[None] if shared else x, degrees)
+        rows = radial.monic_values(A, B, x[None] if shared else x, degrees, R)
         assert rows.shape == (K, len(degrees)) + ((len(points),) if shared else ())
         for i, d in enumerate(degrees):
-            one = radial.monic_values(A[i, :d + 1], B[i, :d + 1], x if shared else x[i])
+            one = radial.monic_values(A[i, :d + 1], B[i, :d + 1], x if shared else x[i],
+                                      ratios=None if R is None else R[i, :d + 1])
             assert np.array_equal(rows[:d + 1, i], one, equal_nan=True), (i, d)
             assert not rows[d + 1:, i].any()
 
@@ -798,8 +882,9 @@ class TestClosedFormsAgainstTheSeparateForms:
     @pytest.mark.parametrize("q", ORACLE_QS)
     def test_q_tables_and_leading_coeffs(self, q):
         # one coeff_rows call per family for the whole grid; the leading
-        # coefficients are np.longdouble running products, which agree with
-        # the normal float table heads to the heads' roundings (measured:
+        # coefficients, the np.longdouble running products of lead_ratios
+        # taken here, agree with the normal float table heads to the heads'
+        # roundings (measured:
         # wall and qjacobi 2.3e-15 for q <= 0.9 and 2.8e-13 at q = 0.999,
         # where the float prefix products lose digits; qlaguerre 1.2e-13,
         # from the rounded exponent of q^((a+n)n))
@@ -812,7 +897,7 @@ class TestClosedFormsAgainstTheSeparateForms:
                 ref = _ref_radial_coeffs(fam, n, alpha)
                 assert np.array_equal(row[:n + 1], ref), (fam, n, alpha)
                 assert not row[n + 1:].any()
-            lead = radial.leading_coeffs(fam, np.array(ORACLE_ALPHAS), 25).ravel()
+            lead = np.cumprod(radial.lead_ratios(fam, np.array(ORACLE_ALPHAS), 25), axis=-1).ravel()
             rtol = 5e-13 if q == 0.999 or fam.kind == "qlaguerre" else 3e-15
             assert_allclose(lead.astype(float), rows[:, 0], rtol=rtol, atol=TINY, err_msg=str(fam))
 
@@ -922,7 +1007,7 @@ class TestCoeffRows:
             families += [radial.little_q_jacobi(-0.5, g, 0.25) for g in (-0.5, 0.5)]
         alphas = [0, 2.5, 15]
         for fam in families:
-            lead = radial.leading_coeffs(fam, np.array(alphas), 30)
+            lead = np.cumprod(radial.lead_ratios(fam, np.array(alphas), 30), axis=-1)
             for row, alpha in zip(lead, alphas):
                 with mp.workdps(30):
                     qq, a = mp.mpf(fam.q), mp.mpf(alpha) + mp.mpf(fam.beta)
