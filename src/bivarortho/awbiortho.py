@@ -14,18 +14,20 @@ q of the weight numerator and one for the degree cap.  The constants were
 fitted to the counts a Gram needs to agree with a 1024- to 6144-node rule
 to its rounding floor, over |a| in [0.05, 0.999], q in [0.1, 0.99], caps 1
 to 40 and one to four coincident poles.  Node values are arrays over that
-theta rule: h_prod forms the product of the real factors
-1 - 2 a q^k x + a^2 q^(2k) with the K of qcalc's certified tail rule, the
-weight numerator is the one product |(e^(2 i theta); q)_inf|^2,
-_node_rows forms all recurrence rows at once, and each Gram, 1D or
+theta rule, and a check forms all of them in one array pass per q
+(_pass): the norms, the finite products (abcd q^(n-1); q)_n (for both
+the norms and the leading coefficients of the rows) and the tails
+(q^(n+1); q)_inf of every row it needs, one recurrence walk over all its
+parameter sets (_node_rows), one h_prod pass over all its real h-factors
+1 - 2 a q^k x + a^2 q^(2k), every row run to the largest of qcalc's
+certified K (a real factor past its own K is exactly 1.0), and the one
+weight numerator |(e^(2 i theta); q)_inf|^2; the complex half h-factors
+of the self pairing are one pass with a K per row.  Each Gram, 1D or
 tensor, is one weighted matrix product (L * w) @ R.T of node-value rows
 in the orthonormal scale of quad.summarize: every row divided by the
-square root of its closed-form norm, from one array pass over all
-degrees (_norms), so the Gram reads the identity.  The finite products
-(abcd q^(n-1); q)_n of a Gram are formed once (_lead_products), for both
-its norms and the leading coefficients of its rows.  A product that
-leaves the float range as q -> 1 fails the Gram with notes that name it
-(_range_note, from the products the Gram formed).
+square root of its closed-form norm, so the Gram reads the identity.  A
+product that leaves the float range as q -> 1 fails the Gram with notes
+that name it (_range_note, from the products the Gram formed).
 
 Three tensor pairings are verified: the u/v and p/q systems (k-coupled
 parameter shifts c1 q^(alpha k + beta), d1 q^(gamma k + delta) on the
@@ -112,16 +114,6 @@ def _check_nodes(x):
     return xs
 
 
-def _pair_factors(xs, aq):
-    """(1 - aq e^(i theta)) (1 - aq e^(-i theta)) = 1 - 2 aq x + aq^2 for a
-    column aq, as a (len(aq), len(xs)) array, written
-    (1 - |aq|)^2 + 2 |aq| (1 - sgn(aq) x): both terms are nonnegative, so no
-    factor loses accuracy to cancellation near x = +-1, and at aq = +-1 the
-    factor is 2 (1 -+ x) to the ulp."""
-    s = np.abs(aq)
-    return (1.0 - s) ** 2 + 2.0 * s * (1.0 - np.sign(aq) * xs)
-
-
 def aw_eval(p, n, x):
     """Askey-Wilson polynomial p_n(x; a, b, c, d | q) as the terminating
     4phi3 value, at a scalar x or an array of x in [-1, 1]: row n of
@@ -130,8 +122,9 @@ def aw_eval(p, n, x):
     ValueError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    products = _lead_products(p.a, p.b, p.c, p.d, p.q, np.arange(n + 1))
-    vals = _node_rows(p, _check_nodes(x), products, np.ones(n + 1))[n] / aw_prefactor(p, n)
+    degree = np.array([n])
+    vals = _node_rows(np.array([[p.a], [p.b], [p.c], [p.d]]), p.q, _check_nodes(x), [0], degree,
+                      _lead_products(p.a, p.b, p.c, p.d, p.q, degree), 1.0)[0] / aw_prefactor(p, n)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -155,18 +148,34 @@ def h_prod(x, a, q):
     """h(x, a) = (a e^(i theta); q)_inf (a e^(-i theta); q)_inf, x = cos theta,
     as the real product over k < K of 1 - 2 a q^k x + a^2 q^(2k), with the
     K of qpochhammer's certified tail rule (the same at every node since
-    |a e^(i theta)| = |a|).  A scalar x gives a float, an array an array."""
+    |a e^(i theta)| = |a|), each factor (1 - s)^2 + 2 s y with s = |a| q^k
+    and y = 1 - sgn(a) x: both terms are nonnegative, so nothing cancels
+    near x = +-1.  A 1-D array ``a`` gives a row per entry, all in one
+    qcalc.products pass to the largest K: past its own K a row's s is under
+    1e-17, so its factors are exactly 1.0 and it is its scalar call bit for
+    bit.  The shape is shape(a) + shape(x), a float when both are scalars."""
     xs = _check_nodes(x)
-    vals = qcalc.products(lambda k: _pair_factors(xs, a * q ** k), qproduct_terms(a, q),
-                          shape=xs.shape)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    col = np.reshape(a, (-1,) + (1,) * xs.ndim)
+    y = 1.0 - np.sign(col) * xs
+
+    def factors(k):
+        s = np.abs(col * q ** k)
+        return (1.0 - s) ** 2 + 2.0 * s * y
+
+    vals = qcalc.products(factors, qproduct_terms(np.max(np.abs(col)), q), shape=y.shape).reshape(
+        np.shape(a) + np.shape(x))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def _half_h(a, eits, q):
     """(a e^(i theta); q)_inf at each of the unit-circle points ``eits``,
-    truncated at the same K as h_prod."""
-    return qcalc.products(lambda k: 1.0 - a * q ** k * eits, qproduct_terms(a, q), complex,
-                          shape=eits.shape)
+    truncated at the same K as h_prod; for a 1-D array ``a`` a row per
+    entry, each to its own K (a complex factor past it is not exactly 1)."""
+    col = np.reshape(a, (-1,) + (1,) * eits.ndim)
+    counts = np.reshape([qproduct_terms(v, q) for v in col.flat], col.shape)
+    vals = qcalc.products(lambda k: 1.0 - col * q ** k * eits,
+                          np.broadcast_to(counts, col.shape[:1] + eits.shape), complex)
+    return vals.reshape(np.shape(a) + eits.shape)
 
 
 def _weight_numerator(xs, q):
@@ -181,16 +190,6 @@ def _weight_numerator(xs, q):
     lnq = math.log(q)
     return qcalc.products(lambda k: np.expm1(k * lnq) ** 2 + (4.0 * q ** k) * sin2,
                           qproduct_terms(1.0, q), shape=xs.shape)
-
-
-def _theta_weight(p, xs):
-    """Askey-Wilson weight w(x; a, b, c, d | q) times sin(theta), i.e.
-    with its 1/sqrt(1-x^2) factor removed analytically, at the nodes
-    ``xs``; and the products it is formed from, which _range_note reads:
-    the weight numerator and h(x, a)..h(x, d) by parameter name."""
-    numerator = _weight_numerator(xs, p.q)
-    hs = {name: h_prod(xs, getattr(p, name), p.q) for name in "abcd"}
-    return numerator / (hs["a"] * hs["b"] * hs["c"] * hs["d"]), numerator, hs
 
 
 def aw_norm(p, n):
@@ -374,16 +373,22 @@ def _theta_node_count(denominators, q, cap):
     return min(_theta_ladder(n), _MAX_THETA_NODES)
 
 
-def _recurrence(p, npts):
-    """Monic recurrence x r_n = r_{n+1} + A_n r_n + B_n r_{n-1}, n < npts,
-    of r_n = p_n / (2^n (abcd q^(n-1); q)_n), in np.longdouble.  From the
-    4phi3 recurrence of Koekoek, Lesky and Swarttouw (2010) 14.1.5 with
-    coefficients up_n, down_n: A_n = (a + 1/a - up_n - down_n) / 2 and
+def _recurrence(sets, q, npts):
+    """Monic recurrences x r_n = r_{n+1} + A_n r_n + B_n r_{n-1}, n < npts,
+    of r_n = p_n / (2^n (abcd q^(n-1); q)_n), in np.longdouble, a row of A
+    and of B for each parameter set, the columns a..d of ``sets`` (1-D A
+    and B for one set).  From the 4phi3 recurrence of Koekoek, Lesky and
+    Swarttouw (2010) 14.1.5 with coefficients up_n, down_n:
+    A_n = (a + 1/a - up_n - down_n) / 2 and
     B_n = up_{n-1} down_n / 4.  At n = 0 the factor 1 - abcd/q of up_0
     cancels and down_0 = 0, so abcd = q or q^2 needs no special case."""
-    if p.a == 0.0 and npts > 1:
+    if npts > 1 and np.any(sets[0] == 0.0):
         raise ValueError("Askey-Wilson rows of degree >= 1 need a != 0")
-    a, b, c, d, q = (np.longdouble(v) for v in (p.a, p.b, p.c, p.d, p.q))
+    sets = np.asarray(sets, dtype=np.longdouble)
+    # one set as numpy scalars, whose arithmetic is several times cheaper
+    # than a one-entry array's, giving 1-D rows; several as columns
+    a, b, c, d = sets[:, 0] if sets.shape[1] == 1 else sets[:, :, None]
+    q = np.longdouble(q)
     qn = q ** np.arange(npts, dtype=np.longdouble)
     qm, abcd = qn / q, a * b * c * d
     s = abcd * qn * qm  # abcd q^(2n-1)
@@ -392,37 +397,54 @@ def _recurrence(p, npts):
               / (a * (1 - s) * (1 - s * q)))
         down = (a * (1 - qn) * (1 - b * c * qm) * (1 - b * d * qm) * (1 - c * d * qm)
                 / ((1 - s / q) * (1 - s)))
-        up[0] = (1 - a * b) * (1 - a * c) * (1 - a * d) / (a * (1 - abcd))
-        down[0] = 0
+        up[..., :1] = (1 - a * b) * (1 - a * c) * (1 - a * d) / (a * (1 - abcd))
+        down[..., 0] = 0
         A = (a + 1 / a - up - down) / 2
-    return A, np.concatenate(([0], up[:-1] * down[1:])) / 4
+    return A, np.concatenate((np.zeros_like(up[..., :1]), up[..., :-1] * down[..., 1:]), -1) / 4
 
 
-def _node_rows(p, xs, products, norms):
-    """Rows p_0(xs)..p_N(xs), N = len(products) - 1, of the symmetric
-    polynomials p_n = aw_prefactor(p, n) 4phi3, which the closed-form norms
-    refer to, divided by the square roots of ``norms`` (the Grams pass
-    theirs, for the orthonormal scale): the recurrence rows times their
-    leading coefficients 2^n (abcd q^(n-1); q)_n, with ``products`` the
-    _lead_products of p at degrees 0..N."""
-    n = np.arange(len(products))
-    A, B = _recurrence(p, len(n))
+def _node_rows(sets, q, xs, set_of, n, products, norms):
+    """Row n[e] of p_n = aw_prefactor(p, n) 4phi3 at the nodes ``xs``, p the
+    set set_of[e] of the columns a..d of ``sets``, over sqrt(norms[e]), for
+    every entry e: the recurrence row times 2^n (abcd q^(n-1); q)_n, the
+    products[e] of _lead_products, all sets in one radial.monic_values walk."""
+    npts = int(np.max(n)) + 1
+    A, B = _recurrence(sets, q, npts)
     lead = 2.0 ** n * products / np.sqrt(norms)
-    return (lead[:, None] * radial.monic_values(A, B, xs)).astype(float)
+    rows = radial.monic_values(A, B, xs[None] if A.ndim > 1 else xs).reshape(npts, -1, len(xs))
+    return (lead[:, None] * rows[n, set_of]).astype(float)
+
+
+def _pass(xs, q, sets, set_of, n, h_a):
+    """Every product a check forms at the nodes ``xs`` at one q, in one
+    array pass each: entry e is degree n[e] of the set set_of[e] of the
+    columns a..d of ``sets``.  Returns the entries' _q_tails, _norms and
+    _node_rows, the h-factors h(x, a) of every a of ``h_a``, and the
+    weight numerator."""
+    a, b, c, d = sets[:, set_of]
+    tails = _q_tails(q, n)
+    products = _lead_products(a, b, c, d, q, n)
+    norms = _norms(a, b, c, d, q, n, products, tails)
+    return (tails, norms, _node_rows(sets, q, xs, set_of, n, products, norms), h_prod(xs, h_a, q),
+            _weight_numerator(xs, q))
 
 
 def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1e-7):
     """Gram matrix of p_0..p_degree_cap against the Askey-Wilson weight in
-    the orthonormal scale (_gram_block).  The theta rule has
-    ``theta_nodes`` nodes, by default the _theta_node_count of a, b, c, d,
-    q and the cap; the result states the count."""
+    the orthonormal scale (_gram_block of a one-set _pass).  The theta rule
+    has ``theta_nodes`` nodes, by default the _theta_node_count of a, b, c,
+    d, q and the cap; the result states the count."""
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     if theta_nodes is None:
         theta_nodes = _theta_node_count((p.a, p.b, p.c, p.d), p.q, degree_cap)
     thetas, wts = _theta_rule(theta_nodes)
     degrees = np.arange(degree_cap + 1)
-    gram, ref, note = _gram_block(p, np.cos(thetas), wts, degrees)
+    abcd = [p.a, p.b, p.c, p.d]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        found = _pass(np.cos(thetas), p.q, np.array([abcd]).T, np.zeros_like(degrees), degrees,
+                      abcd)
+        gram, ref, note = _gram_block(p.q, wts, degrees, *found)
     result = summarize([(degrees.tolist(), gram, ref)], offdiag_tol, diag_rel_tol,
                        theta_nodes=theta_nodes)
     if not result.passed:
@@ -430,23 +452,14 @@ def aw_gram_1d(p, degree_cap, theta_nodes=None, diag_rel_tol=1e-6, offdiag_tol=1
     return result
 
 
-def _gram_block(p, xs, wts, degrees):
-    """The Gram of p_n, n in ``degrees``, over the theta rule (xs, wts),
-    integrated in theta so sin(theta) cancels the endpoint singularity:
-    one weighted product (V * w) @ V.T of the node-value rows V, each
-    divided by the square root of its closed-form norm h_n, so that it
-    reads the identity up to rounding.  Returns it, the norms, and a call
-    that gives the _range_note of the products it formed: an infinite
-    q-product out of the float range propagates, without a warning, to a
-    failed Gram, which the note then names."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tails = _q_tails(p.q, degrees)
-        products = _lead_products(p.a, p.b, p.c, p.d, p.q, degrees)
-        ref = _norms(p.a, p.b, p.c, p.d, p.q, degrees, products, tails)
-        vals = _node_rows(p, xs, products, ref)
-        weight, numerator, hs = _theta_weight(p, xs)
-        gram = (vals * (wts * weight)) @ vals.T
-    return gram, ref, partial(_range_note, p.q, numerator, hs, tails, degrees)
+def _gram_block(q, wts, degrees, tails, norms, rows, hs, numerator):
+    """The Gram (V * w) @ V.T of a block's rows V = p_n / sqrt(h_n), n in
+    ``degrees``, from its part of a _pass at q (hs: h(x, a)..h(x, d)), over
+    the theta rule of weights ``wts``; the norms h_n; and a call giving the
+    _range_note of the products, whose overflow fails the Gram silently."""
+    weight = numerator / (hs[0] * hs[1] * hs[2] * hs[3])
+    gram = (rows * (wts * weight)) @ rows.T
+    return gram, norms, partial(_range_note, q, numerator, dict(zip("abcd", hs)), tails, degrees)
 
 
 def _range_note(q, numerator, hs, tails, degrees):
@@ -574,45 +587,48 @@ def tensor_biortho_check(
         theta_nodes = max(_theta_node_count(x_dens, q, index_cap),
                           _theta_node_count((p2.a, p2.b, p2.c, p2.d), p2.q, index_cap))
     thetas, wts = _theta_rule(theta_nodes)
-    xs = np.cos(thetas)
     # rows ordered like ``indices``: row j * cap + k is the degree-j
     # polynomial at coupling index k
     indices = [(j, k) for j in range(cap) for k in range(cap)]
     js, ks = np.divmod(np.arange(cap * cap), cap)
+    # the parameter sets of the first block at the shifts of every k (set
+    # k) and of block 2, and the parameters of their h-factors
+    x_sets = np.array([[p1.a] * cap, [p1.b] * cap, c1s if mode == "pq" else c1s * cap, d1s])
+    x_h = [p1.a, p1.b] + c1s + (d1s if mode != "self" else [])
+    y_h = [p2.a, p2.b, p2.c, p2.d]
+    xy = cap * cap  # the x-entries
     # an infinite q-product out of the float range propagates to a failed
     # check, which _range_note then names for each block
-    y_int, y_ref, y_note = _gram_block(p2, xs, wts, np.arange(cap))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # the first-block parameters of every index: c1 shifted by k in pq
-        c1_at = np.array(c1s)[ks] if mode == "pq" else p1.c
-        d1_at = np.array(d1s)[ks]
-        x_tails = _q_tails(q, js)
-        x_products = _lead_products(p1.a, p1.b, c1_at, d1_at, q, js)
+        xs = np.cos(thetas)
+        if p2.q == q:  # one _pass over both blocks, block 2 the last set
+            tails, norms, rows, hs, numerator = _pass(
+                xs, q, np.hstack((x_sets, np.array([y_h]).T)), np.append(ks, [cap] * cap),
+                np.append(js, range(cap)), x_h + y_h)
+            h = len(x_h)
+            x_found = tails[:xy], norms[:xy], rows[:xy], hs[:h], numerator
+            y_found = tails[xy:], norms[xy:], rows[xy:], hs[h:], numerator
+        else:
+            x_found = _pass(xs, q, x_sets, ks, js, x_h)
+            y_found = _pass(xs, p2.q, np.array([y_h]).T, np.zeros(cap, int), np.arange(cap), y_h)
+        y_int, y_ref, y_note = _gram_block(p2.q, wts, np.arange(cap), *y_found)
         # tensor_diag_ref of every index over the second-block norm of
         # degree k: the first-block norms at the shifted parameters of k
-        x_ref = _norms(p1.a, p1.b, c1_at, d1_at, q, js, x_products, x_tails)
-        xvals = np.array([_node_rows(_x_params(tp, mode, k), xs, x_products[k::cap],
-                                     x_ref[k::cap]) for k in range(cap)])
-        left = xvals.transpose(1, 0, 2).reshape(cap * cap, -1)
+        x_tails, x_ref, left, hs, x_numerator = x_found
         right = left
-
-        x_numerator = _weight_numerator(xs, q)
-        x_hs = {"a": h_prod(xs, p1.a, q), "b": h_prod(xs, p1.b, q)}
+        x_hs = {"a": hs[0], "b": hs[1], "c": hs[2:2 + cap] if mode == "pq" else hs[2]}
         wx = wts * x_numerator / (x_hs["a"] * x_hs["b"])
         if mode == "pq":
-            x_hs["c"] = np.array([h_prod(xs, c1, q) for c1 in c1s])
             left = left / x_hs["c"][ks]
         else:
-            x_hs["c"] = h_prod(xs, p1.c, q)
             wx = wx / x_hs["c"]
         if mode == "self":
-            eits = np.exp(1j * thetas)
-            half_h = np.array([_half_h(d1, eits, q) for d1 in d1s])
+            half_h = _half_h(np.array(d1s), np.exp(1j * thetas), q)
             x_hs["d"] = np.abs(half_h) ** 2
             left = left / half_h[ks]
             right = right / np.conj(half_h[ks])
         else:
-            x_hs["d"] = np.array([h_prod(xs, d1, q) for d1 in d1s])
+            x_hs["d"] = hs[-cap:]
             right = right / x_hs["d"][ks]
         vals = np.real(((left * wx) @ right.T) * y_int[np.ix_(ks, ks)])
     result = summarize([(indices, vals, x_ref * y_ref[ks])], offdiag_tol, diag_rel_tol,

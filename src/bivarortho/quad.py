@@ -173,6 +173,15 @@ def _lattice_head(a, q):
     return qpochhammer(a, q)
 
 
+def _running_powers(heads, ratios, n):
+    """heads[b] ratios[b]^k, k < n, one np.longdouble row per entry b: the
+    running products heads[b], heads[b] ratios[b], ... of a lattice walk."""
+    rows = np.empty((len(ratios), n), np.longdouble)
+    rows[:, 0] = heads
+    rows[:, 1:] = ratios[:, None]
+    return np.multiply.accumulate(rows, axis=1, out=rows)
+
+
 def _lattice_directions(fam, exponents):
     """The directions of the q-lattice of x^alpha dnu for every exponent
     a = alpha + beta of ``exponents``, as tuples (points_weights, tail
@@ -182,9 +191,10 @@ def _lattice_directions(fam, exponents):
     each from the running product of its per-step factors; the tail
     factors hold one entry per exponent."""
     q = np.longdouble(fam.q)
-    ratio = q ** (np.asarray(exponents, dtype=float) + 1)  # q^(a+1)
+    a1 = np.asarray(exponents, dtype=float) + 1
+    ratio = q ** a1  # q^(a+1)
     if fam.kind == "wall" or fam.kind == "qjacobi":
-        if any(a + 1 <= 0 for a in exponents):
+        if np.any(a1 <= 0):
             raise ValueError("unilateral lattice needs alpha + 1 > 0")
         lower0 = _lattice_head(q ** (fam.gamma + 1), q) if fam.kind == "qjacobi" else 1.0
 
@@ -192,14 +202,11 @@ def _lattice_directions(fam, exponents):
             # x = q^k, weight q^{(a+1)k} (q^{k+1}; q)_inf / (q^{gamma+k+1}; q)_inf
             k = np.arange(1, n)
             x = radial.lattice_points(q, n)
-            qa = np.ones((len(ratio), n), np.longdouble)
-            qa[:, 1:] = ratio[:, None]
-            np.multiply.accumulate(qa, axis=1, out=qa)
             upper = _accumulate(np.divide, _lattice_head(q, q), 1.0 - q ** k)
             lower = 1.0
             if fam.kind == "qjacobi":
                 lower = _accumulate(np.divide, lower0, 1.0 - q ** (fam.gamma + k))
-            return x, qa * upper / lower
+            return x, _running_powers(1.0, ratio, n) * upper / lower
 
         # the weight decays at least geometrically with ratio q^{a+1} and
         # the integrand is bounded on (0, 1], so the dropped tail is below
@@ -208,26 +215,22 @@ def _lattice_directions(fam, exponents):
     if fam.kind == "qlaguerre":
         c = np.longdouble(fam.c)
         denom0 = _lattice_head(-c, q)  # (-c; q)_inf
-
-        def weights(x, denom):
-            # x^{a+1}, one np.power per exponent: a scalar exponent takes
-            # the same route as a one-exponent walk
-            w = np.empty((len(exponents), len(x)), np.longdouble)
-            for row, a in zip(w, exponents):
-                np.power(x, a + 1, out=row)
-            return w / denom
+        # x^{a+1} = c^{a+1} q^{(a+1)k}, a running product like the
+        # unilateral q^{(a+1)k}: one array pass over every exponent
+        head = c ** a1
 
         def upward(n):
             # x = c q^k -> 0, mass ~ x^{a+1}:
             # (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
             x = _accumulate(np.multiply, c, np.full(n - 1, q))
-            return x, weights(x, _accumulate(np.divide, denom0, 1.0 + x[:-1]))
+            return x, _running_powers(head, ratio, n) / _accumulate(np.divide, denom0, 1.0 + x[:-1])
 
         def downward(n):
             # x = c q^{-k-1} -> infinity, where the (-x; q)_inf growth wins:
             # (-c q^{-k-1}; q)_inf = (1 + c q^{-k-1}) (-c q^{-k}; q)_inf
             x = _accumulate(np.divide, c, np.full(n, q))[1:]
-            return x, weights(x, _accumulate(np.multiply, denom0, 1.0 + x)[1:])
+            return x, (_running_powers(head, q ** -a1, n + 1)[:, 1:]
+                       / _accumulate(np.multiply, denom0, 1.0 + x)[1:])
 
         return [(upward, 1.0 / (1.0 - ratio), 6, lambda k: k),
                 (downward, np.ones(len(ratio)), 3, lambda k: -k - 1)]
@@ -527,10 +530,10 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     rules relative to the mass) in the orthonormal scale, its rows walked
     with the per-step ratios (s_k / s_(k-1)) sqrt(zeta_(k-1) / zeta_k) of
     the norms times s_k^2, taken from the closed-form steps of
-    radial.norm_steps, never by dividing two norms, so that the scale
-    stays in range wherever the norms leave it; row 0 reads 1 /
-    sqrt(zeta_0) on the lattice, whose weights sum to the mass, and 1 in
-    the Gauss rules, where the mass cancels.  A non-finite lattice term,
+    radial.norm_steps, formed once for the norms and the ratios, never by
+    dividing two norms, so that the scale stays in range wherever the norms
+    leave it; row 0 reads 1 / sqrt(zeta_0) on the lattice, whose weights
+    sum to the mass, and 1 in the Gauss rules, where the mass cancels.  A non-finite lattice term,
     or a lattice weight under the np.longdouble range, stops its block and
     fails the Gram.  When the Gram fails, its notes name the first harmonic
     index whose lattice walk met either, what it met and its lattice
@@ -550,11 +553,12 @@ def gram(fam, degree_cap, offdiag_tol=1e-9, diag_rel_tol=1e-8):
     alphas = range(degree_cap + 1)
     nmaxes = [degree_cap - a for a in alphas]
     scale = bivariate.harmonic_scale(fam, degree_cap)
-    norms = radial.norms(rad, alphas, nmaxes)
+    steps = radial.norm_steps(rad, alphas, degree_cap)
+    norms = radial.norms(rad, alphas, nmaxes, steps)
     zetas = [z * scale[:len(z)] ** 2 for z in norms]
     h = bivariate.harmonic_ratios(fam, degree_cap)[1:]
     heads = [[1 / np.sqrt(z[0]) if rad.is_q() else 1.0] for z in norms]
-    ratios = np.hstack((heads, h / np.sqrt(h * h * radial.norm_steps(rad, alphas, degree_cap))))
+    ratios = np.hstack((heads, h / np.sqrt(h * h * steps)))
     # the Newton coefficients of wall and qjacobi, formed to the cap for
     # every block, leave the range past a block's own degree, which no row
     # reads, from WALL(0.5; 0.001) at cap 30; a row that does stops its block

@@ -234,14 +234,16 @@ def norm_steps(fam, alphas, nmax):
     return steps
 
 
-def norms(fam, alphas, nmaxes):
+def norms(fam, alphas, nmaxes, steps=None):
     """The squared norms zeta_0..zeta_nmaxes[b] of phi_n with respect to
     x^alphas[b] dnu for every block b, as a list of np.longdouble rows, each
     to its own degree: the one home of every family's closed form.  Each
     row is one running product from its mass zeta_0 by the steps
-    zeta_n / zeta_(n-1) of norm_steps, all rows in one np.cumprod, so every
-    entry equals that of the one-alpha call bit for bit; a norm outside the
-    np.longdouble range reads inf or 0, without a warning.
+    zeta_n / zeta_(n-1) of norm_steps (``steps`` when the caller has formed
+    norm_steps(fam, alphas, max(nmaxes)) already), all rows in one
+    np.cumprod, so every entry equals that of the one-alpha call bit for
+    bit; a norm outside the np.longdouble range reads inf or 0, without a
+    warning.
 
     laguerre (a = alpha + beta): zeta_n = Gamma(a + n + 1) / n!.  jacobi
     (g = alpha + gamma, t = g + beta): zeta_n = Gamma(g + n + 1)
@@ -296,7 +298,8 @@ def norms(fam, alphas, nmaxes):
             if fam.kind == "qlaguerre":
                 head = head * c ** (a + 1)
     with np.errstate(over="ignore"):
-        steps = norm_steps(fam, alphas, max(nmaxes))
+        if steps is None:
+            steps = norm_steps(fam, alphas, max(nmaxes))
         out = np.cumprod(np.concatenate((_col(head), steps), axis=1), axis=1)
     return [row[:n + 1] for row, n in zip(out, nmaxes)]
 

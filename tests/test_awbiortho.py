@@ -28,6 +28,13 @@ def mp_unit_point(mp, x):
     return mp.exp(1j * mp.acos(mp.mpf(x)))
 
 
+def theta_weight(p, xs):
+    """The Askey-Wilson weight times sin(theta) at the nodes ``xs``, as the
+    Grams form it: the weight numerator over the four h-factors."""
+    hs = aw.h_prod(xs, [p.a, p.b, p.c, p.d], p.q)
+    return aw._weight_numerator(xs, p.q) / (hs[0] * hs[1] * hs[2] * hs[3])
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +161,24 @@ class TestEvaluation:
                 s = aw.aw_eval(P, n, x)
                 assert type(s) is float and s == v
 
+    def test_node_rows_over_sets_equal_one_set_calls(self):
+        # one recurrence walk over the parameter columns of several sets,
+        # the entries in shuffled order, equals the one-set walks bit for bit
+        xs = gauss_theta_nodes(32)
+        q = P.q
+        blocks = [P, P2, aw.AWParams(0.9, -0.7, 0.5, 0.3, q), P.with_params(d=0.0)]
+        sets = np.array([[p.a, p.b, p.c, p.d] for p in blocks]).T
+        order = np.random.default_rng(3).permutation(4 * 7)
+        set_of, n = np.repeat(np.arange(4), 7)[order], np.tile(np.arange(7), 4)[order]
+        products = aw._lead_products(*sets[:, set_of], q, n)
+        norms = aw._norms(*sets[:, set_of], q, n, products, aw._q_tails(q, n))
+        rows = aw._node_rows(sets, q, xs, set_of, n, products, norms)
+        for i, p in enumerate(blocks):
+            mine = set_of == i
+            one = aw._node_rows(np.array([[p.a, p.b, p.c, p.d]]).T, q, xs, np.zeros(7, int),
+                                n[mine], products[mine], norms[mine])
+            assert np.array_equal(rows[mine], one), p
+
     def test_polynomial_in_x(self):
         # degree-n values interpolate to a degree-n polynomial in x
         n = 3
@@ -186,7 +211,7 @@ class TestWeight:
     def test_positive_on_open_interval(self):
         # w(x) sin(theta) as integrated by the Gram checks
         for x in np.linspace(-0.99, 0.99, 21):
-            assert aw._theta_weight(P, np.array([x]))[0] > 0.0
+            assert theta_weight(P, np.array([x]))[0] > 0.0
 
     def test_h_product_splits(self):
         # h(x, a) with a = 0 is the empty product
@@ -203,16 +228,37 @@ class TestWeight:
         # h(x, a) = |(a e^(i theta); q)_inf|^2 for real a, at every node;
         # a = -1 and -sqrt(q) are checked at the nodes -x against the
         # references of a = 1 and sqrt(q): h(-x, -a) = h(x, a) holds
-        # factor by factor, and -x is an exact negation
+        # factor by factor, and -x is an exact negation.  The rows of one
+        # array call over every a are held to the same references
         mp = pytest.importorskip("mpmath")
         xs = gauss_theta_nodes()
         rq = math.sqrt(q)
-        for a in (1.0, rq, 0.2, -0.3, 0.95):
+        params = (1.0, rq, 0.2, -0.3, 0.95)
+        refs = []
+        for a in params:
             with mp.workdps(20):
                 ref = [float(abs(mp.qp(a * mp_unit_point(mp, x), q)) ** 2) for x in xs]
             assert_allclose(aw.h_prod(xs, a, q), ref, rtol=1e-13, err_msg=f"a={a}")
             if a in (1.0, rq):
                 assert_allclose(aw.h_prod(-xs, -a, q), ref, rtol=1e-13, err_msg=f"a={-a}")
+            refs.append(ref)
+        assert_allclose(aw.h_prod(xs, params, q), refs, rtol=1e-13)
+        assert_allclose(aw.h_prod(-xs, [-1.0, -rq], q), refs[:2], rtol=1e-13)
+
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.999])
+    def test_h_product_rows_equal_the_scalar(self, q):
+        # one pass over an array of a runs every row to the largest K among
+        # them; each row equals its scalar call bit for bit: a = 0 (K = 0),
+        # +-1, mixed signs and moduli, so that the rows' own K differ.  At
+        # q = 0.999, h(x, +-1) leaves the float range, in both calls alike
+        xs = gauss_theta_nodes(64)
+        a = np.array([0.0, 1.0, -1.0, 0.05, -0.3, 0.9, -0.999, 1e-18])
+        with np.errstate(over="ignore", under="ignore"):
+            rows = aw.h_prod(xs, a, q)
+            assert rows.shape == (len(a), len(xs))
+            for row, v in zip(rows, a):
+                assert np.array_equal(row, aw.h_prod(xs, v, q)), v
+            assert aw.h_prod(0.3, a, q).tolist() == [aw.h_prod(0.3, v, q) for v in a]
 
     @pytest.mark.parametrize("a,q", [(0.4, 0.5), (-0.3, 0.7), (0.95, 0.3)])
     def test_half_h_matches_mpmath(self, a, q):
@@ -222,6 +268,17 @@ class TestWeight:
         with mp.workdps(20):
             ref = [complex(mp.qp(a * mp_unit_point(mp, x), q)) for x in xs]
         assert_allclose(aw._half_h(a, eits, q), ref, rtol=1e-13)
+
+    def test_half_h_rows_equal_the_scalar(self):
+        # one pass over an array of a, each row to its own K through
+        # per-entry counts, equals the scalar calls bit for bit
+        eits = np.exp(1j * np.arccos(gauss_theta_nodes(16)))
+        a = np.array([0.4, -0.3, 0.95, 0.0, 1e-3, -0.999])
+        for q in (0.3, 0.7, 0.99):
+            rows = aw._half_h(a, eits, q)
+            assert rows.shape == (len(a), len(eits))
+            for row, v in zip(rows, a):
+                assert np.array_equal(row, aw._half_h(v, eits, q)), (v, q)
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 0.99])
     def test_weight_numerator_is_one_product(self, q):
@@ -493,39 +550,41 @@ class TestTensorSystems:
     @pytest.mark.parametrize("mode", ["uv", "pq", "self"])
     def test_matches_per_pair_loop(self, mode):
         # every entry of the weighted matrix products against one sum per
-        # pair of index tuples over the same node values
-        tp = aw.TensorParams(P, P2)
-        cap, q = 2, P.q
-        res = aw.tensor_biortho_check(tp, cap, mode=mode)
-        thetas, wts = aw._theta_rule(res.theta_nodes)
-        xs, eits = np.cos(thetas), np.exp(1j * thetas)
+        # pair of index tuples over the same node values, with block 2 at
+        # block 1's q (one array pass) and at its own q (one pass per q)
+        for p2 in (P2, P2.with_params(q=0.7)):
+            tp = aw.TensorParams(P, p2)
+            cap, q = 2, P.q
+            res = aw.tensor_biortho_check(tp, cap, mode=mode)
+            thetas, wts = aw._theta_rule(res.theta_nodes)
+            xs, eits = np.cos(thetas), np.exp(1j * thetas)
 
-        def rows(p, k):
-            return aw.aw_prefactor(p, k) * aw.aw_eval(p, k, xs)
+            def rows(p, k):
+                return aw.aw_prefactor(p, k) * aw.aw_eval(p, k, xs)
 
-        wx = aw._weight_numerator(xs, q) / (aw.h_prod(xs, P.a, q) * aw.h_prod(xs, P.b, q))
-        if mode != "pq":
-            wx = wx / aw.h_prod(xs, P.c, q)
-        wy = aw._theta_weight(P2, xs)[0]
-        for (j, k) in res.indices:
-            left = rows(aw._x_params(tp, mode, k), j)
-            if mode == "pq":
-                left = left / aw.h_prod(xs, tp.shifted_c1(k), q)
-            elif mode == "self":
-                left = left / aw._half_h(tp.shifted_d1(k), eits, q)
-            for (m, n) in res.indices:
-                right = rows(aw._x_params(tp, mode, n), m)
-                if mode == "self":
-                    right = right / np.conj(aw._half_h(tp.shifted_d1(n), eits, q))
-                else:
-                    right = right / aw.h_prod(xs, tp.shifted_d1(n), q)
-                x_int = np.sum(wts * wx * left * right)
-                y_int = np.sum(wts * wy * rows(P2, k) * rows(P2, n))
-                got = res.entries[((j, k), (m, n))]
-                scale = math.sqrt(
-                    abs(res.entries[((j, k), (j, k))] * res.entries[((m, n), (m, n))])
-                )
-                assert abs(got - (x_int * y_int).real) <= 1e-12 * scale
+            wx = aw._weight_numerator(xs, q) / (aw.h_prod(xs, P.a, q) * aw.h_prod(xs, P.b, q))
+            if mode != "pq":
+                wx = wx / aw.h_prod(xs, P.c, q)
+            wy = theta_weight(p2, xs)
+            for (j, k) in res.indices:
+                left = rows(aw._x_params(tp, mode, k), j)
+                if mode == "pq":
+                    left = left / aw.h_prod(xs, tp.shifted_c1(k), q)
+                elif mode == "self":
+                    left = left / aw._half_h(tp.shifted_d1(k), eits, q)
+                for (m, n) in res.indices:
+                    right = rows(aw._x_params(tp, mode, n), m)
+                    if mode == "self":
+                        right = right / np.conj(aw._half_h(tp.shifted_d1(n), eits, q))
+                    else:
+                        right = right / aw.h_prod(xs, tp.shifted_d1(n), q)
+                    x_int = np.sum(wts * wx * left * right)
+                    y_int = np.sum(wts * wy * rows(p2, k) * rows(p2, n))
+                    got = res.entries[((j, k), (m, n))]
+                    scale = math.sqrt(
+                        abs(res.entries[((j, k), (j, k))] * res.entries[((m, n), (m, n))])
+                    )
+                    assert abs(got - (x_int * y_int).real) <= 1e-12 * scale, p2
 
     def test_diagonal_is_product_of_1d_norms(self):
         tp = aw.TensorParams(P, P2)

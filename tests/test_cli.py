@@ -392,12 +392,16 @@ class TestGram:
     # ecf1cc173ade846d, WALL 8a7f20f8ceaae8bb, MQ ea708f83144d0cab; every
     # orthonormal entry of the tests/test_quad.py digest groups moved by at
     # most 1.1e-16), whose oracles are tests/test_radial.py
-    # TestRowsAgainstMpmath and the same tests as before
+    # TestRowsAgainstMpmath and the same tests as before.  ZQ was
+    # re-recorded when the q-Laguerre lattice weights took x^(a+1) as a
+    # running product (before: 3d8c0e8456994ba4), whose oracle is
+    # tests/test_quad.py
+    # TestLatticeSumAgainstScalarLoop.test_qlaguerre_weights_match_np_power
     GRAM_DIGESTS = {
         "Z": (["--family", "Z", "--beta", "0.5"], "82434d24f9fafda0"),
         "H": (["--family", "H"], "80e86deb53653479"),
         "M": (["--family", "M", "--beta", "0.5", "--gamma", "0.7"], "f28f9dbe204f559d"),
-        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "3d8c0e8456994ba4"),
+        "ZQ": (["--family", "ZQ", "--beta", "0.5", "--q", "0.5"], "c1cda159d80509c1"),
         "WALL": (["--family", "WALL", "--beta", "0.5", "--q", "0.5"], "59c838bc89776843"),
         "MQ": (["--family", "MQ", "--beta", "0.5", "--gamma", "0.5", "--q", "0.5"],
                "3d824b84e5224e76"),

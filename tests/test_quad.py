@@ -334,11 +334,13 @@ def _scalar_lattice_sum(fam, alpha, integrand):
     if fam.kind == "qlaguerre":
         c = np.longdouble(fam.c)
         total = np.longdouble(0.0)
-        # upward direction k >= 0: x -> 0, mass ~ x^{a+1}
+        # upward direction k >= 0: x -> 0, mass ~ x^{a+1}, formed as the
+        # running product c^{a+1} q^{(a+1)k}
         denom = qpochhammer(-c, q)  # (-c q^k; q)_inf at k = 0
         x = c
+        xa = c ** (a + 1)
         for k in range(100000):
-            w = x ** (a + 1) / denom
+            w = xa / denom
             term = w * integrand(x)
             total += term
             size = np.max(np.abs(term))
@@ -349,6 +351,7 @@ def _scalar_lattice_sum(fam, alpha, integrand):
             # advance: (-c q^{k+1}; q)_inf = (-c q^k; q)_inf / (1 + c q^k)
             denom = denom / (1.0 + x)
             x = x * q
+            xa = xa * q ** (a + 1)
             if k > 5 and size / (1.0 - q ** (a + 1)) <= quad.LATTICE_TAIL_TOL * max(
                 np.max(np.abs(total)), 1e-300
             ):
@@ -358,13 +361,15 @@ def _scalar_lattice_sum(fam, alpha, integrand):
         # downward direction k <= -1: x -> infinity, (-x; q)_inf growth wins
         denom = qpochhammer(-c, q)
         x = c
+        xa = c ** (a + 1)  # x^{a+1} = c^{a+1} q^{-(a+1)(k+1)}, a running product
         prev = math.inf
         bad = 0
         for k in range(100000):
             # step from q^{-k} to q^{-k-1}: (-c q^{-k-1}; q)_inf = (1 + c q^{-k-1}) (-c q^{-k}; q)_inf
             x = x / q
+            xa = xa * q ** -(a + 1)
             denom = denom * (1.0 + x)
-            w = x ** (a + 1) / denom
+            w = xa / denom
             term = w * integrand(x)
             total += term
             size = np.max(np.abs(term))
@@ -484,6 +489,41 @@ class TestLatticeSumAgainstScalarLoop:
                 d = np.abs(np.diagonal(ref))
                 bound = 2.2e-16 * np.sqrt(np.multiply.outer(d, d))
                 assert np.all(np.abs(block - ref) <= bound), (cap, alpha)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
+    def test_qlaguerre_weights_match_np_power(self, q, c, monkeypatch):
+        # the q-Laguerre weights x^(a+1) / (-x; q)_inf, x^(a+1) a running
+        # product c^(a+1) q^(+-(a+1)k), against np.power(x, a + 1) over the
+        # same running denominators, at every point the walk of a cap-15
+        # Gram keeps, in both directions.  The bound is a few np.longdouble
+        # ulps plus the rounding np.power amplifies from the running point x,
+        # about k / 2 ulps after k steps, times a + 1; the difference reads
+        # at most 1.4 of it (q = 0.8), and 540 ulps (6e-17) at q = 0.95 and
+        # cap 60
+        fam = bivariate.ZQ(0.5, q, c)
+        walks = []
+        walk = quad._lattice_walk
+        monkeypatch.setattr(quad, "_lattice_walk", lambda *args: walks.append(walk(*args))
+                            or walks[-1])
+        quad.gram(fam, 15)
+        rad = bivariate.radial_of(fam)
+        kept = [np.concatenate([x for x, _, _ in chunks]) for chunks in walks[-1][1]]
+        counts = (max(np.sum(x <= c) for x in kept), max(np.sum(x > c) for x in kept))
+        exps = np.arange(16) + rad.beta
+        eps = np.finfo(np.longdouble).eps
+        lq, lc = np.longdouble(q), np.longdouble(c)
+        head = qpochhammer(-lc, lq)  # (-c; q)_inf
+        for (points_weights, *_), n, up in zip(quad._lattice_directions(rad, exps), counts,
+                                               (True, False)):
+            x, w = points_weights(int(n))
+            # (-x; q)_inf: x = c q^k divides out 1 + c q^(k-1), x = c q^(-k-1)
+            # multiplies in 1 + x
+            denom = (np.divide.accumulate(np.concatenate(([head], 1.0 + x[:-1]))) if up
+                     else np.multiply.accumulate(np.concatenate(([head], 1.0 + x)))[1:])
+            ref = np.power(x, exps[:, None] + 1) / denom
+            bound = eps * (4 + (np.arange(n) + 1) * (exps[:, None] + 1) / 2)
+            assert np.all(np.abs(w / ref - 1) <= bound), (q, c, up)
 
     @pytest.mark.parametrize(
         "fam", [radial.wall(0.5, 0.99), radial.q_laguerre(0.5, 0.99)], ids=["wall", "qlaguerre"]
@@ -1028,6 +1068,12 @@ class TestGaussGramsCanFail:
 # a599b1363887ee4b); every orthonormal entry moved by at most 1.1e-16,
 # and tests/test_radial.py TestRowsAgainstMpmath is the 30-digit oracle
 # of the rows, beside those named above.
+# The grids-ZQ and ZQ digests were re-recorded when the q-Laguerre lattice
+# weights took x^(a+1) as the running product c^(a+1) q^(+-(a+1)k) in
+# place of np.power per exponent (before: grids-ZQ ceb19e1094ddeec0, ZQ
+# 40a1a83d08fc3316); every entry moved by at most 4.1e-19 of its diagonal,
+# and TestLatticeSumAgainstScalarLoop.test_qlaguerre_weights_match_np_power
+# is the oracle of the weights.
 GRAM_LADDER = (2, 4, 6, 8, 10, 12, 15)
 LADDER_FAMILIES = (bivariate.Z(0.5), bivariate.H(), bivariate.M(0.5, 0.5),
                    bivariate.ZQ(0.5, 0.5), bivariate.WALL(0.5, 0.5),
@@ -1042,12 +1088,12 @@ GRAM_GROUPS = {
 }
 GRAM_DIGESTS = {
     "grids": "33e6ecb3621a64be",
-    "grids-ZQ": "ceb19e1094ddeec0",
+    "grids-ZQ": "361a8e9683657f73",
     "grids-WALL-MQ": "58a93f24227cee21",
     "Z": "eb0a1e70ab0d585e",
     "H": "ba00c48b4c899732",
     "M": "fd1c7dd6abd924ec",
-    "ZQ": "40a1a83d08fc3316",
+    "ZQ": "fd256e8aaafe975b",
     "WALL": "5aa936b77181bceb",
     "MQ": "d293496c6c64b122",
 }
